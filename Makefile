@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet build test race bench cover metrics-smoke trace-smoke series-smoke fuzz-smoke scenario-smoke shard-smoke queue-smoke emu-smoke stbench clean
+.PHONY: all check vet build test race bench bench-smoke cover metrics-smoke trace-smoke series-smoke fuzz-smoke scenario-smoke shard-smoke queue-smoke emu-smoke stbench clean
 
 # Per-target budget for the fuzz smoke (CI passes a longer one).
 FUZZTIME ?= 30s
@@ -16,8 +16,13 @@ vet:
 build:
 	$(GO) build ./...
 
-test: metrics-smoke trace-smoke series-smoke queue-smoke emu-smoke
+test: metrics-smoke trace-smoke series-smoke queue-smoke emu-smoke bench-smoke
 	$(GO) test -shuffle=on ./...
+
+# Repository-benchmark smoke: bench/ is a Go module of its own, so the
+# root's `go test ./...` does not reach its tests; run them in place.
+bench-smoke:
+	cd bench && $(GO) test .
 
 # The engine pool, the parallel experiment runner, and the sharded
 # executor (plus the topology/httpserv rigs that run on it) are the
@@ -25,17 +30,23 @@ test: metrics-smoke trace-smoke series-smoke queue-smoke emu-smoke
 race:
 	$(GO) test -race ./internal/sim ./internal/experiments ./internal/topology ./internal/httpserv ./internal/netstack ./internal/timerwheel ./internal/emu
 
-# Engine, metrics and packet hot-path microbenchmarks (allocation counts
-# included). The zero-alloc guards run first — the two-host packet path must
-# stay at 0 allocs/op both bare (TestTestbedPacketZeroAlloc) and with the
-# flowtrace hop sites wired but sampling off
-# (TestTestbedPacketZeroAllocTracingOff) — so a pooling or tracing
-# regression fails the target before any numbers are printed.
+# Engine, metrics, timer-wheel, facility-check and packet hot-path
+# microbenchmarks (allocation counts included). The zero-alloc guards run
+# first — the two-host packet path must stay at 0 allocs/op both bare
+# (TestTestbedPacketZeroAlloc) and with the flowtrace hop sites wired but
+# sampling off (TestTestbedPacketZeroAllocTracingOff), and so must the
+# engine, the sparse timer-wheel firing cycle and the facility's
+# trigger-state check — so a pooling or tracing regression fails the
+# target before any numbers are printed.
 bench:
 	$(GO) test -run 'TestTestbedPacketZeroAlloc' -count=1 ./internal/topology
 	$(GO) test -run 'TestEngineZeroAlloc' -count=1 ./internal/sim
+	$(GO) test -run 'TestSparseFireZeroAlloc' -count=1 ./internal/timerwheel
+	$(GO) test -run 'TestFacilityCheckZeroAlloc' -count=1 ./internal/core
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkReschedule|BenchmarkQueueChurn|BenchmarkShardRound' -benchmem -run '^$$' ./internal/sim
 	$(GO) test -bench 'BenchmarkMetrics' -benchmem -run '^$$' ./internal/metrics
+	$(GO) test -bench 'BenchmarkWheelSparseFire|BenchmarkHashedDueCheckIdle' -benchmem -run '^$$' ./internal/timerwheel
+	$(GO) test -bench 'BenchmarkFacilityCheck' -benchmem -run '^$$' ./internal/core
 	$(GO) test -bench 'BenchmarkTestbedPacket|BenchmarkSwitchForward' -benchmem -run '^$$' ./internal/topology
 	$(GO) test -bench 'BenchmarkTCPSegment|BenchmarkTCPAck' -benchmem -run '^$$' ./internal/tcp
 	$(GO) test -bench 'BenchmarkFleetSharded' -benchmem -run '^$$' ./internal/experiments
@@ -78,6 +89,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzKindRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzChromeWriter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventQueueOps$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/timerwheel -run '^$$' -fuzz '^FuzzWheelOps$$' -fuzztime $(FUZZTIME)
 
 # Degradation smoke: the fault-injection summary under the nastiest named
 # scenario, exercising the -scenario path end to end.

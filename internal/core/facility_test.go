@@ -230,3 +230,66 @@ func TestHandlerSchedulingMoreEvents(t *testing.T) {
 		}
 	}
 }
+
+// checkRig returns one trigger-state check on a hashed-wheel facility whose
+// measurement clock the check itself advances. hit: every check finds the
+// lone pooled probe due, fires it, and its handler re-arms it 999 ticks
+// out — the idle fleet host, where each 1 ms hardclock tick fires one
+// sparse probe. miss: one event pends far in the future and the clock
+// moves 1 µs per check, so no check finds anything due.
+func checkRig(hit bool) (f *Facility, check func()) {
+	var clock sim.Time
+	k := kernel.New(sim.NewEngine(7), cpu.PentiumII300(), kernel.Options{Hz: 1000})
+	f = New(k, Options{TimeSource: func() sim.Time { return clock }})
+	if !hit {
+		f.ScheduleSoftEvent(1<<40, func(sim.Time) sim.Time { return 0 })
+		return f, func() {
+			clock += sim.Microsecond
+			f.Trigger(kernel.SrcSyscall, clock)
+		}
+	}
+	var probe Handler
+	probe = func(sim.Time) sim.Time {
+		f.ScheduleSoftEventFree(999, probe)
+		return 0
+	}
+	f.ScheduleSoftEventFree(999, probe)
+	return f, func() {
+		clock += sim.Millisecond
+		f.Trigger(kernel.SrcHardClock, clock)
+	}
+}
+
+// TestFacilityCheckZeroAlloc guards the per-trigger-state check, firing
+// and re-arming included, at 0 allocs.
+func TestFacilityCheckZeroAlloc(t *testing.T) {
+	for _, hit := range []bool{false, true} {
+		f, check := checkRig(hit)
+		check()
+		if allocs := testing.AllocsPerRun(1000, check); allocs != 0 {
+			t.Errorf("hit=%v: %.1f allocs per check, want 0", hit, allocs)
+		}
+		if fired := f.Stats().Fired; hit && fired != 1002 {
+			t.Errorf("fired %d of 1002 checks", fired)
+		}
+	}
+}
+
+// BenchmarkFacilityCheck measures the per-trigger-state check the paper
+// prices at one clock read and one comparison, on checkRig's miss and hit
+// patterns.
+func BenchmarkFacilityCheck(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		hit  bool
+	}{{"miss", false}, {"hit", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			_, check := checkRig(c.hit)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				check()
+			}
+		})
+	}
+}

@@ -1,5 +1,7 @@
 package timerwheel
 
+import "math/bits"
+
 // Hierarchical is a multi-level timing wheel (the "hierarchical" scheme of
 // Varghese & Lauck). Level 0 has one-tick resolution; each higher level is
 // coarser by a factor of the slot count. Timers too far out for level 0 park
@@ -8,11 +10,18 @@ package timerwheel
 // crowds one slot list. Deadlines beyond the top level go to an overflow
 // list and re-enter the wheel as it advances.
 //
+// Each level has 64 slots, so its occupancy bitmap is one word: bit i of
+// occ[l] is set iff levels[l][i] is non-empty. Advance's tick walk jumps to
+// the next occupied level-0 slot or level boundary, and the due-sweep and
+// the earliest rescan visit only occupied slots, level by level in
+// ascending slot order.
+//
 // Hierarchical implements Queue, and the soft-timer facility can use either
 // variant; the hashed Wheel is the default (as in the paper), this variant
 // backs the timer-structure ablation benchmark.
 type Hierarchical struct {
 	levels   [hLevels][hSlots]slot
+	occ      [hLevels]uint64 // bit i of occ[l] set iff levels[l][i] is non-empty
 	cur      Tick
 	n        int
 	overflow slot
@@ -52,11 +61,30 @@ func (h *Hierarchical) place(t *Timer) {
 	}
 	l := levelFor(delta)
 	if l < 0 {
-		h.overflow.push(t)
+		h.overflow.push(t, h.overflow.head != nil)
 		return
 	}
 	idx := (t.deadline >> (hBits * l)) & (hSlots - 1)
-	h.levels[l][idx].push(t)
+	h.levels[l][idx].push(t, h.occ[l]&(1<<idx) != 0)
+	h.occ[l] |= 1 << idx
+}
+
+// unlink removes t from its slot, clearing the slot's bit if it empties.
+// A timer in level l sits at the index its deadline gives at that level,
+// so the emptied slot is found by comparing at most hLevels addresses.
+func (h *Hierarchical) unlink(t *Timer) {
+	s := t.slot
+	s.remove(t)
+	t.slot = nil
+	if s.head != nil {
+		return
+	}
+	for l := range h.levels {
+		if idx := (t.deadline >> (hBits * l)) & (hSlots - 1); s == &h.levels[l][idx] {
+			h.occ[l] &^= 1 << idx
+			return
+		}
+	}
 }
 
 // Schedule implements Queue.
@@ -72,18 +100,23 @@ func (h *Hierarchical) Schedule(deadline Tick, fn Handler) *Timer {
 // insert links a non-pending node into its level (Schedule and Timer.Rearm).
 func (h *Hierarchical) insert(t *Timer, deadline Tick, fn Handler) {
 	t.deadline, t.fn, t.gen = deadline, fn, h.advGen
+	h.add(t)
+}
+
+// add places t at its deadline and counts it; into an empty wheel the new
+// deadline is the exact earliest (see Wheel.add).
+func (h *Hierarchical) add(t *Timer) {
 	h.place(t)
-	h.n++
-	if deadline < h.earliest {
-		h.earliest = deadline
+	if h.n == 0 || t.deadline < h.earliest {
+		h.earliest = t.deadline
 		h.dirty = false
 	}
+	h.n++
 }
 
 // replace migrates a pending node to a new deadline (Timer.Reschedule).
 func (h *Hierarchical) replace(t *Timer, deadline Tick) {
-	t.slot.remove(t)
-	t.slot = nil
+	h.unlink(t)
 	old := t.deadline
 	t.deadline = deadline
 	t.gen = h.advGen
@@ -110,12 +143,7 @@ func (h *Hierarchical) ScheduleFree(deadline Tick, fn Handler) {
 		t.next = nil
 	}
 	t.deadline, t.fn, t.own, t.gen, t.pooled = deadline, fn, h, h.advGen, true
-	h.place(t)
-	h.n++
-	if deadline < h.earliest {
-		h.earliest = deadline
-		h.dirty = false
-	}
+	h.add(t)
 }
 
 // Len implements Queue.
@@ -133,21 +161,19 @@ func (h *Hierarchical) Earliest() Tick {
 }
 
 func (h *Hierarchical) recomputeEarliest() {
-	min := NoDeadline
+	e := NoDeadline
 	scan := func(s *slot) {
 		for t := s.head; t != nil; t = t.next {
-			if t.deadline < min {
-				min = t.deadline
-			}
+			e = min(e, t.deadline)
 		}
 	}
-	for l := 0; l < hLevels; l++ {
-		for i := range h.levels[l] {
-			scan(&h.levels[l][i])
+	for l, word := range h.occ {
+		for ; word != 0; word &= word - 1 {
+			scan(&h.levels[l][bits.TrailingZeros64(word)])
 		}
 	}
 	scan(&h.overflow)
-	h.earliest = min
+	h.earliest = e
 	h.dirty = false
 }
 
@@ -178,21 +204,35 @@ func (h *Hierarchical) Advance(now Tick) int {
 	}
 	for h.cur < now {
 		h.cur++
-		// Cascade any higher-level slot whose boundary we just crossed.
-		for l := 1; l < hLevels; l++ {
-			shift := uint(hBits * l)
-			if h.cur&((Tick(1)<<shift)-1) != 0 {
-				break // higher levels only cross when lower ones wrap
+		if i := h.cur & (hSlots - 1); i != 0 {
+			// No level boundary before level 0 wraps, so the next tick
+			// with work is the next occupied level-0 slot. Handlers see
+			// h.cur at the tick they fire on, as in a tick-by-tick walk.
+			word := h.occ[0] >> i
+			if word == 0 {
+				h.cur = min(now, h.cur|(hSlots-1))
+				continue
 			}
-			idx := (h.cur >> shift) & (hSlots - 1)
-			h.cascade(&h.levels[l][idx])
-		}
-		if h.cur&(hSpan-1) == 0 {
-			h.cascade(&h.overflow)
+			if h.cur += Tick(bits.TrailingZeros64(word)); h.cur > now {
+				h.cur = now
+				break
+			}
+		} else {
+			// Cascade any higher-level slot whose boundary we just crossed.
+			for l := 1; l < hLevels; l++ {
+				shift := uint(hBits * l)
+				if h.cur&((Tick(1)<<shift)-1) != 0 {
+					break // higher levels only cross when lower ones wrap
+				}
+				idx := (h.cur >> shift) & (hSlots - 1)
+				h.cascade(&h.levels[l][idx])
+			}
+			if h.cur&(hSpan-1) == 0 {
+				h.cascade(&h.overflow)
+			}
 		}
 		// Fire the level-0 slot for this tick.
-		s := &h.levels[0][h.cur&(hSlots-1)]
-		fired += h.fireSlot(s, now)
+		fired += h.fireSlot(&h.levels[0][h.cur&(hSlots-1)], now)
 	}
 	// Past-scheduled timers (deadline <= the pre-advance time) may sit in
 	// slots the walk above didn't visit; sweep if the bound says so.
@@ -213,7 +253,7 @@ func (h *Hierarchical) cascade(s *slot) {
 	t := s.head
 	for t != nil {
 		next := t.next
-		s.remove(t)
+		h.unlink(t)
 		h.place(t)
 		t = next
 	}
@@ -225,8 +265,7 @@ func (h *Hierarchical) fireSlot(s *slot, now Tick) int {
 	for t != nil {
 		next := t.next
 		if t.deadline <= now && t.gen != h.advGen {
-			s.remove(t)
-			t.slot = nil
+			h.unlink(t)
 			h.n--
 			if t.deadline <= h.earliest {
 				h.dirty = true
@@ -247,10 +286,18 @@ func (h *Hierarchical) fireSlot(s *slot, now Tick) int {
 	return fired
 }
 
+// fireEverythingDue fires the due timers of every occupied slot, level by
+// level in ascending slot order, then the overflow list. As in
+// Wheel.fireRange, each level's bitmap is re-read after every slot.
 func (h *Hierarchical) fireEverythingDue(now Tick) int {
 	fired := 0
-	for l := 0; l < hLevels; l++ {
-		for i := range h.levels[l] {
+	for l := range h.levels {
+		for i := 0; i < hSlots; i++ {
+			word := h.occ[l] >> i
+			if word == 0 {
+				break
+			}
+			i += bits.TrailingZeros64(word)
 			fired += h.fireSlot(&h.levels[l][i], now)
 		}
 	}
@@ -258,7 +305,8 @@ func (h *Hierarchical) fireEverythingDue(now Tick) int {
 	return fired
 }
 
-func (h *Hierarchical) noteCancel(t *Timer) {
+func (h *Hierarchical) cancel(t *Timer) {
+	h.unlink(t)
 	h.n--
 	if t.deadline <= h.earliest {
 		h.dirty = true

@@ -8,6 +8,16 @@
 // Two variants are provided: Wheel, a hashed wheel where each slot holds an
 // unsorted list of events hashed by deadline, and Hierarchical, a multi-level
 // wheel that avoids long-timeout slot crowding. Both satisfy Queue.
+//
+// Each wheel keeps an occupancy bitmap beside its slots: bit i is set iff
+// slot i holds at least one timer, in every state between operations. Every
+// sweep — recomputing the earliest deadline, firing what is due, walking the
+// ticks an Advance passes over — finds the next occupied slot with
+// bits.TrailingZeros64 (the find-first-set idiom of Eiffel bucket queues)
+// instead of visiting empty ones, so its cost follows the occupied slots
+// plus one bitmap word per 64 slots, not the span advanced. Sweeps visit
+// slots in ascending index order, exactly the order a linear walk over the
+// slots would take.
 package timerwheel
 
 import "math/bits"
@@ -43,11 +53,11 @@ type Queue interface {
 	Len() int
 }
 
-// owner is the queue a timer belongs to, notified on cancellation so it can
-// maintain its count and earliest-deadline cache, and asked to relocate the
-// timer on an in-place reschedule.
+// owner is the queue a timer belongs to, which unlinks it on cancellation
+// (maintaining its count, occupancy bitmap and earliest-deadline cache),
+// relocates it on an in-place reschedule, and links it on a rearm.
 type owner interface {
-	noteCancel(*Timer)
+	cancel(*Timer)
 	replace(t *Timer, deadline Tick)
 	insert(t *Timer, deadline Tick, fn Handler)
 }
@@ -75,9 +85,7 @@ func (t *Timer) Cancel() bool {
 	if t == nil || t.slot == nil {
 		return false
 	}
-	t.slot.remove(t)
-	t.slot = nil
-	t.own.noteCancel(t)
+	t.own.cancel(t)
 	return true
 }
 
@@ -125,18 +133,19 @@ func (t *Timer) Rearm(deadline Tick, fn Handler) {
 // slot is an intrusive doubly-linked list of timers hashing to one position.
 type slot struct {
 	head *Timer
-	n    int
 }
 
-func (s *slot) push(t *Timer) {
-	t.prev = nil
-	t.next = s.head
-	if s.head != nil {
+// push links t at the head of s. occupied is s's occupancy bit: a push into
+// an empty slot only stores to it, so linking a lone timer into a cold slot
+// costs no load miss.
+func (s *slot) push(t *Timer, occupied bool) {
+	t.prev, t.next = nil, nil
+	if occupied {
+		t.next = s.head
 		s.head.prev = t
 	}
 	s.head = t
 	t.slot = s
-	s.n++
 }
 
 func (s *slot) remove(t *Timer) {
@@ -149,14 +158,18 @@ func (s *slot) remove(t *Timer) {
 		t.next.prev = t.prev
 	}
 	t.next, t.prev = nil, nil
-	s.n--
 }
 
 // Wheel is a hashed timing wheel: slot index = deadline mod nslots, each slot
-// an unsorted list carrying full deadlines. Advance walks only the slots the
-// clock passes over, so per-tick cost is O(1) amortized plus fired handlers.
+// an unsorted list carrying full deadlines. The occupancy bitmap occ has bit
+// i set iff slots[i] is non-empty, so Advance visits only the occupied slots
+// among those the clock passes over (all of them after a full rotation),
+// in ascending slot order, and the lazy earliest-deadline rescan visits only
+// occupied slots. An Advance costs O(nslots/64) bitmap words plus the
+// occupied slots' timers and the fired handlers, however sparse the wheel.
 type Wheel struct {
 	slots    []slot
+	occ      []uint64 // bit i set iff slots[i] is non-empty
 	mask     Tick
 	cur      Tick // last tick passed to Advance
 	n        int
@@ -175,7 +188,12 @@ func New(nslots int) *Wheel {
 	if nslots&(nslots-1) != 0 {
 		nslots = 1 << bits.Len(uint(nslots))
 	}
-	return &Wheel{slots: make([]slot, nslots), mask: Tick(nslots - 1), earliest: NoDeadline}
+	return &Wheel{
+		slots:    make([]slot, nslots),
+		occ:      make([]uint64, (nslots+63)/64),
+		mask:     Tick(nslots - 1),
+		earliest: NoDeadline,
+	}
 }
 
 // Schedule implements Queue.
@@ -191,21 +209,47 @@ func (w *Wheel) Schedule(deadline Tick, fn Handler) *Timer {
 // insert links a non-pending node into its slot (Schedule and Timer.Rearm).
 func (w *Wheel) insert(t *Timer, deadline Tick, fn Handler) {
 	t.deadline, t.fn, t.gen = deadline, fn, w.advGen
-	w.slots[deadline&w.mask].push(t)
-	w.n++
-	if deadline < w.earliest {
-		w.earliest = deadline
+	w.add(t)
+}
+
+// add links t at its deadline and counts it. Into an empty wheel the new
+// deadline is the exact earliest, whatever stale bound a previous firing
+// left, so a re-armed lone timer never costs a rescan.
+func (w *Wheel) add(t *Timer) {
+	w.link(t)
+	if w.n == 0 || t.deadline < w.earliest {
+		w.earliest = t.deadline
 		w.dirty = false
+	}
+	w.n++
+}
+
+// link pushes t into the slot its deadline hashes to and marks it occupied.
+func (w *Wheel) link(t *Timer) {
+	i := t.deadline & w.mask
+	word, bit := &w.occ[i>>6], uint64(1)<<(i&63)
+	w.slots[i].push(t, *word&bit != 0)
+	*word |= bit
+}
+
+// unlink removes t from its slot, clearing the slot's bit if it empties.
+func (w *Wheel) unlink(t *Timer) {
+	i := t.deadline & w.mask
+	s := &w.slots[i]
+	s.remove(t)
+	t.slot = nil
+	if s.head == nil {
+		w.occ[i>>6] &^= 1 << (i & 63)
 	}
 }
 
 // replace migrates a pending node to a new deadline (Timer.Reschedule).
 func (w *Wheel) replace(t *Timer, deadline Tick) {
-	t.slot.remove(t)
+	w.unlink(t)
 	old := t.deadline
 	t.deadline = deadline
 	t.gen = w.advGen
-	w.slots[deadline&w.mask].push(t)
+	w.link(t)
 	if old <= w.earliest {
 		w.dirty = true // the earliest bound may have left with old
 	}
@@ -228,19 +272,15 @@ func (w *Wheel) ScheduleFree(deadline Tick, fn Handler) {
 		t.next = nil
 	}
 	t.deadline, t.fn, t.own, t.gen, t.pooled = deadline, fn, w, w.advGen, true
-	w.slots[deadline&w.mask].push(t)
-	w.n++
-	if deadline < w.earliest {
-		w.earliest = deadline
-		w.dirty = false
-	}
+	w.add(t)
 }
 
 // Len implements Queue.
 func (w *Wheel) Len() int { return w.n }
 
 // Earliest implements Queue. Cost is O(1) except after the previous earliest
-// event fired or was canceled, when the wheel is rescanned lazily.
+// event fired or was canceled while others stayed pending, when the
+// occupied slots are rescanned lazily.
 func (w *Wheel) Earliest() Tick {
 	if w.n == 0 {
 		return NoDeadline
@@ -251,16 +291,21 @@ func (w *Wheel) Earliest() Tick {
 	return w.earliest
 }
 
+// recomputeEarliest rescans the occupied slots for the earliest deadline.
+// It stays out of line so that Due and Earliest, the checks every trigger
+// state makes, stay small enough to inline into their callers.
+//
+//go:noinline
 func (w *Wheel) recomputeEarliest() {
-	min := NoDeadline
-	for i := range w.slots {
-		for t := w.slots[i].head; t != nil; t = t.next {
-			if t.deadline < min {
-				min = t.deadline
+	e := NoDeadline
+	for k, word := range w.occ {
+		for ; word != 0; word &= word - 1 {
+			for t := w.slots[k<<6|bits.TrailingZeros64(word)].head; t != nil; t = t.next {
+				e = min(e, t.deadline)
 			}
 		}
 	}
-	w.earliest = min
+	w.earliest = e
 	w.dirty = false
 }
 
@@ -270,17 +315,12 @@ func (w *Wheel) recomputeEarliest() {
 // stale (dirty) bound is still a valid lower bound, so Due may rescan at
 // most once after the earliest timer leaves the wheel.
 func (w *Wheel) Due(now Tick) bool {
-	if w.n == 0 {
-		return false
+	if w.n == 0 || w.earliest > now {
+		return false // even a stale bound is a lower bound: no rescan
 	}
-	if !w.dirty {
-		return w.earliest <= now
+	if w.dirty {
+		w.recomputeEarliest()
 	}
-	if w.earliest > now {
-		// Lower bound already beyond now; no rescan needed.
-		return false
-	}
-	w.recomputeEarliest()
 	return w.earliest <= now
 }
 
@@ -307,13 +347,19 @@ func (w *Wheel) Advance(now Tick) int {
 	fired := 0
 	prev := w.cur
 	span := now - prev
-	nslots := Tick(len(w.slots))
-	if span >= nslots {
+	if span > w.mask {
 		// Full rotation (or more): every slot may hold due timers.
 		fired = w.fireAllDue(now)
 	} else {
-		for tick := prev + 1; tick <= now; tick++ {
-			fired += w.fireSlot(&w.slots[tick&w.mask], now)
+		// The slots of ticks prev+1 .. now in tick order, wrapping past
+		// the last slot at most once.
+		if span > 0 {
+			lo, hi := (prev+1)&w.mask, now&w.mask
+			if lo > hi {
+				fired += w.fireRange(lo, w.mask, now)
+				lo = 0
+			}
+			fired += w.fireRange(lo, hi, now)
 		}
 		// Deadlines in (prev, now] always hash to a slot walked above,
 		// so the only due timers possibly missed are ones scheduled at
@@ -332,14 +378,34 @@ func (w *Wheel) Advance(now Tick) int {
 	return fired
 }
 
+// fireRange fires the due timers of the occupied slots lo..hi in ascending
+// slot order. The bitmap is re-read after each slot: handlers may fill or
+// empty slots ahead of the sweep, and the timers they add carry this pass's
+// generation, so visiting their slots or not fires the same timers.
+func (w *Wheel) fireRange(lo, hi, now Tick) int {
+	fired := 0
+	for i := lo; i <= hi; i++ {
+		word := w.occ[i>>6] >> (i & 63)
+		if word == 0 {
+			i |= 63 // rest of this word is empty; resume at the next
+			continue
+		}
+		i += Tick(bits.TrailingZeros64(word))
+		if i > hi {
+			break
+		}
+		fired += w.fireSlot(&w.slots[i], now)
+	}
+	return fired
+}
+
 func (w *Wheel) fireSlot(s *slot, now Tick) int {
 	fired := 0
 	t := s.head
 	for t != nil {
 		next := t.next
 		if t.deadline <= now && t.gen != w.advGen {
-			s.remove(t)
-			t.slot = nil
+			w.unlink(t)
 			w.n--
 			if t.deadline <= w.earliest {
 				w.dirty = true
@@ -360,15 +426,10 @@ func (w *Wheel) fireSlot(s *slot, now Tick) int {
 	return fired
 }
 
-func (w *Wheel) fireAllDue(now Tick) int {
-	fired := 0
-	for i := range w.slots {
-		fired += w.fireSlot(&w.slots[i], now)
-	}
-	return fired
-}
+func (w *Wheel) fireAllDue(now Tick) int { return w.fireRange(0, w.mask, now) }
 
-func (w *Wheel) noteCancel(t *Timer) {
+func (w *Wheel) cancel(t *Timer) {
+	w.unlink(t)
 	w.n--
 	if t.deadline <= w.earliest {
 		w.dirty = true

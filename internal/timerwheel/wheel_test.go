@@ -17,12 +17,52 @@ type refTimer struct {
 	deadline Tick
 	fn       Handler
 	canceled bool
+	queued   bool // in pending (possibly canceled, dropped at the next advance)
 }
 
 func (r *refQueue) schedule(deadline Tick, fn Handler) *refTimer {
-	t := &refTimer{deadline: deadline, fn: fn}
+	t := &refTimer{deadline: deadline, fn: fn, queued: true}
 	r.pending = append(r.pending, t)
 	return t
+}
+
+// live reports whether t is scheduled and not canceled. A timer taken off
+// pending as due by the advance in progress is no longer live.
+func (t *refTimer) live() bool { return t.queued && !t.canceled }
+
+func (r *refQueue) cancel(t *refTimer) bool {
+	ok := t.live()
+	t.canceled = true
+	return ok
+}
+
+// reschedule moves a live timer, which then waits at least for the next
+// advance, as Timer.Reschedule's timers do.
+func (r *refQueue) reschedule(t *refTimer, deadline Tick) bool {
+	if !t.live() {
+		return false
+	}
+	t.deadline = deadline
+	return true
+}
+
+// rearm revives a fired or canceled timer at deadline.
+func (r *refQueue) rearm(t *refTimer, deadline Tick) {
+	t.deadline, t.canceled = deadline, false
+	if !t.queued {
+		t.queued = true
+		r.pending = append(r.pending, t)
+	}
+}
+
+func (r *refQueue) len() int {
+	n := 0
+	for _, t := range r.pending {
+		if !t.canceled {
+			n++
+		}
+	}
+	return n
 }
 
 func (r *refQueue) advance(now Tick) int {
@@ -33,7 +73,9 @@ func (r *refQueue) advance(now Tick) int {
 	for _, t := range r.pending {
 		switch {
 		case t.canceled:
+			t.queued = false
 		case t.deadline <= now:
+			t.queued = false
 			due = append(due, t)
 		default:
 			keep = append(keep, t)
@@ -459,3 +501,97 @@ func BenchmarkHashedDueCheckIdle(b *testing.B) {
 		}
 	}
 }
+
+// sparseFire returns one cycle of the idle fleet host's timer pattern on q:
+// advance the clock 1001 ticks, make a trigger state's due check (Wheel.Due
+// on the hashed wheel, Earliest on the hierarchical one), fire the lone
+// timer, and re-arm it 1000 ticks out. At a 1 ms hardclock and 1 µs ticks
+// every firing crosses more than a full rotation of the wheel. fired
+// counts the firings.
+func sparseFire(q Queue) (cycle func(), fired *int) {
+	fired = new(int)
+	t := q.Schedule(1000, func(Tick) { *fired++ })
+	due := func(now Tick) bool { return q.Earliest() <= now }
+	if w, ok := q.(*Wheel); ok {
+		due = w.Due
+	}
+	now := Tick(0)
+	return func() {
+		now += 1001
+		if due(now) {
+			q.Advance(now)
+		}
+		t.Rearm(now+1000, nil)
+	}, fired
+}
+
+func TestSparseFireZeroAlloc(t *testing.T) {
+	for name, q := range map[string]Queue{"hashed": New(256), "hierarchical": NewHierarchical()} {
+		cycle, fired := sparseFire(q)
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per cycle, want 0", name, allocs)
+		}
+		if *fired != 1001 {
+			t.Errorf("%s: fired %d of 1001 cycles", name, *fired)
+		}
+	}
+}
+
+func BenchmarkWheelSparseFire(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		q    func() Queue
+	}{{"hashed", func() Queue { return New(256) }}, {"hierarchical", func() Queue { return NewHierarchical() }}} {
+		b.Run(c.name, func(b *testing.B) {
+			cycle, fired := sparseFire(c.q())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+			b.StopTimer()
+			if *fired != b.N {
+				b.Fatalf("fired %d of %d", *fired, b.N)
+			}
+		})
+	}
+}
+
+// TestRearmedLoneTimerExactBound pins the idle host's fast path: a lone timer
+// re-armed (or pooled-rescheduled) after each firing lands in an empty wheel,
+// so the earliest bound is exact at once and the due checks before its next
+// firing never rescan, however stale the bound the firing left behind.
+func TestRearmedLoneTimerExactBound(t *testing.T) {
+	type bound interface {
+		Queue
+		bound() (Tick, bool)
+	}
+	for name, q := range map[string]bound{"hashed": New(256), "hierarchical": NewHierarchical()} {
+		t.Run(name, func(t *testing.T) {
+			check := func(want Tick) {
+				t.Helper()
+				if e, dirty := q.bound(); dirty || e != want {
+					t.Fatalf("bound = %d (dirty %v), want exact %d", e, dirty, want)
+				}
+			}
+			tm := q.Schedule(1000, func(Tick) {})
+			now := Tick(0)
+			for i := 0; i < 50; i++ {
+				now += 1001
+				if q.Advance(now) != 1 {
+					t.Fatalf("cycle %d: the lone timer did not fire", i)
+				}
+				if i%2 == 0 {
+					tm.Rearm(now+1000, nil)
+					check(now + 1000)
+				} else {
+					q.ScheduleFree(now+700, func(Tick) {})
+					check(now + 700)
+				}
+			}
+		})
+	}
+}
+
+func (w *Wheel) bound() (Tick, bool)        { return w.earliest, w.dirty }
+func (h *Hierarchical) bound() (Tick, bool) { return h.earliest, h.dirty }
