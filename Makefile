@@ -30,16 +30,18 @@ bench-smoke:
 race:
 	$(GO) test -race ./internal/sim ./internal/experiments ./internal/topology ./internal/httpserv ./internal/netstack ./internal/timerwheel ./internal/emu
 
-# Engine, metrics, timer-wheel, facility-check and packet hot-path
-# microbenchmarks (allocation counts included). The zero-alloc guards run
+# Engine, metrics, timer-wheel, facility-check, packet and HTTP request
+# hot-path microbenchmarks (allocation counts included). The zero-alloc guards run
 # first — the two-host packet path must stay at 0 allocs/op both bare
 # (TestTestbedPacketZeroAlloc) and with the flowtrace hop sites wired but
 # sampling off (TestTestbedPacketZeroAllocTracingOff), and so must the
-# engine, the sparse timer-wheel firing cycle and the facility's
-# trigger-state check — so a pooling or tracing regression fails the
-# target before any numbers are printed.
+# engine, the sparse timer-wheel firing cycle, the facility's trigger-state
+# check and a warm HTTP server's request path (TestHTTPRequestZeroAlloc) —
+# so a pooling or tracing regression fails the target before any numbers
+# are printed.
 bench:
 	$(GO) test -run 'TestTestbedPacketZeroAlloc' -count=1 ./internal/topology
+	$(GO) test -run 'TestHTTPRequestZeroAlloc' -count=1 ./internal/httpserv
 	$(GO) test -run 'TestEngineZeroAlloc' -count=1 ./internal/sim
 	$(GO) test -run 'TestSparseFireZeroAlloc' -count=1 ./internal/timerwheel
 	$(GO) test -run 'TestFacilityCheckZeroAlloc' -count=1 ./internal/core
@@ -48,6 +50,7 @@ bench:
 	$(GO) test -bench 'BenchmarkWheelSparseFire|BenchmarkHashedDueCheckIdle' -benchmem -run '^$$' ./internal/timerwheel
 	$(GO) test -bench 'BenchmarkFacilityCheck' -benchmem -run '^$$' ./internal/core
 	$(GO) test -bench 'BenchmarkTestbedPacket|BenchmarkSwitchForward' -benchmem -run '^$$' ./internal/topology
+	$(GO) test -bench 'BenchmarkHTTPRequest' -benchmem -run '^$$' ./internal/httpserv
 	$(GO) test -bench 'BenchmarkTCPSegment|BenchmarkTCPAck' -benchmem -run '^$$' ./internal/tcp
 	$(GO) test -bench 'BenchmarkFleetSharded' -benchmem -run '^$$' ./internal/experiments
 

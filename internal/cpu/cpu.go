@@ -73,7 +73,7 @@ type Profile struct {
 // Work converts a nominal work duration (expressed for the baseline CPU)
 // into this profile's execution time, with a 1 ns floor so scaled work can
 // always be scheduled.
-func (p Profile) Work(d sim.Time) sim.Time {
+func (p *Profile) Work(d sim.Time) sim.Time {
 	w := sim.Time(float64(d) * p.WorkScale)
 	if w < 1 {
 		w = 1
@@ -93,7 +93,7 @@ type Perturber interface {
 
 // PerturbedWork is Work followed by the perturber, when one is installed.
 // A nil perturber costs one comparison, keeping the clean path unchanged.
-func (p Profile) PerturbedWork(pert Perturber, d sim.Time) sim.Time {
+func (p *Profile) PerturbedWork(pert Perturber, d sim.Time) sim.Time {
 	w := p.Work(d)
 	if pert != nil {
 		w = pert.PerturbWork(w)
@@ -103,7 +103,7 @@ func (p Profile) PerturbedWork(pert Perturber, d sim.Time) sim.Time {
 
 // IntrTotal returns the total per-interrupt overhead (direct + pollution),
 // the quantity Figure 3's linear fit measures.
-func (p Profile) IntrTotal() sim.Time { return p.IntrDirect + p.IntrPollution }
+func (p *Profile) IntrTotal() sim.Time { return p.IntrDirect + p.IntrPollution }
 
 // PentiumII300 models the paper's main testbed: 300 MHz Pentium II running
 // FreeBSD-2.2.6. Interrupt total ≈ 4.45 µs (Section 5.1).

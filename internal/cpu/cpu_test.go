@@ -38,7 +38,8 @@ func TestPentiumIII500NearConstantInterruptCost(t *testing.T) {
 func TestAlphaHigherInterruptCost(t *testing.T) {
 	// Section 5.1: 8.64 µs on the AlphaStation — interrupt expense is not
 	// an Intel artifact.
-	if got := Alpha500().IntrTotal(); got != sim.Micros(8.64) {
+	alpha := Alpha500()
+	if got := alpha.IntrTotal(); got != sim.Micros(8.64) {
 		t.Fatalf("Alpha IntrTotal = %v, want 8.64us", got)
 	}
 }

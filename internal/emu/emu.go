@@ -248,11 +248,12 @@ func (s *Server) readLoop(flow int, c net.Conn) {
 	})
 	buf := make([]byte, 4096)
 	pending := 0 // request bytes seen since the last blank line
+	var hdr headerEnd
 	for {
 		n, err := c.Read(buf)
 		if n > 0 {
 			pending += n
-			if containsBlankLine(buf[:n]) {
+			if hdr.scan(buf[:n]) {
 				size := pending
 				pending = 0
 				s.clk.Inject(func() { s.inject(flow, netstack.Request, size, 0) })
@@ -280,16 +281,33 @@ func (s *Server) inject(flow int, kind netstack.Kind, size, payload int) {
 	s.nic.Deliver(p)
 }
 
-// containsBlankLine reports whether b holds an HTTP header terminator. A
-// terminator split across reads is missed — acceptable for the emulation
-// workload, whose clients send requests in one write.
-func containsBlankLine(b []byte) bool {
-	for i := 0; i+3 < len(b); i++ {
-		if b[i] == '\r' && b[i+1] == '\n' && b[i+2] == '\r' && b[i+3] == '\n' {
-			return true
+// headerEnd finds HTTP header terminators ("\r\n\r\n") in a byte stream
+// that arrives in arbitrary pieces. It carries a partial match from one
+// read to the next, so a terminator split across reads is still seen.
+type headerEnd struct {
+	matched int // bytes of "\r\n\r\n" matched at the end of the stream so far
+}
+
+// scan consumes the next piece of the stream and reports whether a
+// terminator ended inside it.
+func (h *headerEnd) scan(b []byte) bool {
+	found := false
+	for _, c := range b {
+		switch {
+		case c == '\r' && h.matched == 2:
+			h.matched = 3
+		case c == '\r':
+			h.matched = 1
+		case c == '\n' && (h.matched == 1 || h.matched == 3):
+			h.matched++
+			if h.matched == 4 {
+				found, h.matched = true, 0
+			}
+		default:
+			h.matched = 0
 		}
 	}
-	return false
+	return found
 }
 
 // bridgeDeliver is the socket bridge: the endpoint the simulated NIC

@@ -104,3 +104,67 @@ func TestStopIdle(t *testing.T) {
 	}
 	s.Stop() // idempotent
 }
+
+// TestHeaderEndSplitPoints feeds requests to the terminator scanner split
+// in two at every byte offset: each must report exactly one terminator, in
+// the piece holding its final byte, and near misses must report none.
+func TestHeaderEndSplitPoints(t *testing.T) {
+	cases := []struct {
+		in   string
+		want bool
+	}{
+		{"GET /file HTTP/1.0\r\n\r\n", true},
+		{"GET /file HTTP/1.0\r\nHost: x\r\n\r\n", true},
+		{"GET /file HTTP/1.0\r\r\n\r\n", true},
+		{"GET /file HTTP/1.0\r\n\r\r\n", false},
+		{"GET /file HTTP/1.0\r\n\n\r\n", false},
+		{"GET /file HTTP/1.0\n\n", false},
+	}
+	for _, tc := range cases {
+		for i := 0; i <= len(tc.in); i++ {
+			var h headerEnd
+			first := h.scan([]byte(tc.in[:i]))
+			second := h.scan([]byte(tc.in[i:]))
+			wantFirst := tc.want && i == len(tc.in)
+			wantSecond := tc.want && i < len(tc.in)
+			if first != wantFirst || second != wantSecond {
+				t.Errorf("%q split at %d: found (%v, %v), want (%v, %v)",
+					tc.in, i, first, second, wantFirst, wantSecond)
+			}
+		}
+	}
+}
+
+// TestServeSplitTerminator sends a request whose header terminator is
+// split across two writes 100 ms apart — the final "\n" alone — and
+// expects the response's status line.
+func TestServeSplitTerminator(t *testing.T) {
+	dialable(t)
+	s, err := New(Config{FileBytes: 1024})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	go s.Serve()
+	defer s.Stop()
+
+	c, err := net.DialTimeout("tcp", s.Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(3 * time.Second))
+	if _, err := io.WriteString(c, "GET /file HTTP/1.0\r\n\r"); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if _, err := io.WriteString(c, "\n"); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	status, err := bufio.NewReader(c).ReadString('\n')
+	if err != nil {
+		t.Fatalf("no status line within 3 s: %v", err)
+	}
+	if !strings.HasPrefix(status, "HTTP/1.0 200") {
+		t.Fatalf("status = %q; want HTTP/1.0 200", strings.TrimSpace(status))
+	}
+}

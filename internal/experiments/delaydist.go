@@ -40,19 +40,17 @@ func RunDelayDist(sc Scale) *DelayDistResult {
 	// so samples are independent draws of d.
 	var scheduleNext func()
 	remaining := n
+	fired := func(now sim.Time) sim.Time {
+		scheduleNext()
+		return 0
+	}
+	arm := func() { rig.F.ScheduleSoftEventFree(uint64(rng.Intn(400)), fired) }
 	scheduleNext = func() {
 		if remaining == 0 {
 			return
 		}
 		remaining--
-		gap := rng.ExpTime(200 * sim.Microsecond)
-		rig.Eng.After(gap, func() {
-			T := uint64(rng.Intn(400))
-			rig.F.ScheduleSoftEvent(T, func(now sim.Time) sim.Time {
-				scheduleNext()
-				return 0
-			})
-		})
+		rig.Eng.After(rng.ExpTime(200*sim.Microsecond), arm)
 	}
 	scheduleNext()
 	deadline := rig.Eng.Now() + 600*sim.Second

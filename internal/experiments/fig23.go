@@ -137,10 +137,10 @@ func RunSec52(sc Scale) *Sec52Result {
 					firstFire = now
 				}
 				lastFire = now
-				tb.F.ScheduleSoftEvent(0, handler) // maximal frequency: due at once
-				return 0                           // null handler
+				tb.F.ScheduleSoftEventFree(0, handler) // maximal frequency: due at once
+				return 0                               // null handler
 			}
-			tb.F.ScheduleSoftEvent(0, handler)
+			tb.F.ScheduleSoftEventFree(0, handler)
 			soft = tb.Run(sc.Warmup, sc.Measure)
 			snaps[1] = tb.Metrics()
 		},

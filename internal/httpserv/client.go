@@ -49,6 +49,7 @@ type clientSlot struct {
 	got      int // data segments received this response
 	unacked  int
 	reqStart sim.Time
+	thinkFn  func() // think-time expiry, bound once per slot
 }
 
 // NewClientGen creates a generator sending into toServer (the link toward
@@ -77,6 +78,7 @@ func (g *ClientGen) Start() {
 		i := i
 		g.eng.After(sim.Time(i+1)*37*sim.Microsecond, func() {
 			s := &clientSlot{g: g}
+			s.thinkFn = s.reuse
 			g.slots = append(g.slots, s)
 			s.open()
 		})
@@ -159,11 +161,14 @@ func (s *clientSlot) responseDone() {
 	g := s.g
 	g.Responses++
 	g.ResponseTimes.Add((g.eng.Now() - s.reqStart).Millis())
-	g.eng.After(g.ThinkTime, func() {
-		if g.Persistent {
-			s.request()
-			return
-		}
-		s.open() // fresh connection for the next request
-	})
+	g.eng.After(g.ThinkTime, s.thinkFn)
+}
+
+// reuse starts the slot's next request once its think time has passed.
+func (s *clientSlot) reuse() {
+	if s.g.Persistent {
+		s.request()
+		return
+	}
+	s.open() // fresh connection for the next request
 }

@@ -142,13 +142,17 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// conn is the server-side connection state.
+// conn is the server-side connection state. Records recycle through the
+// server's free list when the client's FIN closes them, unless a request
+// on them is still queued or being served.
 type conn struct {
 	flow    int
 	peer    netstack.Addr // client host address, for switched topologies
 	fresh   bool          // no request served yet on this connection
 	pending bool          // a request is waiting for a worker
+	serving bool          // a worker holds it until the response is built
 	traced  bool          // the client's SYN carried a trace span
+	next    *conn         // free-list link
 }
 
 // Server is the simulated web server.
@@ -170,7 +174,8 @@ type Server struct {
 	FlowTrace *flowtrace.Sampler
 
 	conns    map[int]*conn
-	reqQ     []*conn
+	connFree *conn
+	reqQ     fifo[*conn]
 	workerWQ kernel.WaitQueue
 
 	// arena is the packet pool replies are acquired from (the NICs' pool,
@@ -184,11 +189,15 @@ type Server struct {
 	// fresh non-persistent requests don't rebuild it per connection.
 	freshScript []ReqStep
 
-	// Paced-transmission state.
-	txQ        []*netstack.Packet
+	// Paced-transmission state. The soft-timer handler and the HW-paced
+	// softirq step are bound once at construction: at most one of each is
+	// in flight (softEvUp, hwInFlight), so arming them allocates nothing.
+	txQ        fifo[*netstack.Packet]
 	softEvUp   bool
+	softPaceFn core.Handler
 	pacer      *core.Pacer // TxPacerPaced transmission clock
 	pit        *kernel.PIT
+	hwStep     []kernel.ChainStep
 	lastPaced  sim.Time
 	pacedCount int64
 	backlogged bool // the previous paced send left packets waiting
@@ -236,14 +245,21 @@ func NewServerMulti(k *kernel.Kernel, f *core.Facility, nics []*nic.NIC, cfg Con
 		w := k.Spawn(name, s.workerLoop)
 		w.PollutionFactor = cfg.Script.PollutionFactor
 	}
-	if cfg.TxMode == TxHWPaced {
+	switch cfg.TxMode {
+	case TxSoftPaced:
+		s.softPaceFn = s.softPace
+	case TxHWPaced:
 		s.pit = k.NewPIT(cfg.HWPacerPeriod, sim.Microsecond, s.hwPacerTick)
-	}
-	if cfg.TxMode == TxPacerPaced {
+		s.hwStep = []kernel.ChainStep{{
+			Work: nics[0].Cfg().Costs.TxWork + cfg.PacedExtraWork,
+			Src:  kernel.SrcIPOutput,
+			Fn:   s.hwTransmit,
+		}}
+	case TxPacerPaced:
 		s.pacer = core.NewPacer(f, cfg.PacerInterval, cfg.PacerBurstInterval,
 			func(now sim.Time) (sim.Time, bool) {
 				cost := s.sendPacedOne()
-				return cost, len(s.txQ) > 0
+				return cost, s.txQ.len() > 0
 			})
 	}
 	return s
@@ -295,22 +311,20 @@ func (s *Server) newPkt(flow int, dst netstack.Addr, kind netstack.Kind, size in
 func (s *Server) handleRx(p *netstack.Packet) {
 	switch p.Kind {
 	case netstack.Syn:
-		c := &conn{flow: p.Flow, peer: p.Src, fresh: true, traced: p.Trace != nil}
-		s.conns[p.Flow] = c
+		c := s.openConn(p, true)
 		s.nicFor(p.Flow).TxFromKernel(s.tracePkt(c, s.newPkt(p.Flow, p.Src, netstack.SynAck, s.cfg.HeaderBytes)))
 	case netstack.Request:
 		c := s.conns[p.Flow]
 		if c == nil {
 			// Persistent connections may predate the server (warm
 			// start); adopt them.
-			c = &conn{flow: p.Flow, peer: p.Src, fresh: false, traced: p.Trace != nil}
-			s.conns[p.Flow] = c
+			c = s.openConn(p, false)
 		}
 		if c.pending {
 			return
 		}
 		c.pending = true
-		s.reqQ = append(s.reqQ, c)
+		s.reqQ.push(c)
 		// ACK the request segment (TCP acks data carrying a push).
 		s.nicFor(p.Flow).TxFromKernel(s.tracePkt(c, s.newPkt(p.Flow, c.peer, netstack.Ack, s.cfg.HeaderBytes)))
 		s.workerWQ.WakeOne()
@@ -322,8 +336,27 @@ func (s *Server) handleRx(p *netstack.Packet) {
 			ack.Trace = s.FlowTrace.StartSpan()
 		}
 		s.nicFor(p.Flow).TxFromKernel(ack)
-		delete(s.conns, p.Flow)
+		if c := s.conns[p.Flow]; c != nil {
+			delete(s.conns, p.Flow)
+			if !c.pending && !c.serving {
+				c.next, s.connFree = s.connFree, c
+			}
+		}
 	}
+}
+
+// openConn registers the connection p opens, reusing a closed record when
+// one is free.
+func (s *Server) openConn(p *netstack.Packet, fresh bool) *conn {
+	c := s.connFree
+	if c != nil {
+		s.connFree = c.next
+	} else {
+		c = &conn{}
+	}
+	*c = conn{flow: p.Flow, peer: p.Src, fresh: fresh, traced: p.Trace != nil}
+	s.conns[p.Flow] = c
+	return c
 }
 
 // tracePkt attaches a span to a reply on a traced connection.
@@ -334,59 +367,124 @@ func (s *Server) tracePkt(c *conn, p *netstack.Packet) *netstack.Packet {
 	return p
 }
 
+// worker is one server process's request state: the connection being
+// served, the request-script cursor and the continuation to run when the
+// script runs out. Each workerLoop call builds one (Flash has one process,
+// Apache 16), and its continuations are method values bound once there,
+// so serving a request allocates nothing per script step.
+type worker struct {
+	s *Server
+	p *kernel.Proc
+	c *conn
+
+	steps []ReqStep // script steps not yet reached
+	then  func()    // runs once steps is exhausted
+
+	stepFn, nextFn, sendFn, sentFn, doneFn, endFn func()
+}
+
 // workerLoop is the per-process server loop: take a pending request, run
 // the request script, transmit the response, close if HTTP.
 func (s *Server) workerLoop(p *kernel.Proc) {
-	var next func()
-	next = func() {
-		if len(s.reqQ) == 0 {
-			p.Sleep(&s.workerWQ, next)
-			return
-		}
-		c := s.reqQ[0]
-		s.reqQ = s.reqQ[1:]
-		c.pending = false
-		start := s.cfg.Script.PreSend
-		if c.fresh && !s.cfg.Persistent {
-			start = s.freshScript
-		}
-		c.fresh = false
-		s.runScript(p, start, func() {
-			s.sendResponse(p, c, func() {
-				s.runScript(p, s.cfg.Script.PostSend, func() {
-					if !s.cfg.Persistent {
-						s.runScript(p, s.cfg.Script.ConnEnd, next)
-						return
-					}
-					next()
-				})
-			})
-		})
-	}
-	next()
+	w := &worker{s: s, p: p}
+	w.stepFn, w.nextFn, w.sendFn = w.step, w.next, w.send
+	w.sentFn, w.doneFn, w.endFn = w.sent, w.done, w.end
+	w.next()
 }
 
-// runScript executes request-script steps in order, then cont.
-func (s *Server) runScript(p *kernel.Proc, steps []ReqStep, cont func()) {
-	if len(steps) == 0 {
-		cont()
+// next takes the oldest pending request and runs the pre-send script
+// (preceded by the connection-setup script on a fresh HTTP connection),
+// or sleeps until a request arrives.
+func (w *worker) next() {
+	s := w.s
+	if s.reqQ.len() == 0 {
+		w.p.Sleep(&s.workerWQ, w.nextFn)
 		return
 	}
-	st := steps[0]
-	rest := steps[1:]
-	next := func() { s.runScript(p, rest, cont) }
-	if st.Prob > 0 && s.rng.Float64() >= st.Prob {
-		next()
+	c := s.reqQ.pop()
+	c.pending, c.serving = false, true
+	start := s.cfg.Script.PreSend
+	if c.fresh && !s.cfg.Persistent {
+		start = s.freshScript
+	}
+	c.fresh = false
+	w.c = c
+	w.run(start, w.sendFn)
+}
+
+// run executes script steps in order, then then.
+func (w *worker) run(steps []ReqStep, then func()) {
+	w.steps, w.then = steps, then
+	w.step()
+}
+
+// step starts the next script step that occurs — a probabilistic step
+// draws from the server's RNG when it is reached — or, once none remain,
+// runs the continuation.
+func (w *worker) step() {
+	for len(w.steps) > 0 {
+		st := &w.steps[0]
+		w.steps = w.steps[1:]
+		if st.Prob > 0 && w.s.rng.Float64() >= st.Prob {
+			continue
+		}
+		switch st.Kind {
+		case StepSyscall:
+			w.p.Syscall(st.Name, st.Work, w.stepFn)
+		case StepTrap:
+			w.p.Trap(st.Name, st.Work, w.stepFn)
+		default:
+			w.p.Compute(st.Work, w.stepFn)
+		}
 		return
 	}
-	switch st.Kind {
-	case StepSyscall:
-		p.Syscall(st.Name, st.Work, next)
-	case StepTrap:
-		p.Trap(st.Name, st.Work, next)
-	default:
-		p.Compute(st.Work, next)
+	w.then()
+}
+
+// send performs the send syscall that hands the response to TCP.
+func (w *worker) send() {
+	sy := &w.s.cfg.Script.SendSyscall
+	w.p.Syscall(sy.Name, sy.Work, w.sentFn)
+}
+
+// sent transmits the response data according to the configured TxMode,
+// then runs the post-send script. The worker does not wait for paced
+// transmission (socket-buffer semantics): pacing hardware/soft events
+// drain the queue while the worker moves on.
+func (w *worker) sent() {
+	s := w.s
+	// Built here, inside the syscall continuation, so the scratch buffer
+	// is consumed before any other worker can reuse it.
+	c := w.c
+	pkts := s.responsePackets(c)
+	c.serving, w.c = false, nil
+	if s.cfg.TxMode == TxBurst {
+		// Completion is the final segment leaving ip-output — the same
+		// instant the chain completes.
+		w.p.ChainC(s.nicFor(c.flow).TxChainOf(pkts...), w.doneFn)
+		return
 	}
+	s.enqueuePaced(pkts)
+	w.post()
+}
+
+// done counts a burst-transmitted response once its output chain ends.
+func (w *worker) done() {
+	w.s.Completed++
+	w.post()
+}
+
+// post runs the post-send script (logging and the like).
+func (w *worker) post() { w.run(w.s.cfg.Script.PostSend, w.endFn) }
+
+// end closes an HTTP connection (the connection-teardown script) before
+// taking the next request; a persistent connection goes straight on.
+func (w *worker) end() {
+	if w.s.cfg.Persistent {
+		w.next()
+		return
+	}
+	w.run(w.s.cfg.Script.ConnEnd, w.nextFn)
 }
 
 // responsePackets builds the data segments (the last carries the FIN for
@@ -426,36 +524,11 @@ func (s *Server) responsePackets(c *conn) []*netstack.Packet {
 	return pkts
 }
 
-// sendResponse performs the send syscall and transmits the response data
-// according to the configured TxMode, then cont. The worker does not wait
-// for paced transmission (socket-buffer semantics): pacing hardware/soft
-// events drain the queue while the worker moves on.
-func (s *Server) sendResponse(p *kernel.Proc, c *conn, cont func()) {
-	sy := s.cfg.Script.SendSyscall
-	p.Syscall(sy.Name, sy.Work, func() {
-		// Built here, inside the syscall continuation, so the scratch
-		// buffer is consumed before any other worker can reuse it.
-		pkts := s.responsePackets(c)
-		switch s.cfg.TxMode {
-		case TxBurst:
-			// Completion is the final segment leaving ip-output — the same
-			// instant the chain completes.
-			p.ChainC(s.nicFor(c.flow).TxChainOf(pkts...), func() {
-				s.Completed++
-				cont()
-			})
-		default:
-			s.enqueuePaced(pkts)
-			cont()
-		}
-	})
-}
-
 // enqueuePaced queues response packets for timer-driven transmission,
 // marking the train's last packet so its send counts a completion.
 func (s *Server) enqueuePaced(pkts []*netstack.Packet) {
 	pkts[len(pkts)-1].Mark = true
-	s.txQ = append(s.txQ, pkts...)
+	s.txQ.push(pkts...)
 	switch s.cfg.TxMode {
 	case TxSoftPaced:
 		s.armSoftPacer()
@@ -469,12 +542,11 @@ func (s *Server) enqueuePaced(pkts []*netstack.Packet) {
 // then (a backlogged interval, the quantity Table 3 reports) — and
 // counting response completions.
 func (s *Server) popPaced() *netstack.Packet {
-	if len(s.txQ) == 0 {
+	if s.txQ.len() == 0 {
 		s.backlogged = false
 		return nil
 	}
-	pkt := s.txQ[0]
-	s.txQ = s.txQ[1:]
+	pkt := s.txQ.pop()
 	now := s.k.Now()
 	if s.backlogged {
 		s.PacedIntervals.Add((now - s.lastPaced).Micros())
@@ -482,7 +554,7 @@ func (s *Server) popPaced() *netstack.Packet {
 	s.pacedCount++
 	s.lastPaced = now
 	// The next interval is back-to-back only if more packets wait now.
-	s.backlogged = len(s.txQ) > 0
+	s.backlogged = s.txQ.len() > 0
 	if pkt.Mark {
 		s.Completed++
 	}
@@ -500,18 +572,23 @@ func (s *Server) sendPacedOne() sim.Time {
 }
 
 // armSoftPacer schedules the always-due soft event that transmits one
-// packet per trigger state while the queue is non-empty.
+// packet per trigger state while the queue is non-empty. The event record
+// comes from the facility's pool and recycles as it fires.
 func (s *Server) armSoftPacer() {
-	if s.softEvUp || len(s.txQ) == 0 {
+	if s.softEvUp || s.txQ.len() == 0 {
 		return
 	}
 	s.softEvUp = true
-	s.f.ScheduleSoftEvent(0, func(now sim.Time) sim.Time {
-		s.softEvUp = false
-		cost := s.sendPacedOne()
-		s.armSoftPacer()
-		return cost
-	})
+	s.f.ScheduleSoftEventFree(0, s.softPaceFn)
+}
+
+// softPace is the TxSoftPaced handler (bound once as softPaceFn): send one
+// packet and re-arm while more wait.
+func (s *Server) softPace(now sim.Time) sim.Time {
+	s.softEvUp = false
+	cost := s.sendPacedOne()
+	s.armSoftPacer()
+	return cost
 }
 
 // hwPacerTick is the hardware timer handler for TxHWPaced: dispatch a
@@ -519,22 +596,53 @@ func (s *Server) armSoftPacer() {
 // arrive while the previous transmission's thread is still in flight are
 // lost, reproducing the paper's observation that hardware-timer pacing
 // falls short of its programmed rate ("some timer interrupts are lost
-// during periods when interrupts are disabled in FreeBSD").
+// during periods when interrupts are disabled in FreeBSD"). The one-step
+// chain is built once: hwInFlight keeps a single post outstanding.
 func (s *Server) hwPacerTick() {
-	if len(s.txQ) == 0 || s.hwInFlight {
+	if s.txQ.len() == 0 || s.hwInFlight {
 		return
 	}
 	s.hwInFlight = true
-	s.k.PostSoftIRQ(kernel.ChainStep{
-		Work: s.nics[0].Cfg().Costs.TxWork + s.cfg.PacedExtraWork,
-		Src:  kernel.SrcIPOutput,
-		Fn: func() {
-			// Cost is charged by this chain step; transmit without
-			// re-charging.
-			s.hwInFlight = false
-			if pkt := s.popPaced(); pkt != nil {
-				s.nicFor(pkt.Flow).TransmitRaw(pkt)
-			}
-		},
-	})
+	s.k.PostSoftIRQ(s.hwStep...)
+}
+
+// hwTransmit is the HW-paced chain step's side effect. Its cost is charged
+// by the step's Work, so it transmits without re-charging.
+func (s *Server) hwTransmit() {
+	s.hwInFlight = false
+	if pkt := s.popPaced(); pkt != nil {
+		s.nicFor(pkt.Flow).TransmitRaw(pkt)
+	}
+}
+
+// fifo is a head-indexed queue: popping advances a cursor, draining resets
+// the slice to [:0], and a push that would outgrow the backing array first
+// slides the live entries to its front — so steady-state traffic reuses one
+// array instead of reallocating after every front reslice.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(vs ...T) {
+	if q.head > 0 && len(q.buf)+len(vs) > cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, vs...)
+}
+
+// pop removes and returns the oldest entry; the queue must be non-empty.
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }

@@ -458,18 +458,7 @@ func (k *Kernel) startSegment(s *segment) {
 	}
 	k.seg = s
 	s.startAt = k.eng.Now()
-	s.doneEv = k.eng.AtLabeled(k.eng.Now()+s.remaining, k.segLabel(s.name), s.finFn)
-}
-
-// segLabel memoizes "seg:<name>" labels — segment names are a small fixed
-// vocabulary per workload, so the label concat happens once per name.
-func (k *Kernel) segLabel(name string) string {
-	l, ok := k.segLabels[name]
-	if !ok {
-		l = "seg:" + name
-		k.segLabels[name] = l
-	}
-	return l
+	s.doneEv = k.eng.AtLabeled(k.eng.Now()+s.remaining, s.name, s.finFn)
 }
 
 // finishSegment completes a segment: account it, fire the trigger state for

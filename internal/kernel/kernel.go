@@ -288,9 +288,8 @@ type Kernel struct {
 	idleTickFn func()
 	idleContFn func()
 
-	// Segment pool and memoized "seg:<name>" labels.
-	segFree   *segment
-	segLabels map[string]string
+	// Segment pool.
+	segFree *segment
 
 	idle      bool
 	idleEv    sim.Event
@@ -333,7 +332,6 @@ func New(eng *sim.Engine, prof cpu.Profile, opts Options) *Kernel {
 		k.sirqPollution = prof.IntrPollution / 2
 	}
 	k.callouts = newCalloutWheel()
-	k.segLabels = make(map[string]string)
 	k.intrBodyFn = k.intrBody
 	k.intrContFn = k.intrCont
 	k.softBodyFn = k.softBody

@@ -458,8 +458,14 @@ func (n *NIC) transmit(p *netstack.Packet) {
 	}
 }
 
-// schedulePoll arms the next soft-timer poll event.
+// schedulePoll arms the next soft-timer poll event. The first poll
+// schedules the event; every later one re-arms the same handle from
+// inside its own handler, so steady-state polling allocates nothing.
 func (n *NIC) schedulePoll() {
+	if n.pollEv != nil {
+		n.pollEv.RearmAfter(n.pollIvl)
+		return
+	}
 	n.pollEv = n.f.ScheduleAfter(n.pollIvl, n.pollFn)
 }
 

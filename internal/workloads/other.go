@@ -24,21 +24,22 @@ func makeRealAudio(seed uint64, prof cpu.Profile) *Rig {
 	r := newBareRig(seed, prof)
 	rng := r.Eng.Rand().Fork()
 	player := r.K.Spawn("realplayer", func(p *kernel.Proc) {
+		// The continuations are built once, outside the loop.
 		var loop func()
+		refill := func() { p.Syscall("read", rng.ExpTime(sim.Micros(2.2)), loop) }
+		decoded := func() {
+			if rng.Bool(0.0008) {
+				// Occasional longer decode burst (buffer refill, UI
+				// work) — the distribution's tail.
+				p.Compute(rng.ParetoTime(1.3, sim.Micros(150), sim.Micros(1800)), refill)
+				return
+			}
+			p.Syscall("write", rng.ExpTime(sim.Micros(2.2)), loop)
+		}
 		loop = func() {
 			// Decode a little, then touch the kernel: the RealPlayer
 			// makes "many system calls" (Section 5.3).
-			p.Compute(rng.ExpTime(sim.Micros(4.0)), func() {
-				if rng.Bool(0.0008) {
-					// Occasional longer decode burst (buffer refill,
-					// UI work) — the distribution's tail.
-					p.Compute(rng.ParetoTime(1.3, sim.Micros(150), sim.Micros(1800)), func() {
-						p.Syscall("read", rng.ExpTime(sim.Micros(2.2)), loop)
-					})
-					return
-				}
-				p.Syscall("write", rng.ExpTime(sim.Micros(2.2)), loop)
-			})
+			p.Compute(rng.ExpTime(sim.Micros(4.0)), decoded)
 		}
 		loop()
 	})
@@ -139,32 +140,30 @@ func makeKernelBuild(seed uint64, prof cpu.Profile) *Rig {
 	for i := 0; i < 1; i++ {
 		r.K.Spawn("cc", func(p *kernel.Proc) {
 			var diskWQ kernel.WaitQueue
+			// The continuations are built once, outside the loop.
 			var loop func()
+			diskDone := func() { diskWQ.WakeOne() }
+			diskIntr := func() { r.K.RaiseInterrupt(kernel.SrcDisk, sim.Micros(5), diskDone) }
 			// The steady state interleaves short compute with file and
 			// pipe syscalls and the occasional page fault; every so
 			// often a heavy-tailed optimization pass runs uninterrupted
 			// (the distribution's tail, bounded by hardclock at 1 ms),
 			// and disk reads park the process, exposing the idle loop
 			// (the 2 µs median).
-			loop = func() {
-				p.Compute(rng.ExpTime(sim.Micros(14)), func() {
-					switch {
-					case rng.Bool(0.018): // disk miss: sleep on I/O
-						r.Eng.After(rng.ExpTime(700*sim.Microsecond), func() {
-							r.K.RaiseInterrupt(kernel.SrcDisk, sim.Micros(5), func() {
-								diskWQ.WakeOne()
-							})
-						})
-						p.Sleep(&diskWQ, loop)
-					case rng.Bool(0.025): // optimization pass
-						p.Compute(rng.ParetoTime(1.25, sim.Micros(80), sim.Micros(950)), loop)
-					case rng.Bool(0.10): // page fault
-						p.Trap("pagefault", sim.Micros(9), loop)
-					default:
-						p.Syscall("read", rng.ExpTime(sim.Micros(8)), loop)
-					}
-				})
+			computed := func() {
+				switch {
+				case rng.Bool(0.018): // disk miss: sleep on I/O
+					r.Eng.After(rng.ExpTime(700*sim.Microsecond), diskIntr)
+					p.Sleep(&diskWQ, loop)
+				case rng.Bool(0.025): // optimization pass
+					p.Compute(rng.ParetoTime(1.25, sim.Micros(80), sim.Micros(950)), loop)
+				case rng.Bool(0.10): // page fault
+					p.Trap("pagefault", sim.Micros(9), loop)
+				default:
+					p.Syscall("read", rng.ExpTime(sim.Micros(8)), loop)
+				}
 			}
+			loop = func() { p.Compute(rng.ExpTime(sim.Micros(14)), computed) }
 			loop()
 		})
 	}
