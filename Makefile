@@ -128,10 +128,11 @@ shard-smoke:
 	diff /tmp/stbench-trace1.json /tmp/stbench-trace4.json
 	diff /tmp/stbench-tseries1.json /tmp/stbench-tseries4.json
 
-# Queue-backend smoke: the churn-heavy hierarchical fleet must dump
-# byte-identical telemetry on every engine event-queue backend (the
-# differential contract, end to end through stbench -queue; the heap run
-# is the reference).
+# Queue-backend smoke: the churn-heavy hierarchical fleet, and the
+# flat-switch fleet whose hosts all share every hardclock instant (the
+# heap's same-instant batches), must dump byte-identical telemetry on every
+# engine event-queue backend (the differential contract, end to end through
+# stbench -queue; the heap run is the reference).
 queue-smoke:
 	$(GO) run ./cmd/stbench -exp fleet-hier -scale smoke -queue heap -metrics /tmp/stbench-queue-heap.json >/dev/null
 	$(GO) run ./cmd/stbench -exp fleet-hier -scale smoke -queue wheel -metrics /tmp/stbench-queue-wheel.json >/dev/null
@@ -140,6 +141,13 @@ queue-smoke:
 	diff /tmp/stbench-queue-heap.json /tmp/stbench-queue-hier.json
 	$(GO) run ./cmd/stbench -exp fleet-hier -scale smoke -queue ffs -metrics /tmp/stbench-queue-ffs.json >/dev/null
 	diff /tmp/stbench-queue-heap.json /tmp/stbench-queue-ffs.json
+	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -queue heap -metrics /tmp/stbench-queue-flat-heap.json >/dev/null
+	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -queue wheel -metrics /tmp/stbench-queue-flat-wheel.json >/dev/null
+	diff /tmp/stbench-queue-flat-heap.json /tmp/stbench-queue-flat-wheel.json
+	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -queue hier -metrics /tmp/stbench-queue-flat-hier.json >/dev/null
+	diff /tmp/stbench-queue-flat-heap.json /tmp/stbench-queue-flat-hier.json
+	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -queue ffs -metrics /tmp/stbench-queue-flat-ffs.json >/dev/null
+	diff /tmp/stbench-queue-flat-heap.json /tmp/stbench-queue-flat-ffs.json
 
 # Emulation smoke: stserve's self-test serves real HTTP over loopback for
 # ~2 s under the RealTimeClock driver and asserts at least one pacer-clocked

@@ -263,7 +263,7 @@ var intrLabels = func() [numSources]string {
 func (k *Kernel) runIntr(req intrReq) {
 	k.inIntr = true
 	k.acct.Interrupts++
-	k.tr(trace.Intr, req.src.String(), 0)
+	k.trSrc(trace.Intr, req.src)
 	dur := k.prof.IntrDirect + k.prof.Work(req.work)
 	k.acct.Intr += dur
 	k.mIntr[req.src].Inc()
@@ -411,16 +411,10 @@ func (k *Kernel) procChainDone() {
 // triggerInCtx reports a trigger state from within occupied CPU context:
 // soft-timer handler time simply extends the occupancy.
 func (k *Kernel) triggerInCtx(src Source, cont func()) {
-	if !k.opts.DisabledSources[src] && !k.starved(src) {
-		k.tr(trace.TriggerState, src.String(), 0)
-		k.meter.record(k.eng.Now(), src)
-		if k.sink != nil {
-			if consumed := k.sink.Trigger(src, k.eng.Now()); consumed > 0 {
-				k.acct.SoftTimer += consumed
-				k.eng.After(consumed, cont)
-				return
-			}
-		}
+	if consumed := k.checkTrigger(src); consumed > 0 {
+		k.acct.SoftTimer += consumed
+		k.eng.After(consumed, cont)
+		return
 	}
 	cont()
 }

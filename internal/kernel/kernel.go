@@ -112,7 +112,8 @@ type Options struct {
 	IdleHalt bool
 	// DisabledSources suppresses chosen trigger sources, for the
 	// Figure 6 source-ablation experiment. Suppressed sources still
-	// execute their work; they just do not report trigger states.
+	// execute their work; they just do not report trigger states. New
+	// reads the map once; later changes to it have no effect.
 	DisabledSources map[Source]bool
 	// SoftIRQDirect and SoftIRQPollution override the entry cost and
 	// locality penalty of software interrupts; zero values default to
@@ -225,9 +226,10 @@ type Kernel struct {
 	prof cpu.Profile
 	opts Options
 
-	sink   TriggerSink
-	meter  *TriggerMeter
-	tracer *trace.Buffer
+	sink     TriggerSink
+	meter    *TriggerMeter
+	tracer   *trace.Buffer
+	disabled [NumSources]bool // Options.DisabledSources, copied at New
 
 	// Telemetry. The kernel owns the simulation's metrics registry; the
 	// soft-timer facility, NICs and links register their instruments on
@@ -322,6 +324,11 @@ func New(eng *sim.Engine, prof cpu.Profile, opts Options) *Kernel {
 		prof:  prof,
 		opts:  opts,
 		meter: NewTriggerMeter(),
+	}
+	for src, off := range opts.DisabledSources {
+		if off && src >= 0 && src < numSources {
+			k.disabled[src] = true
+		}
 	}
 	k.sirqDirect = opts.SoftIRQDirect
 	if k.sirqDirect == 0 {
@@ -467,21 +474,39 @@ func (k *Kernel) starved(src Source) bool {
 	return src != SrcHardClock && k.opts.Faults.StarveTrigger()
 }
 
+// trSrc is tr labeled with the source's name, built only when a tracer is
+// attached.
+func (k *Kernel) trSrc(kind trace.Kind, src Source) {
+	if k.tracer != nil {
+		k.tracer.Add(k.eng.Now(), kind, src.String(), 0)
+	}
+}
+
+// checkTrigger is the trigger-state check: unless the source is disabled
+// or starved, it traces and meters the state and offers it to the sink. It
+// returns the CPU time the soft-timer handlers the sink ran consumed.
+func (k *Kernel) checkTrigger(src Source) sim.Time {
+	if k.disabled[src] || k.starved(src) {
+		return 0
+	}
+	k.trSrc(trace.TriggerState, src)
+	now := k.eng.Now()
+	k.meter.record(now, src)
+	if k.sink == nil {
+		return 0
+	}
+	return k.sink.Trigger(src, now)
+}
+
 // trigger reports a trigger state, then runs cont after any soft-timer
 // handler work the sink performed. cont must not be nil.
 func (k *Kernel) trigger(src Source, cont func()) {
-	if !k.opts.DisabledSources[src] && !k.starved(src) {
-		k.tr(trace.TriggerState, src.String(), 0)
-		k.meter.record(k.eng.Now(), src)
-		if k.sink != nil {
-			if consumed := k.sink.Trigger(src, k.eng.Now()); consumed > 0 {
-				// Soft-timer handlers execute here, occupying the CPU.
-				// They run in "interrupt-like" context: interrupts that
-				// arrive meanwhile queue until it completes.
-				k.runAux(consumed, cont)
-				return
-			}
-		}
+	if consumed := k.checkTrigger(src); consumed > 0 {
+		// Soft-timer handlers execute here, occupying the CPU. They run in
+		// "interrupt-like" context: interrupts that arrive meanwhile queue
+		// until it completes.
+		k.runAux(consumed, cont)
+		return
 	}
 	cont()
 }

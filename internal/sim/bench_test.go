@@ -97,3 +97,32 @@ func BenchmarkEngineRunUntil(b *testing.B) {
 		e.RunFor(100)
 	}
 }
+
+// BenchmarkEngineAlignedTicks is fleet-shaped: 1024 tickers on one engine
+// re-arm at exact 1 ms multiples, as every host's hardclock does, so each
+// tick instant holds 1024 events. Each tick also schedules a +5 µs
+// follow-up (the interrupt body, so those instants are shared too) and an
+// event an exponential gap away (unaligned traffic). One op is one fired
+// event; the queue holds ~3k events, most of them behind instant leaders.
+func BenchmarkEngineAlignedTicks(b *testing.B) {
+	const tickers = 1024
+	e := NewEngine(1)
+	fn := func() {}
+	var tick func()
+	tick = func() {
+		e.After(Millisecond, tick)
+		e.After(5*Microsecond, fn)
+		e.After(e.Rand().ExpTime(Millisecond), fn)
+	}
+	for i := 0; i < tickers; i++ {
+		e.At(Millisecond, tick)
+	}
+	for i := 0; i < 3*tickers; i++ { // warm the pool and the queue's depth
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // event is the engine-owned representation of a scheduled callback. Events
 // are pooled: when one fires or is canceled it is recycled onto the
@@ -18,7 +21,8 @@ type event struct {
 	eng   *Engine
 
 	// next/prev thread the event through a bucket backend's intrusive slot
-	// list (see evList). The heap leaves them nil.
+	// list (see evList), or through a heap leader's ring of same-instant
+	// followers (see eventQueue). Both leave them nil once it is dequeued.
 	next, prev *event
 }
 
@@ -74,9 +78,9 @@ func (ev Event) Cancel() bool {
 }
 
 // Reschedule moves a still-pending event to absolute time t in place — the
-// queue backend relocates the existing entry (a single sift on the heap, a
-// bucket migration on the wheels) instead of paying a cancel plus a fresh
-// insert. It reports whether the event was pending; rescheduling a fired,
+// queue backend relocates the existing entry (a single sift on the heap for
+// an event alone at its instant, a bucket migration on the wheels) instead
+// of paying a cancel plus a fresh insert. It reports whether the event was pending; rescheduling a fired,
 // canceled, or zero Event is an inert no-op, mirroring Cancel.
 //
 // The event draws a fresh FIFO sequence number, exactly as cancel+insert
@@ -130,11 +134,69 @@ func (ev Event) Label() string {
 	return ""
 }
 
-// eventQueue is a binary min-heap ordered by (at, seq). It is a concrete
-// implementation — not container/heap — so the hot path pays no interface
-// conversions or indirect Less/Swap calls, and sift operations move the
-// displaced element in a hole rather than swapping pairwise.
-type eventQueue []*event
+// eventQueue is the default pending-event store: a binary min-heap of
+// instant leaders ordered by (at, seq). It is a concrete implementation —
+// not container/heap — so the hot path pays no interface conversions or
+// indirect Less/Swap calls, and sift operations move the displaced element
+// in a hole rather than swapping pairwise.
+//
+// Events that share an instant do not each pay a sift. An ordinary event
+// pushed at an instant whose newest ordinary leader is still queued joins
+// that leader's FIFO ring of followers instead of the heap, and when a
+// leader leaves with followers behind it, the first follower takes over
+// its heap slot in place. Fire order is still exactly (at, seq): seq is
+// monotone (Reschedule draws a fresh one), so a ring in push order is in
+// seq order, and a promoted follower orders after its old leader and
+// before every newer leader at that instant — which is what lets it sit in
+// the leader's slot with no sift. Arrival-band events are never batched:
+// each is its own heap entry, after every ordinary event at its instant.
+//
+// The newest ordinary leader at an instant is found through leaders, a
+// small table indexed by a hash of the instant. An entry holds the instant
+// inline, so a push at an instant nobody else uses touches no other event.
+// An entry only ever names the newest ordinary leader at its instant: it is
+// set when a push misses and handed to a promoted follower only if it
+// named the leader being removed. It is validated lazily on a hit — the
+// named event may since have fired, moved or been recycled — so removals
+// otherwise leave the table alone.
+type eventQueue struct {
+	heap      leaderHeap
+	followers int // events queued in rings; len is len(heap) + followers
+	leaders   [leaderSlots]leaderEntry
+}
+
+// leaderHeap is the min-heap of instant leaders and arrival-band events.
+type leaderHeap []*event
+
+// leaderEntry names the newest ordinary leader queued at instant at.
+type leaderEntry struct {
+	at Time
+	ev *event
+}
+
+// leaderSlots sizes the leader table; leaderSlot hashes an instant into it
+// (Fibonacci hashing, so instants on a 1 µs or 1 ms grid spread evenly).
+const leaderSlots = 64
+
+func leaderSlot(t Time) uint { return uint(uint64(t) * 0x9e3779b97f4a7c15 >> 58) }
+
+// followerIdx is the index stamp of an event queued in a leader's ring:
+// non-negative, so Event.Pending reads it as queued, and never a heap
+// position.
+const followerIdx = math.MaxInt32
+
+// leader returns the event the entry names if it is still queued as an
+// ordinary-band heap leader at instant t, and nil otherwise.
+func (s *leaderEntry) leader(t Time) *event {
+	if s.at != t || s.ev == nil {
+		return nil
+	}
+	l := s.ev
+	if l.index < 0 || l.index == followerIdx || l.at != t || l.seq&arrivalBand != 0 {
+		return nil
+	}
+	return l
+}
 
 // before reports whether a orders strictly before b.
 func before(a, b *event) bool {
@@ -142,23 +204,78 @@ func before(a, b *event) bool {
 }
 
 func (q *eventQueue) push(ev *event) {
-	*q = append(*q, ev)
-	q.siftUp(len(*q) - 1)
+	if ev.seq&arrivalBand == 0 {
+		s := &q.leaders[leaderSlot(ev.at)]
+		if l := s.leader(ev.at); l != nil {
+			follow(l, ev)
+			q.followers++
+			return
+		}
+		s.at, s.ev = ev.at, ev
+	}
+	q.heap = append(q.heap, ev)
+	q.heap.siftUp(len(q.heap) - 1)
+}
+
+// follow appends f to the tail of leader l's ring. The ring is circular
+// through l: l.next is the first follower, l.prev the last.
+func follow(l, f *event) {
+	tail := l.prev
+	if tail == nil {
+		tail = l
+	}
+	tail.next, f.prev = f, tail
+	f.next, l.prev = l, f
+	f.index = followerIdx
+}
+
+// unfollow unlinks follower f from its leader's ring.
+func unfollow(f *event) {
+	p, n := f.prev, f.next
+	if p == n { // f was the only follower; p is its leader
+		p.next, p.prev = nil, nil
+	} else {
+		p.next, n.prev = n, p
+	}
+	f.next, f.prev = nil, nil
+}
+
+// promote hands leader l's heap slot i to its first follower, which keeps
+// the rest of the ring, and the table entry too if it named l.
+func (q *eventQueue) promote(l *event, i int) {
+	f := l.next
+	if f == l.prev {
+		f.next, f.prev = nil, nil
+	} else {
+		tail := l.prev
+		f.prev, tail.next = tail, f
+	}
+	l.next, l.prev = nil, nil
+	q.heap[i] = f
+	f.index = int32(i)
+	q.followers--
+	if s := &q.leaders[leaderSlot(l.at)]; s.ev == l && s.at == l.at {
+		s.ev = f
+	}
 }
 
 // popMin removes and returns the earliest event. The caller must know the
 // queue is non-empty.
 func (q *eventQueue) popMin() *event {
-	h := *q
+	h := q.heap
 	root := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	*q = h[:n]
-	if n > 0 {
-		h[0] = last
-		last.index = 0
-		q.siftDown(0)
+	if root.next != nil {
+		q.promote(root, 0)
+	} else {
+		n := len(h) - 1
+		last := h[n]
+		h[n] = nil
+		q.heap = h[:n]
+		if n > 0 {
+			h[0] = last
+			last.index = 0
+			q.heap.siftDown(0)
+		}
 	}
 	root.index = -1
 	return root
@@ -166,47 +283,67 @@ func (q *eventQueue) popMin() *event {
 
 // remove deletes a queued event (EventQueue shape; the position comes from
 // the index stamp).
-func (q *eventQueue) remove(ev *event) { q.removeAt(int(ev.index)) }
-
-// removeAt deletes the event at heap position i.
-func (q *eventQueue) removeAt(i int) {
-	h := *q
-	n := len(h) - 1
-	ev := h[i]
-	last := h[n]
-	h[n] = nil
-	*q = h[:n]
-	if i < n {
-		h[i] = last
-		last.index = int32(i)
-		if !q.siftDown(i) {
-			q.siftUp(i)
-		}
+func (q *eventQueue) remove(ev *event) {
+	switch {
+	case ev.index == followerIdx:
+		unfollow(ev)
+		q.followers--
+	case ev.next != nil:
+		q.promote(ev, int(ev.index))
+	default:
+		q.removeAt(int(ev.index))
 	}
 	ev.index = -1
 }
 
-// update rekeys a queued event in place: a decrease-key or increase-key
-// restoring heap order with a single sift from the event's position, the
-// O(log n) dynamic-update operation cancel+insert pays twice for.
-func (q *eventQueue) update(ev *event, at Time, seq uint64) {
-	ev.at, ev.seq = at, seq
-	i := int(ev.index)
-	if !q.siftDown(i) {
-		q.siftUp(i)
+// removeAt deletes the follower-less leader at heap position i.
+func (q *eventQueue) removeAt(i int) {
+	h := q.heap
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	q.heap = h[:n]
+	if i < n {
+		h[i] = last
+		last.index = int32(i)
+		if !q.heap.siftDown(i) {
+			q.heap.siftUp(i)
+		}
 	}
+}
+
+// update rekeys a queued event. A follower-less leader moving to an
+// instant with no queued ordinary leader is rekeyed in place, a single
+// sift from its position — the O(log n) dynamic-update operation
+// cancel+insert pays twice for. Anything else is remove plus push.
+func (q *eventQueue) update(ev *event, at Time, seq uint64) {
+	if ev.index != followerIdx && ev.next == nil {
+		s := &q.leaders[leaderSlot(at)]
+		if l := s.leader(at); l == nil || l == ev {
+			ev.at, ev.seq = at, seq
+			s.at, s.ev = at, ev
+			i := int(ev.index)
+			if !q.heap.siftDown(i) {
+				q.heap.siftUp(i)
+			}
+			return
+		}
+	}
+	q.remove(ev)
+	ev.at, ev.seq = at, seq
+	q.push(ev)
 }
 
 func (q *eventQueue) peek() *event {
-	if len(*q) == 0 {
+	if len(q.heap) == 0 {
 		return nil
 	}
-	return (*q)[0]
+	return q.heap[0]
 }
 
-func (q *eventQueue) len() int { return len(*q) }
+func (q *eventQueue) len() int { return len(q.heap) + q.followers }
 
-func (q eventQueue) siftUp(i int) {
+func (q leaderHeap) siftUp(i int) {
 	ev := q[i]
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -223,7 +360,7 @@ func (q eventQueue) siftUp(i int) {
 }
 
 // siftDown restores heap order below i, reporting whether i's element moved.
-func (q eventQueue) siftDown(i int) bool {
+func (q leaderHeap) siftDown(i int) bool {
 	n := len(q)
 	ev := q[i]
 	i0 := i
@@ -348,7 +485,7 @@ func (e *Engine) qlen() int {
 	if e.alt != nil {
 		return e.alt.len()
 	}
-	return len(e.queue)
+	return e.queue.len()
 }
 
 // Now returns the current simulated time.
@@ -370,8 +507,8 @@ func (e *Engine) EarliestPending() (Time, bool) {
 	var head *event
 	if e.alt != nil {
 		head = e.alt.peek()
-	} else if len(e.queue) > 0 {
-		head = e.queue[0]
+	} else if len(e.queue.heap) > 0 {
+		head = e.queue.heap[0]
 	}
 	if head == nil {
 		return 0, false
@@ -567,7 +704,7 @@ func (e *Engine) RunUntil(t Time) {
 	if e.alt == nil {
 		// The default heap keeps the specialized tight loop: head peek is a
 		// slice index, no calls beyond fire.
-		for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= t {
+		for !e.stopped && len(e.queue.heap) > 0 && e.queue.heap[0].at <= t {
 			e.fire()
 		}
 	} else {
@@ -620,8 +757,8 @@ func (e *Engine) runDriven(t Time, drain bool) {
 		var head *event
 		if e.alt != nil {
 			head = e.alt.peek()
-		} else if len(e.queue) > 0 {
-			head = e.queue[0]
+		} else if len(e.queue.heap) > 0 {
+			head = e.queue.heap[0]
 		}
 		if drain && head == nil {
 			break

@@ -1,11 +1,12 @@
 // Native fuzz target for the event-queue backends: the input bytes decode
 // into a stream of queue operations — schedule (including same-instant),
-// cancel, in-place reschedule, stale-handle probes, steps, bounded runs —
-// and the same stream replays on every backend. The heap's observation log
-// (every fire with its id and instant, every op's result, the final clock
-// and counters) is the reference; any divergence on the wheel, hierarchical,
-// or FFS backend fails. `make fuzz-smoke` runs this target beyond the
-// checked-in corpus; plain `go test` replays the corpus as regressions.
+// arrival-band schedule, cancel, in-place reschedule, stale-handle probes,
+// steps, bounded runs — and the same stream replays on every backend. The
+// heap's observation log (every fire with its id and instant, every op's
+// result, the final clock and counters) is the reference; any divergence
+// on the wheel, hierarchical, or FFS backend fails. `make fuzz-smoke` runs
+// this target beyond the checked-in corpus; plain `go test` replays the
+// corpus as regressions.
 package sim_test
 
 import (
@@ -35,6 +36,8 @@ func replayQueueOps(data []byte, kind sim.QueueKind) []byte {
 		return 0
 	}
 	var handles []sim.Event
+	var arrival []bool // per handle: scheduled in the arrival band
+	var arrSeq uint64  // arrival seq counter: (conduit, seq) never repeats
 	i := 0
 	next := func() byte {
 		if i < len(data) {
@@ -55,10 +58,11 @@ func replayQueueOps(data []byte, kind sim.QueueKind) []byte {
 		handles = append(handles, eng.After(d, func() {
 			rec('F', uint64(id), uint64(eng.Now()))
 		}))
+		arrival = append(arrival, false)
 		rec('s', uint64(id), uint64(eng.Now()+d))
 	}
 	for i < len(data) {
-		switch op := next(); op % 8 {
+		switch op := next(); op % 9 {
 		case 0: // schedule near (delay 0 hits same-instant FIFO)
 			sched(sim.Time(next()) * 7)
 		case 1: // schedule far: three operand bytes scaled past the FFS
@@ -74,6 +78,9 @@ func replayQueueOps(data []byte, kind sim.QueueKind) []byte {
 			// reschedules cross window boundaries in both directions
 			if idx := pick(); idx >= 0 {
 				d := sim.Time(next())<<8 | sim.Time(next())
+				if arrival[idx] {
+					break // arrivals refuse reschedule
+				}
 				ok := handles[idx].Reschedule(eng.Now() + d*1021)
 				rec('r', uint64(idx), b(ok), uint64(handles[idx].At()))
 			}
@@ -88,10 +95,24 @@ func replayQueueOps(data []byte, kind sim.QueueKind) []byte {
 			eng.RunFor(sim.Time(next()) * 31)
 			rec('T', uint64(eng.Now()), uint64(eng.Pending()))
 		case 7: // same-instant reschedule: fresh seq, keeps time
-			if idx := pick(); idx >= 0 {
+			if idx := pick(); idx >= 0 && !arrival[idx] {
 				ok := handles[idx].Reschedule(eng.Now())
 				rec('z', uint64(idx), b(ok))
 			}
+		case 8: // arrival at a pending handle's instant (else now), so it
+			// lands among ordinary events; the conduit is the operand
+			at := eng.Now()
+			if idx := pick(); idx >= 0 && handles[idx].Pending() {
+				at = handles[idx].At()
+			}
+			conduit := int32(next() % 4)
+			arrSeq++
+			id := len(handles)
+			handles = append(handles, eng.AtArrival(at, conduit, arrSeq, "", func() {
+				rec('F', uint64(id), uint64(eng.Now()))
+			}))
+			arrival = append(arrival, true)
+			rec('a', uint64(id), uint64(at))
 		}
 	}
 	eng.Run()

@@ -24,7 +24,8 @@ import "fmt"
 //   - len returns the number of queued events.
 //
 // Every backend marks queued events with ev.index >= 0 (the value is
-// backend-private: a heap position or a bucket number) and resets
+// backend-private: a heap position, the heap's followerIdx sentinel for an
+// event queued behind an instant leader, or a bucket number) and resets
 // ev.index to -1 when the event leaves the queue; Event.Pending relies on
 // that contract uniformly.
 type EventQueue interface {
@@ -47,9 +48,11 @@ var _ EventQueue = (*ffsQueue)(nil)
 type QueueKind uint8
 
 const (
-	// QueueHeap is the default: the concrete binary min-heap, 0 allocs
-	// and no interface dispatch on the hot path. O(log n) push/pop, and
-	// update is a single sift.
+	// QueueHeap is the default: the concrete binary min-heap of instant
+	// leaders, 0 allocs and no interface dispatch on the hot path. A push
+	// into an instant that already has a queued leader, and a pop that
+	// hands the slot to that leader's next follower, are O(1); other
+	// operations are O(log leaders).
 	QueueHeap QueueKind = iota
 	// QueueWheel is a hashed timing wheel over ~1 µs buckets (Varghese &
 	// Lauck scheme 6, as the facility's wheel): O(1) push/remove/update,

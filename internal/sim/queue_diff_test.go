@@ -1,19 +1,23 @@
 // Differential oracle over the pluggable event-queue backends: every
 // backend — binary heap (the reference), hashed wheel, hierarchical wheel,
 // FFS-bitmap bucket queue — is driven with the same seeded operation
-// stream (schedule, cancel, in-place reschedule, stale-handle probes,
-// steps, bounded runs) and must produce the exact same (time, seq) fire
-// order, the same cancel sequence, and the same final clock. Each backend
-// additionally carries the engine property-test invariants on its own:
-// exactly-once fire-xor-cancel, monotone fire times, stale handles inert
-// under Pending/Cancel/Reschedule.
+// stream (schedule, arrival-band schedule, cancel, in-place reschedule,
+// stale-handle probes, steps, bounded runs) and must produce the exact
+// same (time, seq) fire order, the same cancel sequence, and the same
+// final clock. Each backend additionally carries the engine property-test
+// invariants on its own: exactly-once fire-xor-cancel, monotone fire
+// times, stale handles inert under Pending/Cancel/Reschedule.
 //
 // Each seed is its own subtest, so a failure shrinks by replay:
 //
 //	go test ./internal/sim -run 'TestQueueDifferential/clean/seed=N' -v
 //
 // The "faultplan" variant draws the stream from a fault plan's split-seed
-// RNG, the same generator the fault-injection layer uses.
+// RNG, the same generator the fault-injection layer uses. The "grid"
+// variant snaps every delay onto a few hundred shared instants 1 µs apart
+// and schedules in same-instant bursts, so the heap's instant batches —
+// leaders with followers behind them, cancelled, rescheduled and evicted
+// from the leader table — are on every step's path.
 package sim_test
 
 import (
@@ -52,13 +56,24 @@ type diffModel struct {
 	trace   diffTrace
 	nextID  int
 	maxLive int
+
+	grid         bool         // delays snap onto gridInstants shared instants
+	peakInstants int          // most distinct pending instants seen (grid only)
+	arrivals     map[int]bool // ids scheduled in the arrival band
+	arrSeq       uint64       // arrival seq counter: (conduit, seq) never repeats
 }
+
+// gridInstants is the grid variant's instant count: several times the
+// heap's 64-entry leader table, so table entries are evicted while the
+// leaders they named still hold followers.
+const gridInstants = 300
 
 func newDiffModel(t *testing.T, eng *sim.Engine, rng *sim.RNG) *diffModel {
 	return &diffModel{
 		t: t, eng: eng, rng: rng,
-		live: map[int]sim.Event{},
-		at:   map[int]sim.Time{},
+		live:     map[int]sim.Event{},
+		at:       map[int]sim.Time{},
+		arrivals: map[int]bool{},
 	}
 }
 
@@ -66,8 +81,18 @@ func newDiffModel(t *testing.T, eng *sim.Engine, rng *sim.RNG) *diffModel {
 // spike, exercising FIFO ties), sometimes past the FFS queue's 4 ms
 // bucket window, rarely past the hierarchical queue's level span — so the
 // overflow lists and their migration back into the windows are on every
-// run's path, not just the happy in-window case.
+// run's path, not just the happy in-window case. The grid variant instead
+// snaps onto one of gridInstants instants 1 µs apart, counted from the
+// current one.
 func (m *diffModel) drawDelay() sim.Time {
+	if m.grid {
+		now := m.eng.Now()
+		at := now/sim.Microsecond*sim.Microsecond + sim.Time(m.rng.Intn(gridInstants))*sim.Microsecond
+		if at < now {
+			at += sim.Microsecond
+		}
+		return at - now
+	}
 	switch r := m.rng.Float64(); {
 	case r < 0.2:
 		return 0
@@ -80,12 +105,38 @@ func (m *diffModel) drawDelay() sim.Time {
 	}
 }
 
+// schedule queues one ordinary event, or in the grid variant a burst of
+// one to four at the same instant.
 func (m *diffModel) schedule() {
 	d := m.drawDelay()
+	n := 1
+	if m.grid {
+		n += m.rng.Intn(4)
+	}
+	for ; n > 0; n-- {
+		id := m.nextID
+		m.add(id, m.eng.Now()+d, m.eng.AfterLabeled(d, fmt.Sprintf("diff:%d", id), m.onFire(id)))
+	}
+}
+
+// scheduleArrival queues an arrival-band event, half the time at the
+// instant of a live event so it lands among ordinary events (on the heap,
+// beside a batch), with a (conduit, seq) key unique across the run.
+func (m *diffModel) scheduleArrival() {
+	at := m.eng.Now() + m.drawDelay()
+	if len(m.liveIDs) > 0 && m.rng.Bool(0.5) {
+		at = m.at[m.liveIDs[m.rng.Intn(len(m.liveIDs))]]
+	}
 	id := m.nextID
+	m.arrSeq++
+	m.arrivals[id] = true
+	m.add(id, at, m.eng.AtArrival(at, int32(m.rng.Intn(4)), m.arrSeq, fmt.Sprintf("diff:%d", id), m.onFire(id)))
+}
+
+func (m *diffModel) add(id int, at sim.Time, ev sim.Event) {
 	m.nextID++
-	m.at[id] = m.eng.Now() + d
-	m.live[id] = m.eng.AfterLabeled(d, fmt.Sprintf("diff:%d", id), m.onFire(id))
+	m.at[id] = at
+	m.live[id] = ev
 	m.liveIDs = append(m.liveIDs, id)
 	if len(m.live) > m.maxLive {
 		m.maxLive = len(m.live)
@@ -113,6 +164,8 @@ func (m *diffModel) onFire(id int) func() {
 			m.cancelLive()
 		case r < 0.45:
 			m.rescheduleLive()
+		case r < 0.50:
+			m.scheduleArrival()
 		}
 	}
 }
@@ -144,12 +197,16 @@ func (m *diffModel) cancelLive() {
 // rescheduleLive rearms a random live event in place — sometimes to the
 // current instant, so rescheduled events constantly contend with fresh
 // same-instant schedules and the new-seq FIFO rule is exercised on every
-// backend (heap sift vs wheel/bucket migration).
+// backend (heap sift vs wheel/bucket migration). Arrivals cannot be
+// rescheduled, so picking one is a no-op.
 func (m *diffModel) rescheduleLive() {
 	if len(m.liveIDs) == 0 {
 		return
 	}
 	id := m.liveIDs[m.rng.Intn(len(m.liveIDs))]
+	if m.arrivals[id] {
+		return
+	}
 	ev := m.live[id]
 	at := m.eng.Now() + m.drawDelay()
 	if !ev.Reschedule(at) {
@@ -192,11 +249,25 @@ func (m *diffModel) check() {
 	}
 }
 
+// countInstants refreshes peakInstants.
+func (m *diffModel) countInstants() {
+	inst := map[sim.Time]bool{}
+	for id := range m.live {
+		inst[m.at[id]] = true
+	}
+	m.peakInstants = max(m.peakInstants, len(inst))
+}
+
 func (m *diffModel) run(steps int) {
 	for i := 0; i < steps; i++ {
+		if m.grid && i%100 == 0 {
+			m.countInstants()
+		}
 		switch r := m.rng.Float64(); {
-		case r < 0.30:
+		case r < 0.27:
 			m.schedule()
+		case r < 0.30:
+			m.scheduleArrival()
 		case r < 0.40:
 			m.cancelLive()
 		case r < 0.55:
@@ -240,7 +311,7 @@ func (m *diffModel) run(steps int) {
 
 // runQueueDiff replays one operation stream on every backend and diffs
 // each alternate's trace against the heap's, element by element.
-func runQueueDiff(t *testing.T, steps int, mkRNG func() *sim.RNG, seed uint64) {
+func runQueueDiff(t *testing.T, steps int, grid bool, mkRNG func() *sim.RNG, seed uint64) {
 	kinds := sim.QueueKinds()
 	if kinds[0] != sim.QueueHeap {
 		t.Fatalf("QueueKinds()[0] = %v, heap must be the reference", kinds[0])
@@ -248,7 +319,11 @@ func runQueueDiff(t *testing.T, steps int, mkRNG func() *sim.RNG, seed uint64) {
 	traces := make([]diffTrace, len(kinds))
 	for i, kind := range kinds {
 		m := newDiffModel(t, sim.NewEngineWithQueue(seed, kind), mkRNG())
+		m.grid = grid
 		m.run(steps)
+		if grid && m.peakInstants < 200 {
+			t.Fatalf("[%s] grid run peaked at %d pending instants, want at least 200", kind, m.peakInstants)
+		}
 		traces[i] = m.trace
 	}
 	ref := traces[0]
@@ -288,9 +363,10 @@ func runQueueDiff(t *testing.T, steps int, mkRNG func() *sim.RNG, seed uint64) {
 }
 
 // TestQueueDifferential is the backend oracle under both randomness
-// sources: a bare RNG and a fault plan's split-seed stream.
+// sources, a bare RNG and a fault plan's split-seed stream, plus the
+// same-instant grid.
 func TestQueueDifferential(t *testing.T) {
-	const steps = 500
+	const steps, gridSteps = 500, 4000
 	hostile := faults.Spec{
 		Drop: 0.05, Dup: 0.02, Reorder: 0.03,
 		IntrJitterMax: 5 * sim.Microsecond, IntrCoalesce: 0.1,
@@ -300,13 +376,17 @@ func TestQueueDifferential(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("clean/seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runQueueDiff(t, steps, func() *sim.RNG { return sim.NewRNG(seed * 0x9e37) }, seed)
+			runQueueDiff(t, steps, false, func() *sim.RNG { return sim.NewRNG(seed * 0x9e37) }, seed)
 		})
 		t.Run(fmt.Sprintf("faultplan/seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runQueueDiff(t, steps, func() *sim.RNG {
+			runQueueDiff(t, steps, false, func() *sim.RNG {
 				return faults.New(seed, hostile).Stream("sim.queuediff")
 			}, seed)
+		})
+		t.Run(fmt.Sprintf("grid/seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			runQueueDiff(t, gridSteps, true, func() *sim.RNG { return sim.NewRNG(seed * 0x51ed) }, seed)
 		})
 	}
 }

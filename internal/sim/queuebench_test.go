@@ -14,9 +14,9 @@ import (
 // push).
 
 // TestEngineZeroAlloc pins the hot paths at zero allocations per op on
-// every backend, reschedule included, with a warm pool — run by `make
-// bench` before any numbers are printed so a pooling regression fails
-// loudly rather than skewing results.
+// every backend, reschedule and same-instant batches included, with a warm
+// pool — run by `make bench` before any numbers are printed so a pooling
+// regression fails loudly rather than skewing results.
 func TestEngineZeroAlloc(t *testing.T) {
 	for _, kind := range QueueKinds() {
 		kind := kind
@@ -34,10 +34,18 @@ func TestEngineZeroAlloc(t *testing.T) {
 				ev.RescheduleAfter(20)
 				dead := e.After(5, fn)
 				dead.Cancel()
+				// A same-instant batch: cancel its leader, move a follower
+				// within the instant, and add an arrival behind it.
+				lead := e.After(30, fn)
+				f := e.After(30, fn)
+				e.After(30, fn)
+				lead.Cancel()
+				f.Reschedule(e.Now() + 30)
+				e.AtArrival(e.Now()+30, 0, 0, "", fn)
 				e.Run()
 			}
 			if n := testing.AllocsPerRun(100, shot); n != 0 {
-				t.Fatalf("schedule+reschedule+cancel+fire allocates %.1f/op on %s, want 0", n, kind)
+				t.Fatalf("schedule+reschedule+cancel+batch+fire allocates %.1f/op on %s, want 0", n, kind)
 			}
 		})
 	}
