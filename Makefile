@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet build test race bench bench-smoke cover metrics-smoke trace-smoke series-smoke fuzz-smoke scenario-smoke shard-smoke queue-smoke emu-smoke stbench clean
+.PHONY: all check fmt vet build test race bench bench-smoke cover metrics-smoke trace-smoke series-smoke fuzz-smoke scenario-smoke shard-smoke queue-smoke emu-smoke stbench clean
 
 # Per-target budget for the fuzz smoke (CI passes a longer one).
 FUZZTIME ?= 30s
@@ -8,7 +8,11 @@ FUZZTIME ?= 30s
 all: check
 
 # The full gate: everything CI runs.
-check: vet build test race
+check: fmt vet build test race
+
+# Fails, listing the files, when any Go file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -24,9 +28,10 @@ test: metrics-smoke trace-smoke series-smoke queue-smoke emu-smoke bench-smoke
 bench-smoke:
 	cd bench && $(GO) test .
 
-# The engine pool, the parallel experiment runner, and the sharded
-# executor (plus the topology/httpserv rigs that run on it) are the
-# concurrency-sensitive packages; run them under the race detector.
+# The real-time clock's cross-goroutine injection, the emulation bridge's
+# socket goroutines and the parallel experiment runner (whose rows run
+# topology and httpserv rigs side by side) are the concurrency-sensitive
+# code; run their packages under the race detector.
 race:
 	$(GO) test -race ./internal/sim ./internal/experiments ./internal/topology ./internal/httpserv ./internal/netstack ./internal/timerwheel ./internal/emu
 

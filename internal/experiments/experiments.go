@@ -42,8 +42,8 @@ type Scale struct {
 	Workers int
 	// Shards, when > 0, runs each fleet-scale row on a conservative-sync
 	// shard group of that many engines (clamped to the row's host count)
-	// instead of one shared engine; it also sizes the group's worker pool
-	// from Workers. 0 keeps the legacy single-engine path. Merged
+	// instead of one shared engine; the group runs its rounds on the row's
+	// own goroutine. 0 keeps the legacy single-engine path. Merged
 	// telemetry, tables and traces are identical at any setting — sharding
 	// is purely a wall-clock knob.
 	Shards int

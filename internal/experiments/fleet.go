@@ -239,7 +239,6 @@ func runFleetCfg(sc Scale, salt uint64, n int, opt fleetOpts) (FleetRow, *metric
 			shards = n + 1
 		}
 		g := sim.NewShardGroupWithQueue(shards, seed, sc.Queue)
-		g.Workers = sc.Workers
 		g.SetMining(!sc.NoMining)
 		t = topology.NewSharded(g, seed)
 		switch sc.Placement {

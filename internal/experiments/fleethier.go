@@ -98,7 +98,6 @@ func runFleetHierOpts(sc Scale, salt uint64, n, traceCap int) (FleetHierRow, *me
 			shards = leaves
 		}
 		g := sim.NewShardGroupWithQueue(shards, seed, sc.Queue)
-		g.Workers = sc.Workers
 		t = topology.NewSharded(g, seed)
 		t.Assign = func(i int, name string) int {
 			return (i % leaves) % shards

@@ -67,7 +67,7 @@ type FleetTraceRow struct {
 	TTFBUS       float64 // client-observed time to first byte
 	GapUS        float64 // mean TTFB - path (client-side residue)
 	MaxGapUS     float64
-	DecompOK     bool // hops monotone, gap in [0, tolerance] on every pair
+	DecompOK     bool    // hops monotone, gap in [0, tolerance] on every pair
 	WallMS       float64 `json:"-"`
 }
 
@@ -109,7 +109,6 @@ func runFleetTrace(sc Scale, salt uint64, n int, withChrome bool) fleetTraceRun 
 			shards = leaves
 		}
 		g := sim.NewShardGroupWithQueue(shards, seed, sc.Queue)
-		g.Workers = sc.Workers
 		t = topology.NewSharded(g, seed)
 		t.Assign = func(i int, name string) int {
 			return (i % leaves) % shards

@@ -12,9 +12,10 @@ import (
 // handles detectable. Arenas are strictly single-goroutine — one per
 // engine (per shard, in sharded topologies). Packets may migrate between
 // arenas: a packet acquired on shard A and delivered on shard B is
-// released into B's arena (the conduit flush at the round barrier is the
-// happens-before edge), so the pools drift toward the consumers, which is
-// where the next acquisition usually happens anyway.
+// released into B's arena (every shard runs on the goroutine that calls
+// sim.ShardGroup.Run, and the conduit flush at the round barrier orders
+// the hand-off), so the pools drift toward the consumers, which is where
+// the next acquisition usually happens anyway.
 //
 // Ownership rules (see DESIGN.md "Packet lifecycle & arena"):
 //   - the producer acquires (Get) and owns the packet;

@@ -67,8 +67,8 @@ type Packet struct {
 
 	// Trace is the packet's flowtrace span, nil unless the flow was
 	// sampled. The span rides the packet everywhere — across shards with
-	// it through the Courier (the round-barrier conduit flush is the
-	// happens-before edge) — and every hop site is a nil-receiver method
+	// it through the Courier (the round-barrier conduit flush orders the
+	// hand-off) — and every hop site is a nil-receiver method
 	// call, so untraced packets pay one pointer test per hop. The owning
 	// arena finishes the span when the refcount drops to zero; dup-fault
 	// clones are untraced (Clone clears the field).
@@ -157,11 +157,11 @@ type Link struct {
 	// Pooled delivery records and precomputed labels keep the per-packet
 	// send path allocation-free: each in-flight delivery borrows a record
 	// whose closure was bound once, and recycles it when it fires.
-	freeDel  *delivery
-	relFn    func() // bound once: the sender-side serialization-slot release
-	label    string // "link:<name>"
-	labLost  string
-	labDup   string
+	freeDel *delivery
+	relFn   func() // bound once: the sender-side serialization-slot release
+	label   string // "link:<name>"
+	labLost string
+	labDup  string
 
 	// Counters.
 	Sent    int64

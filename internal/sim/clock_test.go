@@ -299,7 +299,6 @@ func TestShardGroupBarrierPacing(t *testing.T) {
 	g := NewShardGroupWithQueue(2, 1, QueueHeap)
 	g.SetLookahead(0, 1, 25*Microsecond)
 	g.SetLookahead(1, 0, 25*Microsecond)
-	g.Workers = 1
 	g.SetClockDriver(fw.clock())
 	start := fw.now
 
@@ -330,7 +329,6 @@ func TestShardGroupBarrierInject(t *testing.T) {
 	g := NewShardGroupWithQueue(2, 1, QueueHeap)
 	g.SetLookahead(0, 1, 25*Microsecond)
 	g.SetLookahead(1, 0, 25*Microsecond)
-	g.Workers = 1
 	c := fw.clock()
 	g.SetClockDriver(c)
 

@@ -1,29 +1,34 @@
 package sim
 
-// Sharded execution: a ShardGroup owns N engines and advances them
-// concurrently under conservative (Chandy-Misra-Bryant style) time
+// Sharded execution: a ShardGroup owns N engines and advances them in
+// rounds under conservative (Chandy-Misra-Bryant style) time
 // synchronization. Each shard's clock is only ever granted up to the
 // minimum over its inbound channels of the sender's committed clock plus
 // that channel's lookahead — the minimum latency any cross-shard message
 // on the channel must carry — so no shard can receive an event in its
 // past, with no rollback machinery.
 //
-// Execution proceeds in rounds. Every round the coordinator first flushes
-// the messages emitted in strictly earlier rounds (or during assembly)
-// into their destination engines, then computes each shard's grant from
-// the clocks committed at the end of the previous round, and the shards
-// run independently (optionally on parallel worker goroutines) up to
-// their grants. Flushing only at the coordinator keeps every engine
-// single-threaded, and the grant rule guarantees each message is injected
+// Execution proceeds in rounds, all on the goroutine that calls Run. Every
+// round first flushes the messages emitted in strictly earlier rounds (or
+// during assembly) into their destination engines, then computes each
+// shard's grant from the clocks committed at the end of the previous
+// round, then runs each active shard up to its grant in shard order and
+// commits its clock. The grant rule guarantees each message is injected
 // strictly before its destination's clock reaches the message timestamp.
+//
+// Rounds are tiny — a fleet shard-round typically fires a handful of
+// events — so handing shards to other goroutines each round would cost
+// more than it buys: one cross-goroutine round trip per shard per round
+// outweighs the round's own work (measurements in DESIGN.md, "Inline
+// rounds"). Multi-core use lives one level up, where independent
+// experiment rows share no barrier.
 //
 // Lookahead mining (on by default, SetMining) raises grants past the
 // static rule by asking each engine for its earliest pending event
 // (Engine.EarliestPending — an O(1) queue peek). A shard cannot execute a
 // handler, and therefore cannot emit a message, before the earliest event
 // it could ever run; that time is not its own queue head alone, because a
-// peer may still deliver work that executes earlier, so the coordinator
-// relaxes
+// peer may still deliver work that executes earlier, so each round relaxes
 //
 //	bound[s] = min(earliestPending(s), min over inbound j of bound[j]+la[j][s])
 //
@@ -47,9 +52,9 @@ package sim
 // same instant, ordered among themselves by (conduit, seq); because the
 // single-engine path schedules the same deliveries with the same keys
 // through the same band, the merged event history is identical by
-// construction: independent of the worker count, the round schedule, and
-// the number of shards — including the degenerate count of one engine
-// with no group at all.
+// construction: independent of the round schedule and the number of
+// shards — including the degenerate count of one engine with no group at
+// all.
 //
 // Cross-shard hand-offs therefore add no engine events: the delivery that
 // would have been a pending event on the single engine is a pending event
@@ -58,8 +63,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"softtimers/internal/stats"
 )
@@ -104,11 +107,11 @@ type ShardSyncStats struct {
 // multi-shard Run accumulates: how wide the rounds were, how much of each
 // granted horizon contained executable work, what mining bought, and
 // which inbound channel was each shard's binding constraint. Everything
-// here is a pure function of virtual state — identical at any worker
-// count — and is kept out of the workload telemetry snapshot, which stays
-// byte-identical across shard counts by contract.
+// here is a pure function of virtual state, and is kept out of the
+// workload telemetry snapshot, which stays byte-identical across shard
+// counts by contract.
 type SyncStats struct {
-	Rounds            int64 // coordinator rounds executed
+	Rounds            int64 // sync rounds executed
 	Messages          int64 // cross-shard messages flushed
 	ActiveShardRounds int64 // sum of round widths: one count per (round, active shard)
 
@@ -130,20 +133,18 @@ type ShardGroup struct {
 	la     [][]Time // la[src][dst]; negative means "no channel declared"
 	now    Time
 
-	// Workers bounds the goroutines running shard rounds; 0 defaults to
-	// min(N, GOMAXPROCS) and <=1 runs rounds serially. The schedule has no
-	// effect on results — only on wall clock.
+	// Deprecated: ignored. Run executes every round on the calling
+	// goroutine.
 	Workers int
 
 	// driver, when non-nil, paces rounds against an external clock
-	// (SetClockDriver): each round waits at the coordinator barrier until
-	// the clock authorizes the round's earliest grant. Shard engines keep
-	// nil drivers — pacing one coordinator is sound, pacing N racing
-	// engines is not — so emulation granularity under sharding is the
-	// round (the lookahead), not the event. Injected work runs at the
-	// barrier, the only instant no shard goroutine owns an engine — and
-	// since an injected closure may schedule events anywhere, the round's
-	// grants are recomputed from scratch after any batch runs.
+	// (SetClockDriver): each round waits at the barrier until the clock
+	// authorizes the round's earliest grant. Shard engines keep nil
+	// drivers — each runs a whole grant at a time, ahead of its peers — so
+	// emulation granularity under sharding is the round (the lookahead),
+	// not the event. Injected work runs at the barrier, between shard
+	// runs — and since an injected closure may schedule events anywhere,
+	// the round's grants are recomputed in full after any batch runs.
 	driver ClockDriver
 
 	// mine enables pacing-aware lookahead mining (see the package comment;
@@ -207,9 +208,9 @@ func NewShardGroupWithQueue(n int, seed uint64, kind QueueKind) *ShardGroup {
 
 // SetClockDriver installs (or removes) the group's clock driver. Must be
 // called before the group runs — it panics once the first Run begins. On
-// a multi-shard group the driver lives on the coordinator, never on the
-// shard engines — Run itself waits at round barriers; a single-shard
-// group hands the driver straight to its lone engine, where pacing is
+// a multi-shard group the driver lives on the group, never on the shard
+// engines — Run itself waits at round barriers; a single-shard group
+// hands the driver straight to its lone engine, where pacing is
 // event-granular.
 func (g *ShardGroup) SetClockDriver(d ClockDriver) {
 	if g.started {
@@ -225,10 +226,10 @@ func (g *ShardGroup) SetClockDriver(d ClockDriver) {
 func (g *ShardGroup) ClockDriver() ClockDriver { return g.driver }
 
 // SetMining enables or disables pacing-aware lookahead mining (the
-// default is on). Like Workers it never changes results — only round
-// boundaries, wall clock, and the SyncStats utilization telemetry — but
-// it must be chosen before the group runs: grants from mixed rules would
-// make the mined-gain accounting meaningless.
+// default is on). It never changes results — only round boundaries, wall
+// clock, and the SyncStats utilization telemetry — but it must be chosen
+// before the group runs: grants from mixed rules would make the mined-gain
+// accounting meaningless.
 func (g *ShardGroup) SetMining(on bool) {
 	if g.started {
 		panic("sim: SetMining after the shard group has run")
@@ -240,9 +241,9 @@ func (g *ShardGroup) SetMining(on bool) {
 func (g *ShardGroup) MiningEnabled() bool { return g.mine }
 
 // waitForRound blocks until the driver authorizes virtual time at (the
-// round's earliest grant), running injected work as it arrives. It runs on
-// the coordinator between rounds, when every shard engine is quiescent, so
-// injected closures may safely touch any shard's engine — the same
+// round's earliest grant), running injected work as it arrives. It runs
+// between rounds, when every shard engine is quiescent, so injected
+// closures may safely touch any shard's engine — the same
 // soundness argument as assembly-time scheduling. It reports whether any
 // injected work ran: injected closures can schedule events below the
 // round's mined bounds, so the caller must recompute grants before
@@ -398,9 +399,8 @@ func (c *Conduit) Send(dst int, at Time, seq uint64, fn func()) {
 // computeGrants derives every shard's grant for the next round from the
 // clocks committed at the previous barrier, the run horizon, and — with
 // mining on — the engines' earliest pending events. It returns the number
-// of shards with work to do (clock < grant) and, when exactly one is
-// active, which.
-func (g *ShardGroup) computeGrants(until Time) (active int, only *shard) {
+// of shards with work to do (clock < grant).
+func (g *ShardGroup) computeGrants(until Time) (active int) {
 	n := len(g.shards)
 
 	// bound[i]: the earliest virtual time shard i could execute anything
@@ -463,10 +463,9 @@ func (g *ShardGroup) computeGrants(until Time) (active int, only *shard) {
 		s.grant, s.sgrant, s.bind = grant, sgrant, bind
 		if s.clock < s.grant {
 			active++
-			only = s
 		}
 	}
-	return active, only
+	return active
 }
 
 // recordRound folds one about-to-run round into the sync telemetry.
@@ -527,55 +526,17 @@ func (g *ShardGroup) Run(until Time) {
 	if g.driver != nil {
 		g.driver.Begin(g.now)
 	}
-	workers := g.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(g.shards) {
-		workers = len(g.shards)
-	}
-
-	var (
-		workCh chan *shard
-		wg     sync.WaitGroup
-		stop   chan struct{}
-	)
-	if workers > 1 {
-		workCh = make(chan *shard, len(g.shards))
-		stop = make(chan struct{})
-		defer close(stop)
-		for w := 0; w < workers; w++ {
-			go func() {
-				for {
-					select {
-					case s := <-workCh:
-						s.eng.RunUntil(s.grant)
-						wg.Done()
-					case <-stop:
-						return
-					}
-				}
-			}()
-		}
-	}
-
 	for {
-		// Phase 0 (coordinator): flush outboxes. Every message emitted in
-		// the previous round (or during assembly, on the first iteration)
-		// becomes an arrival-band event on its destination engine. The grant
-		// rule makes this sound: a message emitted by src during round r is
-		// timestamped past src's round-(r-1) mining bound plus the channel
-		// lookahead, which bounds every other shard's round-r grant — so the
-		// destination's clock is still at or below the timestamp here.
-		for _, s := range g.shards {
-			for _, m := range s.out {
-				g.shards[m.dst].eng.AtArrival(m.at, m.conduit, m.seq, "", m.fn)
-			}
-			g.messages += int64(len(s.out))
-			s.out = s.out[:0]
-		}
+		// Flush outboxes: every message emitted in the previous round (or
+		// during assembly, on the first iteration) becomes an arrival-band
+		// event on its destination engine. The grant rule makes this sound:
+		// a message emitted by src during round r is timestamped past src's
+		// round-(r-1) mining bound plus the channel lookahead, which bounds
+		// every other shard's round-r grant — so the destination's clock is
+		// still at or below the timestamp here.
+		g.flush()
 
-		active, only := g.computeGrants(until)
+		active := g.computeGrants(until)
 		if active == 0 {
 			break
 		}
@@ -603,30 +564,13 @@ func (g *ShardGroup) Run(until Time) {
 		g.rounds++
 		g.recordRound(active)
 
-		// Phase A: run every active shard to its grant.
-		if workers > 1 && active > 1 {
-			wg.Add(active)
-			for _, s := range g.shards {
-				if s.clock < s.grant {
-					workCh <- s
-				}
-			}
-			wg.Wait()
-		} else if active == 1 {
-			only.eng.RunUntil(only.grant)
-		} else {
-			for _, s := range g.shards {
-				if s.clock < s.grant {
-					s.eng.RunUntil(s.grant)
-				}
-			}
-		}
-
-		// Phase B (coordinator): commit clocks. Outboxes filled this round
-		// are flushed at the top of the next iteration, so the set of
-		// injected messages stays a pure function of the round number.
+		// Run every active shard to its grant and commit its clock. Grants
+		// were fixed above from the previous round's clocks, and outboxes
+		// filled now are flushed at the top of the next iteration, so no
+		// shard's run depends on another's within the round.
 		for _, s := range g.shards {
-			if s.grant > s.clock {
+			if s.clock < s.grant {
+				s.eng.RunUntil(s.grant)
 				s.clock = s.grant
 			}
 		}
@@ -645,6 +589,13 @@ func (g *ShardGroup) Run(until Time) {
 			s.eng.RunUntil(until)
 		}
 	}
+	g.flush()
+	g.now = until
+}
+
+// flush injects every outbox message into its destination engine as an
+// arrival-band event and empties the outboxes.
+func (g *ShardGroup) flush() {
 	for _, s := range g.shards {
 		for _, m := range s.out {
 			g.shards[m.dst].eng.AtArrival(m.at, m.conduit, m.seq, "", m.fn)
@@ -652,5 +603,4 @@ func (g *ShardGroup) Run(until Time) {
 		g.messages += int64(len(s.out))
 		s.out = s.out[:0]
 	}
-	g.now = until
 }

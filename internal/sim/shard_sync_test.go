@@ -296,38 +296,39 @@ func TestEngineEarliestPendingAcrossBackends(t *testing.T) {
 	}
 }
 
-// BenchmarkShardRound measures the per-round coordinator cost — flush,
-// grant computation (the mining fixpoint when on), telemetry, commit — on
-// a 4-shard all-to-all group with busy engines, Workers=1 so the
-// coordinator dominates.
+// BenchmarkShardRound measures one sync round — flush, grant computation
+// (the mining fixpoint when on), telemetry, each shard's run to its grant
+// and the clock commit — on all-to-all groups of 2, 4 and 8 shards, each
+// with one 20 µs ticker, so the round machinery dominates the handlers.
 func BenchmarkShardRound(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		mine bool
-	}{{"mined", true}, {"static", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			g := NewShardGroup(4, 1)
-			g.Workers = 1
-			g.SetMining(mode.mine)
-			for s := 0; s < 4; s++ {
-				for d := 0; d < 4; d++ {
-					if s != d {
-						g.SetLookahead(s, d, 50*Microsecond)
+	for _, n := range []int{2, 4, 8} {
+		for _, mode := range []struct {
+			name string
+			mine bool
+		}{{"mined", true}, {"static", false}} {
+			b.Run(fmt.Sprintf("shards=%d/%s", n, mode.name), func(b *testing.B) {
+				g := NewShardGroup(n, 1)
+				g.SetMining(mode.mine)
+				for s := 0; s < n; s++ {
+					for d := 0; d < n; d++ {
+						if s != d {
+							g.SetLookahead(s, d, 50*Microsecond)
+						}
 					}
 				}
-			}
-			for s := 0; s < 4; s++ {
-				eng := g.Engine(s)
-				var tick func()
-				tick = func() { eng.After(20*Microsecond, tick) }
-				eng.After(20*Microsecond, tick)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.RunFor(50 * Microsecond) // one static round per iteration
-			}
-			rounds, _ := g.Stats()
-			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-		})
+				for s := 0; s < n; s++ {
+					eng := g.Engine(s)
+					var tick func()
+					tick = func() { eng.After(20*Microsecond, tick) }
+					eng.After(20*Microsecond, tick)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					g.RunFor(50 * Microsecond) // one static round per iteration
+				}
+				rounds, _ := g.Stats()
+				b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+			})
+		}
 	}
 }

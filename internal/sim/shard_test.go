@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -251,7 +252,7 @@ func ringLog(engines []*Engine, until Time,
 }
 
 // The sharded run must produce exactly the per-node event history of the
-// same workload on one engine — at any worker count, in one Run or many.
+// same workload on one engine, in one Run or many.
 func TestShardGroupMatchesSingleEngineReference(t *testing.T) {
 	const until = 2 * Millisecond
 
@@ -264,9 +265,8 @@ func TestShardGroupMatchesSingleEngineReference(t *testing.T) {
 		})
 	ref.RunUntil(until)
 
-	shardedLogs := func(workers int, split []Time) [][]string {
+	shardedLogs := func(split []Time) [][]string {
 		g := NewShardGroup(4, 9)
-		g.Workers = workers
 		for s := 0; s < 4; s++ {
 			g.SetLookahead(s, (s+1)%4, 40*Microsecond)
 		}
@@ -288,18 +288,50 @@ func TestShardGroupMatchesSingleEngineReference(t *testing.T) {
 	}
 
 	cases := []struct {
-		name    string
-		workers int
-		split   []Time
+		name  string
+		split []Time
 	}{
-		{"serial", 1, []Time{until}},
-		{"parallel", 4, []Time{until}},
-		{"resumed", 2, []Time{until / 3, until}},
+		{"one run", []Time{until}},
+		{"resumed", []Time{until / 3, until}},
 	}
 	for _, tc := range cases {
-		got := shardedLogs(tc.workers, tc.split)
+		got := shardedLogs(tc.split)
 		if !reflect.DeepEqual(wantLogs, got) {
 			t.Fatalf("%s: sharded logs diverge from single-engine reference", tc.name)
 		}
+	}
+}
+
+// Rounds run on the goroutine that calls Run, whatever the deprecated
+// Workers field says: no handler ever sees a goroutine beyond those alive
+// before Run began.
+func TestShardGroupRunsInline(t *testing.T) {
+	const until = 2 * Millisecond
+	g := NewShardGroup(4, 9)
+	g.Workers = 8
+	cons := make([]*Conduit, 4)
+	for s := 0; s < 4; s++ {
+		g.SetLookahead(s, (s+1)%4, 40*Microsecond)
+		cons[s] = g.NewConduit(s, int32(s)+1)
+	}
+	var base, handlers, seen int
+	check := func() {
+		handlers++
+		if n := runtime.NumGoroutine(); n != base && seen == 0 {
+			seen = n
+		}
+	}
+	engines := []*Engine{g.Engine(0), g.Engine(1), g.Engine(2), g.Engine(3)}
+	ringLog(engines, until, func(src, dst int, at Time, seq uint64, fn func()) {
+		check()
+		cons[src].Send(dst, at, seq, func() { check(); fn() })
+	})
+	base = runtime.NumGoroutine()
+	g.Run(until)
+	if seen != 0 {
+		t.Fatalf("a handler saw %d goroutines, %d were alive before Run", seen, base)
+	}
+	if rounds, msgs := g.Stats(); handlers == 0 || rounds == 0 || msgs == 0 {
+		t.Fatalf("ran %d handlers in %d rounds with %d messages; want all non-zero", handlers, rounds, msgs)
 	}
 }

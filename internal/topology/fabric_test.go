@@ -3,6 +3,7 @@ package topology
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -81,19 +82,14 @@ func TestFabricForwarding(t *testing.T) {
 
 // fabricRun drives the fabric with kernel-transmitted cross- and intra-leaf
 // flows and returns merged telemetry and trace bytes.
-func fabricRun(t *testing.T, shards, workers int) (snap, chrome []byte, rx map[string]int) {
+func fabricRun(t *testing.T, shards int) (snap, chrome []byte, rx map[string]int) {
 	t.Helper()
 	top := Build(fabricSpec(shards))
-	if g := top.Group(); g != nil {
-		g.Workers = workers
-	}
 	names := []string{"h0", "h1", "h2", "h3", "h4", "h5", "h6"}
-	// Per-host counters in distinct slice slots: each handler runs on its
-	// host's shard goroutine, so a shared map would race under workers.
-	counts := make([]int, len(names))
-	for i := range names {
-		i := i
-		top.Fabrics()[0].MemberPorts[i].NIC.RxHandler = func(*netstack.Packet) { counts[i]++ }
+	rx = map[string]int{}
+	for i, name := range names {
+		name := name
+		top.Fabrics()[0].MemberPorts[i].NIC.RxHandler = func(*netstack.Packet) { rx[name]++ }
 	}
 	top.EnableTracing(1 << 14)
 	top.Start()
@@ -113,10 +109,6 @@ func fabricRun(t *testing.T, shards, workers int) (snap, chrome []byte, rx map[s
 	}
 	top.RunFor(20 * sim.Millisecond)
 
-	rx = map[string]int{}
-	for i, name := range names {
-		rx[name] = counts[i]
-	}
 	sj, err := json.Marshal(top.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -130,19 +122,12 @@ func fabricRun(t *testing.T, shards, workers int) (snap, chrome []byte, rx map[s
 
 // The equivalence contract extends to hierarchical fabrics: telemetry and
 // traces are byte-identical on one engine, a one-shard group, or one shard
-// per leaf (serial or with a worker pool).
+// per leaf.
 func TestFabricShardedMatchesLegacy(t *testing.T) {
-	refSnap, refChrome, refRx := fabricRun(t, 0, 0)
-	for _, c := range []struct {
-		name            string
-		shards, workers int
-	}{
-		{"shards=1", 1, 0},
-		{"shards=3", 3, 0},
-		{"shards=3/workers=3", 3, 3},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			snap, chrome, rx := fabricRun(t, c.shards, c.workers)
+	refSnap, refChrome, refRx := fabricRun(t, 0)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			snap, chrome, rx := fabricRun(t, shards)
 			for name, want := range refRx {
 				if rx[name] != want {
 					t.Errorf("%s received %d packets, legacy received %d", name, rx[name], want)

@@ -5,8 +5,8 @@ package topology
 // courier, and virtual-time time series (metrics.SeriesSet) sampled by
 // per-host engine events. Both are designed to be mode-invariant — the
 // exported spans and series are byte-identical whether the topology runs
-// on one engine or sharded across several, at any worker count — and to
-// cost nothing when disabled (a nil test per hop site, no events).
+// on one engine or sharded across several — and to cost nothing when
+// disabled (a nil test per hop site, no events).
 
 import (
 	"softtimers/internal/flowtrace"
@@ -38,7 +38,7 @@ type FlowTrace struct {
 // Location ids are assigned in deterministic assembly order — hosts in add
 // order (each port's down link, NIC, up link in attach order), then
 // switches in add order, then fabric trunks (up, down per leaf) — so
-// exported traces name hops identically at any shard or worker count.
+// exported traces name hops identically at any shard count.
 func (t *Topology) EnableFlowTrace(rate uint64, maxFlows int) *FlowTrace {
 	if t.flow != nil {
 		return t.flow
@@ -204,7 +204,7 @@ type seriesRec struct {
 // ordinary engine event, and cross-host influence always transits the
 // arrival band, so host-local reads at a sampling instant are identical
 // under legacy and sharded execution — which is what makes per-host and
-// merged fleet series byte-identical at any shard or worker count.
+// merged fleet series byte-identical at any shard count.
 func (t *Topology) EnableSeries(interval sim.Time, capacity int, setup func(h *host.Host, ss *metrics.SeriesSet)) {
 	if t.series != nil || interval <= 0 {
 		return

@@ -3,11 +3,9 @@ package topology
 // Affinity-based shard placement. Spec.Assign (and Topology.Assign) decide
 // which shard owns each host; any assignment yields byte-identical results
 // — per-host RNG streams derive from (seed, name), never from an engine —
-// so placement is purely a wall-clock knob. The knob matters, though:
-// conservative sync advances in rounds bounded by the busiest shard, so a
-// placement that spreads the hot hosts evenly keeps rounds wide and
-// workers busy, while one that piles the traffic onto one shard serializes
-// the group behind it.
+// so placement is purely a wall-clock knob: it decides which traffic
+// crosses shards, and so the cross-shard message count and how wide the
+// conservative-sync rounds can be.
 //
 // AutoPlace derives the assignment from observed traffic: build the same
 // spec single-engine, drive it briefly, read each host's port counters,

@@ -19,11 +19,9 @@ import (
 // Addr of unaddressed packets) is dropped and counted as a miss; silent
 // blackholing would make topology bugs look like congestion.
 //
-// Under sharded execution the forwarding table is read-only at run time
-// and the counters split into per-shard slots (each shard's deliveries
-// touch only its own slot, so concurrent rounds never contend); a packet
-// whose destination lives on another shard never reaches Deliver — the
-// sending link's courier ships it at transmit time and the forward
+// Under sharded execution the forwarding table is read-only at run time;
+// a packet whose destination lives on another shard never reaches Deliver
+// — the sending link's courier ships it at transmit time and the forward
 // executes on the destination shard at arrival time, exactly when the
 // legacy path would have counted it.
 type Switch struct {
@@ -46,10 +44,9 @@ type Switch struct {
 	// address-miss drops release into (slot 0 on single-engine).
 	arenas []*netstack.Arena
 
-	// fwd and miss count switched and address-miss packets, one slot per
-	// shard (single-engine topologies use slot 0).
-	fwd  []int64
-	miss []int64
+	// fwd and miss count switched and address-miss packets.
+	fwd  int64
+	miss int64
 
 	// members records each joined host's shard and down-link propagation
 	// delay, the inputs to the group's lookahead matrix.
@@ -66,19 +63,12 @@ func NewSwitch(name string) *Switch {
 	return &Switch{
 		Name:  name,
 		table: make(map[netstack.Addr]netstack.Endpoint),
-		fwd:   make([]int64, 1),
-		miss:  make([]int64, 1),
 	}
 }
 
-// setShards sizes the per-shard counter slots; called by sharded
+// setShards prepares the address-to-shard map; called by sharded
 // topologies at switch creation.
-func (s *Switch) setShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.fwd = make([]int64, n)
-	s.miss = make([]int64, n)
+func (s *Switch) setShards() {
 	s.shardOf = make(map[netstack.Addr]int)
 }
 
@@ -100,23 +90,11 @@ func (s *Switch) bind(addr netstack.Addr, shard int) {
 	s.shardOf[addr] = shard
 }
 
-// Forwarded returns the number of switched packets (all shards).
-func (s *Switch) Forwarded() int64 {
-	var n int64
-	for _, v := range s.fwd {
-		n += v
-	}
-	return n
-}
+// Forwarded returns the number of switched packets.
+func (s *Switch) Forwarded() int64 { return s.fwd }
 
-// Misses returns the number of address-miss drops (all shards).
-func (s *Switch) Misses() int64 {
-	var n int64
-	for _, v := range s.miss {
-		n += v
-	}
-	return n
-}
+// Misses returns the number of address-miss drops.
+func (s *Switch) Misses() int64 { return s.miss }
 
 // Deliver implements netstack.Endpoint: forward by destination address.
 // Single-engine topologies deliver here directly; sharded ones go through
@@ -130,11 +108,11 @@ func (s *Switch) deliverOn(shard int, p *netstack.Packet) {
 	port, ok := s.table[p.Dst]
 	if !ok {
 		if s.Default != nil {
-			s.fwd[shard]++
+			s.fwd++
 			s.Default.Deliver(p)
 			return
 		}
-		s.miss[shard]++
+		s.miss++
 		var a *netstack.Arena
 		if s.arenas != nil {
 			a = s.arenas[shard]
@@ -150,12 +128,13 @@ func (s *Switch) deliverOn(shard int, p *netstack.Packet) {
 				s.Name, p.Dst, d, shard))
 		}
 	}
-	s.fwd[shard]++
+	s.fwd++
 	port.Deliver(p)
 }
 
-// shardView adapts the switch to one shard's local delivery path, so
-// same-shard forwards count against that shard's slot.
+// shardView adapts the switch to one shard's local delivery path: the
+// shard names the arena a miss releases into and is checked against the
+// destination's owner.
 type shardView struct {
 	sw    *Switch
 	shard int

@@ -267,7 +267,7 @@ func (t *Topology) AttachNIC(h *host.Host, nicCfg nic.Config, peer netstack.Endp
 func (t *Topology) AddSwitch(name string) *Switch {
 	sw := NewSwitch(name)
 	if t.group != nil {
-		sw.setShards(t.group.N())
+		sw.setShards()
 	}
 	t.Arena(0) // ensure the per-shard pools exist
 	sw.arenas = t.arenas
@@ -288,8 +288,8 @@ func (t *Topology) Join(sw *Switch, h *host.Host, nicCfg nic.Config, w WireSpec)
 	var peer netstack.Endpoint = sw
 	shard := t.HostShard(h.Name)
 	if t.group != nil {
-		// Same-shard forwards stay on the local path but must count in
-		// this shard's slot.
+		// Same-shard forwards stay on the local path, tagged with this
+		// shard for the ownership check and the miss arena.
 		peer = shardView{sw: sw, shard: shard}
 	}
 	p := t.AttachNIC(h, nicCfg, peer, w)
@@ -344,7 +344,7 @@ func (c *courier) Ship(p *netstack.Packet, at sim.Time, conduit int32, seq uint6
 	c.con.Send(dst, at, seq, func() {
 		p.Trace.Hop(flowtrace.HopLinkRx, loc, at)
 		p.Trace.HopHere(flowtrace.HopSwitch, sw.TraceLoc)
-		sw.fwd[dst]++
+		sw.fwd++
 		port.Deliver(p)
 	})
 	return true
@@ -514,8 +514,7 @@ func (t *Topology) Snapshot() *metrics.Snapshot {
 // byte-identical across shard counts by contract, while sync telemetry
 // describes the execution substrate and exists only when sharded — it is
 // still a pure function of virtual state, so for a fixed shard count it
-// is identical at any worker count. Returns nil on single-engine
-// topologies.
+// is identical on every run. Returns nil on single-engine topologies.
 func (t *Topology) SyncSnapshot() *metrics.Snapshot {
 	if t.group == nil {
 		return nil
