@@ -14,8 +14,11 @@ check: fmt vet build test race
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# bench/ is its own Go module, out of the root's ./... pattern; vet it in
+# place too.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet .
 
 build:
 	$(GO) build ./...
@@ -53,7 +56,7 @@ bench:
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkReschedule|BenchmarkQueueChurn|BenchmarkShardRound' -benchmem -run '^$$' ./internal/sim
 	$(GO) test -bench 'BenchmarkMetrics' -benchmem -run '^$$' ./internal/metrics
 	$(GO) test -bench 'BenchmarkWheelSparseFire|BenchmarkHashedDueCheckIdle' -benchmem -run '^$$' ./internal/timerwheel
-	$(GO) test -bench 'BenchmarkFacilityCheck' -benchmem -run '^$$' ./internal/core
+	$(GO) test -bench 'BenchmarkFacilityCheck|BenchmarkFacilityColdHosts' -benchmem -run '^$$' ./internal/core
 	$(GO) test -bench 'BenchmarkTestbedPacket|BenchmarkSwitchForward' -benchmem -run '^$$' ./internal/topology
 	$(GO) test -bench 'BenchmarkHTTPRequest' -benchmem -run '^$$' ./internal/httpserv
 	$(GO) test -bench 'BenchmarkTCPSegment|BenchmarkTCPAck' -benchmem -run '^$$' ./internal/tcp

@@ -79,17 +79,20 @@ type Facility struct {
 	// below stays byte-identical.
 	nowFn func() sim.Time
 
-	// Telemetry. The facility's counters live on the kernel's metrics
-	// registry (softtimer.checks, softtimer.scheduled, ...); the Stats
-	// method remains as a thin shim reading them, so pre-registry callers
-	// are unaffected. Counter updates are pointer increments — the same
-	// cost as the int64 fields they replaced.
-	checks    *metrics.Counter
-	scheduled *metrics.Counter
-	fired     *metrics.Counter
-	canceled  *metrics.Counter
-	// overshoot tracks the worst observed delay beyond an event's
-	// requested latency, in µs (high-water mark of the DelayHist input).
+	// Telemetry. The per-tick counters are fields of the facility,
+	// registered on the kernel's metrics registry as func counters
+	// (softtimer.checks, softtimer.scheduled, ...): a fleet host's trigger
+	// check and firing then update cache lines the facility already holds,
+	// where a registry counter would cost a separate, cold load per update.
+	checks    int64
+	scheduled int64
+	fired     int64
+	canceled  int64
+	// maxDelay is the worst observed delay beyond an event's requested
+	// latency, in µs (high-water mark of the DelayHist input). The
+	// softtimer.overshoot_max_us gauge mirrors it and is written only when
+	// it rises.
+	maxDelay  int64
 	overshoot *metrics.Gauge
 	// FiresBySource counts event firings per trigger source.
 	FiresBySource [kernel.NumSources]int64
@@ -140,10 +143,10 @@ func New(k *kernel.Kernel, opts Options) *Facility {
 		f.wheel = f.hashed
 	}
 	r := k.Metrics()
-	f.checks = r.Counter("softtimer.checks")
-	f.scheduled = r.Counter("softtimer.scheduled")
-	f.fired = r.Counter("softtimer.fired")
-	f.canceled = r.Counter("softtimer.canceled")
+	r.CounterFunc("softtimer.checks", func() int64 { return f.checks })
+	r.CounterFunc("softtimer.scheduled", func() int64 { return f.scheduled })
+	r.CounterFunc("softtimer.fired", func() int64 { return f.fired })
+	r.CounterFunc("softtimer.canceled", func() int64 { return f.canceled })
 	f.overshoot = r.Gauge("softtimer.overshoot_max_us")
 	r.Adopt("softtimer.delay_us", f.DelayHist)
 	r.GaugeFunc("softtimer.pending", func() int64 { return int64(f.wheel.Len()) })
@@ -158,7 +161,7 @@ func New(k *kernel.Kernel, opts Options) *Facility {
 // MaxDelayUS returns the worst observed delay beyond any event's requested
 // latency, in µs — the high-water mark the paper's bound d ≤ X+1 is
 // asserted against. Zero until an event has fired.
-func (f *Facility) MaxDelayUS() int64 { return f.overshoot.Max() }
+func (f *Facility) MaxDelayUS() int64 { return f.maxDelay }
 
 // MeasureResolution returns the measurement clock resolution in Hz.
 func (f *Facility) MeasureResolution() uint64 { return f.hz }
@@ -210,7 +213,7 @@ type Event struct {
 // Cancel removes the event if still pending; reports whether it was.
 func (ev *Event) Cancel() bool {
 	if ev.t.Cancel() {
-		ev.f.canceled.Inc()
+		ev.f.canceled++
 		return true
 	}
 	return false
@@ -238,9 +241,9 @@ func (ev *Event) Rearm(T uint64) {
 		panic("core: rearm of a pooled event (pooled events have no handle)")
 	}
 	if ev.t.Pending() {
-		f.canceled.Inc()
+		f.canceled++
 	}
-	f.scheduled.Inc()
+	f.scheduled++
 	now := f.MeasureTime()
 	ev.sched, ev.T = now, T
 	deadline := now + T + 1
@@ -263,7 +266,7 @@ func (f *Facility) ScheduleSoftEvent(T uint64, h Handler) *Event {
 	if h == nil {
 		panic("core: ScheduleSoftEvent with nil handler")
 	}
-	f.scheduled.Inc()
+	f.scheduled++
 	now := f.MeasureTime()
 	ev := &Event{f: f, sched: now, T: T}
 	// "+1 accounts for the fact that the time at which the event was
@@ -281,12 +284,15 @@ func (f *Facility) ScheduleSoftEvent(T uint64, h Handler) *Event {
 // reuses its own record.
 func (ev *Event) fire(fireTick timerwheel.Tick) {
 	f := ev.f
-	f.fired.Inc()
+	f.fired++
 	f.FiresBySource[f.currentSrc]++
 	// d = actual latency minus T, in ticks; convert to µs.
 	d := float64(fireTick-ev.sched-ev.T) * float64(f.tickDur) / float64(sim.Microsecond)
 	f.DelayHist.Add(d)
-	f.overshoot.SetMax(int64(d)) // worst-case delay, µs (truncated)
+	if us := int64(d); us > f.maxDelay { // worst-case delay, µs (truncated)
+		f.maxDelay = us
+		f.overshoot.SetMax(us)
+	}
 	h := ev.h
 	if ev.pooled {
 		ev.h, ev.t = nil, nil
@@ -305,7 +311,7 @@ func (f *Facility) ScheduleSoftEventFree(T uint64, h Handler) {
 	if h == nil {
 		panic("core: ScheduleSoftEvent with nil handler")
 	}
-	f.scheduled.Inc()
+	f.scheduled++
 	now := f.MeasureTime()
 	ev := f.freeEv
 	if ev == nil {
@@ -331,7 +337,7 @@ func (f *Facility) ScheduleAfter(d sim.Time, h Handler) *Event {
 // when events are due, their execution. Returns the CPU time consumed by
 // handlers (the check itself is accounted via Checks).
 func (f *Facility) Trigger(src kernel.Source, now sim.Time) sim.Time {
-	f.checks.Inc()
+	f.checks++
 	if f.firing {
 		// A handler's own work produced a nested trigger state; the
 		// facility does not recurse (handlers already run back to back).
@@ -371,16 +377,15 @@ type Stats struct {
 	CheckOverhead sim.Time
 }
 
-// Stats returns a snapshot of the facility's counters. It is a thin shim
-// over the metrics registry (the counters live there as softtimer.*); the
-// struct remains for pre-registry callers.
+// Stats returns a snapshot of the facility's counters, the same values the
+// registry reports as softtimer.*.
 func (f *Facility) Stats() Stats {
 	return Stats{
-		Checks:        f.checks.Value(),
-		Scheduled:     f.scheduled.Value(),
-		Fired:         f.fired.Value(),
-		Canceled:      f.canceled.Value(),
-		CheckOverhead: sim.Time(f.checks.Value()) * f.k.Profile().SoftCheck,
+		Checks:        f.checks,
+		Scheduled:     f.scheduled,
+		Fired:         f.fired,
+		Canceled:      f.canceled,
+		CheckOverhead: sim.Time(f.checks) * f.k.Profile().SoftCheck,
 	}
 }
 

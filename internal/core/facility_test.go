@@ -293,3 +293,44 @@ func BenchmarkFacilityCheck(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFacilityColdHosts is checkRig's hit pattern as a fleet sees it:
+// 1,024 kernels and facilities on one engine, each with one pooled probe
+// re-armed 999 ticks out, and each op triggers the next host round-robin at
+// a tick past its probe's deadline, so the probe fires and re-arms on state
+// last touched 1,023 ops earlier. Between two visits to a host, the other
+// hosts' facilities, wheels and histograms pass through the cache.
+func BenchmarkFacilityColdHosts(b *testing.B) {
+	const hosts = 1024
+	var clock sim.Time
+	eng := sim.NewEngine(7)
+	fs := make([]*Facility, hosts)
+	for i := range fs {
+		k := kernel.New(eng, cpu.PentiumII300(), kernel.Options{Hz: 1000})
+		f := New(k, Options{TimeSource: func() sim.Time { return clock }})
+		var probe Handler
+		probe = func(sim.Time) sim.Time {
+			f.ScheduleSoftEventFree(999, probe)
+			return 0
+		}
+		f.ScheduleSoftEventFree(999, probe)
+		fs[i] = f
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := i % hosts
+		if h == 0 {
+			clock += sim.Millisecond
+		}
+		fs[h].Trigger(kernel.SrcHardClock, clock)
+	}
+	b.StopTimer()
+	var fired int64
+	for _, f := range fs {
+		fired += f.Stats().Fired
+	}
+	if fired != int64(b.N) {
+		b.Fatalf("fired %d of %d", fired, b.N)
+	}
+}

@@ -54,7 +54,7 @@ func (k *Kernel) Timeout(d sim.Time, work sim.Time, fn func()) *Callout {
 	ticks := k.calloutTicks(d)
 	c := &Callout{k: k, fn: fn, work: work}
 	c.t = k.callouts.wheel.Schedule(uint64(k.tick+ticks), func(timerwheel.Tick) {
-		k.mSoftclock.Inc()
+		k.softclockRuns++
 		k.PostSoftIRQ(ChainStep{Work: c.work, Src: SrcTCPIPOther, Fn: c.fn})
 	})
 	return c

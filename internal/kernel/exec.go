@@ -266,8 +266,8 @@ func (k *Kernel) runIntr(req intrReq) {
 	k.trSrc(trace.Intr, req.src)
 	dur := k.prof.IntrDirect + k.prof.Work(req.work)
 	k.acct.Intr += dur
-	k.mIntr[req.src].Inc()
-	k.mIntrNS[req.src].Add(int64(dur))
+	k.intr[req.src]++
+	k.intrNS[req.src] += int64(dur)
 	k.curIntr = req
 	// Fault-injected delivery jitter delays the handler's completion (the
 	// controller asserted the line late) without charging CPU time — only
@@ -649,7 +649,7 @@ func (k *Kernel) goIdle() {
 	}
 	k.idle = true
 	k.idleSince = k.eng.Now()
-	k.mIdleEnter.Inc()
+	k.idleEntries++
 	k.tr(trace.IdleEnter, "idle", 0)
 	if !k.opts.IdleLoop {
 		return

@@ -126,7 +126,7 @@ type Options struct {
 	// StarveBoost is the waiting time after which a ready process gains
 	// one effective priority level (BSD-style aging, so a niced compute
 	// hog still gets occasional timeslices on a saturated system).
-	// Default 300 ms; negative disables aging.
+	// Default 1 s; negative disables aging.
 	StarveBoost sim.Time
 	// Faults, when set, installs the deterministic fault-injection plan:
 	// interrupt-delivery jitter, PIT coalescing perturbation, syscall/
@@ -192,11 +192,6 @@ type TriggerMeter struct {
 	n       int64
 }
 
-// NewTriggerMeter returns a meter with a 1 µs × 2000-bucket histogram.
-func NewTriggerMeter() *TriggerMeter {
-	return &TriggerMeter{Hist: stats.NewHistogram(1, 2000)}
-}
-
 // N returns the number of intervals recorded.
 func (m *TriggerMeter) N() int64 { return m.n }
 
@@ -227,21 +222,21 @@ type Kernel struct {
 	opts Options
 
 	sink     TriggerSink
-	meter    *TriggerMeter
 	tracer   *trace.Buffer
 	disabled [NumSources]bool // Options.DisabledSources, copied at New
+	meter    TriggerMeter
 
 	// Telemetry. The kernel owns the simulation's metrics registry; the
 	// soft-timer facility, NICs and links register their instruments on
-	// it. Per-vector interrupt counters are direct (array-indexed pointer
-	// increments on the interrupt path); everything that already has a
-	// counter field (accounting, the trigger meter) joins as a func
-	// instrument evaluated only at snapshot time.
-	m          *metrics.Registry
-	mIntr      [NumSources]*metrics.Counter // interrupts delivered per vector
-	mIntrNS    [NumSources]*metrics.Counter // CPU ns spent per vector (direct cost)
-	mIdleEnter *metrics.Counter             // idle-loop entries
-	mSoftclock *metrics.Counter             // callout (softclock) handler runs
+	// it. The kernel's own counters are fields, like the accounting and
+	// the trigger meter, and join the registry as func instruments
+	// evaluated only at snapshot time, so an interrupt or a trigger state
+	// updates cache lines the kernel already holds.
+	m             *metrics.Registry
+	intr          [NumSources]int64 // interrupts delivered per vector
+	intrNS        [NumSources]int64 // CPU ns spent per vector (direct cost)
+	idleEntries   int64             // idle-loop entries
+	softclockRuns int64             // callout (softclock) handler runs
 
 	// Scheduler state.
 	runq    []*Proc
@@ -323,7 +318,7 @@ func New(eng *sim.Engine, prof cpu.Profile, opts Options) *Kernel {
 		eng:   eng,
 		prof:  prof,
 		opts:  opts,
-		meter: NewTriggerMeter(),
+		meter: TriggerMeter{Hist: stats.NewHistogram(1, 2000)},
 	}
 	for src, off := range opts.DisabledSources {
 		if off && src >= 0 && src < numSources {
@@ -370,17 +365,13 @@ func (k *Kernel) initMetrics() {
 	r.GaugeFunc("sim.events_pending", func() int64 { return int64(k.eng.Pending()) })
 	r.GaugeFunc("sim.heap_depth_hwm", func() int64 { return int64(k.eng.MaxPending()) })
 
-	// Per-vector interrupt delivery counts and direct CPU cost.
-	for s := Source(0); s < numSources; s++ {
-		name := s.String()
-		k.mIntr[s] = r.Counter("kernel.intr." + name)
-		k.mIntrNS[s] = r.Counter("kernel.intr_ns." + name)
-	}
-
-	// Trigger-state visits per source and the interval histogram come from
-	// the meter's existing storage.
+	// Per-vector interrupt delivery counts and direct CPU cost, and
+	// trigger-state visits per source and the interval histogram from the
+	// meter.
 	for s := Source(0); s < numSources; s++ {
 		i := s
+		r.CounterFunc("kernel.intr."+i.String(), func() int64 { return k.intr[i] })
+		r.CounterFunc("kernel.intr_ns."+i.String(), func() int64 { return k.intrNS[i] })
 		r.CounterFunc("kernel.trigger."+i.String(), func() int64 { return k.meter.BySource[i] })
 	}
 	r.Adopt("kernel.trigger_interval_us", k.meter.Hist)
@@ -401,10 +392,8 @@ func (k *Kernel) initMetrics() {
 	r.CounterFunc("kernel.acct.softtimer_ns", func() int64 { return int64(k.acct.SoftTimer) })
 	r.CounterFunc("kernel.acct.idle_ns", func() int64 { return int64(k.acct.Idle) })
 
-	// Idle entries and softclock (callout) runs have no pre-existing
-	// counter; these are direct, on cold paths.
-	k.mIdleEnter = r.Counter("kernel.idle_entries")
-	k.mSoftclock = r.Counter("kernel.softclock_runs")
+	r.CounterFunc("kernel.idle_entries", func() int64 { return k.idleEntries })
+	r.CounterFunc("kernel.softclock_runs", func() int64 { return k.softclockRuns })
 }
 
 // Metrics returns the simulation's telemetry registry. Components built on
@@ -422,7 +411,7 @@ func (k *Kernel) Now() sim.Time { return k.eng.Now() }
 func (k *Kernel) Profile() *cpu.Profile { return &k.prof }
 
 // Meter returns the trigger-interval meter.
-func (k *Kernel) Meter() *TriggerMeter { return k.meter }
+func (k *Kernel) Meter() *TriggerMeter { return &k.meter }
 
 // Accounting returns a snapshot of CPU time accounting. If the CPU is
 // currently idle, idle time up to now is included.

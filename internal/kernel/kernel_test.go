@@ -5,6 +5,7 @@ import (
 
 	"softtimers/internal/cpu"
 	"softtimers/internal/sim"
+	"softtimers/internal/stats"
 )
 
 // newTestKernel builds a kernel on a fresh engine with the baseline CPU.
@@ -568,7 +569,7 @@ type sinkFunc func(Source, sim.Time) sim.Time
 func (f sinkFunc) Trigger(src Source, now sim.Time) sim.Time { return f(src, now) }
 
 func TestMeterIntervals(t *testing.T) {
-	m := NewTriggerMeter()
+	m := &TriggerMeter{Hist: stats.NewHistogram(1, 2000)}
 	m.record(10*sim.Microsecond, SrcSyscall)
 	m.record(15*sim.Microsecond, SrcIPOutput)
 	m.record(35*sim.Microsecond, SrcSyscall)

@@ -4,8 +4,9 @@ import "testing"
 
 // Telemetry hot-path microbenchmarks. The registry's promise is that
 // instrumented code pays a pointer increment per update and zero
-// allocations; these benchmarks are the proof (and the regression guard
-// for every later PR that adds instruments).
+// allocations, with the instrument's cache line warm; these benchmarks are
+// the proof (and the regression guard for every later change that adds
+// instruments).
 
 func BenchmarkMetricsCounterInc(b *testing.B) {
 	r := NewRegistry()

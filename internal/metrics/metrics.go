@@ -1,7 +1,12 @@
 // Package metrics is the simulation-wide telemetry registry: typed
 // Counters, Gauges and fixed-bucket Histograms, created once (get-or-create
 // by name) and updated by pointer, so the instrumented hot paths allocate
-// nothing and pay only a pointer increment per update. A Registry belongs
+// nothing. A pointer increment is not free, though: on a fleet, where a
+// host runs only after a thousand others have, each registry counter is a
+// separate cold cache line, so the per-host counters updated on every
+// trigger state (the kernel's and the soft-timer facility's) live as int64
+// fields of their owner and join the registry as func instruments below;
+// counters shared by name across components stay direct. A Registry belongs
 // to one simulation substrate (one kernel/engine); independent simulations
 // on concurrent goroutines each own their registry, which is what keeps
 // parallel experiment runs deterministic — snapshots depend only on the
@@ -10,12 +15,11 @@
 // Instruments come in two flavours:
 //
 //   - direct: Counter/Gauge/Histogram values written on the hot path;
-//   - func: CounterFunc/GaugeFunc register a callback over an existing
-//     field (e.g. kernel accounting, NIC counters) evaluated only at
-//     Snapshot time, so pre-existing counters join the registry with zero
-//     hot-path change. This is how the legacy core.Facility.Stats and
-//     kernel.TriggerMeter APIs were migrated: their storage is now
-//     registry-visible while the old accessors remain thin shims.
+//   - func: CounterFunc/GaugeFunc register a callback over a field its
+//     owner keeps (e.g. kernel accounting and interrupt counts, the
+//     facility's softtimer.* counters, NIC counters) evaluated only at
+//     Snapshot time, into the same snapshot maps as direct instruments, so
+//     a field and a direct counter of one name snapshot identically.
 //
 // Snapshot produces a deterministic, JSON-serializable view: map keys sort
 // on encoding and histogram buckets are emitted as ascending sparse
@@ -155,10 +159,13 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:     make(map[string]*Counter),
-		gauges:       make(map[string]*Gauge),
-		hists:        make(map[string]*Histogram),
-		funcCounters: make(map[string]func() int64),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
+		// A host's kernel, soft-timer facility, NIC and link register
+		// about 80 func counters; sizing for them up front spares a
+		// fleet's set-up the map's growth through every smaller size.
+		funcCounters: make(map[string]func() int64, 100),
 		funcGauges:   make(map[string]func() int64),
 	}
 }

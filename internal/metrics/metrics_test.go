@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"softtimers/internal/stats"
@@ -117,6 +118,31 @@ func TestAdoptHistogram(t *testing.T) {
 	s := r.Snapshot().Histograms["legacy.hist"]
 	if s.Count != 2 || len(s.Buckets) != 1 || s.Buckets[0] != (BucketCount{3, 2}) {
 		t.Fatalf("adopted histogram snapshot = %+v", s)
+	}
+}
+
+// TestSnapshotSettlesPendingBuckets snapshots histograms whose in-range
+// increments are all still parked in stats.Histogram's pending buffer, one
+// registered and one adopted: the snapshot must report the buckets an eager
+// histogram holds.
+func TestSnapshotSettlesPendingBuckets(t *testing.T) {
+	r := NewRegistry()
+	direct := r.Histogram("direct", 1, 10)
+	adopted := stats.NewHistogram(1, 10)
+	r.Adopt("adopted", adopted)
+	sum := 0.0
+	for _, v := range []float64{-1, 1.5, 3, 3.2, 7, 12, 9.99} {
+		direct.Observe(v)
+		adopted.Add(v)
+		sum += v
+	}
+	want := HistogramSnapshot{Width: 1, Count: 7, Sum: sum, Overflow: 1,
+		Buckets: []BucketCount{{0, 1}, {1, 1}, {3, 2}, {7, 1}, {9, 1}}}
+	s := r.Snapshot()
+	for _, name := range []string{"direct", "adopted"} {
+		if got := s.Histograms[name]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: snapshot = %+v, want %+v", name, got, want)
+		}
 	}
 }
 

@@ -11,13 +11,28 @@ import (
 // with an overflow bucket. It supports the quantile queries the experiments
 // need (median of huge samples, tail fractions) in O(1) memory per bucket,
 // which keeps two-million-sample workload measurements cheap.
+//
+// Add updates the count, sum and overflow at once but parks each in-range
+// bucket index in a small inline buffer, and applies the buffer in one
+// burst when it fills. A fleet host adds one value per simulated
+// millisecond, and between two adds the other hosts' work evicts its bucket
+// array (16 KB at 2,000 buckets); the burst's independent increments
+// overlap their cache misses, where eager increments would each pay one.
+// Every read of the buckets (Bucket, Quantile, FracAbove, CDF, ASCII)
+// first settles the buffer, so a read writes: a Histogram is
+// single-goroutine, like the registry that adopts it.
 type Histogram struct {
 	width    float64
 	buckets  []int64
 	overflow int64
 	n        int64
 	sum      float64
+	npend    int
+	pend     [histPending]int // bucket indices added but not yet applied
 }
+
+// histPending is the number of bucket increments Add defers.
+const histPending = 16
 
 // NewHistogram creates a histogram with nbuckets buckets of the given width.
 func NewHistogram(width float64, nbuckets int) *Histogram {
@@ -39,7 +54,19 @@ func (h *Histogram) Add(v float64) {
 		h.overflow++
 		return
 	}
-	h.buckets[idx]++
+	h.pend[h.npend] = idx
+	h.npend++
+	if h.npend == histPending {
+		h.settle()
+	}
+}
+
+// settle applies the parked bucket increments.
+func (h *Histogram) settle() {
+	for _, i := range h.pend[:h.npend] {
+		h.buckets[i]++
+	}
+	h.npend = 0
 }
 
 // N returns the number of observations.
@@ -52,7 +79,12 @@ func (h *Histogram) Width() float64 { return h.width }
 func (h *Histogram) NumBuckets() int { return len(h.buckets) }
 
 // Bucket returns the observation count of bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
+func (h *Histogram) Bucket(i int) int64 {
+	if h.npend != 0 {
+		h.settle()
+	}
+	return h.buckets[i]
+}
 
 // Overflow returns the count of observations beyond the last bucket.
 func (h *Histogram) Overflow() int64 { return h.overflow }
@@ -81,6 +113,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
+	h.settle()
 	target := q * float64(h.n)
 	var cum int64
 	for i, c := range h.buckets {
@@ -110,6 +143,7 @@ func (h *Histogram) FracAbove(x float64) float64 {
 		// threshold, so start at 0.
 		idx = 0
 	}
+	h.settle()
 	var above int64 = h.overflow
 	for i := idx; i < len(h.buckets); i++ {
 		above += h.buckets[i]
@@ -119,6 +153,7 @@ func (h *Histogram) FracAbove(x float64) float64 {
 
 // CDF evaluates the empirical CDF at each bucket boundary up to max.
 func (h *Histogram) CDF(max float64) []CDFPoint {
+	h.settle()
 	var out []CDFPoint
 	var cum int64
 	for i, c := range h.buckets {
@@ -138,6 +173,7 @@ func (h *Histogram) CDF(max float64) []CDFPoint {
 
 // ASCII renders a quick bar-chart view for CLI output and debugging.
 func (h *Histogram) ASCII(maxBuckets int) string {
+	h.settle()
 	var b strings.Builder
 	var peak int64 = 1
 	limit := len(h.buckets)

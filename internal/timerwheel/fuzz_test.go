@@ -94,10 +94,14 @@ func (t refFuzzTimer) rearm(d Tick) bool {
 }
 
 // occupancyExact reports whether q's occupancy bitmap has exactly the bits
-// of its non-empty slots set.
+// of its non-empty slots set, and whether a hashed wheel's lone timer, if it
+// holds one, is its only pending timer.
 func occupancyExact(q Queue) bool {
 	switch q := q.(type) {
 	case *Wheel:
+		if q.lone != nil && (q.n != 1 || q.lone.slot == nil) {
+			return false
+		}
 		for i := range len(q.occ) * 64 {
 			occupied := i < len(q.slots) && q.slots[i].head != nil
 			if occupied != (q.occ[i>>6]&(1<<(i&63)) != 0) {

@@ -82,7 +82,11 @@ func TestScheduleFreeRearmReusesNode(t *testing.T) {
 
 	w := New(64)
 	check("hashed", w, func() *Timer {
-		// The just-scheduled node is the head of its deadline slot.
+		// The just-scheduled node is the only one pending: the lone timer,
+		// or, when linked, the head of its deadline slot.
+		if w.lone != nil {
+			return w.lone
+		}
 		for i := range w.slots {
 			if w.slots[i].head != nil {
 				return w.slots[i].head

@@ -18,6 +18,12 @@
 // plus one bitmap word per 64 slots, not the span advanced. Sweeps visit
 // slots in ascending index order, exactly the order a linear walk over the
 // slots would take.
+//
+// The hashed Wheel also keeps its commonest state, exactly one pending
+// timer, out of the slots: a timer scheduled into an empty wheel is held in
+// the wheel struct itself and is linked into its slot only when a second
+// timer arrives, so an idle host's re-arm, due check and firing touch no
+// slot and no bitmap word.
 package timerwheel
 
 import "math/bits"
@@ -67,7 +73,7 @@ type Timer struct {
 	deadline   Tick
 	fn         Handler
 	next, prev *Timer
-	slot       *slot  // nil when fired, canceled, or never scheduled
+	slot       *slot  // its slot while pending (unlinked if the wheel's lone timer); nil otherwise
 	own        owner  // queue the timer is scheduled in
 	gen        uint64 // Advance generation this timer was scheduled in, if any
 	pooled     bool   // ScheduleFree node: recycles into the queue pool on fire
@@ -136,8 +142,8 @@ type slot struct {
 }
 
 // push links t at the head of s. occupied is s's occupancy bit: a push into
-// an empty slot only stores to it, so linking a lone timer into a cold slot
-// costs no load miss.
+// an empty slot only stores to it, so linking a held lone timer into its
+// cold slot when a second timer arrives costs no load miss.
 func (s *slot) push(t *Timer, occupied bool) {
 	t.prev, t.next = nil, nil
 	if occupied {
@@ -167,6 +173,14 @@ func (s *slot) remove(t *Timer) {
 // in ascending slot order, and the lazy earliest-deadline rescan visits only
 // occupied slots. An Advance costs O(nslots/64) bitmap words plus the
 // occupied slots' timers and the fired handlers, however sparse the wheel.
+//
+// A timer scheduled into an empty wheel is held in lone instead of being
+// linked: its slot and bitmap word stay empty, earliest is its exact
+// deadline, and an Advance that finds it due fires it straight from the
+// field. The next timer scheduled links the lone timer into its slot first
+// and then itself, the two pushes an always-linked wheel would have made,
+// so every slot list, and with it the fire order, is unchanged. A timer
+// left alone after others leave stays linked.
 type Wheel struct {
 	slots    []slot
 	occ      []uint64 // bit i set iff slots[i] is non-empty
@@ -177,6 +191,7 @@ type Wheel struct {
 	dirty    bool   // earliest needs recomputation
 	advGen   uint64 // generation counter, incremented at each Advance
 	free     *Timer // pooled-node free list (ScheduleFree), linked via next
+	lone     *Timer // the only pending timer, held unlinked; nil otherwise
 }
 
 // New returns a hashed wheel with nslots slots (rounded up to a power of
@@ -212,12 +227,25 @@ func (w *Wheel) insert(t *Timer, deadline Tick, fn Handler) {
 	w.add(t)
 }
 
-// add links t at its deadline and counts it. Into an empty wheel the new
+// add counts t and links it at its deadline. Into an empty wheel t becomes
+// the lone timer, left unlinked, with t.slot marking it pending, and its
 // deadline is the exact earliest, whatever stale bound a previous firing
 // left, so a re-armed lone timer never costs a rescan.
 func (w *Wheel) add(t *Timer) {
+	if w.n == 0 {
+		w.lone = t
+		t.slot = &w.slots[t.deadline&w.mask]
+		w.earliest = t.deadline
+		w.dirty = false
+		w.n = 1
+		return
+	}
+	if l := w.lone; l != nil {
+		w.lone = nil
+		w.link(l) // linked before t, as if it had been all along
+	}
 	w.link(t)
-	if w.n == 0 || t.deadline < w.earliest {
+	if t.deadline < w.earliest {
 		w.earliest = t.deadline
 		w.dirty = false
 	}
@@ -232,7 +260,8 @@ func (w *Wheel) link(t *Timer) {
 	*word |= bit
 }
 
-// unlink removes t from its slot, clearing the slot's bit if it empties.
+// unlink removes linked t from its slot, clearing the slot's bit if it
+// empties.
 func (w *Wheel) unlink(t *Timer) {
 	i := t.deadline & w.mask
 	s := &w.slots[i]
@@ -243,8 +272,17 @@ func (w *Wheel) unlink(t *Timer) {
 	}
 }
 
-// replace migrates a pending node to a new deadline (Timer.Reschedule).
+// replace migrates a pending node to a new deadline (Timer.Reschedule). The
+// lone timer stays lone, and its new deadline is the exact earliest.
 func (w *Wheel) replace(t *Timer, deadline Tick) {
+	if t == w.lone {
+		t.deadline = deadline
+		t.gen = w.advGen
+		t.slot = &w.slots[deadline&w.mask]
+		w.earliest = deadline
+		w.dirty = false
+		return
+	}
 	w.unlink(t)
 	old := t.deadline
 	t.deadline = deadline
@@ -298,6 +336,9 @@ func (w *Wheel) Earliest() Tick {
 //go:noinline
 func (w *Wheel) recomputeEarliest() {
 	e := NoDeadline
+	if w.lone != nil {
+		e = w.lone.deadline
+	}
 	for k, word := range w.occ {
 		for ; word != 0; word &= word - 1 {
 			for t := w.slots[k<<6|bits.TrailingZeros64(word)].head; t != nil; t = t.next {
@@ -344,6 +385,16 @@ func (w *Wheel) Advance(now Tick) int {
 	// state. Schedule stamps each timer with the current generation;
 	// only timers stamped in *this* pass are held back.
 	w.advGen++
+	if t := w.lone; t != nil {
+		// The only pending timer, and due: fire it without reading a slot
+		// or a bitmap word. Whatever its handler schedules carries this
+		// pass's generation, so nothing else can fire in this pass.
+		w.lone, t.slot = nil, nil
+		w.n = 0
+		w.run(t, now)
+		w.cur = now
+		return 1
+	}
 	fired := 0
 	prev := w.cur
 	span := now - prev
@@ -411,25 +462,33 @@ func (w *Wheel) fireSlot(s *slot, now Tick) int {
 				w.dirty = true
 			}
 			fired++
-			// Recycle pooled nodes before running the handler, so a
-			// handler that immediately reschedules reuses this node.
-			fn := t.fn
-			if t.pooled {
-				t.fn, t.own = nil, nil
-				t.next = w.free
-				w.free = t
-			}
-			fn(now)
+			w.run(t, now)
 		}
 		t = next
 	}
 	return fired
 }
 
+// run calls the handler of t, a due timer already off the wheel. A pooled
+// node recycles first, so a handler that immediately reschedules reuses it.
+func (w *Wheel) run(t *Timer, now Tick) {
+	fn := t.fn
+	if t.pooled {
+		t.fn, t.own = nil, nil
+		t.next = w.free
+		w.free = t
+	}
+	fn(now)
+}
+
 func (w *Wheel) fireAllDue(now Tick) int { return w.fireRange(0, w.mask, now) }
 
 func (w *Wheel) cancel(t *Timer) {
-	w.unlink(t)
+	if t == w.lone {
+		w.lone, t.slot = nil, nil
+	} else {
+		w.unlink(t)
+	}
 	w.n--
 	if t.deadline <= w.earliest {
 		w.dirty = true
