@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench bench-smoke cover metrics-smoke trace-smoke series-smoke fuzz-smoke scenario-smoke shard-smoke queue-smoke emu-smoke stbench clean
+.PHONY: all check fmt vet build test race bench bench-smoke cover metrics-smoke trace-smoke series-smoke fuzz-smoke scenario-smoke shard-smoke emu-smoke stbench clean
 
 # Per-target budget for the fuzz smoke (CI passes a longer one).
 FUZZTIME ?= 30s
@@ -23,7 +23,7 @@ vet:
 build:
 	$(GO) build ./...
 
-test: metrics-smoke trace-smoke series-smoke queue-smoke emu-smoke bench-smoke
+test: metrics-smoke trace-smoke series-smoke emu-smoke bench-smoke
 	$(GO) test -shuffle=on ./...
 
 # Repository-benchmark smoke: bench/ is a Go module of its own, so the
@@ -53,10 +53,11 @@ bench:
 	$(GO) test -run 'TestEngineZeroAlloc' -count=1 ./internal/sim
 	$(GO) test -run 'TestSparseFireZeroAlloc' -count=1 ./internal/timerwheel
 	$(GO) test -run 'TestFacilityCheckZeroAlloc' -count=1 ./internal/core
-	$(GO) test -bench 'BenchmarkEngine|BenchmarkReschedule|BenchmarkQueueChurn|BenchmarkShardRound' -benchmem -run '^$$' ./internal/sim
+	$(GO) test -bench 'BenchmarkEngine|BenchmarkReschedule|BenchmarkShardRound' -benchmem -run '^$$' ./internal/sim
 	$(GO) test -bench 'BenchmarkMetrics' -benchmem -run '^$$' ./internal/metrics
 	$(GO) test -bench 'BenchmarkWheelSparseFire|BenchmarkHashedDueCheckIdle' -benchmem -run '^$$' ./internal/timerwheel
 	$(GO) test -bench 'BenchmarkFacilityCheck|BenchmarkFacilityColdHosts' -benchmem -run '^$$' ./internal/core
+	$(GO) test -bench 'BenchmarkKernelTrigger' -benchmem -run '^$$' ./internal/kernel
 	$(GO) test -bench 'BenchmarkTestbedPacket|BenchmarkSwitchForward' -benchmem -run '^$$' ./internal/topology
 	$(GO) test -bench 'BenchmarkHTTPRequest' -benchmem -run '^$$' ./internal/httpserv
 	$(GO) test -bench 'BenchmarkTCPSegment|BenchmarkTCPAck' -benchmem -run '^$$' ./internal/tcp
@@ -95,12 +96,15 @@ series-smoke:
 	diff /tmp/stbench-series1.json /tmp/stbench-series8.json
 
 # Native-fuzz smoke: run each fuzz target for FUZZTIME beyond its checked-in
-# corpus. Corpus-only regression replay happens in plain `make test`.
+# corpus. Corpus-only regression replay happens in plain `make test`. Go
+# minimizes every input that finds new coverage before fuzzing on, for up to
+# 60 s each by default, and the progress lines read 0 execs/sec meanwhile;
+# -fuzzminimizetime bounds each minimization so the budget goes to fuzzing.
 fuzz-smoke:
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzKindRoundTrip$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzChromeWriter$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventQueueOps$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/timerwheel -run '^$$' -fuzz '^FuzzWheelOps$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzKindRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzChromeWriter$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventQueueOps$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/timerwheel -run '^$$' -fuzz '^FuzzWheelOps$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Degradation smoke: the fault-injection summary under the nastiest named
 # scenario, exercising the -scenario path end to end.
@@ -135,27 +139,6 @@ shard-smoke:
 	$(GO) run ./cmd/stbench -exp fleet-trace -scale smoke -shards 4 -metrics /tmp/stbench-trace4.json -series /tmp/stbench-tseries4.json >/dev/null
 	diff /tmp/stbench-trace1.json /tmp/stbench-trace4.json
 	diff /tmp/stbench-tseries1.json /tmp/stbench-tseries4.json
-
-# Queue-backend smoke: the churn-heavy hierarchical fleet, and the
-# flat-switch fleet whose hosts all share every hardclock instant (the
-# heap's same-instant batches), must dump byte-identical telemetry on every
-# engine event-queue backend (the differential contract, end to end through
-# stbench -queue; the heap run is the reference).
-queue-smoke:
-	$(GO) run ./cmd/stbench -exp fleet-hier -scale smoke -queue heap -metrics /tmp/stbench-queue-heap.json >/dev/null
-	$(GO) run ./cmd/stbench -exp fleet-hier -scale smoke -queue wheel -metrics /tmp/stbench-queue-wheel.json >/dev/null
-	diff /tmp/stbench-queue-heap.json /tmp/stbench-queue-wheel.json
-	$(GO) run ./cmd/stbench -exp fleet-hier -scale smoke -queue hier -metrics /tmp/stbench-queue-hier.json >/dev/null
-	diff /tmp/stbench-queue-heap.json /tmp/stbench-queue-hier.json
-	$(GO) run ./cmd/stbench -exp fleet-hier -scale smoke -queue ffs -metrics /tmp/stbench-queue-ffs.json >/dev/null
-	diff /tmp/stbench-queue-heap.json /tmp/stbench-queue-ffs.json
-	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -queue heap -metrics /tmp/stbench-queue-flat-heap.json >/dev/null
-	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -queue wheel -metrics /tmp/stbench-queue-flat-wheel.json >/dev/null
-	diff /tmp/stbench-queue-flat-heap.json /tmp/stbench-queue-flat-wheel.json
-	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -queue hier -metrics /tmp/stbench-queue-flat-hier.json >/dev/null
-	diff /tmp/stbench-queue-flat-heap.json /tmp/stbench-queue-flat-hier.json
-	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -queue ffs -metrics /tmp/stbench-queue-flat-ffs.json >/dev/null
-	diff /tmp/stbench-queue-flat-heap.json /tmp/stbench-queue-flat-ffs.json
 
 # Emulation smoke: stserve's self-test serves real HTTP over loopback for
 # ~2 s under the RealTimeClock driver and asserts at least one pacer-clocked

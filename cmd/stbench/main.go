@@ -15,8 +15,6 @@
 //	                               # fault-injection scenario
 //	stbench -exp fleet-scale -shards 4  # fleet rows on 4 conservative-sync
 //	                                    # engines (tables/telemetry unchanged)
-//	stbench -exp fleet-hier -queue ffs  # fleet rows on an alternate engine
-//	                                    # event-queue backend (output unchanged)
 //	stbench -exp fleet-trace -series s.json  # virtual-time series dump
 //	stbench -exp fleet-hier -progress  # periodic progress lines on stderr
 //	stbench -exp fleet-scale -shards 8 -mining=false  # static grants only
@@ -87,8 +85,6 @@ func main() {
 		"mine round grants from each shard's earliest pending event instead of its clock (sharded fleet rows only; output unchanged)")
 	placement := flag.String("placement", experiments.PlacementStatic,
 		"fleet host-to-shard placement: static (server-on-0 round-robin) or auto (traffic-profiled; output unchanged)")
-	queue := flag.String("queue", "heap",
-		"engine event-queue backend for fleet experiments: heap, wheel, hier or ffs (output unchanged)")
 	clock := flag.String("clock", "sim",
 		"engine clock driver: sim (deterministic, the default) or realtime (emulation experiments only)")
 	jsonPath := flag.String("json", "", "also write a machine-readable results record to this file")
@@ -167,12 +163,6 @@ func main() {
 			*placement, experiments.PlacementStatic, experiments.PlacementAuto)
 		os.Exit(2)
 	}
-	qk, err := sim.ParseQueueKind(*queue)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stbench: %v\n", err)
-		os.Exit(2)
-	}
-	sc.Queue = qk
 	ck, err := sim.ParseClockKind(*clock)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "stbench: %v\n", err)

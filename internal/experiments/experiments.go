@@ -63,13 +63,6 @@ type Scale struct {
 	// deterministic traffic-profile pass (topology.AutoPlace's strategy).
 	// Results are identical under any placement.
 	Placement string
-	// Queue selects the engine event-queue backend for the fleet
-	// experiments (stbench -queue). The zero value is the default binary
-	// heap. Like Shards/Workers, the choice is invisible in results —
-	// every backend pops events in identical order, so telemetry, tables
-	// and traces are byte-identical (make queue-smoke asserts it) — it
-	// only moves queue-maintenance cost.
-	Queue sim.QueueKind
 	// Clock selects the engine clock driver (stbench -clock). The zero
 	// value (ClockSim) is deterministic virtual time. ClockRealTime is
 	// accepted only by the emulation experiments (RequiresRealTime);

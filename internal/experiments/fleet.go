@@ -206,7 +206,7 @@ func assembleFleet(t *topology.Topology, seed uint64, n int, scenario string) (*
 // deterministic simulation, so the placement — and with it the sharded
 // round schedule — is a pure function of the scale, not of the machine.
 func fleetAutoAssign(sc Scale, seed uint64, n, shards int, scenario string) func(int, string) int {
-	t := topology.New(sim.NewEngineWithQueue(seed, sc.Queue))
+	t := topology.New(sim.NewEngine(seed))
 	t.SetSeed(seed)
 	srv, _ := assembleFleet(t, seed, n, scenario)
 	t.Start()
@@ -238,7 +238,7 @@ func runFleetCfg(sc Scale, salt uint64, n int, opt fleetOpts) (FleetRow, *metric
 		if shards > n+1 {
 			shards = n + 1
 		}
-		g := sim.NewShardGroupWithQueue(shards, seed, sc.Queue)
+		g := sim.NewShardGroup(shards, seed)
 		g.SetMining(!sc.NoMining)
 		t = topology.NewSharded(g, seed)
 		switch sc.Placement {
@@ -255,7 +255,7 @@ func runFleetCfg(sc Scale, salt uint64, n int, opt fleetOpts) (FleetRow, *metric
 			panic(fmt.Sprintf("experiments: unknown placement %q", sc.Placement))
 		}
 	} else {
-		t = topology.New(sim.NewEngineWithQueue(seed, sc.Queue))
+		t = topology.New(sim.NewEngine(seed))
 		t.SetSeed(seed)
 	}
 

@@ -97,13 +97,13 @@ func runFleetHierOpts(sc Scale, salt uint64, n, traceCap int) (FleetHierRow, *me
 		if shards > leaves {
 			shards = leaves
 		}
-		g := sim.NewShardGroupWithQueue(shards, seed, sc.Queue)
+		g := sim.NewShardGroup(shards, seed)
 		t = topology.NewSharded(g, seed)
 		t.Assign = func(i int, name string) int {
 			return (i % leaves) % shards
 		}
 	} else {
-		t = topology.New(sim.NewEngineWithQueue(seed, sc.Queue))
+		t = topology.New(sim.NewEngine(seed))
 		t.SetSeed(seed)
 	}
 

@@ -40,7 +40,6 @@ var registry = map[string]entry{
 	"sec510":             {func(sc Scale) *Table { return RunUsefulRange(sc).Table() }, "useful resolution range of soft timers (Section 5.10)"},
 	"delaydist":          {func(sc Scale) *Table { return RunDelayDist(sc).Table() }, "soft-timer firing-delay distribution d = actual - T"},
 	"ablation-wheel":     {func(sc Scale) *Table { return RunWheelAblation(sc).Table() }, "ablation: hashed vs hierarchical timer wheel"},
-	"ablation-queue":     {func(sc Scale) *Table { return RunQueueAblation(sc).Table() }, "ablation: engine event-queue backends (heap/wheel/hier/ffs) on the churned fleet, telemetry diffed against the heap"},
 	"ablation-idle":      {func(sc Scale) *Table { return RunIdleAblation(sc).Table() }, "ablation: idle-loop trigger states on and off"},
 	"ablation-pollution": {func(sc Scale) *Table { return RunPollutionAblation(sc).Table() }, "ablation: cache-pollution cost model on and off"},
 	// Graceful-degradation sweeps under the fault-injection layer.
@@ -64,7 +63,7 @@ func RequiresRealTime(name string) bool { return realtimeExps[name] }
 // Order fixes the presentation sequence for "all experiments".
 var Order = []string{"fig2", "sec52", "table1", "fig5", "table2", "fig6",
 	"table3", "table4", "table5", "table6", "table7", "table8",
-	"delaydist", "sec510", "ablation-wheel", "ablation-queue", "ablation-idle", "ablation-pollution",
+	"delaydist", "sec510", "ablation-wheel", "ablation-idle", "ablation-pollution",
 	"degradation-starve", "degradation-loss", "fleet-scale", "fleet-hier", "fleet-trace", "fleet-sync"}
 
 // Lookup returns the driver registered under name.

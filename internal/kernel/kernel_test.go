@@ -638,3 +638,20 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatal("no triggers recorded")
 	}
 }
+
+// BenchmarkKernelTrigger times the kernel's own share of a trigger state —
+// the disabled and starved checks, the trace hook and the meter record —
+// with a no-op sink, so the facility's share (BenchmarkFacilityCheck in
+// internal/core) is left out. Each op is one hardclock trigger state 1 ms
+// after the last; the engine holds no events, so RunFor only moves the
+// clock.
+func BenchmarkKernelTrigger(b *testing.B) {
+	eng, k := newTestKernel(Options{})
+	k.SetTriggerSink(sinkFunc(func(Source, sim.Time) sim.Time { return 0 }))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.RunFor(sim.Millisecond)
+		k.checkTrigger(SrcHardClock)
+	}
+}

@@ -9,24 +9,22 @@ import (
 // at t. The arrival reuses the storage of the event that just fired — the
 // leader the heap's leader table still names for t — so a batch check that
 // ignored the band would queue the ordinary event behind the arrival. The
-// ordinary event must fire first, on every backend.
+// ordinary event must fire first.
 func TestArrivalOnRecycledLeaderKeepsBandOrder(t *testing.T) {
-	for _, kind := range QueueKinds() {
-		e := NewEngineWithQueue(1, kind)
-		T := 10 * Microsecond
-		var order []string
-		var first Event
-		first = e.At(T, func() {
-			arr := e.AtArrival(T, 0, 1, "", func() { order = append(order, "arrival") })
-			if arr.e != first.e {
-				t.Fatalf("[%s] arrival did not reuse the fired event's storage", kind)
-			}
-			e.At(T, func() { order = append(order, "ordinary") })
-		})
-		e.Run()
-		if want := []string{"ordinary", "arrival"}; !reflect.DeepEqual(order, want) {
-			t.Fatalf("[%s] fire order %v, want %v", kind, order, want)
+	e := NewEngine(1)
+	T := 10 * Microsecond
+	var order []string
+	var first Event
+	first = e.At(T, func() {
+		arr := e.AtArrival(T, 0, 1, "", func() { order = append(order, "arrival") })
+		if arr.e != first.e {
+			t.Fatal("arrival did not reuse the fired event's storage")
 		}
+		e.At(T, func() { order = append(order, "ordinary") })
+	})
+	e.Run()
+	if want := []string{"ordinary", "arrival"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("fire order %v, want %v", order, want)
 	}
 }
 

@@ -126,3 +126,71 @@ func BenchmarkEngineAlignedTicks(b *testing.B) {
 		e.Step()
 	}
 }
+
+// TestEngineZeroAlloc pins the hot paths at zero allocations per op,
+// reschedule and same-instant batches included, with a warm pool — run by
+// `make bench` before any numbers are printed so a pooling regression
+// fails loudly rather than skewing results.
+func TestEngineZeroAlloc(t *testing.T) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine(1)
+		fn := func() {}
+		// Warm the event pool past everything one shot needs.
+		for i := 0; i < 8; i++ {
+			e.After(Time(i), fn)
+		}
+		e.Run()
+		shot := func() {
+			ev := e.After(10, fn)
+			ev.Reschedule(e.Now() + 900)
+			ev.RescheduleAfter(20)
+			dead := e.After(5, fn)
+			dead.Cancel()
+			// A same-instant batch: cancel its leader, move a follower
+			// within the instant, and add an arrival behind it.
+			lead := e.After(30, fn)
+			f := e.After(30, fn)
+			e.After(30, fn)
+			lead.Cancel()
+			f.Reschedule(e.Now() + 30)
+			e.AtArrival(e.Now()+30, 0, 0, "", fn)
+			e.Run()
+		}
+		if n := testing.AllocsPerRun(100, shot); n != 0 {
+			t.Fatalf("schedule+reschedule+cancel+batch+fire allocates %.1f/op, want 0", n)
+		}
+	})
+}
+
+// BenchmarkReschedule compares moving a pending timer in place against the
+// cancel+insert two-step, with 1024 bystander events keeping the queue
+// deep — the rate-based-pacing and TCP-rearm shape.
+func BenchmarkReschedule(b *testing.B) {
+	const depth = 1024
+	setup := func() (*Engine, Event) {
+		e := NewEngine(1)
+		fn := func() {}
+		for i := 0; i < depth; i++ {
+			e.At(Time(1_000_000+i*7919%depth), fn)
+		}
+		return e, e.At(2_000_000, fn)
+	}
+	b.Run("heap/inplace", func(b *testing.B) {
+		_, ev := setup()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev.Reschedule(Time(2_000_000 + i%4096))
+		}
+	})
+	b.Run("heap/cancelinsert", func(b *testing.B) {
+		e, ev := setup()
+		fn := func() {}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev.Cancel()
+			ev = e.At(Time(2_000_000+i%4096), fn)
+		}
+	})
+}

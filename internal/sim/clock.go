@@ -1,7 +1,6 @@
 package sim
 
-// The engine's run loop is driven by a pluggable clock, mirroring the
-// event-queue seam in queue.go. The default — sim mode — has no driver at
+// The engine's run loop is driven by a pluggable clock. The default — sim mode — has no driver at
 // all: Engine.driver stays nil and RunUntil/Run keep their original tight
 // loops, branching once per *call* (never per event), so the deterministic
 // engine is byte-identical to the pre-seam code and its hot path pays
@@ -113,7 +112,7 @@ func ClockKinds() []ClockKind {
 }
 
 // NewClockDriver builds the driver for kind, or nil for ClockSim (sim mode
-// is the driverless engine, exactly as QueueHeap is the backendless queue).
+// is the driverless engine).
 func NewClockDriver(kind ClockKind) ClockDriver {
 	switch kind {
 	case ClockSim:

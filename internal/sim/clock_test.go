@@ -296,7 +296,7 @@ func TestShardGroupSingleShardDriver(t *testing.T) {
 // are the sim-mode results (pacing changes wall time only).
 func TestShardGroupBarrierPacing(t *testing.T) {
 	fw := newFakeWall()
-	g := NewShardGroupWithQueue(2, 1, QueueHeap)
+	g := NewShardGroup(2, 1)
 	g.SetLookahead(0, 1, 25*Microsecond)
 	g.SetLookahead(1, 0, 25*Microsecond)
 	g.SetClockDriver(fw.clock())
@@ -326,7 +326,7 @@ func TestShardGroupBarrierPacing(t *testing.T) {
 // quiescent and may schedule onto any shard.
 func TestShardGroupBarrierInject(t *testing.T) {
 	fw := newFakeWall()
-	g := NewShardGroupWithQueue(2, 1, QueueHeap)
+	g := NewShardGroup(2, 1)
 	g.SetLookahead(0, 1, 25*Microsecond)
 	g.SetLookahead(1, 0, 25*Microsecond)
 	c := fw.clock()

@@ -17,12 +17,11 @@ type event struct {
 	gen   uint64 // bumped on every recycle; stale handles mismatch
 	fn    func()
 	label string
-	index int32 // >= 0 while queued (backend-private slot), -1 when not
+	index int32 // heap position, followerIdx in a leader's ring, -1 when not queued
 	eng   *Engine
 
-	// next/prev thread the event through a bucket backend's intrusive slot
-	// list (see evList), or through a heap leader's ring of same-instant
-	// followers (see eventQueue). Both leave them nil once it is dequeued.
+	// next/prev thread the event through a heap leader's ring of
+	// same-instant followers (see eventQueue); nil once it is dequeued.
 	next, prev *event
 }
 
@@ -65,23 +64,19 @@ func (ev Event) Cancel() bool {
 		return false
 	}
 	eng := e.eng
-	if n := eng.qlen(); n > eng.maxPending {
+	if n := eng.queue.len(); n > eng.maxPending {
 		eng.maxPending = n // depth high-water mark, caught pre-shrink
 	}
-	if eng.alt != nil {
-		eng.alt.remove(e)
-	} else {
-		eng.queue.remove(e)
-	}
+	eng.queue.remove(e)
 	eng.release(e)
 	return true
 }
 
-// Reschedule moves a still-pending event to absolute time t in place — the
-// queue backend relocates the existing entry (a single sift on the heap for
-// an event alone at its instant, a bucket migration on the wheels) instead
-// of paying a cancel plus a fresh insert. It reports whether the event was pending; rescheduling a fired,
-// canceled, or zero Event is an inert no-op, mirroring Cancel.
+// Reschedule moves a still-pending event to absolute time t in place — a
+// single sift on the heap for an event alone at its instant — instead of
+// paying a cancel plus a fresh insert. It reports whether the event was
+// pending; rescheduling a fired, canceled, or zero Event is an inert no-op,
+// mirroring Cancel.
 //
 // The event draws a fresh FIFO sequence number, exactly as cancel+insert
 // would, so same-instant ordering against other events is identical to the
@@ -106,11 +101,7 @@ func (ev *Event) Reschedule(t Time) bool {
 		panic("sim: reschedule of an arrival-band event")
 	}
 	eng.seq++
-	if eng.alt != nil {
-		eng.alt.update(e, t, eng.seq)
-	} else {
-		eng.queue.update(e, t, eng.seq)
-	}
+	eng.queue.update(e, t, eng.seq)
 	ev.at = t
 	return true
 }
@@ -134,7 +125,7 @@ func (ev Event) Label() string {
 	return ""
 }
 
-// eventQueue is the default pending-event store: a binary min-heap of
+// eventQueue is the engine's pending-event store: a binary min-heap of
 // instant leaders ordered by (at, seq). It is a concrete implementation —
 // not container/heap — so the hot path pays no interface conversions or
 // indirect Less/Swap calls, and sift operations move the displaced element
@@ -281,8 +272,7 @@ func (q *eventQueue) popMin() *event {
 	return root
 }
 
-// remove deletes a queued event (EventQueue shape; the position comes from
-// the index stamp).
+// remove deletes a queued event; its position comes from the index stamp.
 func (q *eventQueue) remove(ev *event) {
 	switch {
 	case ev.index == followerIdx:
@@ -332,13 +322,6 @@ func (q *eventQueue) update(ev *event, at Time, seq uint64) {
 	q.remove(ev)
 	ev.at, ev.seq = at, seq
 	q.push(ev)
-}
-
-func (q *eventQueue) peek() *event {
-	if len(q.heap) == 0 {
-		return nil
-	}
-	return q.heap[0]
 }
 
 func (q *eventQueue) len() int { return len(q.heap) + q.followers }
@@ -399,14 +382,6 @@ const poolChunk = 64
 type Engine struct {
 	now   Time
 	queue eventQueue
-	// alt, when non-nil, replaces the inline heap as the pending-event
-	// store (NewEngineWithQueue). Every queue touch branches on alt == nil
-	// rather than calling through an interface value, so the default heap
-	// engine pays one predictable branch — not a dynamic dispatch — on the
-	// hot path. The heap also implements EventQueue, but is never driven
-	// through it.
-	alt   EventQueue
-	qkind QueueKind
 	// driver, when non-nil, slaves the run loop to an external clock
 	// (SetClockDriver; see ClockDriver in clock.go). The sim-mode engine
 	// never sets it, and the run loops branch on it once per *call* — not
@@ -439,15 +414,6 @@ func NewEngine(seed uint64) *Engine {
 	return &Engine{rng: NewRNG(seed)}
 }
 
-// NewEngineWithQueue is NewEngine with an explicit event-queue backend.
-// QueueHeap yields an engine identical to NewEngine's; the other kinds
-// swap in a bucket-structured store with the same observable semantics —
-// the differential harness in queue_diff_test.go holds them to identical
-// fire order — but different cost profiles (see QueueKind).
-func NewEngineWithQueue(seed uint64, kind QueueKind) *Engine {
-	return &Engine{rng: NewRNG(seed), alt: newQueueBackend(kind), qkind: kind}
-}
-
 // NewEngineWithClock is NewEngine with an explicit clock driver kind.
 // ClockSim yields an engine identical to NewEngine's (no driver at all);
 // ClockRealTime installs a fresh RealTimeClock on the real wall clock.
@@ -477,17 +443,6 @@ func (e *Engine) Clock() ClockKind {
 	return ClockRealTime
 }
 
-// Queue reports which event-queue backend the engine runs on.
-func (e *Engine) Queue() QueueKind { return e.qkind }
-
-// qlen is the current pending-event count, whichever store holds them.
-func (e *Engine) qlen() int {
-	if e.alt != nil {
-		return e.alt.len()
-	}
-	return e.queue.len()
-}
-
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
@@ -495,25 +450,17 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *RNG { return e.rng }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.qlen() }
+func (e *Engine) Pending() int { return e.queue.len() }
 
 // EarliestPending returns the time of the earliest queued event, or
-// (0, false) when the queue is empty. It reads the queue head through the
-// same peek the run loop uses (EventQueue.peek on alternate backends, the
-// heap root inline), mutating nothing — conservative sync's lookahead
-// mining asks every round, on every shard, so the probe must stay O(1)-ish
-// and side-effect free.
+// (0, false) when the queue is empty. It reads the heap root, mutating
+// nothing — conservative sync's lookahead mining asks every round, on
+// every shard, so the probe must stay O(1) and side-effect free.
 func (e *Engine) EarliestPending() (Time, bool) {
-	var head *event
-	if e.alt != nil {
-		head = e.alt.peek()
-	} else if len(e.queue.heap) > 0 {
-		head = e.queue.heap[0]
-	}
-	if head == nil {
+	if len(e.queue.heap) == 0 {
 		return 0, false
 	}
-	return head.at, true
+	return e.queue.heap[0].at, true
 }
 
 // FreeListLen returns the number of recycled events awaiting reuse (for
@@ -525,7 +472,7 @@ func (e *Engine) FreeListLen() int { return len(e.free) }
 // depth counts: maxPending itself is only refreshed when the queue
 // shrinks.
 func (e *Engine) MaxPending() int {
-	if n := e.qlen(); n > e.maxPending {
+	if n := e.queue.len(); n > e.maxPending {
 		return n
 	}
 	return e.maxPending
@@ -580,11 +527,7 @@ func (e *Engine) AtLabeled(t Time, label string, fn func()) Event {
 	ev.seq = e.seq
 	ev.fn = fn
 	ev.label = label
-	if e.alt != nil {
-		e.alt.push(ev)
-	} else {
-		e.queue.push(ev)
-	}
+	e.queue.push(ev)
 	return Event{e: ev, gen: ev.gen, at: t}
 }
 
@@ -626,11 +569,7 @@ func (e *Engine) AtArrival(t Time, conduit int32, seq uint64, label string, fn f
 	ev.seq = arrivalBand | uint64(conduit)<<arrivalConduitShift | seq
 	ev.fn = fn
 	ev.label = label
-	if e.alt != nil {
-		e.alt.push(ev)
-	} else {
-		e.queue.push(ev)
-	}
+	e.queue.push(ev)
 	return Event{e: ev, gen: ev.gen, at: t}
 }
 
@@ -648,15 +587,10 @@ func (e *Engine) AfterLabeled(d Time, label string, fn func()) Event {
 // storage, and runs its handler. The caller must know the queue is
 // non-empty and the engine not stopped.
 func (e *Engine) fire() {
-	if n := e.qlen(); n > e.maxPending {
+	if n := e.queue.len(); n > e.maxPending {
 		e.maxPending = n // depth high-water mark, caught pre-shrink
 	}
-	var ev *event
-	if e.alt != nil {
-		ev = e.alt.popMin()
-	} else {
-		ev = e.queue.popMin()
-	}
+	ev := e.queue.popMin()
 	if ev.at < e.now {
 		panic("sim: time went backwards") // unreachable; guards heap bugs
 	}
@@ -670,7 +604,7 @@ func (e *Engine) fire() {
 // Step fires the earliest pending event, advancing the clock to its time.
 // It returns false if the queue is empty or the engine has been stopped.
 func (e *Engine) Step() bool {
-	if e.stopped || e.qlen() == 0 {
+	if e.stopped || e.queue.len() == 0 {
 		return false
 	}
 	e.fire()
@@ -684,8 +618,8 @@ func (e *Engine) Step() bool {
 // queue head) and pays no per-event function-call indirection beyond the
 // handler itself.
 //
-// Edge semantics — identical on every queue backend and clock driver, and
-// pinned by runedge_test.go:
+// Edge semantics — identical on every clock driver, and pinned by
+// runedge_test.go:
 //
 //   - RunUntil(e.Now()) — equivalently RunFor(0) — fires every event due
 //     exactly now, including events a firing handler schedules at the
@@ -701,20 +635,8 @@ func (e *Engine) RunUntil(t Time) {
 		e.runDriven(t, false)
 		return
 	}
-	if e.alt == nil {
-		// The default heap keeps the specialized tight loop: head peek is a
-		// slice index, no calls beyond fire.
-		for !e.stopped && len(e.queue.heap) > 0 && e.queue.heap[0].at <= t {
-			e.fire()
-		}
-	} else {
-		for !e.stopped {
-			head := e.alt.peek()
-			if head == nil || head.at > t {
-				break
-			}
-			e.fire()
-		}
+	for !e.stopped && len(e.queue.heap) > 0 && e.queue.heap[0].at <= t {
+		e.fire()
 	}
 	if !e.stopped && t > e.now {
 		e.now = t
@@ -736,7 +658,7 @@ func (e *Engine) Run() {
 		e.runDriven(Infinity, true)
 		return
 	}
-	for !e.stopped && e.qlen() > 0 {
+	for !e.stopped && e.queue.len() > 0 {
 		e.fire()
 	}
 }
@@ -755,9 +677,7 @@ func (e *Engine) runDriven(t Time, drain bool) {
 	d.Begin(e.now)
 	for !e.stopped {
 		var head *event
-		if e.alt != nil {
-			head = e.alt.peek()
-		} else if len(e.queue.heap) > 0 {
+		if len(e.queue.heap) > 0 {
 			head = e.queue.heap[0]
 		}
 		if drain && head == nil {

@@ -1,39 +1,30 @@
-// Native fuzz target for the event-queue backends: the input bytes decode
+// Native fuzz target for the engine's event queue: the input bytes decode
 // into a stream of queue operations — schedule (including same-instant),
 // arrival-band schedule, cancel, in-place reschedule, stale-handle probes,
-// steps, bounded runs — and the same stream replays on every backend. The
-// heap's observation log (every fire with its id and instant, every op's
-// result, the final clock and counters) is the reference; any divergence
-// on the wheel, hierarchical, or FFS backend fails. `make fuzz-smoke` runs
-// this target beyond the checked-in corpus; plain `go test` replays the
-// corpus as regressions.
+// steps, bounded runs — replayed on an engine and mirrored into the
+// linear-scan reference in refqueue_test.go. Every fire must be the least
+// live event in the reference, and every op's result, the clock, the
+// pending count, MaxPending and Fired must agree with it. `make fuzz-smoke`
+// runs this target beyond the checked-in corpus; plain `go test` replays
+// the corpus as regressions.
 package sim_test
 
 import (
-	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"softtimers/internal/sim"
 )
 
-// replayQueueOps decodes data as a queue-op stream, applies it to a fresh
-// engine on the given backend, and returns the full observation log.
-func replayQueueOps(data []byte, kind sim.QueueKind) []byte {
-	eng := sim.NewEngineWithQueue(1, kind)
-	var log []byte
-	u64 := func(v uint64) { log = binary.AppendUvarint(log, v) }
-	rec := func(tag byte, vs ...uint64) {
-		log = append(log, tag)
-		for _, v := range vs {
-			u64(v)
+// replayQueueOps decodes data as a queue-op stream and applies it to a
+// fresh engine and the reference, failing t at the first disagreement.
+func replayQueueOps(t *testing.T, data []byte) {
+	eng := sim.NewEngine(1)
+	var ref refQueue
+	check := func() {
+		if eng.Pending() != ref.live || eng.Now() != ref.now {
+			t.Fatalf("engine has %d pending at %v, reference %d live at %v",
+				eng.Pending(), eng.Now(), ref.live, ref.now)
 		}
-	}
-	b := func(ok bool) uint64 {
-		if ok {
-			return 1
-		}
-		return 0
 	}
 	var handles []sim.Event
 	var arrival []bool // per handle: scheduled in the arrival band
@@ -53,71 +44,92 @@ func replayQueueOps(data []byte, kind sim.QueueKind) []byte {
 		}
 		return int(next()) % len(handles)
 	}
+	onFire := func(id int) func() {
+		return func() {
+			if err := ref.fire(id, eng.Now()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	sched := func(d sim.Time) {
 		id := len(handles)
-		handles = append(handles, eng.After(d, func() {
-			rec('F', uint64(id), uint64(eng.Now()))
-		}))
+		handles = append(handles, eng.After(d, onFire(id)))
 		arrival = append(arrival, false)
-		rec('s', uint64(id), uint64(eng.Now()+d))
+		ref.schedule(id, ref.now+d)
+	}
+	resched := func(idx int, at sim.Time) {
+		ok := handles[idx].Reschedule(at)
+		if want := ref.reschedule(idx, at); ok != want {
+			t.Fatalf("Reschedule of handle %d returned %v, reference %v", idx, ok, want)
+		}
+		if ok && handles[idx].At() != at {
+			t.Fatalf("handle %d At() = %v after reschedule to %v", idx, handles[idx].At(), at)
+		}
 	}
 	for i < len(data) {
 		switch op := next(); op % 9 {
 		case 0: // schedule near (delay 0 hits same-instant FIFO)
 			sched(sim.Time(next()) * 7)
-		case 1: // schedule far: three operand bytes scaled past the FFS
-			// window and, at the top of the range, past the hierarchical
-			// levels — the overflow lists and bucket wrap are in play
+		case 1: // schedule far: three operand bytes scaled up to ~69 s out,
+			// so far-future leaders sit deep in the heap
 			d := sim.Time(next())<<16 | sim.Time(next())<<8 | sim.Time(next())
 			sched(d * 4099)
-		case 2: // cancel (live or stale — both results are part of the log)
+		case 2: // cancel (live or stale — the result must match the reference)
 			if idx := pick(); idx >= 0 {
-				rec('c', uint64(idx), b(handles[idx].Cancel()))
+				if got, want := handles[idx].Cancel(), ref.cancel(idx); got != want {
+					t.Fatalf("Cancel of handle %d returned %v, reference %v", idx, got, want)
+				}
 			}
 		case 3: // in-place reschedule to now+delay; two operand bytes so
-			// reschedules cross window boundaries in both directions
+			// reschedules move events both earlier and later than their peers
 			if idx := pick(); idx >= 0 {
 				d := sim.Time(next())<<8 | sim.Time(next())
 				if arrival[idx] {
 					break // arrivals refuse reschedule
 				}
-				ok := handles[idx].Reschedule(eng.Now() + d*1021)
-				rec('r', uint64(idx), b(ok), uint64(handles[idx].At()))
+				resched(idx, ref.now+d*1021)
 			}
-		case 4: // probe: Pending and a stale Cancel/Reschedule must agree
+		case 4: // probe: Pending must match the reference
 			if idx := pick(); idx >= 0 {
-				ev := handles[idx]
-				rec('p', uint64(idx), b(ev.Pending()))
+				if got, want := handles[idx].Pending(), ref.pending(idx); got != want {
+					t.Fatalf("handle %d Pending() = %v, reference %v", idx, got, want)
+				}
 			}
 		case 5:
-			rec('S', b(eng.Step()), uint64(eng.Now()))
+			live := ref.live
+			if got := eng.Step(); got != (live > 0) {
+				t.Fatalf("Step returned %v with %d live in the reference", got, live)
+			}
 		case 6:
-			eng.RunFor(sim.Time(next()) * 31)
-			rec('T', uint64(eng.Now()), uint64(eng.Pending()))
+			d := sim.Time(next()) * 31
+			target := ref.now + d
+			eng.RunFor(d)
+			if err := ref.runUntil(target); err != nil {
+				t.Fatal(err)
+			}
 		case 7: // same-instant reschedule: fresh seq, keeps time
 			if idx := pick(); idx >= 0 && !arrival[idx] {
-				ok := handles[idx].Reschedule(eng.Now())
-				rec('z', uint64(idx), b(ok))
+				resched(idx, ref.now)
 			}
 		case 8: // arrival at a pending handle's instant (else now), so it
 			// lands among ordinary events; the conduit is the operand
-			at := eng.Now()
-			if idx := pick(); idx >= 0 && handles[idx].Pending() {
-				at = handles[idx].At()
+			at := ref.now
+			if idx := pick(); idx >= 0 && ref.pending(idx) {
+				at = ref.slots[idx].at
 			}
 			conduit := int32(next() % 4)
 			arrSeq++
 			id := len(handles)
-			handles = append(handles, eng.AtArrival(at, conduit, arrSeq, "", func() {
-				rec('F', uint64(id), uint64(eng.Now()))
-			}))
+			handles = append(handles, eng.AtArrival(at, conduit, arrSeq, "", onFire(id)))
 			arrival = append(arrival, true)
-			rec('a', uint64(id), uint64(at))
+			ref.arrival(id, at, conduit, arrSeq)
 		}
+		check()
 	}
 	eng.Run()
-	rec('E', uint64(eng.Now()), uint64(eng.Pending()), uint64(eng.MaxPending()), eng.Fired)
-	return log
+	if err := ref.finish(eng); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func FuzzEventQueueOps(f *testing.F) {
@@ -129,19 +141,17 @@ func FuzzEventQueueOps(f *testing.F) {
 	f.Add([]byte{0, 30, 0, 60, 3, 0, 0, 10, 6, 2, 3, 1, 0, 90, 5, 6, 255, 4, 0, 4, 1})
 	// Stale probes: fire everything, then cancel/reschedule the corpses.
 	f.Add([]byte{0, 5, 0, 9, 6, 255, 2, 0, 2, 1, 3, 0, 0, 40, 7, 1, 4, 0})
-	// Far schedules past the FFS window and the hierarchical levels, then
-	// reschedules dragging them back inside the near window.
+	// Far schedules, then reschedules dragging them back near now.
 	f.Add([]byte{1, 0, 4, 0, 1, 200, 0, 0, 0, 12, 3, 0, 0, 3, 6, 255, 6, 255, 3, 1, 0, 2, 5, 5})
+	// A batch at 7 ns whose leader-table entry is evicted by 672 ns (the
+	// same table slot) and retaken by a second leader at 7 ns; the first
+	// leader then pops, and its promoted follower must not take the entry,
+	// or the next push at 7 ns queues behind it, ahead of the second leader.
+	f.Add([]byte{0, 1, 0, 1, 0, 96, 0, 1, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			return // bound per-input work; coverage saturates far below this
 		}
-		ref := replayQueueOps(data, sim.QueueHeap)
-		for _, kind := range sim.QueueKinds()[1:] {
-			if got := replayQueueOps(data, kind); !bytes.Equal(got, ref) {
-				t.Fatalf("[%s] observation log diverged from heap\n got %d bytes: %q\nwant %d bytes: %q",
-					kind, len(got), got, len(ref), ref)
-			}
-		}
+		replayQueueOps(t, data)
 	})
 }

@@ -1,12 +1,12 @@
-// Differential oracle over the pluggable event-queue backends: every
-// backend — binary heap (the reference), hashed wheel, hierarchical wheel,
-// FFS-bitmap bucket queue — is driven with the same seeded operation
+// Differential oracle for the engine's event queue: a seeded operation
 // stream (schedule, arrival-band schedule, cancel, in-place reschedule,
-// stale-handle probes, steps, bounded runs) and must produce the exact
-// same (time, seq) fire order, the same cancel sequence, and the same
-// final clock. Each backend additionally carries the engine property-test
-// invariants on its own: exactly-once fire-xor-cancel, monotone fire
-// times, stale handles inert under Pending/Cancel/Reschedule.
+// stale-handle probes, steps, bounded runs) drives the engine and the
+// linear-scan reference in refqueue_test.go side by side. Every fire must
+// be the least live (time, seq) event in the reference, every Cancel and
+// Reschedule result must match it, and the clock, the pending count and
+// MaxPending must agree with it — after every step and at the end. The
+// engine property-test invariants ride along: stale handles stay inert
+// under Pending/Cancel/Reschedule.
 //
 // Each seed is its own subtest, so a failure shrinks by replay:
 //
@@ -28,34 +28,20 @@ import (
 	"softtimers/internal/sim"
 )
 
-// diffTrace is one backend's observable history: everything that must be
-// identical across backends.
-type diffTrace struct {
-	fired      []fireRec
-	canceled   []int
-	resched    []int
-	end        sim.Time
-	maxPending int
-}
-
-// diffModel drives one engine with the shared operation stream. Every
-// backend gets its own model and its own RNG constructed from the same
-// seed, so the streams are identical as long as the engines fire events in
-// identical order — any ordering divergence desynchronizes the streams and
-// the traces diverge loudly.
+// diffModel drives one engine with the operation stream and mirrors every
+// operation into the reference.
 type diffModel struct {
 	t   *testing.T
 	eng *sim.Engine
 	rng *sim.RNG
+	ref refQueue
 
 	live    map[int]sim.Event
 	liveIDs []int
 	dead    []sim.Event
-	at      map[int]sim.Time // expected fire instant, updated on reschedule
 
-	trace   diffTrace
 	nextID  int
-	maxLive int
+	resched int
 
 	grid         bool         // delays snap onto gridInstants shared instants
 	peakInstants int          // most distinct pending instants seen (grid only)
@@ -72,18 +58,15 @@ func newDiffModel(t *testing.T, eng *sim.Engine, rng *sim.RNG) *diffModel {
 	return &diffModel{
 		t: t, eng: eng, rng: rng,
 		live:     map[int]sim.Event{},
-		at:       map[int]sim.Time{},
 		arrivals: map[int]bool{},
 	}
 }
 
 // drawDelay picks a scheduling offset: mostly near (with a same-instant
-// spike, exercising FIFO ties), sometimes past the FFS queue's 4 ms
-// bucket window, rarely past the hierarchical queue's level span — so the
-// overflow lists and their migration back into the windows are on every
-// run's path, not just the happy in-window case. The grid variant instead
-// snaps onto one of gridInstants instants 1 µs apart, counted from the
-// current one.
+// spike, exercising FIFO ties), sometimes milliseconds out, rarely tens of
+// seconds out, so far-future leaders sit deep in the heap while near
+// events churn above them. The grid variant instead snaps onto one of
+// gridInstants instants 1 µs apart, counted from the current one.
 func (m *diffModel) drawDelay() sim.Time {
 	if m.grid {
 		now := m.eng.Now()
@@ -115,7 +98,8 @@ func (m *diffModel) schedule() {
 	}
 	for ; n > 0; n-- {
 		id := m.nextID
-		m.add(id, m.eng.Now()+d, m.eng.AfterLabeled(d, fmt.Sprintf("diff:%d", id), m.onFire(id)))
+		m.add(id, m.eng.AfterLabeled(d, fmt.Sprintf("diff:%d", id), m.onFire(id)))
+		m.ref.schedule(id, m.ref.now+d)
 	}
 }
 
@@ -125,36 +109,28 @@ func (m *diffModel) schedule() {
 func (m *diffModel) scheduleArrival() {
 	at := m.eng.Now() + m.drawDelay()
 	if len(m.liveIDs) > 0 && m.rng.Bool(0.5) {
-		at = m.at[m.liveIDs[m.rng.Intn(len(m.liveIDs))]]
+		at = m.ref.slots[m.liveIDs[m.rng.Intn(len(m.liveIDs))]].at
 	}
 	id := m.nextID
 	m.arrSeq++
 	m.arrivals[id] = true
-	m.add(id, at, m.eng.AtArrival(at, int32(m.rng.Intn(4)), m.arrSeq, fmt.Sprintf("diff:%d", id), m.onFire(id)))
+	conduit := int32(m.rng.Intn(4))
+	m.add(id, m.eng.AtArrival(at, conduit, m.arrSeq, fmt.Sprintf("diff:%d", id), m.onFire(id)))
+	m.ref.arrival(id, at, conduit, m.arrSeq)
 }
 
-func (m *diffModel) add(id int, at sim.Time, ev sim.Event) {
+func (m *diffModel) add(id int, ev sim.Event) {
 	m.nextID++
-	m.at[id] = at
 	m.live[id] = ev
 	m.liveIDs = append(m.liveIDs, id)
-	if len(m.live) > m.maxLive {
-		m.maxLive = len(m.live)
-	}
 }
 
 func (m *diffModel) onFire(id int) func() {
 	return func() {
-		if m.eng.Now() != m.at[id] {
-			m.t.Fatalf("[%s] event %d fired at %v, scheduled for %v",
-				m.eng.Queue(), id, m.eng.Now(), m.at[id])
-		}
-		if _, ok := m.live[id]; !ok {
-			m.t.Fatalf("[%s] event %d fired but is not live (double fire or fired after cancel)",
-				m.eng.Queue(), id)
+		if err := m.ref.fire(id, m.eng.Now()); err != nil {
+			m.t.Fatal(err)
 		}
 		m.retire(id)
-		m.trace.fired = append(m.trace.fired, fireRec{id: id, at: m.eng.Now()})
 		// Handler-driven churn, the kernel/TCP pattern: schedule, cancel,
 		// or rearm other timers from inside a firing handler.
 		switch r := m.rng.Float64(); {
@@ -187,18 +163,17 @@ func (m *diffModel) cancelLive() {
 		return
 	}
 	id := m.liveIDs[m.rng.Intn(len(m.liveIDs))]
-	if !m.live[id].Cancel() {
-		m.t.Fatalf("[%s] cancel of live event %d returned false", m.eng.Queue(), id)
+	if got, want := m.live[id].Cancel(), m.ref.cancel(id); got != want {
+		m.t.Fatalf("cancel of event %d returned %v, reference %v", id, got, want)
 	}
-	m.trace.canceled = append(m.trace.canceled, id)
 	m.retire(id)
 }
 
 // rescheduleLive rearms a random live event in place — sometimes to the
 // current instant, so rescheduled events constantly contend with fresh
-// same-instant schedules and the new-seq FIFO rule is exercised on every
-// backend (heap sift vs wheel/bucket migration). Arrivals cannot be
-// rescheduled, so picking one is a no-op.
+// same-instant schedules and the new-seq FIFO rule is exercised (a sift
+// for a lone leader, a remove plus push inside a batch). Arrivals cannot
+// be rescheduled, so picking one is a no-op.
 func (m *diffModel) rescheduleLive() {
 	if len(m.liveIDs) == 0 {
 		return
@@ -209,43 +184,44 @@ func (m *diffModel) rescheduleLive() {
 	}
 	ev := m.live[id]
 	at := m.eng.Now() + m.drawDelay()
-	if !ev.Reschedule(at) {
-		m.t.Fatalf("[%s] reschedule of live event %d returned false", m.eng.Queue(), id)
+	if got, want := ev.Reschedule(at), m.ref.reschedule(id, at); got != want {
+		m.t.Fatalf("reschedule of event %d returned %v, reference %v", id, got, want)
 	}
 	if !ev.Pending() {
-		m.t.Fatalf("[%s] event %d not Pending after reschedule", m.eng.Queue(), id)
+		m.t.Fatalf("event %d not Pending after reschedule", id)
 	}
 	if ev.At() != at {
-		m.t.Fatalf("[%s] event %d At() = %v after reschedule to %v", m.eng.Queue(), id, ev.At(), at)
+		m.t.Fatalf("event %d At() = %v after reschedule to %v", id, ev.At(), at)
 	}
-	m.at[id] = at
 	m.live[id] = ev // Reschedule updates the handle's cached deadline
-	m.trace.resched = append(m.trace.resched, id)
+	m.resched++
 }
 
 // probeDead checks a retired handle for inertness across the whole handle
 // API — including Reschedule, which must refuse to revive a dead handle
-// on every backend even after its slot was recycled.
+// even after its slot was recycled.
 func (m *diffModel) probeDead() {
 	if len(m.dead) == 0 {
 		return
 	}
 	ev := m.dead[m.rng.Intn(len(m.dead))]
 	if ev.Pending() {
-		m.t.Fatalf("[%s] retired handle reports Pending", m.eng.Queue())
+		m.t.Fatal("retired handle reports Pending")
 	}
 	if ev.Cancel() {
-		m.t.Fatalf("[%s] retired handle Cancel returned true", m.eng.Queue())
+		m.t.Fatal("retired handle Cancel returned true")
 	}
 	if ev.Reschedule(m.eng.Now() + 50) {
-		m.t.Fatalf("[%s] retired handle Reschedule returned true", m.eng.Queue())
+		m.t.Fatal("retired handle Reschedule returned true")
 	}
 }
 
 func (m *diffModel) check() {
-	if m.eng.Pending() != len(m.live) {
-		m.t.Fatalf("[%s] engine has %d pending, model has %d live",
-			m.eng.Queue(), m.eng.Pending(), len(m.live))
+	if m.eng.Pending() != m.ref.live {
+		m.t.Fatalf("engine has %d pending, reference has %d live", m.eng.Pending(), m.ref.live)
+	}
+	if m.eng.Now() != m.ref.now {
+		m.t.Fatalf("engine clock %v, reference %v", m.eng.Now(), m.ref.now)
 	}
 }
 
@@ -253,7 +229,7 @@ func (m *diffModel) check() {
 func (m *diffModel) countInstants() {
 	inst := map[sim.Time]bool{}
 	for id := range m.live {
-		inst[m.at[id]] = true
+		inst[m.ref.slots[id].at] = true
 	}
 	m.peakInstants = max(m.peakInstants, len(inst))
 }
@@ -275,94 +251,40 @@ func (m *diffModel) run(steps int) {
 		case r < 0.60:
 			m.probeDead()
 		case r < 0.88:
-			m.eng.Step()
+			live := m.ref.live
+			if got := m.eng.Step(); got != (live > 0) {
+				m.t.Fatalf("Step returned %v with %d live in the reference", got, live)
+			}
 		default:
-			m.eng.RunFor(sim.Time(m.rng.Intn(2500)))
+			d := sim.Time(m.rng.Intn(2500))
+			t := m.ref.now + d
+			m.eng.RunFor(d)
+			if err := m.ref.runUntil(t); err != nil {
+				m.t.Fatal(err)
+			}
 		}
 		m.check()
 	}
 	m.eng.Run()
-	m.check()
-	if len(m.live) != 0 {
-		m.t.Fatalf("[%s] %d events still live after drain", m.eng.Queue(), len(m.live))
-	}
-
-	// Per-backend invariants before any cross-backend comparison.
-	if got, want := len(m.trace.fired)+len(m.trace.canceled), m.nextID; got != want {
-		m.t.Fatalf("[%s] fired %d + canceled %d = %d, scheduled %d",
-			m.eng.Queue(), len(m.trace.fired), len(m.trace.canceled), got, want)
-	}
-	seen := map[int]bool{}
-	for _, r := range m.trace.fired {
-		if seen[r.id] {
-			m.t.Fatalf("[%s] event %d fired twice", m.eng.Queue(), r.id)
-		}
-		seen[r.id] = true
-	}
-	for i := 1; i < len(m.trace.fired); i++ {
-		if m.trace.fired[i].at < m.trace.fired[i-1].at {
-			m.t.Fatalf("[%s] fire %d at %v after fire at %v: time went backwards",
-				m.eng.Queue(), m.trace.fired[i].id, m.trace.fired[i].at, m.trace.fired[i-1].at)
-		}
-	}
-	m.trace.end = m.eng.Now()
-	m.trace.maxPending = m.eng.MaxPending()
-}
-
-// runQueueDiff replays one operation stream on every backend and diffs
-// each alternate's trace against the heap's, element by element.
-func runQueueDiff(t *testing.T, steps int, grid bool, mkRNG func() *sim.RNG, seed uint64) {
-	kinds := sim.QueueKinds()
-	if kinds[0] != sim.QueueHeap {
-		t.Fatalf("QueueKinds()[0] = %v, heap must be the reference", kinds[0])
-	}
-	traces := make([]diffTrace, len(kinds))
-	for i, kind := range kinds {
-		m := newDiffModel(t, sim.NewEngineWithQueue(seed, kind), mkRNG())
-		m.grid = grid
-		m.run(steps)
-		if grid && m.peakInstants < 200 {
-			t.Fatalf("[%s] grid run peaked at %d pending instants, want at least 200", kind, m.peakInstants)
-		}
-		traces[i] = m.trace
-	}
-	ref := traces[0]
-	if len(ref.fired) == 0 || len(ref.resched) == 0 {
-		t.Fatalf("degenerate reference run: %d fires, %d reschedules", len(ref.fired), len(ref.resched))
-	}
-	for i := 1; i < len(kinds); i++ {
-		got, kind := traces[i], kinds[i]
-		if len(got.fired) != len(ref.fired) {
-			t.Fatalf("[%s] fired %d events, heap fired %d", kind, len(got.fired), len(ref.fired))
-		}
-		for j := range ref.fired {
-			if got.fired[j] != ref.fired[j] {
-				t.Fatalf("[%s] fire #%d = %+v, heap fired %+v (first divergence)",
-					kind, j, got.fired[j], ref.fired[j])
-			}
-		}
-		if len(got.canceled) != len(ref.canceled) {
-			t.Fatalf("[%s] canceled %d events, heap canceled %d", kind, len(got.canceled), len(ref.canceled))
-		}
-		for j := range ref.canceled {
-			if got.canceled[j] != ref.canceled[j] {
-				t.Fatalf("[%s] cancel #%d = event %d, heap canceled %d",
-					kind, j, got.canceled[j], ref.canceled[j])
-			}
-		}
-		if len(got.resched) != len(ref.resched) {
-			t.Fatalf("[%s] rescheduled %d events, heap rescheduled %d", kind, len(got.resched), len(ref.resched))
-		}
-		if got.end != ref.end {
-			t.Fatalf("[%s] final clock %v, heap ended at %v", kind, got.end, ref.end)
-		}
-		if got.maxPending != ref.maxPending {
-			t.Fatalf("[%s] MaxPending %d, heap saw %d", kind, got.maxPending, ref.maxPending)
-		}
+	if err := m.ref.finish(m.eng); err != nil {
+		m.t.Fatal(err)
 	}
 }
 
-// TestQueueDifferential is the backend oracle under both randomness
+// runQueueDiff replays one operation stream against the reference.
+func runQueueDiff(t *testing.T, steps int, grid bool, rng *sim.RNG, seed uint64) {
+	m := newDiffModel(t, sim.NewEngine(seed), rng)
+	m.grid = grid
+	m.run(steps)
+	if m.ref.fired == 0 || m.resched == 0 {
+		t.Fatalf("degenerate run: %d fires, %d reschedules", m.ref.fired, m.resched)
+	}
+	if grid && m.peakInstants < 200 {
+		t.Fatalf("grid run peaked at %d pending instants, want at least 200", m.peakInstants)
+	}
+}
+
+// TestQueueDifferential is the reference oracle under both randomness
 // sources, a bare RNG and a fault plan's split-seed stream, plus the
 // same-instant grid.
 func TestQueueDifferential(t *testing.T) {
@@ -376,35 +298,15 @@ func TestQueueDifferential(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("clean/seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runQueueDiff(t, steps, false, func() *sim.RNG { return sim.NewRNG(seed * 0x9e37) }, seed)
+			runQueueDiff(t, steps, false, sim.NewRNG(seed*0x9e37), seed)
 		})
 		t.Run(fmt.Sprintf("faultplan/seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runQueueDiff(t, steps, false, func() *sim.RNG {
-				return faults.New(seed, hostile).Stream("sim.queuediff")
-			}, seed)
+			runQueueDiff(t, steps, false, faults.New(seed, hostile).Stream("sim.queuediff"), seed)
 		})
 		t.Run(fmt.Sprintf("grid/seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runQueueDiff(t, gridSteps, true, func() *sim.RNG { return sim.NewRNG(seed * 0x51ed) }, seed)
+			runQueueDiff(t, gridSteps, true, sim.NewRNG(seed*0x51ed), seed)
 		})
-	}
-}
-
-// TestQueueKindsRoundTrip pins the flag surface the differential smoke and
-// stbench -queue rely on: every kind parses back from its name, and the
-// reference backend is the zero value.
-func TestQueueKindsRoundTrip(t *testing.T) {
-	if sim.QueueHeap != 0 {
-		t.Fatal("QueueHeap must be the zero QueueKind")
-	}
-	for _, kind := range sim.QueueKinds() {
-		back, err := sim.ParseQueueKind(kind.String())
-		if err != nil || back != kind {
-			t.Fatalf("ParseQueueKind(%q) = %v, %v", kind.String(), back, err)
-		}
-	}
-	if _, err := sim.ParseQueueKind("splay"); err == nil {
-		t.Fatal("ParseQueueKind accepted an unknown backend name")
 	}
 }

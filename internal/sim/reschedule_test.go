@@ -1,8 +1,8 @@
-// Regression tests for in-place event rescheduling, run on every queue
-// backend: the FIFO tie-break contract (a reschedule draws a fresh
-// sequence number, exactly like cancel+insert), the past-time and
-// arrival-band panics, stale-handle inertness, and op-for-op fire-order
-// equivalence between Reschedule and the cancel+insert baseline.
+// Regression tests for in-place event rescheduling: the FIFO tie-break
+// contract (a reschedule draws a fresh sequence number, exactly like
+// cancel+insert), the past-time and arrival-band panics, stale-handle
+// inertness, and op-for-op fire-order equivalence between Reschedule and
+// the cancel+insert baseline.
 package sim_test
 
 import (
@@ -12,21 +12,16 @@ import (
 	"softtimers/internal/sim"
 )
 
-// forEachKind runs f as a subtest per queue backend.
-func forEachKind(t *testing.T, f func(t *testing.T, eng *sim.Engine)) {
-	for _, kind := range sim.QueueKinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			f(t, sim.NewEngineWithQueue(7, kind))
-		})
-	}
+// onHeap runs f on a fresh engine in a subtest named for its heap queue.
+func onHeap(t *testing.T, f func(t *testing.T, eng *sim.Engine)) {
+	t.Run("heap", func(t *testing.T) { f(t, sim.NewEngine(7)) })
 }
 
 // A rescheduled event must order after events already queued at the same
 // instant — it draws a new sequence number, exactly as cancel+insert
 // would, even when its time does not change at all.
 func TestRescheduleFIFOTieBreak(t *testing.T) {
-	forEachKind(t, func(t *testing.T, eng *sim.Engine) {
+	onHeap(t, func(t *testing.T, eng *sim.Engine) {
 		var order []string
 		rec := func(name string) func() { return func() { order = append(order, name) } }
 		a := eng.At(100, rec("a"))
@@ -43,10 +38,9 @@ func TestRescheduleFIFOTieBreak(t *testing.T) {
 }
 
 // Rescheduling to an earlier time still fires at the new time, ahead of
-// later events — the decrease-key direction (heap sift-up, wheel bucket
-// migration toward the cursor).
+// later events — the decrease-key direction (a heap sift-up).
 func TestRescheduleDecreaseKey(t *testing.T) {
-	forEachKind(t, func(t *testing.T, eng *sim.Engine) {
+	onHeap(t, func(t *testing.T, eng *sim.Engine) {
 		var order []string
 		rec := func(name string) func() { return func() { order = append(order, name) } }
 		late := eng.At(900, rec("late"))
@@ -69,7 +63,7 @@ func TestRescheduleDecreaseKey(t *testing.T) {
 
 // Rescheduling into the past panics, like scheduling into the past does.
 func TestReschedulePastPanics(t *testing.T) {
-	forEachKind(t, func(t *testing.T, eng *sim.Engine) {
+	onHeap(t, func(t *testing.T, eng *sim.Engine) {
 		ev := eng.At(500, func() {})
 		eng.RunFor(200) // clock at 200, event still pending
 		defer func() {
@@ -85,7 +79,7 @@ func TestReschedulePastPanics(t *testing.T) {
 // executor's cross-engine ordering contract — so rescheduling one panics
 // rather than silently replacing the key with an engine-local seq.
 func TestRescheduleArrivalBandPanics(t *testing.T) {
-	forEachKind(t, func(t *testing.T, eng *sim.Engine) {
+	onHeap(t, func(t *testing.T, eng *sim.Engine) {
 		ev := eng.AtArrival(100, 3, 1, "arr", func() {})
 		defer func() {
 			if recover() == nil {
@@ -99,7 +93,7 @@ func TestRescheduleArrivalBandPanics(t *testing.T) {
 // Fired, canceled, and zero handles must all refuse Reschedule and
 // RescheduleAfter — the same inertness contract Cancel carries.
 func TestRescheduleStaleHandlesInert(t *testing.T) {
-	forEachKind(t, func(t *testing.T, eng *sim.Engine) {
+	onHeap(t, func(t *testing.T, eng *sim.Engine) {
 		fired := eng.At(10, func() {})
 		canceled := eng.At(20, func() {})
 		canceled.Cancel()
@@ -121,7 +115,7 @@ func TestRescheduleStaleHandlesInert(t *testing.T) {
 
 // RescheduleAfter is Reschedule relative to now.
 func TestRescheduleAfter(t *testing.T) {
-	forEachKind(t, func(t *testing.T, eng *sim.Engine) {
+	onHeap(t, func(t *testing.T, eng *sim.Engine) {
 		ev := eng.At(50, func() {})
 		eng.RunFor(30)
 		if !ev.RescheduleAfter(400) {
@@ -138,8 +132,8 @@ func TestRescheduleAfter(t *testing.T) {
 }
 
 // Reschedule must be observably identical to cancel+insert: the same
-// randomized stream of schedules and rearms replayed both ways on every
-// backend produces the same fire log. This is the property the facility's
+// randomized stream of schedules and rearms replayed both ways produces the
+// same fire log. This is the property the facility's
 // Event.Rearm and the pacers lean on.
 func TestRescheduleMatchesCancelInsert(t *testing.T) {
 	type rearm func(eng *sim.Engine, ev *sim.Event, at sim.Time, fn func())
@@ -152,50 +146,47 @@ func TestRescheduleMatchesCancelInsert(t *testing.T) {
 		ev.Cancel()
 		*ev = eng.At(at, fn)
 	}
-	for _, kind := range sim.QueueKinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			run := func(how rearm) []fireRec {
-				eng := sim.NewEngineWithQueue(11, kind)
-				rng := sim.NewRNG(0xdead)
-				var log []fireRec
-				events := make([]sim.Event, 48)
-				fns := make([]func(), 48)
-				for i := range events {
-					i := i
-					fns[i] = func() { log = append(log, fireRec{id: i, at: eng.Now()}) }
-					events[i] = eng.After(sim.Time(rng.Intn(400)), fns[i])
+	t.Run("heap", func(t *testing.T) {
+		run := func(how rearm) []fireRec {
+			eng := sim.NewEngine(11)
+			rng := sim.NewRNG(0xdead)
+			var log []fireRec
+			events := make([]sim.Event, 48)
+			fns := make([]func(), 48)
+			for i := range events {
+				i := i
+				fns[i] = func() { log = append(log, fireRec{id: i, at: eng.Now()}) }
+				events[i] = eng.After(sim.Time(rng.Intn(400)), fns[i])
+			}
+			for op := 0; op < 600; op++ {
+				i := rng.Intn(len(events))
+				var d sim.Time
+				if rng.Float64() >= 0.25 {
+					d = sim.Time(rng.Intn(400))
 				}
-				for op := 0; op < 600; op++ {
-					i := rng.Intn(len(events))
-					var d sim.Time
-					if rng.Float64() >= 0.25 {
-						d = sim.Time(rng.Intn(400))
-					}
-					if events[i].Pending() {
-						how(eng, &events[i], eng.Now()+d, fns[i])
-					} else {
-						events[i] = eng.At(eng.Now()+d, fns[i])
-					}
-					if rng.Float64() < 0.4 {
-						eng.RunFor(sim.Time(rng.Intn(300)))
-					}
+				if events[i].Pending() {
+					how(eng, &events[i], eng.Now()+d, fns[i])
+				} else {
+					events[i] = eng.At(eng.Now()+d, fns[i])
 				}
-				eng.Run()
-				return log
-			}
-			a, b := run(inPlace), run(twoStep)
-			if len(a) == 0 {
-				t.Fatal("degenerate run: no fires")
-			}
-			if len(a) != len(b) {
-				t.Fatalf("in-place fired %d, cancel+insert fired %d", len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("fire #%d: in-place %+v, cancel+insert %+v", i, a[i], b[i])
+				if rng.Float64() < 0.4 {
+					eng.RunFor(sim.Time(rng.Intn(300)))
 				}
 			}
-		})
-	}
+			eng.Run()
+			return log
+		}
+		a, b := run(inPlace), run(twoStep)
+		if len(a) == 0 {
+			t.Fatal("degenerate run: no fires")
+		}
+		if len(a) != len(b) {
+			t.Fatalf("in-place fired %d, cancel+insert fired %d", len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("fire #%d: in-place %+v, cancel+insert %+v", i, a[i], b[i])
+			}
+		}
+	})
 }

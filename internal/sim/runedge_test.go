@@ -2,24 +2,20 @@ package sim
 
 import "testing"
 
-// These tests pin the edge semantics documented on RunUntil/RunFor, on
-// every queue backend: the clock-driver seam must not change them, and a
-// backend that handles the empty-band or due-now cases differently would
-// break callers that rely on RunFor(0) as a "drain due work" idiom.
+// These tests pin the edge semantics documented on RunUntil/RunFor: the
+// clock-driver seam must not change them, and a queue that handled the
+// empty-band or due-now cases differently would break callers that rely on
+// RunFor(0) as a "drain due work" idiom.
 
-func forEachQueue(t *testing.T, f func(t *testing.T, e *Engine)) {
-	for _, kind := range QueueKinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			f(t, NewEngineWithQueue(1, kind))
-		})
-	}
+// onHeap runs f on a fresh engine in a subtest named for its heap queue.
+func onHeap(t *testing.T, f func(t *testing.T, e *Engine)) {
+	t.Run("heap", func(t *testing.T) { f(t, NewEngine(1)) })
 }
 
 // RunFor(0) fires events due exactly now — including ones a handler
 // schedules at the same instant — and leaves the clock unchanged.
 func TestRunForZero(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, e *Engine) {
+	onHeap(t, func(t *testing.T, e *Engine) {
 		e.RunUntil(50 * Microsecond)
 		var order []string
 		e.At(e.Now(), func() {
@@ -45,7 +41,7 @@ func TestRunForZero(t *testing.T) {
 // RunUntil(now) is RunFor(0); RunUntil(past) is a strict no-op — no
 // firing, no clock movement, even with overdue-looking events queued.
 func TestRunUntilNowAndPast(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, e *Engine) {
+	onHeap(t, func(t *testing.T, e *Engine) {
 		e.RunUntil(100 * Microsecond)
 		fired := 0
 		e.At(e.Now(), func() { fired++ })
@@ -64,7 +60,7 @@ func TestRunUntilNowAndPast(t *testing.T) {
 // RunUntil advances the clock to the horizon even when no event lands
 // there, and never past it; an event exactly at the horizon fires.
 func TestRunUntilHorizon(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, e *Engine) {
+	onHeap(t, func(t *testing.T, e *Engine) {
 		fired := 0
 		e.At(30*Microsecond, func() { fired++ })
 		e.At(70*Microsecond, func() { fired++ })
@@ -85,7 +81,7 @@ func TestRunUntilHorizon(t *testing.T) {
 // Stop inside a handler ends the run with the clock at that handler's
 // time — later events stay queued and the horizon clamp is skipped.
 func TestStopInHandler(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, e *Engine) {
+	onHeap(t, func(t *testing.T, e *Engine) {
 		fired := 0
 		e.At(20*Microsecond, func() { fired++; e.Stop() })
 		e.At(60*Microsecond, func() { fired++ })
@@ -105,7 +101,7 @@ func TestStopInHandler(t *testing.T) {
 // Run drains everything, including chains, and leaves the clock at the
 // last fired event.
 func TestRunDrains(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, e *Engine) {
+	onHeap(t, func(t *testing.T, e *Engine) {
 		var last Time
 		e.At(10*Microsecond, func() {
 			e.After(25*Microsecond, func() { last = e.Now() })

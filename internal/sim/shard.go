@@ -164,15 +164,6 @@ type ShardGroup struct {
 // with seed — a single-shard group replays a legacy NewEngine(seed) run
 // byte-for-byte — and the rest draw well-separated streams from it.
 func NewShardGroup(n int, seed uint64) *ShardGroup {
-	return NewShardGroupWithQueue(n, seed, QueueHeap)
-}
-
-// NewShardGroupWithQueue is NewShardGroup with every shard engine on the
-// given event-queue backend (sim.NewEngineWithQueue). Backend choice is
-// invisible to results — the fleet telemetry diff in queue-smoke holds all
-// kinds byte-identical at any shard count — it only moves the queue-cost
-// profile.
-func NewShardGroupWithQueue(n int, seed uint64, kind QueueKind) *ShardGroup {
 	if n <= 0 {
 		panic("sim: shard group needs at least one shard")
 	}
@@ -185,7 +176,7 @@ func NewShardGroupWithQueue(n int, seed uint64, kind QueueKind) *ShardGroup {
 	for i := 0; i < n; i++ {
 		g.shards[i] = &shard{
 			id:  i,
-			eng: NewEngineWithQueue(seed+uint64(i)*0x9E3779B97F4A7C15, kind),
+			eng: NewEngine(seed + uint64(i)*0x9E3779B97F4A7C15),
 		}
 		g.la[i] = make([]Time, n)
 		for j := range g.la[i] {

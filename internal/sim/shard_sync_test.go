@@ -269,31 +269,29 @@ func TestRealTimeClockEmptyPendingIsNotWork(t *testing.T) {
 	}
 }
 
-// EarliestPending is the queue peek mining rides on: exact across every
-// backend, tracking the head as events fire, and empty-aware.
+// EarliestPending is the queue peek mining rides on: exact, tracking the
+// head as events fire, and empty-aware.
 func TestEngineEarliestPendingAcrossBackends(t *testing.T) {
-	for _, kind := range QueueKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := NewEngineWithQueue(1, kind)
-			if _, ok := e.EarliestPending(); ok {
-				t.Fatal("empty engine reported a pending event")
-			}
-			e.At(300*Microsecond, func() {})
-			e.At(100*Microsecond, func() {})
-			e.At(200*Microsecond, func() {})
-			if at, ok := e.EarliestPending(); !ok || at != 100*Microsecond {
-				t.Fatalf("head = %v, %v; want 100µs, true", at, ok)
-			}
-			e.RunUntil(150 * Microsecond)
-			if at, ok := e.EarliestPending(); !ok || at != 200*Microsecond {
-				t.Fatalf("head after firing = %v, %v; want 200µs, true", at, ok)
-			}
-			e.RunUntil(Millisecond)
-			if _, ok := e.EarliestPending(); ok {
-				t.Fatal("drained engine still reports a pending event")
-			}
-		})
-	}
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine(1)
+		if _, ok := e.EarliestPending(); ok {
+			t.Fatal("empty engine reported a pending event")
+		}
+		e.At(300*Microsecond, func() {})
+		e.At(100*Microsecond, func() {})
+		e.At(200*Microsecond, func() {})
+		if at, ok := e.EarliestPending(); !ok || at != 100*Microsecond {
+			t.Fatalf("head = %v, %v; want 100µs, true", at, ok)
+		}
+		e.RunUntil(150 * Microsecond)
+		if at, ok := e.EarliestPending(); !ok || at != 200*Microsecond {
+			t.Fatalf("head after firing = %v, %v; want 200µs, true", at, ok)
+		}
+		e.RunUntil(Millisecond)
+		if _, ok := e.EarliestPending(); ok {
+			t.Fatal("drained engine still reports a pending event")
+		}
+	})
 }
 
 // BenchmarkShardRound measures one sync round — flush, grant computation
