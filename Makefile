@@ -54,7 +54,7 @@ bench:
 	$(GO) test -run 'TestSparseFireZeroAlloc' -count=1 ./internal/timerwheel
 	$(GO) test -run 'TestFacilityCheckZeroAlloc' -count=1 ./internal/core
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkReschedule|BenchmarkShardRound' -benchmem -run '^$$' ./internal/sim
-	$(GO) test -bench 'BenchmarkMetrics' -benchmem -run '^$$' ./internal/metrics
+	$(GO) test -bench 'BenchmarkMetrics|BenchmarkFleetSnapshot' -benchmem -run '^$$' ./internal/metrics
 	$(GO) test -bench 'BenchmarkWheelSparseFire|BenchmarkHashedDueCheckIdle' -benchmem -run '^$$' ./internal/timerwheel
 	$(GO) test -bench 'BenchmarkFacilityCheck|BenchmarkFacilityColdHosts' -benchmem -run '^$$' ./internal/core
 	$(GO) test -bench 'BenchmarkKernelTrigger' -benchmem -run '^$$' ./internal/kernel
@@ -105,6 +105,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzChromeWriter$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventQueueOps$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/timerwheel -run '^$$' -fuzz '^FuzzWheelOps$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzHistogramOps$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Degradation smoke: the fault-injection summary under the nastiest named
 # scenario, exercising the -scenario path end to end.

@@ -176,7 +176,9 @@ func (a Accounting) Busy() sim.Time {
 // behind Figures 4–6 and Tables 1–2.
 type TriggerMeter struct {
 	// Hist is the interval histogram in microseconds (1 µs buckets up to
-	// 2 ms), memory-bounded for multi-million-sample runs.
+	// 2 ms), memory-bounded for multi-million-sample runs. Its buckets
+	// grow only as far as the longest interval seen: a host that idles at
+	// the 1 ms hardclock period holds 1,024 of the 2,000.
 	Hist *stats.Histogram
 	// BySource counts trigger states per source.
 	BySource [NumSources]int64

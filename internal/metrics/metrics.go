@@ -35,7 +35,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"softtimers/internal/stats"
@@ -120,8 +119,10 @@ func (g *Gauge) Max() int64 {
 func (g *Gauge) Name() string { return g.name }
 
 // Histogram is a fixed-width-bucket histogram (a registered
-// stats.Histogram). Observe is the hot-path entry point; the bucket array
-// is allocated once at registration.
+// stats.Histogram). Observe is the hot-path entry point; it allocates only
+// when a value first lands past the buckets grown so far, which happens at
+// most a handful of times per histogram (the array doubles from 64 up to
+// the registered count).
 type Histogram struct {
 	name string
 	h    *stats.Histogram
@@ -384,8 +385,20 @@ func snapshotHistogram(h *stats.Histogram) HistogramSnapshot {
 		Sum:      h.Sum(),
 		Overflow: h.Overflow(),
 	}
-	for i, n := 0, h.NumBuckets(); i < n; i++ {
-		if c := h.Bucket(i); c > 0 {
+	counts := h.Counts()
+	nz := 0
+	for _, c := range counts {
+		if c > 0 {
+			nz++
+		}
+	}
+	if nz == 0 {
+		return hs // nil Buckets, which JSON encodes as null
+	}
+	// Exact size: a fleet snapshot keeps thousands of these alive.
+	hs.Buckets = make([]BucketCount, 0, nz)
+	for i, c := range counts {
+		if c > 0 {
 			hs.Buckets = append(hs.Buckets, BucketCount{Index: i, Count: c})
 		}
 	}
@@ -442,22 +455,47 @@ func mergeHistogram(a, b HistogramSnapshot) HistogramSnapshot {
 		Sum:      a.Sum + b.Sum,
 		Overflow: a.Overflow + b.Overflow,
 	}
-	byIdx := make(map[int]int64, len(a.Buckets)+len(b.Buckets))
-	for _, bc := range a.Buckets {
-		byIdx[bc.Index] += bc.Count
-	}
-	for _, bc := range b.Buckets {
-		byIdx[bc.Index] += bc.Count
-	}
-	idxs := make([]int, 0, len(byIdx))
-	for i := range byIdx {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		out.Buckets = append(out.Buckets, BucketCount{Index: i, Count: byIdx[i]})
-	}
+	out.Buckets = mergeBuckets(a.Buckets, b.Buckets)
 	return out
+}
+
+// mergeBuckets adds two ascending sparse bucket lists into one ascending
+// list of exactly the union's length; nil when both are empty.
+func mergeBuckets(a, b []BucketCount) []BucketCount {
+	n := len(a) + len(b)
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].Index < b[j].Index:
+			i++
+		case a[i].Index > b[j].Index:
+			j++
+		default:
+			n--
+			i++
+			j++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]BucketCount, 0, n)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].Index < b[j].Index:
+			out = append(out, a[i])
+			i++
+		case a[i].Index > b[j].Index:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, BucketCount{Index: a[i].Index, Count: a[i].Count + b[j].Count})
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // Prefixed returns a copy of the snapshot with every instrument name

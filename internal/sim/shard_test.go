@@ -304,7 +304,8 @@ func TestShardGroupMatchesSingleEngineReference(t *testing.T) {
 
 // Rounds run on the goroutine that calls Run, whatever the deprecated
 // Workers field says: no handler ever sees a goroutine beyond those alive
-// before Run began.
+// before Run began. Fewer is fine: a previous test's runner goroutine may
+// still be exiting when base is sampled.
 func TestShardGroupRunsInline(t *testing.T) {
 	const until = 2 * Millisecond
 	g := NewShardGroup(4, 9)
@@ -317,7 +318,7 @@ func TestShardGroupRunsInline(t *testing.T) {
 	var base, handlers, seen int
 	check := func() {
 		handlers++
-		if n := runtime.NumGoroutine(); n != base && seen == 0 {
+		if n := runtime.NumGoroutine(); n > base && seen == 0 {
 			seen = n
 		}
 	}

@@ -1,0 +1,291 @@
+package stats
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+	"unsafe"
+)
+
+// flatHist is the reference layout: one flat array of the configured
+// bucket count, allocated up front and incremented as each value is added.
+// Histogram must answer every read as it does, whatever it has grown and
+// whatever it still holds pending.
+type flatHist struct {
+	width    float64
+	buckets  []int64
+	overflow int64
+	n        int64
+	sum      float64
+}
+
+func newFlatHist(width float64, nbuckets int) *flatHist {
+	return &flatHist{width: width, buckets: make([]int64, nbuckets)}
+}
+
+func (f *flatHist) Add(v float64) {
+	f.n++
+	f.sum += v
+	if v < 0 {
+		v = 0
+	}
+	idx := int(v / f.width)
+	if idx >= len(f.buckets) {
+		f.overflow++
+		return
+	}
+	f.buckets[idx]++
+}
+
+func (f *flatHist) N() int64           { return f.n }
+func (f *flatHist) Sum() float64       { return f.sum }
+func (f *flatHist) Overflow() int64    { return f.overflow }
+func (f *flatHist) NumBuckets() int    { return len(f.buckets) }
+func (f *flatHist) Bucket(i int) int64 { return f.buckets[i] }
+
+func (f *flatHist) Mean() float64 {
+	if f.n == 0 {
+		return 0
+	}
+	return f.sum / float64(f.n)
+}
+
+func (f *flatHist) Quantile(q float64) float64 {
+	if f.n == 0 {
+		return 0
+	}
+	q = min(max(q, 0), 1)
+	target := q * float64(f.n)
+	var cum int64
+	for i, c := range f.buckets {
+		if float64(cum+c) >= target && c > 0 {
+			return (float64(i) + max((target-float64(cum))/float64(c), 0)) * f.width
+		}
+		cum += c
+	}
+	return f.width * float64(len(f.buckets))
+}
+
+func (f *flatHist) FracAbove(x float64) float64 {
+	if f.n == 0 {
+		return 0
+	}
+	idx := int(x/f.width) + 1
+	if x < 0 {
+		idx = 0
+	}
+	above := f.overflow
+	for i := idx; i < len(f.buckets); i++ {
+		above += f.buckets[i]
+	}
+	return float64(above) / float64(f.n)
+}
+
+func (f *flatHist) CDF(max float64) []CDFPoint {
+	var out []CDFPoint
+	var cum int64
+	for i, c := range f.buckets {
+		x := float64(i+1) * f.width
+		if x > max {
+			break
+		}
+		cum += c
+		frac := 0.0
+		if f.n > 0 {
+			frac = float64(cum) / float64(f.n)
+		}
+		out = append(out, CDFPoint{X: x, Frac: frac})
+	}
+	return out
+}
+
+func (f *flatHist) ASCII(maxBuckets int) string {
+	var b strings.Builder
+	var peak int64 = 1
+	limit := len(f.buckets)
+	if maxBuckets > 0 && maxBuckets < limit {
+		limit = maxBuckets
+	}
+	for _, c := range f.buckets[:limit] {
+		peak = max(peak, c)
+	}
+	for i, c := range f.buckets[:limit] {
+		bar := int(float64(c) / float64(peak) * 50)
+		fmt.Fprintf(&b, "%8.1f |%s %d\n", float64(i)*f.width, strings.Repeat("#", bar), c)
+	}
+	if f.overflow > 0 {
+		fmt.Fprintf(&b, "overflow: %d\n", f.overflow)
+	}
+	return b.String()
+}
+
+// histReader is what histReads queries: Histogram and the flat reference.
+type histReader interface {
+	N() int64
+	Sum() float64
+	Mean() float64
+	Overflow() int64
+	NumBuckets() int
+	Bucket(i int) int64
+	Quantile(q float64) float64
+	FracAbove(x float64) float64
+	CDF(max float64) []CDFPoint
+	ASCII(maxBuckets int) string
+}
+
+// wantGrown is the bucket-array length a histogram of nb buckets holds
+// once its largest settled in-range index is top (-1 for none): the
+// smallest power of two above top, at least 64, at most nb.
+func wantGrown(top, nb int) int {
+	if top < 0 {
+		return 0
+	}
+	n := 64
+	for n <= top {
+		n *= 2
+	}
+	return min(n, nb)
+}
+
+// growEdges are the bucket indices, within [0, nb], on either side of a
+// growth step, the last bucket and the first overflowing index.
+func growEdges(nb int) []int {
+	var out []int
+	for _, e := range []int{0, 63, 64, 127, 128, 1023, 1024, nb - 1, nb} {
+		if e >= 0 && e <= nb {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestHistogramGrowDifferential replays seeded add streams against the flat
+// reference over bucket counts on both sides of every growth step, with
+// reads of every kind at random points, many of them while adds are still
+// pending. Each stream's ceiling rises from 0 to 1.25x the range, so the
+// array grows through each power of two in turn, and a quarter of the adds
+// land on a growth edge, the last bucket or the first overflowing index.
+// Whenever nothing is pending, the array must be exactly as long as the
+// largest index added needs.
+func TestHistogramGrowDifferential(t *testing.T) {
+	const steps = 1000
+	for _, nb := range []int{1, 7, 63, 64, 65, 256, 2000, 4096} {
+		for _, w := range []float64{1, 0.5, 5} {
+			t.Run(fmt.Sprintf("n=%d/w=%g", nb, w), func(t *testing.T) {
+				edges := growEdges(nb)
+				for seed := int64(1); seed <= 10; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					h, ref := NewHistogram(w, nb), newFlatHist(w, nb)
+					top, pendingReads := -1, 0
+					for step := 0; step < steps; step++ {
+						if rng.Intn(24) == 0 {
+							r := histReads[rng.Intn(len(histReads))]
+							if h.npend != 0 {
+								pendingReads++
+							}
+							if got, want := r.read(h), r.read(ref); got != want {
+								t.Fatalf("seed %d step %d, %s:\n got %s\nwant %s", seed, step, r.name, got, want)
+							}
+						} else {
+							ceil := 1.25 * float64(nb*(step+1)) / steps
+							var v float64
+							switch rng.Intn(8) {
+							case 0:
+								v = -3 * w * rng.Float64()
+							case 1, 2:
+								e := edges[rng.Intn(len(edges))]
+								if float64(e) > ceil {
+									e = 0
+								}
+								v = (float64(e) + rng.Float64()) * w
+							default:
+								v = ceil * w * rng.Float64()
+							}
+							h.Add(v)
+							ref.Add(v)
+							if i := int(max(v, 0) / w); i < nb {
+								top = max(top, i)
+							}
+						}
+						if h.npend == 0 && len(h.buckets) != wantGrown(top, nb) {
+							t.Fatalf("seed %d step %d: %d buckets grown for top index %d of %d, want %d",
+								seed, step, len(h.buckets), top, nb, wantGrown(top, nb))
+						}
+					}
+					for _, r := range histReads {
+						if got, want := r.read(h), r.read(ref); got != want {
+							t.Fatalf("seed %d end, %s:\n got %s\nwant %s", seed, r.name, got, want)
+						}
+					}
+					if pendingReads == 0 {
+						t.Fatalf("seed %d: no read met pending adds", seed)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestHistogramGrowsOnDemand pins the memory the layout promises: nothing
+// before the first add (reads included), and no more than 1,024 buckets
+// for a fleet host's 2,000-bucket histogram, whose values stay at or
+// below bucket 1000.
+func TestHistogramGrowsOnDemand(t *testing.T) {
+	h := NewHistogram(1, 2000)
+	for _, r := range histReads {
+		r.read(h)
+	}
+	if h.buckets != nil {
+		t.Fatalf("a fresh histogram holds %d buckets after reads, want none", len(h.buckets))
+	}
+	for i := 0; i <= 1000; i++ {
+		h.Add(float64(i) + 0.999)
+		h.Add(-1)
+	}
+	if h.Bucket(1000) != 1 || h.Bucket(1999) != 0 {
+		t.Fatalf("Bucket(1000) = %d, Bucket(1999) = %d; want 1 and 0", h.Bucket(1000), h.Bucket(1999))
+	}
+	if len(h.buckets) > 1024 || cap(h.buckets) > 1024 {
+		t.Fatalf("adds up to bucket 1000 grew %d buckets (cap %d), want at most 1024", len(h.buckets), cap(h.buckets))
+	}
+}
+
+// TestHistogramBucketRange checks that Bucket still panics outside
+// [0, NumBuckets()), fresh or grown, and reads zero past the grown array.
+func TestHistogramBucketRange(t *testing.T) {
+	fresh, grown := NewHistogram(1, 2000), NewHistogram(1, 2000)
+	grown.Add(70)
+	for name, h := range map[string]*Histogram{"fresh": fresh, "grown": grown} {
+		for _, i := range []int{-1, 2000, 2001, 1 << 20} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Bucket(%d) of 2000 did not panic", name, i)
+					}
+				}()
+				h.Bucket(i)
+			}()
+		}
+		for _, i := range []int{0, 128, 1999} {
+			if c := h.Bucket(i); c != 0 {
+				t.Errorf("%s: Bucket(%d) = %d, want 0", name, i, c)
+			}
+		}
+	}
+	if grown.Bucket(70) != 1 || len(grown.buckets) != 128 {
+		t.Fatalf("Bucket(70) = %d with %d buckets grown, want 1 with 128", grown.Bucket(70), len(grown.buckets))
+	}
+}
+
+// TestHistogramSizeIsLineMultiple pins the struct at a multiple of 64
+// bytes. Go's allocator puts such an object in a size class whose objects
+// all start on a 64-byte cache line, so the width, count and n, sum and
+// npend (the pending buffer's head) that every Add reads and writes share
+// one line. One more 8-byte field would make it 200 bytes, in the 208-byte
+// class, where those fields straddle two lines on most objects.
+func TestHistogramSizeIsLineMultiple(t *testing.T) {
+	if sz := unsafe.Sizeof(Histogram{}); sz%64 != 0 {
+		t.Fatalf("Histogram is %d bytes, want a multiple of 64", sz)
+	}
+}

@@ -3,43 +3,61 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
 
-// Histogram is a fixed-width-bucket histogram over [0, Width*len(buckets)),
+// Histogram is a fixed-width-bucket histogram over [0, Width*NumBuckets()),
 // with an overflow bucket. It supports the quantile queries the experiments
 // need (median of huge samples, tail fractions) in O(1) memory per bucket,
 // which keeps two-million-sample workload measurements cheap.
+//
+// The bucket count given to NewHistogram fixes the range; memory follows
+// what the histogram holds. No bucket is allocated up front: the array
+// grows, by powers of two from 64, when an add reaches past its end, and
+// every reader treats a bucket past the end as empty. A fleet host's
+// 2,000-bucket histograms never see a value past ~1,005 µs, so they stop
+// at 1,024 buckets; its NIC's 256-bucket batch sizes stop at 64.
 //
 // Add updates the count, sum and overflow at once but parks each in-range
 // bucket index in a small inline buffer, and applies the buffer in one
 // burst when it fills. A fleet host adds one value per simulated
 // millisecond, and between two adds the other hosts' work evicts its bucket
-// array (16 KB at 2,000 buckets); the burst's independent increments
-// overlap their cache misses, where eager increments would each pay one.
-// Every read of the buckets (Bucket, Quantile, FracAbove, CDF, ASCII)
-// first settles the buffer, so a read writes: a Histogram is
-// single-goroutine, like the registry that adopts it.
+// array; the burst's independent increments overlap their cache misses,
+// where eager increments would each pay one. Every read of the buckets
+// (Bucket, Counts, Quantile, FracAbove, CDF, ASCII) first settles the
+// buffer, so a read writes: a Histogram is single-goroutine, like the
+// registry that adopts it.
 type Histogram struct {
 	width    float64
-	buckets  []int64
+	buckets  []int64 // grown on demand; never longer than nb
 	overflow int64
 	n        int64
 	sum      float64
-	npend    int
-	pend     [histPending]int // bucket indices added but not yet applied
+	// npend and nb are int32 to keep the struct at 192 bytes. An object
+	// whose size is a multiple of 64 sits in a size class whose objects
+	// all start on a 64-byte line, so every field above shares one line
+	// with npend; at 200 bytes (208-byte class) they straddle two.
+	npend int32
+	nb    int32            // configured bucket count: the range
+	pend  [histPending]int // bucket indices added but not yet applied
 }
 
-// histPending is the number of bucket increments Add defers.
-const histPending = 16
+const (
+	// histPending is the number of bucket increments Add defers.
+	histPending = 16
+	// histMinGrow is the fewest buckets a grown array holds.
+	histMinGrow = 64
+)
 
 // NewHistogram creates a histogram with nbuckets buckets of the given width.
+// It allocates no buckets until a value lands in one.
 func NewHistogram(width float64, nbuckets int) *Histogram {
-	if width <= 0 || nbuckets <= 0 {
-		panic("stats: histogram needs positive width and bucket count")
+	if width <= 0 || nbuckets <= 0 || nbuckets > math.MaxInt32 {
+		panic("stats: histogram needs positive width and a bucket count in [1, MaxInt32]")
 	}
-	return &Histogram{width: width, buckets: make([]int64, nbuckets)}
+	return &Histogram{width: width, nb: int32(nbuckets)}
 }
 
 // Add records an observation. Negative values clamp to the first bucket.
@@ -50,7 +68,7 @@ func (h *Histogram) Add(v float64) {
 		v = 0
 	}
 	idx := int(v / h.width)
-	if idx >= len(h.buckets) {
+	if idx >= int(h.nb) {
 		h.overflow++
 		return
 	}
@@ -61,12 +79,26 @@ func (h *Histogram) Add(v float64) {
 	}
 }
 
-// settle applies the parked bucket increments.
+// settle applies the parked bucket increments, growing the array first
+// when one reaches past its end.
 func (h *Histogram) settle() {
 	for _, i := range h.pend[:h.npend] {
+		if i >= len(h.buckets) {
+			h.grow(i)
+		}
 		h.buckets[i]++
 	}
 	h.npend = 0
+}
+
+// grow replaces the bucket array with one that covers index i: the
+// smallest power of two above i, at least histMinGrow and at most the
+// configured count. The counts held so far carry over.
+func (h *Histogram) grow(i int) {
+	n := min(max(histMinGrow, 1<<bits.Len(uint(i))), int(h.nb))
+	b := make([]int64, n)
+	copy(b, h.buckets)
+	h.buckets = b
 }
 
 // N returns the number of observations.
@@ -76,14 +108,36 @@ func (h *Histogram) N() int64 { return h.n }
 func (h *Histogram) Width() float64 { return h.width }
 
 // NumBuckets returns the number of regular (non-overflow) buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
+func (h *Histogram) NumBuckets() int { return int(h.nb) }
 
-// Bucket returns the observation count of bucket i.
+// Bucket returns the observation count of bucket i. It panics unless
+// 0 <= i < NumBuckets().
 func (h *Histogram) Bucket(i int) int64 {
+	if i < 0 || i >= int(h.nb) {
+		panic(fmt.Sprintf("stats: bucket %d out of range [0, %d)", i, h.nb))
+	}
 	if h.npend != 0 {
 		h.settle()
 	}
-	return h.buckets[i]
+	return h.at(i)
+}
+
+// at returns the count of bucket i, which is empty when i lies past the
+// grown array.
+func (h *Histogram) at(i int) int64 {
+	if i < len(h.buckets) {
+		return h.buckets[i]
+	}
+	return 0
+}
+
+// Counts returns the counts of the buckets the histogram has grown so far,
+// settling pending adds first: element i is Bucket(i), and every bucket
+// past the end is empty. The slice is the histogram's own, valid until the
+// next Add; callers must not modify it.
+func (h *Histogram) Counts() []int64 {
+	h.settle()
+	return h.buckets
 }
 
 // Overflow returns the count of observations beyond the last bucket.
@@ -113,10 +167,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	h.settle()
 	target := q * float64(h.n)
 	var cum int64
-	for i, c := range h.buckets {
+	for i, c := range h.Counts() {
 		if float64(cum+c) >= target && c > 0 {
 			within := (target - float64(cum)) / float64(c)
 			if within < 0 {
@@ -126,7 +179,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		cum += c
 	}
-	return h.width * float64(len(h.buckets))
+	return h.width * float64(h.nb)
 }
 
 // FracAbove returns the fraction of observations in buckets entirely above x
@@ -143,10 +196,10 @@ func (h *Histogram) FracAbove(x float64) float64 {
 		// threshold, so start at 0.
 		idx = 0
 	}
-	h.settle()
+	counts := h.Counts()
 	var above int64 = h.overflow
-	for i := idx; i < len(h.buckets); i++ {
-		above += h.buckets[i]
+	for i := idx; i < len(counts); i++ {
+		above += counts[i]
 	}
 	return float64(above) / float64(h.n)
 }
@@ -156,12 +209,12 @@ func (h *Histogram) CDF(max float64) []CDFPoint {
 	h.settle()
 	var out []CDFPoint
 	var cum int64
-	for i, c := range h.buckets {
+	for i := 0; i < int(h.nb); i++ {
 		x := float64(i+1) * h.width
 		if x > max {
 			break
 		}
-		cum += c
+		cum += h.at(i)
 		frac := 0.0
 		if h.n > 0 {
 			frac = float64(cum) / float64(h.n)
@@ -176,18 +229,19 @@ func (h *Histogram) ASCII(maxBuckets int) string {
 	h.settle()
 	var b strings.Builder
 	var peak int64 = 1
-	limit := len(h.buckets)
+	limit := int(h.nb)
 	if maxBuckets > 0 && maxBuckets < limit {
 		limit = maxBuckets
 	}
 	for i := 0; i < limit; i++ {
-		if h.buckets[i] > peak {
-			peak = h.buckets[i]
+		if c := h.at(i); c > peak {
+			peak = c
 		}
 	}
 	for i := 0; i < limit; i++ {
-		bar := int(float64(h.buckets[i]) / float64(peak) * 50)
-		fmt.Fprintf(&b, "%8.1f |%s %d\n", float64(i)*h.width, strings.Repeat("#", bar), h.buckets[i])
+		c := h.at(i)
+		bar := int(float64(c) / float64(peak) * 50)
+		fmt.Fprintf(&b, "%8.1f |%s %d\n", float64(i)*h.width, strings.Repeat("#", bar), c)
 	}
 	if h.overflow > 0 {
 		fmt.Fprintf(&b, "overflow: %d\n", h.overflow)
