@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench bench-smoke cover metrics-smoke trace-smoke series-smoke fuzz-smoke scenario-smoke shard-smoke emu-smoke stbench clean
+.PHONY: all check fmt vet build inline-check test race bench bench-smoke cover metrics-smoke trace-smoke series-smoke fuzz-smoke scenario-smoke shard-smoke emu-smoke stbench clean
 
 # Per-target budget for the fuzz smoke (CI passes a longer one).
 FUZZTIME ?= 30s
@@ -8,7 +8,7 @@ FUZZTIME ?= 30s
 all: check
 
 # The full gate: everything CI runs.
-check: fmt vet build test race
+check: fmt vet build inline-check test race
 
 # Fails, listing the files, when any Go file is not gofmt-clean.
 fmt:
@@ -22,6 +22,20 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Hot-path inlining guard. Each function below is written to be inlined
+# into its hot callers: the histogram's Add (one store and a test per
+# trigger state), the hashed wheel's due check and earliest bound (the
+# paper's per-trigger check), and the engine heap's push-side sift. A
+# change that takes one over the compiler's inlining budget fails here,
+# not only as a slower benchmark.
+INLINED = '(*Histogram).Add' '(*Wheel).Due' '(*Wheel).Earliest' 'leaderHeap.siftUp'
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/stats ./internal/timerwheel ./internal/sim 2>&1) || { echo "$$out"; exit 1; }; \
+	for f in $(INLINED); do \
+		echo "$$out" | grep -qF "can inline $$f" || { echo "inline-check: $$f no longer inlines"; exit 1; }; \
+		echo "inline-check: $$f inlines"; \
+	done
 
 test: metrics-smoke trace-smoke series-smoke emu-smoke bench-smoke
 	$(GO) test -shuffle=on ./...

@@ -10,8 +10,9 @@ import "testing"
 // operations should pay no interface-boxing round trips.
 
 // BenchmarkEngineScheduleFire measures the self-rescheduling steady state:
-// one pending event at a time, schedule+fire per iteration. This is the
-// shape of hardclock, PIT ticks, and the idle loop.
+// one pending event at a time, schedule+fire per iteration. The one event
+// always sits in the queue's front slot, so no heap operation is timed;
+// BenchmarkEngineContinuations is the shape with other events pending.
 func BenchmarkEngineScheduleFire(b *testing.B) {
 	e := NewEngine(1)
 	b.ReportAllocs()
@@ -98,6 +99,33 @@ func BenchmarkEngineRunUntil(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineContinuations is paper-rig-shaped: a single host keeps
+// eight future events pending — hardclock, PIT and link deliveries, each
+// re-arming a fixed period out — while a chain of continuations runs
+// beneath them, each handler scheduling its successor 100 ns out, which
+// makes the successor the new earliest event. One op is one fired event,
+// almost always a continuation.
+func BenchmarkEngineContinuations(b *testing.B) {
+	e := NewEngine(1)
+	for i := 0; i < 8; i++ {
+		period := Millisecond + Time(i)*37*Microsecond
+		var tick func()
+		tick = func() { e.After(period, tick) }
+		e.After(period, tick)
+	}
+	var step func()
+	step = func() { e.After(100, step) }
+	e.After(100, step)
+	for i := 0; i < 1000; i++ { // warm the pool
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
 // BenchmarkEngineAlignedTicks is fleet-shaped: 1024 tickers on one engine
 // re-arm at exact 1 ms multiples, as every host's hardclock does, so each
 // tick instant holds 1024 events. Each tick also schedules a +5 µs
@@ -155,9 +183,26 @@ func TestEngineZeroAlloc(t *testing.T) {
 			f.Reschedule(e.Now() + 30)
 			e.AtArrival(e.Now()+30, 0, 0, "", fn)
 			e.Run()
+			// The front slot: a batch takes the empty queue's front and
+			// an arrival lands at its instant; a heap leader rescheduled
+			// before it displaces the batch into the heap, then moves
+			// past the heap root itself; a new minimum takes the emptied
+			// front, and cancelling it hands the front to a follower that
+			// fires with a follower of its own.
+			a := e.After(40, fn)
+			b := e.After(60, fn)
+			e.After(40, fn)
+			e.AtArrival(a.At(), 1, 0, "", fn)
+			b.Reschedule(e.Now() + 10)
+			b.Reschedule(e.Now() + 70)
+			c := e.After(20, fn)
+			e.After(20, fn)
+			e.After(20, fn)
+			c.Cancel()
+			e.Run()
 		}
 		if n := testing.AllocsPerRun(100, shot); n != 0 {
-			t.Fatalf("schedule+reschedule+cancel+batch+fire allocates %.1f/op, want 0", n)
+			t.Fatalf("schedule+reschedule+cancel+batch+front+fire allocates %.1f/op, want 0", n)
 		}
 	})
 }

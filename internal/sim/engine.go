@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // event is the engine-owned representation of a scheduled callback. Events
@@ -125,22 +126,37 @@ func (ev Event) Label() string {
 	return ""
 }
 
-// eventQueue is the engine's pending-event store: a binary min-heap of
-// instant leaders ordered by (at, seq). It is a concrete implementation —
-// not container/heap — so the hot path pays no interface conversions or
+// eventQueue is the engine's pending-event store: a 4-ary min-heap of
+// instant leaders ordered by (at, seq), in front of which one leader may
+// wait in a front slot. It is a concrete implementation — not
+// container/heap — so the hot path pays no interface conversions or
 // indirect Less/Swap calls, and sift operations move the displaced element
-// in a hole rather than swapping pairwise.
+// in a hole rather than swapping pairwise. Four children per node halve
+// the levels a deep fleet queue sifts through.
+//
+// The front slot holds one leader outside the heap that orders strictly
+// before every heap entry, so a handler that schedules its successor as
+// the new earliest event — the paper rigs' continuations, with a few
+// periodic events further out — pays no sift to push it or to pop it. A
+// push that orders before the front, or before the heap root when the
+// front is empty, takes the front; an occupied front it displaces goes
+// into the heap. Popping or removing the front leaves it empty (the heap
+// root stays where it is) or hands it to the front's first follower. An
+// in-place update keeps a front leader at the front only while it still
+// orders before the heap root, and never moves a heap leader before the
+// front: that case is remove plus push.
 //
 // Events that share an instant do not each pay a sift. An ordinary event
 // pushed at an instant whose newest ordinary leader is still queued joins
 // that leader's FIFO ring of followers instead of the heap, and when a
 // leader leaves with followers behind it, the first follower takes over
-// its heap slot in place. Fire order is still exactly (at, seq): seq is
-// monotone (Reschedule draws a fresh one), so a ring in push order is in
-// seq order, and a promoted follower orders after its old leader and
-// before every newer leader at that instant — which is what lets it sit in
-// the leader's slot with no sift. Arrival-band events are never batched:
-// each is its own heap entry, after every ordinary event at its instant.
+// its slot — heap position or front — in place. Fire order is still
+// exactly (at, seq): seq is monotone (Reschedule draws a fresh one), so a
+// ring in push order is in seq order, and a promoted follower orders after
+// its old leader and before every newer leader at that instant — which is
+// what lets it sit in the leader's slot with no sift. Arrival-band events
+// are never batched: each is its own leader, after every ordinary event at
+// its instant.
 //
 // The newest ordinary leader at an instant is found through leaders, a
 // small table indexed by a hash of the instant. An entry holds the instant
@@ -151,12 +167,14 @@ func (ev Event) Label() string {
 // named event may since have fired, moved or been recycled — so removals
 // otherwise leave the table alone.
 type eventQueue struct {
-	heap      leaderHeap
-	followers int // events queued in rings; len is len(heap) + followers
-	leaders   [leaderSlots]leaderEntry
+	front   *event // orders before every heap entry; nil when empty
+	heap    leaderHeap
+	n       int // queued events: the front, the heap and every ring
+	leaders [leaderSlots]leaderEntry
 }
 
-// leaderHeap is the min-heap of instant leaders and arrival-band events.
+// leaderHeap is the 4-ary min-heap of the instant leaders and arrival-band
+// events not in the front slot: the children of i are 4i+1..4i+4.
 type leaderHeap []*event
 
 // leaderEntry names the newest ordinary leader queued at instant at.
@@ -171,13 +189,16 @@ const leaderSlots = 64
 
 func leaderSlot(t Time) uint { return uint(uint64(t) * 0x9e3779b97f4a7c15 >> 58) }
 
-// followerIdx is the index stamp of an event queued in a leader's ring:
-// non-negative, so Event.Pending reads it as queued, and never a heap
-// position.
-const followerIdx = math.MaxInt32
+// Index stamps of queued events that hold no heap position: non-negative,
+// so Event.Pending reads them as queued. followerIdx marks a member of a
+// leader's ring, frontIdx the leader in the front slot.
+const (
+	followerIdx = math.MaxInt32
+	frontIdx    = math.MaxInt32 - 1
+)
 
 // leader returns the event the entry names if it is still queued as an
-// ordinary-band heap leader at instant t, and nil otherwise.
+// ordinary-band leader at instant t, and nil otherwise.
 func (s *leaderEntry) leader(t Time) *event {
 	if s.at != t || s.ev == nil {
 		return nil
@@ -194,15 +215,47 @@ func before(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
+// earlier is before without a branch: 1 when a orders strictly before b,
+// else 0 — the borrow out of the 128-bit subtraction (a.at, a.seq) −
+// (b.at, b.seq). Queued instants are never negative, so they compare as
+// unsigned words.
+func earlier(a, b *event) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
+}
+
+// head returns the earliest queued event, or nil when the queue is empty.
+func (q *eventQueue) head() *event {
+	if q.front != nil {
+		return q.front
+	}
+	if len(q.heap) > 0 {
+		return q.heap[0]
+	}
+	return nil
+}
+
 func (q *eventQueue) push(ev *event) {
+	q.n++
 	if ev.seq&arrivalBand == 0 {
 		s := &q.leaders[leaderSlot(ev.at)]
 		if l := s.leader(ev.at); l != nil {
 			follow(l, ev)
-			q.followers++
 			return
 		}
 		s.at, s.ev = ev.at, ev
+	}
+	if f := q.front; f == nil {
+		if len(q.heap) == 0 || before(ev, q.heap[0]) {
+			q.front, ev.index = ev, frontIdx
+			return
+		}
+	} else if before(ev, f) {
+		// ev takes the front; the old front goes into the heap, where it
+		// still orders before every entry.
+		q.front, ev.index = ev, frontIdx
+		ev = f
 	}
 	q.heap = append(q.heap, ev)
 	q.heap.siftUp(len(q.heap) - 1)
@@ -231,9 +284,10 @@ func unfollow(f *event) {
 	f.next, f.prev = nil, nil
 }
 
-// promote hands leader l's heap slot i to its first follower, which keeps
-// the rest of the ring, and the table entry too if it named l.
-func (q *eventQueue) promote(l *event, i int) {
+// promote hands leader l's slot to its first follower, which keeps the
+// rest of the ring and the table entry too if it named l, and returns the
+// follower, stamped with l's index. The caller stores it in the slot.
+func (q *eventQueue) promote(l *event) *event {
 	f := l.next
 	if f == l.prev {
 		f.next, f.prev = nil, nil
@@ -242,21 +296,30 @@ func (q *eventQueue) promote(l *event, i int) {
 		f.prev, tail.next = tail, f
 	}
 	l.next, l.prev = nil, nil
-	q.heap[i] = f
-	f.index = int32(i)
-	q.followers--
+	f.index = l.index
 	if s := &q.leaders[leaderSlot(l.at)]; s.ev == l && s.at == l.at {
 		s.ev = f
 	}
+	return f
 }
 
 // popMin removes and returns the earliest event. The caller must know the
 // queue is non-empty.
 func (q *eventQueue) popMin() *event {
+	q.n--
+	if f := q.front; f != nil {
+		if f.next != nil {
+			q.front = q.promote(f)
+		} else {
+			q.front = nil
+		}
+		f.index = -1
+		return f
+	}
 	h := q.heap
 	root := h[0]
 	if root.next != nil {
-		q.promote(root, 0)
+		h[0] = q.promote(root)
 	} else {
 		n := len(h) - 1
 		last := h[n]
@@ -274,12 +337,17 @@ func (q *eventQueue) popMin() *event {
 
 // remove deletes a queued event; its position comes from the index stamp.
 func (q *eventQueue) remove(ev *event) {
+	q.n--
 	switch {
 	case ev.index == followerIdx:
 		unfollow(ev)
-		q.followers--
+	case ev.index == frontIdx:
+		q.front = nil
+		if ev.next != nil {
+			q.front = q.promote(ev)
+		}
 	case ev.next != nil:
-		q.promote(ev, int(ev.index))
+		q.heap[ev.index] = q.promote(ev)
 	default:
 		q.removeAt(int(ev.index))
 	}
@@ -303,18 +371,30 @@ func (q *eventQueue) removeAt(i int) {
 }
 
 // update rekeys a queued event. A follower-less leader moving to an
-// instant with no queued ordinary leader is rekeyed in place, a single
-// sift from its position — the O(log n) dynamic-update operation
-// cancel+insert pays twice for. Anything else is remove plus push.
+// instant with no queued ordinary leader is rekeyed in place — the
+// O(log n) dynamic-update operation cancel+insert pays twice for: the
+// front stays put while it still orders before the heap root and
+// otherwise moves into the heap, and a heap leader takes one sift from its
+// position unless it would order before the front. Anything else is
+// remove plus push.
 func (q *eventQueue) update(ev *event, at Time, seq uint64) {
 	if ev.index != followerIdx && ev.next == nil {
 		s := &q.leaders[leaderSlot(at)]
-		if l := s.leader(at); l == nil || l == ev {
+		f := q.front
+		if l := s.leader(at); (l == nil || l == ev) &&
+			(ev == f || f == nil || f.at < at || f.at == at && f.seq < seq) {
 			ev.at, ev.seq = at, seq
 			s.at, s.ev = at, ev
-			i := int(ev.index)
-			if !q.heap.siftDown(i) {
-				q.heap.siftUp(i)
+			switch {
+			case ev != f:
+				i := int(ev.index)
+				if !q.heap.siftDown(i) {
+					q.heap.siftUp(i)
+				}
+			case len(q.heap) > 0 && !before(ev, q.heap[0]):
+				q.front = nil
+				q.heap = append(q.heap, ev)
+				q.heap.siftUp(len(q.heap) - 1)
 			}
 			return
 		}
@@ -324,12 +404,12 @@ func (q *eventQueue) update(ev *event, at Time, seq uint64) {
 	q.push(ev)
 }
 
-func (q *eventQueue) len() int { return len(q.heap) + q.followers }
+func (q *eventQueue) len() int { return q.n }
 
 func (q leaderHeap) siftUp(i int) {
 	ev := q[i]
 	for i > 0 {
-		parent := (i - 1) / 2
+		parent := (i - 1) / 4
 		p := q[parent]
 		if !before(ev, p) {
 			break
@@ -348,15 +428,30 @@ func (q leaderHeap) siftDown(i int) bool {
 	ev := q[i]
 	i0 := i
 	for {
-		l := 2*i + 1
-		if l >= n || l < 0 { // l < 0 after int overflow
+		first := 4*i + 1
+		if first >= n || first < 0 { // first < 0 after int overflow
 			break
 		}
-		m := l
-		if r := l + 1; r < n && before(q[r], q[l]) {
-			m = r
+		var m int
+		var c *event
+		if first+3 < n {
+			// A full set of four children. Which one is least is a coin
+			// toss a branch predictor loses, so it is computed, not
+			// branched on: the lesser of children 0 and 1, the lesser of
+			// 2 and 3, then the lesser of those two.
+			kids := (*[4]*event)(q[first : first+4])
+			x := earlier(kids[1], kids[0])
+			y := 2 + earlier(kids[3], kids[2])
+			k := x ^ (x^y)&-earlier(kids[y&3], kids[x&3]) // y if kids[y] is earlier, else x
+			m, c = first+int(k), kids[k&3]
+		} else {
+			m, c = first, q[first]
+			for j := first + 1; j < n; j++ {
+				if before(q[j], c) {
+					m, c = j, q[j]
+				}
+			}
 		}
-		c := q[m]
 		if !before(c, ev) {
 			break
 		}
@@ -453,14 +548,14 @@ func (e *Engine) Rand() *RNG { return e.rng }
 func (e *Engine) Pending() int { return e.queue.len() }
 
 // EarliestPending returns the time of the earliest queued event, or
-// (0, false) when the queue is empty. It reads the heap root, mutating
+// (0, false) when the queue is empty. It reads the queue head, mutating
 // nothing — conservative sync's lookahead mining asks every round, on
 // every shard, so the probe must stay O(1) and side-effect free.
 func (e *Engine) EarliestPending() (Time, bool) {
-	if len(e.queue.heap) == 0 {
-		return 0, false
+	if h := e.queue.head(); h != nil {
+		return h.at, true
 	}
-	return e.queue.heap[0].at, true
+	return 0, false
 }
 
 // FreeListLen returns the number of recycled events awaiting reuse (for
@@ -635,7 +730,10 @@ func (e *Engine) RunUntil(t Time) {
 		e.runDriven(t, false)
 		return
 	}
-	for !e.stopped && len(e.queue.heap) > 0 && e.queue.heap[0].at <= t {
+	for !e.stopped {
+		if h := e.queue.head(); h == nil || h.at > t {
+			break
+		}
 		e.fire()
 	}
 	if !e.stopped && t > e.now {
@@ -676,10 +774,7 @@ func (e *Engine) runDriven(t Time, drain bool) {
 	d := e.driver
 	d.Begin(e.now)
 	for !e.stopped {
-		var head *event
-		if len(e.queue.heap) > 0 {
-			head = e.queue.heap[0]
-		}
+		head := e.queue.head()
 		if drain && head == nil {
 			break
 		}

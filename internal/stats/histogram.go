@@ -20,15 +20,17 @@ import (
 // 2,000-bucket histograms never see a value past ~1,005 µs, so they stop
 // at 1,024 buckets; its NIC's 256-bucket batch sizes stop at 64.
 //
-// Add updates the count, sum and overflow at once but parks each in-range
-// bucket index in a small inline buffer, and applies the buffer in one
-// burst when it fills. A fleet host adds one value per simulated
-// millisecond, and between two adds the other hosts' work evicts its bucket
-// array; the burst's independent increments overlap their cache misses,
-// where eager increments would each pay one. Every read of the buckets
-// (Bucket, Counts, Quantile, FracAbove, CDF, ASCII) first settles the
-// buffer, so a read writes: a Histogram is single-goroutine, like the
-// registry that adopts it.
+// Add parks each value in a small inline buffer, and settle files the
+// buffer in one burst when it fills: count, sum, overflow and bucket. A
+// fleet host adds one value per simulated millisecond, and between two
+// adds the other hosts' work evicts its bucket array; the burst's
+// independent increments overlap their cache misses, where eager
+// increments would each pay one. Parking the raw value keeps Add to a
+// store and a test, so it inlines into its hot callers, and the growth
+// path stays in settle. Every read but N (Bucket, Counts, Overflow, Sum,
+// Mean, Quantile, FracAbove, CDF, ASCII) first settles the buffer, so a
+// read writes: a Histogram is single-goroutine, like the registry that
+// adopts it.
 type Histogram struct {
 	width    float64
 	buckets  []int64 // grown on demand; never longer than nb
@@ -40,12 +42,12 @@ type Histogram struct {
 	// all start on a 64-byte line, so every field above shares one line
 	// with npend; at 200 bytes (208-byte class) they straddle two.
 	npend int32
-	nb    int32            // configured bucket count: the range
-	pend  [histPending]int // bucket indices added but not yet applied
+	nb    int32                // configured bucket count: the range
+	pend  [histPending]float64 // values added but not yet filed
 }
 
 const (
-	// histPending is the number of bucket increments Add defers.
+	// histPending is the number of values Add parks before settling.
 	histPending = 16
 	// histMinGrow is the fewest buckets a grown array holds.
 	histMinGrow = 64
@@ -62,32 +64,40 @@ func NewHistogram(width float64, nbuckets int) *Histogram {
 
 // Add records an observation. Negative values clamp to the first bucket.
 func (h *Histogram) Add(v float64) {
-	h.n++
-	h.sum += v
-	if v < 0 {
-		v = 0
-	}
-	idx := int(v / h.width)
-	if idx >= int(h.nb) {
-		h.overflow++
-		return
-	}
-	h.pend[h.npend] = idx
+	h.pend[h.npend] = v
 	h.npend++
 	if h.npend == histPending {
 		h.settle()
 	}
 }
 
-// settle applies the parked bucket increments, growing the array first
-// when one reaches past its end.
+// settle files the parked values in the order they were added, growing the
+// bucket array first when one reaches past its end. It must not inline:
+// Add inlines only while the call to settle is the one call in its body.
+//
+//go:noinline
 func (h *Histogram) settle() {
-	for _, i := range h.pend[:h.npend] {
+	// The running totals stay in locals: through h, each add would wait on
+	// the store the one before it made.
+	n, sum, overflow := h.n, h.sum, h.overflow
+	width, nb := h.width, int(h.nb)
+	for _, v := range h.pend[:h.npend] {
+		n++
+		sum += v
+		if v < 0 {
+			v = 0
+		}
+		i := int(v / width)
+		if i >= nb {
+			overflow++
+			continue
+		}
 		if i >= len(h.buckets) {
 			h.grow(i)
 		}
 		h.buckets[i]++
 	}
+	h.n, h.sum, h.overflow = n, sum, overflow
 	h.npend = 0
 }
 
@@ -101,8 +111,8 @@ func (h *Histogram) grow(i int) {
 	h.buckets = b
 }
 
-// N returns the number of observations.
-func (h *Histogram) N() int64 { return h.n }
+// N returns the number of observations, parked ones included.
+func (h *Histogram) N() int64 { return h.n + int64(h.npend) }
 
 // Width returns the bucket width.
 func (h *Histogram) Width() float64 { return h.width }
@@ -141,13 +151,20 @@ func (h *Histogram) Counts() []int64 {
 }
 
 // Overflow returns the count of observations beyond the last bucket.
-func (h *Histogram) Overflow() int64 { return h.overflow }
+func (h *Histogram) Overflow() int64 {
+	h.settle()
+	return h.overflow
+}
 
 // Sum returns the exact running sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
+func (h *Histogram) Sum() float64 {
+	h.settle()
+	return h.sum
+}
 
 // Mean returns the exact running mean (not bucket-quantized).
 func (h *Histogram) Mean() float64 {
+	h.settle()
 	if h.n == 0 {
 		return 0
 	}
@@ -158,6 +175,7 @@ func (h *Histogram) Mean() float64 {
 // interpolation within the containing bucket. Overflowed mass reports the
 // histogram's upper bound.
 func (h *Histogram) Quantile(q float64) float64 {
+	h.settle()
 	if h.n == 0 {
 		return 0
 	}
@@ -185,6 +203,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 // FracAbove returns the fraction of observations in buckets entirely above x
 // (bucket-quantized; the bucket containing x counts as below).
 func (h *Histogram) FracAbove(x float64) float64 {
+	h.settle()
 	if h.n == 0 {
 		return 0
 	}
