@@ -126,34 +126,29 @@ fuzz-smoke:
 scenario-smoke:
 	$(GO) run ./cmd/stbench -scenario hostile >/dev/null
 
-# Sharded-execution smoke: the fleet-scale and hierarchical (leaf-spine)
-# fleet sweeps on 1 vs 4/8 conservative-sync engines must dump
-# byte-identical telemetry (the sharding determinism contract, end to end
-# through stbench), with lookahead mining on or off and under static or
-# traffic-profiled placement. The sync.* grant telemetry varies with those
-# knobs by design, but must itself be deterministic across -parallel.
+# Sharded-execution smoke: the flat, hierarchical (leaf-spine) and traced
+# fleet sweeps on 2 and 8 conservative-sync engines must dump telemetry —
+# and, for fleet-trace, virtual-time series — byte-identical to the
+# one-shard run (the sharding determinism contract, end to end through
+# stbench).
 shard-smoke:
-	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -shards 1 -metrics /tmp/stbench-shard1.json >/dev/null
-	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -shards 4 -metrics /tmp/stbench-shard4.json >/dev/null
-	diff /tmp/stbench-shard1.json /tmp/stbench-shard4.json
-	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -shards 8 -metrics /tmp/stbench-shard8.json >/dev/null
-	diff /tmp/stbench-shard1.json /tmp/stbench-shard8.json
-	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -shards 4 -mining=false -metrics /tmp/stbench-shard4nm.json >/dev/null
-	diff /tmp/stbench-shard1.json /tmp/stbench-shard4nm.json
-	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -shards 4 -placement auto -metrics /tmp/stbench-shard4ap.json >/dev/null
-	diff /tmp/stbench-shard1.json /tmp/stbench-shard4ap.json
-	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -shards 8 -placement auto -mining=false -metrics /tmp/stbench-shard8apnm.json >/dev/null
-	diff /tmp/stbench-shard1.json /tmp/stbench-shard8apnm.json
-	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -shards 4 -parallel 1 -sync /tmp/stbench-sync-p1.json >/dev/null
-	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -shards 4 -parallel 8 -sync /tmp/stbench-sync-p8.json >/dev/null
-	diff /tmp/stbench-sync-p1.json /tmp/stbench-sync-p8.json
+	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -shards 1 -metrics /tmp/stbench-scale1.json >/dev/null
+	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -shards 2 -metrics /tmp/stbench-scale2.json >/dev/null
+	diff /tmp/stbench-scale1.json /tmp/stbench-scale2.json
+	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -shards 8 -metrics /tmp/stbench-scale8.json >/dev/null
+	diff /tmp/stbench-scale1.json /tmp/stbench-scale8.json
 	$(GO) run ./cmd/stbench -exp fleet-hier -scale smoke -shards 1 -metrics /tmp/stbench-hier1.json >/dev/null
-	$(GO) run ./cmd/stbench -exp fleet-hier -scale smoke -shards 4 -metrics /tmp/stbench-hier4.json >/dev/null
-	diff /tmp/stbench-hier1.json /tmp/stbench-hier4.json
+	$(GO) run ./cmd/stbench -exp fleet-hier -scale smoke -shards 2 -metrics /tmp/stbench-hier2.json >/dev/null
+	diff /tmp/stbench-hier1.json /tmp/stbench-hier2.json
+	$(GO) run ./cmd/stbench -exp fleet-hier -scale smoke -shards 8 -metrics /tmp/stbench-hier8.json >/dev/null
+	diff /tmp/stbench-hier1.json /tmp/stbench-hier8.json
 	$(GO) run ./cmd/stbench -exp fleet-trace -scale smoke -shards 1 -metrics /tmp/stbench-trace1.json -series /tmp/stbench-tseries1.json >/dev/null
-	$(GO) run ./cmd/stbench -exp fleet-trace -scale smoke -shards 4 -metrics /tmp/stbench-trace4.json -series /tmp/stbench-tseries4.json >/dev/null
-	diff /tmp/stbench-trace1.json /tmp/stbench-trace4.json
-	diff /tmp/stbench-tseries1.json /tmp/stbench-tseries4.json
+	$(GO) run ./cmd/stbench -exp fleet-trace -scale smoke -shards 2 -metrics /tmp/stbench-trace2.json -series /tmp/stbench-tseries2.json >/dev/null
+	diff /tmp/stbench-trace1.json /tmp/stbench-trace2.json
+	diff /tmp/stbench-tseries1.json /tmp/stbench-tseries2.json
+	$(GO) run ./cmd/stbench -exp fleet-trace -scale smoke -shards 8 -metrics /tmp/stbench-trace8.json -series /tmp/stbench-tseries8.json >/dev/null
+	diff /tmp/stbench-trace1.json /tmp/stbench-trace8.json
+	diff /tmp/stbench-tseries1.json /tmp/stbench-tseries8.json
 
 # Emulation smoke: stserve's self-test serves real HTTP over loopback for
 # ~2 s under the RealTimeClock driver and asserts at least one pacer-clocked

@@ -17,17 +17,13 @@
 //	                                    # engines (tables/telemetry unchanged)
 //	stbench -exp fleet-trace -series s.json  # virtual-time series dump
 //	stbench -exp fleet-hier -progress  # periodic progress lines on stderr
-//	stbench -exp fleet-scale -shards 8 -mining=false  # static grants only
-//	                                                  # (output unchanged)
-//	stbench -exp fleet-scale -shards 8 -placement auto  # traffic-profiled
-//	                                                    # host placement
-//	stbench -exp fleet-sync -sync sync.json  # grant-utilization telemetry
 //
 // Experiments: fig2, fig3 (alias of fig2), sec52, table1 (incl. figure 4),
 // fig5, table2, fig6, table3, table4, table5, table6, table7, table8,
 // delaydist (§3's d distribution), sec510 (useful-range analysis),
 // ablation-wheel, ablation-idle, ablation-pollution, degradation-starve,
-// degradation-loss, all.
+// degradation-loss, fleet-scale, fleet-hier, fleet-trace, all (those 22),
+// and emu-trigger-interval (-clock realtime only).
 //
 // An experiment that panics is reported on stderr and the process exits
 // non-zero, after the remaining experiments have completed and printed.
@@ -79,12 +75,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"worker count for independent experiments and sweep rows (1 = fully serial)")
-	shards := flag.Int("shards", 0,
-		"engines per fleet-scale row under conservative-sync sharding (0 = legacy single engine; output unchanged)")
-	mining := flag.Bool("mining", true,
-		"mine round grants from each shard's earliest pending event instead of its clock (sharded fleet rows only; output unchanged)")
-	placement := flag.String("placement", experiments.PlacementStatic,
-		"fleet host-to-shard placement: static (server-on-0 round-robin) or auto (traffic-profiled; output unchanged)")
+	shards := flag.Int("shards", 1,
+		"engines per fleet row under conservative-sync sharding, at least 1 (output unchanged)")
 	clock := flag.String("clock", "sim",
 		"engine clock driver: sim (deterministic, the default) or realtime (emulation experiments only)")
 	jsonPath := flag.String("json", "", "also write a machine-readable results record to this file")
@@ -92,8 +84,6 @@ func main() {
 		"write each experiment's full telemetry snapshot (JSON, deterministic at any -parallel) to this file")
 	seriesPath := flag.String("series", "",
 		"write each experiment's virtual-time series snapshots (JSON, deterministic at any -parallel/-shards) to this file")
-	syncPath := flag.String("sync", "",
-		"write each sharded experiment's grant-utilization telemetry (sync.* instruments; deterministic at any -parallel for a fixed shard config) to this file")
 	progress := flag.Bool("progress", false,
 		"print a single-line progress report to stderr as long sweeps advance")
 	scenario := flag.String("scenario", "",
@@ -149,20 +139,11 @@ func main() {
 	}
 	sc.Seed = *seed
 	sc.Workers = *parallel
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "invalid -shards %d\n", *shards)
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "invalid -shards %d (want at least 1)\n", *shards)
 		os.Exit(2)
 	}
 	sc.Shards = *shards
-	sc.NoMining = !*mining
-	switch *placement {
-	case experiments.PlacementStatic, experiments.PlacementAuto:
-		sc.Placement = *placement
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -placement %q (want %s or %s)\n",
-			*placement, experiments.PlacementStatic, experiments.PlacementAuto)
-		os.Exit(2)
-	}
 	ck, err := sim.ParseClockKind(*clock)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "stbench: %v\n", err)
@@ -260,12 +241,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *syncPath != "" {
-		if err := writeSync(*syncPath, results); err != nil {
-			fmt.Fprintf(os.Stderr, "stbench: writing %s: %v\n", *syncPath, err)
-			os.Exit(1)
-		}
-	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
@@ -314,27 +289,6 @@ func writeSeries(path string, results []experiments.Result) error {
 		}
 		for key, s := range r.Table.Series {
 			out[r.Name+"."+key] = s
-		}
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// writeSync dumps each sharded experiment's grant-utilization telemetry
-// (the sync.* instruments) keyed by experiment name. Kept apart from the
-// -metrics dump on purpose: sync telemetry describes the execution
-// substrate and varies with -shards/-mining/-placement by design, while
-// the workload snapshot is byte-identical across them. For a fixed shard
-// configuration it is deterministic at any -parallel. Experiments that
-// ran unsharded are omitted.
-func writeSync(path string, results []experiments.Result) error {
-	out := map[string]*metrics.Snapshot{}
-	for _, r := range results {
-		if r.Table != nil && r.Table.Sync != nil {
-			out[r.Name] = r.Table.Sync
 		}
 	}
 	buf, err := json.MarshalIndent(out, "", "  ")

@@ -40,29 +40,15 @@ type Scale struct {
 	// engine. 0 or 1 runs rows serially. Results are assembled in index
 	// order, so output is identical at any setting.
 	Workers int
-	// Shards, when > 0, runs each fleet-scale row on a conservative-sync
-	// shard group of that many engines (clamped to the row's host count)
-	// instead of one shared engine; the group runs its rounds on the row's
-	// own goroutine. 0 keeps the legacy single-engine path. Merged
-	// telemetry, tables and traces are identical at any setting — sharding
-	// is purely a wall-clock knob.
+	// Shards is the engine count of each fleet row's conservative-sync
+	// shard group: at least 1 (zero means 1), clamped to the row's host
+	// count (leaf count on fabrics). The group runs its rounds on the
+	// row's own goroutine. Merged telemetry, tables and traces are
+	// identical at any setting — sharding is purely a wall-clock knob.
 	Shards int
 	// FleetCounts overrides the fleet-scale client-count sweep (nil uses
 	// the default 1..64 doubling).
 	FleetCounts []int
-	// NoMining disables pacing-aware lookahead mining in the sharded
-	// executor (stbench -mining=false). Mining is on by default: round
-	// grants are raised from each shard's earliest pending event instead
-	// of its committed clock (sim.ShardGroup.SetMining). Like Shards and
-	// Workers it never changes results — only wall clock, round counts,
-	// and the sync.* grant telemetry.
-	NoMining bool
-	// Placement selects how fleet hosts map onto shards (stbench
-	// -placement): "" or PlacementStatic is the fixed server-on-shard-0
-	// round-robin; PlacementAuto derives the assignment from a
-	// deterministic traffic-profile pass (topology.AutoPlace's strategy).
-	// Results are identical under any placement.
-	Placement string
 	// Clock selects the engine clock driver (stbench -clock). The zero
 	// value (ClockSim) is deterministic virtual time. ClockRealTime is
 	// accepted only by the emulation experiments (RequiresRealTime);
@@ -77,12 +63,6 @@ type Scale struct {
 	// Never serialized (stbench keeps it out of -json output).
 	Progress func(label string, virtual sim.Time, fired uint64) `json:"-"`
 }
-
-// Placement values for Scale.Placement (stbench -placement).
-const (
-	PlacementStatic = "static"
-	PlacementAuto   = "auto"
-)
 
 // FullScale reproduces the paper's experiment sizes, and pushes the fleet
 // sweep past them (256- and 1024-host rows) to exercise scales only the
@@ -146,14 +126,6 @@ type Table struct {
 	// stable keys (e.g. "clients08.fleet"). Dumped by stbench -series; not
 	// rendered in the text table.
 	Series map[string]*metrics.SeriesSnapshot
-	// Sync, when non-nil, is the sharded executor's grant-utilization
-	// telemetry (sync.* instruments, per-row prefixed). Kept separate from
-	// Telemetry because it describes the execution substrate — it varies
-	// with the shard count and mining/placement knobs by design, while
-	// Telemetry is byte-identical across them. For a fixed configuration
-	// it is still deterministic at any Workers setting. Dumped by stbench
-	// -sync; not rendered in the text table.
-	Sync *metrics.Snapshot
 }
 
 // mergeTelemetry folds per-row registry snapshots in slice (row-index)

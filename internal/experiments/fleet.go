@@ -2,8 +2,8 @@ package experiments
 
 // Fleet-scale experiment: one saturated server and a growing fleet of
 // client machines — each a full host with its own kernel, trigger states
-// and soft-timer facility — on one switched LAN, all on a single shared
-// engine. The paper's client machines were real FreeBSD hosts too; this
+// and soft-timer facility — on one switched LAN, on one engine unless
+// sharded. The paper's client machines were real FreeBSD hosts too; this
 // sweep makes the multi-node claim measurable: the soft-timer delay bound
 // (hardclock period + one measurement tick) must hold on every host in the
 // topology, including nearly-idle clients whose CPUs halt between requests
@@ -52,17 +52,8 @@ type FleetRow struct {
 // FleetResult is the fleet-scale sweep.
 type FleetResult struct {
 	Rows      []FleetRow
-	Shards    int // engines per row (0 = legacy single engine)
+	Shards    int // engines requested per row (clamped to the row's host count)
 	Telemetry *metrics.Snapshot
-	// Sync is the conservative-sync grant telemetry (sync.* instruments),
-	// merged across rows under clientsNN. prefixes; nil on single-engine
-	// runs. It is deliberately separate from Telemetry: workload telemetry
-	// is byte-identical across shard counts by contract, sync telemetry
-	// describes the execution substrate — but for a fixed configuration it
-	// is still deterministic at any worker count (stbench -sync).
-	Sync *metrics.Snapshot
-
-	rowSync []*metrics.Snapshot // per row, nil when single-engine
 }
 
 // fleetProbe keeps one probe soft-timer event outstanding on a host,
@@ -105,225 +96,199 @@ func runMeasured(sc Scale, label string, t *topology.Topology, measure sim.Time)
 	sc.Progress(label, t.Now(), t.Fired())
 }
 
-// runFleet builds and measures one fleet size: a server host and n client
-// hosts joined by one switch, every machine probed for soft-timer delay.
-func runFleet(sc Scale, salt uint64, n int) (FleetRow, *metrics.Snapshot) {
-	row, snap, _, _ := runFleetCfg(sc, salt, n, fleetOpts{})
-	return row, snap
-}
-
-// runFleetOpts is runFleet plus tracing (the property tests' entry point);
-// see runFleetCfg for the full option set.
-func runFleetOpts(sc Scale, salt uint64, n, traceCap int) (FleetRow, *metrics.Snapshot, []byte) {
-	row, snap, _, chrome := runFleetCfg(sc, salt, n, fleetOpts{traceCap: traceCap})
-	return row, snap, chrome
-}
-
-// fleetOpts widens runFleet for the property tests and ablations without
-// threading more positional parameters around.
-type fleetOpts struct {
-	// traceCap > 0 attaches a per-host execution tracer of that capacity;
-	// the merged Chrome trace comes back as the fourth return.
-	traceCap int
+// fleetCfg declares one fleet row: a Flash server and clients client
+// machines on one switched LAN or a leaf-spine fabric, every host probed
+// for soft-timer delay. The three fleet experiments differ only here.
+type fleetCfg struct {
+	label   string // progress label, e.g. "fleet-scale n=8"
+	clients int
+	nameFmt string // client host names by index, e.g. "client%02d"
+	// leaves > 0 puts every host on a leaf-spine fabric "dc" of that many
+	// leaves (the server is member 0); 0 joins them to one switch "lan".
+	leaves int
+	churn  int // ClientHostConfig.ChurnEvery; 0 disables churn
 	// scenario names a faults scenario applied to every host (each seeded
-	// from (seed, name) like Spec builds, so placement cannot perturb the
-	// fault streams); "" is the clean fleet.
+	// from (seed, name) by Build, so placement cannot perturb the fault
+	// streams); "" is the clean fleet.
 	scenario string
+	// traceCap > 0 attaches a per-host execution tracer of that capacity;
+	// the merged Chrome trace comes back in fleetMeasure.chrome.
+	traceCap int
+	// wire, when set, runs after the server, clients and probes are
+	// attached and before Start: per-row observability (fleet-trace's
+	// flow sampling and series).
+	wire func(*fleetRig)
 }
 
-// fnvName folds a host name into a 64-bit FNV-1a salt — the same fold
-// topology Spec builds use — so per-host fault plans draw streams
-// independent of host order and shard placement.
-func fnvName(name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return h
+// fleetRig is one assembled fleet.
+type fleetRig struct {
+	t       *topology.Topology
+	srv     *httpserv.Server
+	clients []*httpserv.ClientHost
 }
 
-// assembleFleet builds the fleet workload on an already-constructed
-// topology: the saturated server, n client machines on one switched LAN,
-// and a soft-timer probe on every host. Shared verbatim between the
-// measured run and the auto-placement profile pass, so the profile
-// observes exactly the traffic the real run will carry.
-func assembleFleet(t *topology.Topology, seed uint64, n int, scenario string) (*httpserv.Server, []*host.Host) {
+// fleetMeasure is one fleet row's measured window: server throughput and
+// CPU split, the §4 delay bound checked on every host, the merged
+// telemetry, and the Chrome trace when tracing was on.
+type fleetMeasure struct {
+	completed int64
+	elapsed   sim.Time
+	wallMS    float64
+
+	// The server's CPU split, as fractions of the window.
+	srvBusy, srvUser, srvKernel, srvIntr, srvSoftIRQ float64
+
+	probes  int64   // probe firings on every host
+	worstUS float64 // worst probe delay over hosts
+	boundUS float64 // hardclock period + 1 tick
+	boundOK bool    // every host held the bound
+
+	snap   *metrics.Snapshot
+	chrome []byte
+}
+
+// runFleet builds one fleet row from a topology.Spec — sc.Shards engines,
+// seeded sc.Seed+salt — attaches the Flash server, the client machines and
+// every host's probe, runs the warmup and the measured window (quarter
+// windows: event volume grows with fleet size, and the sweeps multiply
+// it again) and reads the measurements.
+func runFleet(sc Scale, salt uint64, c fleetCfg) (*fleetRig, fleetMeasure) {
+	seed := sc.Seed + salt
 	var fspec *faults.Spec
-	if scenario != "" {
-		s := faults.MustScenario(scenario)
+	if c.scenario != "" {
+		s := faults.MustScenario(c.scenario)
 		fspec = &s
 	}
-	hostCfg := func(name string, k kernel.Options) host.Config {
-		cfg := host.Config{Name: name, Kernel: k}
-		if fspec != nil {
-			cfg.Faults = faults.New(seed^fnvName(name), *fspec)
-		}
-		return cfg
+	names := make([]string, c.clients+1)
+	names[0] = "server"
+	hosts := []topology.HostSpec{{Name: "server", Kernel: kernel.Options{IdleLoop: true}, Faults: fspec}}
+	for i := 1; i < len(names); i++ {
+		names[i] = fmt.Sprintf(c.nameFmt, i-1)
+		// Zero kernel options halt an idle CPU: clients see few trigger
+		// states and lean on the hardclock backstop — the hard case for
+		// the delay bound.
+		hosts = append(hosts, topology.HostSpec{Name: names[i], Faults: fspec})
+	}
+	spec := topology.Spec{Seed: seed, Hosts: hosts, Shards: sc.Shards}
+	eth0 := nic.Config{Name: "eth0"}
+	if c.leaves > 0 {
+		// A leaf is the unit of shard placement, so more shards than
+		// leaves would idle.
+		spec.Shards = min(spec.Shards, c.leaves)
+		spec.Fabrics = []topology.FabricSpec{{Name: "dc", Leaves: c.leaves, Members: names, NIC: eth0}}
+	} else {
+		spec.Switches = []topology.SwitchSpec{{Name: "lan", Members: names, NIC: eth0}}
 	}
 
-	server := t.AddHost(hostCfg("server", kernel.Options{IdleLoop: true}))
-	sw := t.AddSwitch("lan")
-	t.Join(sw, server, nic.Config{Name: "eth0"}, topology.WireSpec{})
-	srv := httpserv.NewServerMulti(server.K, server.F, server.NICs,
-		httpserv.Config{Kind: httpserv.Flash})
-	srv.Addr = t.Addr("server")
-
-	// Client machines: idle-halting kernels (no idle trigger states — the
-	// hard case for the delay bound), interrupt-mode NICs, a few request
-	// processes each. Flow bases keep connection ids globally unique.
-	clients := make([]*host.Host, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("client%02d", i)
-		ch := t.AddHost(hostCfg(name, kernel.Options{}))
-		port := t.Join(sw, ch, nic.Config{Name: "eth0"}, topology.WireSpec{})
-		httpserv.NewClientHost(ch, port.NIC, httpserv.ClientHostConfig{
+	r := &fleetRig{t: topology.Build(spec)}
+	t := r.t
+	server := t.Host("server")
+	r.srv = httpserv.NewServerMulti(server.K, server.F, server.NICs, httpserv.Config{Kind: httpserv.Flash})
+	r.srv.Addr = t.Addr("server")
+	for i, name := range names[1:] {
+		h := t.Host(name)
+		r.clients = append(r.clients, httpserv.NewClientHost(h, t.Ports(h)[0].NIC, httpserv.ClientHostConfig{
 			Concurrency: 4,
-			FlowBase:    (i + 1) * 1_000_000,
-			Segments:    srv.Segments(),
+			FlowBase:    (i + 1) * 1_000_000, // globally unique connection ids
+			Segments:    r.srv.Segments(),
 			Addr:        t.Addr(name),
-			ServerAddr:  t.Addr("server"),
+			ServerAddr:  r.srv.Addr,
 			// Stagger connection starts so hundreds of machines don't SYN
 			// the server in the same microsecond (which would pin it in
 			// interrupt context across whole hardclock periods).
 			StartDelay: sim.Time(i) * 100 * sim.Microsecond,
-		})
-		clients[i] = ch
+			// Churn: every churn-th response the slot goes dormant for the
+			// base-off period plus an exponential draw from the host's
+			// private stream — shard-count invariant by construction.
+			ChurnEvery: c.churn,
+		}))
 	}
-
-	// Probe every host from its own (seed, name)-derived stream — not the
-	// engine's, whose fork order would depend on which engine the host
-	// shares with whom.
+	// Probe every host from its own (seed, name)-derived stream — not an
+	// engine's, whose draws would depend on which hosts share it.
 	for _, h := range t.Hosts() {
 		fleetProbe(h, h.Rand())
 	}
-	return srv, clients
-}
-
-// fleetAutoAssign is the auto-placement profile pass: replay the same
-// fleet single-engine for a quarter warmup, then spread hosts over shards
-// by observed traffic (topology.PlaceByTraffic). The profile is itself a
-// deterministic simulation, so the placement — and with it the sharded
-// round schedule — is a pure function of the scale, not of the machine.
-func fleetAutoAssign(sc Scale, seed uint64, n, shards int, scenario string) func(int, string) int {
-	t := topology.New(sim.NewEngine(seed))
-	t.SetSeed(seed)
-	srv, _ := assembleFleet(t, seed, n, scenario)
+	if c.wire != nil {
+		c.wire(r)
+	}
+	if c.traceCap > 0 {
+		t.EnableTracing(c.traceCap)
+	}
 	t.Start()
-	srv.Start()
+	r.srv.Start()
+
 	t.RunFor(sc.Warmup / 4)
-	names := make([]string, 0, len(t.Hosts()))
-	for _, h := range t.Hosts() {
-		names = append(names, h.Name)
-	}
-	return topology.PlaceByTraffic(names, t.TrafficByHost(), shards)
-}
-
-// runFleetCfg is runFleet plus tracing, fault scenarios, and the sync
-// telemetry return (see fleetOpts).
-//
-// sc.Shards > 0 runs the topology on that many conservative-sync engines
-// (clamped to the host count). The default static placement gives the
-// server shard 0 — so its construction-time RNG forks replay exactly as
-// on the legacy shared engine, which is seeded identically — and
-// round-robins clients across the rest; sc.Placement == PlacementAuto
-// derives the assignment from a traffic profile instead. Lookahead mining
-// is on unless sc.NoMining. None of these knobs change results — only
-// wall clock and the sync snapshot.
-func runFleetCfg(sc Scale, salt uint64, n int, opt fleetOpts) (FleetRow, *metrics.Snapshot, *metrics.Snapshot, []byte) {
-	seed := sc.Seed + salt
-	var t *topology.Topology
-	if sc.Shards > 0 {
-		shards := sc.Shards
-		if shards > n+1 {
-			shards = n + 1
-		}
-		g := sim.NewShardGroup(shards, seed)
-		g.SetMining(!sc.NoMining)
-		t = topology.NewSharded(g, seed)
-		switch sc.Placement {
-		case "", PlacementStatic:
-			t.Assign = func(i int, name string) int {
-				if i == 0 || shards == 1 {
-					return 0
-				}
-				return 1 + (i-1)%(shards-1)
-			}
-		case PlacementAuto:
-			t.Assign = fleetAutoAssign(sc, seed, n, shards, opt.scenario)
-		default:
-			panic(fmt.Sprintf("experiments: unknown placement %q", sc.Placement))
-		}
-	} else {
-		t = topology.New(sim.NewEngine(seed))
-		t.SetSeed(seed)
-	}
-
-	srv, clients := assembleFleet(t, seed, n, opt.scenario)
-	server := t.Host("server")
-	traceCap := opt.traceCap
-	if traceCap > 0 {
-		t.EnableTracing(traceCap)
-	}
-	t.Start()
-	srv.Start()
-
-	// Shorter windows than the single-rig experiments: event volume grows
-	// with fleet size, and the sweep multiplies it again.
-	warmup, measure := sc.Warmup/4, sc.Measure/4
-	t.RunFor(warmup)
-	c0 := srv.Completed
+	c0 := r.srv.Completed
 	a0 := server.K.Accounting()
 	t0 := t.Now()
 	wall0 := time.Now()
-	runMeasured(sc, fmt.Sprintf("fleet-scale n=%d", n), t, measure)
-	wallMS := float64(time.Since(wall0).Microseconds()) / 1000
-	c1 := srv.Completed
+	runMeasured(sc, c.label, t, sc.Measure/4)
+	m := fleetMeasure{wallMS: float64(time.Since(wall0).Microseconds()) / 1000}
 	a1 := server.K.Accounting()
-	elapsed := t.Now() - t0
+	m.completed = r.srv.Completed - c0
+	m.elapsed = t.Now() - t0
+	frac := func(d sim.Time) float64 { return float64(d) / float64(m.elapsed) }
+	m.srvBusy = frac(a1.Busy() - a0.Busy())
+	m.srvUser = frac(a1.User - a0.User)
+	m.srvKernel = frac(a1.Kernel - a0.Kernel)
+	m.srvIntr = frac(a1.Intr - a0.Intr)
+	m.srvSoftIRQ = frac(a1.SoftIRQ - a0.SoftIRQ)
 
-	row := FleetRow{
-		Hosts:      n,
-		Completed:  c1 - c0,
-		Throughput: float64(c1-c0) / elapsed.Seconds(),
-		SrvBusy:    float64(a1.Busy()-a0.Busy()) / float64(elapsed),
-		SrvUser:    float64(a1.User-a0.User) / float64(elapsed),
-		SrvKernel:  float64(a1.Kernel-a0.Kernel) / float64(elapsed),
-		SrvIntr:    float64(a1.Intr-a0.Intr) / float64(elapsed),
-		SrvSoftIRQ: float64(a1.SoftIRQ-a0.SoftIRQ) / float64(elapsed),
-		BoundUS:    hardclockPeriodUS + 1,
-		WallMS:     wallMS,
-	}
-	for i, ch := range clients {
-		m := ch.K.Meter().Hist.Mean()
-		if i == 0 || m < row.ClientTrigMinUS {
-			row.ClientTrigMinUS = m
-		}
-		if m > row.ClientTrigMaxUS {
-			row.ClientTrigMaxUS = m
-		}
-	}
 	// The delay bound must hold per host: check each machine's facility,
 	// not a fleet-wide aggregate that could hide one bad kernel.
-	row.BoundOK = true
+	m.boundUS = hardclockPeriodUS + 1
+	m.boundOK = true
 	for _, h := range t.Hosts() {
-		row.Probes += h.F.DelayHist.N()
-		if d := float64(h.F.MaxDelayUS()); d > row.WorstDelay {
-			row.WorstDelay = d
-		}
-		if float64(h.F.MaxDelayUS()) > row.BoundUS {
-			row.BoundOK = false
+		m.probes += h.F.DelayHist.N()
+		d := float64(h.F.MaxDelayUS())
+		m.worstUS = max(m.worstUS, d)
+		if d > m.boundUS {
+			m.boundOK = false
 		}
 	}
-	var chrome []byte
-	if traceCap > 0 {
+	if c.traceCap > 0 {
 		var buf bytes.Buffer
 		if err := t.WriteChrome(&buf); err != nil {
 			panic(err)
 		}
-		chrome = buf.Bytes()
+		m.chrome = buf.Bytes()
 	}
-	return row, t.Snapshot(), t.SyncSnapshot(), chrome
+	m.snap = t.Snapshot()
+	return r, m
+}
+
+// fleetScaleRow measures one flat-switch fleet size.
+func fleetScaleRow(sc Scale, salt uint64, n int, scenario string, traceCap int) (FleetRow, fleetMeasure) {
+	r, m := runFleet(sc, salt, fleetCfg{
+		label:    fmt.Sprintf("fleet-scale n=%d", n),
+		clients:  n,
+		nameFmt:  "client%02d",
+		scenario: scenario,
+		traceCap: traceCap,
+	})
+	row := FleetRow{
+		Hosts:      n,
+		Completed:  m.completed,
+		Throughput: float64(m.completed) / m.elapsed.Seconds(),
+		SrvBusy:    m.srvBusy,
+		SrvUser:    m.srvUser,
+		SrvKernel:  m.srvKernel,
+		SrvIntr:    m.srvIntr,
+		SrvSoftIRQ: m.srvSoftIRQ,
+		Probes:     m.probes,
+		WorstDelay: m.worstUS,
+		BoundUS:    m.boundUS,
+		BoundOK:    m.boundOK,
+		WallMS:     m.wallMS,
+	}
+	for i, ch := range r.clients {
+		mean := ch.H.K.Meter().Hist.Mean()
+		if i == 0 || mean < row.ClientTrigMinUS {
+			row.ClientTrigMinUS = mean
+		}
+		row.ClientTrigMaxUS = max(row.ClientTrigMaxUS, mean)
+	}
+	return row, m
 }
 
 // RunFleetScale sweeps the client-host count (sc.FleetCounts, default
@@ -337,19 +302,12 @@ func RunFleetScale(sc Scale) *FleetResult {
 	}
 	rows := make([]FleetRow, len(counts))
 	snaps := make([]*metrics.Snapshot, len(counts))
-	syncs := make([]*metrics.Snapshot, len(counts))
 	forEach(sc.Workers, len(counts), func(i int) {
-		rows[i], snaps[i], syncs[i], _ = runFleetCfg(sc, 300+uint64(i), counts[i], fleetOpts{})
+		var m fleetMeasure
+		rows[i], m = fleetScaleRow(sc, 300+uint64(i), counts[i], "", 0)
+		snaps[i] = m.snap
 	})
-	r := &FleetResult{Rows: rows, Shards: sc.Shards, Telemetry: mergeTelemetry(snaps), rowSync: syncs}
-	prefixed := make([]*metrics.Snapshot, len(counts))
-	for i, s := range syncs {
-		if s != nil {
-			prefixed[i] = s.Prefixed(fmt.Sprintf("clients%02d.", counts[i]))
-		}
-	}
-	r.Sync = mergeTelemetry(prefixed)
-	return r
+	return &FleetResult{Rows: rows, Shards: sc.Shards, Telemetry: mergeTelemetry(snaps)}
 }
 
 // Table renders the fleet sweep.
@@ -361,7 +319,7 @@ func (r *FleetResult) Table() *Table {
 			"probes", "worst d (us)", "bound (us)", "bound holds"},
 		Metrics: map[string]float64{},
 	}
-	for i, row := range r.Rows {
+	for _, row := range r.Rows {
 		trig := fmt.Sprintf("%s..%s", f0(row.ClientTrigMinUS), f0(row.ClientTrigMaxUS))
 		ok := "yes"
 		if !row.BoundOK {
@@ -377,30 +335,14 @@ func (r *FleetResult) Table() *Table {
 		t.Metrics[key+"_throughput"] = row.Throughput
 		t.Metrics[key+"_worst_delay_us"] = row.WorstDelay
 		t.Metrics[key+"_wall_ms"] = row.WallMS
-		// Sync headline numbers ride the machine-readable -json record only
-		// (like WallMS): they are deterministic per configuration but vary
-		// with shard count by nature, so they stay out of the rendered
-		// table and the -metrics telemetry, which diff across shard counts.
-		if i < len(r.rowSync) && r.rowSync[i] != nil {
-			s := r.rowSync[i]
-			t.Metrics[key+"_sync_rounds"] = float64(s.Counters["sync.rounds"])
-			t.Metrics[key+"_sync_messages"] = float64(s.Counters["sync.messages"])
-			if h, ok := s.Histograms["sync.grant_width_us"]; ok && h.Count > 0 {
-				t.Metrics[key+"_sync_grant_mean_us"] = h.Sum / float64(h.Count)
-			}
-			if h, ok := s.Histograms["sync.mined_gain_us"]; ok && h.Count > 0 {
-				t.Metrics[key+"_sync_mined_gain_mean_us"] = h.Sum / float64(h.Count)
-			}
-		}
 	}
 	t.Notes = append(t.Notes,
 		"every machine is a full host (own kernel, facility, probe); clients halt when idle, so their soft timers lean on the hardclock backstop",
 		fmt.Sprintf("expectation (asserted in tests): worst probe delay <= hardclock period %gus + 1 tick on every host", float64(hardclockPeriodUS)))
-	if r.Shards > 0 {
+	if r.Shards > 1 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
-			"sharded execution: each row ran on up to %d engines under conservative sync; tables, telemetry and traces are byte-identical to the single-engine path (wall time in -json metrics)", r.Shards))
+			"sharded execution: each row ran on up to %d engines under conservative sync; tables, telemetry and traces are byte-identical to the one-shard run (wall time in -json metrics)", r.Shards))
 	}
 	t.Telemetry = r.Telemetry
-	t.Sync = r.Sync
 	return t
 }

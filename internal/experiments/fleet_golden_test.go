@@ -4,29 +4,33 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"sort"
 	"testing"
 )
 
-// fleetTelemetryGolden holds the digests of the flat-switch and leaf-spine
-// fleet sweeps' rendered tables and telemetry at SmokeScale, seed 1, one
-// worker. Every host's hardclock lands on the same instant in these rigs,
-// so the engine queue's same-instant batches carry most of their events:
-// this is the end-to-end check on that queue's order, whose rule
-// internal/sim checks against a linear-scan reference.
+// fleetTelemetryGolden holds the digests of the flat-switch, leaf-spine
+// and traced fleet sweeps' rendered tables and telemetry (and, for
+// fleet-trace, its virtual-time series) at SmokeScale, seed 1, one worker.
+// Every host's hardclock lands on the same instant in these rigs, so the
+// engine queue's same-instant batches carry most of their events: this is
+// the end-to-end check on that queue's order, whose rule internal/sim
+// checks against a linear-scan reference.
 var fleetTelemetryGolden = map[string]string{
 	"fleet-scale": "0556c8a3600103128d5bc1682bf459e0722836dcaa4595c7aec095ab1638fa9c",
 	"fleet-hier":  "a37abd8cdd7147519e45859b2600dafb785f3d557bb6ae6cd7fbc29d66de4095",
+	"fleet-trace": "7a11ddbde7b1ab19d644f09043ab6f0690f212f0b72ef51ac8409b1cfbc5acf4",
 }
 
 // TestFleetTelemetryGolden pins the fleet sweeps byte for byte, hashing
-// name, rendered table and telemetry JSON as TestPaperDriversGolden does.
+// name, rendered table, telemetry JSON and series JSON (by sorted key) as
+// TestPaperDriversGolden does.
 func TestFleetTelemetryGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the fleet-scale and fleet-hier sweeps")
+		t.Skip("runs the fleet-scale, fleet-hier and fleet-trace sweeps")
 	}
 	sc := SmokeScale()
 	sc.Seed, sc.Workers = 1, 1
-	for _, name := range []string{"fleet-scale", "fleet-hier"} {
+	for _, name := range []string{"fleet-scale", "fleet-hier", "fleet-trace"} {
 		run, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("driver %q not registered", name)
@@ -36,6 +40,17 @@ func TestFleetTelemetryGolden(t *testing.T) {
 		io.WriteString(h, name+"\n"+tab.Render())
 		if tab.Telemetry != nil {
 			if err := tab.Telemetry.WriteJSON(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		keys := make([]string, 0, len(tab.Series))
+		for k := range tab.Series {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			io.WriteString(h, k+"\n")
+			if err := tab.Series[k].WriteJSON(h); err != nil {
 				t.Fatal(err)
 			}
 		}

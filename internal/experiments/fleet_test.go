@@ -12,7 +12,8 @@ import (
 func TestFleetDelayBoundHoldsPerHost(t *testing.T) {
 	sc := tinyScale()
 	for i, n := range []int{1, 4, 16} {
-		row, snap := runFleet(sc, 900+uint64(i), n)
+		row, m := fleetScaleRow(sc, 900+uint64(i), n, "", 0)
+		snap := m.snap
 		if row.Probes == 0 {
 			t.Fatalf("n=%d: no probes fired", n)
 		}
@@ -65,7 +66,7 @@ func TestFleetScaleDeterministic(t *testing.T) {
 // experiment is a server-CPU study, not a client benchmark.
 func TestFleetServerSaturates(t *testing.T) {
 	sc := tinyScale()
-	row, _ := runFleet(sc, 950, 8)
+	row, _ := fleetScaleRow(sc, 950, 8, "", 0)
 	if row.SrvBusy < 0.9 {
 		t.Fatalf("server busy fraction %.2f, want saturated (>= 0.9)", row.SrvBusy)
 	}

@@ -18,17 +18,9 @@ package experiments
 // only with the spine's.
 
 import (
-	"bytes"
 	"fmt"
-	"time"
 
-	"softtimers/internal/host"
-	"softtimers/internal/httpserv"
-	"softtimers/internal/kernel"
 	"softtimers/internal/metrics"
-	"softtimers/internal/nic"
-	"softtimers/internal/sim"
-	"softtimers/internal/topology"
 )
 
 // hierCounts is the default client-count sweep. Smaller than the flat
@@ -77,136 +69,36 @@ type FleetHierResult struct {
 	Telemetry *metrics.Snapshot
 }
 
-// runFleetHier builds and measures one hierarchical fleet size.
-func runFleetHier(sc Scale, salt uint64, n int) (FleetHierRow, *metrics.Snapshot) {
-	row, snap, _ := runFleetHierOpts(sc, salt, n, 0)
-	return row, snap
-}
-
-// runFleetHierOpts is runFleetHier plus tracing, mirroring runFleetOpts.
-// The fabric constrains placement: a leaf's members must share a shard, so
-// member i (the server is member 0) lands on shard (i mod leaves) mod
-// shards — the same rule Spec.Build forces — and shards clamp to the leaf
-// count, the fabric's maximum useful parallelism.
-func runFleetHierOpts(sc Scale, salt uint64, n, traceCap int) (FleetHierRow, *metrics.Snapshot, []byte) {
-	seed := sc.Seed + salt
+// fleetHierRow builds and measures one hierarchical fleet size: the
+// server is fabric member 0 and the clients follow, spread round-robin
+// over hierLeaves(n) leaves, every leaf on one shard.
+func fleetHierRow(sc Scale, salt uint64, n, traceCap int) (FleetHierRow, fleetMeasure) {
 	leaves := hierLeaves(n)
-	var t *topology.Topology
-	if sc.Shards > 0 {
-		shards := sc.Shards
-		if shards > leaves {
-			shards = leaves
-		}
-		g := sim.NewShardGroup(shards, seed)
-		t = topology.NewSharded(g, seed)
-		t.Assign = func(i int, name string) int {
-			return (i % leaves) % shards
-		}
-	} else {
-		t = topology.New(sim.NewEngine(seed))
-		t.SetSeed(seed)
-	}
-
-	// Hosts in member order: the server first (leaf 0, shard 0 — its
-	// construction-time RNG forks replay exactly as on one engine), then
-	// the clients. The member list drives the fabric's round-robin leaf
-	// assignment.
-	server := t.AddHost(host.Config{
-		Name:   "server",
-		Kernel: kernel.Options{IdleLoop: true},
+	r, m := runFleet(sc, salt, fleetCfg{
+		label:    fmt.Sprintf("fleet-hier n=%d", n),
+		clients:  n,
+		nameFmt:  "client%03d",
+		leaves:   leaves,
+		churn:    3,
+		traceCap: traceCap,
 	})
-	members := []string{"server"}
-	clientHosts := make([]*host.Host, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("client%03d", i)
-		clientHosts[i] = t.AddHost(host.Config{Name: name})
-		members = append(members, name)
-	}
-	fab := t.AddFabric(topology.FabricSpec{
-		Name:    "dc",
-		Leaves:  leaves,
-		Members: members,
-		NIC:     nic.Config{Name: "eth0"},
-	})
-
-	srv := httpserv.NewServerMulti(server.K, server.F, server.NICs,
-		httpserv.Config{Kind: httpserv.Flash})
-	srv.Addr = t.Addr("server")
-
-	chs := make([]*httpserv.ClientHost, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("client%03d", i)
-		port := fab.MemberPorts[i+1] // member 0 is the server
-		chs[i] = httpserv.NewClientHost(clientHosts[i], port.NIC, httpserv.ClientHostConfig{
-			Concurrency: 4,
-			FlowBase:    (i + 1) * 1_000_000,
-			Segments:    srv.Segments(),
-			Addr:        t.Addr(name),
-			ServerAddr:  t.Addr("server"),
-			StartDelay:  sim.Time(i) * 100 * sim.Microsecond,
-			// Churn: every third response the slot goes dormant for the
-			// base-off period plus an exponential draw from the host's
-			// private stream — shard-count invariant by construction.
-			ChurnEvery: 3,
-		})
-	}
-
-	for _, h := range t.Hosts() {
-		fleetProbe(h, h.Rand())
-	}
-
-	if traceCap > 0 {
-		t.EnableTracing(traceCap)
-	}
-	t.Start()
-	srv.Start()
-
-	warmup, measure := sc.Warmup/4, sc.Measure/4
-	t.RunFor(warmup)
-	c0 := srv.Completed
-	a0 := server.K.Accounting()
-	t0 := t.Now()
-	wall0 := time.Now()
-	runMeasured(sc, fmt.Sprintf("fleet-hier n=%d", n), t, measure)
-	wallMS := float64(time.Since(wall0).Microseconds()) / 1000
-	c1 := srv.Completed
-	a1 := server.K.Accounting()
-	elapsed := t.Now() - t0
-
 	row := FleetHierRow{
 		Hosts:      n,
 		Leaves:     leaves,
-		Completed:  c1 - c0,
-		Throughput: float64(c1-c0) / elapsed.Seconds(),
-		SrvBusy:    float64(a1.Busy()-a0.Busy()) / float64(elapsed),
-		SpineFwd:   fab.Spine.Forwarded(),
-		BoundUS:    hardclockPeriodUS + 1,
-		WallMS:     wallMS,
+		Completed:  m.completed,
+		Throughput: float64(m.completed) / m.elapsed.Seconds(),
+		SrvBusy:    m.srvBusy,
+		SpineFwd:   r.t.Fabrics()[0].Spine.Forwarded(),
+		Probes:     m.probes,
+		WorstDelay: m.worstUS,
+		BoundUS:    m.boundUS,
+		BoundOK:    m.boundOK,
+		WallMS:     m.wallMS,
 	}
-	for _, ch := range chs {
+	for _, ch := range r.clients {
 		row.Churns += ch.Churns
 	}
-	// The §3 bound must hold per host — every kernel on the fabric, not a
-	// fleet-wide aggregate that could hide one bad machine.
-	row.BoundOK = true
-	for _, h := range t.Hosts() {
-		row.Probes += h.F.DelayHist.N()
-		if d := float64(h.F.MaxDelayUS()); d > row.WorstDelay {
-			row.WorstDelay = d
-		}
-		if float64(h.F.MaxDelayUS()) > row.BoundUS {
-			row.BoundOK = false
-		}
-	}
-	var chrome []byte
-	if traceCap > 0 {
-		var buf bytes.Buffer
-		if err := t.WriteChrome(&buf); err != nil {
-			panic(err)
-		}
-		chrome = buf.Bytes()
-	}
-	return row, t.Snapshot(), chrome
+	return row, m
 }
 
 // RunFleetHier sweeps the hierarchical fleet (sc.FleetCounts overrides the
@@ -221,7 +113,9 @@ func RunFleetHier(sc Scale) *FleetHierResult {
 	rows := make([]FleetHierRow, len(counts))
 	snaps := make([]*metrics.Snapshot, len(counts))
 	forEach(sc.Workers, len(counts), func(i int) {
-		rows[i], snaps[i] = runFleetHier(sc, 400+uint64(i), counts[i])
+		var m fleetMeasure
+		rows[i], m = fleetHierRow(sc, 400+uint64(i), counts[i], 0)
+		snaps[i] = m.snap
 	})
 	return &FleetHierResult{Rows: rows, Shards: sc.Shards, Telemetry: mergeTelemetry(snaps)}
 }
@@ -255,9 +149,9 @@ func (r *FleetHierResult) Table() *Table {
 		"clients spread ~8 per leaf; cross-leaf requests transit the spine over cut-through trunks, and every leaf is shard-local under -shards",
 		fmt.Sprintf("expectation (asserted in tests): worst probe delay <= hardclock period %gus + 1 tick on every host, churn included", float64(hardclockPeriodUS)),
 		"scaling: a 100k-client fleet at this shape is ~12.5k shard-local leaves; engines scale with leaves, cross-shard sync only with spine traffic")
-	if r.Shards > 0 {
+	if r.Shards > 1 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
-			"sharded execution: up to %d engines (clamped to the leaf count) under conservative sync; tables, telemetry and traces byte-identical to the single-engine path", r.Shards))
+			"sharded execution: up to %d engines (clamped to the leaf count) under conservative sync; tables, telemetry and traces byte-identical to the one-shard run", r.Shards))
 	}
 	t.Telemetry = r.Telemetry
 	return t

@@ -1,63 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
-
-// The sharding contract on the hierarchical fabric: one fleet-hier row —
-// leaf-spine topology, churning clients, multi-hop spine paths — produces
-// the same measurements, merged telemetry, and merged Chrome trace on the
-// legacy shared engine, a one-shard group, or one shard per leaf, serial
-// or with a worker pool.
-func TestFleetHierShardedMatchesLegacy(t *testing.T) {
-	const n, salt, traceCap = 12, 881, 4096 // 12 clients -> 2 leaves
-	run := func(shards, workers int) (FleetHierRow, []byte, []byte) {
-		sc := tinyScale()
-		sc.Shards = shards
-		sc.Workers = workers
-		row, snap, chrome := runFleetHierOpts(sc, salt, n, traceCap)
-		row.WallMS = 0 // real time, the one legitimately mode-dependent field
-		sj, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return row, sj, chrome
-	}
-	refRow, refSnap, refChrome := run(0, 0)
-	if refRow.Probes == 0 || refRow.Completed == 0 {
-		t.Fatalf("reference row is degenerate: %+v", refRow)
-	}
-	if refRow.Churns == 0 {
-		t.Fatalf("no connection churn happened: %+v", refRow)
-	}
-	if refRow.SpineFwd == 0 {
-		t.Fatalf("no traffic crossed the spine: %+v", refRow)
-	}
-	for _, c := range []struct {
-		name            string
-		shards, workers int
-	}{
-		{"shards=1", 1, 0},
-		{"shards=2", 2, 0},
-		{"shards=2/workers=2", 2, 2},
-		{"shards=8", 8, 0}, // clamps to the 2-leaf count
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			row, snap, chrome := run(c.shards, c.workers)
-			if row != refRow {
-				t.Errorf("row diverged from legacy:\n got %+v\nwant %+v", row, refRow)
-			}
-			if !bytes.Equal(snap, refSnap) {
-				t.Errorf("merged telemetry diverged from legacy (%d vs %d bytes)", len(snap), len(refSnap))
-			}
-			if !bytes.Equal(chrome, refChrome) {
-				t.Errorf("merged Chrome trace diverged from legacy (%d vs %d bytes)", len(chrome), len(refChrome))
-			}
-		})
-	}
-}
+import "testing"
 
 // The §3 delay bound on the hierarchical sweep: every host on the fabric —
 // saturated server, churning clients, multi-hop paths — stays under

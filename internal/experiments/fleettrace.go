@@ -19,16 +19,11 @@ package experiments
 // or landed on the wrong virtual instant breaks the telescoping sum.
 
 import (
-	"bytes"
 	"fmt"
-	"time"
 
 	"softtimers/internal/flowtrace"
-	"softtimers/internal/host"
 	"softtimers/internal/httpserv"
-	"softtimers/internal/kernel"
 	"softtimers/internal/metrics"
-	"softtimers/internal/nic"
 	"softtimers/internal/sim"
 	"softtimers/internal/topology"
 )
@@ -100,108 +95,43 @@ type fleetTraceRun struct {
 // when requested (withChrome), are the merged Chrome trace with flow
 // arrows — the byte-equivalence witness for the determinism tests.
 func runFleetTrace(sc Scale, salt uint64, n int, withChrome bool) fleetTraceRun {
-	seed := sc.Seed + salt
-	leaves := hierLeaves(n)
-	var t *topology.Topology
-	if sc.Shards > 0 {
-		shards := sc.Shards
-		if shards > leaves {
-			shards = leaves
-		}
-		g := sim.NewShardGroup(shards, seed)
-		t = topology.NewSharded(g, seed)
-		t.Assign = func(i int, name string) int {
-			return (i % leaves) % shards
-		}
-	} else {
-		t = topology.New(sim.NewEngine(seed))
-		t.SetSeed(seed)
-	}
-
-	server := t.AddHost(host.Config{
-		Name:   "server",
-		Kernel: kernel.Options{IdleLoop: true},
-	})
-	members := []string{"server"}
-	clientHosts := make([]*host.Host, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("client%03d", i)
-		clientHosts[i] = t.AddHost(host.Config{Name: name})
-		members = append(members, name)
-	}
-	fab := t.AddFabric(topology.FabricSpec{
-		Name:    "dc",
-		Leaves:  leaves,
-		Members: members,
-		NIC:     nic.Config{Name: "eth0"},
-	})
-
-	srv := httpserv.NewServerMulti(server.K, server.F, server.NICs,
-		httpserv.Config{Kind: httpserv.Flash})
-	srv.Addr = t.Addr("server")
-
-	chs := make([]*httpserv.ClientHost, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("client%03d", i)
-		port := fab.MemberPorts[i+1] // member 0 is the server
-		chs[i] = httpserv.NewClientHost(clientHosts[i], port.NIC, httpserv.ClientHostConfig{
-			Concurrency: 4,
-			FlowBase:    (i + 1) * 1_000_000,
-			Segments:    srv.Segments(),
-			Addr:        t.Addr(name),
-			ServerAddr:  t.Addr("server"),
-			StartDelay:  sim.Time(i) * 100 * sim.Microsecond,
-			ChurnEvery:  3,
-		})
-	}
-
-	for _, h := range t.Hosts() {
-		fleetProbe(h, h.Rand())
-	}
-
-	// Observability wiring, after assembly and before Start: flow sampling
-	// on every client (the server inherits decisions from traced SYNs) and
-	// the per-host virtual-time series.
-	ft := t.EnableFlowTrace(fleetTraceRate, fleetTraceMaxFlows)
-	srv.FlowTrace = ft.Sampler("server")
-	for i, ch := range chs {
-		ch.FlowTrace = ft.Sampler(fmt.Sprintf("client%03d", i))
-	}
-	t.EnableSeries(fleetTraceSeriesIvl, fleetTraceSeriesCap, nil)
+	traceCap := 0
 	if withChrome {
-		t.EnableTracing(256)
+		traceCap = 256
 	}
-	t.Start()
-	srv.Start()
-
-	warmup, measure := sc.Warmup/4, sc.Measure/4
-	t.RunFor(warmup)
-	wall0 := time.Now()
-	runMeasured(sc, fmt.Sprintf("fleet-trace n=%d", n), t, measure)
-	wallMS := float64(time.Since(wall0).Microseconds()) / 1000
+	var ft *topology.FlowTrace
+	r, m := runFleet(sc, salt, fleetCfg{
+		label:    fmt.Sprintf("fleet-trace n=%d", n),
+		clients:  n,
+		nameFmt:  "client%03d",
+		leaves:   hierLeaves(n),
+		churn:    3,
+		traceCap: traceCap,
+		// Flow sampling on every client (the server inherits decisions
+		// from traced SYNs) and the per-host virtual-time series.
+		wire: func(r *fleetRig) {
+			ft = r.t.EnableFlowTrace(fleetTraceRate, fleetTraceMaxFlows)
+			r.srv.FlowTrace = ft.Sampler("server")
+			for _, ch := range r.clients {
+				ch.FlowTrace = ft.Sampler(ch.H.Name)
+			}
+			r.t.EnableSeries(fleetTraceSeriesIvl, fleetTraceSeriesCap, nil)
+		},
+	})
 
 	row := FleetTraceRow{
 		Hosts:        n,
-		Leaves:       leaves,
+		Leaves:       hierLeaves(n),
 		SampledFlows: ft.SampledFlows(),
 		Spans:        ft.Finished(),
 		Hops:         ft.HopCount(),
-		WallMS:       wallMS,
+		WallMS:       m.wallMS,
 	}
 	spans := ft.Spans()
-	decomposeFlows(&row, spans, chs)
-
-	var chrome []byte
-	if withChrome {
-		var buf bytes.Buffer
-		if err := t.WriteChrome(&buf); err != nil {
-			panic(err)
-		}
-		chrome = buf.Bytes()
-	}
+	decomposeFlows(&row, spans, r.clients)
 
 	series := make(map[string]*metrics.SeriesSnapshot)
-	for key, s := range t.SeriesSnapshots() {
+	for key, s := range r.t.SeriesSnapshots() {
 		// Keep the fleet merge and the server's own series; per-client
 		// series are asserted in unit tests, not exported (a 1024-host row
 		// would drown the JSON).
@@ -209,7 +139,7 @@ func runFleetTrace(sc Scale, salt uint64, n int, withChrome bool) fleetTraceRun 
 			series[fmt.Sprintf("clients%03d.%s", n, key)] = s
 		}
 	}
-	return fleetTraceRun{row: row, snap: t.Snapshot(), series: series, spans: spans, chrome: chrome}
+	return fleetTraceRun{row: row, snap: m.snap, series: series, spans: spans, chrome: m.chrome}
 }
 
 // FleetTraceExport drives one traced hierarchical fleet of n clients and
@@ -351,7 +281,7 @@ func (r *FleetTraceResult) Table() *Table {
 		fmt.Sprintf("1-in-%d client flows sampled from per-host private RNG streams; spans record per-hop virtual timestamps across NICs, links, leaf and spine forwards", fleetTraceRate),
 		"decomposition (asserted in tests): request span + server turnaround + response-header span telescope to the path latency, and client-observed TTFB exceeds it only by the pre-trace sendto residue",
 		"series: per-host virtual-time samples (trigger p50/p99, delay p99, rx/tx, queue depth) merged point-wise into the fleet series; dumped by stbench -series")
-	if r.Shards > 0 {
+	if r.Shards > 1 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"sharded execution: up to %d engines (clamped to the leaf count); spans stitch across shards at round barriers, and spans, series and telemetry stay byte-identical", r.Shards))
 	}

@@ -2,65 +2,10 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"softtimers/internal/sim"
 )
-
-// fleetTraceRunBytes runs one traced fleet and renders every observability
-// output — row, merged telemetry, per-host/fleet series, exported spans,
-// Chrome trace with flow arrows — as comparable bytes (WallMS zeroed: real
-// time is the one legitimately mode-dependent field).
-func fleetTraceRunBytes(t *testing.T, shards, workers int) (FleetTraceRow, [][]byte) {
-	t.Helper()
-	sc := tinyScale()
-	sc.Shards = shards
-	sc.Workers = workers
-	r := runFleetTrace(sc, 421, 16, true)
-	r.row.WallMS = 0
-	var out [][]byte
-	for _, v := range []interface{}{r.row, r.snap, r.series, r.spans} {
-		j, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, j)
-	}
-	return r.row, append(out, r.chrome)
-}
-
-// The tentpole determinism contract: the traced fleet's spans, series,
-// telemetry and Chrome flow trace are byte-identical whether it runs on
-// the legacy shared engine, one shard, or many shards (8 requested,
-// clamped to the leaf count) — serially or with a worker pool. Sampling
-// draws come from per-host private RNG streams and span IDs are
-// mode-invariant, so every byte must match.
-func TestFleetTraceShardedMatchesLegacy(t *testing.T) {
-	labels := []string{"row", "telemetry", "series", "spans", "chrome"}
-	refRow, ref := fleetTraceRunBytes(t, 0, 0)
-	if refRow.SampledFlows == 0 || refRow.Spans == 0 || refRow.Decomposed == 0 {
-		t.Fatalf("reference run traced nothing: %+v", refRow)
-	}
-	for _, c := range []struct {
-		name            string
-		shards, workers int
-	}{
-		{"shards=1", 1, 0},
-		{"shards=2", 2, 0},
-		{"shards=8", 8, 0},
-		{"shards=8/workers=4", 8, 4},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			_, got := fleetTraceRunBytes(t, c.shards, c.workers)
-			for i, b := range got {
-				if !bytes.Equal(b, ref[i]) {
-					t.Errorf("%s diverged from legacy (%d vs %d bytes)", labels[i], len(b), len(ref[i]))
-				}
-			}
-		})
-	}
-}
 
 // The decomposition claim itself: every traced request/response pair's
 // per-hop sum telescopes to a path latency the client's observed TTFB
@@ -105,9 +50,9 @@ func TestFleetTraceDecomposition(t *testing.T) {
 // chunks so there is something to report) but must not change a single
 // simulated byte, and must fire with monotone virtual time.
 func TestFleetTraceProgressCallbackIsInert(t *testing.T) {
-	_, ref := fleetTraceRunBytes(t, 2, 0)
 	sc := tinyScale()
 	sc.Shards = 2
+	ref := fleetTraceBytes(t, runFleetTrace(sc, 421, 16, true))
 	calls := 0
 	var lastVirtual sim.Time
 	sc.Progress = func(label string, virtual sim.Time, fired uint64) {
@@ -120,21 +65,10 @@ func TestFleetTraceProgressCallbackIsInert(t *testing.T) {
 			t.Errorf("degenerate progress report: label %q fired %d", label, fired)
 		}
 	}
-	r := runFleetTrace(sc, 421, 16, true)
-	r.row.WallMS = 0
-	labels := []string{"row", "telemetry", "series", "spans", "chrome"}
-	var got [][]byte
-	for _, v := range []interface{}{r.row, r.snap, r.series, r.spans} {
-		j, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, j)
-	}
-	got = append(got, r.chrome)
-	for i, b := range got {
-		if !bytes.Equal(b, ref[i]) {
-			t.Errorf("%s diverged under -progress (%d vs %d bytes)", labels[i], len(b), len(ref[i]))
+	got := fleetTraceBytes(t, runFleetTrace(sc, 421, 16, true))
+	for label, b := range got {
+		if !bytes.Equal(b, ref[label]) {
+			t.Errorf("%s diverged under -progress (%d vs %d bytes)", label, len(b), len(ref[label]))
 		}
 	}
 	if calls < 8 {

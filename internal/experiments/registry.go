@@ -49,7 +49,6 @@ var registry = map[string]entry{
 	"fleet-scale": {func(sc Scale) *Table { return RunFleetScale(sc).Table() }, "one server vs up to 1024 real client kernels on a switched LAN (-shards N for parallel engines)"},
 	"fleet-hier":  {func(sc Scale) *Table { return RunFleetHier(sc).Table() }, "hierarchical fleet: leaf-spine fabric with connection churn (-shards N for per-leaf engines)"},
 	"fleet-trace": {func(sc Scale) *Table { return RunFleetTrace(sc).Table() }, "traced hierarchical fleet: sampled flow spans, per-hop latency decomposition, virtual-time series (-series dumps them)"},
-	"fleet-sync":  {func(sc Scale) *Table { return RunFleetSync(sc).Table() }, "conservative-sync ablation: static vs mined lookahead and static vs auto placement, grant economics side by side (-sync dumps the instruments)"},
 	// Real-time emulation (requires -clock realtime and loopback sockets;
 	// not part of "all" — results depend on the machine, by design).
 	"emu-trigger-interval": {func(sc Scale) *Table { return RunEmuTriggerInterval(sc).Table() },
@@ -64,7 +63,7 @@ func RequiresRealTime(name string) bool { return realtimeExps[name] }
 var Order = []string{"fig2", "sec52", "table1", "fig5", "table2", "fig6",
 	"table3", "table4", "table5", "table6", "table7", "table8",
 	"delaydist", "sec510", "ablation-wheel", "ablation-idle", "ablation-pollution",
-	"degradation-starve", "degradation-loss", "fleet-scale", "fleet-hier", "fleet-trace", "fleet-sync"}
+	"degradation-starve", "degradation-loss", "fleet-scale", "fleet-hier", "fleet-trace"}
 
 // Lookup returns the driver registered under name.
 func Lookup(name string) (Runner, bool) {

@@ -149,20 +149,6 @@ func (p *Plan) Spec() Spec {
 	return p.spec
 }
 
-// fnv64a is the FNV-1a hash used to derive per-channel seeds from names.
-func fnv64a(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}
-
 // Stream returns a deterministic PRNG sub-stream for the named channel:
 // the same (plan seed, name) always yields the same stream, independent of
 // every other channel. Components owning their own randomness (and the
@@ -170,7 +156,7 @@ func fnv64a(s string) uint64 {
 func (p *Plan) Stream(name string) *sim.RNG {
 	// Mix the channel hash through one splitmix step so related names do
 	// not produce correlated seeds.
-	r := sim.NewRNG(p.seed ^ fnv64a(name))
+	r := sim.NewRNG(p.seed ^ sim.HashName(name))
 	return sim.NewRNG(r.Uint64())
 }
 

@@ -50,7 +50,7 @@ type Config struct {
 	Seed uint64
 }
 
-// Host is one simulated machine on a shared engine.
+// Host is one simulated machine on an engine it may share with others.
 type Host struct {
 	// Name is the host's topology name ("" for single-host rigs).
 	Name string
@@ -69,17 +69,6 @@ type Host struct {
 	started  bool
 }
 
-// nameSalt hashes a host name with FNV-1a, the same mix topologies use for
-// address-independent per-host salts.
-func nameSalt(name string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // New builds a host on eng: kernel first, then the facility installed as
 // its trigger sink — the same order every rig used by hand, so existing
 // seeded runs replay byte-identically through this constructor.
@@ -92,12 +81,12 @@ func New(eng *sim.Engine, cfg Config) *Host {
 		kOpts.Faults = cfg.Faults
 	}
 	h := &Host{Name: cfg.Name, plan: cfg.Faults}
-	h.rng = sim.NewRNG(cfg.Seed ^ nameSalt(cfg.Name))
+	h.rng = sim.NewRNG(cfg.Seed ^ sim.HashName(cfg.Name))
 	// A second private stream for observability decisions (flowtrace
 	// sampling): same (Seed, Name) derivation with an extra salt, so
 	// enabling tracing never advances — or is advanced by — any workload
 	// draw, and sampling decisions are placement-invariant too.
-	h.traceRNG = sim.NewRNG(cfg.Seed ^ nameSalt(cfg.Name) ^ 0xf10317ace5a17e3d)
+	h.traceRNG = sim.NewRNG(cfg.Seed ^ sim.HashName(cfg.Name) ^ 0xf10317ace5a17e3d)
 	h.K = kernel.New(eng, cfg.Profile, kOpts)
 	h.F = core.New(h.K, cfg.Facility)
 	return h

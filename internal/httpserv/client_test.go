@@ -151,3 +151,17 @@ func TestTestbedResultFields(t *testing.T) {
 		t.Fatalf("throughput %v inconsistent with completed %d over 300ms", res.Throughput, res.Completed)
 	}
 }
+
+// The paper drivers run the rig's engine directly (fig5, table45,
+// delaydist, workloads.Rig) and then Run it through the topology: both
+// paths must advance one clock, as on a bare engine.
+func TestTestbedMixedDrivingSharesOneClock(t *testing.T) {
+	tb := NewTestbed(TestbedConfig{Seed: 17, Concurrency: 4, Server: Config{Kind: Flash}})
+	tb.Start()
+	tb.Eng.RunFor(100 * sim.Millisecond)
+	tb.Net.RunFor(100 * sim.Millisecond)
+	if tb.Eng.Now() != 200*sim.Millisecond || tb.Net.Now() != 200*sim.Millisecond {
+		t.Fatalf("clocks after 100ms on the engine and 100ms on the topology: engine %v, topology %v; want 200ms both",
+			tb.Eng.Now(), tb.Net.Now())
+	}
+}

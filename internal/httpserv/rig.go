@@ -68,12 +68,6 @@ type TestbedConfig struct {
 	// CPU-cost noise), on every LAN link (drop/dup/reorder), and on each
 	// NIC's receive ring, and its counters join the rig's registry.
 	Faults *faults.Plan
-	// Shards, when > 0, runs the rig on a conservative-sync shard group
-	// instead of the bare engine. The testbed has one host, so the group
-	// is always a single shard; the knob exists to prove the rig replays
-	// byte-identically under the sharded executor (asserted by property
-	// tests, including under hostile fault scenarios).
-	Shards int
 }
 
 // NewTestbed wires everything together. Call Run to execute.
@@ -95,17 +89,11 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		cfg.NICCount = 1
 	}
 
-	tb := &Testbed{}
+	// One host, so one shard: Eng is its engine, and drivers may run it
+	// directly or through Net — the group's clock follows the engine.
 	seed := cfg.Seed + 1
-	if cfg.Shards > 0 {
-		g := sim.NewShardGroup(1, seed)
-		tb.Eng = g.Engine(0)
-		tb.Net = topology.NewSharded(g, seed)
-	} else {
-		tb.Eng = sim.NewEngine(seed)
-		tb.Net = topology.New(tb.Eng)
-		tb.Net.SetSeed(seed)
-	}
+	tb := &Testbed{Net: topology.New(sim.NewShardGroup(1, seed), seed)}
+	tb.Eng = tb.Net.Eng
 	tb.ServerHost = tb.Net.AddHost(host.Config{
 		Name:     "server",
 		Profile:  cfg.Profile,

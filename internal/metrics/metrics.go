@@ -535,8 +535,8 @@ func (s *Snapshot) Prefixed(prefix string) *Snapshot {
 // DropPrefix removes every instrument whose name starts with prefix.
 // Multi-host topologies use it to strip per-host instruments that read
 // engine-global state (sim.*) before namespacing: those values describe
-// the execution substrate, not the host, and differ between the legacy
-// shared engine and sharded execution.
+// the execution substrate, not the host, and differ between one shard and
+// several.
 func (s *Snapshot) DropPrefix(prefix string) {
 	for name := range s.Counters {
 		if strings.HasPrefix(name, prefix) {

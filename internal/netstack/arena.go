@@ -163,7 +163,7 @@ func (a *Arena) Clone(src *Packet) *Packet {
 }
 
 // Live returns the packets this arena has handed out and not yet gotten
-// back. With a single arena (any single-engine rig) a drained network has
+// back. With a single arena (any one-shard rig) a drained network has
 // Live() == 0; across migrating arenas, sum Gets/Puts instead.
 func (a *Arena) Live() int64 { return a.gets - a.puts }
 

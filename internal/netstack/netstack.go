@@ -99,8 +99,8 @@ func (f EndpointFunc) Deliver(p *Packet) { f(p) }
 // propagation delay is the channel's lookahead), under the same
 // (conduit, seq) arrival-band key the link would have used locally, and
 // returns true. A false return leaves delivery on the local engine.
-// Sharded topologies install one per cross-capable link; single-engine
-// rigs leave it nil and pay one pointer test.
+// Topologies above one shard install one per cross-capable link;
+// one-shard rigs leave it nil and pay one pointer test.
 type Courier interface {
 	Ship(p *Packet, at sim.Time, conduit int32, seq uint64) bool
 }
@@ -123,7 +123,7 @@ type Link struct {
 	// the same instant, wherever the receiver lives. Topologies assign
 	// conduit ids in assembly order, so the key — and with it the order of
 	// same-instant arrivals — is identical at any shard count, which is
-	// what makes sharded runs replay the single-engine event history
+	// what makes sharded runs replay the one-shard event history
 	// exactly. NewLink sets -1: plain engine-event delivery.
 	ArrivalConduit int32
 
@@ -326,8 +326,8 @@ func (l *Link) Send(p *Packet) bool {
 // engine under the same key — and the slot release stays an ordinary
 // sender-side event; either way the delivery is one arrival event on the
 // receiver's engine plus at most one release event on the sender's, so
-// event totals and same-instant ordering match the single-engine path
-// exactly. Conduit-less links keep the legacy one-event path.
+// event totals and same-instant ordering match the one-shard path
+// exactly. Conduit-less links keep the plain one-event path.
 func (l *Link) deliver(p *Packet, at sim.Time, label string, release bool) {
 	if l.ArrivalConduit >= 0 {
 		// The seq draw happens at transmit time in link send order, which

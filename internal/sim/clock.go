@@ -47,10 +47,10 @@ import (
 //     closure may have scheduled something earlier than the event it
 //     interrupted the wait for.
 //   - A nil and an empty work slice are equivalent: len(work) == 0 means
-//     the wait completed. Both wait loops (Engine.runDriven and
-//     ShardGroup.waitForRound) terminate on len(work) == 0, so a driver
-//     that hands back empty non-nil batches cannot spin them, and a
-//     conforming driver only returns early with at least one closure.
+//     the wait completed. The wait loop (Engine.runDriven) terminates on
+//     len(work) == 0, so a driver that hands back empty non-nil batches
+//     cannot spin it, and a conforming driver only returns early with at
+//     least one closure.
 type ClockDriver interface {
 	Begin(now Time)
 	WaitUntil(at Time) (adv Time, work []func())

@@ -291,68 +291,13 @@ func TestShardGroupSingleShardDriver(t *testing.T) {
 	}
 }
 
-// A multi-shard group paces rounds at the coordinator barrier: the wall
-// clock is held back to each round's earliest grant, and the run's results
-// are the sim-mode results (pacing changes wall time only).
-func TestShardGroupBarrierPacing(t *testing.T) {
-	fw := newFakeWall()
-	g := NewShardGroup(2, 1)
-	g.SetLookahead(0, 1, 25*Microsecond)
-	g.SetLookahead(1, 0, 25*Microsecond)
-	g.SetClockDriver(fw.clock())
-	start := fw.now
-
-	var firedA, firedB int
-	g.Engine(0).At(10*Microsecond, func() { firedA++ })
-	g.Engine(1).At(60*Microsecond, func() { firedB++ })
-	g.Run(100 * Microsecond)
-
-	if firedA != 1 || firedB != 1 {
-		t.Fatalf("fired A=%d B=%d; want 1 each", firedA, firedB)
-	}
-	// Rounds advance in 25 µs lookahead grants; the barrier waits for each
-	// round's earliest grant, so the wall clock must have been driven to at
-	// least the last pre-horizon grant and never past the horizon.
-	wall := FromStd(fw.now.Sub(start))
-	if wall < 75*Microsecond || wall > 100*Microsecond {
-		t.Errorf("wall after run = %v; want within [75us, 100us]", wall)
-	}
-	if g.Now() != 100*Microsecond {
-		t.Errorf("group clock = %v; want 100us", g.Now())
-	}
-}
-
-// Injected work at a multi-shard barrier runs while every engine is
-// quiescent and may schedule onto any shard.
-func TestShardGroupBarrierInject(t *testing.T) {
-	fw := newFakeWall()
-	g := NewShardGroup(2, 1)
-	g.SetLookahead(0, 1, 25*Microsecond)
-	g.SetLookahead(1, 0, 25*Microsecond)
-	c := fw.clock()
-	g.SetClockDriver(c)
-
-	var ran, scheduled bool
-	injected := false
-	fw.onSleep = func(d time.Duration) time.Duration {
-		if injected {
-			return d
+// Emulation runs one host: a multi-shard group refuses a clock driver
+// rather than pace rounds.
+func TestShardGroupClockDriverNeedsOneShard(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetClockDriver on a 2-shard group did not panic")
 		}
-		injected = true
-		c.Inject(func() {
-			ran = true
-			e := g.Engine(1)
-			e.At(e.Now()+30*Microsecond, func() { scheduled = true })
-		})
-		return d
-	}
-	// Keep shards busy so rounds (and barriers) happen.
-	g.Engine(0).At(90*Microsecond, func() {})
-	g.Run(200 * Microsecond)
-	if !ran {
-		t.Fatal("injected closure never ran at a barrier")
-	}
-	if !scheduled {
-		t.Error("event scheduled from barrier injection never fired")
-	}
+	}()
+	NewShardGroup(2, 1).SetClockDriver(newFakeWall().clock())
 }

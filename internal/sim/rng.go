@@ -19,6 +19,18 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
+// HashName folds a name into a 64-bit salt with FNV-1a. Per-host RNG
+// streams and fault channels mix it into their seeds, so each draws
+// independently of assembly order and shard placement.
+func HashName(name string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // Uint64 returns the next 64 random bits (splitmix64).
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

@@ -1,10 +1,24 @@
 package sim
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// HashName is the one name fold behind per-host RNG streams and fault
+// channels; it must stay FNV-1a, or every seeded host and fault stream
+// moves.
+func TestHashNameIsFNV1a(t *testing.T) {
+	for _, name := range []string{"", "server", "client0007", "link.lan.server.up", "nic.eth0.rx"} {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		if got, want := HashName(name), h.Sum64(); got != want {
+			t.Errorf("HashName(%q) = %#x, want FNV-1a %#x", name, got, want)
+		}
+	}
+}
 
 func TestRNGDeterministic(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)

@@ -3,17 +3,16 @@ package sim
 // Sharded execution: a ShardGroup owns N engines and advances them in
 // rounds under conservative (Chandy-Misra-Bryant style) time
 // synchronization. Each shard's clock is only ever granted up to the
-// minimum over its inbound channels of the sender's committed clock plus
-// that channel's lookahead — the minimum latency any cross-shard message
-// on the channel must carry — so no shard can receive an event in its
-// past, with no rollback machinery.
+// minimum over its inbound channels of the earliest time the sender could
+// next act plus that channel's lookahead — the minimum latency any
+// cross-shard message on the channel must carry — so no shard can receive
+// an event in its past, with no rollback machinery.
 //
 // Execution proceeds in rounds, all on the goroutine that calls Run. Every
 // round first flushes the messages emitted in strictly earlier rounds (or
 // during assembly) into their destination engines, then computes each
-// shard's grant from the clocks committed at the end of the previous
-// round, then runs each active shard up to its grant in shard order and
-// commits its clock. The grant rule guarantees each message is injected
+// shard's grant from the engines' queue heads, then runs each active
+// shard up to its grant in shard order and commits its clock. The grant rule guarantees each message is injected
 // strictly before its destination's clock reaches the message timestamp.
 //
 // Rounds are tiny — a fleet shard-round typically fires a handful of
@@ -23,8 +22,7 @@ package sim
 // rounds"). Multi-core use lives one level up, where independent
 // experiment rows share no barrier.
 //
-// Lookahead mining (on by default, SetMining) raises grants past the
-// static rule by asking each engine for its earliest pending event
+// Grants are mined: each engine is asked for its earliest pending event
 // (Engine.EarliestPending — an O(1) queue peek). A shard cannot execute a
 // handler, and therefore cannot emit a message, before the earliest event
 // it could ever run; that time is not its own queue head alone, because a
@@ -34,38 +32,32 @@ package sim
 //
 // to a fixpoint and grants dst
 //
-//	grant[dst] = min over inbound src of (bound[src] + la[src][dst])
+//	grant[dst] = min over inbound src of (bound[src] + la[src][dst]).
 //
-// in place of clock[src]+la[src][dst]. bound[s] >= clock[s] always (own
-// pending events are at or after the clock, and every inbound term is at
-// least the previous barrier's grant), so mined grants dominate static
-// ones: rounds with mining are never more numerous, and an idle low-delay
-// link no longer serializes the group. Mining changes round boundaries
-// only — never event order — so results stay byte-identical with it on or
-// off, at any shard count.
+// bound[s] >= clock[s] always (own pending events are at or after the
+// clock, and every inbound term is at least the previous barrier's grant),
+// so a mined grant is never below the classic clock[src]+la[src][dst]
+// one, and an idle low-delay link does not serialize the group. Grants
+// set round boundaries only — never event order.
 //
 // A flushed message becomes an ordinary pending event in the destination
 // engine's arrival band (Engine.AtArrival): its heap key is (time,
 // conduit, seq), where conduit ids are assigned at topology-assembly time
 // — identical at any shard count — and seq is the conduit's send counter.
 // Arrival-band events fire after every ordinarily scheduled event at the
-// same instant, ordered among themselves by (conduit, seq); because the
-// single-engine path schedules the same deliveries with the same keys
+// same instant, ordered among themselves by (conduit, seq); because a
+// one-shard group schedules the same deliveries with the same keys
 // through the same band, the merged event history is identical by
 // construction: independent of the round schedule and the number of
-// shards — including the degenerate count of one engine with no group at
-// all.
+// shards. A one-shard group has no rounds at all: Run is its engine's
+// RunUntil, and its clock is its engine's.
 //
 // Cross-shard hand-offs therefore add no engine events: the delivery that
-// would have been a pending event on the single engine is a pending event
-// on exactly one shard engine, so per-engine fired/pending totals sum to
-// the single-engine values.
+// would have been a pending event on one shard is a pending event on
+// exactly one shard engine, so per-engine fired/pending totals sum to
+// the one-shard values.
 
-import (
-	"fmt"
-
-	"softtimers/internal/stats"
-)
+import "fmt"
 
 // shardMsg is one cross-shard message: fn runs on the destination shard's
 // engine as an arrival-band event keyed (at, conduit, seq).
@@ -84,47 +76,7 @@ type shard struct {
 	clock Time // committed: the shard has executed everything before clock
 	grant Time // this round's horizon
 
-	sgrant Time // the static (clock+lookahead) grant, for mined-gain telemetry
-	pend   Time // own earliest pending event this round (until-clamped)
-	bind   int  // inbound shard binding this round's grant; -1 = the run horizon
-
 	out []shardMsg // messages emitted this round, flushed at the barrier
-}
-
-// ShardSyncStats is one shard's slice of the group's grant-utilization
-// telemetry. Widths are virtual nanoseconds summed over the shard's
-// active rounds.
-type ShardSyncStats struct {
-	Rounds       int64 // rounds the shard was active (clock < grant)
-	GrantedNS    int64 // sum of granted horizon widths (grant − clock)
-	ReachedNS    int64 // sum of the executable span covered (grant − first due event; 0 when idle)
-	MinedGainNS  int64 // sum of mined − static grant (0 with mining off)
-	IdleRounds   int64 // active rounds with nothing due below the grant: pure clock advance
-	HorizonBound int64 // rounds where the run horizon, not an inbound channel, bound the grant
-}
-
-// SyncStats is the conservative-sync grant-utilization telemetry a
-// multi-shard Run accumulates: how wide the rounds were, how much of each
-// granted horizon contained executable work, what mining bought, and
-// which inbound channel was each shard's binding constraint. Everything
-// here is a pure function of virtual state, and is kept out of the
-// workload telemetry snapshot, which stays byte-identical across shard
-// counts by contract.
-type SyncStats struct {
-	Rounds            int64 // sync rounds executed
-	Messages          int64 // cross-shard messages flushed
-	ActiveShardRounds int64 // sum of round widths: one count per (round, active shard)
-
-	Shards []ShardSyncStats
-
-	// Binding[src][dst] counts rounds where the src→dst channel was the
-	// binding constraint on dst's grant (lowest src index on ties).
-	// Horizon-bound rounds land in Shards[dst].HorizonBound instead.
-	Binding [][]int64
-
-	GrantWidthUS *stats.Histogram // granted width per active shard-round, µs
-	MinedGainUS  *stats.Histogram // mined − static grant per active shard-round, µs
-	RoundWidth   *stats.Histogram // active shards per round
 }
 
 // ShardGroup owns N engines and runs them under conservative sync.
@@ -137,31 +89,18 @@ type ShardGroup struct {
 	// goroutine.
 	Workers int
 
-	// driver, when non-nil, paces rounds against an external clock
-	// (SetClockDriver): each round waits at the barrier until the clock
-	// authorizes the round's earliest grant. Shard engines keep nil
-	// drivers — each runs a whole grant at a time, ahead of its peers — so
-	// emulation granularity under sharding is the round (the lookahead),
-	// not the event. Injected work runs at the barrier, between shard
-	// runs — and since an injected closure may schedule events anywhere,
-	// the round's grants are recomputed in full after any batch runs.
-	driver ClockDriver
-
-	// mine enables pacing-aware lookahead mining (see the package comment;
-	// on by default). started flips at the first Run and freezes the
-	// channel topology: grants are derived from lookaheads mid-round, so
-	// changing them with rounds in flight would silently unsound the sync.
-	mine    bool
+	// started flips at the first Run and freezes the channel topology:
+	// grants are derived from lookaheads mid-round, so changing them with
+	// rounds in flight would silently unsound the sync.
 	started bool
 
 	rounds   int64
 	messages int64
 	bound    []Time // per-shard mining bound, scratch reused every round
-	sstats   SyncStats
 }
 
 // NewShardGroup creates n engines. Shard 0's engine is seeded exactly
-// with seed — a single-shard group replays a legacy NewEngine(seed) run
+// with seed — a single-shard group replays a bare NewEngine(seed) run
 // byte-for-byte — and the rest draw well-separated streams from it.
 func NewShardGroup(n int, seed uint64) *ShardGroup {
 	if n <= 0 {
@@ -170,7 +109,6 @@ func NewShardGroup(n int, seed uint64) *ShardGroup {
 	g := &ShardGroup{
 		shards: make([]*shard, n),
 		la:     make([][]Time, n),
-		mine:   true,
 		bound:  make([]Time, n),
 	}
 	for i := 0; i < n; i++ {
@@ -183,75 +121,21 @@ func NewShardGroup(n int, seed uint64) *ShardGroup {
 			g.la[i][j] = -1
 		}
 	}
-	g.sstats.Shards = make([]ShardSyncStats, n)
-	g.sstats.Binding = make([][]int64, n)
-	for i := range g.sstats.Binding {
-		g.sstats.Binding[i] = make([]int64, n)
-	}
-	// Grant widths in fleets sit between the minimum link lookahead (tens
-	// of µs) and the idle stretches mining unlocks; 5 µs buckets to ~20 ms
-	// keep both ends visible without the histogram dominating the group.
-	g.sstats.GrantWidthUS = stats.NewHistogram(5, 4096)
-	g.sstats.MinedGainUS = stats.NewHistogram(5, 4096)
-	g.sstats.RoundWidth = stats.NewHistogram(1, n+2)
 	return g
 }
 
-// SetClockDriver installs (or removes) the group's clock driver. Must be
-// called before the group runs — it panics once the first Run begins. On
-// a multi-shard group the driver lives on the group, never on the shard
-// engines — Run itself waits at round barriers; a single-shard group
-// hands the driver straight to its lone engine, where pacing is
-// event-granular.
+// SetClockDriver installs (or removes) a one-shard group's clock driver
+// on its engine, where pacing is event-granular exactly as on a bare
+// driven engine. Emulation runs one host, so a driver never paces
+// rounds: it panics on a multi-shard group, and once the group has run.
 func (g *ShardGroup) SetClockDriver(d ClockDriver) {
 	if g.started {
 		panic("sim: SetClockDriver after the shard group has run")
 	}
-	g.driver = d
-	if len(g.shards) == 1 {
-		g.shards[0].eng.SetClockDriver(d)
+	if len(g.shards) != 1 {
+		panic(fmt.Sprintf("sim: clock driver on a %d-shard group; emulation runs on one shard", len(g.shards)))
 	}
-}
-
-// ClockDriver returns the installed driver (nil in sim mode).
-func (g *ShardGroup) ClockDriver() ClockDriver { return g.driver }
-
-// SetMining enables or disables pacing-aware lookahead mining (the
-// default is on). It never changes results — only round boundaries, wall
-// clock, and the SyncStats utilization telemetry — but it must be chosen
-// before the group runs: grants from mixed rules would make the mined-gain
-// accounting meaningless.
-func (g *ShardGroup) SetMining(on bool) {
-	if g.started {
-		panic("sim: SetMining after the shard group has run")
-	}
-	g.mine = on
-}
-
-// MiningEnabled reports whether lookahead mining is on.
-func (g *ShardGroup) MiningEnabled() bool { return g.mine }
-
-// waitForRound blocks until the driver authorizes virtual time at (the
-// round's earliest grant), running injected work as it arrives. It runs
-// between rounds, when every shard engine is quiescent, so injected
-// closures may safely touch any shard's engine — the same
-// soundness argument as assembly-time scheduling. It reports whether any
-// injected work ran: injected closures can schedule events below the
-// round's mined bounds, so the caller must recompute grants before
-// releasing the shards. A nil or empty work slice means the wait
-// completed (the ClockDriver contract) — only non-empty batches keep
-// waiting, so a driver handing back empty slices cannot spin the barrier.
-func (g *ShardGroup) waitForRound(at Time) (injected bool) {
-	for {
-		_, work := g.driver.WaitUntil(at)
-		if len(work) == 0 {
-			return injected
-		}
-		injected = true
-		for _, fn := range work {
-			fn()
-		}
-	}
+	g.shards[0].eng.SetClockDriver(d)
 }
 
 // N returns the shard count.
@@ -260,12 +144,19 @@ func (g *ShardGroup) N() int { return len(g.shards) }
 // Engine returns shard i's engine.
 func (g *ShardGroup) Engine(i int) *Engine { return g.shards[i].eng }
 
-// Now returns the group clock: the horizon every shard has reached.
-func (g *ShardGroup) Now() Time { return g.now }
+// Now returns the group clock: the horizon every shard has reached. A
+// one-shard group's clock is its engine's, so callers may drive that
+// engine directly between group runs and the group follows.
+func (g *ShardGroup) Now() Time {
+	if len(g.shards) == 1 {
+		return g.shards[0].eng.Now()
+	}
+	return g.now
+}
 
 // TotalFired sums fired events across shard engines. Cross-shard messages
 // become arrival-band events on exactly one engine, so the total equals
-// the legacy single-engine count.
+// the one-shard count.
 func (g *ShardGroup) TotalFired() uint64 {
 	var n uint64
 	for _, s := range g.shards {
@@ -276,8 +167,8 @@ func (g *ShardGroup) TotalFired() uint64 {
 
 // TotalPending sums pending events across shard engines. In-flight
 // cross-shard messages are injected into destination heaps at round
-// barriers, so between Run calls the total matches the single-engine
-// pending count (where an in-flight packet is simply a future event).
+// barriers, so between Run calls the total matches the one-shard pending
+// count (where an in-flight packet is simply a future event).
 func (g *ShardGroup) TotalPending() int {
 	var n int
 	for _, s := range g.shards {
@@ -300,16 +191,6 @@ func (g *ShardGroup) InFlight() int {
 
 // Stats reports synchronization work done so far.
 func (g *ShardGroup) Stats() (rounds, messages int64) { return g.rounds, g.messages }
-
-// SyncStats returns the group's grant-utilization telemetry. The pointer
-// shares the group's live accumulator: read it between Run calls and do
-// not mutate it. A single-shard group never rounds, so everything stays
-// zero there.
-func (g *ShardGroup) SyncStats() *SyncStats {
-	g.sstats.Rounds = g.rounds
-	g.sstats.Messages = g.messages
-	return &g.sstats
-}
 
 // SetLookahead declares (or tightens) the lookahead of the src→dst
 // channel: every message sent on it must be timestamped at least d past
@@ -342,7 +223,7 @@ func (g *ShardGroup) Lookahead(src, dst int) Time { return g.la[src][dst] }
 // arrival-band tie-break, so callers must assign ids during deterministic
 // assembly (never mid-run) and reuse the same assignment at any shard
 // count — topologies allocate them in join order and give the same id to
-// the link's single-engine arrival path.
+// the link's local arrival path.
 type Conduit struct {
 	g   *ShardGroup
 	src int32
@@ -388,9 +269,8 @@ func (c *Conduit) Send(dst int, at Time, seq uint64, fn func()) {
 }
 
 // computeGrants derives every shard's grant for the next round from the
-// clocks committed at the previous barrier, the run horizon, and — with
-// mining on — the engines' earliest pending events. It returns the number
-// of shards with work to do (clock < grant).
+// run horizon and the mining bounds (see the package comment). It returns
+// the number of shards with work to do (clock < grant).
 func (g *ShardGroup) computeGrants(until Time) (active int) {
 	n := len(g.shards)
 
@@ -404,54 +284,41 @@ func (g *ShardGroup) computeGrants(until Time) (active int) {
 		if t, ok := s.eng.EarliestPending(); ok && t < until {
 			b = t
 		}
-		s.pend = b
 		g.bound[i] = b
 	}
-	if g.mine && n > 1 {
-		// Relax to a fixpoint (Bellman-Ford over the channel graph; no
-		// negative cycles since lookaheads are positive, so it terminates
-		// in at most n sweeps). The naive per-shard rule — grant straight
-		// from the sender's queue head — is transitively unsound: an
-		// upstream peer can wake an empty-looking sender well before its
-		// own head event.
-		for changed := true; changed; {
-			changed = false
-			for d := 0; d < n; d++ {
-				for s := 0; s < n; s++ {
-					la := g.la[s][d]
-					if la < 0 {
-						continue
-					}
-					if b := g.bound[s] + la; b < g.bound[d] {
-						g.bound[d] = b
-						changed = true
-					}
+	// Relax to a fixpoint (Bellman-Ford over the channel graph; no
+	// negative cycles since lookaheads are positive, so it terminates in
+	// at most n sweeps). The naive per-shard rule — grant straight from
+	// the sender's queue head — is transitively unsound: an upstream peer
+	// can wake an empty-looking sender well before its own head event.
+	for changed := true; changed; {
+		changed = false
+		for d := 0; d < n; d++ {
+			for s := 0; s < n; s++ {
+				la := g.la[s][d]
+				if la < 0 {
+					continue
+				}
+				if b := g.bound[s] + la; b < g.bound[d] {
+					g.bound[d] = b
+					changed = true
 				}
 			}
 		}
 	}
 
 	for _, s := range g.shards {
-		grant, sgrant := until, until
-		bind := -1
+		grant := until
 		for j := 0; j < n; j++ {
 			la := g.la[j][s.id]
 			if la < 0 {
 				continue
 			}
-			if h := g.shards[j].clock + la; h < sgrant {
-				sgrant = h
-			}
-			eff := g.shards[j].clock
-			if g.mine {
-				eff = g.bound[j] // bound >= clock always; mined grants dominate static
-			}
-			if h := eff + la; h < grant {
+			if h := g.bound[j] + la; h < grant {
 				grant = h
-				bind = j
 			}
 		}
-		s.grant, s.sgrant, s.bind = grant, sgrant, bind
+		s.grant = grant
 		if s.clock < s.grant {
 			active++
 		}
@@ -459,63 +326,25 @@ func (g *ShardGroup) computeGrants(until Time) (active int) {
 	return active
 }
 
-// recordRound folds one about-to-run round into the sync telemetry.
-func (g *ShardGroup) recordRound(active int) {
-	st := &g.sstats
-	st.ActiveShardRounds += int64(active)
-	st.RoundWidth.Add(float64(active))
-	for _, s := range g.shards {
-		if s.clock >= s.grant {
-			continue
-		}
-		ss := &st.Shards[s.id]
-		ss.Rounds++
-		width := int64(s.grant - s.clock)
-		ss.GrantedNS += width
-		st.GrantWidthUS.Add(float64(width) / 1e3)
-		gain := int64(s.grant - s.sgrant)
-		ss.MinedGainNS += gain
-		st.MinedGainUS.Add(float64(gain) / 1e3)
-		if s.pend <= s.grant {
-			ss.ReachedNS += int64(s.grant - s.pend)
-		} else {
-			ss.IdleRounds++
-		}
-		if s.bind >= 0 {
-			st.Binding[s.bind][s.id]++
-		} else {
-			ss.HorizonBound++
-		}
-	}
-}
-
 // RunFor advances every shard by d.
-func (g *ShardGroup) RunFor(d Time) { g.Run(g.now + d) }
+func (g *ShardGroup) RunFor(d Time) { g.Run(g.Now() + d) }
 
 // Run advances every shard to exactly until. On return every engine's
 // clock is until, every emitted message has been injected into its
 // destination engine (ones due later than until are simply future
 // events), and the per-shard event histories are those of the same
-// workload on a single engine.
+// workload on one shard.
 func (g *ShardGroup) Run(until Time) {
-	if until < g.now {
+	if until < g.Now() {
 		panic("sim: shard group run target before group clock")
 	}
 	g.started = true
 	if len(g.shards) == 1 {
-		// Single shard: a conduit cannot target its own shard (Send demands
-		// a lookahead, SetLookahead refuses self-channels), so this is
-		// exactly a legacy engine run. A group driver is installed on the
-		// lone engine itself (SetClockDriver), so pacing there is
-		// event-granular, exactly as on a bare driven engine.
-		s := g.shards[0]
-		s.eng.RunUntil(until)
-		s.clock = until
-		g.now = until
+		// A conduit cannot target its own shard (Send demands a lookahead,
+		// SetLookahead refuses self-channels), so this is exactly a bare
+		// engine run, driven or not.
+		g.shards[0].eng.RunUntil(until)
 		return
-	}
-	if g.driver != nil {
-		g.driver.Begin(g.now)
 	}
 	for {
 		// Flush outboxes: every message emitted in the previous round (or
@@ -527,36 +356,13 @@ func (g *ShardGroup) Run(until Time) {
 		// still at or below the timestamp here.
 		g.flush()
 
-		active := g.computeGrants(until)
-		if active == 0 {
+		if g.computeGrants(until) == 0 {
 			break
 		}
-
-		// Driver-aware barrier wait: pace the round against the external
-		// clock. The round's work spans [clock, grant) across shards; it is
-		// released once the clock reaches the earliest active grant, so no
-		// shard runs ahead of wall time by more than its round span. If
-		// injected work ran at the barrier it may have scheduled events
-		// below the grants just computed (mined bounds especially), so loop
-		// back: re-flush anything it sent and recompute from the new queue
-		// state. Committed clocks never move, so grants only ever tighten
-		// toward values that are still sound.
-		if g.driver != nil {
-			earliest := until
-			for _, s := range g.shards {
-				if s.clock < s.grant && s.grant < earliest {
-					earliest = s.grant
-				}
-			}
-			if g.waitForRound(earliest) {
-				continue
-			}
-		}
 		g.rounds++
-		g.recordRound(active)
 
 		// Run every active shard to its grant and commit its clock. Grants
-		// were fixed above from the previous round's clocks, and outboxes
+		// were fixed above from the previous round's bounds, and outboxes
 		// filled now are flushed at the top of the next iteration, so no
 		// shard's run depends on another's within the round.
 		for _, s := range g.shards {

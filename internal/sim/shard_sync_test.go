@@ -1,10 +1,10 @@
 package sim
 
-// Tests for the conservative-sync grant machinery added with lookahead
-// mining: the started-guards freezing the channel topology, the mining
-// fixpoint's transitive soundness, the grant-utilization telemetry, the
-// empty-work-batch clause of the ClockDriver contract, and the
-// EarliestPending peek that mining rides on.
+// Tests for the conservative-sync grant machinery: the started-guards
+// freezing the channel topology, the mining fixpoint's transitive
+// soundness, the one-shard group's clock, the empty-work-batch clause of
+// the ClockDriver contract, and the EarliestPending peek that mining
+// rides on.
 
 import (
 	"fmt"
@@ -28,14 +28,14 @@ func TestShardGroupStartedGuards(t *testing.T) {
 	g.SetLookahead(0, 1, 25*Microsecond)
 	g.SetLookahead(1, 0, 25*Microsecond)
 	g.NewConduit(0, 1) // fine before Run
-	g.SetMining(false)
-	g.SetMining(true)
 	g.Run(100 * Microsecond)
 
 	mustPanic("SetLookahead", func() { g.SetLookahead(0, 1, 10*Microsecond) })
 	mustPanic("NewConduit", func() { g.NewConduit(0, 2) })
-	mustPanic("SetClockDriver", func() { g.SetClockDriver(nil) })
-	mustPanic("SetMining", func() { g.SetMining(false) })
+
+	one := NewShardGroup(1, 1)
+	one.Run(100 * Microsecond)
+	mustPanic("SetClockDriver", func() { one.SetClockDriver(nil) })
 }
 
 // The mining fixpoint must account for transitive wakes. Chain
@@ -70,14 +70,16 @@ func TestShardGroupMiningTransitiveWake(t *testing.T) {
 }
 
 // A shard with no inbound channels is never constrained: its first grant
-// is the run horizon (one active round, horizon-bound), and the
-// one-directional two-shard group drains without deadlock.
+// is the run horizon, so it has reached the horizon before its peer runs
+// anything, and the one-directional two-shard group drains without
+// deadlock.
 func TestShardGroupNoInboundAdvancesToHorizon(t *testing.T) {
 	g := NewShardGroup(2, 1)
 	g.SetLookahead(0, 1, 25*Microsecond) // no 1→0 channel
 	until := 2 * Millisecond
 
 	var fired0, fired1 int
+	var peerSaw Time = -1 // shard 0's clock when shard 1 first fires
 	var tick0, tick1 func()
 	tick0 = func() {
 		fired0++
@@ -86,6 +88,9 @@ func TestShardGroupNoInboundAdvancesToHorizon(t *testing.T) {
 		}
 	}
 	tick1 = func() {
+		if fired1 == 0 {
+			peerSaw = g.Engine(0).Now()
+		}
 		fired1++
 		if next := g.Engine(1).Now() + 100*Microsecond; next <= until {
 			g.Engine(1).At(next, tick1)
@@ -101,109 +106,37 @@ func TestShardGroupNoInboundAdvancesToHorizon(t *testing.T) {
 	if fired0 == 0 || fired1 == 0 {
 		t.Fatalf("fired = %d, %d; want both > 0", fired0, fired1)
 	}
-	st := g.SyncStats()
-	s0 := st.Shards[0]
-	if s0.Rounds != 1 || s0.HorizonBound != 1 {
-		t.Fatalf("no-inbound shard: %d rounds, %d horizon-bound; want 1 and 1 (granted straight to the horizon)", s0.Rounds, s0.HorizonBound)
+	if peerSaw != until {
+		t.Fatalf("no-inbound shard stood at %v when its peer first fired; want %v (granted straight to the horizon)", peerSaw, until)
 	}
 }
 
-// ringShards assembles the shard_test ring workload on a 4-shard group
-// and runs it to until, returning the logs and the group.
-func ringShards(seed uint64, until Time, mining bool) ([][]string, *ShardGroup) {
-	g := NewShardGroup(4, seed)
-	g.SetMining(mining)
-	for s := 0; s < 4; s++ {
-		g.SetLookahead(s, (s+1)%4, 40*Microsecond)
+// A one-shard group's clock is its engine's: a rig that drives the engine
+// directly and then the group (the paper drivers do both) sees one
+// clock, exactly as on a bare engine.
+func TestShardGroupSingleShardClockFollowsEngine(t *testing.T) {
+	g := NewShardGroup(1, 1)
+	e := g.Engine(0)
+	var firedAt Time
+	e.At(150*Millisecond, func() { firedAt = e.Now() })
+	e.RunFor(100 * Millisecond)
+	if g.Now() != 100*Millisecond {
+		t.Fatalf("group clock %v after the engine ran to 100ms", g.Now())
 	}
-	cons := make([]*Conduit, 4)
-	for s := 0; s < 4; s++ {
-		cons[s] = g.NewConduit(s, int32(s)+1)
+	g.RunFor(100 * Millisecond)
+	if g.Now() != 200*Millisecond || e.Now() != 200*Millisecond {
+		t.Fatalf("clocks after RunFor: group %v, engine %v; want 200ms both", g.Now(), e.Now())
 	}
-	engines := []*Engine{g.Engine(0), g.Engine(1), g.Engine(2), g.Engine(3)}
-	logs := ringLog(engines, until, func(src, dst int, at Time, seq uint64, fn func()) {
-		cons[src].Send(dst, at, seq, fn)
-	})
-	g.Run(until)
-	return logs, g
-}
-
-// Mining is invisible in results and strictly helpful in rounds: the
-// mined run replays the static run's event history byte-for-byte (which
-// itself matches the single-engine oracle, per
-// TestShardGroupMatchesSingleEngineReference) in no more rounds, every
-// mined grant dominates its static twin (gain >= 0), and with mining off
-// the gain accounting stays identically zero.
-func TestShardGroupMiningMatchesStaticWithFewerRounds(t *testing.T) {
-	const until = 2 * Millisecond
-	staticLogs, gs := ringShards(9, until, false)
-	minedLogs, gm := ringShards(9, until, true)
-
-	if !reflect.DeepEqual(staticLogs, minedLogs) {
-		t.Fatalf("mining changed the event history:\nstatic %v\nmined  %v", staticLogs, minedLogs)
-	}
-	sr, _ := gs.Stats()
-	mr, _ := gm.Stats()
-	if mr > sr {
-		t.Fatalf("mined run took %d rounds, static %d; mined grants dominate static so rounds must not grow", mr, sr)
-	}
-	for i, ss := range gs.SyncStats().Shards {
-		if ss.MinedGainNS != 0 {
-			t.Fatalf("shard %d: mined gain %d ns with mining off; want 0", i, ss.MinedGainNS)
-		}
-	}
-	for i, ss := range gm.SyncStats().Shards {
-		if ss.MinedGainNS < 0 {
-			t.Fatalf("shard %d: negative mined gain %d ns; mined grants must dominate static", i, ss.MinedGainNS)
-		}
-	}
-}
-
-// The telemetry is internally consistent: each shard's active rounds are
-// fully attributed (binding channel or horizon), the group-wide
-// histograms carry one sample per active shard-round, and no shard
-// reaches more of its horizon than it was granted.
-func TestShardGroupSyncStatsAccounting(t *testing.T) {
-	_, g := ringShards(9, 2*Millisecond, true)
-	st := g.SyncStats()
-
-	if st.Rounds == 0 || st.Messages == 0 {
-		t.Fatalf("no rounds (%d) or messages (%d) recorded", st.Rounds, st.Messages)
-	}
-	var activeSum int64
-	for i := range st.Shards {
-		ss := st.Shards[i]
-		activeSum += ss.Rounds
-		var bound int64 = ss.HorizonBound
-		for src := range st.Binding {
-			bound += st.Binding[src][i]
-		}
-		if bound != ss.Rounds {
-			t.Fatalf("shard %d: %d rounds but %d attributed (binding+horizon)", i, ss.Rounds, bound)
-		}
-		if ss.ReachedNS > ss.GrantedNS {
-			t.Fatalf("shard %d: reached %d ns > granted %d ns", i, ss.ReachedNS, ss.GrantedNS)
-		}
-		if ss.IdleRounds > ss.Rounds {
-			t.Fatalf("shard %d: %d idle rounds out of %d", i, ss.IdleRounds, ss.Rounds)
-		}
-	}
-	if st.ActiveShardRounds != activeSum {
-		t.Fatalf("ActiveShardRounds = %d, per-shard sum = %d", st.ActiveShardRounds, activeSum)
-	}
-	if c := st.GrantWidthUS.N(); c != activeSum {
-		t.Fatalf("GrantWidthUS has %d samples, want one per active shard-round (%d)", c, activeSum)
-	}
-	if c := st.MinedGainUS.N(); c != activeSum {
-		t.Fatalf("MinedGainUS has %d samples, want one per active shard-round (%d)", c, activeSum)
+	if firedAt != 150*Millisecond {
+		t.Fatalf("event due at 150ms fired at %v", firedAt)
 	}
 }
 
 // emptyBatchDriver authorizes every wait instantly but hands back an
 // empty, non-nil work slice each time. Under the ClockDriver contract
-// len(work) == 0 means the wait completed, so both wait loops must treat
-// it exactly like nil. A loop that tests work != nil instead would call
-// WaitUntil forever; the call budget turns that hang into a failure.
+// len(work) == 0 means the wait completed, so the engine's wait loop must
+// treat it exactly like nil. A loop that tests work != nil instead would
+// call WaitUntil forever; the call budget turns that hang into a failure.
 type emptyBatchDriver struct {
 	t     *testing.T
 	calls int
@@ -217,24 +150,6 @@ func (d *emptyBatchDriver) WaitUntil(at Time) (Time, []func()) {
 		d.t.Fatal("driver spun: empty work batches did not terminate the wait loop")
 	}
 	return at, []func(){}
-}
-
-func TestShardGroupEmptyWorkBatchTerminatesWait(t *testing.T) {
-	d := &emptyBatchDriver{t: t}
-	g := NewShardGroup(2, 1)
-	g.SetLookahead(0, 1, 25*Microsecond)
-	g.SetLookahead(1, 0, 25*Microsecond)
-	g.SetClockDriver(d)
-
-	fired := false
-	g.Engine(0).At(60*Microsecond, func() { fired = true })
-	g.Run(200 * Microsecond)
-	if !fired {
-		t.Fatal("event did not fire under the empty-batch driver")
-	}
-	if d.calls == 0 {
-		t.Fatal("driver was never consulted")
-	}
 }
 
 func TestEngineEmptyWorkBatchTerminatesWait(t *testing.T) {
@@ -294,39 +209,33 @@ func TestEngineEarliestPendingAcrossBackends(t *testing.T) {
 	})
 }
 
-// BenchmarkShardRound measures one sync round — flush, grant computation
-// (the mining fixpoint when on), telemetry, each shard's run to its grant
-// and the clock commit — on all-to-all groups of 2, 4 and 8 shards, each
-// with one 20 µs ticker, so the round machinery dominates the handlers.
+// BenchmarkShardRound measures one sync round — flush, the mining
+// fixpoint, each shard's run to its grant and the clock commit — on
+// all-to-all groups of 2, 4 and 8 shards, each with one 20 µs ticker, so
+// the round machinery dominates the handlers.
 func BenchmarkShardRound(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {
-		for _, mode := range []struct {
-			name string
-			mine bool
-		}{{"mined", true}, {"static", false}} {
-			b.Run(fmt.Sprintf("shards=%d/%s", n, mode.name), func(b *testing.B) {
-				g := NewShardGroup(n, 1)
-				g.SetMining(mode.mine)
-				for s := 0; s < n; s++ {
-					for d := 0; d < n; d++ {
-						if s != d {
-							g.SetLookahead(s, d, 50*Microsecond)
-						}
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			g := NewShardGroup(n, 1)
+			for s := 0; s < n; s++ {
+				for d := 0; d < n; d++ {
+					if s != d {
+						g.SetLookahead(s, d, 50*Microsecond)
 					}
 				}
-				for s := 0; s < n; s++ {
-					eng := g.Engine(s)
-					var tick func()
-					tick = func() { eng.After(20*Microsecond, tick) }
-					eng.After(20*Microsecond, tick)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					g.RunFor(50 * Microsecond) // one static round per iteration
-				}
-				rounds, _ := g.Stats()
-				b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-			})
-		}
+			}
+			for s := 0; s < n; s++ {
+				eng := g.Engine(s)
+				var tick func()
+				tick = func() { eng.After(20*Microsecond, tick) }
+				eng.After(20*Microsecond, tick)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.RunFor(50 * Microsecond)
+			}
+			rounds, _ := g.Stats()
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+		})
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// A single-shard group must replay a legacy engine run byte-for-byte:
+// A single-shard group must replay a bare engine run byte-for-byte:
 // same seed, same event order, same clocks.
 func TestShardGroupSingleShardMatchesEngine(t *testing.T) {
 	run := func(eng *Engine, runTo func(Time)) []string {

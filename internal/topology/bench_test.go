@@ -14,7 +14,7 @@ import (
 // one switch. Returns the source host, its arena, the destination address,
 // and a delivered-count pointer bumped by the receiver.
 func twoHostPath() (*Topology, *host.Host, *netstack.Arena, netstack.Addr, *int) {
-	top := New(sim.NewEngine(1))
+	top := New(sim.NewShardGroup(1, 1), 1)
 	a := top.AddHost(host.Config{Name: "a", Kernel: kernel.Options{}})
 	dst := top.AddHost(host.Config{Name: "b", Kernel: kernel.Options{}})
 	sw := top.AddSwitch("s0")
@@ -98,7 +98,7 @@ func TestTestbedPacketZeroAlloc(t *testing.T) {
 // address lookup and endpoint delivery, no links or hosts. This is the
 // per-hop cost a hierarchical fabric pays at each leaf and at the spine.
 func BenchmarkSwitchForward(b *testing.B) {
-	top := New(sim.NewEngine(1))
+	top := New(sim.NewShardGroup(1, 1), 1)
 	sw := top.AddSwitch("s0")
 	arena := top.Arena(0)
 	sink := netstack.EndpointFunc(func(p *netstack.Packet) { arena.Release(p) })

@@ -16,12 +16,12 @@ import (
 // cross-leaf path costs four link traversals (host→leaf, leaf→spine,
 // spine→leaf, leaf→host) and an intra-leaf path the usual two.
 //
-// Under sharded execution each leaf — switch, members, and both its trunks
-// — lives wholly on one shard (Build forces member placement to
-// leaf % shards), and only the spine hop crosses shards: the up trunk's
-// courier ships a cross-shard packet at its spine-arrival instant, so the
-// trunk propagation delay is the shard channel's lookahead. Conduit ids
-// are allocated in assembly order exactly as for flat switches, keeping
+// Above one shard each leaf — switch, members, and both its trunks — lives
+// wholly on one shard (Build forces member placement to leaf % shards),
+// and only the spine hop crosses shards: the up trunk's courier ships a
+// cross-shard packet at its spine-arrival instant, so the trunk
+// propagation delay is the shard channel's lookahead. Conduit ids are
+// allocated in assembly order exactly as for flat switches, keeping
 // merged telemetry and traces byte-identical at any shard count.
 type FabricSpec struct {
 	Name string
@@ -76,9 +76,8 @@ type Fabric struct {
 	MemberPorts []*Port
 }
 
-// AddFabric assembles a leaf–spine fabric over already-added hosts. In a
-// sharded topology every leaf's members must share one shard (Build's spec
-// path forces that placement; imperative callers must arrange it) — the
+// AddFabric assembles a leaf–spine fabric over already-added hosts. Every
+// leaf's members must share one shard (Build forces that placement) — the
 // leaf and its trunks then live on that shard's engine.
 func (t *Topology) AddFabric(fs FabricSpec) *Fabric {
 	fs.setDefaults()
@@ -124,11 +123,10 @@ func (t *Topology) AddFabric(fs FabricSpec) *Fabric {
 		if shard < 0 {
 			shard = 0 // a memberless leaf (more leaves than members)
 		}
-		eng := t.Eng
+		eng := t.group.Engine(shard)
 		var spinePeer netstack.Endpoint = f.Spine
 		var leafPeer netstack.Endpoint = leaf
-		if t.group != nil {
-			eng = t.group.Engine(shard)
+		if t.sharded() {
 			spinePeer = shardView{sw: f.Spine, shard: shard}
 			leafPeer = shardView{sw: leaf, shard: shard}
 		}
@@ -136,7 +134,7 @@ func (t *Topology) AddFabric(fs FabricSpec) *Fabric {
 		up.SetArena(t.Arena(shard))
 		t.conduits++
 		up.ArrivalConduit = t.conduits
-		if t.group != nil {
+		if t.sharded() {
 			up.Courier = &courier{sw: f.Spine, src: shard, con: t.group.NewConduit(shard, t.conduits)}
 		}
 		leaf.Default = up
@@ -156,8 +154,8 @@ func (t *Topology) AddFabric(fs FabricSpec) *Fabric {
 	for i, m := range fs.Members {
 		j := fs.leafOf(i)
 		f.Spine.Connect(t.addrs[m], f.Down[j])
-		if t.group != nil {
-			f.Spine.bind(t.addrs[m], leafShard[j])
+		if t.sharded() {
+			f.Spine.shardOf[t.addrs[m]] = leafShard[j]
 		}
 	}
 	t.fabrics = append(t.fabrics, f)

@@ -1,9 +1,6 @@
 package topology
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -80,69 +77,6 @@ func TestFabricForwarding(t *testing.T) {
 	}
 }
 
-// fabricRun drives the fabric with kernel-transmitted cross- and intra-leaf
-// flows and returns merged telemetry and trace bytes.
-func fabricRun(t *testing.T, shards int) (snap, chrome []byte, rx map[string]int) {
-	t.Helper()
-	top := Build(fabricSpec(shards))
-	names := []string{"h0", "h1", "h2", "h3", "h4", "h5", "h6"}
-	rx = map[string]int{}
-	for i, name := range names {
-		name := name
-		top.Fabrics()[0].MemberPorts[i].NIC.RxHandler = func(*netstack.Packet) { rx[name]++ }
-	}
-	top.EnableTracing(1 << 14)
-	top.Start()
-
-	// Every host sprays its successors: a deterministic all-pairs pattern
-	// with both intra- and cross-leaf flows, staggered per host.
-	for i, name := range names {
-		h := top.Host(name)
-		src := top.Addr(name)
-		for k := 1; k <= 3; k++ {
-			dst := top.Addr(names[(i+k)%len(names)])
-			flow := i*10 + k
-			h.NIC().TxFromKernel(&netstack.Packet{
-				Flow: flow, Src: src, Dst: dst, Kind: netstack.Data, Size: 600 + 100*k,
-			})
-		}
-	}
-	top.RunFor(20 * sim.Millisecond)
-
-	sj, err := json.Marshal(top.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tb bytes.Buffer
-	if err := top.WriteChrome(&tb); err != nil {
-		t.Fatal(err)
-	}
-	return sj, tb.Bytes(), rx
-}
-
-// The equivalence contract extends to hierarchical fabrics: telemetry and
-// traces are byte-identical on one engine, a one-shard group, or one shard
-// per leaf.
-func TestFabricShardedMatchesLegacy(t *testing.T) {
-	refSnap, refChrome, refRx := fabricRun(t, 0)
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			snap, chrome, rx := fabricRun(t, shards)
-			for name, want := range refRx {
-				if rx[name] != want {
-					t.Errorf("%s received %d packets, legacy received %d", name, rx[name], want)
-				}
-			}
-			if !bytes.Equal(snap, refSnap) {
-				t.Errorf("merged telemetry diverged from legacy (%d vs %d bytes)", len(snap), len(refSnap))
-			}
-			if !bytes.Equal(chrome, refChrome) {
-				t.Errorf("merged Chrome trace diverged from legacy (%d vs %d bytes)", len(chrome), len(refChrome))
-			}
-		})
-	}
-}
-
 // Spec.Validate rejects assembly mistakes with errors naming the culprit.
 func TestSpecValidate(t *testing.T) {
 	ok := Spec{
@@ -184,6 +118,11 @@ func TestSpecValidate(t *testing.T) {
 			Hosts:    []HostSpec{{Name: "a"}, {Name: "lonely"}},
 			Switches: []SwitchSpec{{Name: "s", Members: []string{"a"}}},
 		}, `host "lonely" is attached to no switch or fabric`},
+		{"real-time clock over shards", Spec{
+			Hosts:  []HostSpec{{Name: "a"}, {Name: "b"}},
+			Shards: 2,
+			Clock:  sim.ClockRealTime,
+		}, "runs on one shard, not 2"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -3,10 +3,10 @@ package topology
 // Observability wiring: flow-level packet tracing (package flowtrace)
 // threaded through every assembled link, NIC, switch and cross-shard
 // courier, and virtual-time time series (metrics.SeriesSet) sampled by
-// per-host engine events. Both are designed to be mode-invariant — the
-// exported spans and series are byte-identical whether the topology runs
-// on one engine or sharded across several — and to cost nothing when
-// disabled (a nil test per hop site, no events).
+// per-host engine events. Both are designed to be shard-count-invariant —
+// the exported spans and series are byte-identical whether the topology
+// runs on one engine or sharded across several — and to cost nothing
+// when disabled (a nil test per hop site, no events).
 
 import (
 	"softtimers/internal/flowtrace"
@@ -48,7 +48,6 @@ func (t *Topology) EnableFlowTrace(rate uint64, maxFlows int) *FlowTrace {
 		loc:      flowtrace.NewLocations(),
 		samplers: make(map[string]*flowtrace.Sampler),
 	}
-	t.Arena(0) // ensure the per-shard pools exist
 	ft.recs = make([]*flowtrace.Recorder, len(t.arenas))
 	for i, a := range t.arenas {
 		ft.recs[i] = flowtrace.NewRecorder()
@@ -203,8 +202,8 @@ type seriesRec struct {
 // Columns must read only host-local simulation state: sampling rides an
 // ordinary engine event, and cross-host influence always transits the
 // arrival band, so host-local reads at a sampling instant are identical
-// under legacy and sharded execution — which is what makes per-host and
-// merged fleet series byte-identical at any shard count.
+// at any shard count — which is what makes per-host and merged fleet
+// series byte-identical too.
 func (t *Topology) EnableSeries(interval sim.Time, capacity int, setup func(h *host.Host, ss *metrics.SeriesSet)) {
 	if t.series != nil || interval <= 0 {
 		return

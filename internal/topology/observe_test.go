@@ -14,7 +14,7 @@ import (
 // tracedTwoHostPath is twoHostPath with flow tracing wired before Start,
 // at the given sampling rate.
 func tracedTwoHostPath(rate uint64) (*Topology, *host.Host, *netstack.Arena, netstack.Addr, *int) {
-	top := New(sim.NewEngine(1))
+	top := New(sim.NewShardGroup(1, 1), 1)
 	a := top.AddHost(host.Config{Name: "a", Kernel: kernel.Options{}})
 	dst := top.AddHost(host.Config{Name: "b", Kernel: kernel.Options{}})
 	sw := top.AddSwitch("s0")
@@ -160,7 +160,7 @@ func TestTestbedPacketZeroAllocTracingOff(t *testing.T) {
 // merges a fleet series point-wise.
 func TestEnableSeriesSamplesOnGrid(t *testing.T) {
 	const interval = sim.Millisecond
-	top := New(sim.NewEngine(1))
+	top := New(sim.NewShardGroup(1, 1), 1)
 	top.AddHost(host.Config{Name: "a", Kernel: kernel.Options{}})
 	top.AddHost(host.Config{Name: "b", Kernel: kernel.Options{}})
 	custom := 0.0

@@ -1,98 +1,16 @@
 package topology
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"testing"
 
-	"softtimers/internal/core"
 	"softtimers/internal/kernel"
 	"softtimers/internal/netstack"
 	"softtimers/internal/sim"
 )
 
-// pacedStar assembles a 4-host star (one src pacing flows to three dsts),
-// runs 60 ms of cross-host traffic, and returns the merged telemetry JSON,
-// the merged Chrome trace, and the per-dst receive counts. shards == 0
-// builds the legacy single-engine topology.
-func pacedStar(t *testing.T, shards int) (snap, chrome []byte, rx map[string]int) {
-	t.Helper()
-	spec := Spec{
-		Seed: 4242,
-		Hosts: []HostSpec{
-			{Name: "src", Kernel: kernel.Options{IdleLoop: true}},
-			{Name: "dst1"},
-			{Name: "dst2"},
-			{Name: "dst3"},
-		},
-		Switches: []SwitchSpec{{Name: "lan", Members: []string{"src", "dst1", "dst2", "dst3"}}},
-		Shards:   shards,
-	}
-	top := Build(spec)
-	rx = map[string]int{}
-	for _, name := range []string{"dst1", "dst2", "dst3"} {
-		name := name
-		p := top.Ports(top.Host(name))[0]
-		p.NIC.RxHandler = func(*netstack.Packet) { rx[name]++ }
-	}
-	top.EnableTracing(1 << 14)
-	top.Start()
-
-	src := top.Host("src")
-	m := core.NewMultiPacer(src.F)
-	ps := top.Ports(src)[0]
-	mk := func(dst netstack.Addr, flow, n int) func(sim.Time) (sim.Time, bool) {
-		sent := 0
-		return func(sim.Time) (sim.Time, bool) {
-			sent++
-			cost := ps.NIC.TransmitNow(&netstack.Packet{
-				Flow: flow, Src: top.Addr("src"), Dst: dst, Kind: netstack.Data, Size: 1200,
-			})
-			return cost, sent < n
-		}
-	}
-	m.AddFlow(1, 300*sim.Microsecond, 100*sim.Microsecond, mk(top.Addr("dst1"), 1, 30))
-	m.AddFlow(2, 500*sim.Microsecond, 100*sim.Microsecond, mk(top.Addr("dst2"), 2, 20))
-	m.AddFlow(3, 900*sim.Microsecond, 100*sim.Microsecond, mk(top.Addr("dst3"), 3, 10))
-	top.RunFor(60 * sim.Millisecond)
-
-	sj, err := json.Marshal(top.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tb bytes.Buffer
-	if err := top.WriteChrome(&tb); err != nil {
-		t.Fatal(err)
-	}
-	return sj, tb.Bytes(), rx
-}
-
-// The tentpole equivalence contract at the topology layer: merged telemetry
-// and merged Chrome traces are byte-identical whether the fleet shares one
-// engine (legacy), runs a one-shard group, or is split across shards.
-func TestShardedTopologyMatchesLegacy(t *testing.T) {
-	refSnap, refChrome, refRx := pacedStar(t, 0)
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			snap, chrome, rx := pacedStar(t, shards)
-			for name, want := range refRx {
-				if rx[name] != want {
-					t.Errorf("%s received %d packets, legacy received %d", name, rx[name], want)
-				}
-			}
-			if !bytes.Equal(snap, refSnap) {
-				t.Errorf("merged telemetry diverged from legacy (%d vs %d bytes)", len(snap), len(refSnap))
-			}
-			if !bytes.Equal(chrome, refChrome) {
-				t.Errorf("merged Chrome trace diverged from legacy (%d vs %d bytes)", len(chrome), len(refChrome))
-			}
-		})
-	}
-}
-
-// Sharded assembly details: round-robin placement, shard clamping and
-// custom Assign.
+// Sharded assembly details: round-robin placement, shard clamping, fabric
+// members forced onto their leaf's shard, and a zero shard count meaning
+// one shard.
 func TestShardedAssemblyPlacement(t *testing.T) {
 	spec := Spec{
 		Seed: 7,
@@ -112,30 +30,46 @@ func TestShardedAssemblyPlacement(t *testing.T) {
 		}
 	}
 
-	spec.Shards = 2
-	spec.Assign = func(i int, name string) int {
-		if name == "c" {
-			return 0
-		}
-		return i % 2
-	}
-	top = Build(spec)
-	if got := top.HostShard("c"); got != 0 {
-		t.Fatalf("Assign ignored: host c on shard %d, want 0", got)
+	spec.Shards = 0
+	if got := Build(spec).Group().N(); got != 1 {
+		t.Fatalf("Shards: 0 built %d shards, want 1", got)
 	}
 
-	// Out-of-range assignment is an assembly bug.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range shard assignment")
+	// Fabric members land on leaf % shards, whatever their index.
+	fab := fabricSpec(2)
+	top = Build(fab)
+	for i, name := range fab.Fabrics[0].Members {
+		if got, want := top.HostShard(name), (i%3)%2; got != want {
+			t.Fatalf("fabric member %s on shard %d, want %d (leaf %d mod 2)", name, got, want, i%3)
 		}
-	}()
-	Build(Spec{
-		Seed:   1,
-		Hosts:  []HostSpec{{Name: "x"}},
-		Shards: 1,
-		Assign: func(int, string) int { return 5 },
-	})
+	}
+}
+
+// Couriers and the switch's address-to-shard map exist only above one
+// shard: a one-shard topology runs the local packet path, with the
+// arrival-band conduit keys the sharded path carries.
+func TestCouriersOnlyAboveOneShard(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		top := Build(fabricSpec(shards))
+		for _, h := range top.Hosts() {
+			p := top.Ports(h)[0]
+			if (p.Down.Courier != nil) != (shards > 1) {
+				t.Errorf("shards=%d: host %s courier installed = %v", shards, h.Name, p.Down.Courier != nil)
+			}
+			if p.Down.ArrivalConduit == 0 {
+				t.Errorf("shards=%d: host %s down link has no arrival conduit", shards, h.Name)
+			}
+		}
+		f := top.Fabrics()[0]
+		for _, sw := range append([]*Switch{f.Spine}, f.Leaves...) {
+			if (sw.shardOf != nil) != (shards > 1) {
+				t.Errorf("shards=%d: switch %s address-to-shard map present = %v", shards, sw.Name, sw.shardOf != nil)
+			}
+		}
+		if (f.Up[0].Courier != nil) != (shards > 1) {
+			t.Errorf("shards=%d: trunk courier installed = %v", shards, f.Up[0].Courier != nil)
+		}
+	}
 }
 
 // Cross-shard forwards execute on the destination shard through the
@@ -196,10 +130,10 @@ func TestHostRandIndependentOfSharding(t *testing.T) {
 		}
 		return out
 	}
-	legacy, sharded := draw(0), draw(2)
-	for i := range legacy {
-		if legacy[i] != sharded[i] {
-			t.Fatalf("draw %d diverged: legacy %d, sharded %d", i, legacy[i], sharded[i])
+	one, two := draw(1), draw(2)
+	for i := range one {
+		if one[i] != two[i] {
+			t.Fatalf("draw %d diverged: one shard %d, two shards %d", i, one[i], two[i])
 		}
 	}
 }

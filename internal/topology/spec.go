@@ -42,53 +42,41 @@ type SwitchSpec struct {
 // wiring them together. Assembly order is part of the determinism
 // contract — the same Spec and seed always build the same event order.
 type Spec struct {
-	// Seed seeds the shared engine (or every shard's engine) and every
-	// per-host fault plan.
+	// Seed seeds every shard's engine and every per-host fault plan.
 	Seed     uint64
 	Hosts    []HostSpec
 	Switches []SwitchSpec
 	// Fabrics declares hierarchical leaf–spine fabrics (see FabricSpec),
-	// assembled after the flat switches. With Shards, Build forces each
-	// fabric member onto its leaf's shard (leaf index mod shard count) so
-	// every leaf is shard-local and only spine trunks cross shards.
+	// assembled after the flat switches. Build places each fabric member
+	// on its leaf's shard (leaf index mod shard count) so every leaf is
+	// shard-local and only spine trunks cross shards; every other host
+	// goes round-robin by declaration index.
 	Fabrics []FabricSpec
 
-	// Shards, when >= 1, runs the topology on a conservative-sync shard
-	// group of that many engines instead of one shared engine (clamped to
-	// the host count; 0 keeps the legacy single-engine path). Merged
-	// telemetry and traces are identical at any shard count.
+	// Shards is the engine count of the topology's conservative-sync
+	// shard group: at least 1 (zero means 1), clamped to the host count.
+	// Merged telemetry and traces are identical at any shard count.
 	Shards int
 	// Clock selects the engine's clock driver. The zero value (ClockSim)
-	// is the deterministic default and builds exactly the pre-seam
-	// topology. ClockRealTime slaves the run to the wall clock (emulation
-	// mode): Build installs a sim.RealTimeClock on the engine (or shard
-	// group) and hands its wall-mapped VirtualNow to every host's
-	// soft-timer facility as the measurement time base, so trigger
-	// intervals and firing delays are measured in real time.
+	// is the deterministic default. ClockRealTime slaves the run to the
+	// wall clock (emulation mode, one shard only): Build installs a
+	// sim.RealTimeClock on the engine and hands its wall-mapped VirtualNow
+	// to every host's soft-timer facility as the measurement time base,
+	// so trigger intervals and firing delays are measured in real time.
 	Clock sim.ClockKind
-	// Assign, when set with Shards, maps host index (declaration order)
-	// and name to a shard id; nil round-robins by index.
-	Assign func(i int, name string) int
-}
-
-// hashName folds a host name into a 64-bit salt (FNV-1a), so per-host
-// fault plans draw from streams independent of host order.
-func hashName(name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // Validate checks the declaration for assembly errors: empty or duplicate
 // host names, switch or fabric members naming unknown hosts, a host listed
-// twice on one switch, fabrics without leaves — and, in any spec that
+// twice on one switch, fabrics without leaves, a real-time clock over more
+// than one shard (emulation runs one host) — and, in any spec that
 // declares a network at all, hosts attached to nothing (an unattached NIC
 // is a host no packet can ever reach; silent isolation makes topology bugs
 // look like packet loss). Build runs it and panics on the first error.
 func (s Spec) Validate() error {
+	if s.Clock == sim.ClockRealTime && s.Shards > 1 {
+		return fmt.Errorf("topology: a %s clock runs on one shard, not %d", s.Clock, s.Shards)
+	}
 	known := make(map[string]bool, len(s.Hosts))
 	for i, hs := range s.Hosts {
 		if hs.Name == "" {
@@ -139,57 +127,34 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Build assembles the declared topology on a fresh engine seeded with
-// spec.Seed. Hosts are created in declaration order (fixing addresses),
-// then each switch joins its members in listed order, then each fabric
-// assembles. Invalid specs (see Validate) panic — they are assembly bugs,
-// not runtime conditions.
+// Build assembles the declared topology on a fresh shard group seeded
+// with spec.Seed. Hosts are created in declaration order (fixing
+// addresses), then each switch joins its members in listed order, then
+// each fabric assembles. Invalid specs (see Validate) panic — they are
+// assembly bugs, not runtime conditions.
 func Build(spec Spec) *Topology {
 	if err := spec.Validate(); err != nil {
 		panic(err.Error())
 	}
-	var t *Topology
-	if spec.Shards >= 1 {
-		n := spec.Shards
-		if len(spec.Hosts) > 0 && n > len(spec.Hosts) {
-			n = len(spec.Hosts)
-		}
-		t = NewSharded(sim.NewShardGroup(n, spec.Seed), spec.Seed)
-		t.Assign = spec.Assign
-		if len(spec.Fabrics) > 0 {
-			// Fabric members must share their leaf's shard; force the
-			// placement (leaf index mod shard count) over any Assign.
-			forced := make(map[string]int)
-			for fi := range spec.Fabrics {
-				fs := &spec.Fabrics[fi]
-				for i, m := range fs.Members {
-					forced[m] = fs.leafOf(i) % n
-				}
-			}
-			prev := t.Assign
-			t.Assign = func(i int, name string) int {
-				if s, ok := forced[name]; ok {
-					return s
-				}
-				if prev != nil {
-					return prev(i, name)
-				}
-				return i % n
-			}
-		}
-	} else {
-		t = New(sim.NewEngine(spec.Seed))
-		t.SetSeed(spec.Seed)
+	n := max(spec.Shards, 1)
+	if len(spec.Hosts) > 0 && n > len(spec.Hosts) {
+		n = len(spec.Hosts)
 	}
+	g := sim.NewShardGroup(n, spec.Seed)
 	var rtc *sim.RealTimeClock
 	if d := sim.NewClockDriver(spec.Clock); d != nil {
 		rtc, _ = d.(*sim.RealTimeClock)
-		if t.group != nil {
-			t.group.SetClockDriver(d)
-		} else {
-			t.Eng.SetClockDriver(d)
+		g.SetClockDriver(d)
+	}
+	t := New(g, spec.Seed)
+	t.clock = rtc
+	// Fabric members share their leaf's shard (leaf index mod shard
+	// count), so only the spine hop crosses shards.
+	t.place = make(map[string]int)
+	for _, fs := range spec.Fabrics {
+		for i, m := range fs.Members {
+			t.place[m] = fs.leafOf(i) % n
 		}
-		t.clock = rtc
 	}
 	for _, hs := range spec.Hosts {
 		cfg := host.Config{
@@ -203,7 +168,7 @@ func Build(spec Spec) *Topology {
 			cfg.Facility.TimeSource = rtc.VirtualNow
 		}
 		if hs.Faults != nil {
-			cfg.Faults = faults.New(spec.Seed^hashName(hs.Name), *hs.Faults)
+			cfg.Faults = faults.New(spec.Seed^sim.HashName(hs.Name), *hs.Faults)
 		}
 		t.AddHost(cfg)
 	}

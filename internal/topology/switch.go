@@ -19,11 +19,11 @@ import (
 // Addr of unaddressed packets) is dropped and counted as a miss; silent
 // blackholing would make topology bugs look like congestion.
 //
-// Under sharded execution the forwarding table is read-only at run time;
-// a packet whose destination lives on another shard never reaches Deliver
-// — the sending link's courier ships it at transmit time and the forward
+// Above one shard the forwarding table is read-only at run time; a packet
+// whose destination lives on another shard never reaches Deliver — the
+// sending link's courier ships it at transmit time and the forward
 // executes on the destination shard at arrival time, exactly when the
-// legacy path would have counted it.
+// one-shard path would have counted it.
 type Switch struct {
 	Name string
 
@@ -38,10 +38,10 @@ type Switch struct {
 	TraceLoc int32
 
 	table   map[netstack.Addr]netstack.Endpoint
-	shardOf map[netstack.Addr]int // populated only in sharded topologies
+	shardOf map[netstack.Addr]int // above one shard only: each address's shard
 
 	// arenas, when wired by a topology, are the per-shard packet pools
-	// address-miss drops release into (slot 0 on single-engine).
+	// address-miss drops release into.
 	arenas []*netstack.Arena
 
 	// fwd and miss count switched and address-miss packets.
@@ -66,12 +66,6 @@ func NewSwitch(name string) *Switch {
 	}
 }
 
-// setShards prepares the address-to-shard map; called by sharded
-// topologies at switch creation.
-func (s *Switch) setShards() {
-	s.shardOf = make(map[netstack.Addr]int)
-}
-
 // Connect installs a forwarding entry: packets for addr go to port (the
 // link toward that host). Duplicate entries panic — two hosts sharing an
 // address is an assembly bug.
@@ -85,11 +79,6 @@ func (s *Switch) Connect(addr netstack.Addr, port netstack.Endpoint) {
 	s.table[addr] = port
 }
 
-// bind records addr's shard (sharded topologies only).
-func (s *Switch) bind(addr netstack.Addr, shard int) {
-	s.shardOf[addr] = shard
-}
-
 // Forwarded returns the number of switched packets.
 func (s *Switch) Forwarded() int64 { return s.fwd }
 
@@ -97,8 +86,8 @@ func (s *Switch) Forwarded() int64 { return s.fwd }
 func (s *Switch) Misses() int64 { return s.miss }
 
 // Deliver implements netstack.Endpoint: forward by destination address.
-// Single-engine topologies deliver here directly; sharded ones go through
-// deliverOn with the delivering shard.
+// One-shard topologies deliver here directly; above one shard, links
+// deliver through a shardView naming the delivering shard.
 func (s *Switch) Deliver(p *netstack.Packet) { s.deliverOn(0, p) }
 
 func (s *Switch) deliverOn(shard int, p *netstack.Packet) {

@@ -1,6 +1,6 @@
-// Package topology assembles multi-node networks of simulated hosts on one
-// shared deterministic event engine: named hosts (package host), duplex
-// links with finite bandwidth and delay, switches forwarding by destination
+// Package topology assembles multi-node networks of simulated hosts on a
+// deterministic sim.ShardGroup: named hosts (package host), duplex links
+// with finite bandwidth and delay, switches forwarding by destination
 // address, and the paper's Section 5.8 "WAN emulator" intermediate as just
 // another host that routes between its interfaces.
 //
@@ -8,8 +8,9 @@
 // and the WAN-emulator router are all full FreeBSD hosts — so soft-timer
 // behaviour is measurable on both ends of a flow: every host has its own
 // kernel, trigger states, soft-timer facility, fault plan, and telemetry
-// namespace, while all of them share a single sim.Engine and therefore a
-// single replayable event order.
+// namespace. The group has one shard unless asked for more; at any shard
+// count the merged event history, and so every result, is the one-shard
+// history.
 //
 // Assembly comes in two forms: the imperative primitives here (AddHost,
 // AttachNIC, Join) used where exact wiring order matters, and the
@@ -31,27 +32,21 @@ import (
 	"softtimers/internal/trace"
 )
 
-// Topology is one multi-node network on a shared engine, or — under
-// sharded execution — on a sim.ShardGroup with one engine per shard and
-// hosts distributed across them.
+// Topology is one multi-node network on a sim.ShardGroup, with one
+// engine per shard and hosts distributed across them.
 type Topology struct {
-	// Eng is the shared event engine all hosts run on. In a sharded
-	// topology it is shard 0's engine (seeded identically to the legacy
-	// shared engine, so shard-0 construction-time RNG draws replay).
+	// Eng is shard 0's engine, seeded exactly as a bare NewEngine(seed),
+	// which the single-host paper rigs drive directly. A one-shard group's
+	// clock follows it (sim.ShardGroup.Now).
 	Eng *sim.Engine
-
-	// Assign maps (host add-index, name) to a shard; consulted only in
-	// sharded topologies, before the first AddHost. Nil defaults to
-	// round-robin. The assignment is a performance knob, not a semantic
-	// one: results are identical for any placement.
-	Assign func(i int, name string) int
 
 	group     *sim.ShardGroup
 	seed      uint64
-	shardOf   []int // per host, in add (address) order
-	conduits  int32 // arrival-band conduit ids, allocated in join order
+	place     map[string]int // Build's forced fabric placement; others round-robin
+	shardOf   []int          // per host, in add (address) order
+	conduits  int32          // arrival-band conduit ids, allocated in join order
 	finalized bool
-	arenas    []*netstack.Arena // one packet pool per shard (slot 0 single-engine)
+	arenas    []*netstack.Arena // one packet pool per shard
 
 	hosts    []*host.Host
 	byName   map[string]*host.Host
@@ -71,34 +66,32 @@ type Topology struct {
 	clock *sim.RealTimeClock
 }
 
-// New creates an empty topology on eng.
-func New(eng *sim.Engine) *Topology {
-	return &Topology{
-		Eng:    eng,
+// New creates an empty topology on g. seed derives every host's private
+// RNG streams (with the host name, never from an engine), which is what
+// keeps results identical at any shard count.
+func New(g *sim.ShardGroup, seed uint64) *Topology {
+	t := &Topology{
+		Eng:    g.Engine(0),
+		group:  g,
+		seed:   seed,
+		arenas: make([]*netstack.Arena, g.N()),
 		byName: make(map[string]*host.Host),
 		addrs:  make(map[string]netstack.Addr),
 		ports:  make(map[string][]*Port),
 	}
-}
-
-// NewSharded creates an empty topology running on g's engines under
-// conservative time sync. seed must be the seed the equivalent legacy
-// topology would use — it derives per-host RNG streams, which is what
-// keeps sharded and single-engine runs byte-identical.
-func NewSharded(g *sim.ShardGroup, seed uint64) *Topology {
-	t := New(g.Engine(0))
-	t.group = g
-	t.seed = seed
+	for i := range t.arenas {
+		t.arenas[i] = netstack.NewArena()
+	}
 	return t
 }
 
-// SetSeed sets the seed per-host RNG streams derive from. Build and
-// NewSharded set it; imperative single-engine assemblies that need
-// sharded-run equivalence must set the same value on both variants.
-func (t *Topology) SetSeed(seed uint64) { t.seed = seed }
-
-// Group returns the shard group, or nil for single-engine topologies.
+// Group returns the shard group the topology runs on.
 func (t *Topology) Group() *sim.ShardGroup { return t.group }
+
+// sharded reports whether hosts are spread over more than one engine.
+// Only then does a switch hop need couriers, shard views and its
+// address-to-shard map; a one-shard topology runs the local packet path.
+func (t *Topology) sharded() bool { return t.group.N() > 1 }
 
 // RealClock returns the wall-slaved clock driver installed by
 // Build(Spec{Clock: ClockRealTime}), or nil in sim mode. Emulation rigs use
@@ -113,29 +106,14 @@ func (t *Topology) Clock() sim.ClockKind {
 	return sim.ClockRealTime
 }
 
-// Arena returns the packet pool for a shard (use 0 on single-engine
-// topologies). Every host, link and switch assembled on that shard's
-// engine shares it, so the steady-state packet path allocates nothing.
-func (t *Topology) Arena(shard int) *netstack.Arena {
-	if t.arenas == nil {
-		n := 1
-		if t.group != nil {
-			n = t.group.N()
-		}
-		t.arenas = make([]*netstack.Arena, n)
-		for i := range t.arenas {
-			t.arenas[i] = netstack.NewArena()
-		}
-	}
-	return t.arenas[shard]
-}
+// Arena returns the packet pool for a shard. Every host, link and switch
+// assembled on that shard's engine shares it, so the steady-state packet
+// path allocates nothing.
+func (t *Topology) Arena(shard int) *netstack.Arena { return t.arenas[shard] }
 
-// HostShard returns the shard the named host runs on (0 in single-engine
-// topologies).
+// HostShard returns the shard the named host runs on (0 for unknown
+// names).
 func (t *Topology) HostShard(name string) int {
-	if t.group == nil {
-		return 0
-	}
 	a := t.addrs[name]
 	if a == 0 {
 		return 0
@@ -143,10 +121,11 @@ func (t *Topology) HostShard(name string) int {
 	return t.shardOf[int(a)-1]
 }
 
-// AddHost builds a named host on the shared engine and assigns it the next
-// address (1-based, in add order — deterministic for a fixed assembly
-// sequence). Duplicate or empty names panic: addresses and metrics
-// namespaces key on them.
+// AddHost builds a named host and assigns it the next address (1-based,
+// in add order — deterministic for a fixed assembly sequence). Hosts go
+// round-robin over the shards by add index, except fabric members, which
+// Build places on their leaf's shard. Duplicate or empty names panic:
+// addresses and metrics namespaces key on them.
 func (t *Topology) AddHost(cfg host.Config) *host.Host {
 	if cfg.Name == "" {
 		panic("topology: host needs a name")
@@ -154,26 +133,17 @@ func (t *Topology) AddHost(cfg host.Config) *host.Host {
 	if _, dup := t.byName[cfg.Name]; dup {
 		panic(fmt.Sprintf("topology: duplicate host %q", cfg.Name))
 	}
-	eng := t.Eng
-	shard := 0
-	if t.group != nil {
-		if t.Assign != nil {
-			shard = t.Assign(len(t.hosts), cfg.Name)
-		} else {
-			shard = len(t.hosts) % t.group.N()
-		}
-		if shard < 0 || shard >= t.group.N() {
-			panic(fmt.Sprintf("topology: host %q assigned to shard %d of %d", cfg.Name, shard, t.group.N()))
-		}
-		eng = t.group.Engine(shard)
+	shard, ok := t.place[cfg.Name]
+	if !ok {
+		shard = len(t.hosts) % t.group.N()
 	}
 	if cfg.Seed == 0 {
 		// Per-host RNG streams derive from (topology seed, name) — never
-		// from an engine's stream — so they are identical whether the host
-		// shares one engine with the fleet or owns a shard.
+		// from an engine's stream — so they are identical on whichever
+		// shard the host runs.
 		cfg.Seed = t.seed
 	}
-	h := host.New(eng, cfg)
+	h := host.New(t.group.Engine(shard), cfg)
 	h.SetArena(t.Arena(shard))
 	t.hosts = append(t.hosts, h)
 	t.shardOf = append(t.shardOf, shard)
@@ -243,8 +213,7 @@ func (t *Topology) AttachNIC(h *host.Host, nicCfg nic.Config, peer netstack.Endp
 	if reg == nil {
 		reg = h.Metrics()
 	}
-	// Links live on the owning host's engine: identical to t.Eng on a
-	// single-engine topology, the host's shard engine otherwise.
+	// Links live on the owning host's engine.
 	eng := h.Engine()
 	down := netstack.NewLink(eng, w.DownName, w.Bps, w.Delay, peer)
 	down.Faults = plan.Link("link." + w.DownName)
@@ -266,10 +235,9 @@ func (t *Topology) AttachNIC(h *host.Host, nicCfg nic.Config, peer netstack.Endp
 // AddSwitch creates a named switch on the topology.
 func (t *Topology) AddSwitch(name string) *Switch {
 	sw := NewSwitch(name)
-	if t.group != nil {
-		sw.setShards()
+	if t.sharded() {
+		sw.shardOf = make(map[netstack.Addr]int)
 	}
-	t.Arena(0) // ensure the per-shard pools exist
 	sw.arenas = t.arenas
 	t.switches = append(t.switches, sw)
 	return sw
@@ -287,7 +255,7 @@ func (t *Topology) Join(sw *Switch, h *host.Host, nicCfg nic.Config, w WireSpec)
 	}
 	var peer netstack.Endpoint = sw
 	shard := t.HostShard(h.Name)
-	if t.group != nil {
+	if t.sharded() {
 		// Same-shard forwards stay on the local path, tagged with this
 		// shard for the ownership check and the miss arena.
 		peer = shardView{sw: sw, shard: shard}
@@ -297,19 +265,19 @@ func (t *Topology) Join(sw *Switch, h *host.Host, nicCfg nic.Config, w WireSpec)
 	// The switch hop rides the engine's arrival band: conduit ids are
 	// allocated here, in join order — an assembly-order invariant — so
 	// same-instant arrivals at a port sort the same way at any shard
-	// count, single-engine topologies included.
+	// count.
 	t.conduits++
 	p.Down.ArrivalConduit = t.conduits
-	if t.group != nil {
+	sw.members = append(sw.members, switchMember{shard: shard, delay: p.Down.Delay()})
+	if t.sharded() {
 		// Cross-shard arrivals leave through this courier, keeping the
 		// conduit key they would have carried locally.
-		sw.bind(t.addrs[h.Name], shard)
+		sw.shardOf[t.addrs[h.Name]] = shard
 		p.Down.Courier = &courier{
 			sw:  sw,
 			src: shard,
 			con: t.group.NewConduit(shard, t.conduits),
 		}
-		sw.members = append(sw.members, switchMember{shard: shard, delay: p.Down.Delay()})
 	}
 	return p
 }
@@ -333,7 +301,7 @@ type courier struct {
 func (c *courier) Ship(p *netstack.Packet, at sim.Time, conduit int32, seq uint64) bool {
 	port, ok := c.sw.table[p.Dst]
 	if !ok {
-		return false // miss: counted on the local path, like legacy
+		return false // miss: counted on the local path
 	}
 	dst := c.sw.shardOf[p.Dst]
 	if dst == c.src {
@@ -355,7 +323,7 @@ func (c *courier) Ship(p *netstack.Packet, at sim.Time, conduit int32, seq uint6
 // shard no earlier than its own down-link propagation delay past its
 // clock, so that delay bounds the channel. Called once from Start.
 func (t *Topology) finalize() {
-	if t.group == nil || t.finalized {
+	if t.finalized {
 		return
 	}
 	t.finalized = true
@@ -371,8 +339,8 @@ func (t *Topology) finalize() {
 }
 
 // Start spins up every host in add order. Call after assembly, before
-// running the engine. On a sharded topology it also freezes the wiring
-// into the group's lookahead matrix.
+// running the topology. It also freezes the wiring into the group's
+// lookahead matrix.
 func (t *Topology) Start() {
 	t.finalize()
 	for _, h := range t.hosts {
@@ -381,32 +349,15 @@ func (t *Topology) Start() {
 	t.startSeries()
 }
 
-// RunFor advances the whole topology by d: the shard group under
-// conservative sync when sharded, the shared engine otherwise.
-func (t *Topology) RunFor(d sim.Time) {
-	if t.group != nil {
-		t.group.RunFor(d)
-		return
-	}
-	t.Eng.RunFor(d)
-}
+// RunFor advances the whole topology by d under conservative sync.
+func (t *Topology) RunFor(d sim.Time) { t.group.RunFor(d) }
 
 // Now returns the topology's clock.
-func (t *Topology) Now() sim.Time {
-	if t.group != nil {
-		return t.group.Now()
-	}
-	return t.Eng.Now()
-}
+func (t *Topology) Now() sim.Time { return t.group.Now() }
 
 // Fired returns total events fired across the topology's engines — the
-// same mode-invariant sum Snapshot reports as sim.events_fired.
-func (t *Topology) Fired() uint64 {
-	if t.group != nil {
-		return t.group.TotalFired()
-	}
-	return t.Eng.Fired
-}
+// same shard-count-invariant sum Snapshot reports as sim.events_fired.
+func (t *Topology) Fired() uint64 { return t.group.TotalFired() }
 
 // EnableTracing attaches an execution trace buffer of the given capacity
 // to every host, in add order. Call before Start.
@@ -432,8 +383,8 @@ func (t *Topology) Tracer(i int) *trace.Buffer {
 
 // WriteChrome merges every host's trace into one Chrome trace-event file:
 // one process per host, pid = host address, in add order. Host-local
-// event order is identical under legacy and sharded execution, so the
-// merged trace is too.
+// event order is identical at any shard count, so the merged trace is
+// too.
 func (t *Topology) WriteChrome(w io.Writer) error {
 	if t.tracers == nil {
 		return fmt.Errorf("topology: tracing not enabled")
@@ -456,13 +407,13 @@ func (t *Topology) WriteChrome(w io.Writer) error {
 //
 // Per-host sim.* instruments are dropped and replaced with topology-level
 // totals: the per-host versions read whichever engine the host runs on
-// (the whole fleet's on the legacy shared engine, one shard's otherwise),
-// so they describe the execution substrate, not the host. The totals are
-// mode-independent — every legacy engine event maps to exactly one shard
+// (the whole fleet's on one shard, its shard's otherwise), so they
+// describe the execution substrate, not the host. The totals are
+// shard-count-invariant — every one-shard event maps to exactly one shard
 // event (a cross-shard delivery is one arrival-band event on the
-// destination engine, as it would be on the single engine), so summed
+// destination engine, as it would be on one engine), so summed
 // fired/pending counts match byte-for-byte. The heap depth high-water
-// mark has no mode-independent meaning and is omitted.
+// mark has no shard-count-invariant meaning and is omitted.
 func (t *Topology) Snapshot() *metrics.Snapshot {
 	out := metrics.NewSnapshot()
 	for _, h := range t.hosts {
@@ -470,15 +421,9 @@ func (t *Topology) Snapshot() *metrics.Snapshot {
 		hs.DropPrefix("sim.")
 		out.Merge(hs.Prefixed("host." + h.Name + "."))
 	}
-	if t.group != nil {
-		out.Counters["sim.events_fired"] = int64(t.group.TotalFired())
-		p := int64(t.group.TotalPending())
-		out.Gauges["sim.events_pending"] = metrics.GaugeSnapshot{Value: p, Max: p}
-	} else {
-		out.Counters["sim.events_fired"] = int64(t.Eng.Fired)
-		p := int64(t.Eng.Pending())
-		out.Gauges["sim.events_pending"] = metrics.GaugeSnapshot{Value: p, Max: p}
-	}
+	out.Counters["sim.events_fired"] = int64(t.group.TotalFired())
+	p := int64(t.group.TotalPending())
+	out.Gauges["sim.events_pending"] = metrics.GaugeSnapshot{Value: p, Max: p}
 	for _, sw := range t.switches {
 		out.Counters["switch."+sw.Name+".forwarded"] = sw.Forwarded()
 		out.Counters["switch."+sw.Name+".misses"] = sw.Misses()
@@ -496,7 +441,7 @@ func (t *Topology) Snapshot() *metrics.Snapshot {
 		}
 	}
 	if t.flow != nil {
-		// Shard-summed, so mode-invariant like the rest of the snapshot.
+		// Shard-summed, so shard-count-invariant like the rest.
 		out.Counters["flowtrace.spans_started"] = t.flow.Started()
 		out.Counters["flowtrace.spans_finished"] = t.flow.Finished()
 		out.Counters["flowtrace.hops"] = t.flow.HopCount()
@@ -504,50 +449,4 @@ func (t *Topology) Snapshot() *metrics.Snapshot {
 		out.Counters["flowtrace.sampled_flows"] = t.flow.SampledFlows()
 	}
 	return out
-}
-
-// SyncSnapshot exports the shard group's conservative-sync telemetry
-// (sim.SyncStats) as sync.* instruments: round and message totals, the
-// grant-width/mined-gain/round-width histograms, per-shard utilization
-// counters, and which inbound channel bound each shard's grants. It is
-// deliberately a separate snapshot from Snapshot(): workload telemetry is
-// byte-identical across shard counts by contract, while sync telemetry
-// describes the execution substrate and exists only when sharded — it is
-// still a pure function of virtual state, so for a fixed shard count it
-// is identical on every run. Returns nil on single-engine topologies.
-func (t *Topology) SyncSnapshot() *metrics.Snapshot {
-	if t.group == nil {
-		return nil
-	}
-	st := t.group.SyncStats()
-	reg := metrics.NewRegistry()
-	reg.CounterFunc("sync.rounds", func() int64 { return st.Rounds })
-	reg.CounterFunc("sync.messages", func() int64 { return st.Messages })
-	reg.CounterFunc("sync.active_shard_rounds", func() int64 { return st.ActiveShardRounds })
-	if t.group.MiningEnabled() {
-		reg.CounterFunc("sync.mining", func() int64 { return 1 })
-	}
-	reg.Adopt("sync.grant_width_us", st.GrantWidthUS)
-	reg.Adopt("sync.mined_gain_us", st.MinedGainUS)
-	reg.Adopt("sync.round_width", st.RoundWidth)
-	for i := range st.Shards {
-		ss := &st.Shards[i]
-		p := fmt.Sprintf("sync.shard%02d.", i)
-		reg.CounterFunc(p+"rounds", func() int64 { return ss.Rounds })
-		reg.CounterFunc(p+"granted_ns", func() int64 { return ss.GrantedNS })
-		reg.CounterFunc(p+"reached_ns", func() int64 { return ss.ReachedNS })
-		reg.CounterFunc(p+"mined_gain_ns", func() int64 { return ss.MinedGainNS })
-		reg.CounterFunc(p+"idle_rounds", func() int64 { return ss.IdleRounds })
-		reg.CounterFunc(p+"horizon_bound", func() int64 { return ss.HorizonBound })
-	}
-	for src := range st.Binding {
-		for dst, count := range st.Binding[src] {
-			if count == 0 {
-				continue // only channels that ever bound a grant get a key
-			}
-			c := count
-			reg.CounterFunc(fmt.Sprintf("sync.binding.s%02d_to_s%02d", src, dst), func() int64 { return c })
-		}
-	}
-	return reg.Snapshot()
 }

@@ -17,8 +17,7 @@ import (
 // each host keyed by flow id.
 func twoHosts(t *testing.T, seed uint64) (*Topology, map[string]*[]int) {
 	t.Helper()
-	eng := sim.NewEngine(seed)
-	top := New(eng)
+	top := New(sim.NewShardGroup(1, seed), seed)
 	got := map[string]*[]int{}
 	for _, name := range []string{"a", "b"} {
 		top.AddHost(host.Config{Name: name, Kernel: kernel.Options{IdleLoop: true}})
@@ -103,8 +102,8 @@ func TestSwitchConnectValidates(t *testing.T) {
 // that cable: traffic on the downed link vanishes (counted as lost), the
 // reverse direction keeps working.
 func TestLinkDownViaFaultPlan(t *testing.T) {
-	eng := sim.NewEngine(3)
-	top := New(eng)
+	top := New(sim.NewShardGroup(1, 3), 3)
+	eng := top.Eng
 	// Per-channel faults: the plan is keyed by channel name, so give the
 	// a→switch uplink a 100% drop channel and leave everything else clean.
 	plan := faults.New(77, faults.Spec{Drop: 1})
@@ -199,8 +198,8 @@ func TestSpecBuildUnknownMemberPanics(t *testing.T) {
 // The WAN-emulator intermediate as a host: packets traverse the router's
 // own kernel (receive path, forward, transmit path) between two edge hosts.
 func TestRouterForwardsBetweenHosts(t *testing.T) {
-	eng := sim.NewEngine(5)
-	top := New(eng)
+	top := New(sim.NewShardGroup(1, 5), 5)
+	eng := top.Eng
 	a := top.AddHost(host.Config{Name: "a", Kernel: kernel.Options{IdleLoop: true}})
 	b := top.AddHost(host.Config{Name: "b", Kernel: kernel.Options{IdleLoop: true}})
 	r := top.AddRouter(host.Config{Name: "wan", Kernel: kernel.Options{IdleLoop: true}})
@@ -256,8 +255,8 @@ func TestRouterForwardsBetweenHosts(t *testing.T) {
 // exercised across a switched topology. Each destination host's own kernel
 // receives its flow's packets.
 func TestMultiPacerFlowsAcrossHosts(t *testing.T) {
-	eng := sim.NewEngine(9)
-	top := New(eng)
+	top := New(sim.NewShardGroup(1, 9), 9)
+	eng := top.Eng
 	src := top.AddHost(host.Config{Name: "src", Kernel: kernel.Options{IdleLoop: true}})
 	sw := top.AddSwitch("lan")
 	ps := top.Join(sw, src, nic.Config{Name: "eth0"}, WireSpec{})
