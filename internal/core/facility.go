@@ -111,7 +111,8 @@ type Facility struct {
 	currentSrc  kernel.Source
 	pendingCost sim.Time
 
-	// freeEv heads the pooled-event free list (ScheduleSoftEventFree).
+	// freeEv heads the pooled-event free list (ScheduleSoftEventFree), the
+	// only pool: a pooled event's wheel node is part of its record.
 	freeEv *Event
 }
 
@@ -195,17 +196,16 @@ func (f *Facility) InterruptClockResolution() uint64 { return uint64(f.k.Hz()) }
 // measurement ticks, of the event-firing bound T < actual < T + X + 1.
 func (f *Facility) X() uint64 { return f.hz / uint64(f.k.Hz()) }
 
-// Event is a handle to a scheduled soft-timer event.
+// Event is a handle to a scheduled soft-timer event. It is the event's one
+// record: the wheel links the timer node it holds, and the node keeps the
+// wheel callback bound when the record was made, across every re-arm and,
+// for pooled events (ScheduleSoftEventFree), every recycle through next.
 type Event struct {
-	f     *Facility
-	t     *timerwheel.Timer
-	sched uint64 // MeasureTime at scheduling
-	T     uint64 // requested latency in ticks
-
-	// Pooled events (ScheduleSoftEventFree) carry their handler and a
-	// wheel callback bound once at pool entry, and recycle through next.
+	t      timerwheel.Timer
+	f      *Facility
+	sched  uint64 // MeasureTime at scheduling
+	T      uint64 // requested latency in ticks
 	h      Handler
-	fireFn timerwheel.Handler
 	pooled bool
 	next   *Event
 }
@@ -226,9 +226,9 @@ func (ev *Event) Pending() bool { return ev.t.Pending() }
 // ticks from now, reusing the handle, the handler, and the wheel node — no
 // allocation in either state. A still-pending event migrates between wheel
 // slots in place (Timer.Reschedule); a fired or canceled one has its node
-// revived (Timer.Rearm). This is the rate-based-pacing primitive: Section
-// 4.1's transmission events constantly move their own deadline, and paying
-// cancel+insert (or a fresh event) per packet is pure queue overhead.
+// linked again (Queue.Schedule). This is the rate-based-pacing primitive:
+// Section 4.1's transmission events constantly move their own deadline, and
+// paying cancel+insert (or a fresh event) per packet is pure queue overhead.
 //
 // Telemetry parity with the two-step baseline is exact: a pending rearm
 // counts one cancellation plus one schedule, a fired rearm counts one
@@ -248,7 +248,7 @@ func (ev *Event) Rearm(T uint64) {
 	ev.sched, ev.T = now, T
 	deadline := now + T + 1
 	if !ev.t.Reschedule(deadline) {
-		ev.t.Rearm(deadline, nil) // fired/canceled node: revive with its handler
+		f.wheel.Schedule(&ev.t, deadline, nil) // fired or canceled: relink with its callback
 	}
 	f.k.NudgeIdle()
 }
@@ -268,13 +268,12 @@ func (f *Facility) ScheduleSoftEvent(T uint64, h Handler) *Event {
 	}
 	f.scheduled++
 	now := f.MeasureTime()
-	ev := &Event{f: f, sched: now, T: T}
+	ev := &Event{f: f, sched: now, T: T, h: h}
 	// "+1 accounts for the fact that the time at which the event was
 	// scheduled may not exactly coincide with a clock tick" (Section 3).
 	deadline := now + T + 1
 	defer f.k.NudgeIdle() // a halted idle CPU may now have a reason to poll
-	ev.h = h
-	ev.t = f.wheel.Schedule(deadline, ev.fire)
+	f.wheel.Schedule(&ev.t, deadline, ev.fire)
 	return ev
 }
 
@@ -295,7 +294,7 @@ func (ev *Event) fire(fireTick timerwheel.Tick) {
 	}
 	h := ev.h
 	if ev.pooled {
-		ev.h, ev.t = nil, nil
+		ev.h = nil
 		ev.next = f.freeEv
 		f.freeEv = ev
 	}
@@ -313,17 +312,18 @@ func (f *Facility) ScheduleSoftEventFree(T uint64, h Handler) {
 	}
 	f.scheduled++
 	now := f.MeasureTime()
+	var fire timerwheel.Handler // nil: a recycled record keeps its callback
 	ev := f.freeEv
 	if ev == nil {
 		ev = &Event{f: f, pooled: true}
-		ev.fireFn = ev.fire // bound once; reused across recycles
+		fire = ev.fire
 	} else {
 		f.freeEv = ev.next
 		ev.next = nil
 	}
 	ev.sched, ev.T, ev.h = now, T, h
 	defer f.k.NudgeIdle()
-	f.wheel.ScheduleFree(now+T+1, ev.fireFn)
+	f.wheel.Schedule(&ev.t, now+T+1, fire)
 }
 
 // ScheduleAfter is a convenience wrapper scheduling h at least d of

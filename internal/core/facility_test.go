@@ -275,6 +275,51 @@ func TestFacilityCheckZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestScheduleSoftEventAllocs pins one record per handled event: the Event,
+// which holds its wheel node, and the wheel callback bound to it are the
+// only allocations, on either wheel.
+func TestScheduleSoftEventAllocs(t *testing.T) {
+	h := func(sim.Time) sim.Time { return 0 }
+	for _, opts := range []Options{{}, {Hierarchical: true}} {
+		_, _, f := newRig(kernel.Options{}, opts)
+		if allocs := testing.AllocsPerRun(1000, func() { f.ScheduleSoftEvent(50, h) }); allocs > 2 {
+			t.Errorf("hierarchical=%v: ScheduleSoftEvent makes %.1f allocations, want at most 2",
+				opts.Hierarchical, allocs)
+		}
+	}
+}
+
+// TestPooledEventRecyclesBeforeHandler: a pooled event's record is back in
+// the pool when its handler runs, so a handler that schedules again at once
+// takes its own record back and the pool never holds a second one.
+func TestPooledEventRecyclesBeforeHandler(t *testing.T) {
+	var clock sim.Time
+	k := kernel.New(sim.NewEngine(7), cpu.PentiumII300(), kernel.Options{Hz: 1000})
+	f := New(k, Options{TimeSource: func() sim.Time { return clock }})
+	fires := 0
+	var probe Handler
+	probe = func(sim.Time) sim.Time {
+		fires++
+		rec := f.freeEv
+		if rec == nil {
+			t.Fatal("the firing record was not in the pool when its handler ran")
+		}
+		f.ScheduleSoftEventFree(10, probe)
+		if f.freeEv != nil || !rec.Pending() {
+			t.Fatal("the handler's schedule did not take its own record back")
+		}
+		return 0
+	}
+	f.ScheduleSoftEventFree(10, probe)
+	for i := 0; i < 5; i++ {
+		clock += 20 * sim.Microsecond
+		f.Trigger(kernel.SrcIdle, clock)
+	}
+	if fires != 5 {
+		t.Fatalf("fired %d of 5", fires)
+	}
+}
+
 // BenchmarkFacilityCheck measures the per-trigger-state check the paper
 // prices at one clock read and one comparison, on checkRig's miss and hit
 // patterns.

@@ -13,66 +13,53 @@ import (
 	"softtimers/internal/topology"
 )
 
-// detRun runs one configuration at sc.Shards engines and sc.Workers
-// workers and returns every result artifact as comparable bytes, keyed by
-// what it is (row, telemetry, chrome, ...). It fails t on a degenerate run.
+// detRun runs one configuration at sc.Shards engines and returns every
+// result artifact as comparable bytes, keyed by what it is (row,
+// telemetry, chrome, ...). It fails t on a degenerate run.
 type detRun func(t *testing.T, sc Scale) map[string][]byte
-
-// detCell is one matrix cell; workers 0 marks a topology rig, which has no
-// rows to spread over workers.
-type detCell struct{ shards, workers int }
-
-func (c detCell) String() string {
-	if c.workers == 0 {
-		return fmt.Sprintf("shards=%d", c.shards)
-	}
-	return fmt.Sprintf("shards=%d/workers=%d", c.shards, c.workers)
-}
 
 // TestShardCountDeterminism is the sharding contract in one matrix: every
 // configuration's row, merged telemetry and merged Chrome trace (fleet-trace
 // adds series and spans; the topology rigs add per-host receive counts) at
-// N shards and W workers equal its shards=1 run byte for byte. The shards=1
-// run is the reference because a one-shard group is a bare engine:
+// N shards equal its shards=1 run byte for byte. The shards=1 run is the
+// reference because a one-shard group is a bare engine:
 // TestShardGroupSingleShardMatchesEngine and
 // TestShardGroupMatchesSingleEngineReference pin that in internal/sim.
-// Shard counts past a rig's host (or leaf) count clamp.
+// Shard counts past a rig's host (or leaf) count clamp. A cell is a shard
+// count only: one fleet row runs on its caller's goroutine whatever
+// Scale.Workers says (only the Run* sweeps spread rows over workers, which
+// TestFleetScaleDeterministic and TestParallelRunMatchesSerialByteForByte
+// check).
 func TestShardCountDeterminism(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		run   detRun
-		cells []detCell
+		name   string
+		run    detRun
+		shards []int
 	}{
-		// One shard at 8 workers and 4 shards at 8 workers on this fleet
-		// are TestClockSeamCleanFleetByteIdentical's cells.
-		{"fleet-scale-6", fleetScaleCase(6, 777, "", 4096),
-			[]detCell{{2, 1}, {4, 1}, {4, 4}, {8, 8}}},
-		{"fleet-scale-8-clean", fleetScaleCase(8, 777, "", 4096),
-			[]detCell{{4, 1}, {4, 8}, {8, 1}, {8, 8}}},
-		{"fleet-scale-8-hostile", fleetScaleCase(8, 777, "hostile", 4096),
-			[]detCell{{4, 1}, {4, 8}, {8, 1}, {8, 8}}},
+		{"fleet-scale-6", fleetScaleCase(6, 777, "", 4096), []int{2, 4, 8}},
+		{"fleet-scale-8-clean", fleetScaleCase(8, 777, "", 4096), []int{4, 8}},
+		{"fleet-scale-8-hostile", fleetScaleCase(8, 777, "hostile", 4096), []int{4, 8}},
 		// 64 clients behind one switch share the default 30 µs link delay,
 		// so the saturated server constantly sees several packets — and its
 		// own timers — due at the same nanosecond: an executor that orders
 		// same-instant cross-shard arrivals differently diverges here while
 		// passing on small fleets.
-		{"fleet-scale-64", fleetScaleCase(64, 306, "", 0), []detCell{{4, 1}}},
-		{"fleet-hier-12", fleetHierCase(12, 881, 4096), // 2 leaves
-			[]detCell{{2, 1}, {2, 2}, {8, 1}}},
+		{"fleet-scale-64", fleetScaleCase(64, 306, "", 0), []int{4}},
+		{"fleet-hier-12", fleetHierCase(12, 881, 4096), []int{2, 8}}, // 2 leaves
 		{"fleet-trace-16", func(t *testing.T, sc Scale) map[string][]byte {
 			return fleetTraceBytes(t, runFleetTrace(sc, 421, 16, true))
-		}, []detCell{{2, 1}, {8, 1}, {8, 4}}},
-		{"paced-star", pacedStar, []detCell{{2, 0}, {4, 0}, {8, 0}}},
-		{"fabric-3leaf", fabricRun, []detCell{{2, 0}, {3, 0}, {8, 0}}},
+		}, []int{2, 8}},
+		{"paced-star", pacedStar, []int{2, 4, 8}},
+		{"fabric-3leaf", fabricRun, []int{2, 3, 8}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sc := tinyScale()
-			sc.Shards, sc.Workers = 1, 1
+			sc.Shards = 1
 			ref := c.run(t, sc)
-			for _, cell := range c.cells {
-				t.Run(cell.String(), func(t *testing.T) {
+			for _, n := range c.shards {
+				t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 					sc := tinyScale()
-					sc.Shards, sc.Workers = cell.shards, cell.workers
+					sc.Shards = n
 					sameArtifacts(t, c.run(t, sc), ref)
 				})
 			}
@@ -83,19 +70,19 @@ func TestShardCountDeterminism(t *testing.T) {
 // TestClockSeamCleanFleetByteIdentical guards the sim clock's path: with
 // ClockSim set explicitly (so no clock driver is installed), the clean
 // 6-client fleet's row, merged telemetry and merged Chrome trace are
-// identical at shards 0 (one shard), 1 and 4 and at workers 1 and 8.
+// identical at shards 0 (one shard), 1 and 4.
 func TestClockSeamCleanFleetByteIdentical(t *testing.T) {
 	run := fleetScaleCase(6, 777, "", 4096)
-	at := func(t *testing.T, c detCell) map[string][]byte {
+	at := func(t *testing.T, shards int) map[string][]byte {
 		sc := tinyScale()
-		sc.Shards, sc.Workers = c.shards, c.workers
+		sc.Shards = shards
 		sc.Clock = sim.ClockSim // the deterministic default, explicitly
 		return run(t, sc)
 	}
-	ref := at(t, detCell{0, 1})
-	for _, c := range []detCell{{1, 1}, {4, 1}, {0, 8}, {4, 8}} {
-		t.Run(c.String(), func(t *testing.T) {
-			sameArtifacts(t, at(t, c), ref)
+	ref := at(t, 0)
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			sameArtifacts(t, at(t, n), ref)
 		})
 	}
 }

@@ -16,9 +16,9 @@ import (
 // the end-to-end check on that queue's order, whose rule internal/sim
 // checks against a linear-scan reference.
 var fleetTelemetryGolden = map[string]string{
-	"fleet-scale": "0556c8a3600103128d5bc1682bf459e0722836dcaa4595c7aec095ab1638fa9c",
-	"fleet-hier":  "a37abd8cdd7147519e45859b2600dafb785f3d557bb6ae6cd7fbc29d66de4095",
-	"fleet-trace": "7a11ddbde7b1ab19d644f09043ab6f0690f212f0b72ef51ac8409b1cfbc5acf4",
+	"fleet-scale": "22e60de72f685f528305ffd6c0f7f9189c99061e74b69fc8fccf1b7dc9b3c5fb",
+	"fleet-hier":  "decc5402a0d83f0332b15e1b4a313c54c3c4bf4a67d5d1dc9e28cf196a9a6bb1",
+	"fleet-trace": "2a88c79e13d3649d5684cb3c0b7bec83e1389b7106797c935fd8f83309717dca",
 }
 
 // TestFleetTelemetryGolden pins the fleet sweeps byte for byte, hashing

@@ -10,7 +10,7 @@ import (
 // paperDriversGolden is the digest of the 14 paper drivers' rendered
 // tables and telemetry at SmokeScale, seed 1, one worker. Any change that
 // moves an RNG draw or reorders a scheduled event in a paper rig moves it.
-const paperDriversGolden = "8083d0b7e0029095bbca3fecdc8ff193ad3a534d1437faeb36f2ffb350c08608"
+const paperDriversGolden = "7a0b30a7f7b407ca49c95a112855ac5d5e0950d8e8fcfe634c3bc087d3c23f03"
 
 // TestPaperDriversGolden pins the paper drivers' output byte for byte:
 // each driver's name, rendered table and telemetry JSON are hashed in

@@ -1,8 +1,8 @@
 // Package host bundles one simulated machine: a kernel with its CPU
 // profile, the soft-timer facility installed as the kernel's trigger sink,
-// the machine's network interfaces, and optional TCP endpoints — the unit
-// the paper calls "a machine" (server, client, or the Section 5.8 WAN
-// emulator are all full hosts in its testbed).
+// and the machine's network interfaces — the unit the paper calls "a
+// machine" (server, client, or the Section 5.8 WAN emulator are all full
+// hosts in its testbed).
 //
 // Before this package, every rig hand-wired kernel+facility+NICs itself
 // (httpserv.Testbed, the degradation rigs, the examples). Host is the one
@@ -21,7 +21,6 @@ import (
 	"softtimers/internal/netstack"
 	"softtimers/internal/nic"
 	"softtimers/internal/sim"
-	"softtimers/internal/tcp"
 )
 
 // Config configures one host. The zero value is a plain Pentium-II/300
@@ -165,40 +164,3 @@ func (h *Host) Snapshot() *metrics.Snapshot { return h.K.Metrics().Snapshot() }
 
 // Faults returns the host's fault plan (nil on a clean host).
 func (h *Host) Faults() *faults.Plan { return h.plan }
-
-// TCPEnv adapts one of the host's NICs to tcp.Env, so TCP endpoints
-// terminate on a real kernel: transmissions go through the NIC's kernel
-// transmit path (softirq, ip-output trigger states) and protocol timers run
-// on the engine. Use as the env for tcp.Sender/Receiver living on this
-// host.
-type TCPEnv struct {
-	H *Host
-	N *nic.NIC
-}
-
-// Env builds a TCPEnv on the i-th NIC.
-func (h *Host) Env(i int) *TCPEnv { return &TCPEnv{H: h, N: h.NICs[i]} }
-
-// Now implements tcp.Env.
-func (e *TCPEnv) Now() sim.Time { return e.H.K.Now() }
-
-// After implements tcp.Env (protocol timers; exact, engine-scheduled).
-func (e *TCPEnv) After(d sim.Time, fn func()) tcp.Canceler {
-	return &tcpCanceler{e.H.Engine().After(d, fn)}
-}
-
-// Transmit implements tcp.Env: packets leave via the NIC's kernel path.
-func (e *TCPEnv) Transmit(pkts []*netstack.Packet) {
-	e.N.TxFromKernel(pkts...)
-}
-
-// tcpCanceler adapts a sim.Event to tcp's timer-handle interfaces; a
-// pointer type so Reschedule can refresh the handle's deadline snapshot.
-type tcpCanceler struct{ ev sim.Event }
-
-// Cancel implements tcp.Canceler.
-func (c *tcpCanceler) Cancel() bool { return c.ev.Cancel() }
-
-// Reschedule implements tcp.Rescheduler: the engine moves the pending
-// event in place (a single queue update instead of cancel+insert).
-func (c *tcpCanceler) Reschedule(d sim.Time) bool { return c.ev.RescheduleAfter(d) }

@@ -1,0 +1,44 @@
+package kernel
+
+import "softtimers/internal/sim"
+
+// TickPeriod returns the hardclock period (1/Hz).
+func (k *Kernel) TickPeriod() sim.Time { return sim.Second / sim.Time(k.opts.Hz) }
+
+// scheduleHardclock starts the fixed-phase periodic clock interrupt. Each
+// tick does timekeeping work and enforces the scheduler quantum; its
+// end-of-handler trigger state is the soft-timer backup that bounds event
+// delay at one tick.
+func (k *Kernel) scheduleHardclock() {
+	period := k.TickPeriod()
+	// One closure for the handler body and one for the tick, both bound
+	// here once — the per-tick path allocates nothing.
+	body := func() {
+		k.tick++
+		// Reschedule at the next user-mode boundary when the
+		// quantum expired, or when a ready process outranks the
+		// running one (BSD recomputes priorities at clock ticks).
+		if k.running != nil && len(k.runq) > 0 {
+			if k.eng.Now()-k.running.quantumStart >= k.opts.Quantum {
+				k.reschedule = true
+			}
+			for _, p := range k.runq {
+				if p.Priority > k.running.Priority {
+					k.reschedule = true
+					break
+				}
+			}
+		}
+	}
+	var tick func()
+	n := int64(0)
+	tick = func() {
+		n++
+		k.eng.AtLabeled(sim.Time(n+1)*period, "hardclock", tick)
+		k.RaiseInterrupt(SrcHardClock, k.opts.HardclockWork, body)
+	}
+	k.eng.AtLabeled(k.eng.Now()+period, "hardclock", tick)
+}
+
+// Tick returns the number of hardclock ticks taken so far.
+func (k *Kernel) Tick() int64 { return k.tick }

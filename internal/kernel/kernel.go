@@ -1,7 +1,7 @@
 // Package kernel simulates the operating system the paper instruments: a
 // uniprocessor BSD-style kernel with processes, a round-robin scheduler,
 // system calls, traps, hardware and software interrupts, a periodic clock
-// interrupt (hardclock), kernel timeouts (callouts), and an idle loop.
+// interrupt (hardclock), and an idle loop.
 //
 // Its defining feature for this reproduction is trigger-state
 // instrumentation: every point where the paper's modified FreeBSD would
@@ -234,11 +234,10 @@ type Kernel struct {
 	// the trigger meter, and join the registry as func instruments
 	// evaluated only at snapshot time, so an interrupt or a trigger state
 	// updates cache lines the kernel already holds.
-	m             *metrics.Registry
-	intr          [NumSources]int64 // interrupts delivered per vector
-	intrNS        [NumSources]int64 // CPU ns spent per vector (direct cost)
-	idleEntries   int64             // idle-loop entries
-	softclockRuns int64             // callout (softclock) handler runs
+	m           *metrics.Registry
+	intr        [NumSources]int64 // interrupts delivered per vector
+	intrNS      [NumSources]int64 // CPU ns spent per vector (direct cost)
+	idleEntries int64             // idle-loop entries
 
 	// Scheduler state.
 	runq    []*Proc
@@ -302,8 +301,7 @@ type Kernel struct {
 	sirqDirect, sirqPollution sim.Time
 
 	// hardclock bookkeeping
-	tick     int64
-	callouts *calloutWheel
+	tick int64
 
 	pits []*PIT
 
@@ -335,7 +333,6 @@ func New(eng *sim.Engine, prof cpu.Profile, opts Options) *Kernel {
 	if k.sirqPollution == 0 {
 		k.sirqPollution = prof.IntrPollution / 2
 	}
-	k.callouts = newCalloutWheel()
 	k.intrBodyFn = k.intrBody
 	k.intrContFn = k.intrCont
 	k.softBodyFn = k.softBody
@@ -395,7 +392,6 @@ func (k *Kernel) initMetrics() {
 	r.CounterFunc("kernel.acct.idle_ns", func() int64 { return int64(k.acct.Idle) })
 
 	r.CounterFunc("kernel.idle_entries", func() int64 { return k.idleEntries })
-	r.CounterFunc("kernel.softclock_runs", func() int64 { return k.softclockRuns })
 }
 
 // Metrics returns the simulation's telemetry registry. Components built on

@@ -360,101 +360,6 @@ func TestDisabledSourcesSuppressed(t *testing.T) {
 	}
 }
 
-func TestCalloutFiresAtTickGranularity(t *testing.T) {
-	eng, k := newTestKernel(Options{IdleLoop: false, Hz: 1000})
-	var firedAt sim.Time
-	k.Start()
-	k.Timeout(2500*sim.Microsecond, 2*sim.Microsecond, func() { firedAt = eng.Now() })
-	eng.RunFor(10 * sim.Millisecond)
-	if firedAt == 0 {
-		t.Fatal("callout never fired")
-	}
-	// 2.5ms rounds up to the 3ms tick; allow handler dispatch latency.
-	if firedAt < 3*sim.Millisecond || firedAt > 3200*sim.Microsecond {
-		t.Fatalf("callout fired at %v, want just after 3ms", firedAt)
-	}
-}
-
-func TestCalloutCancel(t *testing.T) {
-	eng, k := newTestKernel(Options{IdleLoop: false})
-	fired := false
-	k.Start()
-	c := k.Timeout(2*sim.Millisecond, sim.Microsecond, func() { fired = true })
-	if !c.Pending() {
-		t.Fatal("callout not pending")
-	}
-	if !c.Cancel() {
-		t.Fatal("cancel failed")
-	}
-	eng.RunFor(10 * sim.Millisecond)
-	if fired {
-		t.Fatal("canceled callout fired")
-	}
-}
-
-// The retransmit-rearm shape, callout_reset(9): a pending callout Reset
-// before every expiry keeps sliding its deadline and never fires until
-// the resets stop; the node migrates in place, no fresh Callout needed.
-func TestCalloutResetSlidesDeadline(t *testing.T) {
-	eng, k := newTestKernel(Options{IdleLoop: false, Hz: 1000})
-	fires := 0
-	var firedAt sim.Time
-	k.Start()
-	c := k.Timeout(2*sim.Millisecond, sim.Microsecond, func() {
-		fires++
-		firedAt = eng.Now()
-	})
-	// Five ACK-shaped rearms, each pushing the deadline 2ms past "now".
-	for i := 0; i < 5; i++ {
-		eng.RunFor(sim.Millisecond)
-		if fires != 0 {
-			t.Fatalf("callout fired during rearm cycle %d", i)
-		}
-		c.Reset(2 * sim.Millisecond)
-		if !c.Pending() {
-			t.Fatal("callout not pending after reset")
-		}
-	}
-	eng.RunFor(10 * sim.Millisecond)
-	if fires != 1 {
-		t.Fatalf("callout fired %d times, want exactly 1", fires)
-	}
-	// Last reset at t=5ms for +2ms. The 5ms hardclock interrupt has not
-	// dispatched yet at that exact instant (interrupt-entry latency), so
-	// the kernel still counts tick 4 and the deadline lands on tick 6 —
-	// conventional-timer granularity, ±1 tick as always.
-	if firedAt < 6*sim.Millisecond || firedAt > 7300*sim.Microsecond {
-		t.Fatalf("callout fired at %v, want within a tick of 6ms", firedAt)
-	}
-}
-
-// Reset of a fired or canceled callout revives the node with its original
-// handler — the RTO timer restarting after it expired once.
-func TestCalloutResetRevives(t *testing.T) {
-	eng, k := newTestKernel(Options{IdleLoop: false, Hz: 1000})
-	fires := 0
-	k.Start()
-	c := k.Timeout(sim.Millisecond, sim.Microsecond, func() { fires++ })
-	eng.RunFor(5 * sim.Millisecond)
-	if fires != 1 {
-		t.Fatalf("fires = %d before revive, want 1", fires)
-	}
-	c.Reset(sim.Millisecond) // fired node
-	eng.RunFor(5 * sim.Millisecond)
-	if fires != 2 {
-		t.Fatalf("fires = %d after fired-node reset, want 2", fires)
-	}
-	c.Reset(sim.Millisecond)
-	if !c.Cancel() {
-		t.Fatal("cancel of a re-armed callout failed")
-	}
-	c.Reset(sim.Millisecond) // canceled node
-	eng.RunFor(5 * sim.Millisecond)
-	if fires != 3 {
-		t.Fatalf("fires = %d after canceled-node reset, want 3", fires)
-	}
-}
-
 func TestPITDeliversAtFrequency(t *testing.T) {
 	eng, k := newTestKernel(Options{IdleLoop: false})
 	pit := k.NewPIT(100*sim.Microsecond, 0, nil)

@@ -53,10 +53,9 @@ func rearmTimer(env Env, t Canceler, d sim.Time, fn func()) Canceler {
 	return env.After(d, fn)
 }
 
-// Env is the host environment a TCP endpoint runs in. Server endpoints are
-// backed by the simulated kernel (timers are callouts, transmission passes
-// through the IP output path with its trigger states and CPU costs); client
-// endpoints and unloaded hosts run directly on the engine.
+// Env is the host environment a TCP endpoint runs in. EngineEnv, the one
+// implementation, runs it directly on the simulation engine: protocol
+// timers are exact engine events and transmission costs nothing.
 type Env interface {
 	// Now returns the current simulated time.
 	Now() sim.Time

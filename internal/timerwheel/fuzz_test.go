@@ -1,9 +1,11 @@
 // Native fuzz target for the timing wheels: the input bytes decode into a
 // stream of timer operations — Schedule near, far (past the hierarchical
-// levels) and already past, ScheduleFree, Cancel, Reschedule, Rearm, and
-// Advance over short spans, full rotations and huge jumps — and every timer
-// carries an action its handler performs when it fires: schedule a child
-// (handled, then rescheduled in place, or pooled) or re-arm itself. The same
+// levels) and already past, Schedule of a new node whose handle is dropped,
+// Cancel, Reschedule, Schedule of a fired or canceled node again (a rearm),
+// and Advance over short spans, full rotations and huge jumps — and every
+// timer carries an action its handler performs when it fires: schedule a
+// child (handled, then rescheduled in place, or with its handle dropped) or
+// re-arm itself. The same
 // stream replays on the hashed wheel at 16 and 256 slots, on the
 // hierarchical wheel and on refQueue; the observation logs (per-Advance fire
 // counts and fired timers, the due check before each Advance, Earliest
@@ -22,7 +24,7 @@ import (
 // fuzzQueue is the surface the op stream drives, over a wheel or refQueue.
 type fuzzQueue interface {
 	schedule(deadline Tick, fn Handler) fuzzTimer
-	scheduleFree(deadline Tick, fn Handler)
+	scheduleDropped(deadline Tick, fn Handler)
 	due(now Tick) bool
 	advance(now Tick) int
 	earliest() Tick
@@ -38,12 +40,14 @@ type fuzzTimer interface {
 
 type wheelFuzz struct{ q Queue }
 
-func (w wheelFuzz) schedule(d Tick, fn Handler) fuzzTimer { return wheelTimer{w.q.Schedule(d, fn)} }
-func (w wheelFuzz) scheduleFree(d Tick, fn Handler)       { w.q.ScheduleFree(d, fn) }
-func (w wheelFuzz) advance(now Tick) int                  { return w.q.Advance(now) }
-func (w wheelFuzz) earliest() Tick                        { return w.q.Earliest() }
-func (w wheelFuzz) len() int                              { return w.q.Len() }
-func (w wheelFuzz) consistent() bool                      { return occupancyExact(w.q) }
+func (w wheelFuzz) schedule(d Tick, fn Handler) fuzzTimer {
+	return wheelTimer{w.q, schedule(w.q, d, fn)}
+}
+func (w wheelFuzz) scheduleDropped(d Tick, fn Handler) { w.q.Schedule(new(Timer), d, fn) }
+func (w wheelFuzz) advance(now Tick) int               { return w.q.Advance(now) }
+func (w wheelFuzz) earliest() Tick                     { return w.q.Earliest() }
+func (w wheelFuzz) len() int                           { return w.q.Len() }
+func (w wheelFuzz) consistent() bool                   { return occupancyExact(w.q) }
 
 // due is the check a trigger state makes: Wheel.Due on the hashed wheel
 // (which may rescan a stale bound), Earliest on the hierarchical one.
@@ -54,7 +58,10 @@ func (w wheelFuzz) due(now Tick) bool {
 	return w.q.Earliest() <= now
 }
 
-type wheelTimer struct{ t *Timer }
+type wheelTimer struct {
+	q Queue
+	t *Timer
+}
 
 func (t wheelTimer) cancel() bool           { return t.t.Cancel() }
 func (t wheelTimer) reschedule(d Tick) bool { return t.t.Reschedule(d) }
@@ -62,7 +69,7 @@ func (t wheelTimer) rearm(d Tick) bool {
 	if t.t.Pending() {
 		return false
 	}
-	t.t.Rearm(d, nil)
+	t.q.Schedule(t.t, d, nil)
 	return true
 }
 
@@ -71,12 +78,12 @@ type refFuzz struct{ r *refQueue }
 func (r refFuzz) schedule(d Tick, fn Handler) fuzzTimer {
 	return refFuzzTimer{r.r, r.r.schedule(d, fn)}
 }
-func (r refFuzz) scheduleFree(d Tick, fn Handler) { r.r.schedule(d, fn) }
-func (r refFuzz) due(now Tick) bool               { return r.r.earliest() <= now }
-func (r refFuzz) advance(now Tick) int            { return r.r.advance(now) }
-func (r refFuzz) earliest() Tick                  { return r.r.earliest() }
-func (r refFuzz) len() int                        { return r.r.len() }
-func (r refFuzz) consistent() bool                { return true }
+func (r refFuzz) scheduleDropped(d Tick, fn Handler) { r.r.schedule(d, fn) }
+func (r refFuzz) due(now Tick) bool                  { return r.r.earliest() <= now }
+func (r refFuzz) advance(now Tick) int               { return r.r.advance(now) }
+func (r refFuzz) earliest() Tick                     { return r.r.earliest() }
+func (r refFuzz) len() int                           { return r.r.len() }
+func (r refFuzz) consistent() bool                   { return true }
 
 type refFuzzTimer struct {
 	r *refQueue
@@ -163,9 +170,10 @@ func replayWheelOps(data []byte, q fuzzQueue) []byte {
 	}
 	// handler returns the callback for the timer labeled label. action
 	// picks what it does on firing: 0 nothing; 1 schedule a handled child
-	// and reschedule it in place; 2 schedule a pooled child; 3 re-arm
-	// itself (a handled timer through its handle, a pooled one with a
-	// fresh ScheduleFree), at most three times. The operand in action>>2
+	// and reschedule it in place; 2 schedule a child whose handle is
+	// dropped; 3 re-arm itself (a handled timer through its handle, one
+	// whose handle was dropped on a new node), at most three times. The
+	// operand in action>>2
 	// is the delay, so 0 makes a child that is due at once and must wait
 	// for the next Advance.
 	var handler func(label uint64, action byte, self *fuzzTimer) Handler
@@ -182,7 +190,7 @@ func replayWheelOps(data []byte, q fuzzQueue) []byte {
 				c := q.schedule(at+d, handler(child, 0, nil))
 				note(child, 1, c.reschedule(at+d/2))
 			case 2:
-				q.scheduleFree(at+d, handler(child, 0, nil))
+				q.scheduleDropped(at+d, handler(child, 0, nil))
 			case 3:
 				if fires > 3 {
 					break
@@ -190,7 +198,7 @@ func replayWheelOps(data []byte, q fuzzQueue) []byte {
 				if self != nil {
 					note(label, 2, (*self).rearm(at+d))
 				} else {
-					q.scheduleFree(at+d, fn)
+					q.scheduleDropped(at+d, fn)
 				}
 			}
 		}
@@ -229,10 +237,10 @@ func replayWheelOps(data []byte, q fuzzQueue) []byte {
 			schedule(now + 3*d)
 		case 2: // already past (or due now)
 			schedule(now - min(now, Tick(next())))
-		case 3: // pooled: nothing can cancel it
+		case 3: // handle dropped: nothing can cancel it
 			label := 1<<40 | uint64(i)
 			d := Tick(next())<<8 | Tick(next())
-			q.scheduleFree(now+d, handler(label, next(), nil))
+			q.scheduleDropped(now+d, handler(label, next(), nil))
 		case 4:
 			if t := pick(); t != nil {
 				rec('c', b(t.cancel()))

@@ -28,7 +28,6 @@ type Hierarchical struct {
 	earliest Tick
 	dirty    bool
 	advGen   uint64
-	free     *Timer // pooled-node free list (ScheduleFree), linked via next
 }
 
 const (
@@ -87,25 +86,11 @@ func (h *Hierarchical) unlink(t *Timer) {
 	}
 }
 
-// Schedule implements Queue.
-func (h *Hierarchical) Schedule(deadline Tick, fn Handler) *Timer {
-	if fn == nil {
-		panic("timerwheel: schedule of nil handler")
-	}
-	t := &Timer{own: h}
-	h.insert(t, deadline, fn)
-	return t
-}
-
-// insert links a non-pending node into its level (Schedule and Timer.Rearm).
-func (h *Hierarchical) insert(t *Timer, deadline Tick, fn Handler) {
-	t.deadline, t.fn, t.gen = deadline, fn, h.advGen
-	h.add(t)
-}
-
-// add places t at its deadline and counts it; into an empty wheel the new
-// deadline is the exact earliest (see Wheel.add).
-func (h *Hierarchical) add(t *Timer) {
+// Schedule implements Queue. t is placed at its deadline and counted; into
+// an empty wheel the new deadline is the exact earliest (see
+// Wheel.Schedule).
+func (h *Hierarchical) Schedule(t *Timer, deadline Tick, fn Handler) {
+	t.arm(h, deadline, fn, h.advGen)
 	h.place(t)
 	if h.n == 0 || t.deadline < h.earliest {
 		h.earliest = t.deadline
@@ -128,22 +113,6 @@ func (h *Hierarchical) replace(t *Timer, deadline Tick) {
 		h.earliest = deadline // strictly under the bound: exact again
 		h.dirty = false
 	}
-}
-
-// ScheduleFree implements Queue.
-func (h *Hierarchical) ScheduleFree(deadline Tick, fn Handler) {
-	if fn == nil {
-		panic("timerwheel: schedule of nil handler")
-	}
-	t := h.free
-	if t == nil {
-		t = &Timer{}
-	} else {
-		h.free = t.next
-		t.next = nil
-	}
-	t.deadline, t.fn, t.own, t.gen, t.pooled = deadline, fn, h, h.advGen, true
-	h.add(t)
 }
 
 // Len implements Queue.
@@ -271,15 +240,7 @@ func (h *Hierarchical) fireSlot(s *slot, now Tick) int {
 				h.dirty = true
 			}
 			fired++
-			// Recycle pooled nodes before running the handler, so a
-			// handler that immediately reschedules reuses this node.
-			fn := t.fn
-			if t.pooled {
-				t.fn, t.own = nil, nil
-				t.next = h.free
-				h.free = t
-			}
-			fn(now)
+			t.fn(now)
 		}
 		t = next
 	}

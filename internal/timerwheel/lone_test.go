@@ -31,7 +31,7 @@ func heldLone(t *testing.T, w *Wheel, tm *Timer) {
 func TestLoneTimerTransitions(t *testing.T) {
 	t.Run("queries", func(t *testing.T) {
 		w := New(16)
-		tm := w.Schedule(40, func(Tick) {})
+		tm := schedule(w, 40, func(Tick) {})
 		heldLone(t, w, tm)
 		if !tm.Pending() || tm.Deadline() != 40 || w.Len() != 1 || w.Earliest() != 40 {
 			t.Fatalf("pending %v, deadline %d, len %d, earliest %d; want true, 40, 1, 40",
@@ -49,7 +49,7 @@ func TestLoneTimerTransitions(t *testing.T) {
 	t.Run("cancel, reschedule, rearm", func(t *testing.T) {
 		w := New(16)
 		fired := 0
-		tm := w.Schedule(40, func(Tick) { fired++ })
+		tm := schedule(w, 40, func(Tick) { fired++ })
 		// 40 → 56 is the same slot later, 56 → 24 the same slot earlier,
 		// 24 → 45 another slot later, 45 → 30 another slot earlier.
 		for _, d := range []Tick{56, 24, 45, 30} {
@@ -68,7 +68,7 @@ func TestLoneTimerTransitions(t *testing.T) {
 		if tm.Cancel() || tm.Reschedule(50) || w.Len() != 0 {
 			t.Fatal("Cancel or Reschedule of a canceled lone timer was not inert")
 		}
-		tm.Rearm(35, nil)
+		w.Schedule(tm, 35, nil)
 		heldLone(t, w, tm)
 		if w.Advance(34) != 0 || w.Advance(35) != 1 || fired != 1 || tm.Pending() || w.lone != nil || w.Len() != 0 {
 			t.Fatalf("revived lone timer: fired %d, pending %v, len %d; want 1 firing at 35",
@@ -94,9 +94,9 @@ func TestLoneTimerTransitions(t *testing.T) {
 			t.Run(c.name, func(t *testing.T) {
 				w := New(16)
 				var order []byte
-				a := w.Schedule(c.a, func(Tick) { order = append(order, 'a') })
+				a := schedule(w, c.a, func(Tick) { order = append(order, 'a') })
 				heldLone(t, w, a)
-				w.Schedule(c.b, func(Tick) { order = append(order, 'b') })
+				schedule(w, c.b, func(Tick) { order = append(order, 'b') })
 				if w.lone != nil || !occupancyExact(w) || w.Len() != 2 || w.Earliest() != c.earlier {
 					t.Fatalf("after the join: lone %p, occupancy exact %v, len %d, earliest %d",
 						w.lone, occupancyExact(w), w.Len(), w.Earliest())
@@ -114,9 +114,9 @@ func TestLoneTimerTransitions(t *testing.T) {
 		inner := 0
 		var sawNow Tick
 		var held *Timer
-		w.Schedule(10, func(now Tick) {
+		schedule(w, 10, func(now Tick) {
 			sawNow = w.Now()
-			held = w.Schedule(now-3, func(Tick) { inner++ }) // already due
+			held = schedule(w, now-3, func(Tick) { inner++ }) // already due
 		})
 		if n := w.Advance(12); n != 1 {
 			t.Fatalf("Advance(12) fired %d, want the lone timer only", n)

@@ -7,9 +7,11 @@ import (
 	"testing"
 )
 
-// fireOrderHash drives q through a fixed pseudo-random script of Schedule,
-// ScheduleFree, Cancel, Reschedule, Rearm and Advance — with handlers that
-// themselves schedule, cancel, reschedule and rearm during Advance — and
+// fireOrderHash drives q through a fixed pseudo-random script of Schedule
+// (of a new node it keeps, of a new node whose handle it drops, and of a
+// fired or canceled node again), Cancel, Reschedule and Advance — with
+// handlers that themselves schedule, cancel and reschedule during Advance —
+// and
 // returns the FNV-1a hash of everything observed: each fire (id and tick)
 // in the order it happened, each op's result, and Len/Earliest after every
 // Advance. The wheels promise no order among timers due in one Advance, but
@@ -65,13 +67,15 @@ func fireOrderHash(q Queue, seed int64, steps int) uint64 {
 	schedule := func(at Tick) {
 		id := nextID
 		nextID++
-		handles = append(handles, q.Schedule(deadline(at), handler(id)))
+		t := new(Timer)
+		q.Schedule(t, deadline(at), handler(id))
+		handles = append(handles, t)
 		put('s', id)
 	}
 	scheduleFree := func(at Tick) {
 		id := nextID
 		nextID++
-		q.ScheduleFree(deadline(at), handler(id))
+		q.Schedule(new(Timer), deadline(at), handler(id))
 		put('f', id)
 	}
 	mutate := func(at Tick) {
@@ -86,7 +90,7 @@ func fireOrderHash(q Queue, seed int64, steps int) uint64 {
 			}
 		case 2:
 			if t := pick(); t != nil && !t.Pending() {
-				t.Rearm(deadline(at), nil)
+				q.Schedule(t, deadline(at), nil)
 				put('a', t.Deadline())
 			}
 		case 3:

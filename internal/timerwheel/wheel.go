@@ -24,6 +24,11 @@
 // the wheel struct itself and is linked into its slot only when a second
 // timer arrives, so an idle host's re-arm, due check and firing touch no
 // slot and no bitmap word.
+//
+// The wheels allocate nothing: the caller owns each Timer node, typically
+// as a field of its own per-event record, and the wheels only link it
+// while it is pending. Scheduling a fired or canceled node links it again,
+// so one node serves an event for its whole life.
 package timerwheel
 
 import "math/bits"
@@ -38,17 +43,13 @@ const NoDeadline Tick = ^Tick(0)
 // advanced (i.e. "now"), which may be later than the timer's deadline.
 type Handler func(now Tick)
 
-// Queue is the interface shared by the wheel variants (and by the reference
-// heap used in tests).
+// Queue is the interface shared by the wheel variants.
 type Queue interface {
-	// Schedule registers fn to fire once Advance reaches deadline.
-	// Deadlines at or before the current tick fire on the next Advance.
-	Schedule(deadline Tick, fn Handler) *Timer
-	// ScheduleFree is Schedule for callers that keep no handle: the timer
-	// node comes from a per-queue pool and recycles the moment it fires,
-	// so steady-state rearm loops schedule without allocating. There is
-	// nothing to cancel — the node may already belong to a later timer.
-	ScheduleFree(deadline Tick, fn Handler)
+	// Schedule links t, a node the caller owns, to run fn once Advance
+	// reaches deadline. t must not be pending: a new, fired or canceled
+	// node. fn == nil keeps the handler t last ran with. Deadlines at or
+	// before the current tick fire on the next Advance.
+	Schedule(t *Timer, deadline Tick, fn Handler)
 	// Advance moves the current tick to now and fires, in an unspecified
 	// order among themselves, all timers with deadline <= now. It returns
 	// the number fired. now must not decrease across calls.
@@ -59,24 +60,23 @@ type Queue interface {
 	Len() int
 }
 
-// owner is the queue a timer belongs to, which unlinks it on cancellation
-// (maintaining its count, occupancy bitmap and earliest-deadline cache),
-// relocates it on an in-place reschedule, and links it on a rearm.
+// owner is the queue a timer was last scheduled in, which unlinks it on
+// cancellation (maintaining its count, occupancy bitmap and
+// earliest-deadline cache) and relocates it on an in-place reschedule.
 type owner interface {
 	cancel(*Timer)
 	replace(t *Timer, deadline Tick)
-	insert(t *Timer, deadline Tick, fn Handler)
 }
 
-// Timer is a handle to a scheduled event, usable to cancel it.
+// Timer is a timer node, owned by the caller and linked by the queue it is
+// scheduled in while it is pending. The zero value is a new node.
 type Timer struct {
 	deadline   Tick
 	fn         Handler
 	next, prev *Timer
 	slot       *slot  // its slot while pending (unlinked if the wheel's lone timer); nil otherwise
-	own        owner  // queue the timer is scheduled in
+	own        owner  // queue the timer was last scheduled in
 	gen        uint64 // Advance generation this timer was scheduled in, if any
-	pooled     bool   // ScheduleFree node: recycles into the queue pool on fire
 }
 
 // Deadline returns the tick the timer was scheduled for.
@@ -96,10 +96,9 @@ func (t *Timer) Cancel() bool {
 }
 
 // Reschedule moves a still-pending timer to a new deadline in place: the
-// node migrates between slot lists with no cancel, no fresh insert, and no
-// allocation. It reports whether the timer was pending; rescheduling a
-// fired, canceled, or nil timer is an inert no-op (use Rearm to revive a
-// fired handle's node).
+// node migrates between slot lists with no cancel and no fresh insert. It
+// reports whether the timer was pending; rescheduling a fired, canceled, or
+// nil timer is an inert no-op (Schedule links such a node again).
 //
 // The timer is restamped with the wheel's current Advance generation,
 // exactly as a cancel + Schedule pair would be, so an in-Advance
@@ -112,28 +111,18 @@ func (t *Timer) Reschedule(deadline Tick) bool {
 	return true
 }
 
-// Rearm re-inserts a fired or canceled timer node at a new deadline,
-// reusing its allocation and handler: the wheel equivalent of the rearm
-// half of a periodic timer, without a fresh Timer node per period. The
-// node must have come from Schedule on this queue (pooled ScheduleFree
-// nodes have no owner and may already belong to a later timer) and must
-// not be pending — a pending timer Reschedules instead. fn == nil keeps
-// the handler the node already carries (it is cleared on fire, not on
-// cancel, so revived canceled timers keep theirs).
-func (t *Timer) Rearm(deadline Tick, fn Handler) {
-	if t == nil || t.own == nil || t.pooled {
-		panic("timerwheel: rearm of a pooled or never-scheduled timer")
-	}
+// arm readies t, which must not be pending, for scheduling in q at
+// deadline: Queue.Schedule's contract, shared by both wheels.
+func (t *Timer) arm(q owner, deadline Tick, fn Handler, gen uint64) {
 	if t.slot != nil {
-		panic("timerwheel: rearm of a pending timer (use Reschedule)")
+		panic("timerwheel: schedule of a pending timer (use Reschedule)")
 	}
-	if fn == nil {
-		fn = t.fn
-		if fn == nil {
-			panic("timerwheel: rearm with no handler")
-		}
+	if fn != nil {
+		t.fn = fn
+	} else if t.fn == nil {
+		panic("timerwheel: schedule of nil handler")
 	}
-	t.own.insert(t, deadline, fn)
+	t.deadline, t.own, t.gen = deadline, q, gen
 }
 
 // slot is an intrusive doubly-linked list of timers hashing to one position.
@@ -190,7 +179,6 @@ type Wheel struct {
 	earliest Tick   // lower bound on the earliest pending deadline
 	dirty    bool   // earliest needs recomputation
 	advGen   uint64 // generation counter, incremented at each Advance
-	free     *Timer // pooled-node free list (ScheduleFree), linked via next
 	lone     *Timer // the only pending timer, held unlinked; nil otherwise
 }
 
@@ -211,27 +199,13 @@ func New(nslots int) *Wheel {
 	}
 }
 
-// Schedule implements Queue.
-func (w *Wheel) Schedule(deadline Tick, fn Handler) *Timer {
-	if fn == nil {
-		panic("timerwheel: schedule of nil handler")
-	}
-	t := &Timer{own: w}
-	w.insert(t, deadline, fn)
-	return t
-}
-
-// insert links a non-pending node into its slot (Schedule and Timer.Rearm).
-func (w *Wheel) insert(t *Timer, deadline Tick, fn Handler) {
-	t.deadline, t.fn, t.gen = deadline, fn, w.advGen
-	w.add(t)
-}
-
-// add counts t and links it at its deadline. Into an empty wheel t becomes
-// the lone timer, left unlinked, with t.slot marking it pending, and its
-// deadline is the exact earliest, whatever stale bound a previous firing
-// left, so a re-armed lone timer never costs a rescan.
-func (w *Wheel) add(t *Timer) {
+// Schedule implements Queue. t is counted and linked at its deadline. Into
+// an empty wheel t becomes the lone timer, left unlinked, with t.slot
+// marking it pending, and its deadline is the exact earliest, whatever
+// stale bound a previous firing left, so a re-armed lone timer never costs
+// a rescan.
+func (w *Wheel) Schedule(t *Timer, deadline Tick, fn Handler) {
+	t.arm(w, deadline, fn, w.advGen)
 	if w.n == 0 {
 		w.lone = t
 		t.slot = &w.slots[t.deadline&w.mask]
@@ -295,22 +269,6 @@ func (w *Wheel) replace(t *Timer, deadline Tick) {
 		w.earliest = deadline // strictly under the bound: exact again
 		w.dirty = false
 	}
-}
-
-// ScheduleFree implements Queue.
-func (w *Wheel) ScheduleFree(deadline Tick, fn Handler) {
-	if fn == nil {
-		panic("timerwheel: schedule of nil handler")
-	}
-	t := w.free
-	if t == nil {
-		t = &Timer{}
-	} else {
-		w.free = t.next
-		t.next = nil
-	}
-	t.deadline, t.fn, t.own, t.gen, t.pooled = deadline, fn, w, w.advGen, true
-	w.add(t)
 }
 
 // Len implements Queue.
@@ -391,7 +349,7 @@ func (w *Wheel) Advance(now Tick) int {
 		// pass's generation, so nothing else can fire in this pass.
 		w.lone, t.slot = nil, nil
 		w.n = 0
-		w.run(t, now)
+		t.fn(now)
 		w.cur = now
 		return 1
 	}
@@ -462,23 +420,11 @@ func (w *Wheel) fireSlot(s *slot, now Tick) int {
 				w.dirty = true
 			}
 			fired++
-			w.run(t, now)
+			t.fn(now)
 		}
 		t = next
 	}
 	return fired
-}
-
-// run calls the handler of t, a due timer already off the wheel. A pooled
-// node recycles first, so a handler that immediately reschedules reuses it.
-func (w *Wheel) run(t *Timer, now Tick) {
-	fn := t.fn
-	if t.pooled {
-		t.fn, t.own = nil, nil
-		t.next = w.free
-		w.free = t
-	}
-	fn(now)
 }
 
 func (w *Wheel) fireAllDue(now Tick) int { return w.fireRange(0, w.mask, now) }

@@ -108,6 +108,13 @@ func makeQueues() map[string]Queue {
 	}
 }
 
+// schedule links a new node on q and returns it.
+func schedule(q Queue, deadline Tick, fn Handler) *Timer {
+	t := new(Timer)
+	q.Schedule(t, deadline, fn)
+	return t
+}
+
 func TestScheduleNilPanics(t *testing.T) {
 	for name, q := range makeQueues() {
 		t.Run(name, func(t *testing.T) {
@@ -116,7 +123,23 @@ func TestScheduleNilPanics(t *testing.T) {
 					t.Error("nil handler did not panic")
 				}
 			}()
-			q.Schedule(5, nil)
+			schedule(q, 5, nil)
+		})
+	}
+}
+
+// TestSchedulePendingPanics: a pending node is moved with Reschedule;
+// linking it a second time would corrupt its slot list.
+func TestSchedulePendingPanics(t *testing.T) {
+	for name, q := range makeQueues() {
+		t.Run(name, func(t *testing.T) {
+			tm := schedule(q, 5, func(Tick) {})
+			defer func() {
+				if recover() == nil {
+					t.Error("scheduling a pending node did not panic")
+				}
+			}()
+			q.Schedule(tm, 7, nil)
 		})
 	}
 }
@@ -125,7 +148,7 @@ func TestFireAtDeadline(t *testing.T) {
 	for name, q := range makeQueues() {
 		t.Run(name, func(t *testing.T) {
 			var firedAt Tick
-			q.Schedule(10, func(now Tick) { firedAt = now })
+			schedule(q, 10, func(now Tick) { firedAt = now })
 			if n := q.Advance(9); n != 0 {
 				t.Fatalf("fired %d before deadline", n)
 			}
@@ -146,7 +169,7 @@ func TestLateAdvanceFiresWithLateNow(t *testing.T) {
 	for name, q := range makeQueues() {
 		t.Run(name, func(t *testing.T) {
 			var firedAt Tick
-			q.Schedule(10, func(now Tick) { firedAt = now })
+			schedule(q, 10, func(now Tick) { firedAt = now })
 			q.Advance(500) // system was busy; event fires late
 			if firedAt != 500 {
 				t.Fatalf("handler saw now=%d, want 500", firedAt)
@@ -161,9 +184,9 @@ func TestEarliestTracksMinimum(t *testing.T) {
 			if q.Earliest() != NoDeadline {
 				t.Fatal("empty queue should report NoDeadline")
 			}
-			q.Schedule(100, func(Tick) {})
-			q.Schedule(50, func(Tick) {})
-			q.Schedule(75, func(Tick) {})
+			schedule(q, 100, func(Tick) {})
+			schedule(q, 50, func(Tick) {})
+			schedule(q, 75, func(Tick) {})
 			if got := q.Earliest(); got != 50 {
 				t.Fatalf("Earliest = %d, want 50", got)
 			}
@@ -179,7 +202,7 @@ func TestCancel(t *testing.T) {
 	for name, q := range makeQueues() {
 		t.Run(name, func(t *testing.T) {
 			fired := false
-			tm := q.Schedule(10, func(Tick) { fired = true })
+			tm := schedule(q, 10, func(Tick) { fired = true })
 			if !tm.Pending() {
 				t.Fatal("timer not pending after schedule")
 			}
@@ -213,8 +236,8 @@ func TestCancel(t *testing.T) {
 func TestCancelUpdatesEarliestLazily(t *testing.T) {
 	for name, q := range makeQueues() {
 		t.Run(name, func(t *testing.T) {
-			a := q.Schedule(10, func(Tick) {})
-			q.Schedule(90, func(Tick) {})
+			a := schedule(q, 10, func(Tick) {})
+			schedule(q, 90, func(Tick) {})
 			a.Cancel()
 			// The cached bound may be stale (10), but Advance(50) must not
 			// fire anything and Earliest must eventually report 90.
@@ -247,7 +270,7 @@ func TestPastDeadlineFiresNextAdvance(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			q.Advance(1000)
 			fired := false
-			q.Schedule(500, func(Tick) { fired = true }) // already past
+			schedule(q, 500, func(Tick) { fired = true }) // already past
 			q.Advance(1001)
 			if !fired {
 				t.Fatal("past-deadline timer did not fire on next Advance")
@@ -263,9 +286,9 @@ func TestHandlerRescheduleHeldToNextAdvance(t *testing.T) {
 			var handler Handler
 			handler = func(now Tick) {
 				count++
-				q.Schedule(now, handler) // due immediately — must wait
+				schedule(q, now, handler) // due immediately — must wait
 			}
-			q.Schedule(5, handler)
+			schedule(q, 5, handler)
 			q.Advance(10)
 			if count != 1 {
 				t.Fatalf("handler ran %d times in one Advance, want 1", count)
@@ -286,7 +309,7 @@ func TestWrapAroundManyRotations(t *testing.T) {
 			var fired []Tick
 			for _, d := range []Tick{3, 70, 700, 7000, 70000} {
 				d := d
-				q.Schedule(d, func(Tick) { fired = append(fired, d) })
+				schedule(q, d, func(Tick) { fired = append(fired, d) })
 			}
 			for now := Tick(0); now <= 70000; now += 37 {
 				q.Advance(now)
@@ -309,7 +332,7 @@ func TestBigJumpFiresEverythingDue(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fired := 0
 			for i := Tick(1); i <= 100; i++ {
-				q.Schedule(i*13, func(Tick) { fired++ })
+				schedule(q, i*13, func(Tick) { fired++ })
 			}
 			q.Advance(10_000_000) // way past everything in one jump
 			if fired != 100 {
@@ -324,7 +347,7 @@ func TestHashedDueCheck(t *testing.T) {
 	if w.Due(100) {
 		t.Fatal("empty wheel reported due")
 	}
-	w.Schedule(50, func(Tick) {})
+	schedule(w, 50, func(Tick) {})
 	if w.Due(49) {
 		t.Fatal("Due(49) for deadline 50")
 	}
@@ -382,7 +405,7 @@ func TestPropertyWheelMatchesReference(t *testing.T) {
 						tid := id
 						id++
 						d := now + Tick(o.Deadline%512)
-						qTimers = append(qTimers, q.Schedule(d, func(Tick) { qFired[tid]++ }))
+						qTimers = append(qTimers, schedule(q, d, func(Tick) { qFired[tid]++ }))
 						refTimers = append(refTimers, ref.schedule(d, func(Tick) { refFired[tid]++ }))
 					case 2:
 						now += Tick(o.Deadline % 256)
@@ -448,7 +471,7 @@ func TestPropertyEarliestExact(t *testing.T) {
 			now := Tick(0)
 			for i, d := range deadlines {
 				dl := now + Tick(d%300)
-				q.Schedule(dl, func(Tick) {})
+				schedule(q, dl, func(Tick) {})
 				ref.schedule(dl, func(Tick) {})
 				if i < len(advances) {
 					now += Tick(advances[i] % 64)
@@ -472,7 +495,7 @@ func BenchmarkHashedScheduleAdvance(b *testing.B) {
 	b.ReportAllocs()
 	now := Tick(0)
 	for i := 0; i < b.N; i++ {
-		w.Schedule(now+30, func(Tick) {})
+		schedule(w, now+30, func(Tick) {})
 		now += 31
 		w.Advance(now)
 	}
@@ -483,7 +506,7 @@ func BenchmarkHierarchicalScheduleAdvance(b *testing.B) {
 	b.ReportAllocs()
 	now := Tick(0)
 	for i := 0; i < b.N; i++ {
-		h.Schedule(now+30, func(Tick) {})
+		schedule(h, now+30, func(Tick) {})
 		now += 31
 		h.Advance(now)
 	}
@@ -493,7 +516,7 @@ func BenchmarkHashedDueCheckIdle(b *testing.B) {
 	// The per-trigger-state check with one far-future event pending — the
 	// cost the paper argues is negligible.
 	w := New(256)
-	w.Schedule(1<<40, func(Tick) {})
+	schedule(w, 1<<40, func(Tick) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if w.Due(Tick(i)) {
@@ -510,7 +533,7 @@ func BenchmarkHashedDueCheckIdle(b *testing.B) {
 // counts the firings.
 func sparseFire(q Queue) (cycle func(), fired *int) {
 	fired = new(int)
-	t := q.Schedule(1000, func(Tick) { *fired++ })
+	t := schedule(q, 1000, func(Tick) { *fired++ })
 	due := func(now Tick) bool { return q.Earliest() <= now }
 	if w, ok := q.(*Wheel); ok {
 		due = w.Due
@@ -521,7 +544,7 @@ func sparseFire(q Queue) (cycle func(), fired *int) {
 		if due(now) {
 			q.Advance(now)
 		}
-		t.Rearm(now+1000, nil)
+		q.Schedule(t, now+1000, nil)
 	}, fired
 }
 
@@ -558,7 +581,8 @@ func BenchmarkWheelSparseFire(b *testing.B) {
 }
 
 // TestRearmedLoneTimerExactBound pins the idle host's fast path: a lone timer
-// re-armed (or pooled-rescheduled) after each firing lands in an empty wheel,
+// scheduled again (or replaced by a new node) after each firing lands in an
+// empty wheel,
 // so the earliest bound is exact at once and the due checks before its next
 // firing never rescan, however stale the bound the firing left behind.
 func TestRearmedLoneTimerExactBound(t *testing.T) {
@@ -574,7 +598,7 @@ func TestRearmedLoneTimerExactBound(t *testing.T) {
 					t.Fatalf("bound = %d (dirty %v), want exact %d", e, dirty, want)
 				}
 			}
-			tm := q.Schedule(1000, func(Tick) {})
+			tm := schedule(q, 1000, func(Tick) {})
 			now := Tick(0)
 			for i := 0; i < 50; i++ {
 				now += 1001
@@ -582,10 +606,10 @@ func TestRearmedLoneTimerExactBound(t *testing.T) {
 					t.Fatalf("cycle %d: the lone timer did not fire", i)
 				}
 				if i%2 == 0 {
-					tm.Rearm(now+1000, nil)
+					q.Schedule(tm, now+1000, nil)
 					check(now + 1000)
 				} else {
-					q.ScheduleFree(now+700, func(Tick) {})
+					q.Schedule(new(Timer), now+700, func(Tick) {})
 					check(now + 700)
 				}
 			}
