@@ -82,11 +82,14 @@ cover:
 	$(GO) test -coverprofile=/tmp/softtimers-cover.out -covermode=atomic ./...
 	$(GO) tool cover -func=/tmp/softtimers-cover.out | tail -n 1
 
-# End-to-end telemetry smoke: dump a real experiment's metrics snapshot and
-# schema-check it.
+# End-to-end telemetry smoke: dump real experiments' metrics snapshots and
+# schema-check them: fig2's rows merged into one snapshot, and a fleet's
+# per-host histograms, whose buckets a snapshot shares with the live ones.
 metrics-smoke:
 	$(GO) run ./cmd/stbench -exp fig2 -metrics /tmp/stbench-metrics-smoke.json >/dev/null
 	$(GO) run ./cmd/metricscheck /tmp/stbench-metrics-smoke.json
+	$(GO) run ./cmd/stbench -exp fleet-scale -scale smoke -metrics /tmp/stbench-metrics-fleet.json >/dev/null
+	$(GO) run ./cmd/metricscheck /tmp/stbench-metrics-fleet.json
 
 # End-to-end trace smoke: export a Chrome trace and verify it parses as the
 # trace-event format (the golden test covers the exact bytes; this covers

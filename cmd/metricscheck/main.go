@@ -94,21 +94,11 @@ func main() {
 			if h.Width <= 0 {
 				report(exp, "histogram %s: non-positive bucket width %v", name, h.Width)
 			}
+			// Decoding already rejected indices out of order or negative and
+			// counts that are not positive.
 			var inBuckets int64
-			prev := -1
-			for _, b := range h.Buckets {
-				if b.Index <= prev {
-					report(exp, "histogram %s: bucket indices not strictly ascending at %d", name, b.Index)
-				}
-				prev = b.Index
-				if b.Index < 0 {
-					report(exp, "histogram %s: negative bucket index %d", name, b.Index)
-				}
-				if b.Count <= 0 {
-					report(exp, "histogram %s: bucket %d has non-positive count %d (empty buckets must be omitted)",
-						name, b.Index, b.Count)
-				}
-				inBuckets += b.Count
+			for i := range h.Buckets.Len() {
+				inBuckets += h.Buckets.At(i)
 			}
 			if h.Overflow < 0 {
 				report(exp, "histogram %s: negative overflow %d", name, h.Overflow)

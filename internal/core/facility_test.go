@@ -156,6 +156,35 @@ func TestCancelPreventsFiring(t *testing.T) {
 	}
 }
 
+// TestHandlerCancelsSiblingEvent: two soft events due in one trigger
+// state, each of whose handlers cancels the other, on both wheels. The
+// first to fire cancels the second, which must not run, and the facility's
+// counts must stay exact with a third event pending far out.
+func TestHandlerCancelsSiblingEvent(t *testing.T) {
+	for _, hier := range []bool{false, true} {
+		var clock sim.Time
+		k := kernel.New(sim.NewEngine(7), cpu.PentiumII300(), kernel.Options{Hz: 1000})
+		f := New(k, Options{Hierarchical: hier, TimeSource: func() sim.Time { return clock }})
+		ran := 0
+		var a, b *Event
+		a = f.ScheduleSoftEvent(10, func(sim.Time) sim.Time { ran++; b.Cancel(); return 0 })
+		b = f.ScheduleSoftEvent(10, func(sim.Time) sim.Time { ran++; a.Cancel(); return 0 })
+		far := f.ScheduleSoftEvent(1000, func(sim.Time) sim.Time { ran++; return 0 })
+		clock = 20 * sim.Microsecond
+		f.Trigger(kernel.SrcSyscall, clock)
+		if st := f.Stats(); ran != 1 || st.Fired != 1 || st.Canceled != 1 || f.Pending() != 1 || a.Pending() || b.Pending() {
+			t.Fatalf("hierarchical=%v: %d handlers ran, fired %d, canceled %d, pending %d, a/b pending %v/%v; want 1, 1, 1, 1, false/false",
+				hier, ran, st.Fired, st.Canceled, f.Pending(), a.Pending(), b.Pending())
+		}
+		clock = 2 * sim.Millisecond
+		f.Trigger(kernel.SrcHardClock, clock)
+		if ran != 2 || far.Pending() || f.Pending() != 0 || f.Stats().Fired != 2 {
+			t.Fatalf("hierarchical=%v: far event: %d handlers ran, pending %d, fired %d; want 2, 0, 2",
+				hier, ran, f.Pending(), f.Stats().Fired)
+		}
+	}
+}
+
 func TestNilHandlerPanics(t *testing.T) {
 	_, _, f := newRig(kernel.Options{}, Options{})
 	defer func() {

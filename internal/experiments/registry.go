@@ -46,8 +46,8 @@ var registry = map[string]entry{
 	"degradation-starve": {func(sc Scale) *Table { return RunDegradationStarve(sc).Table() }, "soft-timer delay vs trigger-state starvation"},
 	"degradation-loss":   {func(sc Scale) *Table { return RunDegradationLoss(sc).Table() }, "paced-transfer goodput vs data-path packet loss"},
 	// Multi-node topology experiments.
-	"fleet-scale": {func(sc Scale) *Table { return RunFleetScale(sc).Table() }, "one server vs up to 1024 real client kernels on a switched LAN (-shards N for parallel engines)"},
-	"fleet-hier":  {func(sc Scale) *Table { return RunFleetHier(sc).Table() }, "hierarchical fleet: leaf-spine fabric with connection churn (-shards N for per-leaf engines)"},
+	"fleet-scale": {func(sc Scale) *Table { return RunFleetScale(sc).Table() }, "one server vs up to 1024 real client kernels on a switched LAN (-shards N spreads the hosts over N engines, whose rounds run inline)"},
+	"fleet-hier":  {func(sc Scale) *Table { return RunFleetHier(sc).Table() }, "hierarchical fleet: leaf-spine fabric with connection churn (-shards N spreads the leaves over N engines, whose rounds run inline)"},
 	"fleet-trace": {func(sc Scale) *Table { return RunFleetTrace(sc).Table() }, "traced hierarchical fleet: sampled flow spans, per-hop latency decomposition, virtual-time series (-series dumps them)"},
 	// Real-time emulation (requires -clock realtime and loopback sockets;
 	// not part of "all" — results depend on the machine, by design).

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"softtimers/internal/stats"
@@ -122,7 +123,8 @@ func (g *Gauge) Name() string { return g.name }
 // stats.Histogram). Observe is the hot-path entry point; it allocates only
 // when a value first lands past the buckets grown so far, which happens at
 // most a handful of times per histogram (the array doubles from 64 up to
-// the registered count).
+// the registered count), when a count first passes 2^32-1, and on the
+// first write after a snapshot, which shares the array until then.
 type Histogram struct {
 	name string
 	h    *stats.Histogram
@@ -268,45 +270,116 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.funcGauges[name] = fn
 }
 
-// BucketCount is one non-empty histogram bucket in a snapshot: the bucket
-// index and its observation count, serialized as a two-element array.
+// BucketCount is one non-empty histogram bucket: the bucket index and its
+// observation count, as a snapshot's JSON form lists them.
 type BucketCount struct {
 	Index int
 	Count int64
 }
 
-// MarshalJSON encodes the pair as [index, count].
-func (b BucketCount) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("[%d,%d]", b.Index, b.Count)), nil
+// Buckets is a histogram snapshot's bucket counts. An unmerged snapshot
+// shares its histogram's array (stats.Histogram.Share), which the
+// histogram copies before it next writes; a merged one holds an array of
+// its own. In JSON it is the ascending [index, count] pairs of the
+// non-empty buckets, or null when every bucket is empty.
+type Buckets struct {
+	stats.Counts
 }
 
-// UnmarshalJSON decodes the [index, count] pair.
-func (b *BucketCount) UnmarshalJSON(data []byte) error {
-	var pair [2]int64
-	if err := json.Unmarshal(data, &pair); err != nil {
+// NonEmpty returns the non-empty buckets in ascending index order, nil
+// when there are none.
+func (b Buckets) NonEmpty() []BucketCount {
+	n := 0
+	for i := range b.Len() {
+		if b.At(i) != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]BucketCount, 0, n)
+	for i := range b.Len() {
+		if c := b.At(i); c != 0 {
+			out = append(out, BucketCount{Index: i, Count: c})
+		}
+	}
+	return out
+}
+
+// MarshalJSON encodes the non-empty buckets as [[index,count],...], or
+// null when there are none.
+func (b Buckets) MarshalJSON() ([]byte, error) {
+	pairs := b.NonEmpty()
+	if pairs == nil {
+		return []byte("null"), nil
+	}
+	out := make([]byte, 0, 16*len(pairs))
+	for i, p := range pairs {
+		if i == 0 {
+			out = append(out, '[', '[')
+		} else {
+			out = append(out, ',', '[')
+		}
+		out = strconv.AppendInt(out, int64(p.Index), 10)
+		out = append(out, ',')
+		out = strconv.AppendInt(out, p.Count, 10)
+		out = append(out, ']')
+	}
+	return append(out, ']'), nil
+}
+
+// maxDecodedBucket bounds the bucket indices UnmarshalJSON accepts: it
+// stores every bucket up to the last, so an index is memory. The widest
+// histogram in the simulator has 2,000 buckets.
+const maxDecodedBucket = 1 << 24
+
+// UnmarshalJSON decodes the [[index,count],...] form. Indices must be
+// non-negative, strictly ascending and below 2^24, and counts positive.
+func (b *Buckets) UnmarshalJSON(data []byte) error {
+	var pairs [][2]int64
+	if err := json.Unmarshal(data, &pairs); err != nil {
 		return err
 	}
-	b.Index = int(pair[0])
-	b.Count = pair[1]
+	prev := int64(-1)
+	for _, p := range pairs {
+		switch {
+		case p[0] <= prev:
+			return fmt.Errorf("metrics: bucket index %d not above %d", p[0], prev)
+		case p[0] >= maxDecodedBucket:
+			return fmt.Errorf("metrics: bucket index %d at or past %d", p[0], maxDecodedBucket)
+		case p[1] <= 0:
+			return fmt.Errorf("metrics: bucket %d has non-positive count %d", p[0], p[1])
+		}
+		prev = p[0]
+	}
+	if len(pairs) == 0 {
+		*b = Buckets{}
+		return nil
+	}
+	counts := make([]int64, prev+1)
+	for _, p := range pairs {
+		counts[p[0]] = p[1]
+	}
+	*b = Buckets{stats.NewCounts(counts)}
 	return nil
 }
 
 // HistogramSnapshot is one histogram's state: fixed bucket width, total
-// observation count, running sum, overflow count, and the non-empty
-// buckets in ascending index order.
+// observation count, running sum, overflow count and bucket counts.
 type HistogramSnapshot struct {
-	Width    float64       `json:"width"`
-	Count    int64         `json:"count"`
-	Sum      float64       `json:"sum"`
-	Overflow int64         `json:"overflow"`
-	Buckets  []BucketCount `json:"buckets"`
+	Width    float64 `json:"width"`
+	Count    int64   `json:"count"`
+	Sum      float64 `json:"sum"`
+	Overflow int64   `json:"overflow"`
+	Buckets  Buckets `json:"buckets"`
 }
 
 // Quantile estimates the q-th quantile (q clamped to [0,1]) by linear
-// interpolation within the containing sparse bucket — the same estimator
-// as stats.Histogram.Quantile, so for an unmerged snapshot the two agree
-// exactly. The one divergence is mass beyond the last bucket: the sparse
-// form does not know the original bucket count, so overflowed mass
+// interpolation within the containing bucket — the same estimator as
+// stats.Histogram.Quantile, so for an unmerged snapshot the two agree
+// exactly. The one divergence is mass beyond the last bucket: the
+// snapshot does not know the original bucket count, so overflowed mass
 // reports one width past the last non-empty bucket instead of the
 // histogram's fixed upper bound.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
@@ -322,16 +395,20 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	target := q * float64(h.Count)
 	var cum int64
 	var last int
-	for _, bc := range h.Buckets {
-		if float64(cum+bc.Count) >= target {
-			within := (target - float64(cum)) / float64(bc.Count)
+	for i := range h.Buckets.Len() {
+		c := h.Buckets.At(i)
+		if c == 0 {
+			continue
+		}
+		if float64(cum+c) >= target {
+			within := (target - float64(cum)) / float64(c)
 			if within < 0 {
 				within = 0
 			}
-			return (float64(bc.Index) + within) * h.Width
+			return (float64(i) + within) * h.Width
 		}
-		cum += bc.Count
-		last = bc.Index
+		cum += c
+		last = i
 	}
 	return h.Width * float64(last+1)
 }
@@ -379,30 +456,13 @@ func (r *Registry) Snapshot() *Snapshot {
 }
 
 func snapshotHistogram(h *stats.Histogram) HistogramSnapshot {
-	hs := HistogramSnapshot{
+	return HistogramSnapshot{
 		Width:    h.Width(),
 		Count:    h.N(),
 		Sum:      h.Sum(),
 		Overflow: h.Overflow(),
+		Buckets:  Buckets{h.Share()},
 	}
-	counts := h.Counts()
-	nz := 0
-	for _, c := range counts {
-		if c > 0 {
-			nz++
-		}
-	}
-	if nz == 0 {
-		return hs // nil Buckets, which JSON encodes as null
-	}
-	// Exact size: a fleet snapshot keeps thousands of these alive.
-	hs.Buckets = make([]BucketCount, 0, nz)
-	for i, c := range counts {
-		if c > 0 {
-			hs.Buckets = append(hs.Buckets, BucketCount{Index: i, Count: c})
-		}
-	}
-	return hs
 }
 
 // Merge folds other into s: counters sum, gauge values and high-water
@@ -448,54 +508,16 @@ func (s *Snapshot) Merge(other *Snapshot) {
 	}
 }
 
+// mergeHistogram adds b into a. Their bucket arrays may be shared with
+// live histograms or other snapshots, so the sum goes into a new array.
 func mergeHistogram(a, b HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{
+	return HistogramSnapshot{
 		Width:    a.Width,
 		Count:    a.Count + b.Count,
 		Sum:      a.Sum + b.Sum,
 		Overflow: a.Overflow + b.Overflow,
+		Buckets:  Buckets{stats.SumCounts(a.Buckets.Counts, b.Buckets.Counts)},
 	}
-	out.Buckets = mergeBuckets(a.Buckets, b.Buckets)
-	return out
-}
-
-// mergeBuckets adds two ascending sparse bucket lists into one ascending
-// list of exactly the union's length; nil when both are empty.
-func mergeBuckets(a, b []BucketCount) []BucketCount {
-	n := len(a) + len(b)
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch {
-		case a[i].Index < b[j].Index:
-			i++
-		case a[i].Index > b[j].Index:
-			j++
-		default:
-			n--
-			i++
-			j++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]BucketCount, 0, n)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Index < b[j].Index:
-			out = append(out, a[i])
-			i++
-		case a[i].Index > b[j].Index:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, BucketCount{Index: a[i].Index, Count: a[i].Count + b[j].Count})
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // Prefixed returns a copy of the snapshot with every instrument name

@@ -3,7 +3,9 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"softtimers/internal/stats"
@@ -80,13 +82,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if s.Count != 9 {
 		t.Fatalf("count = %d, want 9", s.Count)
 	}
-	if len(s.Buckets) != len(want) {
-		t.Fatalf("buckets = %v, want %v", s.Buckets, want)
-	}
-	for i, bc := range want {
-		if s.Buckets[i] != bc {
-			t.Fatalf("bucket[%d] = %v, want %v", i, s.Buckets[i], bc)
-		}
+	if got := s.Buckets.NonEmpty(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("buckets = %v, want %v", got, want)
 	}
 	// Sum is exact, not bucket-quantized (includes the clamped negative).
 	if s.Sum != -5+0+9.999+10+19.999+20+29.999+30+1e9 {
@@ -116,8 +113,8 @@ func TestAdoptHistogram(t *testing.T) {
 	legacy.Add(3)
 	legacy.Add(3.5)
 	s := r.Snapshot().Histograms["legacy.hist"]
-	if s.Count != 2 || len(s.Buckets) != 1 || s.Buckets[0] != (BucketCount{3, 2}) {
-		t.Fatalf("adopted histogram snapshot = %+v", s)
+	if got := s.Buckets.NonEmpty(); s.Count != 2 || len(got) != 1 || got[0] != (BucketCount{3, 2}) {
+		t.Fatalf("adopted histogram snapshot = %+v, buckets %v", s, got)
 	}
 }
 
@@ -136,27 +133,89 @@ func TestSnapshotSettlesPendingBuckets(t *testing.T) {
 		adopted.Add(v)
 		sum += v
 	}
-	want := HistogramSnapshot{Width: 1, Count: 7, Sum: sum, Overflow: 1,
-		Buckets: []BucketCount{{0, 1}, {1, 1}, {3, 2}, {7, 1}, {9, 1}}}
+	want := HistogramSnapshot{Width: 1, Count: 7, Sum: sum, Overflow: 1}
+	wantBuckets := []BucketCount{{0, 1}, {1, 1}, {3, 2}, {7, 1}, {9, 1}}
 	s := r.Snapshot()
 	for _, name := range []string{"direct", "adopted"} {
-		if got := s.Histograms[name]; !reflect.DeepEqual(got, want) {
+		got := s.Histograms[name]
+		if buckets := got.Buckets.NonEmpty(); !reflect.DeepEqual(buckets, wantBuckets) {
+			t.Errorf("%s: buckets = %v, want %v", name, buckets, wantBuckets)
+		}
+		got.Buckets = Buckets{}
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: snapshot = %+v, want %+v", name, got, want)
 		}
 	}
 }
 
+// TestSnapshotIsACopy checks that a snapshot keeps the state it was taken
+// in while the registry runs on. A snapshot shares its histograms' bucket
+// arrays, so its buckets are compared after each way the histogram writes
+// next: more adds to a shared bucket, an add past the grown end, and
+// widening to 64-bit counts.
 func TestSnapshotIsACopy(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
-	h := r.Histogram("h", 1, 10)
+	h := r.Histogram("h", 1, 2000)
 	c.Inc()
 	h.Observe(1)
-	s := r.Snapshot()
+	var snaps []*Snapshot
+	var wants [][]BucketCount
+	take := func(want ...BucketCount) {
+		snaps, wants = append(snaps, r.Snapshot()), append(wants, want)
+	}
+	take(BucketCount{1, 1})
 	c.Inc()
 	h.Observe(1)
-	if s.Counters["c"] != 1 || s.Histograms["h"].Count != 1 {
+	take(BucketCount{1, 2})
+	h.Observe(1500) // past the 64 buckets grown so far
+	take(BucketCount{1, 2}, BucketCount{1500, 1})
+	h.Underlying().SetBucketForTest(1, math.MaxUint32)
+	take(BucketCount{1, math.MaxUint32}, BucketCount{1500, 1})
+	h.Observe(1) // wraps 32 bits: the counts widen
+	take(BucketCount{1, 1 << 32}, BucketCount{1500, 1})
+	h.Observe(1)
+	h.Observe(1500)
+	if got := h.Underlying().Bucket(1); got != 1<<32+1 {
+		t.Fatalf("live bucket 1 = %d, want %d", got, int64(1<<32+1))
+	}
+	if snaps[0].Counters["c"] != 1 || snaps[0].Histograms["h"].Count != 1 {
 		t.Fatal("snapshot must not alias live registry state")
+	}
+	for i, s := range snaps {
+		if got := s.Histograms["h"].Buckets.NonEmpty(); !reflect.DeepEqual(got, wants[i]) {
+			t.Errorf("snapshot %d: buckets = %v, want %v", i, got, wants[i])
+		}
+	}
+}
+
+// TestHistogramCountPastUint32 sets a bucket to the largest 32-bit count
+// and adds one value: the count must read 2^32 through Bucket, the
+// snapshot and its JSON, and two such snapshots must merge exactly.
+func TestHistogramCountPastUint32(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", 1, 10)
+	h.Underlying().SetBucketForTest(3, math.MaxUint32)
+	h.Observe(3.5)
+	if got := h.Underlying().Bucket(3); got != 1<<32 {
+		t.Fatalf("Bucket(3) = %d, want %d", got, int64(1<<32))
+	}
+	s := r.Snapshot()
+	if got := s.Histograms["h"].Buckets.NonEmpty(); len(got) != 1 || got[0] != (BucketCount{3, 1 << 32}) {
+		t.Fatalf("snapshot buckets = %v, want [{3 %d}]", got, int64(1<<32))
+	}
+	buf, err := json.Marshal(s.Histograms["h"].Buckets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `[[3,4294967296]]`; string(buf) != want {
+		t.Fatalf("buckets encode as %s, want %s", buf, want)
+	}
+	merged := NewSnapshot()
+	merged.Merge(s)
+	merged.Merge(r.Snapshot())
+	if got := merged.Histograms["h"].Buckets.NonEmpty(); len(got) != 1 || got[0] != (BucketCount{3, 1 << 33}) {
+		t.Fatalf("merged buckets = %v, want [{3 %d}]", got, int64(1<<33))
 	}
 }
 
@@ -185,8 +244,8 @@ func TestMerge(t *testing.T) {
 		t.Fatalf("merged histogram = %+v", hs)
 	}
 	// Bucket 0 saw one observation from each input, bucket 4 only one.
-	if hs.Buckets[0] != (BucketCount{0, 2}) || hs.Buckets[len(hs.Buckets)-1] != (BucketCount{4, 1}) {
-		t.Fatalf("merged buckets = %v", hs.Buckets)
+	if got := hs.Buckets.NonEmpty(); got[0] != (BucketCount{0, 2}) || got[len(got)-1] != (BucketCount{4, 1}) {
+		t.Fatalf("merged buckets = %v", got)
 	}
 }
 
@@ -235,8 +294,67 @@ func TestJSONDeterminism(t *testing.T) {
 	if back.Counters["c.alpha"] != 5 {
 		t.Fatalf("round-tripped counter = %d, want 5", back.Counters["c.alpha"])
 	}
-	if got := back.Histograms["h.beta"].Buckets; len(got) != 1 || got[0] != (BucketCount{2, 1}) {
+	if got := back.Histograms["h.beta"].Buckets.NonEmpty(); len(got) != 1 || got[0] != (BucketCount{2, 1}) {
 		t.Fatalf("round-tripped buckets = %v", got)
+	}
+}
+
+// TestSnapshotJSONRoundTripsWidenedAndShared encodes a snapshot holding a
+// widened histogram and one that shares its live histogram's array,
+// decodes it as metricscheck reads a dump, and re-encodes it: the bytes
+// must match, and adds to the live histograms after the snapshot must not
+// change them.
+func TestSnapshotJSONRoundTripsWidenedAndShared(t *testing.T) {
+	r := NewRegistry()
+	wide := r.Histogram("h.wide", 1, 100)
+	wide.Underlying().SetBucketForTest(7, math.MaxUint32)
+	wide.Observe(7)
+	wide.Observe(70)
+	shared := r.Histogram("h.shared", 0.5, 2000)
+	for _, v := range []float64{0, 3, 3.2, 900, 5000} {
+		shared.Observe(v)
+	}
+	r.Counter("c").Inc()
+	encode := func(dump map[string]*Snapshot) []byte {
+		buf, err := json.MarshalIndent(dump, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	snap := r.Snapshot()
+	first := encode(map[string]*Snapshot{"exp": snap})
+	wide.Observe(7)
+	shared.Observe(3)
+	shared.Observe(1999)
+	r.Snapshot() // settles the adds into the live histograms
+	if again := encode(map[string]*Snapshot{"exp": snap}); !bytes.Equal(again, first) {
+		t.Fatalf("adds after the snapshot changed its JSON:\n%s\nvs\n%s", again, first)
+	}
+	var back map[string]*Snapshot
+	if err := json.Unmarshal(first, &back); err != nil {
+		t.Fatal(err)
+	}
+	if got := encode(back); !bytes.Equal(got, first) {
+		t.Fatalf("decoded dump re-encodes differently:\n%s\nvs\n%s", got, first)
+	}
+	if !strings.Contains(string(first), "4294967296") {
+		t.Fatalf("widened count missing from\n%s", first)
+	}
+}
+
+// TestBucketsRejectMalformedJSON checks that decoding refuses bucket lists
+// a snapshot never encodes.
+func TestBucketsRejectMalformedJSON(t *testing.T) {
+	for _, in := range []string{`[[2,1],[2,1]]`, `[[3,1],[1,1]]`, `[[-1,1]]`, `[[0,0]]`, `[[0,-4]]`, `[[16777216,1]]`, `[1,2]`} {
+		var b Buckets
+		if err := json.Unmarshal([]byte(in), &b); err == nil {
+			t.Errorf("%s decoded to %v, want an error", in, b.NonEmpty())
+		}
+	}
+	var b Buckets
+	if err := json.Unmarshal([]byte(`null`), &b); err != nil || b.Len() != 0 {
+		t.Errorf("null decoded to %d buckets, err %v; want none", b.Len(), err)
 	}
 }
 

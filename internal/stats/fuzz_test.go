@@ -1,25 +1,35 @@
-// Native fuzz target for the histogram's grown bucket array: the input
-// bytes decode into a bucket count, a width and a stream of adds and reads,
-// replayed on a Histogram and on the flat reference in grow_test.go. Every
-// read must agree. `make fuzz-smoke` runs this target beyond the checked-in
+// Native fuzz target for the histogram's grown, widened and shared bucket
+// array: the input bytes decode into a bucket count, a width and a stream
+// of adds, reads, shared views and near-2^32 counts, replayed on a
+// Histogram and on the flat reference in grow_test.go. Every read must
+// agree, and every view must keep the counts it was taken with. `make fuzz-smoke` runs this target beyond the checked-in
 // corpus; plain `go test` replays the corpus as regressions.
 package stats
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
 // fuzzWidths are the bucket widths an input picks from.
 var fuzzWidths = []float64{1, 0.5, 5, 0.25, 3}
 
+// fuzzViews is the most shared views an input keeps for the check at its
+// end; later share ops still share, so the copy-on-write runs, unchecked.
+const fuzzViews = 8
+
 // FuzzHistogramOps decodes data as: two bytes of bucket count (1 + n mod
-// 4096), one byte of width choice, then ops. An op byte of 0xf0 or more
-// runs the read histReads[op mod len]; reads render every bucket, so they
-// are kept to one op value in 16. Any other op byte adds
-// (idx + (op&0x7f)/128) * width, where idx is the next two bytes as a
-// signed 16-bit bucket index. Values are finite and bounded, as the
-// simulator's µs values are, and reach past either end of every range.
+// 4096), one byte of width choice, then ops. Op byte 0xfe takes a shared
+// view (Share) and keeps the reference's buckets as of that op; at the end
+// of the input every kept view must still hold them. Op byte 0xff sets the
+// bucket given by the next two bytes (mod the bucket count) to 2^32-1, the
+// largest 32-bit count, so the next add there widens the counts. Any
+// other op byte of 0xf0 or more runs the read histReads[op mod len]; reads
+// render every bucket, so they are kept to one op value in 16. Any other
+// op byte adds (idx + (op&0x7f)/128) * width, where idx is the next two
+// bytes as a signed 16-bit bucket index. Values are finite and bounded, as
+// the simulator's µs values are, and reach past either end of every range.
 func FuzzHistogramOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 4096 {
@@ -28,10 +38,33 @@ func FuzzHistogramOps(f *testing.F) {
 		nb := 1 + int(binary.BigEndian.Uint16(data))%4096
 		w := fuzzWidths[int(data[2])%len(fuzzWidths)]
 		h, ref := NewHistogram(w, nb), newFlatHist(w, nb)
+		type view struct {
+			at   int // op byte that took it
+			c    Counts
+			want []int64
+		}
+		var views []view
 		for p := 3; p < len(data); {
 			op := data[p]
 			p++
-			if op >= 0xf0 {
+			switch {
+			case op == 0xfe:
+				c := h.Share()
+				if len(views) < fuzzViews {
+					views = append(views, view{p - 1, c, append([]int64(nil), ref.buckets...)})
+				}
+				continue
+			case op == 0xff:
+				if p+2 > len(data) {
+					p = len(data)
+					continue
+				}
+				i := int(binary.BigEndian.Uint16(data[p:])) % nb
+				p += 2
+				h.SetBucketForTest(i, math.MaxUint32)
+				ref.buckets[i] = math.MaxUint32
+				continue
+			case op >= 0xf0:
 				r := histReads[int(op)%len(histReads)]
 				if got, want := r.read(h), r.read(ref); got != want {
 					t.Fatalf("n=%d w=%g, %s at byte %d:\n got %s\nwant %s", nb, w, r.name, p-1, got, want)
@@ -56,6 +89,18 @@ func FuzzHistogramOps(f *testing.F) {
 			}
 			if got, want := r.read(h), r.read(ref); got != want {
 				t.Fatalf("n=%d w=%g, %s at end:\n got %s\nwant %s", nb, w, r.name, got, want)
+			}
+		}
+		// The reads above settled every add, so each write a view could
+		// have seen has happened.
+		for _, v := range views {
+			if v.c.Len() > nb {
+				t.Fatalf("n=%d w=%g: view from byte %d covers %d buckets", nb, w, v.at, v.c.Len())
+			}
+			for i, want := range v.want {
+				if got := v.c.At(i); got != want {
+					t.Fatalf("n=%d w=%g: view from byte %d reads bucket %d as %d, want %d", nb, w, v.at, i, got, want)
+				}
 			}
 		}
 	})

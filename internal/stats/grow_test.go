@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -287,5 +288,26 @@ func TestHistogramBucketRange(t *testing.T) {
 func TestHistogramSizeIsLineMultiple(t *testing.T) {
 	if sz := unsafe.Sizeof(Histogram{}); sz%64 != 0 {
 		t.Fatalf("Histogram is %d bytes, want a multiple of 64", sz)
+	}
+}
+
+// TestHistogramWidensPastUint32Observations sets the fields 2^32 adds to
+// one bucket would leave (that bucket at 2^32-1, n past 2^32-1) without
+// SetBucketForTest, which marks the histogram itself: the next add there
+// must widen the counts to 64 bits, not wrap the count to 0.
+func TestHistogramWidensPastUint32Observations(t *testing.T) {
+	h := NewHistogram(1, 100)
+	h.Add(5)
+	h.Add(70)
+	if h.Bucket(5) != 1 || len(h.buckets) != 100 {
+		t.Fatalf("Bucket(5) = %d with %d buckets grown, want 1 with 100", h.Bucket(5), len(h.buckets))
+	}
+	h.buckets[5], h.n = math.MaxUint32, math.MaxUint32+1
+	h.Add(5.5)
+	if got := h.Bucket(5); got != 1<<32 || h.flags&histWide == 0 {
+		t.Fatalf("Bucket(5) = %d, wide %v; want %d, wide", got, h.flags&histWide != 0, int64(1<<32))
+	}
+	if h.Bucket(70) != 1 || h.Bucket(6) != 0 || h.view().Len() != 100 {
+		t.Fatalf("widening moved counts: Bucket(70) = %d, Bucket(6) = %d, %d buckets", h.Bucket(70), h.Bucket(6), h.view().Len())
 	}
 }

@@ -20,28 +20,41 @@ import (
 // 2,000-bucket histograms never see a value past ~1,005 µs, so they stop
 // at 1,024 buckets; its NIC's 256-bucket batch sizes stop at 64.
 //
+// Counts are 32-bit words, half the bytes of an int64 count, because no
+// simulated bucket comes near 2^32 observations. The first add that would
+// wrap a bucket widens the whole array to 64-bit counts, stored as a lo/hi
+// word pair per bucket in the same slice, so counts stay exact at any size.
+// A bucket never holds more than the total count, so until that passes
+// 2^32-1 no add checks for a wrap.
+//
+// Share hands a snapshot the array itself rather than a copy: the
+// histogram marks it shared and copies it before its next write, so the
+// view never changes. A run's final snapshot, taken when no write follows,
+// therefore costs no bucket memory.
+//
 // Add parks each value in a small inline buffer, and settle files the
 // buffer in one burst when it fills: count, sum, overflow and bucket. A
 // fleet host adds one value per simulated millisecond, and between two
 // adds the other hosts' work evicts its bucket array; the burst's
 // independent increments overlap their cache misses, where eager
 // increments would each pay one. Parking the raw value keeps Add to a
-// store and a test, so it inlines into its hot callers, and the growth
-// path stays in settle. Every read but N (Bucket, Counts, Overflow, Sum,
-// Mean, Quantile, FracAbove, CDF, ASCII) first settles the buffer, so a
-// read writes: a Histogram is single-goroutine, like the registry that
-// adopts it.
+// store and a test, so it inlines into its hot callers, and the growth,
+// widening and copy-on-write paths stay behind settle, the only writer of
+// the array. Every read but N (Bucket, Share, Overflow, Sum, Mean, Quantile,
+// FracAbove, CDF, ASCII) first settles the buffer, so a read writes: a
+// Histogram is single-goroutine, like the registry that adopts it.
 type Histogram struct {
 	width    float64
-	buckets  []int64 // grown on demand; never longer than nb
+	buckets  []uint32 // grown on demand; one word per bucket, or a lo/hi pair once wide
 	overflow int64
 	n        int64
 	sum      float64
-	// npend and nb are int32 to keep the struct at 192 bytes. An object
-	// whose size is a multiple of 64 sits in a size class whose objects
-	// all start on a 64-byte line, so every field above shares one line
-	// with npend; at 200 bytes (208-byte class) they straddle two.
-	npend int32
+	// npend, flags and nb are narrow to keep the struct at 192 bytes. An
+	// object whose size is a multiple of 64 sits in a size class whose
+	// objects all start on a 64-byte line, so every field above shares one
+	// line with npend; at 200 bytes (208-byte class) they straddle two.
+	npend uint16
+	flags uint16               // histWide, histShared, histPreset
 	nb    int32                // configured bucket count: the range
 	pend  [histPending]float64 // values added but not yet filed
 }
@@ -51,6 +64,13 @@ const (
 	histPending = 16
 	// histMinGrow is the fewest buckets a grown array holds.
 	histMinGrow = 64
+)
+
+// Histogram flags.
+const (
+	histWide   = 1 << iota // buckets holds a lo/hi word pair per bucket
+	histShared             // a view holds buckets: copy it before writing
+	histPreset             // SetBucketForTest ran: a count may exceed n
 )
 
 // NewHistogram creates a histogram with nbuckets buckets of the given width.
@@ -71,16 +91,31 @@ func (h *Histogram) Add(v float64) {
 	}
 }
 
-// settle files the parked values in the order they were added, growing the
-// bucket array first when one reaches past its end. It must not inline:
-// Add inlines only while the call to settle is the one call in its body.
+// settle files the parked values in the order they were added. Before the
+// first write after Share it copies the array; it grows the array when an
+// index reaches past its end, and widens it when a count would wrap. It
+// must not inline: Add inlines only while the call to settle is the one
+// call in its body.
 //
 //go:noinline
 func (h *Histogram) settle() {
+	if h.npend == 0 {
+		return
+	}
+	if h.flags&histShared != 0 {
+		h.realloc(h.view().Len(), h.flags&histWide != 0)
+	}
 	// The running totals stay in locals: through h, each add would wait on
 	// the store the one before it made.
 	n, sum, overflow := h.n, h.sum, h.overflow
 	width, nb := h.width, int(h.nb)
+	// No bucket holds more than n observations, so while n fits in 32 bits
+	// no increment can wrap and the loop need not check. Otherwise a nil b
+	// sends every in-range value through addSlow, which does.
+	b, fast := h.buckets, h.flags&(histWide|histPreset) == 0 && n+int64(h.npend) <= math.MaxUint32
+	if !fast {
+		b = nil
+	}
 	for _, v := range h.pend[:h.npend] {
 		n++
 		sum += v
@@ -92,23 +127,149 @@ func (h *Histogram) settle() {
 			overflow++
 			continue
 		}
-		if i >= len(h.buckets) {
-			h.grow(i)
+		if uint(i) < uint(len(b)) {
+			b[i]++
+			continue
 		}
-		h.buckets[i]++
+		h.addSlow(i)
+		if fast {
+			b = h.buckets
+		}
 	}
 	h.n, h.sum, h.overflow = n, sum, overflow
 	h.npend = 0
+}
+
+// addSlow counts one value in bucket i where settle's fast path cannot:
+// the array must grow first, or a count might wrap, or counts are wide.
+// It widens the counts when a 32-bit count would wrap.
+func (h *Histogram) addSlow(i int) {
+	if i >= h.view().Len() {
+		h.grow(i)
+	}
+	if h.flags&histWide == 0 {
+		if c := h.buckets[i]; c != math.MaxUint32 {
+			h.buckets[i] = c + 1
+			return
+		}
+		h.realloc(len(h.buckets), true)
+	}
+	if h.buckets[2*i]++; h.buckets[2*i] == 0 {
+		h.buckets[2*i+1]++
+	}
 }
 
 // grow replaces the bucket array with one that covers index i: the
 // smallest power of two above i, at least histMinGrow and at most the
 // configured count. The counts held so far carry over.
 func (h *Histogram) grow(i int) {
-	n := min(max(histMinGrow, 1<<bits.Len(uint(i))), int(h.nb))
-	b := make([]int64, n)
-	copy(b, h.buckets)
-	h.buckets = b
+	h.realloc(min(max(histMinGrow, 1<<bits.Len(uint(i))), int(h.nb)), h.flags&histWide != 0)
+}
+
+// realloc replaces the bucket array with a private one of n buckets, in
+// 64-bit pairs if wide, holding the counts held so far. A view the old
+// array backs keeps it unchanged.
+func (h *Histogram) realloc(n int, wide bool) {
+	old := h.view()
+	if wide {
+		b := make([]uint32, 2*n)
+		for i := range old.Len() {
+			c := old.At(i)
+			b[2*i], b[2*i+1] = uint32(c), uint32(c>>32)
+		}
+		h.buckets = b
+		h.flags |= histWide
+	} else {
+		b := make([]uint32, n)
+		copy(b, h.buckets)
+		h.buckets = b
+	}
+	h.flags &^= histShared
+}
+
+// view returns the bucket counts as a Counts, without settling.
+func (h *Histogram) view() Counts {
+	return Counts{c: h.buckets, wide: h.flags&histWide != 0}
+}
+
+// Counts is a read-only view of histogram bucket counts, as Share returns
+// them and as merged snapshots hold them. Bucket i holds At(i); every
+// bucket at or past Len() is empty. Nothing writes an array once a Counts
+// holds it, so a Counts may be copied and kept freely.
+type Counts struct {
+	c    []uint32 // one word per bucket, or a lo/hi pair per bucket when wide
+	wide bool
+}
+
+// NewCounts returns a view of its own over the given counts, which must
+// not be negative: 32-bit words when every count fits, 64-bit pairs
+// otherwise.
+func NewCounts(counts []int64) Counts {
+	return packCounts(len(counts), func(i int) uint64 {
+		if counts[i] < 0 {
+			panic("stats: negative bucket count")
+		}
+		return uint64(counts[i])
+	})
+}
+
+// SumCounts returns the bucket-wise sum of a and b. When both cover
+// buckets the sum lives in an array of its own; when one covers none, the
+// sum is the other.
+func SumCounts(a, b Counts) Counts {
+	switch {
+	case a.Len() == 0:
+		return b
+	case b.Len() == 0:
+		return a
+	}
+	return packCounts(max(a.Len(), b.Len()), func(i int) uint64 {
+		return uint64(a.At(i)) + uint64(b.At(i))
+	})
+}
+
+// packCounts builds a view over a new array of n buckets holding at(i),
+// in 64-bit pairs only if some count needs them.
+func packCounts(n int, at func(i int) uint64) Counts {
+	wide := false
+	for i := 0; i < n && !wide; i++ {
+		wide = at(i) > math.MaxUint32
+	}
+	if !wide {
+		b := make([]uint32, n)
+		for i := range b {
+			b[i] = uint32(at(i))
+		}
+		return Counts{c: b}
+	}
+	b := make([]uint32, 2*n)
+	for i := range n {
+		c := at(i)
+		b[2*i], b[2*i+1] = uint32(c), uint32(c>>32)
+	}
+	return Counts{c: b, wide: true}
+}
+
+// Len returns the number of buckets the view covers.
+func (c Counts) Len() int {
+	if c.wide {
+		return len(c.c) / 2
+	}
+	return len(c.c)
+}
+
+// At returns the count of bucket i, which is zero at or past Len().
+func (c Counts) At(i int) int64 {
+	if c.wide {
+		if 2*i+1 < len(c.c) {
+			return int64(c.c[2*i]) | int64(c.c[2*i+1])<<32
+		}
+		return 0
+	}
+	if i < len(c.c) {
+		return int64(c.c[i])
+	}
+	return 0
 }
 
 // N returns the number of observations, parked ones included.
@@ -129,25 +290,42 @@ func (h *Histogram) Bucket(i int) int64 {
 	if h.npend != 0 {
 		h.settle()
 	}
-	return h.at(i)
+	return h.view().At(i)
 }
 
-// at returns the count of bucket i, which is empty when i lies past the
-// grown array.
-func (h *Histogram) at(i int) int64 {
-	if i < len(h.buckets) {
-		return h.buckets[i]
-	}
-	return 0
-}
-
-// Counts returns the counts of the buckets the histogram has grown so far,
-// settling pending adds first: element i is Bucket(i), and every bucket
-// past the end is empty. The slice is the histogram's own, valid until the
-// next Add; callers must not modify it.
-func (h *Histogram) Counts() []int64 {
+// Share returns the bucket counts, settling pending adds first, as a view
+// that shares the histogram's array. The histogram copies the array before
+// it next writes, so the view keeps the counts as of this call.
+func (h *Histogram) Share() Counts {
 	h.settle()
-	return h.buckets
+	if h.buckets != nil {
+		h.flags |= histShared
+	}
+	return h.view()
+}
+
+// SetBucketForTest sets bucket i's count to c, through the paths settle
+// writes by: the copy after Share, growth and widening. N, Sum and
+// Overflow do not change. It lets tests reach counts near 2^32 without
+// 2^32 adds.
+func (h *Histogram) SetBucketForTest(i int, c uint64) {
+	if i < 0 || i >= int(h.nb) {
+		panic(fmt.Sprintf("stats: bucket %d out of range [0, %d)", i, h.nb))
+	}
+	h.settle()
+	h.flags |= histPreset
+	wide := h.flags&histWide != 0 || c > math.MaxUint32
+	if i >= h.view().Len() {
+		h.grow(i)
+	}
+	if h.flags&histShared != 0 || wide && h.flags&histWide == 0 {
+		h.realloc(h.view().Len(), wide)
+	}
+	if wide {
+		h.buckets[2*i], h.buckets[2*i+1] = uint32(c), uint32(c>>32)
+	} else {
+		h.buckets[i] = uint32(c)
+	}
 }
 
 // Overflow returns the count of observations beyond the last bucket.
@@ -187,7 +365,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	target := q * float64(h.n)
 	var cum int64
-	for i, c := range h.Counts() {
+	counts := h.view()
+	for i := range counts.Len() {
+		c := counts.At(i)
 		if float64(cum+c) >= target && c > 0 {
 			within := (target - float64(cum)) / float64(c)
 			if within < 0 {
@@ -215,10 +395,10 @@ func (h *Histogram) FracAbove(x float64) float64 {
 		// threshold, so start at 0.
 		idx = 0
 	}
-	counts := h.Counts()
+	counts := h.view()
 	var above int64 = h.overflow
-	for i := idx; i < len(counts); i++ {
-		above += counts[i]
+	for i := idx; i < counts.Len(); i++ {
+		above += counts.At(i)
 	}
 	return float64(above) / float64(h.n)
 }
@@ -233,7 +413,7 @@ func (h *Histogram) CDF(max float64) []CDFPoint {
 		if x > max {
 			break
 		}
-		cum += h.at(i)
+		cum += h.view().At(i)
 		frac := 0.0
 		if h.n > 0 {
 			frac = float64(cum) / float64(h.n)
@@ -253,12 +433,12 @@ func (h *Histogram) ASCII(maxBuckets int) string {
 		limit = maxBuckets
 	}
 	for i := 0; i < limit; i++ {
-		if c := h.at(i); c > peak {
+		if c := h.view().At(i); c > peak {
 			peak = c
 		}
 	}
 	for i := 0; i < limit; i++ {
-		c := h.at(i)
+		c := h.view().At(i)
 		bar := int(float64(c) / float64(peak) * 50)
 		fmt.Fprintf(&b, "%8.1f |%s %d\n", float64(i)*h.width, strings.Repeat("#", bar), c)
 	}

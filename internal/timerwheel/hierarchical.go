@@ -228,6 +228,9 @@ func (h *Hierarchical) cascade(s *slot) {
 	}
 }
 
+// fireSlot fires the due timers of s that this pass did not schedule,
+// going on after each handler from the saved next node only while it is
+// still in s (see Wheel.fireSlot).
 func (h *Hierarchical) fireSlot(s *slot, now Tick) int {
 	fired := 0
 	t := s.head
@@ -241,6 +244,9 @@ func (h *Hierarchical) fireSlot(s *slot, now Tick) int {
 			}
 			fired++
 			t.fn(now)
+			if next != nil && next.slot != s {
+				next = s.head
+			}
 		}
 		t = next
 	}

@@ -408,6 +408,14 @@ func (w *Wheel) fireRange(lo, hi, now Tick) int {
 	return fired
 }
 
+// fireSlot fires the due timers of s that this pass did not schedule. A
+// handler may cancel or move any timer, the one linked after its own
+// included, so the walk goes on from that saved node only while it is
+// still in s, and from s's head otherwise. Restarting is safe: a node
+// already visited either fired and left s, or is skipped again as not due
+// or as scheduled in this pass. A slot no handler disturbs fires in list
+// order. (A saved node that left s and came back as the lone timer is
+// unlinked, so the walk ends there, with nothing else pending.)
 func (w *Wheel) fireSlot(s *slot, now Tick) int {
 	fired := 0
 	t := s.head
@@ -421,6 +429,9 @@ func (w *Wheel) fireSlot(s *slot, now Tick) int {
 			}
 			fired++
 			t.fn(now)
+			if next != nil && next.slot != s {
+				next = s.head
+			}
 		}
 		t = next
 	}
