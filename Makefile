@@ -45,7 +45,7 @@ test: metrics-smoke trace-smoke series-smoke emu-smoke bench-smoke
 bench-smoke:
 	cd bench && $(GO) test .
 
-# The real-time clock's cross-goroutine injection, the emulation bridge's
+# The emulation clock's cross-goroutine injection, the emulation bridge's
 # socket goroutines and the parallel experiment runner (whose rows run
 # topology and httpserv rigs side by side) are the concurrency-sensitive
 # code; run their packages under the race detector.
@@ -155,11 +155,14 @@ shard-smoke:
 	diff /tmp/stbench-tseries1.json /tmp/stbench-tseries8.json
 
 # Emulation smoke: stserve's self-test serves real HTTP over loopback for
-# ~2 s under the RealTimeClock driver and asserts at least one pacer-clocked
-# response plus a non-empty engine-lag histogram. Prints SKIP (and exits 0)
-# on runners where loopback sockets are unavailable.
+# ~2 s, its engine paced by the wall clock, and asserts at least one
+# pacer-clocked response plus a non-empty engine-lag histogram; then the
+# emu-trigger-interval experiment measures real trigger intervals for both
+# server models. Each prints SKIP (and exits 0) on runners where loopback
+# sockets are unavailable.
 emu-smoke:
 	$(GO) run ./cmd/stserve -selftest
+	$(GO) run ./cmd/stbench -exp emu-trigger-interval -scale smoke
 
 stbench:
 	$(GO) build -o stbench ./cmd/stbench

@@ -23,7 +23,8 @@
 // delaydist (§3's d distribution), sec510 (useful-range analysis),
 // ablation-wheel, ablation-idle, ablation-pollution, degradation-starve,
 // degradation-loss, fleet-scale, fleet-hier, fleet-trace, all (those 22),
-// and emu-trigger-interval (-clock realtime only).
+// and emu-trigger-interval (real sockets and the wall clock, so not in
+// all).
 //
 // An experiment that panics is reported on stderr and the process exits
 // non-zero, after the remaining experiments have completed and printed.
@@ -77,8 +78,6 @@ func main() {
 		"worker count for independent experiments and sweep rows (1 = fully serial)")
 	shards := flag.Int("shards", 1,
 		"engines per fleet row under conservative-sync sharding, at least 1 (output unchanged)")
-	clock := flag.String("clock", "sim",
-		"engine clock driver: sim (deterministic, the default) or realtime (emulation experiments only)")
 	jsonPath := flag.String("json", "", "also write a machine-readable results record to this file")
 	metricsPath := flag.String("metrics", "",
 		"write each experiment's full telemetry snapshot (JSON, deterministic at any -parallel) to this file")
@@ -103,10 +102,6 @@ func main() {
 		fmt.Println("\nfault scenarios (stbench -scenario <name>):")
 		for _, name := range faults.ScenarioNames() {
 			fmt.Printf("  %-20s %s\n", name, faults.DescribeScenario(name))
-		}
-		fmt.Println("\nclock drivers (stbench -clock <name>):")
-		for _, k := range sim.ClockKinds() {
-			fmt.Printf("  %-20s %s\n", k.String(), k.Description())
 		}
 		return
 	}
@@ -144,12 +139,6 @@ func main() {
 		os.Exit(2)
 	}
 	sc.Shards = *shards
-	ck, err := sim.ParseClockKind(*clock)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stbench: %v\n", err)
-		os.Exit(2)
-	}
-	sc.Clock = ck
 	if *progress {
 		sc.Progress = progressPrinter(*jsonPath != "")
 	}
@@ -176,25 +165,6 @@ func main() {
 			known := experiments.Names()
 			sort.Strings(known)
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s, all\n", *exp, strings.Join(known, ", "))
-			os.Exit(2)
-		}
-	}
-
-	// The clock driver and the experiment set must agree: deterministic
-	// experiments are part of the reproducibility contract and refuse the
-	// wall clock; emulation experiments measure real time and refuse the
-	// virtual one.
-	if *scenario != "" && ck != sim.ClockSim {
-		fmt.Fprintf(os.Stderr, "stbench: -scenario runs are deterministic; they do not accept -clock %s\n", ck)
-		os.Exit(2)
-	}
-	for _, name := range names {
-		switch {
-		case experiments.RequiresRealTime(name) && ck != sim.ClockRealTime:
-			fmt.Fprintf(os.Stderr, "stbench: experiment %q measures against the wall clock; run it with -clock realtime\n", name)
-			os.Exit(2)
-		case !experiments.RequiresRealTime(name) && ck != sim.ClockSim:
-			fmt.Fprintf(os.Stderr, "stbench: experiment %q is deterministic; -clock %s would make its results irreproducible (only emulation experiments accept it)\n", name, ck)
 			os.Exit(2)
 		}
 	}

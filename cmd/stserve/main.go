@@ -17,8 +17,8 @@
 //
 // On exit, stserve prints the run's measurement summary: completed
 // responses, the measured trigger-interval distribution (median/p99, the
-// paper's Table 1 quantities, here from real timestamps), and the clock
-// driver's lag accounting.
+// paper's Table 1 quantities, here from real timestamps), and the
+// emulation clock's lag accounting.
 package main
 
 import (
@@ -116,7 +116,7 @@ func report(s *emu.Server) {
 
 // runSelftest is the CI smoke path: serve on loopback, fetch responses
 // with a plain HTTP client for ~2s of wall time, and assert that at least
-// one response was paced out and that the clock driver recorded lag
+// one response was paced out and that the emulation clock recorded lag
 // accounting. Runners without loopback sockets print SKIP and exit 0.
 func runSelftest(cfg emu.Config) int {
 	if ln, err := net.Listen("tcp", "127.0.0.1:0"); err != nil {

@@ -79,3 +79,104 @@ func definesPrefix(defined map[string]bool, prefix string) bool {
 	}
 	return false
 }
+
+// flagCommands are the repository's commands whose flags the documents
+// cite.
+var flagCommands = []string{"stbench", "stserve", "sttrace", "metricscheck", "tracecheck"}
+
+var (
+	definedFlag = regexp.MustCompile(`\bflag\.[A-Za-z0-9]+\((?:&\w+, )?"([^"]+)"`)
+	codeSpan    = regexp.MustCompile("`([^`]+)`")
+	// commandRun is one invocation: the command, then its arguments up to
+	// a shell operator or a comment.
+	commandRun = regexp.MustCompile(`(?:^|[\s/])(` + strings.Join(flagCommands, "|") + `)(\s[^|;&<>()#]*)?`)
+	flagToken  = regexp.MustCompile(`(?:^|\s)--?([A-Za-z][\w-]*)`)
+)
+
+// TestDocsCiteDefinedFlags checks that every flag the documents and skill
+// notes pass to one of the repository's commands, inside a code span or a
+// fenced block, is defined by that command's flag calls, so a deleted or
+// renamed flag cannot leave a stale invocation behind.
+func TestDocsCiteDefinedFlags(t *testing.T) {
+	defined := map[string]map[string]bool{}
+	for _, cmd := range flagCommands {
+		files, err := filepath.Glob(filepath.Join("cmd", cmd, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no sources for command %s: %v", cmd, err)
+		}
+		defined[cmd] = map[string]bool{}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range definedFlag.FindAllSubmatch(src, -1) {
+				defined[cmd][string(m[1])] = true
+			}
+		}
+	}
+	notes, err := filepath.Glob(skillNotes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append(docsCitingTests, notes...) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range codeSnippets(string(text)) {
+			for _, run := range commandRun.FindAllStringSubmatch(s.code, -1) {
+				for _, f := range flagToken.FindAllStringSubmatch(run[2], -1) {
+					if !defined[run[1]][f[1]] {
+						t.Errorf("%s:%d passes -%s to %s, which defines no such flag", doc, s.line, f[1], run[1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// codeSnippet is a piece of a document set as code, and the line it
+// starts on.
+type codeSnippet struct {
+	line int
+	code string
+}
+
+// codeSnippets returns each line of the document's fenced blocks, with
+// its backslash-continued lines joined on, and each inline code span,
+// with its line breaks flattened to spaces.
+func codeSnippets(doc string) []codeSnippet {
+	var out []codeSnippet
+	lines := strings.Split(doc, "\n")
+	fenced := false
+	for i := 0; i < len(lines); i++ {
+		if strings.HasPrefix(strings.TrimSpace(lines[i]), "```") {
+			fenced = !fenced
+			lines[i] = ""
+			continue
+		}
+		if !fenced {
+			continue
+		}
+		start, code := i, lines[i]
+		lines[i] = ""
+		for strings.HasSuffix(code, `\`) && i+1 < len(lines) {
+			i++
+			code = strings.TrimSuffix(code, `\`) + " " + lines[i]
+			lines[i] = ""
+		}
+		out = append(out, codeSnippet{start + 1, code})
+	}
+	// Fenced lines are blanked, so spans are found in prose only, and
+	// line numbers still count from the top of the document.
+	prose := strings.Join(lines, "\n")
+	for _, m := range codeSpan.FindAllStringSubmatchIndex(prose, -1) {
+		line := 1 + strings.Count(prose[:m[0]], "\n")
+		out = append(out, codeSnippet{line, strings.ReplaceAll(prose[m[2]:m[3]], "\n", " ")})
+	}
+	return out
+}

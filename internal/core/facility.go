@@ -56,14 +56,13 @@ type Options struct {
 	// regression tests can diff the two paths' telemetry byte for byte.
 	LegacyRearm bool
 	// TimeSource, when non-nil, replaces the kernel's virtual clock as the
-	// facility's measurement clock. Emulation mode (sim.RealTimeClock)
-	// supplies its wall-mapped VirtualNow here so measured trigger
-	// intervals and firing delays reflect real elapsed time — engine lag
-	// included — rather than the event-hop virtual clock; a catch-up burst
-	// that fires "on time" in virtual terms still shows its true wall
-	// delay. The source must be monotone non-decreasing. Nil (the default)
-	// keeps the kernel clock and is byte-identical to the pre-seam
-	// facility.
+	// facility's measurement clock. Emulation mode (emu.Clock) supplies
+	// its wall-mapped VirtualNow here so measured trigger intervals and
+	// firing delays reflect real elapsed time — engine lag included —
+	// rather than the event-hop virtual clock; a catch-up burst that fires
+	// "on time" in virtual terms still shows its true wall delay. The
+	// source must be monotone non-decreasing. Nil (the default) keeps the
+	// kernel clock and is byte-identical to the pre-seam facility.
 	TimeSource func() sim.Time
 }
 

@@ -1,26 +1,25 @@
 // Package emu binds the simulated soft-timer netstack to real OS sockets —
 // the repo's real-time emulation mode. A simulated host (kernel, soft-timer
-// facility, NIC, and the httpserv Flash/Apache server model) runs under a
-// sim.RealTimeClock driver, so its virtual clock advances 1:1 with the wall
-// clock; a real TCP listener feeds accepted connections into the model as
-// Syn/Request packets, and the response packets the model transmits —
-// paced by the Section 4.1 soft-timer Pacer — are written back to the
-// socket as real HTTP bytes.
+// facility, NIC, and the httpserv Flash/Apache server model) runs paced by
+// a Clock, so its virtual clock advances 1:1 with the wall clock; a real
+// TCP listener feeds accepted connections into the model as Syn/Request
+// packets, and the response packets the model transmits — paced by the
+// Section 4.1 soft-timer Pacer — are written back to the socket as real
+// HTTP bytes.
 //
 // This closes the loop on the paper's headline claim: trigger-interval and
 // pacing measurements taken here come from real syscall returns and real
 // elapsed time, directly comparable with Table 1, instead of from the
 // virtual-time model. Determinism ends at this package's boundary — see
-// DESIGN.md "Clock drivers & emulation mode".
+// DESIGN.md "Emulation clock".
 //
 // Concurrency model: exactly one goroutine runs the engine (Serve).
 // Socket-owning goroutines (accept loop, per-connection readers) never
-// touch the simulation directly; every crossing goes through
-// RealTimeClock.Inject, which runs the closure on the engine goroutine at
-// the wall-mapped virtual instant. The reverse direction — the model
-// writing to sockets — happens inline on the engine goroutine via the
-// socket bridge endpoint (loopback writes of ≤1448-byte segments do not
-// block meaningfully).
+// touch the simulation directly; every crossing goes through Clock.Inject,
+// which runs the closure on the engine goroutine at the wall-mapped
+// virtual instant. The reverse direction — the model writing to sockets —
+// happens inline on the engine goroutine via the socket bridge endpoint
+// (loopback writes of ≤1448-byte segments do not block meaningfully).
 package emu
 
 import (
@@ -29,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"softtimers/internal/core"
 	"softtimers/internal/cpu"
 	"softtimers/internal/host"
 	"softtimers/internal/httpserv"
@@ -56,8 +56,6 @@ type Config struct {
 	// clocking response transmission (defaults 100 µs / 20 µs).
 	PacerInterval      sim.Time
 	PacerBurstInterval sim.Time
-	// Slice bounds each engine run between stop-checks (default 50 ms).
-	Slice sim.Time
 }
 
 func (c *Config) setDefaults() {
@@ -70,9 +68,6 @@ func (c *Config) setDefaults() {
 	if c.FileBytes == 0 {
 		c.FileBytes = 6144
 	}
-	if c.Slice == 0 {
-		c.Slice = 50 * sim.Millisecond
-	}
 }
 
 // Server is one emulated soft-timer web server bound to a real listener.
@@ -82,7 +77,7 @@ type Server struct {
 	hst  *host.Host
 	nic  *nic.NIC
 	srv  *httpserv.Server
-	clk  *sim.RealTimeClock
+	clk  *Clock
 	prb  *triggerProbe
 	ln   net.Listener
 	body []byte // response-body filler, sliced per segment
@@ -90,19 +85,22 @@ type Server struct {
 	// conns is engine-goroutine state: flow id → live socket.
 	conns map[int]net.Conn
 
-	mu       sync.Mutex // guards nextFlow (accept goroutine) and closed
+	// mu guards the socket side: the flow counter, every accepted socket
+	// still open (so Stop can close it) and the closed flag.
+	mu       sync.Mutex
 	nextFlow int
+	accepted map[net.Conn]struct{}
 	closed   bool
 
-	stop chan struct{}
-	done chan struct{}
+	stop  chan struct{}
+	done  chan struct{}
+	socks sync.WaitGroup // the accept loop and every reader
 }
 
 // New builds the emulated server and binds its listener (so the bound
-// address is known before Serve). The simulated host is assembled through
-// topology.Build with Clock: ClockRealTime — the same driver-selection
-// path stbench uses — which installs the RealTimeClock on the engine and
-// hands its wall-mapped time source to the soft-timer facility.
+// address is known before Serve). The simulated host is an ordinary
+// one-host topology whose soft-timer facility measures on the Clock's
+// wall-mapped time.
 func New(cfg Config) (*Server, error) {
 	cfg.setDefaults()
 	ln, err := net.Listen("tcp", cfg.Addr)
@@ -110,27 +108,29 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("emu: listen %s: %w", cfg.Addr, err)
 	}
 
+	clk := newClock(time.Now, wallSleep)
 	top := topology.Build(topology.Spec{
-		Seed:  cfg.Seed,
-		Clock: sim.ClockRealTime,
+		Seed: cfg.Seed,
 		Hosts: []topology.HostSpec{{
-			Name:    "server",
-			Profile: cpu.PentiumII300(),
+			Name:     "server",
+			Profile:  cpu.PentiumII300(),
+			Facility: core.Options{TimeSource: clk.VirtualNow},
 			// IdleLoop stays off: a real process has no busy idle loop to
 			// harvest trigger states from; hardclock and the packet path
 			// provide them, as on a loaded machine.
 		}},
 	})
 	s := &Server{
-		cfg:   cfg,
-		top:   top,
-		hst:   top.Host("server"),
-		clk:   top.RealClock(),
-		ln:    ln,
-		conns: make(map[int]net.Conn),
-		body:  make([]byte, 2048),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		cfg:      cfg,
+		top:      top,
+		hst:      top.Host("server"),
+		clk:      clk,
+		ln:       ln,
+		conns:    make(map[int]net.Conn),
+		accepted: make(map[net.Conn]struct{}),
+		body:     make([]byte, 2048),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	for i := range s.body {
 		s.body[i] = 'a' + byte(i%26)
@@ -152,13 +152,13 @@ func New(cfg Config) (*Server, error) {
 	// Interpose the trigger probe between the kernel and the facility:
 	// every trigger state's wall-clock timestamp lands in the interval
 	// histogram before the facility's check runs.
-	s.prb = newTriggerProbe(s.hst.F)
+	s.prb = &triggerProbe{sink: s.hst.F, intervals: Intervals{hist: stats.NewHistogram(1, 20_000)}}
 	s.hst.K.SetTriggerSink(s.prb)
 
 	// Emulation telemetry joins the host registry so snapshots carry it.
 	r := s.hst.Metrics()
 	r.Adopt("clock.lag_us", s.clk.LagHist)
-	r.Adopt("emu.trigger_interval_us", s.prb.hist)
+	r.Adopt("emu.trigger_interval_us", s.prb.intervals.hist)
 	r.CounterFunc("clock.bursts", s.clk.Bursts)
 	r.CounterFunc("clock.injected", s.clk.Injected)
 	r.CounterFunc("clock.waits", s.clk.Waits)
@@ -171,40 +171,32 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // Host exposes the simulated machine (metrics, facility).
 func (s *Server) Host() *host.Host { return s.hst }
 
-// Clock exposes the wall-slaved clock driver (lag accounting).
-func (s *Server) Clock() *sim.RealTimeClock { return s.clk }
+// Clock exposes the wall clock pacing the engine (lag accounting).
+func (s *Server) Clock() *Clock { return s.clk }
 
 // Completed returns the number of fully paced-out responses.
 func (s *Server) Completed() int64 { return s.srv.Completed }
 
-// TriggerIntervals returns the wall-clock trigger-interval sample (µs),
-// the emulation-mode measurement Table 1 reports for real kernels.
-func (s *Server) TriggerIntervals() *stats.Sample { return s.prb.sample }
-
-// TriggerHist returns the trigger-interval histogram (µs buckets).
-func (s *Server) TriggerHist() *stats.Histogram { return s.prb.hist }
+// TriggerIntervals returns the wall-clock trigger-interval distribution
+// (µs), the emulation-mode measurement Table 1 reports for real kernels.
+func (s *Server) TriggerIntervals() *Intervals { return &s.prb.intervals }
 
 // Serve runs the emulation until Stop: the accept loop on its own
-// goroutine, the engine loop here. The engine runs in bounded slices; with
-// the RealTimeClock installed each slice sleeps as needed, so an idle
-// server consumes no CPU between hardclock ticks.
+// goroutine, the engine here, paced by the Clock, which sleeps between
+// events, so an idle server consumes no CPU between hardclock ticks.
 func (s *Server) Serve() {
 	defer close(s.done)
 	s.hst.Start()
 	s.srv.Start()
+	s.socks.Add(1)
 	go s.acceptLoop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
-			s.top.RunFor(s.cfg.Slice)
-		}
-	}
+	s.clk.run(s.top.Eng, s.stop)
 }
 
-// Stop shuts the emulation down: closes the listener (unblocking accept),
-// stops the engine loop after its current slice, and waits for it.
+// Stop shuts the emulation down: closes the listener (unblocking accept)
+// and every accepted socket (unblocking its reader), stops the engine
+// loop after its current pass, and waits for the engine loop, the accept
+// loop and every reader to return.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	if s.closed {
@@ -212,26 +204,38 @@ func (s *Server) Stop() {
 		return
 	}
 	s.closed = true
+	for c := range s.accepted {
+		c.Close()
+	}
 	s.mu.Unlock()
 	s.ln.Close()
 	close(s.stop)
-	// Wake the engine if it is mid-sleep inside the current slice.
-	s.clk.Inject(func() {})
+	s.clk.poke() // the engine may be asleep
 	<-s.done
+	s.socks.Wait()
 }
 
 // acceptLoop owns the listener: each accepted socket gets a flow id and a
-// reader goroutine. Runs until the listener closes.
+// reader goroutine. Runs until the listener closes; a socket accepted
+// after Stop is closed at once.
 func (s *Server) acceptLoop() {
+	defer s.socks.Done()
 	for {
 		c, err := s.ln.Accept()
 		if err != nil {
 			return
 		}
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			c.Close()
+			return
+		}
 		s.nextFlow++
 		flow := s.nextFlow
+		s.accepted[c] = struct{}{}
 		s.mu.Unlock()
+		s.socks.Add(1)
 		go s.readLoop(flow, c)
 	}
 }
@@ -242,6 +246,7 @@ func (s *Server) acceptLoop() {
 // leaks. All packet construction happens inside injected closures, on the
 // engine goroutine, because arenas are single-goroutine.
 func (s *Server) readLoop(flow int, c net.Conn) {
+	defer s.socks.Done()
 	s.clk.Inject(func() {
 		s.conns[flow] = c
 		s.inject(flow, netstack.Syn, 52, 0)
@@ -260,6 +265,9 @@ func (s *Server) readLoop(flow int, c net.Conn) {
 			}
 		}
 		if err != nil {
+			s.mu.Lock()
+			delete(s.accepted, c)
+			s.mu.Unlock()
 			s.clk.Inject(func() {
 				s.inject(flow, netstack.Fin, 52, 0)
 				// The model acked the Fin and dropped the connection; the
@@ -352,30 +360,50 @@ func (s *Server) bridgeDeliver(p *netstack.Packet) {
 // returns and interrupt exits (as emulated by the model's schedule) rather
 // than from virtual time.
 type triggerProbe struct {
-	sink   kernel.TriggerSink
-	nowFn  func() time.Time
-	last   time.Time
-	hist   *stats.Histogram // µs buckets
-	sample *stats.Sample
-}
-
-func newTriggerProbe(sink kernel.TriggerSink) *triggerProbe {
-	return &triggerProbe{
-		sink:   sink,
-		nowFn:  time.Now,
-		hist:   stats.NewHistogram(1, 2000),
-		sample: &stats.Sample{},
-	}
+	sink      kernel.TriggerSink
+	last      time.Time
+	intervals Intervals
 }
 
 // Trigger implements kernel.TriggerSink.
 func (tp *triggerProbe) Trigger(src kernel.Source, now sim.Time) sim.Time {
-	w := tp.nowFn()
+	w := time.Now()
 	if !tp.last.IsZero() {
-		us := float64(w.Sub(tp.last)) / float64(time.Microsecond)
-		tp.hist.Add(us)
-		tp.sample.Add(us)
+		tp.intervals.add(float64(w.Sub(tp.last)) / float64(time.Microsecond))
 	}
 	tp.last = w
 	return tp.sink.Trigger(src, now)
+}
+
+// Intervals is the trigger-interval distribution in µs: a histogram of
+// 1 µs buckets up to 20 ms, which allocates buckets only as far as the
+// values reach, and the exact maximum. Its size does not grow with the
+// run's length.
+type Intervals struct {
+	hist *stats.Histogram
+	max  float64
+}
+
+func (d *Intervals) add(us float64) {
+	d.hist.Add(us)
+	d.max = max(d.max, us)
+}
+
+// N returns the number of intervals recorded.
+func (d *Intervals) N() int64 { return d.hist.N() }
+
+// Mean returns the exact mean interval.
+func (d *Intervals) Mean() float64 { return d.hist.Mean() }
+
+// Median returns Percentile(50).
+func (d *Intervals) Median() float64 { return d.Percentile(50) }
+
+// Percentile returns the p-th percentile, p in [0, 100], interpolated
+// within its 1 µs bucket and capped at the maximum; Percentile(100) is
+// the exact maximum.
+func (d *Intervals) Percentile(p float64) float64 {
+	if p >= 100 {
+		return d.max
+	}
+	return min(d.hist.Quantile(p/100), d.max)
 }

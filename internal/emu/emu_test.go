@@ -2,10 +2,13 @@ package emu
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -88,7 +91,8 @@ func TestServeLoopbackHTTP(t *testing.T) {
 }
 
 // TestStopIdle ensures Stop returns promptly from an idle server (the
-// engine is asleep inside a slice and must be woken, not waited out).
+// engine is asleep until its next event and must be woken, not waited
+// out).
 func TestStopIdle(t *testing.T) {
 	dialable(t)
 	s, err := New(Config{})
@@ -96,13 +100,54 @@ func TestStopIdle(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	go s.Serve()
-	time.Sleep(20 * time.Millisecond) // let Serve enter a slice
+	time.Sleep(20 * time.Millisecond) // let Serve go to sleep
 	start := time.Now()
 	s.Stop()
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("Stop took %v", d)
 	}
 	s.Stop() // idempotent
+}
+
+// TestStopClosesConnections: Stop closes every accepted socket, so a
+// client that sent half a request and waits sees its connection close,
+// and no goroutine the server started outlives it.
+func TestStopClosesConnections(t *testing.T) {
+	dialable(t)
+	base := runtime.NumGoroutine()
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	go s.Serve()
+	c, err := net.DialTimeout("tcp", s.Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	if _, err := io.WriteString(c, "GET /file HTTP/1.0\r\n"); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	for accepted := false; !accepted; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		accepted = s.nextFlow == 1
+		s.mu.Unlock()
+	}
+	s.Stop()
+
+	c.SetReadDeadline(time.Now().Add(time.Second))
+	// EOF, or a reset if the reader had not yet taken the bytes: either
+	// way the server closed the socket. A timeout means it did not.
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("client read after Stop: %v; want EOF within 1 s", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive 2 s after Stop; %d before New", n, base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestHeaderEndSplitPoints feeds requests to the terminator scanner split

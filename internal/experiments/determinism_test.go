@@ -25,7 +25,8 @@ type detRun func(t *testing.T, sc Scale) map[string][]byte
 // reference because a one-shard group is a bare engine:
 // TestShardGroupSingleShardMatchesEngine and
 // TestShardGroupMatchesSingleEngineReference pin that in internal/sim.
-// Shard counts past a rig's host (or leaf) count clamp. A cell is a shard
+// Shard counts past a rig's host (or leaf) count clamp, and fleet-scale-6's
+// shards=0 cell checks that zero means one shard. A cell is a shard
 // count only: one fleet row runs on its caller's goroutine whatever
 // Scale.Workers says (only the Run* sweeps spread rows over workers, which
 // TestFleetScaleDeterministic and TestParallelRunMatchesSerialByteForByte
@@ -36,7 +37,7 @@ func TestShardCountDeterminism(t *testing.T) {
 		run    detRun
 		shards []int
 	}{
-		{"fleet-scale-6", fleetScaleCase(6, 777, "", 4096), []int{2, 4, 8}},
+		{"fleet-scale-6", fleetScaleCase(6, 777, "", 4096), []int{0, 2, 4, 8}},
 		{"fleet-scale-8-clean", fleetScaleCase(8, 777, "", 4096), []int{4, 8}},
 		{"fleet-scale-8-hostile", fleetScaleCase(8, 777, "hostile", 4096), []int{4, 8}},
 		// 64 clients behind one switch share the default 30 µs link delay,
@@ -63,26 +64,6 @@ func TestShardCountDeterminism(t *testing.T) {
 					sameArtifacts(t, c.run(t, sc), ref)
 				})
 			}
-		})
-	}
-}
-
-// TestClockSeamCleanFleetByteIdentical guards the sim clock's path: with
-// ClockSim set explicitly (so no clock driver is installed), the clean
-// 6-client fleet's row, merged telemetry and merged Chrome trace are
-// identical at shards 0 (one shard), 1 and 4.
-func TestClockSeamCleanFleetByteIdentical(t *testing.T) {
-	run := fleetScaleCase(6, 777, "", 4096)
-	at := func(t *testing.T, shards int) map[string][]byte {
-		sc := tinyScale()
-		sc.Shards = shards
-		sc.Clock = sim.ClockSim // the deterministic default, explicitly
-		return run(t, sc)
-	}
-	ref := at(t, 0)
-	for _, n := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			sameArtifacts(t, at(t, n), ref)
 		})
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"softtimers/internal/emu"
 	"softtimers/internal/httpserv"
 	"softtimers/internal/metrics"
-	"softtimers/internal/sim"
 )
 
 // EmuTriggerRow is one emulation run: a server model answering real HTTP
@@ -25,7 +24,7 @@ type EmuTriggerRow struct {
 	MeanUS    float64
 	MedianUS  float64
 	P99US     float64
-	// Lag accounting from the RealTimeClock driver.
+	// Lag accounting from the emulation clock.
 	LagSamples int64
 	LagP50US   float64
 	LagMaxUS   float64
@@ -46,13 +45,10 @@ type EmuTriggerResult struct {
 // RunEmuTriggerInterval measures real trigger-interval distributions: for
 // each server model it binds an emulation server (package emu) to a
 // loopback socket, saturates it with real HTTP clients for a wall-clock
-// window derived from sc.Measure, and reads the trigger-interval sample
-// recorded from real timestamps. Requires sc.Clock == ClockRealTime —
-// results depend on the machine and are not reproducible, by design.
+// window derived from sc.Measure, and reads the trigger-interval
+// distribution recorded from real timestamps. Results depend on the machine and are
+// not reproducible, by design, so the experiment is not in Order.
 func RunEmuTriggerInterval(sc Scale) *EmuTriggerResult {
-	if sc.Clock != sim.ClockRealTime {
-		panic("experiments: emu-trigger-interval requires Scale.Clock == ClockRealTime (stbench -clock realtime)")
-	}
 	res := &EmuTriggerResult{}
 	if ln, err := net.Listen("tcp", "127.0.0.1:0"); err != nil {
 		res.Skipped = fmt.Sprintf("no loopback sockets on this runner: %v", err)
@@ -173,7 +169,7 @@ func (r *EmuTriggerResult) Table() *Table {
 		"measured from real timestamps at trigger states on this machine; the paper's",
 		"Pentium-II/300 FreeBSD numbers are shown for shape comparison, not equality —",
 		"a busy loopback server checks triggers far more often than a 1999 kernel.",
-		"lag p50/max is the RealTimeClock catch-up accounting (engine behind wall clock).")
+		"lag p50/max is the emulation clock's catch-up accounting (engine behind wall clock).")
 	if len(r.Rows) > 0 {
 		t.Metrics = map[string]float64{
 			"flash_median_us": r.Rows[0].MedianUS,

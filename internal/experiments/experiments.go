@@ -49,12 +49,6 @@ type Scale struct {
 	// FleetCounts overrides the fleet-scale client-count sweep (nil uses
 	// the default 1..64 doubling).
 	FleetCounts []int
-	// Clock selects the engine clock driver (stbench -clock). The zero
-	// value (ClockSim) is deterministic virtual time. ClockRealTime is
-	// accepted only by the emulation experiments (RequiresRealTime);
-	// every other driver is part of the reproducibility contract and
-	// stbench rejects the combination up front.
-	Clock sim.ClockKind
 	// Progress, when non-nil, receives periodic callbacks from
 	// long-running drivers: a row label, the row's virtual clock, and
 	// engine events fired so far. Drivers chunk their measurement runs to

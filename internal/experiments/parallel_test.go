@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -186,28 +187,24 @@ func TestForEachReRaisesLowestPanic(t *testing.T) {
 
 func TestRegistryCoversOrder(t *testing.T) {
 	// Order lists every deterministic experiment ("all" must stay
-	// reproducible); realtime experiments are registered but excluded.
-	nRealtime := 0
-	for _, n := range Names() {
-		if RequiresRealTime(n) {
-			nRealtime++
-		}
-	}
-	if len(Names()) != len(Order)+nRealtime {
-		t.Fatalf("registry has %d entries, Order lists %d (+%d realtime)",
-			len(Names()), len(Order), nRealtime)
+	// reproducible); the wall-clock experiments are registered but
+	// excluded.
+	wallClock := []string{"emu-trigger-interval"}
+	if len(Names()) != len(Order)+len(wallClock) {
+		t.Fatalf("registry has %d entries, Order lists %d (+%d wall-clock)",
+			len(Names()), len(Order), len(wallClock))
 	}
 	for _, n := range Order {
 		if _, ok := Lookup(n); !ok {
 			t.Fatalf("Order entry %q missing from registry", n)
 		}
-		if RequiresRealTime(n) {
-			t.Fatalf("Order entry %q requires realtime; \"all\" must stay deterministic", n)
+		if slices.Contains(wallClock, n) {
+			t.Fatalf("Order entry %q runs on the wall clock; \"all\" must stay deterministic", n)
 		}
 	}
-	for name := range realtimeExps {
+	for _, name := range wallClock {
 		if _, ok := Lookup(name); !ok {
-			t.Fatalf("realtime experiment %q missing from registry", name)
+			t.Fatalf("wall-clock experiment %q missing from registry", name)
 		}
 	}
 }

@@ -14,13 +14,6 @@ type entry struct {
 	desc string
 }
 
-// realtimeExps marks experiments that measure against the wall clock:
-// Scale.Clock must be ClockRealTime, they need loopback sockets, and they
-// are excluded from Order so "all" stays deterministic.
-var realtimeExps = map[string]bool{
-	"emu-trigger-interval": true,
-}
-
 // registry maps experiment names to drivers.
 var registry = map[string]entry{
 	"fig2":   {func(sc Scale) *Table { return RunFig2(sc).Table() }, "timer overhead vs interrupt-clock frequency (Figure 2)"},
@@ -49,15 +42,11 @@ var registry = map[string]entry{
 	"fleet-scale": {func(sc Scale) *Table { return RunFleetScale(sc).Table() }, "one server vs up to 1024 real client kernels on a switched LAN (-shards N spreads the hosts over N engines, whose rounds run inline)"},
 	"fleet-hier":  {func(sc Scale) *Table { return RunFleetHier(sc).Table() }, "hierarchical fleet: leaf-spine fabric with connection churn (-shards N spreads the leaves over N engines, whose rounds run inline)"},
 	"fleet-trace": {func(sc Scale) *Table { return RunFleetTrace(sc).Table() }, "traced hierarchical fleet: sampled flow spans, per-hop latency decomposition, virtual-time series (-series dumps them)"},
-	// Real-time emulation (requires -clock realtime and loopback sockets;
-	// not part of "all" — results depend on the machine, by design).
+	// Real-time emulation on loopback sockets: not part of "all" (not in
+	// Order), because its results depend on the machine, by design.
 	"emu-trigger-interval": {func(sc Scale) *Table { return RunEmuTriggerInterval(sc).Table() },
-		"real trigger-interval distribution from the emulation server on loopback sockets, vs Table 1 (-clock realtime)"},
+		"real trigger-interval distribution from the emulation server on loopback sockets, vs Table 1 (not in all)"},
 }
-
-// RequiresRealTime reports whether the named experiment measures against
-// the wall clock (and therefore demands Scale.Clock == ClockRealTime).
-func RequiresRealTime(name string) bool { return realtimeExps[name] }
 
 // Order fixes the presentation sequence for "all experiments".
 var Order = []string{"fig2", "sec52", "table1", "fig5", "table2", "fig6",

@@ -477,13 +477,7 @@ const poolChunk = 64
 type Engine struct {
 	now   Time
 	queue eventQueue
-	// driver, when non-nil, slaves the run loop to an external clock
-	// (SetClockDriver; see ClockDriver in clock.go). The sim-mode engine
-	// never sets it, and the run loops branch on it once per *call* — not
-	// per event — so the default tight loop is untouched: same
-	// instructions, same order, same zero allocations.
-	driver ClockDriver
-	seq    uint64
+	seq   uint64
 	// maxPending is the heap-depth high-water mark observed at decrease
 	// points. The true maximum depth is always attained immediately before
 	// some pop/cancel (or is the current depth), so checking only there —
@@ -507,35 +501,6 @@ type Engine struct {
 // The same seed always produces the same run.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{rng: NewRNG(seed)}
-}
-
-// NewEngineWithClock is NewEngine with an explicit clock driver kind.
-// ClockSim yields an engine identical to NewEngine's (no driver at all);
-// ClockRealTime installs a fresh RealTimeClock on the real wall clock.
-// Use SetClockDriver directly to install a configured driver (a fake
-// clock, or a RealTimeClock shared with socket goroutines).
-func NewEngineWithClock(seed uint64, kind ClockKind) *Engine {
-	e := NewEngine(seed)
-	e.SetClockDriver(NewClockDriver(kind))
-	return e
-}
-
-// SetClockDriver installs (or, with nil, removes) the engine's clock
-// driver. Must be called before the engine runs; swapping drivers mid-run
-// would tear the driver's time anchor away from the virtual clock.
-func (e *Engine) SetClockDriver(d ClockDriver) { e.driver = d }
-
-// ClockDriver returns the installed driver (nil in sim mode).
-func (e *Engine) ClockDriver() ClockDriver { return e.driver }
-
-// Clock reports which clock the engine runs on: ClockSim when no driver
-// is installed, ClockRealTime otherwise (every non-nil driver slaves the
-// run loop to some external clock; the stock one is the wall clock).
-func (e *Engine) Clock() ClockKind {
-	if e.driver == nil {
-		return ClockSim
-	}
-	return ClockRealTime
 }
 
 // Now returns the current simulated time.
@@ -713,8 +678,7 @@ func (e *Engine) Step() bool {
 // queue head) and pays no per-event function-call indirection beyond the
 // handler itself.
 //
-// Edge semantics — identical on every clock driver, and pinned by
-// runedge_test.go:
+// Edge semantics, pinned by runedge_test.go:
 //
 //   - RunUntil(e.Now()) — equivalently RunFor(0) — fires every event due
 //     exactly now, including events a firing handler schedules at the
@@ -726,10 +690,6 @@ func (e *Engine) Step() bool {
 //   - If a handler calls Stop, the run ends with the clock at that
 //     handler's time; the final advance to t is skipped.
 func (e *Engine) RunUntil(t Time) {
-	if e.driver != nil {
-		e.runDriven(t, false)
-		return
-	}
 	for !e.stopped {
 		if h := e.queue.head(); h == nil || h.at > t {
 			break
@@ -747,65 +707,10 @@ func (e *Engine) RunUntil(t Time) {
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
 // Run fires events until the queue is empty or Stop is called, leaving the
-// clock at the last fired event (never beyond it). Under a clock driver
-// each firing additionally waits for the external clock to authorize it;
-// the run still ends the moment the queue drains — it does not linger
-// waiting for injected work, so driven servers use bounded RunFor slices.
+// clock at the last fired event (never beyond it).
 func (e *Engine) Run() {
-	if e.driver != nil {
-		e.runDriven(Infinity, true)
-		return
-	}
 	for !e.stopped && e.queue.len() > 0 {
 		e.fire()
-	}
-}
-
-// runDriven is the driven run loop behind RunUntil (drain=false: advance
-// the clock to exactly t at the end) and Run (drain=true: stop when the
-// queue empties, clock left at the last event). Per iteration it peeks the
-// next due event, asks the driver to wait for its instant — or for t
-// itself when nothing is due before the horizon — and either fires on
-// authorization or runs the injected work the wait was interrupted with.
-// Injected closures run with the clock advanced to their wall-mapped
-// arrival (clamped into [now, target]), then the queue is re-evaluated:
-// injection may have scheduled something earlier than the awaited event.
-func (e *Engine) runDriven(t Time, drain bool) {
-	d := e.driver
-	d.Begin(e.now)
-	for !e.stopped {
-		head := e.queue.head()
-		if drain && head == nil {
-			break
-		}
-		target := t
-		due := false
-		if head != nil && head.at <= t {
-			target, due = head.at, true
-		}
-		adv, work := d.WaitUntil(target)
-		// len(work)==0 — nil or an empty batch — means the wait completed;
-		// only non-empty batches loop back, so a driver handing out empty
-		// slices cannot spin the run loop without advancing it.
-		if len(work) > 0 {
-			if adv > target {
-				adv = target
-			}
-			if adv > e.now {
-				e.now = adv
-			}
-			for _, fn := range work {
-				fn()
-			}
-			continue
-		}
-		if !due {
-			break
-		}
-		e.fire()
-	}
-	if !drain && !e.stopped && t > e.now {
-		e.now = t
 	}
 }
 

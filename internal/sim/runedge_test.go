@@ -2,10 +2,9 @@ package sim
 
 import "testing"
 
-// These tests pin the edge semantics documented on RunUntil/RunFor: the
-// clock-driver seam must not change them, and a queue that handled the
-// empty-band or due-now cases differently would break callers that rely on
-// RunFor(0) as a "drain due work" idiom.
+// These tests pin the edge semantics documented on RunUntil/RunFor: a
+// queue that handled the empty-band or due-now cases differently would
+// break callers that rely on RunFor(0) as a "drain due work" idiom.
 
 // onHeap runs f on a fresh engine in a subtest named for its heap queue.
 func onHeap(t *testing.T, f func(t *testing.T, e *Engine)) {

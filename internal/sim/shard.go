@@ -124,20 +124,6 @@ func NewShardGroup(n int, seed uint64) *ShardGroup {
 	return g
 }
 
-// SetClockDriver installs (or removes) a one-shard group's clock driver
-// on its engine, where pacing is event-granular exactly as on a bare
-// driven engine. Emulation runs one host, so a driver never paces
-// rounds: it panics on a multi-shard group, and once the group has run.
-func (g *ShardGroup) SetClockDriver(d ClockDriver) {
-	if g.started {
-		panic("sim: SetClockDriver after the shard group has run")
-	}
-	if len(g.shards) != 1 {
-		panic(fmt.Sprintf("sim: clock driver on a %d-shard group; emulation runs on one shard", len(g.shards)))
-	}
-	g.shards[0].eng.SetClockDriver(d)
-}
-
 // N returns the shard count.
 func (g *ShardGroup) N() int { return len(g.shards) }
 

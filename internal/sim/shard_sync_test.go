@@ -2,9 +2,8 @@ package sim
 
 // Tests for the conservative-sync grant machinery: the started-guards
 // freezing the channel topology, the mining fixpoint's transitive
-// soundness, the one-shard group's clock, the empty-work-batch clause of
-// the ClockDriver contract, and the EarliestPending peek that mining
-// rides on.
+// soundness, the one-shard group's clock, and the EarliestPending peek
+// that mining rides on.
 
 import (
 	"fmt"
@@ -32,10 +31,6 @@ func TestShardGroupStartedGuards(t *testing.T) {
 
 	mustPanic("SetLookahead", func() { g.SetLookahead(0, 1, 10*Microsecond) })
 	mustPanic("NewConduit", func() { g.NewConduit(0, 2) })
-
-	one := NewShardGroup(1, 1)
-	one.Run(100 * Microsecond)
-	mustPanic("SetClockDriver", func() { one.SetClockDriver(nil) })
 }
 
 // The mining fixpoint must account for transitive wakes. Chain
@@ -129,58 +124,6 @@ func TestShardGroupSingleShardClockFollowsEngine(t *testing.T) {
 	}
 	if firedAt != 150*Millisecond {
 		t.Fatalf("event due at 150ms fired at %v", firedAt)
-	}
-}
-
-// emptyBatchDriver authorizes every wait instantly but hands back an
-// empty, non-nil work slice each time. Under the ClockDriver contract
-// len(work) == 0 means the wait completed, so the engine's wait loop must
-// treat it exactly like nil. A loop that tests work != nil instead would
-// call WaitUntil forever; the call budget turns that hang into a failure.
-type emptyBatchDriver struct {
-	t     *testing.T
-	calls int
-}
-
-func (d *emptyBatchDriver) Begin(Time) {}
-
-func (d *emptyBatchDriver) WaitUntil(at Time) (Time, []func()) {
-	d.calls++
-	if d.calls > 100_000 {
-		d.t.Fatal("driver spun: empty work batches did not terminate the wait loop")
-	}
-	return at, []func(){}
-}
-
-func TestEngineEmptyWorkBatchTerminatesWait(t *testing.T) {
-	d := &emptyBatchDriver{t: t}
-	e := NewEngine(1)
-	e.SetClockDriver(d)
-	fired := 0
-	e.At(10*Microsecond, func() { fired++ })
-	e.At(30*Microsecond, func() { fired++ })
-	e.RunUntil(100 * Microsecond)
-	if fired != 2 {
-		t.Fatalf("fired %d events under the empty-batch driver, want 2", fired)
-	}
-}
-
-// RealTimeClock.WaitUntil must never surface an empty pending batch as an
-// early return: the contract reserves len(work) == 0 for "wait completed".
-func TestRealTimeClockEmptyPendingIsNotWork(t *testing.T) {
-	fw := newFakeWall()
-	c := fw.clock()
-	c.Begin(0)
-	c.pending = []func(){} // empty but non-nil, as a take/append race could leave it
-	adv, work := c.WaitUntil(50 * Microsecond)
-	if len(work) != 0 {
-		t.Fatalf("empty pending batch surfaced as %d-closure work", len(work))
-	}
-	if adv != 50*Microsecond {
-		t.Fatalf("adv = %v, want the requested instant", adv)
-	}
-	if c.Injected() != 0 {
-		t.Fatalf("empty batch counted as %d injected closures", c.Injected())
 	}
 }
 

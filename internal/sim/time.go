@@ -25,9 +25,6 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// Infinity is a time later than any event a simulation will schedule.
-const Infinity Time = 1<<63 - 1
-
 // Micros reports t as a floating-point number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 

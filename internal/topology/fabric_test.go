@@ -118,11 +118,6 @@ func TestSpecValidate(t *testing.T) {
 			Hosts:    []HostSpec{{Name: "a"}, {Name: "lonely"}},
 			Switches: []SwitchSpec{{Name: "s", Members: []string{"a"}}},
 		}, `host "lonely" is attached to no switch or fabric`},
-		{"real-time clock over shards", Spec{
-			Hosts:  []HostSpec{{Name: "a"}, {Name: "b"}},
-			Shards: 2,
-			Clock:  sim.ClockRealTime,
-		}, "runs on one shard, not 2"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

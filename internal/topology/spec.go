@@ -57,26 +57,15 @@ type Spec struct {
 	// shard group: at least 1 (zero means 1), clamped to the host count.
 	// Merged telemetry and traces are identical at any shard count.
 	Shards int
-	// Clock selects the engine's clock driver. The zero value (ClockSim)
-	// is the deterministic default. ClockRealTime slaves the run to the
-	// wall clock (emulation mode, one shard only): Build installs a
-	// sim.RealTimeClock on the engine and hands its wall-mapped VirtualNow
-	// to every host's soft-timer facility as the measurement time base,
-	// so trigger intervals and firing delays are measured in real time.
-	Clock sim.ClockKind
 }
 
 // Validate checks the declaration for assembly errors: empty or duplicate
 // host names, switch or fabric members naming unknown hosts, a host listed
-// twice on one switch, fabrics without leaves, a real-time clock over more
-// than one shard (emulation runs one host) — and, in any spec that
+// twice on one switch, fabrics without leaves — and, in any spec that
 // declares a network at all, hosts attached to nothing (an unattached NIC
 // is a host no packet can ever reach; silent isolation makes topology bugs
 // look like packet loss). Build runs it and panics on the first error.
 func (s Spec) Validate() error {
-	if s.Clock == sim.ClockRealTime && s.Shards > 1 {
-		return fmt.Errorf("topology: a %s clock runs on one shard, not %d", s.Clock, s.Shards)
-	}
 	known := make(map[string]bool, len(s.Hosts))
 	for i, hs := range s.Hosts {
 		if hs.Name == "" {
@@ -140,14 +129,7 @@ func Build(spec Spec) *Topology {
 	if len(spec.Hosts) > 0 && n > len(spec.Hosts) {
 		n = len(spec.Hosts)
 	}
-	g := sim.NewShardGroup(n, spec.Seed)
-	var rtc *sim.RealTimeClock
-	if d := sim.NewClockDriver(spec.Clock); d != nil {
-		rtc, _ = d.(*sim.RealTimeClock)
-		g.SetClockDriver(d)
-	}
-	t := New(g, spec.Seed)
-	t.clock = rtc
+	t := New(sim.NewShardGroup(n, spec.Seed), spec.Seed)
 	// Fabric members share their leaf's shard (leaf index mod shard
 	// count), so only the spine hop crosses shards.
 	t.place = make(map[string]int)
@@ -162,10 +144,6 @@ func Build(spec Spec) *Topology {
 			Profile:  hs.Profile,
 			Kernel:   hs.Kernel,
 			Facility: hs.Facility,
-		}
-		if rtc != nil && cfg.Facility.TimeSource == nil {
-			// Emulation: the facility measures on the wall-mapped clock.
-			cfg.Facility.TimeSource = rtc.VirtualNow
 		}
 		if hs.Faults != nil {
 			cfg.Faults = faults.New(spec.Seed^sim.HashName(hs.Name), *hs.Faults)

@@ -60,10 +60,6 @@ type Topology struct {
 	flow      *FlowTrace   // flow-span tracing, when enabled
 	series    []*seriesRec // per-host series, when enabled
 	seriesIvl sim.Time
-
-	// clock is the wall-slaved driver installed by Build when
-	// Spec.Clock == ClockRealTime; nil in sim mode.
-	clock *sim.RealTimeClock
 }
 
 // New creates an empty topology on g. seed derives every host's private
@@ -92,19 +88,6 @@ func (t *Topology) Group() *sim.ShardGroup { return t.group }
 // Only then does a switch hop need couriers, shard views and its
 // address-to-shard map; a one-shard topology runs the local packet path.
 func (t *Topology) sharded() bool { return t.group.N() > 1 }
-
-// RealClock returns the wall-slaved clock driver installed by
-// Build(Spec{Clock: ClockRealTime}), or nil in sim mode. Emulation rigs use
-// it to inject socket work into the engine and to read lag accounting.
-func (t *Topology) RealClock() *sim.RealTimeClock { return t.clock }
-
-// Clock reports which clock driver the topology runs under.
-func (t *Topology) Clock() sim.ClockKind {
-	if t.clock == nil {
-		return sim.ClockSim
-	}
-	return sim.ClockRealTime
-}
 
 // Arena returns the packet pool for a shard. Every host, link and switch
 // assembled on that shard's engine shares it, so the steady-state packet
