@@ -60,19 +60,21 @@ race:
 # engine, the sparse timer-wheel firing cycle, the facility's trigger-state
 # check and a warm HTTP server's request path (TestHTTPRequestZeroAlloc) —
 # so a pooling or tracing regression fails the target before any numbers
-# are printed.
+# are printed. Beside them, TestBuildAllocsPerHost caps topology.Build's
+# allocations per host, so per-counter registration cannot come back.
 bench:
 	$(GO) test -run 'TestTestbedPacketZeroAlloc' -count=1 ./internal/topology
 	$(GO) test -run 'TestHTTPRequestZeroAlloc' -count=1 ./internal/httpserv
 	$(GO) test -run 'TestEngineZeroAlloc' -count=1 ./internal/sim
 	$(GO) test -run 'TestSparseFireZeroAlloc' -count=1 ./internal/timerwheel
 	$(GO) test -run 'TestFacilityCheckZeroAlloc' -count=1 ./internal/core
+	$(GO) test -run 'TestBuildAllocsPerHost' -count=1 ./internal/topology
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkReschedule|BenchmarkShardRound' -benchmem -run '^$$' ./internal/sim
 	$(GO) test -bench 'BenchmarkMetrics|BenchmarkFleetSnapshot' -benchmem -run '^$$' ./internal/metrics
 	$(GO) test -bench 'BenchmarkWheelSparseFire|BenchmarkHashedDueCheckIdle' -benchmem -run '^$$' ./internal/timerwheel
 	$(GO) test -bench 'BenchmarkFacilityCheck|BenchmarkFacilityColdHosts' -benchmem -run '^$$' ./internal/core
 	$(GO) test -bench 'BenchmarkKernelTrigger' -benchmem -run '^$$' ./internal/kernel
-	$(GO) test -bench 'BenchmarkTestbedPacket|BenchmarkSwitchForward' -benchmem -run '^$$' ./internal/topology
+	$(GO) test -bench 'BenchmarkTestbedPacket|BenchmarkSwitchForward|BenchmarkFleetBuild' -benchmem -run '^$$' ./internal/topology
 	$(GO) test -bench 'BenchmarkHTTPRequest' -benchmem -run '^$$' ./internal/httpserv
 	$(GO) test -bench 'BenchmarkTCPSegment|BenchmarkTCPAck' -benchmem -run '^$$' ./internal/tcp
 	$(GO) test -bench 'BenchmarkFleetSharded' -benchmem -run '^$$' ./internal/experiments

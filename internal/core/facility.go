@@ -78,11 +78,12 @@ type Facility struct {
 	// below stays byte-identical.
 	nowFn func() sim.Time
 
-	// Telemetry. The per-tick counters are fields of the facility,
-	// registered on the kernel's metrics registry as func counters
-	// (softtimer.checks, softtimer.scheduled, ...): a fleet host's trigger
-	// check and firing then update cache lines the facility already holds,
-	// where a registry counter would cost a separate, cold load per update.
+	// Telemetry. The per-tick counters are fields of the facility, which
+	// reports them on the kernel's metrics registry at snapshot time
+	// (softtimer.checks, softtimer.scheduled, ...; see Report): a fleet
+	// host's trigger check and firing then update cache lines the facility
+	// already holds, where a registry counter would cost a separate, cold
+	// load per update.
 	checks    int64
 	scheduled int64
 	fired     int64
@@ -143,19 +144,27 @@ func New(k *kernel.Kernel, opts Options) *Facility {
 		f.wheel = f.hashed
 	}
 	r := k.Metrics()
-	r.CounterFunc("softtimer.checks", func() int64 { return f.checks })
-	r.CounterFunc("softtimer.scheduled", func() int64 { return f.scheduled })
-	r.CounterFunc("softtimer.fired", func() int64 { return f.fired })
-	r.CounterFunc("softtimer.canceled", func() int64 { return f.canceled })
+	r.Register(f)
 	f.overshoot = r.Gauge("softtimer.overshoot_max_us")
 	r.Adopt("softtimer.delay_us", f.DelayHist)
-	r.GaugeFunc("softtimer.pending", func() int64 { return int64(f.wheel.Len()) })
-	for s := kernel.Source(0); int(s) < kernel.NumSources; s++ {
-		i := s
-		r.CounterFunc("softtimer.fires."+i.String(), func() int64 { return f.FiresBySource[i] })
-	}
 	k.SetTriggerSink(f)
 	return f
+}
+
+// fireNames are the softtimer.fires.<source> counter names.
+var fireNames = kernel.NamesBySource("softtimer.fires.")
+
+// Report implements metrics.Reporter: the facility's per-tick counters,
+// the events pending on its wheel and its firings per trigger source.
+func (f *Facility) Report(w metrics.Writer) {
+	w.Counter("softtimer.checks", f.checks)
+	w.Counter("softtimer.scheduled", f.scheduled)
+	w.Counter("softtimer.fired", f.fired)
+	w.Counter("softtimer.canceled", f.canceled)
+	w.Gauge("softtimer.pending", int64(f.wheel.Len()))
+	for s, n := range f.FiresBySource {
+		w.Counter(fireNames[s], n)
+	}
 }
 
 // MaxDelayUS returns the worst observed delay beyond any event's requested

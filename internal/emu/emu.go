@@ -33,6 +33,7 @@ import (
 	"softtimers/internal/host"
 	"softtimers/internal/httpserv"
 	"softtimers/internal/kernel"
+	"softtimers/internal/metrics"
 	"softtimers/internal/netstack"
 	"softtimers/internal/nic"
 	"softtimers/internal/sim"
@@ -86,10 +87,11 @@ type Server struct {
 	conns map[int]net.Conn
 
 	// mu guards the socket side: the flow counter, every accepted socket
-	// still open (so Stop can close it) and the closed flag.
+	// still open (so Stop can close it), and the serving and closed flags.
 	mu       sync.Mutex
 	nextFlow int
 	accepted map[net.Conn]struct{}
+	serving  bool
 	closed   bool
 
 	stop  chan struct{}
@@ -159,10 +161,15 @@ func New(cfg Config) (*Server, error) {
 	r := s.hst.Metrics()
 	r.Adopt("clock.lag_us", s.clk.LagHist)
 	r.Adopt("emu.trigger_interval_us", s.prb.intervals.hist)
-	r.CounterFunc("clock.bursts", s.clk.Bursts)
-	r.CounterFunc("clock.injected", s.clk.Injected)
-	r.CounterFunc("clock.waits", s.clk.Waits)
+	r.Register(s)
 	return s, nil
+}
+
+// Report implements metrics.Reporter: the clock's pacing counters.
+func (s *Server) Report(w metrics.Writer) {
+	w.Counter("clock.bursts", s.clk.Bursts())
+	w.Counter("clock.injected", s.clk.Injected())
+	w.Counter("clock.waits", s.clk.Waits())
 }
 
 // Addr returns the listener's bound address.
@@ -184,7 +191,15 @@ func (s *Server) TriggerIntervals() *Intervals { return &s.prb.intervals }
 // Serve runs the emulation until Stop: the accept loop on its own
 // goroutine, the engine here, paced by the Clock, which sleeps between
 // events, so an idle server consumes no CPU between hardclock ticks.
+// After Stop it returns at once, without starting the engine.
 func (s *Server) Serve() {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.serving = true
+	s.mu.Unlock()
 	defer close(s.done)
 	s.hst.Start()
 	s.srv.Start()
@@ -196,7 +211,8 @@ func (s *Server) Serve() {
 // Stop shuts the emulation down: closes the listener (unblocking accept)
 // and every accepted socket (unblocking its reader), stops the engine
 // loop after its current pass, and waits for the engine loop, the accept
-// loop and every reader to return.
+// loop and every reader to return. On a server that was never served it
+// only closes the listener.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	if s.closed {
@@ -204,11 +220,15 @@ func (s *Server) Stop() {
 		return
 	}
 	s.closed = true
+	serving := s.serving
 	for c := range s.accepted {
 		c.Close()
 	}
 	s.mu.Unlock()
 	s.ln.Close()
+	if !serving {
+		return
+	}
 	close(s.stop)
 	s.clk.poke() // the engine may be asleep
 	<-s.done

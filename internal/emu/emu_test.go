@@ -109,6 +109,50 @@ func TestStopIdle(t *testing.T) {
 	s.Stop() // idempotent
 }
 
+// TestStopWithoutServe: Stop on a server that was never served closes its
+// listener and returns, leaving no goroutine behind, and a later Serve
+// returns at once. Stop runs on a goroutine with a timeout, so a Stop that
+// blocks fails the test instead of hanging the suite.
+func TestStopWithoutServe(t *testing.T) {
+	dialable(t)
+	base := runtime.NumGoroutine()
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		s.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(time.Second):
+		t.Fatal("Stop on an unserved server still blocked after 1 s")
+	}
+	if c, err := net.DialTimeout("tcp", s.Addr().String(), time.Second); err == nil {
+		c.Close()
+		t.Error("listener still accepts after Stop")
+	}
+	served := make(chan struct{})
+	go func() {
+		s.Serve()
+		close(served)
+	}()
+	select {
+	case <-served:
+	case <-time.After(time.Second):
+		t.Fatal("Serve after Stop still running after 1 s")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive 2 s after Stop; %d before New", n, base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestStopClosesConnections: Stop closes every accepted socket, so a
 // client that sent half a request and waits sees its connection close,
 // and no goroutine the server started outlives it.

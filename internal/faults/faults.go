@@ -243,40 +243,33 @@ func (p *Plan) StarveTrigger() bool {
 	return false
 }
 
-// RegisterMetrics exposes the plan's fault counters on a telemetry
-// registry as faults.* func instruments, so fault activity appears in
-// stbench -metrics snapshots next to the counters it perturbs. Per-link
-// aggregates are summed over all channels at snapshot time.
+// RegisterMetrics registers the plan on a telemetry registry, which then
+// reports its fault counters as faults.* (Report), so fault activity
+// appears in stbench -metrics snapshots next to the counters it perturbs.
 func (p *Plan) RegisterMetrics(r *metrics.Registry) {
 	if p == nil || r == nil {
 		return
 	}
-	r.CounterFunc("faults.intr_jitter_ns", func() int64 { return p.IntrJitterNS })
-	r.CounterFunc("faults.cpu_perturb_ns", func() int64 { return p.CPUPerturbNS })
-	r.CounterFunc("faults.triggers_starved", func() int64 { return p.TriggersStarved })
-	r.CounterFunc("faults.pit_coalesced", func() int64 { return p.PITCoalesced })
-	r.CounterFunc("faults.pit_jitter_ns", func() int64 { return p.PITJitterNS })
-	r.CounterFunc("faults.pkts_dropped", func() int64 {
-		var n int64
-		for _, lp := range p.links {
-			n += lp.Dropped
-		}
-		return n
-	})
-	r.CounterFunc("faults.pkts_duplicated", func() int64 {
-		var n int64
-		for _, lp := range p.links {
-			n += lp.Duplicated
-		}
-		return n
-	})
-	r.CounterFunc("faults.pkts_reordered", func() int64 {
-		var n int64
-		for _, lp := range p.links {
-			n += lp.Reordered
-		}
-		return n
-	})
+	r.Register(p)
+}
+
+// Report implements metrics.Reporter. The per-link aggregates are summed
+// over all channels.
+func (p *Plan) Report(w metrics.Writer) {
+	w.Counter("faults.intr_jitter_ns", p.IntrJitterNS)
+	w.Counter("faults.cpu_perturb_ns", p.CPUPerturbNS)
+	w.Counter("faults.triggers_starved", p.TriggersStarved)
+	w.Counter("faults.pit_coalesced", p.PITCoalesced)
+	w.Counter("faults.pit_jitter_ns", p.PITJitterNS)
+	var dropped, duplicated, reordered int64
+	for _, lp := range p.links {
+		dropped += lp.Dropped
+		duplicated += lp.Duplicated
+		reordered += lp.Reordered
+	}
+	w.Counter("faults.pkts_dropped", dropped)
+	w.Counter("faults.pkts_duplicated", duplicated)
+	w.Counter("faults.pkts_reordered", reordered)
 }
 
 // LinkPlan is one link's (or NIC receive path's) fault channel: an

@@ -229,11 +229,10 @@ type Kernel struct {
 	meter    TriggerMeter
 
 	// Telemetry. The kernel owns the simulation's metrics registry; the
-	// soft-timer facility, NICs and links register their instruments on
-	// it. The kernel's own counters are fields, like the accounting and
-	// the trigger meter, and join the registry as func instruments
-	// evaluated only at snapshot time, so an interrupt or a trigger state
-	// updates cache lines the kernel already holds.
+	// soft-timer facility, NICs and links register on it. The kernel's own
+	// counters are fields, like the accounting and the trigger meter, which
+	// the kernel reports only at snapshot time (Report), so an interrupt
+	// or a trigger state updates cache lines the kernel already holds.
 	m           *metrics.Registry
 	intr        [NumSources]int64 // interrupts delivered per vector
 	intrNS      [NumSources]int64 // CPU ns spent per vector (direct cost)
@@ -353,45 +352,57 @@ func New(eng *sim.Engine, prof cpu.Profile, opts Options) *Kernel {
 	return k
 }
 
-// initMetrics builds the kernel's registry and registers the kernel- and
-// engine-level instruments. Called once from New.
+// initMetrics builds the kernel's registry, on which the kernel reports
+// itself and its engine. Called once from New.
 func (k *Kernel) initMetrics() {
-	r := metrics.NewRegistry()
-	k.m = r
+	k.m = metrics.NewRegistry()
+	k.m.Register(k)
+	k.m.Adopt("kernel.trigger_interval_us", k.meter.Hist)
+}
 
-	// Engine (event-loop) telemetry: lazily read, no hot-path change.
-	r.CounterFunc("sim.events_fired", func() int64 { return int64(k.eng.Fired) })
-	r.GaugeFunc("sim.events_pending", func() int64 { return int64(k.eng.Pending()) })
-	r.GaugeFunc("sim.heap_depth_hwm", func() int64 { return int64(k.eng.MaxPending()) })
+// Per-source counter names, the same on every kernel.
+var (
+	intrNames    = NamesBySource("kernel.intr.")
+	intrNSNames  = NamesBySource("kernel.intr_ns.")
+	triggerNames = NamesBySource("kernel.trigger.")
+)
 
-	// Per-vector interrupt delivery counts and direct CPU cost, and
-	// trigger-state visits per source and the interval histogram from the
-	// meter.
-	for s := Source(0); s < numSources; s++ {
-		i := s
-		r.CounterFunc("kernel.intr."+i.String(), func() int64 { return k.intr[i] })
-		r.CounterFunc("kernel.intr_ns."+i.String(), func() int64 { return k.intrNS[i] })
-		r.CounterFunc("kernel.trigger."+i.String(), func() int64 { return k.meter.BySource[i] })
+// NamesBySource returns prefix + the name of every source, in source
+// order: the per-source counter names of a component's report.
+func NamesBySource(prefix string) (names [NumSources]string) {
+	for s := range names {
+		names[s] = prefix + Source(s).String()
 	}
-	r.Adopt("kernel.trigger_interval_us", k.meter.Hist)
+	return names
+}
 
-	// CPU-time accounting and scheduler activity mirror the Accounting
-	// struct, which stays the public API.
-	r.CounterFunc("kernel.switches", func() int64 { return k.acct.Switches })
-	r.CounterFunc("kernel.syscalls", func() int64 { return k.acct.Syscalls })
-	r.CounterFunc("kernel.traps", func() int64 { return k.acct.Traps })
-	r.CounterFunc("kernel.interrupts", func() int64 { return k.acct.Interrupts })
-	r.CounterFunc("kernel.idle_halts", func() int64 { return k.acct.IdleHalts })
-	r.CounterFunc("kernel.hardclock_ticks", func() int64 { return k.tick })
-	r.CounterFunc("kernel.acct.user_ns", func() int64 { return int64(k.acct.User) })
-	r.CounterFunc("kernel.acct.kernel_ns", func() int64 { return int64(k.acct.Kernel) })
-	r.CounterFunc("kernel.acct.intr_ns", func() int64 { return int64(k.acct.Intr) })
-	r.CounterFunc("kernel.acct.softirq_ns", func() int64 { return int64(k.acct.SoftIRQ) })
-	r.CounterFunc("kernel.acct.ctxswitch_ns", func() int64 { return int64(k.acct.CtxSwitch) })
-	r.CounterFunc("kernel.acct.softtimer_ns", func() int64 { return int64(k.acct.SoftTimer) })
-	r.CounterFunc("kernel.acct.idle_ns", func() int64 { return int64(k.acct.Idle) })
-
-	r.CounterFunc("kernel.idle_entries", func() int64 { return k.idleEntries })
+// Report implements metrics.Reporter: the engine's event counts (sim.*),
+// per-vector interrupt deliveries and their direct CPU cost, trigger-state
+// visits per source, and the CPU-time accounting and scheduler activity
+// the Accounting struct also exposes.
+func (k *Kernel) Report(w metrics.Writer) {
+	w.Counter("sim.events_fired", int64(k.eng.Fired))
+	w.Gauge("sim.events_pending", int64(k.eng.Pending()))
+	w.Gauge("sim.heap_depth_hwm", int64(k.eng.MaxPending()))
+	for s := range numSources {
+		w.Counter(intrNames[s], k.intr[s])
+		w.Counter(intrNSNames[s], k.intrNS[s])
+		w.Counter(triggerNames[s], k.meter.BySource[s])
+	}
+	w.Counter("kernel.switches", k.acct.Switches)
+	w.Counter("kernel.syscalls", k.acct.Syscalls)
+	w.Counter("kernel.traps", k.acct.Traps)
+	w.Counter("kernel.interrupts", k.acct.Interrupts)
+	w.Counter("kernel.idle_halts", k.acct.IdleHalts)
+	w.Counter("kernel.hardclock_ticks", k.tick)
+	w.Counter("kernel.acct.user_ns", int64(k.acct.User))
+	w.Counter("kernel.acct.kernel_ns", int64(k.acct.Kernel))
+	w.Counter("kernel.acct.intr_ns", int64(k.acct.Intr))
+	w.Counter("kernel.acct.softirq_ns", int64(k.acct.SoftIRQ))
+	w.Counter("kernel.acct.ctxswitch_ns", int64(k.acct.CtxSwitch))
+	w.Counter("kernel.acct.softtimer_ns", int64(k.acct.SoftTimer))
+	w.Counter("kernel.acct.idle_ns", int64(k.acct.Idle))
+	w.Counter("kernel.idle_entries", k.idleEntries)
 }
 
 // Metrics returns the simulation's telemetry registry. Components built on

@@ -73,14 +73,63 @@ func BenchmarkMetricsSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetSnapshot snapshots a fleet-1024 topology's worth of host
-// registries (a server and 1,024 clients) the way topology.Snapshot does:
-// each host's Snapshot, Prefixed under its name, merged into one. Each
-// registry holds a fleet host's three histograms at their end-of-run
-// occupancy: the facility's delay histogram over buckets 0–1000, the
-// kernel's trigger meter with ~97% of its mass at bucket 1000 plus ~80
-// other buckets, and a NIC's batch sizes at 1–3. Counters are left out;
-// they cost the same whatever the histograms' layout.
+// fleetHost stands in for one fleet-1024 host's reporters, writing what
+// they write: the kernel's 44 counters and its engine's three sim.* values
+// (which a fleet snapshot skips), the facility's 13 counters and pending
+// gauge, the NIC's seven counters under nic.eth0. and each of two links'
+// six counters and queue gauge under link.<name>..
+type fleetHost struct {
+	up, down string
+	v        int64
+}
+
+var (
+	kernelNames    = benchNames("kernel.c", 44)
+	softtimerNames = benchNames("softtimer.c", 13)
+	nicNames       = benchNames("c", 7)
+	linkNames      = benchNames("c", 6)
+)
+
+func benchNames(prefix string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s%02d", prefix, i)
+	}
+	return names
+}
+
+func (h *fleetHost) Report(w Writer) {
+	w.Counter("sim.events_fired", h.v)
+	w.Gauge("sim.events_pending", h.v)
+	w.Gauge("sim.heap_depth_hwm", h.v)
+	for _, n := range kernelNames {
+		w.Counter(n, h.v)
+	}
+	for _, n := range softtimerNames {
+		w.Counter(n, h.v)
+	}
+	w.Gauge("softtimer.pending", h.v)
+	nic := w.In("nic.eth0.")
+	for _, n := range nicNames {
+		nic.Counter(n, h.v)
+	}
+	for _, name := range []string{h.up, h.down} {
+		l := w.In("link." + name + ".")
+		for _, n := range linkNames {
+			l.Counter(n, h.v)
+		}
+		l.Gauge("queue_hwm", h.v)
+	}
+}
+
+// BenchmarkFleetSnapshot takes a fleet-1024 topology's snapshot the way
+// topology.Snapshot does: each of 1,025 host registries (a server and
+// 1,024 clients) writes straight into one snapshot under host.<name>.,
+// leaving out sim.*, whose maps are sized from the first host's snapshot. Each registry holds a fleet host's reporters
+// (fleetHost), its two direct gauges and its three histograms at their
+// end-of-run occupancy: the facility's delay histogram over buckets
+// 0–1000, the kernel's trigger meter with ~97% of its mass at bucket 1000
+// plus ~80 other buckets, and a NIC's batch sizes at 1–3.
 func BenchmarkFleetSnapshot(b *testing.B) {
 	const hosts = 1025
 	rng := rand.New(rand.NewSource(1))
@@ -88,6 +137,10 @@ func BenchmarkFleetSnapshot(b *testing.B) {
 	prefixes := make([]string, hosts)
 	for i := range regs {
 		r := NewRegistry()
+		name := fmt.Sprintf("client%04d", i)
+		r.Register(&fleetHost{up: "lan." + name + ".up", down: "lan." + name + ".down", v: int64(i)})
+		r.Gauge("softtimer.overshoot_max_us").SetMax(1000)
+		r.Gauge("nic.eth0.poll_interval_ns").Set(40_000)
 		delay := r.Histogram("softtimer.delay_us", 1, 2000)
 		for v := 0; v <= 1000; v++ {
 			delay.Observe(float64(v) + rng.Float64())
@@ -104,14 +157,15 @@ func BenchmarkFleetSnapshot(b *testing.B) {
 			batch.Observe(float64(1 + rng.Intn(3)))
 		}
 		regs[i] = r
-		prefixes[i] = fmt.Sprintf("host.client%04d.", i)
+		prefixes[i] = "host." + name + "."
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := NewSnapshot()
+		one := regs[0].Snapshot()
+		out := NewSnapshotSized(hosts*len(one.Counters), hosts*len(one.Gauges), hosts*len(one.Histograms))
 		for h, r := range regs {
-			out.Merge(r.Snapshot().Prefixed(prefixes[h]))
+			r.SnapshotInto(out, prefixes[h], "sim.")
 		}
 	}
 }

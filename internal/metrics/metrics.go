@@ -1,34 +1,39 @@
-// Package metrics is the simulation-wide telemetry registry: typed
-// Counters, Gauges and fixed-bucket Histograms, created once (get-or-create
-// by name) and updated by pointer, so the instrumented hot paths allocate
-// nothing. A pointer increment is not free, though: on a fleet, where a
-// host runs only after a thousand others have, each registry counter is a
-// separate cold cache line, so the per-host counters updated on every
-// trigger state (the kernel's and the soft-timer facility's) live as int64
-// fields of their owner and join the registry as func instruments below;
-// counters shared by name across components stay direct. A Registry belongs
-// to one simulation substrate (one kernel/engine); independent simulations
-// on concurrent goroutines each own their registry, which is what keeps
-// parallel experiment runs deterministic — snapshots depend only on the
-// (seeded, deterministic) simulation state, never on scheduling order.
+// Package metrics is the simulation-wide telemetry registry. A Registry
+// belongs to one simulation substrate (one kernel/engine); independent
+// simulations on concurrent goroutines each own their registry, which is
+// what keeps parallel experiment runs deterministic — snapshots depend only
+// on the (seeded, deterministic) simulation state, never on scheduling
+// order.
 //
-// Instruments come in two flavours:
+// Values reach a snapshot in one of two ways:
 //
-//   - direct: Counter/Gauge/Histogram values written on the hot path;
-//   - func: CounterFunc/GaugeFunc register a callback over a field its
-//     owner keeps (e.g. kernel accounting and interrupt counts, the
-//     facility's softtimer.* counters, NIC counters) evaluated only at
-//     Snapshot time, into the same snapshot maps as direct instruments, so
-//     a field and a direct counter of one name snapshot identically.
+//   - reporters: a component whose counters are plain fields of its own
+//     (the kernel, the soft-timer facility, NICs, links, TCP endpoints,
+//     fault plans) registers once with Register and, at every Snapshot,
+//     writes the fields' current values through a Writer under names fixed
+//     per component type. Updating such a counter costs an increment of a
+//     field its owner already holds; registering costs one slice entry,
+//     however many values the component reports.
+//   - direct instruments: Counter, Gauge and Histogram, created once by
+//     name (get-or-create) and updated by pointer, for values that several
+//     components share by name (every pacer on a kernel adds to
+//     pacer.fires) or that their owner updates through the registry
+//     (a NIC's batch histogram); Adopt registers a histogram its owner
+//     keeps. The hot paths that update them allocate nothing.
+//
+// A name may appear once per snapshot: a name reported twice, or under two
+// instrument kinds, panics at Snapshot with the name.
 //
 // Snapshot produces a deterministic, JSON-serializable view: map keys sort
 // on encoding and histogram buckets are emitted as ascending sparse
 // [index, count] pairs, so two runs of the same seeded simulation produce
 // byte-identical snapshots regardless of worker count or registration
-// order. Merge folds snapshots from independent engines (counters sum,
-// gauges take the maximum, histograms add bucket-wise), which is how
-// multi-row experiments aggregate per-engine telemetry in a
-// parallelism-independent way.
+// order. SnapshotInto writes a registry into a snapshot shared with
+// others, each name under a prefix, which is how a topology gives every
+// host its namespace in one snapshot. Merge folds snapshots from
+// independent engines (counters sum, gauges take the maximum, histograms
+// add bucket-wise), which is how multi-row experiments aggregate
+// per-engine telemetry in a parallelism-independent way.
 package metrics
 
 import (
@@ -148,15 +153,14 @@ func (h *Histogram) Underlying() *stats.Histogram {
 // Name returns the registered name.
 func (h *Histogram) Name() string { return h.name }
 
-// Registry holds one simulation's instruments. It is not safe for
-// concurrent use, matching the single-threaded engine it instruments;
-// distinct engines own distinct registries.
+// Registry holds one simulation's instruments and reporters. It is not
+// safe for concurrent use, matching the single-threaded engine it
+// instruments; distinct engines own distinct registries.
 type Registry struct {
-	counters     map[string]*Counter
-	gauges       map[string]*Gauge
-	hists        map[string]*Histogram
-	funcCounters map[string]func() int64
-	funcGauges   map[string]func() int64
+	counters  map[string]*Counter
+	gauges    map[string]*Gauge
+	hists     map[string]*Histogram
+	reporters []Reporter
 }
 
 // NewRegistry returns an empty registry.
@@ -165,12 +169,23 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		// A host's kernel, soft-timer facility, NIC and link register
-		// about 80 func counters; sizing for them up front spares a
-		// fleet's set-up the map's growth through every smaller size.
-		funcCounters: make(map[string]func() int64, 100),
-		funcGauges:   make(map[string]func() int64),
+		// A host's kernel, soft-timer facility, NIC and two links report.
+		reporters: make([]Reporter, 0, 8),
 	}
+}
+
+// Reporter is a component that keeps its counters as fields of its own
+// and writes their current values at snapshot time.
+type Reporter interface {
+	// Report writes the component's values through w, under names fixed
+	// per component type (instances scope theirs with Writer.In).
+	Report(w Writer)
+}
+
+// Register adds rep to the registry: every later snapshot holds what it
+// reports.
+func (r *Registry) Register(rep Reporter) {
+	r.reporters = append(r.reporters, rep)
 }
 
 // checkFresh panics when name is already registered under a different
@@ -184,12 +199,6 @@ func (r *Registry) checkFresh(name string, except string) {
 	}
 	if _, ok := r.hists[name]; ok && except != "histogram" {
 		panic(fmt.Sprintf("metrics: %q already registered as a histogram", name))
-	}
-	if _, ok := r.funcCounters[name]; ok {
-		panic(fmt.Sprintf("metrics: %q already registered as a counter func", name))
-	}
-	if _, ok := r.funcGauges[name]; ok {
-		panic(fmt.Sprintf("metrics: %q already registered as a gauge func", name))
 	}
 }
 
@@ -247,27 +256,88 @@ func (r *Registry) Adopt(name string, h *stats.Histogram) *Histogram {
 	return wrapped
 }
 
-// CounterFunc registers fn as a lazily-evaluated counter: it is called at
-// Snapshot time only. Registering an existing name replaces the function.
-func (r *Registry) CounterFunc(name string, fn func() int64) {
-	if fn == nil {
-		panic("metrics: CounterFunc with nil func")
-	}
-	if _, ok := r.funcCounters[name]; !ok {
-		r.checkFresh(name, "")
-	}
-	r.funcCounters[name] = fn
+// Writer is what a Reporter writes through: each value goes into the
+// snapshot being taken, under the writer's prefix and scope.
+type Writer struct {
+	s      *Snapshot
+	prefix string // the registry's namespace in s (SnapshotInto)
+	skip   string // registry-relative names starting with it are left out
+	scope  string // the reporting instance's namespace (In)
 }
 
-// GaugeFunc registers fn as a lazily-evaluated gauge.
-func (r *Registry) GaugeFunc(name string, fn func() int64) {
-	if fn == nil {
-		panic("metrics: GaugeFunc with nil func")
+// In returns a writer whose names go under scope: the instance namespace
+// of a component with several instances per registry (nic.<name>.,
+// link.<name>., tcp.flow<N>.).
+func (w Writer) In(scope string) Writer {
+	w.scope += scope
+	return w
+}
+
+// Counter writes a counter's current value.
+func (w Writer) Counter(name string, v int64) {
+	if key, ok := w.key(name); ok {
+		n := len(w.s.Counters)
+		w.s.Counters[key] = v
+		_, g := w.s.Gauges[key]
+		_, h := w.s.Histograms[key]
+		once(key, len(w.s.Counters) > n && !g && !h)
 	}
-	if _, ok := r.funcGauges[name]; !ok {
-		r.checkFresh(name, "")
+}
+
+// Gauge writes a point-in-time value; its high-water mark in the snapshot
+// is the value itself.
+func (w Writer) Gauge(name string, v int64) {
+	w.gauge(name, GaugeSnapshot{Value: v, Max: v})
+}
+
+func (w Writer) gauge(name string, g GaugeSnapshot) {
+	if key, ok := w.key(name); ok {
+		n := len(w.s.Gauges)
+		w.s.Gauges[key] = g
+		_, c := w.s.Counters[key]
+		_, h := w.s.Histograms[key]
+		once(key, len(w.s.Gauges) > n && !c && !h)
 	}
-	r.funcGauges[name] = fn
+}
+
+func (w Writer) histogram(name string, hist *stats.Histogram) {
+	if key, ok := w.key(name); ok {
+		n := len(w.s.Histograms)
+		w.s.Histograms[key] = snapshotHistogram(hist)
+		_, c := w.s.Counters[key]
+		_, g := w.s.Gauges[key]
+		once(key, len(w.s.Histograms) > n && !c && !g)
+	}
+}
+
+// key builds the snapshot key for name, reporting false for a name the
+// writer leaves out.
+func (w Writer) key(name string) (string, bool) {
+	if w.skipped(name) {
+		return "", false
+	}
+	return w.prefix + w.scope + name, true
+}
+
+// once panics unless key was new to the snapshot: each name holds one
+// value of one kind.
+func once(key string, fresh bool) {
+	if !fresh {
+		panic(fmt.Sprintf("metrics: %q reported twice", key))
+	}
+}
+
+// skipped reports whether the registry-relative name, scope + name,
+// starts with w.skip.
+func (w Writer) skipped(name string) bool {
+	switch {
+	case w.skip == "":
+		return false
+	case len(w.skip) <= len(w.scope):
+		return strings.HasPrefix(w.scope, w.skip)
+	default:
+		return strings.HasPrefix(w.skip, w.scope) && strings.HasPrefix(name, w.skip[len(w.scope):])
+	}
 }
 
 // BucketCount is one non-empty histogram bucket: the bucket index and its
@@ -427,32 +497,34 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Snapshot captures the registry's current state, evaluating func
-// instruments. The registry keeps running; snapshots are independent
-// copies.
+// Snapshot captures the registry's current state: its direct
+// instruments and what its reporters write. The registry keeps running;
+// snapshots are independent copies.
 func (r *Registry) Snapshot() *Snapshot {
-	s := &Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)+len(r.funcCounters)),
-		Gauges:     make(map[string]GaugeSnapshot, len(r.gauges)+len(r.funcGauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
-	}
+	s := NewSnapshotSized(len(r.counters), len(r.gauges), len(r.hists))
+	r.SnapshotInto(s, "", "")
+	return s
+}
+
+// SnapshotInto writes the registry's current state into s with every name
+// under prefix, leaving out the names that start with skip (none when skip
+// is empty). A topology writes each host's registry into its one snapshot
+// this way, under host.<name>., without its engine-level sim.* names.
+// A name already in s panics.
+func (r *Registry) SnapshotInto(s *Snapshot, prefix, skip string) {
+	w := Writer{s: s, prefix: prefix, skip: skip}
 	for name, c := range r.counters {
-		s.Counters[name] = c.v
-	}
-	for name, fn := range r.funcCounters {
-		s.Counters[name] = fn()
+		w.Counter(name, c.v)
 	}
 	for name, g := range r.gauges {
-		s.Gauges[name] = GaugeSnapshot{Value: g.v, Max: g.max}
-	}
-	for name, fn := range r.funcGauges {
-		v := fn()
-		s.Gauges[name] = GaugeSnapshot{Value: v, Max: v}
+		w.gauge(name, GaugeSnapshot{Value: g.v, Max: g.max})
 	}
 	for name, h := range r.hists {
-		s.Histograms[name] = snapshotHistogram(h.h)
+		w.histogram(name, h.h)
 	}
-	return s
+	for _, rep := range r.reporters {
+		rep.Report(w)
+	}
 }
 
 func snapshotHistogram(h *stats.Histogram) HistogramSnapshot {
@@ -520,69 +592,18 @@ func mergeHistogram(a, b HistogramSnapshot) HistogramSnapshot {
 	}
 }
 
-// Prefixed returns a copy of the snapshot with every instrument name
-// prefixed — how multi-host topologies give each host its own namespace
-// (host.<name>.kernel.syscalls, ...) inside one merged snapshot.
-// Histogram bucket slices are shared with the receiver; snapshots are
-// read-only views, so the aliasing is safe.
-//
-// Prefixing performs no collision detection: if two prefixed snapshots
-// produce the same full name (host "a" with counter "b.x" and host "a.b"
-// with counter "x" both yield "host.a.b.x"), a subsequent Merge combines
-// them under the ordinary merge rules — counters sum, gauges take the
-// max, histograms add bucket-wise and panic on width mismatch. A name
-// colliding across instrument kinds (a counter on one host, a gauge on
-// the other) is NOT an error either: the snapshot maps are per-kind, so
-// both survive under the same name. Callers that need distinct totals
-// must pick non-ambiguous host names; dots in host names are legal but
-// collapse the namespace.
-func (s *Snapshot) Prefixed(prefix string) *Snapshot {
-	out := &Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     make(map[string]GaugeSnapshot, len(s.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-	}
-	for name, v := range s.Counters {
-		out.Counters[prefix+name] = v
-	}
-	for name, g := range s.Gauges {
-		out.Gauges[prefix+name] = g
-	}
-	for name, h := range s.Histograms {
-		out.Histograms[prefix+name] = h
-	}
-	return out
-}
-
-// DropPrefix removes every instrument whose name starts with prefix.
-// Multi-host topologies use it to strip per-host instruments that read
-// engine-global state (sim.*) before namespacing: those values describe
-// the execution substrate, not the host, and differ between one shard and
-// several.
-func (s *Snapshot) DropPrefix(prefix string) {
-	for name := range s.Counters {
-		if strings.HasPrefix(name, prefix) {
-			delete(s.Counters, name)
-		}
-	}
-	for name := range s.Gauges {
-		if strings.HasPrefix(name, prefix) {
-			delete(s.Gauges, name)
-		}
-	}
-	for name := range s.Histograms {
-		if strings.HasPrefix(name, prefix) {
-			delete(s.Histograms, name)
-		}
-	}
-}
-
 // NewSnapshot returns an empty snapshot, ready to Merge into.
-func NewSnapshot() *Snapshot {
+func NewSnapshot() *Snapshot { return NewSnapshotSized(0, 0, 0) }
+
+// NewSnapshotSized returns an empty snapshot with room for the given
+// numbers of counters, gauges and histograms, so a snapshot of many
+// registries (SnapshotInto) does not grow its maps through every smaller
+// size.
+func NewSnapshotSized(counters, gauges, histograms int) *Snapshot {
 	return &Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]GaugeSnapshot),
-		Histograms: make(map[string]HistogramSnapshot),
+		Counters:   make(map[string]int64, counters),
+		Gauges:     make(map[string]GaugeSnapshot, gauges),
+		Histograms: make(map[string]HistogramSnapshot, histograms),
 	}
 }
 

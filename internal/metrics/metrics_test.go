@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -39,16 +40,55 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	}
 }
 
+// TestKindCollisionPanics: a name may hold one instrument. Direct
+// instruments of two kinds under one name panic when the second
+// registers; a name two reporters write, or a reporter and a direct
+// instrument, panics at Snapshot and names the duplicate.
 func TestKindCollisionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("registering a gauge over a counter name must panic")
-		}
-	}()
-	r := NewRegistry()
-	r.Counter("dup")
-	r.Gauge("dup")
+	mustPanic := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			if r == nil {
+				t.Errorf("%s: no panic", name)
+			} else if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q does not name %q", name, msg, want)
+			}
+		}()
+		f()
+	}
+	mustPanic("gauge over counter", `"dup"`, func() {
+		r := NewRegistry()
+		r.Counter("dup")
+		r.Gauge("dup")
+	})
+	mustPanic("two reporters", `"host.a.dup"`, func() {
+		r := NewRegistry()
+		r.Register(reporterFunc(func(w Writer) { w.In("host.").In("a.").Counter("dup", 2) }))
+		r.Register(reporterFunc(func(w Writer) { w.In("host.a.").Counter("dup", 3) }))
+		r.Snapshot()
+	})
+	mustPanic("reporter over direct gauge", `"dup"`, func() {
+		r := NewRegistry()
+		r.Gauge("dup").Set(1)
+		r.Register(reporterFunc(func(w Writer) { w.Counter("dup", 1) }))
+		r.Snapshot()
+	})
+	mustPanic("one reporter, two kinds", `"dup"`, func() {
+		r := NewRegistry()
+		r.Register(reporterFunc(func(w Writer) {
+			w.Counter("dup", 1)
+			w.Gauge("dup", 1)
+		}))
+		r.Snapshot()
+	})
 }
+
+// reporterFunc adapts a function to the Reporter interface.
+type reporterFunc func(w Writer)
+
+func (f reporterFunc) Report(w Writer) { f(w) }
 
 func TestGaugeHighWaterMark(t *testing.T) {
 	r := NewRegistry()
@@ -91,18 +131,26 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-func TestFuncInstruments(t *testing.T) {
+// TestReporterValuesAtSnapshot: a reporter's values are read when the
+// snapshot is taken, scoped names join their scope, and a reported
+// gauge's high-water mark is its value.
+func TestReporterValuesAtSnapshot(t *testing.T) {
 	r := NewRegistry()
 	v := int64(0)
-	r.CounterFunc("lazy.counter", func() int64 { return v })
-	r.GaugeFunc("lazy.gauge", func() int64 { return v * 2 })
+	r.Register(reporterFunc(func(w Writer) {
+		w.Counter("lazy.counter", v)
+		w.In("lazy.").In("inst.").Gauge("gauge", v*2)
+	}))
 	v = 7
 	s := r.Snapshot()
 	if s.Counters["lazy.counter"] != 7 {
-		t.Fatalf("func counter = %d, want 7 (must evaluate at snapshot time)", s.Counters["lazy.counter"])
+		t.Fatalf("reported counter = %d, want 7 (must be read at snapshot time)", s.Counters["lazy.counter"])
 	}
-	if s.Gauges["lazy.gauge"].Value != 14 || s.Gauges["lazy.gauge"].Max != 14 {
-		t.Fatalf("func gauge = %+v, want 14/14", s.Gauges["lazy.gauge"])
+	if g := s.Gauges["lazy.inst.gauge"]; g.Value != 14 || g.Max != 14 {
+		t.Fatalf("reported gauge = %+v, want 14/14", g)
+	}
+	if n := len(s.Counters) + len(s.Gauges) + len(s.Histograms); n != 2 {
+		t.Fatalf("snapshot holds %d names, want 2", n)
 	}
 }
 
@@ -378,22 +426,70 @@ func TestMergeNegativeGaugeFirstSighting(t *testing.T) {
 	}
 }
 
-// DropPrefix strips exactly the named namespace from every instrument map.
-func TestSnapshotDropPrefix(t *testing.T) {
-	s := NewSnapshot()
-	s.Counters["sim.events_fired"] = 10
-	s.Counters["kernel.syscalls"] = 3
-	s.Gauges["sim.events_pending"] = GaugeSnapshot{Value: 1, Max: 2}
-	s.Gauges["link.q"] = GaugeSnapshot{Value: 4, Max: 4}
-	s.Histograms["sim.h"] = HistogramSnapshot{Width: 1}
-	s.DropPrefix("sim.")
-	if len(s.Counters) != 1 || s.Counters["kernel.syscalls"] != 3 {
-		t.Fatalf("counters after drop: %v", s.Counters)
+// TestSnapshotIntoPrefixesAndSkips writes two registries into one
+// snapshot: every name goes under its registry's prefix, and names that
+// start with skip are left out, whether a direct instrument, a reporter or
+// a scoped reporter wrote them.
+func TestSnapshotIntoPrefixesAndSkips(t *testing.T) {
+	build := func(n int64) *Registry {
+		r := NewRegistry()
+		r.Counter("sim.direct").Add(n)
+		r.Gauge("link.q").Set(4 * n)
+		r.Histogram("sim.h", 1, 8).Observe(1)
+		r.Register(reporterFunc(func(w Writer) {
+			w.Counter("sim.events_fired", 10*n)
+			w.Counter("kernel.syscalls", 3*n)
+			w.In("sim.").Counter("scoped", n)
+			w.In("si").Counter("m.split", n)
+			w.In("si").Counter("mple", n)
+		}))
+		return r
 	}
-	if len(s.Gauges) != 1 || s.Gauges["link.q"].Max != 4 {
-		t.Fatalf("gauges after drop: %v", s.Gauges)
+	s := NewSnapshot()
+	build(1).SnapshotInto(s, "host.a.", "sim.")
+	build(2).SnapshotInto(s, "host.b.", "sim.")
+	wantCounters := map[string]int64{
+		"host.a.kernel.syscalls": 3, "host.a.simple": 1,
+		"host.b.kernel.syscalls": 6, "host.b.simple": 2,
+	}
+	if !reflect.DeepEqual(s.Counters, wantCounters) {
+		t.Fatalf("counters = %v, want %v", s.Counters, wantCounters)
+	}
+	if len(s.Gauges) != 2 || s.Gauges["host.a.link.q"].Max != 4 || s.Gauges["host.b.link.q"].Max != 8 {
+		t.Fatalf("gauges = %v", s.Gauges)
 	}
 	if len(s.Histograms) != 0 {
-		t.Fatalf("histograms after drop: %v", s.Histograms)
+		t.Fatalf("histograms = %v, want none", s.Histograms)
+	}
+}
+
+// TestSnapshotIntoCollisionsPanic: two registries whose (prefix, name)
+// pairs give one key — host "a" with "b.x" and host "a.b" with "x" both
+// make host.a.b.x — panic when the second writes it, whatever the two
+// instruments' kinds, instead of summing or keeping both.
+func TestSnapshotIntoCollisionsPanic(t *testing.T) {
+	for _, kinds := range [][2]string{{"counter", "counter"}, {"gauge", "gauge"}, {"histogram", "histogram"}, {"counter", "gauge"}} {
+		mk := func(kind, name string) *Registry {
+			r := NewRegistry()
+			switch kind {
+			case "counter":
+				r.Counter(name).Inc()
+			case "gauge":
+				r.Gauge(name).Set(1)
+			case "histogram":
+				r.Histogram(name, 1, 8).Observe(0.5)
+			}
+			return r
+		}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, `"host.a.b.x"`) {
+					t.Errorf("%v collision: panic %q, want one naming host.a.b.x", kinds, msg)
+				}
+			}()
+			s := NewSnapshot()
+			mk(kinds[0], "b.x").SnapshotInto(s, "host.a.", "")
+			mk(kinds[1], "x").SnapshotInto(s, "host.a.b.", "")
+		}()
 	}
 }

@@ -236,18 +236,20 @@ func (d *delivery) run() {
 	l.dst.Deliver(p)
 }
 
-// RegisterMetrics exposes the link's counters on a telemetry registry
-// under link.<Name>. — func instruments over the existing fields, so the
-// packet path is unchanged. Call once per link after construction.
-func (l *Link) RegisterMetrics(r *metrics.Registry) {
-	prefix := "link." + l.Name + "."
-	r.CounterFunc(prefix+"sent", func() int64 { return l.Sent })
-	r.CounterFunc(prefix+"dropped", func() int64 { return l.Dropped })
-	r.CounterFunc(prefix+"bytes", func() int64 { return l.Bytes })
-	r.CounterFunc(prefix+"lost", func() int64 { return l.Lost })
-	r.CounterFunc(prefix+"duplicated", func() int64 { return l.Duplicated })
-	r.CounterFunc(prefix+"reordered", func() int64 { return l.Reordered })
-	r.GaugeFunc(prefix+"queue_hwm", func() int64 { return int64(l.MaxQueued) })
+// RegisterMetrics registers the link on a telemetry registry, which then
+// reports its counters under link.<Name>. (Report). Call once per link.
+func (l *Link) RegisterMetrics(r *metrics.Registry) { r.Register(l) }
+
+// Report implements metrics.Reporter.
+func (l *Link) Report(w metrics.Writer) {
+	w = w.In("link." + l.Name + ".")
+	w.Counter("sent", l.Sent)
+	w.Counter("dropped", l.Dropped)
+	w.Counter("bytes", l.Bytes)
+	w.Counter("lost", l.Lost)
+	w.Counter("duplicated", l.Duplicated)
+	w.Counter("reordered", l.Reordered)
+	w.Gauge("queue_hwm", int64(l.MaxQueued))
 }
 
 // Bandwidth returns the link rate in bits per second.

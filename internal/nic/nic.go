@@ -159,9 +159,9 @@ type NIC struct {
 	RxDropped int64
 	batches   int64
 
-	// Telemetry: the public counters above join the kernel's registry as
-	// func instruments; the batch-size histogram and poll-interval gauge
-	// are new registry-native observables.
+	// Telemetry: the public counters above are reported at snapshot time
+	// (Report); the batch-size histogram and poll-interval gauge are
+	// registry instruments the NIC updates in place.
 	mBatch   *metrics.Histogram // packets per protocol batch (softirq or poll)
 	mPollIvl *metrics.Gauge     // current adaptive poll interval, ns
 }
@@ -198,26 +198,38 @@ func (n *NIC) SetArena(a *netstack.Arena) { n.arena = a }
 func (n *NIC) Arena() *netstack.Arena { return n.arena }
 
 // registerMetrics joins the kernel's telemetry registry under the
-// nic.<name>. prefix. Unnamed NICs share the bare "nic." namespace — the
-// most recently constructed one wins its func instruments, so name the
-// interfaces in multi-NIC rigs (the testbed does).
+// nic.<name>. prefix (Report). Unnamed NICs take the bare "nic."
+// namespace, so a kernel with two of them panics at its first snapshot:
+// name the interfaces in multi-NIC rigs (the testbed does).
 func (n *NIC) registerMetrics() {
 	r := n.k.Metrics()
-	prefix := "nic."
-	if n.cfg.Name != "" {
-		prefix = "nic." + n.cfg.Name + "."
-	}
-	r.CounterFunc(prefix+"rx_packets", func() int64 { return n.RxPackets })
-	r.CounterFunc(prefix+"tx_packets", func() int64 { return n.TxPackets })
-	r.CounterFunc(prefix+"rx_interrupts", func() int64 { return n.RxInterrupts })
-	r.CounterFunc(prefix+"txcompl_interrupts", func() int64 { return n.TxComplInterrupts })
-	r.CounterFunc(prefix+"polls", func() int64 { return n.Polls })
-	r.CounterFunc(prefix+"polled_packets", func() int64 { return n.PolledPackets })
-	r.CounterFunc(prefix+"rx_dropped", func() int64 { return n.RxDropped })
+	r.Register(n)
+	prefix := n.scope()
 	// Batch sizes up to 256 packets per protocol pass, 1-packet buckets.
 	n.mBatch = r.Histogram(prefix+"batch_size", 1, 256)
 	n.mPollIvl = r.Gauge(prefix + "poll_interval_ns")
 	n.mPollIvl.Set(int64(n.pollIvl))
+}
+
+// scope is the interface's metrics namespace, nic.<name>.
+func (n *NIC) scope() string {
+	if n.cfg.Name == "" {
+		return "nic."
+	}
+	return "nic." + n.cfg.Name + "."
+}
+
+// Report implements metrics.Reporter: the interface's packet, interrupt
+// and poll counters.
+func (n *NIC) Report(w metrics.Writer) {
+	w = w.In(n.scope())
+	w.Counter("rx_packets", n.RxPackets)
+	w.Counter("tx_packets", n.TxPackets)
+	w.Counter("rx_interrupts", n.RxInterrupts)
+	w.Counter("txcompl_interrupts", n.TxComplInterrupts)
+	w.Counter("polls", n.Polls)
+	w.Counter("polled_packets", n.PolledPackets)
+	w.Counter("rx_dropped", n.RxDropped)
 }
 
 // Start begins polling (SoftPoll mode). Call after kernel.Start.

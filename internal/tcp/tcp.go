@@ -13,8 +13,8 @@
 package tcp
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"softtimers/internal/flowtrace"
 	"softtimers/internal/metrics"
@@ -169,17 +169,23 @@ func NewSender(env Env, cfg Config, flow int, total int64, paced bool) *Sender {
 	return &Sender{env: env, cfg: cfg, flow: flow, total: total, cwnd: cfg.InitialCwnd, paced: paced}
 }
 
-// RegisterMetrics exposes the sender's counters on a telemetry registry
-// under tcp.flow<N>.* as func instruments, leaving the segment path
-// untouched. TCP endpoints run on a plain Env (often with no kernel behind
-// it), so registration is opt-in rather than automatic.
-func (s *Sender) RegisterMetrics(r *metrics.Registry) {
-	prefix := fmt.Sprintf("tcp.flow%d.", s.flow)
-	r.CounterFunc(prefix+"segments_sent", func() int64 { return s.SegmentsSent })
-	r.CounterFunc(prefix+"acks_seen", func() int64 { return s.AcksSeen })
-	r.GaugeFunc(prefix+"max_burst", func() int64 { return s.MaxBurst })
-	r.GaugeFunc(prefix+"cwnd", func() int64 { return int64(s.cwnd) })
+// RegisterMetrics registers the sender on a telemetry registry, which then
+// reports its counters under tcp.flow<N>. (Report). TCP endpoints run on
+// a plain Env (often with no kernel behind it), so registration is opt-in
+// rather than automatic.
+func (s *Sender) RegisterMetrics(r *metrics.Registry) { r.Register(s) }
+
+// Report implements metrics.Reporter.
+func (s *Sender) Report(w metrics.Writer) {
+	w = w.In(flowScope(s.flow))
+	w.Counter("segments_sent", s.SegmentsSent)
+	w.Counter("acks_seen", s.AcksSeen)
+	w.Gauge("max_burst", s.MaxBurst)
+	w.Gauge("cwnd", int64(s.cwnd))
 }
+
+// flowScope is a flow's metrics namespace, tcp.flow<N>.
+func flowScope(flow int) string { return "tcp.flow" + strconv.Itoa(flow) + "." }
 
 // Start begins a self-clocked transfer by sending the initial window. For
 // paced senders Start is a no-op (the pacer drives transmission).
@@ -391,14 +397,17 @@ func NewReceiver(env Env, cfg Config, flow int) *Receiver {
 	return &Receiver{env: env, cfg: cfg, flow: flow}
 }
 
-// RegisterMetrics exposes the receiver's counters on a telemetry registry
-// under tcp.flow<N>.* (complementing Sender.RegisterMetrics on the same
-// prefix).
-func (r *Receiver) RegisterMetrics(reg *metrics.Registry) {
-	prefix := fmt.Sprintf("tcp.flow%d.", r.flow)
-	reg.CounterFunc(prefix+"acks_sent", func() int64 { return r.AcksSent })
-	reg.CounterFunc(prefix+"big_acks", func() int64 { return r.BigAcks })
-	reg.CounterFunc(prefix+"delack_fires", func() int64 { return r.DelAckFires })
+// RegisterMetrics registers the receiver on a telemetry registry, which
+// then reports its counters under tcp.flow<N>. (Report, complementing the
+// sender's on the same prefix).
+func (r *Receiver) RegisterMetrics(reg *metrics.Registry) { reg.Register(r) }
+
+// Report implements metrics.Reporter.
+func (r *Receiver) Report(w metrics.Writer) {
+	w = w.In(flowScope(r.flow))
+	w.Counter("acks_sent", r.AcksSent)
+	w.Counter("big_acks", r.BigAcks)
+	w.Counter("delack_fires", r.DelAckFires)
 }
 
 // Received returns the cumulative count of in-order segments.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 
 	"softtimers/internal/host"
@@ -117,5 +118,50 @@ func BenchmarkSwitchForward(b *testing.B) {
 	b.StopTimer()
 	if live := arena.Live(); live != 0 {
 		b.Fatalf("%d packets leaked from the arena", live)
+	}
+}
+
+// fleetSpec is fleet-1024's topology: a server with its idle loop on and
+// clients idle-halting, all on one switch with NIC eth0, on one shard.
+func fleetSpec(clients int) Spec {
+	names := make([]string, clients+1)
+	names[0] = "server"
+	hosts := []HostSpec{{Name: "server", Kernel: kernel.Options{IdleLoop: true}}}
+	for i := 0; i < clients; i++ {
+		names[i+1] = fmt.Sprintf("client%04d", i)
+		hosts = append(hosts, HostSpec{Name: names[i+1]})
+	}
+	return Spec{
+		Seed:     1,
+		Hosts:    hosts,
+		Switches: []SwitchSpec{{Name: "lan", Members: names, NIC: nic.Config{Name: "eth0"}}},
+	}
+}
+
+// BenchmarkFleetBuild times topology.Build of fleet-1024's Spec: 1,025
+// kernels, facilities and NICs, 2,050 links and one switch.
+func BenchmarkFleetBuild(b *testing.B) {
+	spec := fleetSpec(1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Build(spec)
+	}
+}
+
+// buildAllocsPerHost is what topology.Build allocates per host of a
+// 256-host fleet (fleetSpec): kernel, facility, NIC and links with their
+// registry entries, and the host's share of the topology's maps. Each
+// component registers one reporter however many counters it reports; a
+// closure per counter (about 80 per host) would put it near 200.
+const buildAllocsPerHost = 60
+
+// TestBuildAllocsPerHost pins the set-up's allocations per built host, so
+// a per-counter registration cannot creep back.
+func TestBuildAllocsPerHost(t *testing.T) {
+	const hosts = 256
+	spec := fleetSpec(hosts - 1)
+	per := testing.AllocsPerRun(5, func() { Build(spec) }) / hosts
+	if per > buildAllocsPerHost {
+		t.Fatalf("Build allocates %.2f times per host, want at most %d", per, buildAllocsPerHost)
 	}
 }

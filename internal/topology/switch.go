@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"softtimers/internal/flowtrace"
-	"softtimers/internal/metrics"
 	"softtimers/internal/netstack"
 	"softtimers/internal/sim"
 )
@@ -131,11 +130,3 @@ type shardView struct {
 
 // Deliver implements netstack.Endpoint.
 func (v shardView) Deliver(p *netstack.Packet) { v.sw.deliverOn(v.shard, p) }
-
-// RegisterMetrics exposes the switch's counters on a registry under
-// switch.<name>.
-func (s *Switch) RegisterMetrics(r *metrics.Registry) {
-	prefix := "switch." + s.Name + "."
-	r.CounterFunc(prefix+"forwarded", func() int64 { return s.Forwarded() })
-	r.CounterFunc(prefix+"misses", func() int64 { return s.Misses() })
-}

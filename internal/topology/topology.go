@@ -385,10 +385,11 @@ func (t *Topology) WriteChrome(w io.Writer) error {
 }
 
 // Snapshot captures every host's telemetry under a host.<name>. prefix and
-// every switch's and router's counters, merged into one deterministic
-// snapshot — the per-host metrics namespace for multi-node experiments.
+// every switch's and router's counters in one deterministic snapshot — the
+// per-host metrics namespace for multi-node experiments. Each host's
+// registry writes straight into it (metrics.Registry.SnapshotInto).
 //
-// Per-host sim.* instruments are dropped and replaced with topology-level
+// Per-host sim.* instruments are left out and replaced with topology-level
 // totals: the per-host versions read whichever engine the host runs on
 // (the whole fleet's on one shard, its shard's otherwise), so they
 // describe the execution substrate, not the host. The totals are
@@ -399,10 +400,14 @@ func (t *Topology) WriteChrome(w io.Writer) error {
 // mark has no shard-count-invariant meaning and is omitted.
 func (t *Topology) Snapshot() *metrics.Snapshot {
 	out := metrics.NewSnapshot()
+	if n := len(t.hosts); n > 0 {
+		// Hosts report about as many names as the first: room for all of
+		// them spares the maps' growth.
+		one := t.hosts[0].Snapshot()
+		out = metrics.NewSnapshotSized(n*len(one.Counters), n*len(one.Gauges), n*len(one.Histograms))
+	}
 	for _, h := range t.hosts {
-		hs := h.Snapshot()
-		hs.DropPrefix("sim.")
-		out.Merge(hs.Prefixed("host." + h.Name + "."))
+		h.Metrics().SnapshotInto(out, "host."+h.Name+".", "sim.")
 	}
 	out.Counters["sim.events_fired"] = int64(t.group.TotalFired())
 	p := int64(t.group.TotalPending())
