@@ -54,7 +54,7 @@ func run(paced bool) sim.Time {
 			rcv.HandleData(p)
 		}
 	})
-	wan := netstack.NewWANEmulator(eng, 100_000_000, bottleneck, rtt, serverIn, clientIn)
+	wan := netstack.NewWANEmulator(eng, netstack.LANBps, bottleneck, rtt, serverIn, clientIn)
 
 	snd = tcp.NewSender(&tcp.EngineEnv{Eng: eng, Out: wan.AtoB}, cfg, 1, packets, paced)
 	rcv = tcp.NewReceiver(&tcp.EngineEnv{Eng: eng, Out: wan.BtoA}, cfg, 1)
@@ -65,7 +65,7 @@ func run(paced bool) sim.Time {
 		// One packet per bottleneck transmission time (240 us at 50
 		// Mbps) — the interval a soft-timer pacer would hold with
 		// trigger states every few tens of microseconds.
-		interval := sim.Time(int64(cfg.WireSize(cfg.MSS)) * 8 * int64(sim.Second) / bottleneck)
+		interval := sim.Time(int64(netstack.MSS+netstack.HeaderBytes) * 8 * int64(sim.Second) / bottleneck)
 		var tick func()
 		tick = func() {
 			if _, more := snd.PacedSendOne(eng.Now()); more {
@@ -76,7 +76,7 @@ func run(paced bool) sim.Time {
 	}
 
 	// The client's request starts the clock.
-	wan.BtoA.Send(&netstack.Packet{Flow: 1, Kind: netstack.Request, Size: cfg.WireSize(300)})
+	wan.BtoA.Send(&netstack.Packet{Flow: 1, Kind: netstack.Request, Size: 300 + netstack.HeaderBytes})
 	eng.RunUntil(60 * sim.Second)
 	return done
 }

@@ -37,24 +37,26 @@ import (
 // trigger state that invoked it.
 type Handler func(now sim.Time) sim.Time
 
+// The facility's clock and wheel constants.
+const (
+	// MeasureHz is the measurement clock resolution: 1 MHz (1 µs ticks),
+	// the paper's "typical value". The paper's prototype reads the CPU
+	// cycle counter; a 1 µs software view of it keeps the timing wheel
+	// advance cheap without changing any observable behaviour at the
+	// tens-of-µs event granularities of interest.
+	MeasureHz = 1_000_000
+	// WheelSlots sizes the hashed timing wheel.
+	WheelSlots = 256
+)
+
+// tickDur is one measurement-clock tick in simulated time.
+const tickDur = sim.Second / MeasureHz
+
 // Options configures the facility.
 type Options struct {
-	// MeasureHz is the measurement clock resolution. Default 1 MHz (1 µs
-	// ticks), the paper's "typical value". The paper's prototype reads
-	// the CPU cycle counter; a 1 µs software view of it keeps the timing
-	// wheel advance cheap without changing any observable behaviour at
-	// the tens-of-µs event granularities of interest.
-	MeasureHz uint64
-	// WheelSlots sizes the hashed timing wheel. Default 256.
-	WheelSlots int
 	// Hierarchical selects the hierarchical wheel variant instead of the
 	// hashed wheel (used by the timer-structure ablation benchmark).
 	Hierarchical bool
-	// LegacyRearm forces Pacer/MultiPacer to rearm by cancel+insert with a
-	// fresh event per period instead of reviving their handle in place
-	// (Event.Rearm) — the pre-reschedule baseline, kept selectable so the
-	// regression tests can diff the two paths' telemetry byte for byte.
-	LegacyRearm bool
 	// TimeSource, when non-nil, replaces the kernel's virtual clock as the
 	// facility's measurement clock. Emulation mode (emu.Clock) supplies
 	// its wall-mapped VirtualNow here so measured trigger intervals and
@@ -68,11 +70,9 @@ type Options struct {
 
 // Facility is the soft-timer facility, installed as a kernel TriggerSink.
 type Facility struct {
-	k       *kernel.Kernel
-	wheel   timerwheel.Queue
-	hashed  *timerwheel.Wheel // non-nil when the hashed variant is in use
-	tickDur sim.Time
-	hz      uint64
+	k      *kernel.Kernel
+	wheel  timerwheel.Queue
+	hashed *timerwheel.Wheel // non-nil when the hashed variant is in use
 	// nowFn overrides the kernel clock as the measurement time base
 	// (Options.TimeSource); nil in sim mode, where the kernel clock path
 	// below stays byte-identical.
@@ -102,8 +102,6 @@ type Facility struct {
 	// kernel's metrics registry as softtimer.delay_us.
 	DelayHist *stats.Histogram
 
-	legacyRearm bool
-
 	// firing guards against re-entrant Trigger during handler execution;
 	// currentSrc and pendingCost carry context between Trigger and the
 	// wheel callbacks it fires (single-threaded, so fields suffice).
@@ -119,28 +117,21 @@ type Facility struct {
 // New installs a soft-timer facility on k and registers it as the kernel's
 // trigger sink.
 func New(k *kernel.Kernel, opts Options) *Facility {
-	if opts.MeasureHz == 0 {
-		opts.MeasureHz = 1_000_000
-	}
-	if opts.WheelSlots == 0 {
-		opts.WheelSlots = 256
-	}
-	tickDur := sim.Second / sim.Time(opts.MeasureHz)
-	if tickDur < 1 {
-		tickDur = 1
-	}
+	return newFacility(k, opts, WheelSlots)
+}
+
+// newFacility is New with the hashed wheel's slot count: the fuzz test
+// also drives a 16-slot wheel, whose rotations come sixteen times as often.
+func newFacility(k *kernel.Kernel, opts Options, slots int) *Facility {
 	f := &Facility{
-		k:           k,
-		tickDur:     tickDur,
-		hz:          opts.MeasureHz,
-		legacyRearm: opts.LegacyRearm,
-		nowFn:       opts.TimeSource,
-		DelayHist:   stats.NewHistogram(1, 2000),
+		k:         k,
+		nowFn:     opts.TimeSource,
+		DelayHist: stats.NewHistogram(1, 2000),
 	}
 	if opts.Hierarchical {
 		f.wheel = timerwheel.NewHierarchical()
 	} else {
-		f.hashed = timerwheel.New(opts.WheelSlots)
+		f.hashed = timerwheel.New(slots)
 		f.wheel = f.hashed
 	}
 	r := k.Metrics()
@@ -173,7 +164,7 @@ func (f *Facility) Report(w metrics.Writer) {
 func (f *Facility) MaxDelayUS() int64 { return f.maxDelay }
 
 // MeasureResolution returns the measurement clock resolution in Hz.
-func (f *Facility) MeasureResolution() uint64 { return f.hz }
+func (f *Facility) MeasureResolution() uint64 { return MeasureHz }
 
 // MeasureTime returns the current time in measurement clock ticks. It is a
 // monotonic interval clock, not synchronized to any standard time base. In
@@ -181,9 +172,9 @@ func (f *Facility) MeasureResolution() uint64 { return f.hz }
 // clock instead of the kernel's virtual clock.
 func (f *Facility) MeasureTime() uint64 {
 	if f.nowFn != nil {
-		return uint64(f.nowFn() / f.tickDur)
+		return uint64(f.nowFn() / tickDur)
 	}
-	return uint64(f.k.Now() / f.tickDur)
+	return uint64(f.k.Now() / tickDur)
 }
 
 // now returns the facility's time base: the kernel clock, or the override
@@ -198,11 +189,11 @@ func (f *Facility) now() sim.Time {
 // InterruptClockResolution returns the backup interrupt clock frequency in
 // Hz — the minimum rate at which events are guaranteed to be checked, and
 // therefore the worst-case granularity of the facility.
-func (f *Facility) InterruptClockResolution() uint64 { return uint64(f.k.Hz()) }
+func (f *Facility) InterruptClockResolution() uint64 { return kernel.Hz }
 
 // X returns the resolution ratio measure/interrupt — the width, in
 // measurement ticks, of the event-firing bound T < actual < T + X + 1.
-func (f *Facility) X() uint64 { return f.hz / uint64(f.k.Hz()) }
+func (f *Facility) X() uint64 { return MeasureHz / kernel.Hz }
 
 // Event is a handle to a scheduled soft-timer event. It is the event's one
 // record: the wheel links the timer node it holds, and the node keeps the
@@ -241,8 +232,8 @@ func (ev *Event) Pending() bool { return ev.t.Pending() }
 // Telemetry parity with the two-step baseline is exact: a pending rearm
 // counts one cancellation plus one schedule, a fired rearm counts one
 // schedule, and the wheel node lands in the same slot position a freshly
-// scheduled timer would — so runs rearming in place and runs on
-// Options.LegacyRearm produce byte-identical counters and traces.
+// scheduled timer would — so rearming in place produces the counters and
+// traces a cancel+insert would.
 func (ev *Event) Rearm(T uint64) {
 	f := ev.f
 	if ev.pooled {
@@ -263,7 +254,7 @@ func (ev *Event) Rearm(T uint64) {
 
 // RearmAfter is Rearm with a simulated-time latency, mirroring ScheduleAfter.
 func (ev *Event) RearmAfter(d sim.Time) {
-	ev.Rearm(uint64(d / ev.f.tickDur))
+	ev.Rearm(uint64(d / tickDur))
 }
 
 // ScheduleSoftEvent schedules h to be called at least T measurement-clock
@@ -294,7 +285,7 @@ func (ev *Event) fire(fireTick timerwheel.Tick) {
 	f.fired++
 	f.FiresBySource[f.currentSrc]++
 	// d = actual latency minus T, in ticks; convert to µs.
-	d := float64(fireTick-ev.sched-ev.T) * float64(f.tickDur) / float64(sim.Microsecond)
+	d := float64(fireTick-ev.sched-ev.T) * float64(tickDur) / float64(sim.Microsecond)
 	f.DelayHist.Add(d)
 	if us := int64(d); us > f.maxDelay { // worst-case delay, µs (truncated)
 		f.maxDelay = us
@@ -337,7 +328,7 @@ func (f *Facility) ScheduleSoftEventFree(T uint64, h Handler) {
 // ScheduleAfter is a convenience wrapper scheduling h at least d of
 // simulated time in the future.
 func (f *Facility) ScheduleAfter(d sim.Time, h Handler) *Event {
-	ticks := uint64(d / f.tickDur)
+	ticks := uint64(d / tickDur)
 	return f.ScheduleSoftEvent(ticks, h)
 }
 
@@ -357,7 +348,7 @@ func (f *Facility) Trigger(src kernel.Source, now sim.Time) sim.Time {
 		// catch-up bursts.
 		now = f.nowFn()
 	}
-	tick := timerwheel.Tick(now / f.tickDur)
+	tick := timerwheel.Tick(now / tickDur)
 	if f.hashed != nil {
 		if !f.hashed.Due(tick) {
 			return 0
@@ -409,5 +400,5 @@ func (f *Facility) EventBefore(t sim.Time) bool {
 	if e == timerwheel.NoDeadline {
 		return false
 	}
-	return sim.Time(e)*f.tickDur < t
+	return sim.Time(e)*tickDur < t
 }

@@ -16,7 +16,7 @@ func newRig(opts kernel.Options, fopts Options) (*sim.Engine, *kernel.Kernel, *F
 }
 
 func TestResolutions(t *testing.T) {
-	_, _, f := newRig(kernel.Options{Hz: 1000}, Options{})
+	_, _, f := newRig(kernel.Options{}, Options{})
 	if f.MeasureResolution() != 1_000_000 {
 		t.Fatalf("MeasureResolution = %d, want 1MHz default", f.MeasureResolution())
 	}
@@ -163,7 +163,7 @@ func TestCancelPreventsFiring(t *testing.T) {
 func TestHandlerCancelsSiblingEvent(t *testing.T) {
 	for _, hier := range []bool{false, true} {
 		var clock sim.Time
-		k := kernel.New(sim.NewEngine(7), cpu.PentiumII300(), kernel.Options{Hz: 1000})
+		k := kernel.New(sim.NewEngine(7), cpu.PentiumII300(), kernel.Options{})
 		f := New(k, Options{Hierarchical: hier, TimeSource: func() sim.Time { return clock }})
 		ran := 0
 		var a, b *Event
@@ -268,7 +268,7 @@ func TestHandlerSchedulingMoreEvents(t *testing.T) {
 // moves 1 µs per check, so no check finds anything due.
 func checkRig(hit bool) (f *Facility, check func()) {
 	var clock sim.Time
-	k := kernel.New(sim.NewEngine(7), cpu.PentiumII300(), kernel.Options{Hz: 1000})
+	k := kernel.New(sim.NewEngine(7), cpu.PentiumII300(), kernel.Options{})
 	f = New(k, Options{TimeSource: func() sim.Time { return clock }})
 	if !hit {
 		f.ScheduleSoftEvent(1<<40, func(sim.Time) sim.Time { return 0 })
@@ -323,7 +323,7 @@ func TestScheduleSoftEventAllocs(t *testing.T) {
 // takes its own record back and the pool never holds a second one.
 func TestPooledEventRecyclesBeforeHandler(t *testing.T) {
 	var clock sim.Time
-	k := kernel.New(sim.NewEngine(7), cpu.PentiumII300(), kernel.Options{Hz: 1000})
+	k := kernel.New(sim.NewEngine(7), cpu.PentiumII300(), kernel.Options{})
 	f := New(k, Options{TimeSource: func() sim.Time { return clock }})
 	fires := 0
 	var probe Handler
@@ -380,7 +380,7 @@ func BenchmarkFacilityColdHosts(b *testing.B) {
 	eng := sim.NewEngine(7)
 	fs := make([]*Facility, hosts)
 	for i := range fs {
-		k := kernel.New(eng, cpu.PentiumII300(), kernel.Options{Hz: 1000})
+		k := kernel.New(eng, cpu.PentiumII300(), kernel.Options{})
 		f := New(k, Options{TimeSource: func() sim.Time { return clock }})
 		var probe Handler
 		probe = func(sim.Time) sim.Time {

@@ -303,14 +303,14 @@ func (r *facilityRig) trigger(src kernel.Source) {
 }
 
 // replayFacilityOps decodes data as a facility-op stream and applies it to a
-// facility built with opts and to the reference, comparing them after
-// every operation.
-func replayFacilityOps(t *testing.T, name string, data []byte, opts Options) {
+// facility built with opts and a hashed wheel of slots slots, and to the
+// reference, comparing them after every operation.
+func replayFacilityOps(t *testing.T, name string, data []byte, opts Options, slots int) {
 	t.Helper()
 	r := &facilityRig{t: t, name: name}
-	k := kernel.New(sim.NewEngine(7), cpu.PentiumII300(), kernel.Options{Hz: 1000})
+	k := kernel.New(sim.NewEngine(7), cpu.PentiumII300(), kernel.Options{})
 	opts.TimeSource = func() sim.Time { return r.clock }
-	r.f = New(k, opts)
+	r.f = newFacility(k, opts, slots)
 	r.ref.softCall = k.Profile().SoftCall
 	i := 0
 	next := func() byte {
@@ -408,14 +408,15 @@ func FuzzFacilityOps(f *testing.F) {
 			return // bound per-input work; coverage saturates far below this
 		}
 		for _, c := range []struct {
-			name string
-			opts Options
+			name  string
+			opts  Options
+			slots int
 		}{
-			{"hashed/256", Options{}},
-			{"hashed/16", Options{WheelSlots: 16}},
-			{"hierarchical", Options{Hierarchical: true}},
+			{"hashed/256", Options{}, WheelSlots},
+			{"hashed/16", Options{}, 16},
+			{"hierarchical", Options{Hierarchical: true}, WheelSlots},
 		} {
-			replayFacilityOps(t, c.name, data, c.opts)
+			replayFacilityOps(t, c.name, data, c.opts, c.slots)
 		}
 	})
 }

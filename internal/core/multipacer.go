@@ -104,14 +104,6 @@ func (m *MultiPacer) Intervals(id int) *stats.Sample {
 	return nil
 }
 
-// Sent returns the packets transmitted on a flow so far.
-func (m *MultiPacer) Sent(id int) int64 {
-	if fl, ok := m.flows[id]; ok {
-		return fl.sent
-	}
-	return 0
-}
-
 // earliest returns the soonest per-flow deadline, or false if no flows.
 func (m *MultiPacer) earliest() (sim.Time, bool) {
 	var min sim.Time = 1<<63 - 1
@@ -129,8 +121,7 @@ func (m *MultiPacer) earliest() (sim.Time, bool) {
 // keeping exactly one outstanding. The steady-state path moves the
 // existing event in place (Event.Rearm: a pending handle migrates wheel
 // slots, a just-fired one is revived) instead of cancel+insert with a
-// fresh event per deadline change; Options.LegacyRearm keeps the two-step
-// baseline for the telemetry-equivalence regression tests.
+// fresh event per deadline change.
 func (m *MultiPacer) rearm() {
 	deadline, ok := m.earliest()
 	if !ok {
@@ -145,12 +136,9 @@ func (m *MultiPacer) rearm() {
 	if d < 0 {
 		d = 0
 	}
-	if m.ev != nil && !m.f.legacyRearm {
+	if m.ev != nil {
 		m.ev.RearmAfter(d)
 		return
-	}
-	if m.ev != nil {
-		m.ev.Cancel()
 	}
 	m.ev = m.f.ScheduleAfter(d, m.fire)
 }
@@ -192,7 +180,7 @@ func (m *MultiPacer) fire(now sim.Time) sim.Time {
 		}
 	}
 	// m.ev just fired but the handle is kept: rearm revives its node in
-	// place (the legacy path's Cancel of the fired handle is a no-op).
+	// place.
 	m.rearm()
 	return cost
 }

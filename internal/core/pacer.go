@@ -102,10 +102,9 @@ func (p *Pacer) Sent() int64 { return p.sent }
 // schedule arms the next transmission event. The steady-state path revives
 // the just-fired handle in place (Event.Rearm) — one wheel-node migration,
 // zero allocations per packet — instead of minting a fresh event each
-// period; Options.LegacyRearm keeps the old alloc-per-packet path for the
-// telemetry-equivalence regression tests.
+// period.
 func (p *Pacer) schedule(interval sim.Time) {
-	if p.ev != nil && !p.f.legacyRearm {
+	if p.ev != nil {
 		p.ev.RearmAfter(interval)
 		return
 	}

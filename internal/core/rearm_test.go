@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -10,26 +12,29 @@ import (
 )
 
 // The rearm-equivalence contract: Pacer and MultiPacer rearming their
-// handle in place (Event.Rearm) must produce exactly the telemetry the
-// cancel+insert baseline (Options.LegacyRearm) produces — every counter,
+// handle in place (Event.Rearm) must produce exactly the telemetry a
+// cancel+insert with a fresh event per period produces — every counter,
 // gauge, and histogram bucket, byte for byte. A pending rearm counts one
 // cancel plus one schedule; a fired rearm counts one schedule; the wheel
-// node lands in the slot position a fresh insert would take.
+// node lands in the slot position a fresh insert would take. The
+// cancel+insert path is gone; each test below pins the sha256 of the
+// snapshot it produced for the same drive, which the in-place run matched.
 
-// rearmSnapshot runs one pacing workload and returns the kernel's full
-// metrics snapshot as canonical JSON.
-func rearmSnapshot(t *testing.T, legacy bool, drive func(eng *sim.Engine, f *Facility)) []byte {
+// rearmSnapshotSHA runs one pacing workload and returns the sha256 of the
+// kernel's full metrics snapshot as canonical JSON.
+func rearmSnapshotSHA(t *testing.T, drive func(eng *sim.Engine, f *Facility)) string {
 	t.Helper()
 	eng := sim.NewEngine(7)
 	k := kernel.New(eng, cpu.PentiumII300(), kernel.Options{IdleLoop: true})
-	f := New(k, Options{LegacyRearm: legacy})
+	f := New(k, Options{})
 	k.Start()
 	drive(eng, f)
 	b, err := json.Marshal(k.Metrics().Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 func TestPacerRearmMatchesLegacyTelemetry(t *testing.T) {
@@ -46,7 +51,7 @@ func TestPacerRearmMatchesLegacyTelemetry(t *testing.T) {
 			t.Fatalf("sent %d of 2000", sent)
 		}
 		// Restart after the train ends: the in-place path revives the fired
-		// handle where the legacy path schedules a fresh event.
+		// handle where cancel+insert scheduled a fresh event.
 		sent = 0
 		p.Start()
 		eng.RunFor(200 * sim.Millisecond)
@@ -54,11 +59,9 @@ func TestPacerRearmMatchesLegacyTelemetry(t *testing.T) {
 			t.Fatalf("second train sent %d of 2000", sent)
 		}
 	}
-	inPlace := rearmSnapshot(t, false, drive)
-	legacy := rearmSnapshot(t, true, drive)
-	if string(inPlace) != string(legacy) {
-		t.Fatalf("pacer telemetry diverged between in-place rearm (%d bytes) and cancel+insert (%d bytes)",
-			len(inPlace), len(legacy))
+	const cancelInsert = "32a7f82e948d644b38659a6a51964a624892d7621d0f1e6e0283356bbe05e17e"
+	if got := rearmSnapshotSHA(t, drive); got != cancelInsert {
+		t.Fatalf("pacer telemetry sha256 %s, want cancel+insert's %s", got, cancelInsert)
 	}
 }
 
@@ -87,11 +90,9 @@ func TestMultiPacerRearmMatchesLegacyTelemetry(t *testing.T) {
 			t.Fatalf("flows remaining = %d", m.Flows())
 		}
 	}
-	inPlace := rearmSnapshot(t, false, drive)
-	legacy := rearmSnapshot(t, true, drive)
-	if string(inPlace) != string(legacy) {
-		t.Fatalf("multipacer telemetry diverged between in-place rearm (%d bytes) and cancel+insert (%d bytes)",
-			len(inPlace), len(legacy))
+	const cancelInsert = "8c0220d80a7dfbed4b55fbe84c0f96c86b7de43fff1b3c673f906b49f0ded021"
+	if got := rearmSnapshotSHA(t, drive); got != cancelInsert {
+		t.Fatalf("multipacer telemetry sha256 %s, want cancel+insert's %s", got, cancelInsert)
 	}
 }
 

@@ -269,7 +269,7 @@ func (s *Server) readLoop(flow int, c net.Conn) {
 	defer s.socks.Done()
 	s.clk.Inject(func() {
 		s.conns[flow] = c
-		s.inject(flow, netstack.Syn, 52, 0)
+		s.inject(flow, netstack.Syn, netstack.HeaderBytes, 0)
 	})
 	buf := make([]byte, 4096)
 	pending := 0 // request bytes seen since the last blank line
@@ -289,7 +289,7 @@ func (s *Server) readLoop(flow int, c net.Conn) {
 			delete(s.accepted, c)
 			s.mu.Unlock()
 			s.clk.Inject(func() {
-				s.inject(flow, netstack.Fin, 52, 0)
+				s.inject(flow, netstack.Fin, netstack.HeaderBytes, 0)
 				// The model acked the Fin and dropped the connection; the
 				// socket may already be closed by the bridge (server Fin).
 				if ec := s.conns[flow]; ec != nil {

@@ -228,7 +228,7 @@ func runLossTransfer(sc Scale, salt uint64, spec faults.Spec, packets int64) (de
 	serverIn := &dispatcher{}
 	clientIn := &dispatcher{}
 	const bottleneckBps = 50_000_000
-	wan := netstack.NewWANEmulator(eng, 100_000_000, bottleneckBps,
+	wan := netstack.NewWANEmulator(eng, netstack.LANBps, bottleneckBps,
 		100*sim.Millisecond, serverIn, clientIn)
 	// Fault only the bottleneck hop of the data direction: the end-to-end
 	// loss rate then equals the spec's per-link rate (installing on every
@@ -261,7 +261,7 @@ func runLossTransfer(sc Scale, salt uint64, spec faults.Spec, packets int64) (de
 
 	// Rate-based clocking at the bottleneck capacity, as in the Table 6/7
 	// rigs: one MSS-sized packet per serialization time.
-	interval := sim.Time(int64(cfg.WireSize(cfg.MSS)) * 8 * int64(sim.Second) / bottleneckBps)
+	interval := sim.Time(int64(netstack.MSS+netstack.HeaderBytes) * 8 * int64(sim.Second) / bottleneckBps)
 	var tick func()
 	tick = func() {
 		if _, more := snd.PacedSendOne(eng.Now()); more {
@@ -275,7 +275,7 @@ func runLossTransfer(sc Scale, salt uint64, spec faults.Spec, packets int64) (de
 			eng.After(interval, tick)
 		}
 	}
-	wan.BtoA.Send(&netstack.Packet{Flow: 1, Kind: netstack.Request, Size: cfg.WireSize(300)})
+	wan.BtoA.Send(&netstack.Packet{Flow: 1, Kind: netstack.Request, Size: 300 + netstack.HeaderBytes})
 
 	eng.RunUntil(600 * sim.Second)
 	return delivered, dups, last, reg.Snapshot()
@@ -298,7 +298,7 @@ func RunDegradationLoss(sc Scale) *LossResult {
 		row := LossRow{Rate: p, Sent: packets, Delivered: delivered, Dups: dups}
 		row.DeliveredFrac = float64(delivered) / float64(packets)
 		if last > 0 {
-			row.GoodputMbps = float64(delivered) * 1448 * 8 / last.Seconds() / 1e6
+			row.GoodputMbps = float64(delivered) * netstack.MSS * 8 / last.Seconds() / 1e6
 		}
 		rows[i] = row
 		snaps[i] = snap
@@ -356,7 +356,7 @@ func RunScenario(sc Scale, name string) *Table {
 
 	goodput := 0.0
 	if last > 0 {
-		goodput = float64(delivered) * 1448 * 8 / last.Seconds() / 1e6
+		goodput = float64(delivered) * netstack.MSS * 8 / last.Seconds() / 1e6
 	}
 	deliveredFrac := float64(delivered) / float64(packets)
 

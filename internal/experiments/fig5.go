@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"softtimers/internal/cpu"
+	"softtimers/internal/kernel"
 	"softtimers/internal/sim"
 	"softtimers/internal/stats"
 	"softtimers/internal/workloads"
@@ -31,9 +32,13 @@ func RunFig5(sc Scale) *Fig5Result {
 	// Reach steady state first; the paper's plot is a slice of the
 	// running workload, not its startup transient.
 	rig.Eng.RunFor(sc.Warmup)
-	w1 := stats.NewWindowedMedians(1) // meter feeds times in ms
+	w1 := stats.NewWindowedMedians(1) // fed times in ms
 	w10 := stats.NewWindowedMedians(10)
-	rig.K.Meter().Windows = []*stats.WindowedMedians{w1, w10}
+	rig.K.Meter().Trace = func(now, iv sim.Time, _ kernel.Source) {
+		us := iv.Micros()
+		w1.Add(now.Millis(), us)
+		w10.Add(now.Millis(), us)
+	}
 	dur := 10 * sim.Second
 	if sc.Samples < 1_000_000 { // quick scale: shorter trace
 		dur = 2 * sim.Second

@@ -69,9 +69,6 @@ func Names() []string {
 	return out
 }
 
-// Describe returns the one-line description registered under name.
-func Describe(name string) string { return registry[name].desc }
-
 // List returns every (name, description) pair in Order, then any
 // registered experiment Order omits, sorted by name — the stbench -list
 // inventory.

@@ -90,7 +90,7 @@ func xputMbps(packets int64, resp sim.Time) float64 {
 	if resp <= 0 {
 		return 0
 	}
-	return float64(packets) * 1448 * 8 / resp.Seconds() / 1e6
+	return float64(packets) * netstack.MSS * 8 / resp.Seconds() / 1e6
 }
 
 // dispatcher is a mutable endpoint, letting the WAN emulator be wired
@@ -116,7 +116,7 @@ func runWANTransfer(sc Scale, bottleneckMbps, packets int64, paced bool) (sim.Ti
 	clientIn := &dispatcher{}
 	// Side A is the server, side B the client: AtoB carries response
 	// data, BtoA carries the request and ACKs.
-	wan := netstack.NewWANEmulator(eng, 100_000_000, bottleneckMbps*1_000_000,
+	wan := netstack.NewWANEmulator(eng, netstack.LANBps, bottleneckMbps*1_000_000,
 		100*sim.Millisecond, serverIn, clientIn)
 
 	sndEnv := &tcp.EngineEnv{Eng: eng, Out: wan.AtoB}
@@ -147,7 +147,7 @@ func runWANTransfer(sc Scale, bottleneckMbps, packets int64, paced bool) (sim.Ti
 		// 120 µs at 100 Mbps), skipping slow start entirely. The server
 		// is otherwise unloaded, so soft-timer events fire with
 		// idle-loop precision; the pacing here models that directly.
-		interval := sim.Time(int64(cfg.WireSize(cfg.MSS)) * 8 * int64(sim.Second) /
+		interval := sim.Time(int64(netstack.MSS+netstack.HeaderBytes) * 8 * int64(sim.Second) /
 			(bottleneckMbps * 1_000_000))
 		var tick func()
 		tick = func() {
@@ -174,7 +174,7 @@ func runWANTransfer(sc Scale, bottleneckMbps, packets int64, paced bool) (sim.Ti
 	}
 
 	// The client sends the request at t=0.
-	wan.BtoA.Send(&netstack.Packet{Flow: 1, Kind: netstack.Request, Size: cfg.WireSize(300)})
+	wan.BtoA.Send(&netstack.Packet{Flow: 1, Kind: netstack.Request, Size: 300 + netstack.HeaderBytes})
 
 	eng.RunUntil(600 * sim.Second)
 	if done == 0 {

@@ -118,13 +118,10 @@ func (h *Host) Arena() *netstack.Arena {
 func (h *Host) SetArena(a *netstack.Arena) { h.arena = a }
 
 // AddNIC creates an interface on the host transmitting into out (the wire
-// toward the peer). Zero Costs default; the receive ring's fault channel
-// comes from the host plan under nic.<name>.rx unless cfg.Faults is set.
+// toward the peer). On a host with a fault plan, the receive ring's fault
+// channel comes from the plan under nic.<name>.rx unless cfg.Faults is set.
 func (h *Host) AddNIC(cfg nic.Config, out netstack.Endpoint) *nic.NIC {
-	if cfg.Costs == (nic.Costs{}) {
-		cfg.Costs = nic.DefaultCosts()
-	}
-	if cfg.Faults == nil {
+	if cfg.Faults == nil && h.plan != nil {
 		cfg.Faults = h.plan.Link("nic." + cfg.Name + ".rx")
 	}
 	n := nic.New(h.K, h.F, cfg, out)

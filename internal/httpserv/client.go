@@ -16,26 +16,19 @@ type ClientGen struct {
 	eng      *sim.Engine
 	toServer netstack.Endpoint
 
-	// Concurrency is the number of simultaneous connections (slots).
-	Concurrency int
-	// ExpectedSegments is the data segments per response.
-	ExpectedSegments int
-	// Persistent selects P-HTTP: one connection per slot, many requests.
-	Persistent bool
-	// ThinkTime is the client-side gap before reusing a slot.
-	ThinkTime sim.Time
-	// HeaderBytes sizes control packets.
-	HeaderBytes int
+	concurrency      int  // simultaneous connections (slots)
+	expectedSegments int  // data segments per response
+	persistent       bool // P-HTTP: one connection per slot, many requests
 
-	// Arena, when set, is the packet pool requests are acquired from and
+	// arena, when set, is the packet pool requests are acquired from and
 	// delivered responses are released into (the testbed wires the
 	// topology's pool; nil keeps heap-literal packets).
-	Arena *netstack.Arena
+	arena *netstack.Arena
 
-	// Responses counts completed responses (client view); ResponseTimes
+	// responses counts completed responses (client view); responseTimes
 	// records their latencies in milliseconds.
-	Responses     int64
-	ResponseTimes *stats.Online
+	responses     int64
+	responseTimes *stats.Online
 
 	nextFlow int
 	slots    []*clientSlot
@@ -60,10 +53,8 @@ func NewClientGen(eng *sim.Engine, toServer netstack.Endpoint, concurrency, expe
 	}
 	return &ClientGen{
 		eng: eng, toServer: toServer,
-		Concurrency: concurrency, ExpectedSegments: expectedSegments,
-		Persistent: persistent, ThinkTime: 200 * sim.Microsecond,
-		HeaderBytes:   52,
-		ResponseTimes: &stats.Online{},
+		concurrency: concurrency, expectedSegments: expectedSegments,
+		persistent: persistent, responseTimes: &stats.Online{},
 	}
 }
 
@@ -74,7 +65,7 @@ func (g *ClientGen) Start() {
 		panic("httpserv: client generator started twice")
 	}
 	g.started = true
-	for i := 0; i < g.Concurrency; i++ {
+	for i := 0; i < g.concurrency; i++ {
 		i := i
 		g.eng.After(sim.Time(i+1)*37*sim.Microsecond, func() {
 			s := &clientSlot{g: g}
@@ -97,16 +88,16 @@ func (s *clientSlot) open() {
 	s.flow = s.g.newFlow()
 	s.got = 0
 	s.unacked = 0
-	if s.g.Persistent {
+	if s.g.persistent {
 		s.request()
 		return
 	}
-	s.g.send(s.flow, netstack.Syn, s.g.HeaderBytes)
+	s.g.send(s.flow, netstack.Syn, netstack.HeaderBytes)
 }
 
 // send acquires and transmits one control packet toward the server.
 func (g *ClientGen) send(flow int, kind netstack.Kind, size int) {
-	p := g.Arena.Get()
+	p := g.arena.Get()
 	p.Flow, p.Kind, p.Size = flow, kind, size
 	g.toServer.Deliver(p)
 }
@@ -115,7 +106,7 @@ func (s *clientSlot) request() {
 	s.reqStart = s.g.eng.Now()
 	s.got = 0
 	s.unacked = 0
-	s.g.send(s.flow, netstack.Request, s.g.HeaderBytes+250) // ~250B GET
+	s.g.send(s.flow, netstack.Request, netstack.HeaderBytes+250) // ~250B GET
 }
 
 // Deliver implements netstack.Endpoint: packets from the server arrive
@@ -128,7 +119,7 @@ func (g *ClientGen) Deliver(p *netstack.Packet) {
 			break
 		}
 	}
-	g.Arena.Release(p) // a miss is a packet for a closed connection (e.g. final ACKs)
+	g.arena.Release(p) // a miss is a packet for a closed connection (e.g. final ACKs)
 }
 
 func (s *clientSlot) handle(p *netstack.Packet) {
@@ -139,34 +130,34 @@ func (s *clientSlot) handle(p *netstack.Packet) {
 	case netstack.Data:
 		s.got++
 		s.unacked++
-		ackNow := s.unacked >= 2 || s.got >= g.ExpectedSegments // last segment acks promptly
+		ackNow := s.unacked >= 2 || s.got >= g.expectedSegments // last segment acks promptly
 		if ackNow {
 			s.unacked = 0
-			ack := g.Arena.Get()
-			ack.Flow, ack.Kind, ack.AckSeq, ack.Size = s.flow, netstack.Ack, int64(s.got), g.HeaderBytes
+			ack := g.arena.Get()
+			ack.Flow, ack.Kind, ack.AckSeq, ack.Size = s.flow, netstack.Ack, int64(s.got), netstack.HeaderBytes
 			g.toServer.Deliver(ack)
 		}
-		if s.got >= g.ExpectedSegments {
+		if s.got >= g.expectedSegments {
 			s.responseDone()
 		}
 	case netstack.Fin:
 		// Server closed after the data: ACK the FIN, then close our side
 		// with our own FIN (the normal four-way teardown).
-		g.send(s.flow, netstack.Ack, g.HeaderBytes)
-		g.send(s.flow, netstack.Fin, g.HeaderBytes)
+		g.send(s.flow, netstack.Ack, netstack.HeaderBytes)
+		g.send(s.flow, netstack.Fin, netstack.HeaderBytes)
 	}
 }
 
 func (s *clientSlot) responseDone() {
 	g := s.g
-	g.Responses++
-	g.ResponseTimes.Add((g.eng.Now() - s.reqStart).Millis())
-	g.eng.After(g.ThinkTime, s.thinkFn)
+	g.responses++
+	g.responseTimes.Add((g.eng.Now() - s.reqStart).Millis())
+	g.eng.After(thinkTime, s.thinkFn)
 }
 
 // reuse starts the slot's next request once its think time has passed.
 func (s *clientSlot) reuse() {
-	if s.g.Persistent {
+	if s.g.persistent {
 		s.request()
 		return
 	}

@@ -54,21 +54,21 @@ func TestClientGenHTTPLifecycle(t *testing.T) {
 	eng, srv, clients := newClientRig(t, 2, 5, false)
 	clients.Start()
 	eng.RunFor(100 * sim.Millisecond)
-	if clients.Responses < 10 {
-		t.Fatalf("responses = %d, want a steady stream", clients.Responses)
+	if clients.responses < 10 {
+		t.Fatalf("responses = %d, want a steady stream", clients.responses)
 	}
 	// One request per response, one client FIN per connection teardown.
-	if srv.requests < int(clients.Responses) {
-		t.Fatalf("requests %d < responses %d", srv.requests, clients.Responses)
+	if srv.requests < int(clients.responses) {
+		t.Fatalf("requests %d < responses %d", srv.requests, clients.responses)
 	}
 	if srv.fins == 0 {
 		t.Fatal("no client FINs — teardown broken")
 	}
-	if clients.ResponseTimes.N() != clients.Responses {
-		t.Fatalf("response times recorded %d of %d", clients.ResponseTimes.N(), clients.Responses)
+	if clients.responseTimes.N() != clients.responses {
+		t.Fatalf("response times recorded %d of %d", clients.responseTimes.N(), clients.responses)
 	}
 	// Round trip on a 30us LAN with 6 packets: sub-millisecond responses.
-	if mean := clients.ResponseTimes.Mean(); mean > 2 {
+	if mean := clients.responseTimes.Mean(); mean > 2 {
 		t.Fatalf("mean response = %.2fms, want sub-ms on a LAN", mean)
 	}
 }
@@ -77,15 +77,15 @@ func TestClientGenPersistentSkipsHandshake(t *testing.T) {
 	eng, srv, clients := newClientRig(t, 1, 3, true)
 	clients.Start()
 	eng.RunFor(50 * sim.Millisecond)
-	if clients.Responses < 5 {
-		t.Fatalf("responses = %d", clients.Responses)
+	if clients.responses < 5 {
+		t.Fatalf("responses = %d", clients.responses)
 	}
 	if srv.fins != 0 {
 		t.Fatalf("persistent client sent %d FINs", srv.fins)
 	}
 	// All requests rode one flow.
-	if srv.requests < int(clients.Responses) {
-		t.Fatalf("requests %d < responses %d", srv.requests, clients.Responses)
+	if srv.requests < int(clients.responses) {
+		t.Fatalf("requests %d < responses %d", srv.requests, clients.responses)
 	}
 }
 
@@ -118,7 +118,7 @@ func TestClientGenIgnoresStaleFlows(t *testing.T) {
 	eng.RunFor(sim.Millisecond)
 	// A packet for a flow that never existed must be dropped quietly.
 	clients.Deliver(&netstack.Packet{Flow: 9999, Kind: netstack.Data})
-	if clients.Responses != 0 {
+	if clients.responses != 0 {
 		t.Fatal("stale packet produced a response")
 	}
 }

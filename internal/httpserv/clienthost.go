@@ -64,29 +64,34 @@ type ClientHostConfig struct {
 	Segments int
 	// Addr and ServerAddr stamp Src/Dst so switches can forward.
 	Addr, ServerAddr netstack.Addr
-	// HeaderBytes sizes control packets (default 52).
-	HeaderBytes int
-	// ThinkTime is the gap before a slot reconnects (default 200 µs).
-	ThinkTime sim.Time
 	// StartDelay holds every slot's first connect back by this much.
 	// Large fleets stagger it per host: a thousand machines connecting in
 	// the same microsecond is a SYN storm that pins the server in
 	// interrupt context for milliseconds — an overload artifact of the
 	// synchronized start, not a property of the workload under study.
 	StartDelay sim.Time
-	// ConnectWork, SendWork and RecvWork are the syscall service times of
-	// the client's socket calls (defaults 15/10/10 µs).
-	ConnectWork, SendWork, RecvWork sim.Time
 	// ChurnEvery, when > 0, makes each slot go dormant after every N
 	// completed responses — connection churn: clients leave the fleet and
-	// rejoin later, so the server's connection table turns over instead of
-	// serving a fixed population. 0 disables churn.
+	// rejoin later (after churnOff plus a random draw), so the server's
+	// connection table turns over instead of serving a fixed population. 0
+	// disables churn.
 	ChurnEvery int
-	// ChurnOff is the dormancy base period (default 1 ms); the actual gap
-	// adds an exponential draw from the host's private RNG stream, which
-	// depends only on (seed, host name) — shard-count invariant.
-	ChurnOff sim.Time
 }
+
+// The client machines' fixed parameters.
+const (
+	// thinkTime is a client's gap before it reuses a slot.
+	thinkTime = 200 * sim.Microsecond
+	// connectWork, sendWork and recvWork are the syscall service times of
+	// a client host's socket calls.
+	connectWork = 15 * sim.Microsecond
+	sendWork    = 10 * sim.Microsecond
+	recvWork    = 10 * sim.Microsecond
+	// churnOff is the dormancy base period of a churning slot; the actual
+	// gap adds an exponential draw from the host's private RNG stream,
+	// which depends only on (seed, host name) — shard-count invariant.
+	churnOff = sim.Millisecond
+)
 
 // chSlot is one request process's connection state.
 type chSlot struct {
@@ -111,24 +116,6 @@ func NewClientHost(h *host.Host, n *nic.NIC, cfg ClientHostConfig) *ClientHost {
 	}
 	if cfg.Segments <= 0 {
 		panic("httpserv: client host needs the response segment count")
-	}
-	if cfg.HeaderBytes == 0 {
-		cfg.HeaderBytes = 52
-	}
-	if cfg.ThinkTime <= 0 {
-		cfg.ThinkTime = 200 * sim.Microsecond
-	}
-	if cfg.ConnectWork == 0 {
-		cfg.ConnectWork = 15 * sim.Microsecond
-	}
-	if cfg.SendWork == 0 {
-		cfg.SendWork = 10 * sim.Microsecond
-	}
-	if cfg.RecvWork == 0 {
-		cfg.RecvWork = 10 * sim.Microsecond
-	}
-	if cfg.ChurnOff == 0 {
-		cfg.ChurnOff = sim.Millisecond
 	}
 	c := &ClientHost{
 		H: h, N: n, cfg: cfg, ResponseTimes: &stats.Online{},
@@ -177,8 +164,8 @@ func (s *chSlot) run(p *kernel.Proc) {
 	// One sampling decision per connection, in host-local flow-open order
 	// — the draw sequence is invariant under sharding and worker count.
 	s.traced = c.FlowTrace.SampleFlow()
-	p.Syscall("connect", c.cfg.ConnectWork, func() {
-		p.ChainC(c.N.TxChainOf(s.pkt(netstack.Syn, c.cfg.HeaderBytes)), func() {
+	p.Syscall("connect", connectWork, func() {
+		p.ChainC(c.N.TxChainOf(s.pkt(netstack.Syn, netstack.HeaderBytes)), func() {
 			s.awaitConnected(p)
 		})
 	})
@@ -192,8 +179,8 @@ func (s *chSlot) awaitConnected(p *kernel.Proc) {
 	}
 	c := s.c
 	s.reqStart = c.H.K.Now()
-	p.Syscall("sendto", c.cfg.SendWork, func() {
-		p.ChainC(c.N.TxChainOf(s.pkt(netstack.Request, c.cfg.HeaderBytes+250)), func() {
+	p.Syscall("sendto", sendWork, func() {
+		p.ChainC(c.N.TxChainOf(s.pkt(netstack.Request, netstack.HeaderBytes+250)), func() {
 			s.awaitResponse(p)
 		})
 	})
@@ -207,20 +194,20 @@ func (s *chSlot) awaitResponse(p *kernel.Proc) {
 		return
 	}
 	c := s.c
-	p.Syscall("recvfrom", c.cfg.RecvWork, func() {
+	p.Syscall("recvfrom", recvWork, func() {
 		c.Responses++
 		c.ResponseTimes.Add((c.H.K.Now() - s.reqStart).Millis())
 		// Think time: sleep, woken by an engine timer (the CPU may halt).
 		// At a churn point the slot instead goes dormant for the base-off
 		// period plus an exponential draw — the client "leaves" and
 		// reconnects later with a fresh flow.
-		gap := c.cfg.ThinkTime
+		gap := thinkTime
 		if c.cfg.ChurnEvery > 0 {
 			s.resp++
 			if s.resp >= c.cfg.ChurnEvery {
 				s.resp = 0
 				c.Churns++
-				gap = c.cfg.ChurnOff + c.rng.ExpTime(c.cfg.ChurnOff)
+				gap = churnOff + c.rng.ExpTime(churnOff)
 			}
 		}
 		c.H.Engine().After(gap, func() { s.wq.WakeOne() })
@@ -254,7 +241,7 @@ func (c *ClientHost) handleRx(p *netstack.Packet) {
 		slot.unacked++
 		if slot.unacked >= 2 || slot.got >= c.cfg.Segments {
 			slot.unacked = 0
-			ack := slot.pkt(netstack.Ack, c.cfg.HeaderBytes)
+			ack := slot.pkt(netstack.Ack, netstack.HeaderBytes)
 			ack.AckSeq = int64(slot.got)
 			c.N.TxFromKernel(ack)
 		}
@@ -265,8 +252,8 @@ func (c *ClientHost) handleRx(p *netstack.Packet) {
 	case netstack.Fin:
 		// Four-way teardown: ACK the server's FIN and close our side.
 		c.N.TxFromKernel(
-			slot.pkt(netstack.Ack, c.cfg.HeaderBytes),
-			slot.pkt(netstack.Fin, c.cfg.HeaderBytes),
+			slot.pkt(netstack.Ack, netstack.HeaderBytes),
+			slot.pkt(netstack.Fin, netstack.HeaderBytes),
 		)
 	}
 }

@@ -51,15 +51,14 @@ type TestbedConfig struct {
 	Profile  cpu.Profile    // zero Name: PentiumII300
 	Kernel   kernel.Options // IdleLoop defaults true
 	Facility core.Options   // soft-timer facility options
-	NIC      nic.Config     // zero Costs: DefaultCosts
+	NIC      nic.Config
 	Server   Config
 	// Concurrency is the number of simultaneous client connections
 	// (default 32 — enough to saturate).
 	Concurrency int
-	// LinkBps and LinkDelay describe each LAN segment (defaults 100
-	// Mbps, 30 µs).
-	LinkBps   int64
-	LinkDelay sim.Time
+	// LinkBps is each LAN segment's bandwidth (default netstack.LANBps);
+	// every segment has netstack.LANDelay's one-way delay.
+	LinkBps int64
 	// NICCount is the number of server network interfaces, each with its
 	// own duplex link (default 1; the paper's Table 8 machine had 4).
 	NICCount int
@@ -74,12 +73,6 @@ type TestbedConfig struct {
 func NewTestbed(cfg TestbedConfig) *Testbed {
 	if cfg.Concurrency == 0 {
 		cfg.Concurrency = 32
-	}
-	if cfg.LinkBps == 0 {
-		cfg.LinkBps = 100_000_000
-	}
-	if cfg.LinkDelay == 0 {
-		cfg.LinkDelay = 30 * sim.Microsecond
 	}
 	kOpts := cfg.Kernel
 	if !kOpts.IdleLoop {
@@ -117,7 +110,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		nicCfg.Name = "nic" + name
 		port := tb.Net.AttachNIC(tb.ServerHost, nicCfg, clientSide, topology.WireSpec{
 			Bps:      cfg.LinkBps,
-			Delay:    cfg.LinkDelay,
 			DownName: "down" + name,
 			UpName:   "up" + name,
 		})
@@ -136,7 +128,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		upLinks[flow%len(upLinks)].Send(p)
 	})
 	clients = NewClientGen(tb.Eng, toServer, cfg.Concurrency, segs, cfg.Server.Persistent)
-	clients.Arena = tb.Net.Arena(0)
+	clients.arena = tb.Net.Arena(0)
 	tb.Clients = clients
 	return tb
 }

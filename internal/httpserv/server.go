@@ -72,19 +72,13 @@ const (
 
 // Config configures a Server.
 type Config struct {
-	Kind   Kind
-	Script Script // zero value: chosen by Kind
-	// Workers is the process count (Apache default 16, Flash always 1).
-	Workers int
+	// Kind selects the server model, and with it the request script
+	// (ApacheScript or FlashScript) and the process count.
+	Kind Kind
 	// FileBytes is the response size (default 6144, the paper's 6 KB).
 	FileBytes int
-	// MSS and HeaderBytes shape packets (defaults 1448/52).
-	MSS, HeaderBytes int
 	// TxMode selects the transmission discipline for response data.
 	TxMode TxMode
-	// HWPacerPeriod is the hardware timer period in TxHWPaced mode
-	// (default 20 µs — the paper's 50 KHz).
-	HWPacerPeriod sim.Time
 	// PacerInterval is the target packet spacing in TxPacerPaced mode
 	// (default 100 µs, 10k packets/s).
 	PacerInterval sim.Time
@@ -92,53 +86,42 @@ type Config struct {
 	// tightest gap allowed when the achieved rate falls behind the target
 	// (default 20 µs).
 	PacerBurstInterval sim.Time
-	// PacedExtraWork is the additional per-packet cost of transmitting
-	// from a timer event rather than the in-syscall output loop (scattered
-	// code path, per-event bookkeeping).
-	PacedExtraWork sim.Time
 	// Persistent enables P-HTTP: connections carry many requests and
 	// connection setup/teardown is amortized away.
 	Persistent bool
 }
 
+// The server model's fixed parameters.
+const (
+	// apacheWorkers is Apache's process count; Flash is one event-driven
+	// process.
+	apacheWorkers = 16
+	// hwPacerPeriod is the hardware timer period in TxHWPaced mode: 20 µs,
+	// the paper's 50 KHz.
+	hwPacerPeriod = 20 * sim.Microsecond
+	// pacedExtraWork is the additional per-packet cost of transmitting
+	// from a timer event rather than the in-syscall output loop (scattered
+	// code path, per-event bookkeeping).
+	pacedExtraWork = sim.Microsecond * 5 / 2
+)
+
+// model returns a server kind's request script and process count.
+func model(kind Kind) (Script, int) {
+	if kind == Apache {
+		return ApacheScript(), apacheWorkers
+	}
+	return FlashScript(), 1
+}
+
 func (c *Config) setDefaults() {
-	if c.Script.SendSyscall.Work == 0 {
-		if c.Kind == Apache {
-			c.Script = ApacheScript()
-		} else {
-			c.Script = FlashScript()
-		}
-	}
-	if c.Workers == 0 {
-		if c.Kind == Apache {
-			c.Workers = 16
-		} else {
-			c.Workers = 1
-		}
-	}
-	if c.Kind == Flash {
-		c.Workers = 1
-	}
 	if c.FileBytes == 0 {
 		c.FileBytes = 6144
-	}
-	if c.MSS == 0 {
-		c.MSS = 1448
-	}
-	if c.HeaderBytes == 0 {
-		c.HeaderBytes = 52
-	}
-	if c.HWPacerPeriod == 0 {
-		c.HWPacerPeriod = 20 * sim.Microsecond
 	}
 	if c.PacerInterval == 0 {
 		c.PacerInterval = 100 * sim.Microsecond
 	}
 	if c.PacerBurstInterval == 0 {
 		c.PacerBurstInterval = 20 * sim.Microsecond
-	}
-	if c.PacedExtraWork == 0 {
-		c.PacedExtraWork = sim.Micros(2.5)
 	}
 }
 
@@ -157,10 +140,11 @@ type conn struct {
 
 // Server is the simulated web server.
 type Server struct {
-	k    *kernel.Kernel
-	f    *core.Facility
-	nics []*nic.NIC
-	cfg  Config
+	k      *kernel.Kernel
+	f      *core.Facility
+	nics   []*nic.NIC
+	cfg    Config
+	script Script // ApacheScript or FlashScript, by cfg.Kind
 
 	// Addr is the server's host address, stamped as Src on every reply so
 	// switches can forward by address. Zero (the default) leaves packets
@@ -212,12 +196,6 @@ type Server struct {
 	rng interface{ Float64() float64 }
 }
 
-// NewServer builds a server on kernel k using NIC n. The facility f is
-// required for TxSoftPaced mode.
-func NewServer(k *kernel.Kernel, f *core.Facility, n *nic.NIC, cfg Config) *Server {
-	return NewServerMulti(k, f, []*nic.NIC{n}, cfg)
-}
-
 // NewServerMulti builds a server with several network interfaces;
 // connections are distributed across them by flow id (the paper's Table 8
 // machine had four Fast Ethernet NICs, one client machine on each).
@@ -229,29 +207,31 @@ func NewServerMulti(k *kernel.Kernel, f *core.Facility, nics []*nic.NIC, cfg Con
 	if len(nics) == 0 {
 		panic("httpserv: server needs at least one NIC")
 	}
+	script, workers := model(cfg.Kind)
 	s := &Server{
 		k: k, f: f, nics: nics, cfg: cfg,
+		script:         script,
 		arena:          nics[0].Arena(),
 		conns:          make(map[int]*conn),
 		PacedIntervals: &stats.Online{},
 		rng:            k.Engine().Rand().Fork(),
 	}
-	s.freshScript = append(append([]ReqStep{}, cfg.Script.ConnStart...), cfg.Script.PreSend...)
+	s.freshScript = append(append([]ReqStep{}, s.script.ConnStart...), s.script.PreSend...)
 	for _, n := range nics {
 		n.RxHandler = s.handleRx
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		name := fmt.Sprintf("%s-worker-%d", cfg.Kind, i)
 		w := k.Spawn(name, s.workerLoop)
-		w.PollutionFactor = cfg.Script.PollutionFactor
+		w.PollutionFactor = s.script.PollutionFactor
 	}
 	switch cfg.TxMode {
 	case TxSoftPaced:
 		s.softPaceFn = s.softPace
 	case TxHWPaced:
-		s.pit = k.NewPIT(cfg.HWPacerPeriod, sim.Microsecond, s.hwPacerTick)
+		s.pit = k.NewPIT(hwPacerPeriod, sim.Microsecond, s.hwPacerTick)
 		s.hwStep = []kernel.ChainStep{{
-			Work: nics[0].Cfg().Costs.TxWork + cfg.PacedExtraWork,
+			Work: nic.TxWork + pacedExtraWork,
 			Src:  kernel.SrcIPOutput,
 			Fn:   s.hwTransmit,
 		}}
@@ -277,9 +257,6 @@ func (s *Server) Start() {
 	}
 }
 
-// Config returns the effective configuration.
-func (s *Server) Config() Config { return s.cfg }
-
 // nicFor returns the interface serving a connection (flows are pinned to
 // NICs by id, as the paper pinned one client machine per interface).
 func (s *Server) nicFor(flow int) *nic.NIC {
@@ -293,7 +270,7 @@ func (s *Server) nicFor(flow int) *nic.NIC {
 // header packet (Apache-1.3 sent response headers in their own segment)
 // plus the file body.
 func (s *Server) segments() int {
-	return 1 + (s.cfg.FileBytes+s.cfg.MSS-1)/s.cfg.MSS
+	return 1 + (s.cfg.FileBytes+netstack.MSS-1)/netstack.MSS
 }
 
 // Segments exposes the per-response data-segment count for clients that
@@ -312,7 +289,7 @@ func (s *Server) handleRx(p *netstack.Packet) {
 	switch p.Kind {
 	case netstack.Syn:
 		c := s.openConn(p, true)
-		s.nicFor(p.Flow).TxFromKernel(s.tracePkt(c, s.newPkt(p.Flow, p.Src, netstack.SynAck, s.cfg.HeaderBytes)))
+		s.nicFor(p.Flow).TxFromKernel(s.tracePkt(c, s.newPkt(p.Flow, p.Src, netstack.SynAck, netstack.HeaderBytes)))
 	case netstack.Request:
 		c := s.conns[p.Flow]
 		if c == nil {
@@ -326,12 +303,12 @@ func (s *Server) handleRx(p *netstack.Packet) {
 		c.pending = true
 		s.reqQ.push(c)
 		// ACK the request segment (TCP acks data carrying a push).
-		s.nicFor(p.Flow).TxFromKernel(s.tracePkt(c, s.newPkt(p.Flow, c.peer, netstack.Ack, s.cfg.HeaderBytes)))
+		s.nicFor(p.Flow).TxFromKernel(s.tracePkt(c, s.newPkt(p.Flow, c.peer, netstack.Ack, netstack.HeaderBytes)))
 		s.workerWQ.WakeOne()
 	case netstack.Ack:
 		// Window bookkeeping only; cost charged in the rx path.
 	case netstack.Fin:
-		ack := s.newPkt(p.Flow, p.Src, netstack.Ack, s.cfg.HeaderBytes)
+		ack := s.newPkt(p.Flow, p.Src, netstack.Ack, netstack.HeaderBytes)
 		if p.Trace != nil && s.FlowTrace != nil {
 			ack.Trace = s.FlowTrace.StartSpan()
 		}
@@ -403,7 +380,7 @@ func (w *worker) next() {
 	}
 	c := s.reqQ.pop()
 	c.pending, c.serving = false, true
-	start := s.cfg.Script.PreSend
+	start := s.script.PreSend
 	if c.fresh && !s.cfg.Persistent {
 		start = s.freshScript
 	}
@@ -443,7 +420,7 @@ func (w *worker) step() {
 
 // send performs the send syscall that hands the response to TCP.
 func (w *worker) send() {
-	sy := &w.s.cfg.Script.SendSyscall
+	sy := &w.s.script.SendSyscall
 	w.p.Syscall(sy.Name, sy.Work, w.sentFn)
 }
 
@@ -475,7 +452,7 @@ func (w *worker) done() {
 }
 
 // post runs the post-send script (logging and the like).
-func (w *worker) post() { w.run(w.s.cfg.Script.PostSend, w.endFn) }
+func (w *worker) post() { w.run(w.s.script.PostSend, w.endFn) }
 
 // end closes an HTTP connection (the connection-teardown script) before
 // taking the next request; a persistent connection goes straight on.
@@ -484,7 +461,7 @@ func (w *worker) end() {
 		w.next()
 		return
 	}
-	w.run(w.s.cfg.Script.ConnEnd, w.nextFn)
+	w.run(w.s.script.ConnEnd, w.nextFn)
 }
 
 // responsePackets builds the data segments (the last carries the FIN for
@@ -495,23 +472,23 @@ func (w *worker) end() {
 func (s *Server) responsePackets(c *conn) []*netstack.Packet {
 	nseg := s.segments()
 	pkts := s.respBuf[:0]
-	hdr := s.newPkt(c.flow, c.peer, netstack.Data, 290+s.cfg.HeaderBytes) // HTTP response headers
+	hdr := s.newPkt(c.flow, c.peer, netstack.Data, 290+netstack.HeaderBytes) // HTTP response headers
 	hdr.Payload = 290
 	pkts = append(pkts, hdr)
 	remaining := s.cfg.FileBytes
 	for i := 1; i < nseg; i++ {
-		payload := s.cfg.MSS
+		payload := netstack.MSS
 		if remaining < payload {
 			payload = remaining
 		}
 		remaining -= payload
-		seg := s.newPkt(c.flow, c.peer, netstack.Data, payload+s.cfg.HeaderBytes)
+		seg := s.newPkt(c.flow, c.peer, netstack.Data, payload+netstack.HeaderBytes)
 		seg.Seq = int64(i)
 		seg.Payload = payload
 		pkts = append(pkts, seg)
 	}
 	if !s.cfg.Persistent {
-		pkts = append(pkts, s.newPkt(c.flow, c.peer, netstack.Fin, s.cfg.HeaderBytes))
+		pkts = append(pkts, s.newPkt(c.flow, c.peer, netstack.Fin, netstack.HeaderBytes))
 	}
 	if c.traced && s.FlowTrace != nil {
 		// Spans attach after Seq/Payload are final; every segment of a
@@ -568,7 +545,7 @@ func (s *Server) sendPacedOne() sim.Time {
 	if pkt == nil {
 		return 0
 	}
-	return s.nicFor(pkt.Flow).TransmitNow(pkt) + s.cfg.PacedExtraWork
+	return s.nicFor(pkt.Flow).TransmitNow(pkt) + pacedExtraWork
 }
 
 // armSoftPacer schedules the always-due soft event that transmits one

@@ -1,6 +1,7 @@
 package httpserv
 
 import (
+	"reflect"
 	"testing"
 
 	"softtimers/internal/kernel"
@@ -17,16 +18,14 @@ func TestKindString(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{Kind: Apache}
 	c.setDefaults()
-	if c.Workers != 16 || c.FileBytes != 6144 || c.MSS != 1448 {
+	if c.FileBytes != 6144 {
 		t.Fatalf("apache defaults: %+v", c)
 	}
-	if len(c.Script.PreSend) == 0 {
-		t.Fatal("script not defaulted")
+	if script, n := model(Apache); n != 16 || !reflect.DeepEqual(script, ApacheScript()) {
+		t.Fatalf("apache: %d workers; want 16 and Apache's script", n)
 	}
-	f := Config{Kind: Flash, Workers: 8}
-	f.setDefaults()
-	if f.Workers != 1 {
-		t.Fatalf("flash workers = %d, must be forced to 1 (event-driven)", f.Workers)
+	if script, n := model(Flash); n != 1 || !reflect.DeepEqual(script, FlashScript()) {
+		t.Fatalf("flash: %d workers; want 1 (event-driven) and Flash's script", n)
 	}
 }
 
@@ -69,14 +68,14 @@ func TestServedRequestsCompleteEndToEnd(t *testing.T) {
 		t.Fatalf("completed %d responses in 500ms, want many", res.Completed)
 	}
 	// Client view and server view must roughly agree (in-flight skew).
-	diff := tb.Server.Completed - tb.Clients.Responses
+	diff := tb.Server.Completed - tb.Clients.responses
 	if diff < 0 {
 		diff = -diff
 	}
-	if diff > int64(tb.Clients.Concurrency) {
-		t.Fatalf("server completed %d vs client %d", tb.Server.Completed, tb.Clients.Responses)
+	if diff > int64(tb.Clients.concurrency) {
+		t.Fatalf("server completed %d vs client %d", tb.Server.Completed, tb.Clients.responses)
 	}
-	if tb.Clients.ResponseTimes.N() == 0 {
+	if tb.Clients.responseTimes.N() == 0 {
 		t.Fatal("no response times recorded")
 	}
 }

@@ -9,18 +9,15 @@ import (
 
 func TestKernelAccessors(t *testing.T) {
 	eng := sim.NewEngine(1)
-	k := New(eng, cpu.PentiumII300(), Options{Hz: 500})
+	k := New(eng, cpu.PentiumII300(), Options{})
 	if k.Engine() != eng {
 		t.Error("Engine() mismatch")
 	}
 	if k.Profile().Name != "PentiumII-300" {
 		t.Error("Profile() mismatch")
 	}
-	if k.Hz() != 500 {
-		t.Errorf("Hz() = %d", k.Hz())
-	}
-	if k.TickPeriod() != 2*sim.Millisecond {
-		t.Errorf("TickPeriod() = %v", k.TickPeriod())
+	if TickPeriod != sim.Millisecond {
+		t.Errorf("TickPeriod = %v", TickPeriod)
 	}
 	k.Start()
 	// Run slightly past the 10ms boundary: the tick interrupt raised at
@@ -29,8 +26,8 @@ func TestKernelAccessors(t *testing.T) {
 	if k.Now() != eng.Now() {
 		t.Error("Now() mismatch")
 	}
-	if k.Tick() != 5 {
-		t.Errorf("Tick() = %d past 10ms with Hz=500, want 5", k.Tick())
+	if k.Tick() != 10 {
+		t.Errorf("Tick() = %d past 10ms at %d Hz, want 10", k.Tick(), Hz)
 	}
 	if k.Idle() != true {
 		t.Error("Idle() should be true with no work (halted idle)")
@@ -48,7 +45,7 @@ func TestPostSoftIRQEmptyIsNoop(t *testing.T) {
 	}
 }
 
-func TestPostSoftIRQBuilderNilPanics(t *testing.T) {
+func TestPostSoftIRQChainNilPanics(t *testing.T) {
 	eng := sim.NewEngine(3)
 	k := New(eng, cpu.PentiumII300(), Options{})
 	defer func() {
@@ -56,37 +53,44 @@ func TestPostSoftIRQBuilderNilPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	k.PostSoftIRQBuilder(nil)
+	k.PostSoftIRQChain(nil, 0)
 }
 
-func TestPostSoftIRQBuilderBatches(t *testing.T) {
+// batchChain is a one-step Chain that takes, when the softirq runs, every
+// item pending by then.
+type batchChain struct {
+	pending, batch []int
+}
+
+func (c *batchChain) Begin() int {
+	c.batch, c.pending = c.pending, nil
+	return 1
+}
+func (c *batchChain) Step(int) (sim.Time, Source) { return sim.Microsecond, SrcNone }
+func (c *batchChain) Run(int)                     {}
+func (c *batchChain) End()                        {}
+
+func TestPostSoftIRQChainBatches(t *testing.T) {
 	eng := sim.NewEngine(4)
 	k := New(eng, cpu.PentiumII300(), Options{IdleLoop: false})
 	k.Start()
-	var batch []int
-	pending := []int{1}
-	// Raise an interrupt whose handler posts the builder softirq and
+	c := &batchChain{pending: []int{1}}
+	// Raise an interrupt whose handler posts the chain softirq and
 	// appends more work before the softirq runs (queued behind a second
-	// interrupt): the builder must see everything.
+	// interrupt): the chain must see everything.
 	eng.At(10*sim.Microsecond, func() {
 		k.RaiseInterrupt(SrcIPIntr, 5*sim.Microsecond, func() {
-			k.PostSoftIRQBuilder(func() []ChainStep {
-				got := append([]int(nil), pending...)
-				pending = nil
-				return []ChainStep{{Work: sim.Microsecond, Src: SrcNone, Fn: func() {
-					batch = got
-				}}}
-			})
+			k.PostSoftIRQChain(c, 0)
 			// A second interrupt queued while the first runs adds work
 			// before the softirq executes.
 			k.RaiseInterrupt(SrcIPIntr, 5*sim.Microsecond, func() {
-				pending = append(pending, 2)
+				c.pending = append(c.pending, 2)
 			})
 		})
 	})
 	eng.RunFor(sim.Millisecond)
-	if len(batch) != 2 {
-		t.Fatalf("builder saw batch %v, want both items", batch)
+	if len(c.batch) != 2 {
+		t.Fatalf("chain saw batch %v, want both items", c.batch)
 	}
 }
 

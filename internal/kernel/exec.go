@@ -64,15 +64,11 @@ type intrReq struct {
 	fn   func()
 }
 
-// softReq is a pending software interrupt: a fixed chain of steps, a
-// builder invoked at run time (so work that accumulates between posting
-// and execution — e.g. packets queued by further interrupts — is all
-// processed in one batch), or a Chain value driven step by step. n is the
-// step count known at post time, recorded in the trace (builders and
-// batching chains post 0, exactly as the builder form always has).
+// softReq is a pending software interrupt: a fixed chain of steps, or a
+// Chain value driven step by step. n is the step count known at post
+// time, recorded in the trace (batching chains post 0).
 type softReq struct {
 	steps []ChainStep
-	build func() []ChainStep
 	chain Chain
 	n     int
 }
@@ -80,8 +76,9 @@ type softReq struct {
 // Chain is the allocation-free softirq work form: instead of materializing
 // a []ChainStep (a slice plus one closure per step), the poster hands the
 // kernel a reusable object it drives step by step. Begin is called when
-// the softirq actually runs — after the entry cost, like the builder form
-// — so work that accumulated since posting is batched; it returns the
+// the softirq actually runs — after the entry cost — so work that
+// accumulated since posting (e.g. packets queued by further interrupts)
+// is batched; it returns the
 // step count. Step reports step i's CPU work and trigger source (SrcNone
 // for none); Run performs its side effects; End is called after the last
 // step, where a pooled chain recycles itself.
@@ -115,21 +112,10 @@ func (k *Kernel) PostSoftIRQ(steps ...ChainStep) {
 	k.kick()
 }
 
-// PostSoftIRQBuilder queues a software interrupt whose chain is built when
-// it runs, batching everything that accumulated since posting.
-func (k *Kernel) PostSoftIRQBuilder(build func() []ChainStep) {
-	if build == nil {
-		panic("kernel: nil softirq builder")
-	}
-	k.pendSoft = append(k.pendSoft, softReq{build: build})
-	k.kick()
-}
-
 // PostSoftIRQChain queues a software interrupt driven through the Chain
-// interface — the zero-allocation form of PostSoftIRQ/PostSoftIRQBuilder.
-// n is the post-time step count recorded in the trace: pass the known
-// length for a fixed chain, 0 for one that batches at run time (matching
-// the builder form's trace).
+// interface — the zero-allocation form of PostSoftIRQ. n is the post-time
+// step count recorded in the trace: pass the known length for a fixed
+// chain, 0 for one that batches at run time.
 func (k *Kernel) PostSoftIRQChain(c Chain, n int) {
 	if c == nil {
 		panic("kernel: nil softirq chain")
@@ -139,8 +125,8 @@ func (k *Kernel) PostSoftIRQChain(c Chain, n int) {
 }
 
 // Idle reports whether the CPU is currently in the idle loop (or halted
-// idle). Soft-timer network polling uses this to re-enable interrupts when
-// the system has nothing to do.
+// idle). Soft-timer network polling with nic.Config.IdleInterrupts uses
+// this to re-enable interrupts when the system has nothing to do.
 func (k *Kernel) Idle() bool { return k.idle }
 
 // kick reacts to newly queued interrupt-context work: preempt the current
@@ -300,27 +286,25 @@ func (k *Kernel) intrCont() {
 func (k *Kernel) runSoft(req softReq) {
 	k.inIntr = true
 	k.tr(trace.SoftIRQ, "softirq", int64(req.n))
-	k.acct.SoftIRQ += k.sirqDirect
+	// A softirq's entry cost, and its locality penalty on the paused
+	// process (softDone), are half a hardware interrupt's.
+	k.acct.SoftIRQ += k.prof.IntrDirect / 2
 	k.curSoft = req
-	k.eng.After(k.sirqDirect, k.softBodyFn)
+	k.eng.After(k.prof.IntrDirect/2, k.softBodyFn)
 }
 
 // softBody starts the softirq's chain after the entry cost (bound once).
 func (k *Kernel) softBody() {
 	req := k.curSoft
 	k.curSoft = softReq{}
-	steps := req.steps
-	if req.build != nil {
-		steps = req.build()
-	}
-	k.chainStart(steps, req.chain, acctSoftIRQ, k.softDoneFn)
+	k.chainStart(req.steps, req.chain, acctSoftIRQ, k.softDoneFn)
 }
 
 // softDone finishes the softirq (bound once).
 func (k *Kernel) softDone() {
 	k.inIntr = false
 	if k.paused != nil {
-		k.paused.remaining += k.paused.p.pollute(k.sirqPollution)
+		k.paused.remaining += k.paused.p.pollute(k.prof.IntrPollution / 2)
 	}
 	k.serviceIntr()
 }
@@ -571,11 +555,7 @@ func (k *Kernel) dispatch() {
 func (k *Kernel) switchNext() {
 	now := k.eng.Now()
 	eff := func(p *Proc) int {
-		e := p.Priority
-		if k.opts.StarveBoost > 0 {
-			e += int((now - p.readySince) / k.opts.StarveBoost)
-		}
-		return e
+		return p.Priority + int((now-p.readySince)/k.starveBoost)
 	}
 	best := 0
 	for i := 1; i < len(k.runq); i++ {
@@ -656,7 +636,7 @@ func (k *Kernel) goIdle() {
 	}
 	if k.opts.IdleHalt {
 		if adv, ok := k.sink.(IdleAdvisor); ok {
-			nextTick := sim.Time(k.tick+1) * k.TickPeriod()
+			nextTick := sim.Time(k.tick+1) * TickPeriod
 			if !adv.EventBefore(nextTick) {
 				k.acct.IdleHalts++
 				return // halt: the hardclock's own trigger state backstops
@@ -698,7 +678,7 @@ func (k *Kernel) NudgeIdle() {
 	}
 	adv, ok := k.sink.(IdleAdvisor)
 	if k.opts.IdleHalt && ok {
-		nextTick := sim.Time(k.tick+1) * k.TickPeriod()
+		nextTick := sim.Time(k.tick+1) * TickPeriod
 		if !adv.EventBefore(nextTick) {
 			return // stay halted
 		}

@@ -2,15 +2,14 @@ package kernel
 
 import "softtimers/internal/sim"
 
-// TickPeriod returns the hardclock period (1/Hz).
-func (k *Kernel) TickPeriod() sim.Time { return sim.Second / sim.Time(k.opts.Hz) }
+// TickPeriod is the hardclock period (1/Hz).
+const TickPeriod = sim.Second / Hz
 
 // scheduleHardclock starts the fixed-phase periodic clock interrupt. Each
 // tick does timekeeping work and enforces the scheduler quantum; its
 // end-of-handler trigger state is the soft-timer backup that bounds event
 // delay at one tick.
 func (k *Kernel) scheduleHardclock() {
-	period := k.TickPeriod()
 	// One closure for the handler body and one for the tick, both bound
 	// here once — the per-tick path allocates nothing.
 	body := func() {
@@ -19,7 +18,7 @@ func (k *Kernel) scheduleHardclock() {
 		// quantum expired, or when a ready process outranks the
 		// running one (BSD recomputes priorities at clock ticks).
 		if k.running != nil && len(k.runq) > 0 {
-			if k.eng.Now()-k.running.quantumStart >= k.opts.Quantum {
+			if k.eng.Now()-k.running.quantumStart >= Quantum {
 				k.reschedule = true
 			}
 			for _, p := range k.runq {
@@ -34,10 +33,10 @@ func (k *Kernel) scheduleHardclock() {
 	n := int64(0)
 	tick = func() {
 		n++
-		k.eng.AtLabeled(sim.Time(n+1)*period, "hardclock", tick)
-		k.RaiseInterrupt(SrcHardClock, k.opts.HardclockWork, body)
+		k.eng.AtLabeled(sim.Time(n+1)*TickPeriod, "hardclock", tick)
+		k.RaiseInterrupt(SrcHardClock, HardclockWork, body)
 	}
-	k.eng.AtLabeled(k.eng.Now()+period, "hardclock", tick)
+	k.eng.AtLabeled(k.eng.Now()+TickPeriod, "hardclock", tick)
 }
 
 // Tick returns the number of hardclock ticks taken so far.

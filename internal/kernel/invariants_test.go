@@ -151,10 +151,8 @@ func TestChainInterleavedWithInterrupts(t *testing.T) {
 // loaded system still receives occasional CPU via aging.
 func TestStarvationAgingGivesHogTimeslices(t *testing.T) {
 	eng := sim.NewEngine(6)
-	k := New(eng, cpu.PentiumII300(), Options{
-		IdleLoop:    false,
-		StarveBoost: 100 * sim.Millisecond,
-	})
+	k := New(eng, cpu.PentiumII300(), Options{IdleLoop: false})
+	k.starveBoost = 100 * sim.Millisecond
 	// A high-priority proc that never blocks, only yields to itself via
 	// syscalls — keeps the CPU busy forever.
 	k.Spawn("busy", func(p *Proc) {
@@ -187,7 +185,7 @@ func TestStarvationAgingGivesHogTimeslices(t *testing.T) {
 	if frac > 0.25 {
 		t.Fatalf("hog got %.0f%% of the CPU; aging too generous", frac*100)
 	}
-	// With a 100ms StarveBoost and tick-granularity preemption by the
+	// With a 100ms aging period and tick-granularity preemption by the
 	// higher-priority process, the hog gets ~one 1ms slice per aging
 	// period: ~1% of the CPU.
 	if frac < 0.003 {

@@ -92,17 +92,29 @@ type IdleAdvisor interface {
 	EventBefore(t sim.Time) bool
 }
 
+// The kernel's clock and scheduler constants: the paper's testbed runs a
+// 1 ms interrupt clock under FreeBSD-2.2.6's 10 ms quantum.
+const (
+	// Hz is the periodic clock interrupt frequency (the backup timer):
+	// 1000, the paper's "typical" interrupt clock.
+	Hz = 1000
+	// Quantum is the scheduler time slice (FreeBSD).
+	Quantum = 10 * sim.Millisecond
+	// HardclockWork is the timekeeping work each clock tick does.
+	HardclockWork = 1 * sim.Microsecond
+	// StarveBoost is the waiting time after which a ready process gains
+	// one effective priority level (BSD-style aging, so a niced compute
+	// hog still gets occasional timeslices on a saturated system).
+	StarveBoost = sim.Second
+)
+
 // Options configures kernel construction.
 type Options struct {
-	// Hz is the periodic clock interrupt frequency (backup timer).
-	// Default 1000 (1 ms), the paper's "typical" interrupt clock.
-	Hz int
-	// Quantum is the scheduler time slice. Default 10 ms (FreeBSD).
-	Quantum sim.Time
 	// IdleLoop keeps the idle loop spinning (and producing SrcIdle
-	// trigger states) whenever the CPU is idle. Default true; the
-	// measured workloads of Table 1 rely on it. When false the CPU
-	// halts when idle and wakes only on interrupts.
+	// trigger states) whenever the CPU is idle; the measured workloads
+	// of Table 1 rely on it, and every rig that runs them sets it. The
+	// zero value, false, halts the CPU when idle, and it wakes only on
+	// interrupts.
 	IdleLoop bool
 	// IdleHalt makes the idle loop halt (stop polling) whenever the
 	// trigger sink reports no soft-timer event scheduled before the
@@ -115,40 +127,12 @@ type Options struct {
 	// execute their work; they just do not report trigger states. New
 	// reads the map once; later changes to it have no effect.
 	DisabledSources map[Source]bool
-	// SoftIRQDirect and SoftIRQPollution override the entry cost and
-	// locality penalty of software interrupts; zero values default to
-	// half the hardware-interrupt costs.
-	SoftIRQDirect    sim.Time
-	SoftIRQPollution sim.Time
-	// HardclockWork is the timekeeping work done by each clock tick.
-	// Default 1 µs.
-	HardclockWork sim.Time
-	// StarveBoost is the waiting time after which a ready process gains
-	// one effective priority level (BSD-style aging, so a niced compute
-	// hog still gets occasional timeslices on a saturated system).
-	// Default 1 s; negative disables aging.
-	StarveBoost sim.Time
 	// Faults, when set, installs the deterministic fault-injection plan:
 	// interrupt-delivery jitter, PIT coalescing perturbation, syscall/
 	// trap cost noise, and trigger-state starvation (the hardclock is
 	// exempt — it is the facility's guaranteed fallback). Nil, the
 	// default, means a perfectly well-behaved substrate.
 	Faults *faults.Plan
-}
-
-func (o *Options) setDefaults() {
-	if o.Hz == 0 {
-		o.Hz = 1000
-	}
-	if o.Quantum == 0 {
-		o.Quantum = 10 * sim.Millisecond
-	}
-	if o.HardclockWork == 0 {
-		o.HardclockWork = 1 * sim.Microsecond
-	}
-	if o.StarveBoost == 0 {
-		o.StarveBoost = sim.Second
-	}
 }
 
 // Accounting aggregates where CPU time went, for the overhead tables.
@@ -182,11 +166,8 @@ type TriggerMeter struct {
 	Hist *stats.Histogram
 	// BySource counts trigger states per source.
 	BySource [NumSources]int64
-	// Windows, when non-nil, accumulates windowed medians (Figure 5).
-	Windows []*stats.WindowedMedians
 	// Trace, when non-nil, receives every (time, interval) pair; used by
-	// small-scale tests and the CSV dumper, too costly for 2M-sample runs
-	// unless requested.
+	// small-scale tests, the CSV dumper and Figure 5's windowed medians.
 	Trace func(now sim.Time, interval sim.Time, src Source)
 
 	last    sim.Time
@@ -209,9 +190,6 @@ func (m *TriggerMeter) record(now sim.Time, src Source) {
 	m.n++
 	us := iv.Micros()
 	m.Hist.Add(us)
-	for _, w := range m.Windows {
-		w.Add(now.Millis(), us)
-	}
 	if m.Trace != nil {
 		m.Trace(now, iv, src)
 	}
@@ -296,8 +274,8 @@ type Kernel struct {
 	started bool
 	nextPID int
 
-	// softIRQ cost model (resolved from Options at New).
-	sirqDirect, sirqPollution sim.Time
+	// starveBoost is the aging period (StarveBoost; tests shorten it).
+	starveBoost sim.Time
 
 	// hardclock bookkeeping
 	tick int64
@@ -312,25 +290,17 @@ type Kernel struct {
 
 // New constructs a kernel on the engine with the given CPU profile.
 func New(eng *sim.Engine, prof cpu.Profile, opts Options) *Kernel {
-	opts.setDefaults()
 	k := &Kernel{
-		eng:   eng,
-		prof:  prof,
-		opts:  opts,
-		meter: TriggerMeter{Hist: stats.NewHistogram(1, 2000)},
+		eng:         eng,
+		prof:        prof,
+		opts:        opts,
+		meter:       TriggerMeter{Hist: stats.NewHistogram(1, 2000)},
+		starveBoost: StarveBoost,
 	}
 	for src, off := range opts.DisabledSources {
 		if off && src >= 0 && src < numSources {
 			k.disabled[src] = true
 		}
-	}
-	k.sirqDirect = opts.SoftIRQDirect
-	if k.sirqDirect == 0 {
-		k.sirqDirect = prof.IntrDirect / 2
-	}
-	k.sirqPollution = opts.SoftIRQPollution
-	if k.sirqPollution == 0 {
-		k.sirqPollution = prof.IntrPollution / 2
 	}
 	k.intrBodyFn = k.intrBody
 	k.intrContFn = k.intrCont
@@ -449,9 +419,6 @@ func (k *Kernel) tr(kind trace.Kind, label string, arg int64) {
 		k.tracer.Add(k.eng.Now(), kind, label, arg)
 	}
 }
-
-// Hz returns the periodic interrupt clock frequency.
-func (k *Kernel) Hz() int { return k.opts.Hz }
 
 // Start begins the hardclock and the scheduler. Call after spawning the
 // initial processes and before running the engine.

@@ -247,7 +247,7 @@ func TestWakeAll(t *testing.T) {
 }
 
 func TestRoundRobinSharing(t *testing.T) {
-	eng, k := newTestKernel(Options{IdleLoop: false, Quantum: 10 * sim.Millisecond})
+	eng, k := newTestKernel(Options{IdleLoop: false})
 	// Two CPU-bound procs in 20ms compute chunks must alternate via
 	// quantum preemption rather than run to completion serially.
 	var firstDone, secondDone sim.Time

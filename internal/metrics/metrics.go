@@ -50,8 +50,7 @@ import (
 // nil receiver (no-ops), so optionally-instrumented components need no
 // branches at update sites.
 type Counter struct {
-	name string
-	v    int64
+	v int64
 }
 
 // Inc adds one.
@@ -76,15 +75,11 @@ func (c *Counter) Value() int64 {
 	return c.v
 }
 
-// Name returns the registered name.
-func (c *Counter) Name() string { return c.name }
-
 // Gauge is a point-in-time int64 with a separate high-water mark. Nil-safe
 // like Counter.
 type Gauge struct {
-	name string
-	v    int64
-	max  int64
+	v   int64
+	max int64
 }
 
 // Set records the current value and updates the high-water mark.
@@ -121,9 +116,6 @@ func (g *Gauge) Max() int64 {
 	return g.max
 }
 
-// Name returns the registered name.
-func (g *Gauge) Name() string { return g.name }
-
 // Histogram is a fixed-width-bucket histogram (a registered
 // stats.Histogram). Observe is the hot-path entry point; it allocates only
 // when a value first lands past the buckets grown so far, which happens at
@@ -131,8 +123,7 @@ func (g *Gauge) Name() string { return g.name }
 // the registered count), when a count first passes 2^32-1, and on the
 // first write after a snapshot, which shares the array until then.
 type Histogram struct {
-	name string
-	h    *stats.Histogram
+	h *stats.Histogram
 }
 
 // Observe records one value. Nil-safe.
@@ -149,9 +140,6 @@ func (h *Histogram) Underlying() *stats.Histogram {
 	}
 	return h.h
 }
-
-// Name returns the registered name.
-func (h *Histogram) Name() string { return h.name }
 
 // Registry holds one simulation's instruments and reporters. It is not
 // safe for concurrent use, matching the single-threaded engine it
@@ -210,7 +198,7 @@ func (r *Registry) Counter(name string) *Counter {
 		return c
 	}
 	r.checkFresh(name, "counter")
-	c := &Counter{name: name}
+	c := &Counter{}
 	r.counters[name] = c
 	return c
 }
@@ -221,7 +209,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 		return g
 	}
 	r.checkFresh(name, "gauge")
-	g := &Gauge{name: name}
+	g := &Gauge{}
 	r.gauges[name] = g
 	return g
 }
@@ -235,7 +223,7 @@ func (r *Registry) Histogram(name string, width float64, nbuckets int) *Histogra
 		return h
 	}
 	r.checkFresh(name, "histogram")
-	h := &Histogram{name: name, h: stats.NewHistogram(width, nbuckets)}
+	h := &Histogram{h: stats.NewHistogram(width, nbuckets)}
 	r.hists[name] = h
 	return h
 }
@@ -251,7 +239,7 @@ func (r *Registry) Adopt(name string, h *stats.Histogram) *Histogram {
 	if _, ok := r.hists[name]; !ok {
 		r.checkFresh(name, "histogram")
 	}
-	wrapped := &Histogram{name: name, h: h}
+	wrapped := &Histogram{h: h}
 	r.hists[name] = wrapped
 	return wrapped
 }

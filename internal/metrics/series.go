@@ -103,13 +103,10 @@ func (ss *SeriesSet) AddQuantile(name string, h *Histogram, q float64) {
 	ss.Add(name, MergeMax, func() float64 { return h.Underlying().Quantile(q) })
 }
 
-// Interval returns the sampling cadence in ns.
-func (ss *SeriesSet) Interval() int64 { return ss.interval }
-
 // Sample records one tick at virtual time nowNS. The driver must call it
-// exactly every Interval ns; ticks off the current stride are counted but
-// not stored, and a full buffer halves itself and doubles the stride
-// before storing.
+// exactly every intervalNS (NewSeriesSet's); ticks off the current stride
+// are counted but not stored, and a full buffer halves itself and doubles
+// the stride before storing.
 func (ss *SeriesSet) Sample(nowNS int64) {
 	t := ss.ticks
 	ss.ticks++

@@ -26,7 +26,7 @@ import (
 //     an address miss;
 //   - a NIC releases on an rx-ring fault drop, and otherwise after the
 //     receive handler returns — handlers borrow the packet; a handler that
-//     needs it past its own return (e.g. a Router forwarding out another
+//     needs it past its own return (e.g. to queue it out another
 //     interface) must Retain first;
 //   - Release decrements the refcount and only frees at zero, so
 //     Retain/Release pairs give multi-hop paths a zero-alloc lifetime.
@@ -164,14 +164,9 @@ func (a *Arena) Clone(src *Packet) *Packet {
 
 // Live returns the packets this arena has handed out and not yet gotten
 // back. With a single arena (any one-shard rig) a drained network has
-// Live() == 0; across migrating arenas, sum Gets/Puts instead.
+// Live() == 0; packets that migrate between arenas leave one arena's Live
+// negative and another's positive, so sum Live over all of them.
 func (a *Arena) Live() int64 { return a.gets - a.puts }
-
-// Gets returns the number of packets acquired from this arena.
-func (a *Arena) Gets() int64 { return a.gets }
-
-// Puts returns the number of packets returned to this arena.
-func (a *Arena) Puts() int64 { return a.puts }
 
 // Handle is a generation-counted weak reference to an arena packet, for
 // tests that assert lifecycle discipline. A handle taken from a live

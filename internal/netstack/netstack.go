@@ -47,8 +47,21 @@ func (k Kind) String() string {
 // address — including 0 — counts a miss and drops it.
 type Addr int
 
+// The paper's LAN: 1448-byte TCP segments behind 52 bytes of headers, on
+// 100 Mbps switched Ethernet with a 30 µs one-way wire delay.
+const (
+	// MSS is the TCP payload bytes per segment.
+	MSS = 1448
+	// HeaderBytes is every packet's TCP/IP and framing overhead.
+	HeaderBytes = 52
+	// LANBps is a LAN wire's bandwidth in bits per second.
+	LANBps = 100_000_000
+	// LANDelay is a LAN wire's one-way propagation delay.
+	LANDelay = 30 * sim.Microsecond
+)
+
 // Packet is a network packet. Sequence numbers are in whole segments, the
-// unit the paper's tables use (packets of 1448 payload bytes).
+// unit the paper's tables use (packets of MSS payload bytes).
 type Packet struct {
 	Flow     int  // connection identifier
 	Src, Dst Addr // host addresses, for switched (multi-node) topologies
@@ -58,11 +71,10 @@ type Packet struct {
 	Size     int   // wire size in bytes (payload + headers)
 	Payload  int   // payload bytes
 	SentAt   sim.Time
-	Info     any // protocol-private data
 
 	// Mark flags the last packet of a paced response train (protocol
-	// bookkeeping that used to ride in Info as an interface box; a value
-	// field keeps the hot path allocation-free).
+	// bookkeeping kept in a value field, so the hot path allocates
+	// nothing).
 	Mark bool
 
 	// Trace is the packet's flowtrace span, nil unless the flow was
@@ -262,9 +274,6 @@ func (l *Link) Delay() sim.Time { return l.delay }
 func (l *Link) TxTime(n int) sim.Time {
 	return sim.Time(int64(n) * 8 * int64(sim.Second) / l.bps)
 }
-
-// QueueLen returns the number of packets currently queued or serializing.
-func (l *Link) QueueLen() int { return l.queued }
 
 // Send enqueues p for transmission, consuming it: ownership passes to
 // the link, which releases the packet on any drop and otherwise hands it

@@ -9,14 +9,16 @@
 // posts a software interrupt; the softirq drains the whole queue in one
 // pass (so protocol processing batches under load, which is why the
 // paper's Table 2 shows far more ip-intr than tcpip-other trigger states).
-// Transmit completions also interrupt.
+// Transmit completions interrupt only with Config.TxComplInterrupts, which
+// no rig sets: Interrupt-mode runs charge no completion work.
 //
 // Polling mode: no interrupts. A self-rescheduling soft-timer event polls
 // the interface, processing every waiting receive and transmit completion
 // in one handler invocation; the poll interval adapts to find
-// AggregationQuota packets per poll on average. When the CPU idles,
-// interrupts are re-enabled so packet processing is never delayed
-// unnecessarily (Section 5.9's first practicality argument).
+// AggregationQuota packets per poll on average. Config.IdleInterrupts
+// would re-enable interrupts while the CPU idles, so packet processing is
+// never delayed unnecessarily (Section 5.9's first practicality argument);
+// no rig sets it, so SoftPoll runs poll for every packet.
 package nic
 
 import (
@@ -39,69 +41,59 @@ const (
 	SoftPoll
 )
 
-// Costs are the per-operation CPU costs of the network path (baseline-CPU
-// work units, scaled by the kernel's profile).
-type Costs struct {
-	// RxIntrWork is the interrupt handler's work per receive interrupt
+// The network path's per-operation CPU costs, in baseline-CPU work units
+// that the kernel's profile scales, calibrated for the paper's P-II 300
+// testbed.
+const (
+	// rxIntrWork is the interrupt handler's work per receive interrupt
 	// (ring drain, buffer swap).
-	RxIntrWork sim.Time
-	// RxProtoWork is the protocol (IP+TCP input) work per received
+	rxIntrWork = 2 * sim.Microsecond
+	// rxProtoWork is the protocol (IP+TCP input) work per received
 	// packet, spent in the softirq or poll handler.
-	RxProtoWork sim.Time
-	// RxBatchDiscount scales RxProtoWork for the second and subsequent
+	rxProtoWork = 7 * sim.Microsecond
+	// rxBatchDiscount scales rxProtoWork for the second and subsequent
 	// packets processed in one batch — the locality benefit of
-	// aggregation (0.2 means 20% cheaper).
-	RxBatchDiscount float64
+	// aggregation (0.55 means 55% cheaper).
+	rxBatchDiscount float64 = 0.55
 	// TxWork is the IP output work per transmitted packet.
-	TxWork sim.Time
-	// TxComplWork is the transmit-completion work per packet (buffer
+	TxWork = 8 * sim.Microsecond
+	// txComplWork is the transmit-completion work per packet (buffer
 	// reclaim), done in an interrupt or a poll.
-	TxComplWork sim.Time
-	// PollWork is the fixed cost of one poll (status register reads).
-	PollWork sim.Time
-	// SoftirqTail is the bookkeeping work ending a protocol softirq
+	txComplWork = sim.Microsecond * 22 / 10
+	// pollWork is the fixed cost of one poll (status register reads).
+	pollWork = sim.Microsecond * 3 / 2
+	// softirqTail is the bookkeeping work ending a protocol softirq
 	// batch.
-	SoftirqTail sim.Time
-	// SoftirqTailTriggerEvery makes every n-th softirq batch end in a
+	softirqTail = 1 * sim.Microsecond
+	// softirqTailTriggerEvery makes every third softirq batch end in a
 	// tcpip-other trigger state (the paper added trigger states to
 	// *some* network-subsystem loops, e.g. TCP timer processing — not
 	// to every protocol-input pass, which is why Table 2's tcpip-other
-	// share is a third of ip-intr's). 0 disables; 1 triggers every
-	// batch.
-	SoftirqTailTriggerEvery int
-}
-
-// DefaultCosts returns costs calibrated for the paper's P-II 300 testbed.
-func DefaultCosts() Costs {
-	return Costs{
-		RxIntrWork:      sim.Micros(2.0),
-		RxProtoWork:     sim.Micros(7.0),
-		RxBatchDiscount: 0.55,
-		TxWork:          sim.Micros(8.0),
-		TxComplWork:     sim.Micros(2.2),
-		PollWork:        sim.Micros(1.5),
-		SoftirqTail:     sim.Micros(1.0),
-
-		SoftirqTailTriggerEvery: 3,
-	}
-}
+	// share is a third of ip-intr's).
+	softirqTailTriggerEvery = 3
+	// minPoll is the floor of the adaptive poll interval.
+	minPoll = 10 * sim.Microsecond
+)
 
 // Config configures a NIC.
 type Config struct {
-	Name  string
-	Mode  Mode
-	Costs Costs
+	Name string
+	Mode Mode
 	// AggregationQuota is the target packets found per poll (SoftPoll).
 	// Default 1.
 	AggregationQuota float64
-	// MinPoll and MaxPoll clamp the adaptive poll interval.
-	// Defaults 10 µs and 1 ms.
-	MinPoll, MaxPoll sim.Time
+	// MaxPoll caps the adaptive poll interval. Default 1 ms.
+	MaxPoll sim.Time
 	// TxComplInterrupts enables transmit-completion interrupts in
-	// Interrupt mode (conventional drivers). Default true.
+	// Interrupt mode (conventional drivers), each charging txComplWork
+	// per completed packet. The zero value is false and no rig sets it,
+	// so an Interrupt-mode run takes no transmit-completion interrupt and
+	// charges no completion work: only SoftPoll's polls drain completions.
 	TxComplInterrupts bool
-	// IdleInterrupts re-enables interrupts while the CPU is idle in
-	// SoftPoll mode. Default true (the paper's design).
+	// IdleInterrupts re-enables receive interrupts while the CPU is idle
+	// in SoftPoll mode (Section 5.9's first practicality argument). The
+	// zero value is false and no rig sets it, so a SoftPoll run picks up
+	// every packet in a poll, idle CPU or not.
 	IdleInterrupts bool
 	// Faults, when set, is the receive ring's fault channel: arriving
 	// packets may be dropped before the driver sees them (ring overrun,
@@ -158,6 +150,9 @@ type NIC struct {
 	// RxDropped counts packets the fault plan discarded at the ring.
 	RxDropped int64
 	batches   int64
+	// tailEvery is softirqTailTriggerEvery; tests set 1 to count one
+	// tcpip-other trigger state per batch.
+	tailEvery int64
 
 	// Telemetry: the public counters above are reported at snapshot time
 	// (Report); the batch-size histogram and poll-interval gauge are
@@ -173,16 +168,13 @@ func New(k *kernel.Kernel, f *core.Facility, cfg Config, out netstack.Endpoint) 
 	if cfg.AggregationQuota <= 0 {
 		cfg.AggregationQuota = 1
 	}
-	if cfg.MinPoll == 0 {
-		cfg.MinPoll = 10 * sim.Microsecond
-	}
 	if cfg.MaxPoll == 0 {
 		cfg.MaxPoll = sim.Millisecond
 	}
 	if cfg.Mode == SoftPoll && f == nil {
 		panic("nic: SoftPoll mode requires a soft-timer facility")
 	}
-	n := &NIC{k: k, f: f, cfg: cfg, out: out, pollIvl: cfg.MinPoll * 4}
+	n := &NIC{k: k, f: f, cfg: cfg, out: out, pollIvl: minPoll * 4, tailEvery: softirqTailTriggerEvery}
 	n.proto.n = n
 	n.rxDrainFn = n.rxDrain
 	n.pollFn = n.poll
@@ -276,7 +268,7 @@ func (n *NIC) raiseRxInterrupt() {
 	}
 	n.intrUp = true
 	n.RxInterrupts++
-	n.k.RaiseInterrupt(kernel.SrcIPIntr, n.cfg.Costs.RxIntrWork, n.rxDrainFn)
+	n.k.RaiseInterrupt(kernel.SrcIPIntr, rxIntrWork, n.rxDrainFn)
 }
 
 // rxDrain is the receive interrupt's handler body (bound once): move the
@@ -325,7 +317,7 @@ func (c *protoChain) Begin() int {
 	n.mBatch.Observe(float64(len(c.batch)))
 	c.tailSrc = kernel.SrcNone
 	n.batches++
-	if e := n.cfg.Costs.SoftirqTailTriggerEvery; e > 0 && n.batches%int64(e) == 0 {
+	if n.batches%n.tailEvery == 0 {
 		c.tailSrc = kernel.SrcTCPIPOther
 	}
 	return len(c.batch) + 1
@@ -333,11 +325,11 @@ func (c *protoChain) Begin() int {
 
 func (c *protoChain) Step(i int) (sim.Time, kernel.Source) {
 	if i >= len(c.batch) {
-		return c.n.cfg.Costs.SoftirqTail, c.tailSrc
+		return softirqTail, c.tailSrc
 	}
-	w := c.n.cfg.Costs.RxProtoWork
+	w := rxProtoWork
 	if i > 0 {
-		w = sim.Time(float64(w) * (1 - c.n.cfg.Costs.RxBatchDiscount))
+		w = sim.Time(float64(w) * (1 - rxBatchDiscount))
 	}
 	return w, kernel.SrcNone
 }
@@ -381,7 +373,7 @@ func (n *NIC) getTxChain() *txChain {
 func (c *txChain) Begin() int { return len(c.pkts) }
 
 func (c *txChain) Step(int) (sim.Time, kernel.Source) {
-	return c.n.cfg.Costs.TxWork, kernel.SrcIPOutput
+	return TxWork, kernel.SrcIPOutput
 }
 
 func (c *txChain) Run(i int) {
@@ -404,7 +396,7 @@ func (n *NIC) TxSteps(pkts ...*netstack.Packet) []kernel.ChainStep {
 	steps := make([]kernel.ChainStep, 0, len(pkts))
 	for _, p := range pkts {
 		p := p
-		steps = append(steps, kernel.ChainStep{Work: n.cfg.Costs.TxWork, Src: kernel.SrcIPOutput, Fn: func() {
+		steps = append(steps, kernel.ChainStep{Work: TxWork, Src: kernel.SrcIPOutput, Fn: func() {
 			n.transmit(p)
 		}})
 	}
@@ -437,7 +429,7 @@ func (n *NIC) TxFromKernel(pkts ...*netstack.Packet) {
 // state is the one that invoked the handler. Returns the CPU cost.
 func (n *NIC) TransmitNow(p *netstack.Packet) sim.Time {
 	n.transmit(p)
-	return n.cfg.Costs.TxWork
+	return TxWork
 }
 
 // TransmitRaw sends one packet without reporting a cost — for callers that
@@ -466,7 +458,7 @@ func (n *NIC) transmit(p *netstack.Packet) {
 		cnt := n.txdone
 		n.txdone = 0
 		n.TxComplInterrupts++
-		n.k.RaiseInterrupt(kernel.SrcIPIntr, n.cfg.Costs.TxComplWork*sim.Time(cnt), nil)
+		n.k.RaiseInterrupt(kernel.SrcIPIntr, txComplWork*sim.Time(cnt), nil)
 	}
 }
 
@@ -488,15 +480,15 @@ func (n *NIC) schedulePoll() {
 // backing arrays.
 func (n *NIC) poll(now sim.Time) sim.Time {
 	n.Polls++
-	cost := n.cfg.Costs.PollWork
+	cost := pollWork
 	found := len(n.rxring) + len(n.protoq)
 	i := 0
 	for _, q := range [2][]*netstack.Packet{n.protoq, n.rxring} {
 		for j, p := range q {
 			q[j] = nil
-			w := n.cfg.Costs.RxProtoWork
+			w := rxProtoWork
 			if i > 0 {
-				w = sim.Time(float64(w) * (1 - n.cfg.Costs.RxBatchDiscount))
+				w = sim.Time(float64(w) * (1 - rxBatchDiscount))
 			}
 			i++
 			cost += w
@@ -512,7 +504,7 @@ func (n *NIC) poll(now sim.Time) sim.Time {
 	n.PolledPackets += int64(found)
 	n.mBatch.Observe(float64(found))
 	if n.txdone > 0 {
-		cost += n.cfg.Costs.TxComplWork * sim.Time(n.txdone)
+		cost += txComplWork * sim.Time(n.txdone)
 		n.txdone = 0
 	}
 	n.adapt(float64(found))
@@ -531,8 +523,8 @@ func (n *NIC) adapt(found float64) {
 	case n.foundAv < n.cfg.AggregationQuota*0.9:
 		n.pollIvl = n.pollIvl * 9 / 8
 	}
-	if n.pollIvl < n.cfg.MinPoll {
-		n.pollIvl = n.cfg.MinPoll
+	if n.pollIvl < minPoll {
+		n.pollIvl = minPoll
 	}
 	if n.pollIvl > n.cfg.MaxPoll {
 		n.pollIvl = n.cfg.MaxPoll

@@ -25,9 +25,6 @@ func newRig(t *testing.T, cfg Config) *rig {
 	r := &rig{eng: sim.NewEngine(11)}
 	r.k = kernel.New(r.eng, cpu.PentiumII300(), kernel.Options{IdleLoop: true})
 	r.f = core.New(r.k, core.Options{})
-	if cfg.Costs == (Costs{}) {
-		cfg.Costs = DefaultCosts()
-	}
 	r.n = New(r.k, r.f, cfg, netstack.EndpointFunc(func(p *netstack.Packet) {
 		r.out = append(r.out, p)
 	}))
@@ -43,14 +40,15 @@ func (r *rig) start() {
 	r.n.Start()
 }
 
-func everyBatchCosts() Costs {
-	c := DefaultCosts()
-	c.SoftirqTailTriggerEvery = 1 // trigger on every batch for exact counting
-	return c
+// everyBatch makes every softirq batch end in a tcpip-other trigger state,
+// for exact counting.
+func (r *rig) everyBatch() *rig {
+	r.n.tailEvery = 1
+	return r
 }
 
 func TestInterruptModeDeliversPacket(t *testing.T) {
-	r := newRig(t, Config{Mode: Interrupt, Costs: everyBatchCosts()})
+	r := newRig(t, Config{Mode: Interrupt}).everyBatch()
 	r.start()
 	r.eng.At(100*sim.Microsecond, func() {
 		r.n.Deliver(&netstack.Packet{Kind: netstack.Data, Seq: 1})
@@ -76,7 +74,7 @@ func TestInterruptModeDeliversPacket(t *testing.T) {
 }
 
 func TestInterruptModeBatchesBackToBackArrivals(t *testing.T) {
-	r := newRig(t, Config{Mode: Interrupt, Costs: everyBatchCosts()})
+	r := newRig(t, Config{Mode: Interrupt}).everyBatch()
 	r.start()
 	// 10 packets arriving 1us apart: far faster than interrupt+protocol
 	// processing, so interrupts and softirq batches must both be < 10.
@@ -225,7 +223,7 @@ func TestTransmitNowChargesNoChain(t *testing.T) {
 	r := newRig(t, Config{Mode: SoftPoll, IdleInterrupts: false})
 	r.start()
 	cost := r.n.TransmitNow(&netstack.Packet{Kind: netstack.Data})
-	if cost != DefaultCosts().TxWork {
+	if cost != TxWork {
 		t.Fatalf("cost = %v", cost)
 	}
 	if len(r.out) != 1 {
@@ -248,8 +246,8 @@ func TestDefaultsApplied(t *testing.T) {
 	eng := sim.NewEngine(1)
 	k := kernel.New(eng, cpu.PentiumII300(), kernel.Options{})
 	f := core.New(k, core.Options{})
-	n := New(k, f, Config{Mode: SoftPoll, Costs: DefaultCosts()}, netstack.EndpointFunc(func(*netstack.Packet) {}))
-	if n.cfg.AggregationQuota != 1 || n.cfg.MinPoll != 10*sim.Microsecond || n.cfg.MaxPoll != sim.Millisecond {
+	n := New(k, f, Config{Mode: SoftPoll}, netstack.EndpointFunc(func(*netstack.Packet) {}))
+	if n.cfg.AggregationQuota != 1 || n.cfg.MaxPoll != sim.Millisecond || n.pollIvl != 4*minPoll {
 		t.Fatalf("defaults not applied: %+v", n.cfg)
 	}
 }

@@ -202,9 +202,6 @@ func (g *ShardGroup) SetLookahead(src, dst int, d Time) {
 	}
 }
 
-// Lookahead returns the effective src→dst lookahead (negative: none).
-func (g *ShardGroup) Lookahead(src, dst int) Time { return g.la[src][dst] }
-
 // Conduit is a sender-owned cross-shard message channel. The id keys the
 // arrival-band tie-break, so callers must assign ids during deterministic
 // assembly (never mid-run) and reuse the same assignment at any shard

@@ -5,9 +5,10 @@ import (
 	"softtimers/internal/sim"
 )
 
-// EngineEnv is an Env backed directly by the simulation engine, for client
-// hosts and otherwise-unloaded machines whose CPU costs are not under
-// study: timers are exact and transmission costs nothing.
+// EngineEnv is the host environment a TCP endpoint runs in: directly on
+// the simulation engine, for client hosts and otherwise-unloaded machines
+// whose CPU costs are not under study. Protocol timers are exact engine
+// events and transmission costs nothing.
 type EngineEnv struct {
 	Eng *sim.Engine
 	// Out receives transmitted packets (typically a netstack.Link or
@@ -15,27 +16,13 @@ type EngineEnv struct {
 	Out netstack.Endpoint
 }
 
-// Now implements Env.
+// Now returns the current simulated time.
 func (e *EngineEnv) Now() sim.Time { return e.Eng.Now() }
 
-// After implements Env.
-func (e *EngineEnv) After(d sim.Time, fn func()) Canceler {
-	return &eventCanceler{e.Eng.After(d, fn)}
-}
-
-// Transmit implements Env.
+// Transmit hands packets to the peer in order. The slice is a borrow:
+// senders reuse scratch buffers on the hot path.
 func (e *EngineEnv) Transmit(pkts []*netstack.Packet) {
 	for _, p := range pkts {
 		e.Out.Deliver(p)
 	}
 }
-
-// eventCanceler adapts a sim.Event to the timer-handle interfaces. It is a
-// pointer type so Reschedule can refresh the handle's deadline snapshot.
-type eventCanceler struct{ ev sim.Event }
-
-func (c *eventCanceler) Cancel() bool { return c.ev.Cancel() }
-
-// Reschedule implements Rescheduler: the engine moves the pending event in
-// place (a single queue update instead of cancel+insert).
-func (c *eventCanceler) Reschedule(d sim.Time) bool { return c.ev.RescheduleAfter(d) }

@@ -97,7 +97,6 @@ type burstSmoother struct {
 	maxBurst int64
 	tracker  *AckRateTracker
 	draining bool
-	timer    Canceler
 	smoothed int64
 }
 
@@ -127,6 +126,9 @@ func (s *Sender) smoothedPump(compressed bool) bool {
 	if gap <= 0 {
 		gap = sim.Millisecond
 	}
+	// The drain timer is never pending here or when drain re-arms it:
+	// draining holds off new bursts until the timer has fired for the last
+	// time, so each arming is a fresh engine event.
 	sm.draining = true
 	var drain func()
 	drain = func() {
@@ -136,12 +138,9 @@ func (s *Sender) smoothedPump(compressed bool) bool {
 		}
 		s.send([]*netstack.Packet{s.makeSegment()})
 		sm.smoothed++
-		// Rearm through the handle: a still-pending timer (an env whose
-		// queue fires late or batches) moves in place; the usual fired
-		// handle falls back to a fresh insert with the same closure.
-		sm.timer = rearmTimer(s.env, sm.timer, gap, drain)
+		s.env.Eng.After(gap, drain)
 	}
-	sm.timer = rearmTimer(s.env, sm.timer, gap, drain)
+	s.env.Eng.After(gap, drain)
 	return true
 }
 

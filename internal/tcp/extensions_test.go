@@ -218,7 +218,7 @@ func TestEstimatorFeedsPacedTransfer(t *testing.T) {
 	}
 	// Phase 2: pace 500 segments at the estimated interval.
 	p := newRig(t, 500, 50, true)
-	interval := est.SuggestedInterval(p.cfg.WireSize(p.cfg.MSS))
+	interval := est.SuggestedInterval(netstack.MSS + netstack.HeaderBytes)
 	var tick func()
 	tick = func() {
 		if _, more := p.snd.PacedSendOne(p.eng.Now()); more {

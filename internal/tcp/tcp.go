@@ -22,58 +22,9 @@ import (
 	"softtimers/internal/sim"
 )
 
-// Canceler is a cancellable timer handle.
-type Canceler interface {
-	Cancel() bool
-}
-
-// Rescheduler is an optional Canceler extension implemented by handles
-// whose backing timer queue supports dynamic update (engine-backed envs
-// do, via sim.Event.Reschedule). Reschedule moves a still-pending timer to
-// fire d from now in place — the queue relocates the existing entry, no
-// cancel and no fresh insert — keeping the handler the timer already
-// carries. It reports whether it did; a fired or canceled handle returns
-// false and the caller schedules anew.
-type Rescheduler interface {
-	Canceler
-	Reschedule(d sim.Time) bool
-}
-
-// rearmTimer re-targets t to run fn after d: in place when the handle is
-// still pending and movable (Rescheduler), by cancel plus a fresh insert
-// otherwise. The returned handle replaces t. fn must be the handler the
-// live timer already carries — an in-place move keeps the old closure.
-func rearmTimer(env Env, t Canceler, d sim.Time, fn func()) Canceler {
-	if r, ok := t.(Rescheduler); ok && r.Reschedule(d) {
-		return t
-	}
-	if t != nil {
-		t.Cancel()
-	}
-	return env.After(d, fn)
-}
-
-// Env is the host environment a TCP endpoint runs in. EngineEnv, the one
-// implementation, runs it directly on the simulation engine: protocol
-// timers are exact engine events and transmission costs nothing.
-type Env interface {
-	// Now returns the current simulated time.
-	Now() sim.Time
-	// After schedules a conventional protocol timer.
-	After(d sim.Time, fn func()) Canceler
-	// Transmit hands packets to the host's IP output path in order. The
-	// slice is a borrow: implementations must not retain it past the call
-	// (senders reuse scratch buffers on the hot path).
-	Transmit(pkts []*netstack.Packet)
-}
-
 // Config holds protocol parameters. The zero value is unusable; use
 // DefaultConfig (FreeBSD-2.2.6-like, as in the paper's testbed).
 type Config struct {
-	// MSS is the payload bytes per segment (paper: 1448).
-	MSS int
-	// HeaderBytes is added to every packet's wire size (TCP/IP+framing).
-	HeaderBytes int
 	// InitialCwnd is the initial congestion window in segments.
 	// FreeBSD-2.2.6 started at 1 segment.
 	InitialCwnd float64
@@ -96,8 +47,6 @@ type Config struct {
 // DefaultConfig returns the paper-testbed parameters.
 func DefaultConfig() Config {
 	return Config{
-		MSS:           1448,
-		HeaderBytes:   52,
 		InitialCwnd:   1,
 		RcvWnd:        1 << 30,
 		AckEvery:      2,
@@ -107,15 +56,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// WireSize returns the on-the-wire size of a segment carrying payload
-// bytes of data.
-func (c Config) WireSize(payload int) int { return payload + c.HeaderBytes }
-
 // Sender transmits `total` segments on a flow. In self-clocked mode,
 // transmissions are driven by Start and arriving ACKs; in paced mode an
 // external pacer pulls segments one at a time via PacedSendOne.
 type Sender struct {
-	env   Env
+	env   *EngineEnv
 	cfg   Config
 	flow  int
 	total int64
@@ -162,7 +107,7 @@ type Sender struct {
 // NewSender creates a sender of total segments on flow. paced selects
 // rate-based clocking: the sender will not self-clock, and transmissions
 // happen only through PacedSendOne.
-func NewSender(env Env, cfg Config, flow int, total int64, paced bool) *Sender {
+func NewSender(env *EngineEnv, cfg Config, flow int, total int64, paced bool) *Sender {
 	if total < 0 {
 		panic("tcp: negative transfer size")
 	}
@@ -171,8 +116,8 @@ func NewSender(env Env, cfg Config, flow int, total int64, paced bool) *Sender {
 
 // RegisterMetrics registers the sender on a telemetry registry, which then
 // reports its counters under tcp.flow<N>. (Report). TCP endpoints run on
-// a plain Env (often with no kernel behind it), so registration is opt-in
-// rather than automatic.
+// an engine with no kernel behind them, so registration is opt-in rather
+// than automatic.
 func (s *Sender) RegisterMetrics(r *metrics.Registry) { r.Register(s) }
 
 // Report implements metrics.Reporter.
@@ -235,12 +180,12 @@ func (s *Sender) pump() {
 }
 
 func (s *Sender) makeSegment() *netstack.Packet {
-	payload := s.cfg.MSS
+	payload := netstack.MSS
 	p := s.Arena.Get()
 	p.Flow = s.flow
 	p.Kind = netstack.Data
 	p.Seq = s.nextSeq
-	p.Size = s.cfg.WireSize(payload)
+	p.Size = payload + netstack.HeaderBytes
 	p.Payload = payload
 	p.SentAt = s.env.Now()
 	if s.traced {
@@ -355,13 +300,14 @@ func (s *Sender) PacedSendOne(now sim.Time) (sent *netstack.Packet, more bool) {
 // the paper's 200 ms stalls on small transfers (Table 6) and whose
 // aggregation produces big ACKs (Appendix A.3).
 type Receiver struct {
-	env  Env
+	env  *EngineEnv
 	cfg  Config
 	flow int
 
-	received int64 // cumulative in-order segments
-	ackedTo  int64 // cumulative segments covered by sent ACKs
-	delack   Canceler
+	received int64     // cumulative in-order segments
+	ackedTo  int64     // cumulative segments covered by sent ACKs
+	delack   sim.Event // the delayed-ACK timer
+	delackFn func()    // its handler, bound once
 
 	// Expected, when positive, makes OnComplete fire once that many
 	// segments have arrived.
@@ -393,8 +339,10 @@ type Receiver struct {
 }
 
 // NewReceiver creates a receiver for flow.
-func NewReceiver(env Env, cfg Config, flow int) *Receiver {
-	return &Receiver{env: env, cfg: cfg, flow: flow}
+func NewReceiver(env *EngineEnv, cfg Config, flow int) *Receiver {
+	r := &Receiver{env: env, cfg: cfg, flow: flow}
+	r.delackFn = r.delackFire
+	return r
 }
 
 // RegisterMetrics registers the receiver on a telemetry registry, which
@@ -424,15 +372,9 @@ func (r *Receiver) HandleData(p *netstack.Packet) {
 		r.OnData(p)
 	}
 	if r.received-r.ackedTo >= int64(r.cfg.AckEvery) {
-		r.sendAck(false)
-	} else if r.delack == nil && r.cfg.DelAckTimeout > 0 {
-		r.delack = r.env.After(r.cfg.DelAckTimeout, func() {
-			r.delack = nil
-			if r.received > r.ackedTo {
-				r.DelAckFires++
-				r.sendAck(true)
-			}
-		})
+		r.sendAck()
+	} else if !r.delack.Pending() && r.cfg.DelAckTimeout > 0 {
+		r.delack = r.env.Eng.After(r.cfg.DelAckTimeout, r.delackFn)
 	}
 	if r.Expected > 0 && r.received >= r.Expected && r.OnComplete != nil {
 		cb := r.OnComplete
@@ -441,13 +383,18 @@ func (r *Receiver) HandleData(p *netstack.Packet) {
 	}
 }
 
-func (r *Receiver) sendAck(fromTimer bool) {
+// delackFire is the delayed-ACK timer's handler.
+func (r *Receiver) delackFire() {
+	if r.received > r.ackedTo {
+		r.DelAckFires++
+		r.sendAck()
+	}
+}
+
+func (r *Receiver) sendAck() {
 	covered := r.received - r.ackedTo
 	r.ackedTo = r.received
-	if r.delack != nil && !fromTimer {
-		r.delack.Cancel()
-		r.delack = nil
-	}
+	r.delack.Cancel()
 	r.AcksSent++
 	if covered > 3 {
 		r.BigAcks++
@@ -456,7 +403,7 @@ func (r *Receiver) sendAck(fromTimer bool) {
 	p.Flow = r.flow
 	p.Kind = netstack.Ack
 	p.AckSeq = r.ackedTo
-	p.Size = r.cfg.WireSize(0)
+	p.Size = netstack.HeaderBytes
 	p.SentAt = r.env.Now()
 	if r.traced && r.FlowTrace != nil {
 		p.Trace = r.FlowTrace.StartSpan()

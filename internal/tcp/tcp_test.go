@@ -210,6 +210,27 @@ func TestDelayedAckTimerCoversOddTail(t *testing.T) {
 	}
 }
 
+// An immediate ACK cancels the delayed-ACK timer the first segment armed:
+// it neither fires later nor stays queued on the engine.
+func TestImmediateAckCancelsDelayedAck(t *testing.T) {
+	eng := sim.NewEngine(1)
+	acks := 0
+	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(*netstack.Packet) { acks++ })}
+	rcv := NewReceiver(env, DefaultConfig(), 1)
+	rcv.HandleData(&netstack.Packet{Kind: netstack.Data}) // arms the timer
+	if eng.Pending() != 1 {
+		t.Fatalf("pending events = %d after one segment, want the delayed-ACK timer", eng.Pending())
+	}
+	rcv.HandleData(&netstack.Packet{Kind: netstack.Data}) // second segment: ACK now
+	if eng.Pending() != 0 {
+		t.Fatalf("pending events = %d after the immediate ACK, want the timer canceled", eng.Pending())
+	}
+	eng.RunUntil(sim.Second)
+	if acks != 1 || rcv.DelAckFires != 0 {
+		t.Fatalf("acks = %d, delayed-ACK fires = %d; want 1 and 0", acks, rcv.DelAckFires)
+	}
+}
+
 func TestBigAckCounting(t *testing.T) {
 	eng := sim.NewEngine(1)
 	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(p *netstack.Packet) {})}
@@ -285,23 +306,6 @@ func TestRcvWndLimitsInflight(t *testing.T) {
 	snd.Start()
 	if sent != 8 {
 		t.Fatalf("sent %d with rcvwnd 8, want 8", sent)
-	}
-}
-
-func TestEngineEnvCanceler(t *testing.T) {
-	eng := sim.NewEngine(1)
-	env := &EngineEnv{Eng: eng}
-	fired := false
-	c := env.After(sim.Millisecond, func() { fired = true })
-	if !c.Cancel() {
-		t.Fatal("cancel of pending timer returned false")
-	}
-	if c.Cancel() {
-		t.Fatal("second cancel returned true")
-	}
-	eng.RunUntil(sim.Second)
-	if fired {
-		t.Fatal("canceled timer fired")
 	}
 }
 

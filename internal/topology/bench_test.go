@@ -149,11 +149,12 @@ func BenchmarkFleetBuild(b *testing.B) {
 }
 
 // buildAllocsPerHost is what topology.Build allocates per host of a
-// 256-host fleet (fleetSpec): kernel, facility, NIC and links with their
-// registry entries, and the host's share of the topology's maps. Each
-// component registers one reporter however many counters it reports; a
-// closure per counter (about 80 per host) would put it near 200.
-const buildAllocsPerHost = 60
+// 256-host fleet (fleetSpec), 55.5 measured: kernel, facility, NIC and
+// links with their registry entries, and the host's share of the
+// topology's maps. Each component registers one reporter however many
+// counters it reports; a closure per counter (about 80 per host) would put
+// it near 200. A clean host builds no fault-channel names.
+const buildAllocsPerHost = 56
 
 // TestBuildAllocsPerHost pins the set-up's allocations per built host, so
 // a per-counter registration cannot creep back.

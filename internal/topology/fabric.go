@@ -30,33 +30,22 @@ type FabricSpec struct {
 	// Members are the host names on the fabric, assigned to leaf i%Leaves
 	// in listed order.
 	Members []string
-	// Bps and Delay describe each member's link to its leaf (defaults
-	// 100 Mbps, 30 µs).
-	Bps   int64
-	Delay sim.Time
-	// TrunkBps and TrunkDelay describe each leaf's trunk to the spine
-	// (defaults 1 Gbps, 20 µs). TrunkDelay is the cross-shard lookahead,
-	// so a tighter trunk costs more sync rounds.
-	TrunkBps   int64
-	TrunkDelay sim.Time
 	// NIC is the per-member interface template; an empty Name defaults to
 	// the fabric name.
 	NIC nic.Config
 }
 
+// A fabric's trunks. Members reach their leaf over a LAN wire
+// (netstack.LANBps, netstack.LANDelay).
+const (
+	// trunkBps is a leaf trunk's bandwidth: 1 Gbps.
+	trunkBps = 1_000_000_000
+	// trunkDelay is a leaf trunk's one-way delay. It is the cross-shard
+	// lookahead, so a tighter trunk costs more sync rounds.
+	trunkDelay = 20 * sim.Microsecond
+)
+
 func (fs *FabricSpec) setDefaults() {
-	if fs.Bps == 0 {
-		fs.Bps = 100_000_000
-	}
-	if fs.Delay == 0 {
-		fs.Delay = 30 * sim.Microsecond
-	}
-	if fs.TrunkBps == 0 {
-		fs.TrunkBps = 1_000_000_000
-	}
-	if fs.TrunkDelay == 0 {
-		fs.TrunkDelay = 20 * sim.Microsecond
-	}
 	if fs.NIC.Name == "" {
 		fs.NIC.Name = fs.Name
 	}
@@ -111,7 +100,7 @@ func (t *Topology) AddFabric(fs FabricSpec) *Fabric {
 			panic(fmt.Sprintf("topology: fabric %q leaf %d spans shards %d and %d (host %q); leaf members must share a shard",
 				fs.Name, j, leafShard[j], shard, m))
 		}
-		p := t.Join(f.Leaves[j], h, fs.NIC, WireSpec{Bps: fs.Bps, Delay: fs.Delay})
+		p := t.Join(f.Leaves[j], h, fs.NIC, WireSpec{})
 		f.MemberPorts = append(f.MemberPorts, p)
 	}
 
@@ -130,7 +119,7 @@ func (t *Topology) AddFabric(fs FabricSpec) *Fabric {
 			spinePeer = shardView{sw: f.Spine, shard: shard}
 			leafPeer = shardView{sw: leaf, shard: shard}
 		}
-		up := netstack.NewLink(eng, fmt.Sprintf("%s.leaf%d.up", fs.Name, j), fs.TrunkBps, fs.TrunkDelay, spinePeer)
+		up := netstack.NewLink(eng, fmt.Sprintf("%s.leaf%d.up", fs.Name, j), trunkBps, trunkDelay, spinePeer)
 		up.SetArena(t.Arena(shard))
 		t.conduits++
 		up.ArrivalConduit = t.conduits
@@ -138,7 +127,7 @@ func (t *Topology) AddFabric(fs FabricSpec) *Fabric {
 			up.Courier = &courier{sw: f.Spine, src: shard, con: t.group.NewConduit(shard, t.conduits)}
 		}
 		leaf.Default = up
-		down := netstack.NewLink(eng, fmt.Sprintf("%s.leaf%d.down", fs.Name, j), fs.TrunkBps, fs.TrunkDelay, leafPeer)
+		down := netstack.NewLink(eng, fmt.Sprintf("%s.leaf%d.down", fs.Name, j), trunkBps, trunkDelay, leafPeer)
 		down.SetArena(t.Arena(shard))
 		t.conduits++
 		down.ArrivalConduit = t.conduits
@@ -146,7 +135,7 @@ func (t *Topology) AddFabric(fs FabricSpec) *Fabric {
 		f.Down = append(f.Down, down)
 		// The spine hop is the fabric's only cross-shard channel; its
 		// lookahead is the trunk propagation delay.
-		f.Spine.members = append(f.Spine.members, switchMember{shard: shard, delay: fs.TrunkDelay})
+		f.Spine.members = append(f.Spine.members, switchMember{shard: shard, delay: trunkDelay})
 	}
 
 	// Spine forwarding: every member's address routes down its leaf's

@@ -100,9 +100,6 @@ func (ft *FlowTrace) Spans() []flowtrace.SpanData {
 	return flowtrace.Export(ft.loc, func(k int) string { return netstack.Kind(k).String() }, ft.recs...)
 }
 
-// LocationName resolves a hop-site id.
-func (ft *FlowTrace) LocationName(id int32) string { return ft.loc.Name(id) }
-
 // Started returns spans allocated across all shards.
 func (ft *FlowTrace) Started() int64 {
 	var n int64

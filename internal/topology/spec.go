@@ -30,9 +30,6 @@ type HostSpec struct {
 type SwitchSpec struct {
 	Name    string
 	Members []string
-	// Bps and Delay describe each member's link (defaults 100 Mbps, 30 µs).
-	Bps   int64
-	Delay sim.Time
 	// NIC is the per-member interface template; an empty Name defaults to
 	// the switch name (interface names are per-host).
 	NIC nic.Config
@@ -161,7 +158,7 @@ func Build(spec Spec) *Topology {
 			if nicCfg.Name == "" {
 				nicCfg.Name = ss.Name
 			}
-			t.Join(sw, h, nicCfg, WireSpec{Bps: ss.Bps, Delay: ss.Delay})
+			t.Join(sw, h, nicCfg, WireSpec{})
 		}
 	}
 	for _, fs := range spec.Fabrics {

@@ -1,28 +1,26 @@
 // Package topology assembles multi-node networks of simulated hosts on a
 // deterministic sim.ShardGroup: named hosts (package host), duplex links
-// with finite bandwidth and delay, switches forwarding by destination
-// address, and the paper's Section 5.8 "WAN emulator" intermediate as just
-// another host that routes between its interfaces.
+// with finite bandwidth and delay, and switches forwarding by destination
+// address. The paper's Section 5.8 "WAN emulator" intermediate is
+// netstack.WANEmulator.
 //
-// The paper's testbed is inherently multi-machine — server, client fleet,
-// and the WAN-emulator router are all full FreeBSD hosts — so soft-timer
-// behaviour is measurable on both ends of a flow: every host has its own
-// kernel, trigger states, soft-timer facility, fault plan, and telemetry
-// namespace. The group has one shard unless asked for more; at any shard
-// count the merged event history, and so every result, is the one-shard
-// history.
+// The paper's testbed is inherently multi-machine — server and client
+// fleet are full FreeBSD hosts — so soft-timer behaviour is measurable on
+// both ends of a flow: every host has its own kernel, trigger states,
+// soft-timer facility, fault plan, and telemetry namespace. The group has
+// one shard unless asked for more; at any shard count the merged event
+// history, and so every result, is the one-shard history.
 //
 // Assembly comes in two forms: the imperative primitives here (AddHost,
 // AttachNIC, Join) used where exact wiring order matters, and the
 // declarative Spec/Build layer in spec.go for N-node topologies
-// (server + K client hosts + optional intermediate).
+// (server + K client hosts).
 package topology
 
 import (
 	"fmt"
 	"io"
 
-	"softtimers/internal/faults"
 	"softtimers/internal/flowtrace"
 	"softtimers/internal/host"
 	"softtimers/internal/metrics"
@@ -53,7 +51,6 @@ type Topology struct {
 	addrs    map[string]netstack.Addr
 	ports    map[string][]*Port
 	switches []*Switch
-	routers  []*Router
 	fabrics  []*Fabric
 	tracers  []*trace.Buffer // per host, when tracing is enabled
 
@@ -156,20 +153,15 @@ type Port struct {
 // Ports returns a host's ports in attach order.
 func (t *Topology) Ports(h *host.Host) []*Port { return t.ports[h.Name] }
 
-// WireSpec describes one duplex attachment: link rate and one-way delay,
-// the two link names (they key fault channels link.<name> and metric
-// prefixes), and optionally a fault plan and registry overriding the
-// host's own.
+// WireSpec describes one duplex attachment: its link rate (default
+// netstack.LANBps; every wire has netstack.LANDelay's one-way delay) and
+// the two link names, which key the host fault plan's link.<name> channels
+// and the link metrics on the host registry.
 type WireSpec struct {
-	Bps   int64
-	Delay sim.Time
+	Bps int64
 	// DownName/UpName name the transmit/receive links. Empty names default
 	// to <host>.<nic>.down / .up.
 	DownName, UpName string
-	// Faults overrides the host's plan for both links (nil: host plan).
-	Faults *faults.Plan
-	// Registry overrides where link counters register (nil: host registry).
-	Registry *metrics.Registry
 }
 
 // AttachNIC wires a new interface on h to peer with a duplex link pair, in
@@ -177,10 +169,7 @@ type WireSpec struct {
 // up link — construction order is part of the determinism contract).
 func (t *Topology) AttachNIC(h *host.Host, nicCfg nic.Config, peer netstack.Endpoint, w WireSpec) *Port {
 	if w.Bps == 0 {
-		w.Bps = 100_000_000
-	}
-	if w.Delay == 0 {
-		w.Delay = 30 * sim.Microsecond
+		w.Bps = netstack.LANBps
 	}
 	if w.DownName == "" {
 		w.DownName = h.Name + "." + nicCfg.Name + ".down"
@@ -188,26 +177,20 @@ func (t *Topology) AttachNIC(h *host.Host, nicCfg nic.Config, peer netstack.Endp
 	if w.UpName == "" {
 		w.UpName = h.Name + "." + nicCfg.Name + ".up"
 	}
-	plan := w.Faults
-	if plan == nil {
-		plan = h.Faults()
-	}
-	reg := w.Registry
-	if reg == nil {
-		reg = h.Metrics()
-	}
+	plan, reg := h.Faults(), h.Metrics()
 	// Links live on the owning host's engine.
 	eng := h.Engine()
-	down := netstack.NewLink(eng, w.DownName, w.Bps, w.Delay, peer)
-	down.Faults = plan.Link("link." + w.DownName)
+	down := netstack.NewLink(eng, w.DownName, w.Bps, netstack.LANDelay, peer)
+	if plan != nil {
+		down.Faults = plan.Link("link." + w.DownName)
+	}
 	down.SetArena(h.Arena())
 	down.RegisterMetrics(reg)
-	if nicCfg.Faults == nil {
-		nicCfg.Faults = plan.Link("nic." + nicCfg.Name + ".rx")
-	}
 	n := h.AddNIC(nicCfg, down)
-	up := netstack.NewLink(eng, w.UpName, w.Bps, w.Delay, n)
-	up.Faults = plan.Link("link." + w.UpName)
+	up := netstack.NewLink(eng, w.UpName, w.Bps, netstack.LANDelay, n)
+	if plan != nil {
+		up.Faults = plan.Link("link." + w.UpName)
+	}
 	up.SetArena(h.Arena())
 	up.RegisterMetrics(reg)
 	p := &Port{NIC: n, Down: down, Up: up}
@@ -356,14 +339,6 @@ func (t *Topology) EnableTracing(capacity int) {
 	}
 }
 
-// Tracer returns host i's trace buffer (nil unless EnableTracing ran).
-func (t *Topology) Tracer(i int) *trace.Buffer {
-	if t.tracers == nil {
-		return nil
-	}
-	return t.tracers[i]
-}
-
 // WriteChrome merges every host's trace into one Chrome trace-event file:
 // one process per host, pid = host address, in add order. Host-local
 // event order is identical at any shard count, so the merged trace is
@@ -385,7 +360,7 @@ func (t *Topology) WriteChrome(w io.Writer) error {
 }
 
 // Snapshot captures every host's telemetry under a host.<name>. prefix and
-// every switch's and router's counters in one deterministic snapshot — the
+// every switch's counters in one deterministic snapshot — the
 // per-host metrics namespace for multi-node experiments. Each host's
 // registry writes straight into it (metrics.Registry.SnapshotInto).
 //
@@ -415,10 +390,6 @@ func (t *Topology) Snapshot() *metrics.Snapshot {
 	for _, sw := range t.switches {
 		out.Counters["switch."+sw.Name+".forwarded"] = sw.Forwarded()
 		out.Counters["switch."+sw.Name+".misses"] = sw.Misses()
-	}
-	for _, r := range t.routers {
-		out.Counters["router."+r.H.Name+".forwarded"] = r.Forwarded
-		out.Counters["router."+r.H.Name+".misses"] = r.Misses
 	}
 	for _, f := range t.fabrics {
 		for j := range f.Up {

@@ -107,16 +107,15 @@ func TestLinkDownViaFaultPlan(t *testing.T) {
 	// Per-channel faults: the plan is keyed by channel name, so give the
 	// a→switch uplink a 100% drop channel and leave everything else clean.
 	plan := faults.New(77, faults.Spec{Drop: 1})
-	a := top.AddHost(host.Config{Name: "a", Kernel: kernel.Options{IdleLoop: true}})
+	a := top.AddHost(host.Config{Name: "a", Kernel: kernel.Options{IdleLoop: true}, Faults: plan})
 	b := top.AddHost(host.Config{Name: "b", Kernel: kernel.Options{IdleLoop: true}})
 	sw := top.AddSwitch("s0")
-	// Only host a's transmit (down) link carries the fault plan: the NIC's
-	// receive ring gets an explicit clean channel (the wire spec's plan
-	// would otherwise become its default), and the up link's channel is
+	// Only host a's transmit (down) link keeps the plan's channel: the
+	// NIC's receive ring gets an explicit clean channel (the host plan
+	// would otherwise be its default), and the up link's channel is
 	// cleared after wiring.
 	clean := faults.New(1, faults.Spec{})
-	pa := top.Join(sw, a, nic.Config{Name: "eth0", Faults: clean.Link("nic.eth0.rx")},
-		WireSpec{Faults: plan})
+	pa := top.Join(sw, a, nic.Config{Name: "eth0", Faults: clean.Link("nic.eth0.rx")}, WireSpec{})
 	pa.Up.Faults = nil // fault the downed direction only
 	pb := top.Join(sw, b, nic.Config{Name: "eth0"}, WireSpec{})
 	var bGot, aGot int
@@ -193,61 +192,6 @@ func TestSpecBuildUnknownMemberPanics(t *testing.T) {
 	}()
 	Build(Spec{Hosts: []HostSpec{{Name: "a"}},
 		Switches: []SwitchSpec{{Name: "s", Members: []string{"ghost"}}}})
-}
-
-// The WAN-emulator intermediate as a host: packets traverse the router's
-// own kernel (receive path, forward, transmit path) between two edge hosts.
-func TestRouterForwardsBetweenHosts(t *testing.T) {
-	top := New(sim.NewShardGroup(1, 5), 5)
-	eng := top.Eng
-	a := top.AddHost(host.Config{Name: "a", Kernel: kernel.Options{IdleLoop: true}})
-	b := top.AddHost(host.Config{Name: "b", Kernel: kernel.Options{IdleLoop: true}})
-	r := top.AddRouter(host.Config{Name: "wan", Kernel: kernel.Options{IdleLoop: true}})
-
-	var aGot, bGot []int
-	// a ↔ router on one wire, router ↔ b on the other; each edge NIC
-	// transmits into the router port's receive link and vice versa.
-	var pa, pb, ra, rb *Port
-	ra = top.Attach(r, nic.Config{Name: "if0"}, netstack.EndpointFunc(func(p *netstack.Packet) { pa.Up.Send(p) }), WireSpec{})
-	rb = top.Attach(r, nic.Config{Name: "if1"}, netstack.EndpointFunc(func(p *netstack.Packet) { pb.Up.Send(p) }), WireSpec{})
-	pa = top.AttachNIC(a, nic.Config{Name: "eth0"}, netstack.EndpointFunc(func(p *netstack.Packet) { ra.Up.Send(p) }), WireSpec{})
-	pb = top.AttachNIC(b, nic.Config{Name: "eth0"}, netstack.EndpointFunc(func(p *netstack.Packet) { rb.Up.Send(p) }), WireSpec{})
-	pa.NIC.RxHandler = func(p *netstack.Packet) { aGot = append(aGot, p.Flow) }
-	pb.NIC.RxHandler = func(p *netstack.Packet) { bGot = append(bGot, p.Flow) }
-	r.Route(top.Addr("a"), ra.NIC)
-	r.Route(top.Addr("b"), rb.NIC)
-	top.Start()
-
-	a.NIC().TxFromKernel(&netstack.Packet{
-		Flow: 1, Src: top.Addr("a"), Dst: top.Addr("b"), Kind: netstack.Data, Size: 1500,
-	})
-	b.NIC().TxFromKernel(&netstack.Packet{
-		Flow: 2, Src: top.Addr("b"), Dst: top.Addr("a"), Kind: netstack.Data, Size: 1500,
-	})
-	// Unroutable destination: counted as a router miss, not delivered.
-	a.NIC().TxFromKernel(&netstack.Packet{
-		Flow: 3, Src: top.Addr("a"), Dst: 42, Kind: netstack.Data, Size: 1500,
-	})
-	eng.RunFor(20 * sim.Millisecond)
-
-	if len(bGot) != 1 || bGot[0] != 1 {
-		t.Fatalf("b received %v, want [1]", bGot)
-	}
-	if len(aGot) != 1 || aGot[0] != 2 {
-		t.Fatalf("a received %v, want [2]", aGot)
-	}
-	if r.Forwarded != 2 || r.Misses != 1 {
-		t.Fatalf("router forwarded=%d misses=%d, want 2/1", r.Forwarded, r.Misses)
-	}
-	// Forwarding is charged to the router's CPU: its kernel saw the
-	// packets arrive (rx) and leave (tx softirq).
-	snap := top.Snapshot()
-	if snap.Counters["host.wan.nic.if0.rx_packets"] == 0 {
-		t.Fatal("router if0 saw no receive traffic")
-	}
-	if snap.Counters["host.wan.nic.if1.tx_packets"] == 0 {
-		t.Fatal("router if1 transmitted nothing")
-	}
 }
 
 // A multipacer on one host clocking flows that terminate on *different*
