@@ -61,13 +61,17 @@ race:
 # check and a warm HTTP server's request path (TestHTTPRequestZeroAlloc) —
 # so a pooling or tracing regression fails the target before any numbers
 # are printed. Beside them, TestBuildAllocsPerHost caps topology.Build's
-# allocations per host, so per-counter registration cannot come back.
+# allocations per host, so per-counter registration cannot come back;
+# TestLoneWheelAllocs holds a wheel that never has two timers pending to
+# New's one allocation, so eager slot arrays cannot come back; and
+# TestMultiPacerFireAllocs keeps a multi-flow pacer's firing from
+# allocating.
 bench:
 	$(GO) test -run 'TestTestbedPacketZeroAlloc' -count=1 ./internal/topology
 	$(GO) test -run 'TestHTTPRequestZeroAlloc' -count=1 ./internal/httpserv
 	$(GO) test -run 'TestEngineZeroAlloc' -count=1 ./internal/sim
-	$(GO) test -run 'TestSparseFireZeroAlloc' -count=1 ./internal/timerwheel
-	$(GO) test -run 'TestFacilityCheckZeroAlloc' -count=1 ./internal/core
+	$(GO) test -run 'TestSparseFireZeroAlloc|TestLoneWheelAllocs' -count=1 ./internal/timerwheel
+	$(GO) test -run 'TestFacilityCheckZeroAlloc|TestMultiPacerFireAllocs' -count=1 ./internal/core
 	$(GO) test -run 'TestBuildAllocsPerHost' -count=1 ./internal/topology
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkReschedule|BenchmarkShardRound' -benchmem -run '^$$' ./internal/sim
 	$(GO) test -bench 'BenchmarkMetrics|BenchmarkFleetSnapshot' -benchmem -run '^$$' ./internal/metrics

@@ -27,6 +27,7 @@ type MultiPacer struct {
 	f     *Facility
 	flows map[int]*pacedFlow
 	ev    *Event
+	ids   []int // reused by every firing: the flow ids in service order
 
 	// Registry counters (shared across multipacers on one kernel).
 	mFires *metrics.Counter // handler invocations
@@ -148,12 +149,12 @@ func (m *MultiPacer) fire(now sim.Time) sim.Time {
 	m.mFires.Inc()
 	var cost sim.Time
 	// Deterministic service order: ascending id (map order is random).
-	ids := make([]int, 0, len(m.flows))
+	m.ids = m.ids[:0]
 	for id := range m.flows {
-		ids = append(ids, id)
+		m.ids = append(m.ids, id)
 	}
-	sortInts(ids)
-	for _, id := range ids {
+	sortInts(m.ids)
+	for _, id := range m.ids {
 		fl := m.flows[id]
 		if fl.next > now {
 			continue

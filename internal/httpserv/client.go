@@ -32,12 +32,14 @@ type ClientGen struct {
 
 	nextFlow int
 	slots    []*clientSlot
+	flows    []int // flows[i] is slots[i]'s flow: Deliver scans these
 	started  bool
 }
 
 // clientSlot is one in-flight connection's client-side state.
 type clientSlot struct {
 	g        *ClientGen
+	idx      int // index in g.slots and g.flows
 	flow     int
 	got      int // data segments received this response
 	unacked  int
@@ -68,9 +70,10 @@ func (g *ClientGen) Start() {
 	for i := 0; i < g.concurrency; i++ {
 		i := i
 		g.eng.After(sim.Time(i+1)*37*sim.Microsecond, func() {
-			s := &clientSlot{g: g}
+			s := &clientSlot{g: g, idx: len(g.slots)}
 			s.thinkFn = s.reuse
 			g.slots = append(g.slots, s)
+			g.flows = append(g.flows, 0)
 			s.open()
 		})
 	}
@@ -86,6 +89,7 @@ func (g *ClientGen) newFlow() int {
 // paper's P-HTTP runs).
 func (s *clientSlot) open() {
 	s.flow = s.g.newFlow()
+	s.g.flows[s.idx] = s.flow
 	s.got = 0
 	s.unacked = 0
 	if s.g.persistent {
@@ -110,12 +114,13 @@ func (s *clientSlot) request() {
 }
 
 // Deliver implements netstack.Endpoint: packets from the server arrive
-// here; flows are demultiplexed to slots. The generator is each packet's
-// final destination, so it releases the packet after handling it.
+// here; flows are demultiplexed to slots by a scan of the contiguous flow
+// ids, which reads no slot but the one that matches. The generator is each
+// packet's final destination, so it releases the packet after handling it.
 func (g *ClientGen) Deliver(p *netstack.Packet) {
-	for _, s := range g.slots {
-		if s.flow == p.Flow {
-			s.handle(p)
+	for i, flow := range g.flows {
+		if flow == p.Flow {
+			g.slots[i].handle(p)
 			break
 		}
 	}

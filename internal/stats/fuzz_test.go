@@ -1,6 +1,7 @@
-// Native fuzz target for the histogram's grown, widened and shared bucket
-// array: the input bytes decode into a bucket count, a width and a stream
-// of adds, reads, shared views and near-2^32 counts, replayed on a
+// Native fuzz target for the histogram's grown, unpacked, widened and
+// shared bucket array: the input bytes decode into a bucket count, a width
+// and a stream of adds, bulk adds, reads, shared views and near-2^32
+// counts, replayed on a
 // Histogram and on the flat reference in grow_test.go. Every read must
 // agree, and every view must keep the counts it was taken with. `make fuzz-smoke` runs this target beyond the checked-in
 // corpus; plain `go test` replays the corpus as regressions.
@@ -19,17 +20,24 @@ var fuzzWidths = []float64{1, 0.5, 5, 0.25, 3}
 // end; later share ops still share, so the copy-on-write runs, unchecked.
 const fuzzViews = 8
 
+// fuzzBulkAdds bounds the values an input's bulk adds add in all: enough
+// to take the total count past 65,535, the packed layout's limit, twice.
+const fuzzBulkAdds = 1 << 17
+
 // FuzzHistogramOps decodes data as: two bytes of bucket count (1 + n mod
 // 4096), one byte of width choice, then ops. Op byte 0xfe takes a shared
 // view (Share) and keeps the reference's buckets as of that op; at the end
 // of the input every kept view must still hold them. Op byte 0xff sets the
 // bucket given by the next two bytes (mod the bucket count) to 2^32-1, the
-// largest 32-bit count, so the next add there widens the counts. Any
-// other op byte of 0xf0 or more runs the read histReads[op mod len]; reads
-// render every bucket, so they are kept to one op value in 16. Any other
-// op byte adds (idx + (op&0x7f)/128) * width, where idx is the next two
-// bytes as a signed 16-bit bucket index. Values are finite and bounded, as
-// the simulator's µs values are, and reach past either end of every range.
+// largest 32-bit count, so the next add there widens the counts. Op byte
+// 0xfd adds (idx + 0.5) * width, idx as below, (k+1)*257 times, k the byte
+// after idx, until the input has bulk-added fuzzBulkAdds values; one such
+// op with k = 254 takes a bucket to 65,535, the most a packed count holds.
+// Op bytes 0xf0 to 0xfc run the read histReads[op mod len]; reads render
+// every bucket, so they are kept to 13 op values in 256. Any other op byte
+// adds (idx + (op&0x7f)/128) * width, where idx is the next two bytes as a
+// signed 16-bit bucket index. Values are finite and bounded, as the
+// simulator's µs values are, and reach past either end of every range.
 func FuzzHistogramOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 4096 {
@@ -44,6 +52,7 @@ func FuzzHistogramOps(f *testing.F) {
 			want []int64
 		}
 		var views []view
+		bulk := 0
 		for p := 3; p < len(data); {
 			op := data[p]
 			p++
@@ -63,6 +72,20 @@ func FuzzHistogramOps(f *testing.F) {
 				p += 2
 				h.SetBucketForTest(i, math.MaxUint32)
 				ref.buckets[i] = math.MaxUint32
+				continue
+			case op == 0xfd:
+				if p+3 > len(data) {
+					p = len(data)
+					continue
+				}
+				v := (float64(int16(binary.BigEndian.Uint16(data[p:]))) + 0.5) * w
+				k := min((int(data[p+2])+1)*257, fuzzBulkAdds-bulk)
+				p += 3
+				for range k {
+					h.Add(v)
+					ref.Add(v)
+				}
+				bulk += k
 				continue
 			case op >= 0xf0:
 				r := histReads[int(op)%len(histReads)]

@@ -167,8 +167,8 @@ func growEdges(nb int) []int {
 // pending. Each stream's ceiling rises from 0 to 1.25x the range, so the
 // array grows through each power of two in turn, and a quarter of the adds
 // land on a growth edge, the last bucket or the first overflowing index.
-// Whenever nothing is pending, the array must be exactly as long as the
-// largest index added needs.
+// Whenever nothing is pending, the array must cover exactly the buckets
+// the largest index added needs, in the words its layout takes for them.
 func TestHistogramGrowDifferential(t *testing.T) {
 	const steps = 1000
 	for _, nb := range []int{1, 7, 63, 64, 65, 256, 2000, 4096} {
@@ -209,9 +209,9 @@ func TestHistogramGrowDifferential(t *testing.T) {
 								top = max(top, i)
 							}
 						}
-						if h.npend == 0 && len(h.buckets) != wantGrown(top, nb) {
-							t.Fatalf("seed %d step %d: %d buckets grown for top index %d of %d, want %d",
-								seed, step, len(h.buckets), top, nb, wantGrown(top, nb))
+						if want := wantGrown(top, nb); h.npend == 0 && (h.view().Len() != want || len(h.buckets) != h.lay().words(want)) {
+							t.Fatalf("seed %d step %d: %d buckets in %d words grown for top index %d of %d, want %d in %d",
+								seed, step, h.view().Len(), len(h.buckets), top, nb, want, h.lay().words(want))
 						}
 					}
 					for _, r := range histReads {
@@ -229,9 +229,9 @@ func TestHistogramGrowDifferential(t *testing.T) {
 }
 
 // TestHistogramGrowsOnDemand pins the memory the layout promises: nothing
-// before the first add (reads included), and no more than 1,024 buckets
-// for a fleet host's 2,000-bucket histogram, whose values stay at or
-// below bucket 1000.
+// before the first add (reads included), and no more than 1,024 buckets,
+// packed two to a word, for a fleet host's 2,000-bucket histogram, whose
+// values stay at or below bucket 1000.
 func TestHistogramGrowsOnDemand(t *testing.T) {
 	h := NewHistogram(1, 2000)
 	for _, r := range histReads {
@@ -247,8 +247,8 @@ func TestHistogramGrowsOnDemand(t *testing.T) {
 	if h.Bucket(1000) != 1 || h.Bucket(1999) != 0 {
 		t.Fatalf("Bucket(1000) = %d, Bucket(1999) = %d; want 1 and 0", h.Bucket(1000), h.Bucket(1999))
 	}
-	if len(h.buckets) > 1024 || cap(h.buckets) > 1024 {
-		t.Fatalf("adds up to bucket 1000 grew %d buckets (cap %d), want at most 1024", len(h.buckets), cap(h.buckets))
+	if h.view().Len() > 1024 || cap(h.buckets) > 512 {
+		t.Fatalf("adds up to bucket 1000 grew %d buckets in %d words, want at most 1024 in 512", h.view().Len(), cap(h.buckets))
 	}
 }
 
@@ -274,8 +274,8 @@ func TestHistogramBucketRange(t *testing.T) {
 			}
 		}
 	}
-	if grown.Bucket(70) != 1 || len(grown.buckets) != 128 {
-		t.Fatalf("Bucket(70) = %d with %d buckets grown, want 1 with 128", grown.Bucket(70), len(grown.buckets))
+	if grown.Bucket(70) != 1 || grown.view().Len() != 128 {
+		t.Fatalf("Bucket(70) = %d with %d buckets grown, want 1 with 128", grown.Bucket(70), grown.view().Len())
 	}
 }
 
@@ -291,21 +291,53 @@ func TestHistogramSizeIsLineMultiple(t *testing.T) {
 	}
 }
 
+// TestHistogramUnpacksPastMaxPacked fills one bucket to 65,535, the most a
+// packed 16-bit count holds, with a view shared on each side of the next
+// add there: that add must move the counts to 32-bit words rather than
+// carry into the neighbour that shares the bucket's word, growth must
+// still stop at the odd configured count, and both views must keep what
+// they read.
+func TestHistogramUnpacksPastMaxPacked(t *testing.T) {
+	h := NewHistogram(1, 65)
+	for range maxPacked {
+		h.Add(8)
+	}
+	before := h.Share()
+	if h.lay() != lay16 || h.Bucket(8) != maxPacked || h.Bucket(9) != 0 || h.view().Len() != 64 {
+		t.Fatalf("at n = %d: layout %d, Bucket(8) = %d, Bucket(9) = %d, %d buckets; want packed, %d, 0, 64",
+			h.N(), h.lay(), h.Bucket(8), h.Bucket(9), h.view().Len(), maxPacked)
+	}
+	h.Add(8)
+	after := h.Share()
+	h.Add(64)
+	if h.lay() != lay32 || h.Bucket(8) != maxPacked+1 || h.Bucket(9) != 0 || h.Bucket(64) != 1 || h.view().Len() != 65 {
+		t.Fatalf("at n = %d: layout %d, Bucket(8) = %d, Bucket(9) = %d, Bucket(64) = %d, %d buckets; want 32-bit, %d, 0, 1, 65",
+			h.N(), h.lay(), h.Bucket(8), h.Bucket(9), h.Bucket(64), h.view().Len(), maxPacked+1)
+	}
+	if before.At(8) != maxPacked || before.At(9) != 0 || after.At(8) != maxPacked+1 || after.At(64) != 0 {
+		t.Fatalf("views moved: before reads %d, %d; after reads %d, %d; want %d, 0 and %d, 0",
+			before.At(8), before.At(9), after.At(8), after.At(64), maxPacked, maxPacked+1)
+	}
+}
+
 // TestHistogramWidensPastUint32Observations sets the fields 2^32 adds to
 // one bucket would leave (that bucket at 2^32-1, n past 2^32-1) without
 // SetBucketForTest, which marks the histogram itself: the next add there
-// must widen the counts to 64 bits, not wrap the count to 0.
+// must widen the counts to 64 bits, not wrap the count to 0. Real adds
+// take the counts past the packed layout first.
 func TestHistogramWidensPastUint32Observations(t *testing.T) {
 	h := NewHistogram(1, 100)
-	h.Add(5)
 	h.Add(70)
-	if h.Bucket(5) != 1 || len(h.buckets) != 100 {
-		t.Fatalf("Bucket(5) = %d with %d buckets grown, want 1 with 100", h.Bucket(5), len(h.buckets))
+	for range maxPacked {
+		h.Add(5)
+	}
+	if h.Bucket(5) != maxPacked || h.lay() != lay32 || h.view().Len() != 100 {
+		t.Fatalf("Bucket(5) = %d, layout %d, %d buckets grown; want %d, 32-bit, 100", h.Bucket(5), h.lay(), h.view().Len(), maxPacked)
 	}
 	h.buckets[5], h.n = math.MaxUint32, math.MaxUint32+1
 	h.Add(5.5)
-	if got := h.Bucket(5); got != 1<<32 || h.flags&histWide == 0 {
-		t.Fatalf("Bucket(5) = %d, wide %v; want %d, wide", got, h.flags&histWide != 0, int64(1<<32))
+	if got := h.Bucket(5); got != 1<<32 || h.lay() != lay64 {
+		t.Fatalf("Bucket(5) = %d, layout %d; want %d, 64-bit", got, h.lay(), int64(1<<32))
 	}
 	if h.Bucket(70) != 1 || h.Bucket(6) != 0 || h.view().Len() != 100 {
 		t.Fatalf("widening moved counts: Bucket(70) = %d, Bucket(6) = %d, %d buckets", h.Bucket(70), h.Bucket(6), h.view().Len())

@@ -20,12 +20,16 @@ import (
 // 2,000-bucket histograms never see a value past ~1,005 µs, so they stop
 // at 1,024 buckets; its NIC's 256-bucket batch sizes stop at 64.
 //
-// Counts are 32-bit words, half the bytes of an int64 count, because no
-// simulated bucket comes near 2^32 observations. The first add that would
-// wrap a bucket widens the whole array to 64-bit counts, stored as a lo/hi
-// word pair per bucket in the same slice, so counts stay exact at any size.
-// A bucket never holds more than the total count, so until that passes
-// 2^32-1 no add checks for a wrap.
+// Counts live in one []uint32, in one of three layouts that widen as the
+// histogram fills. A fresh histogram packs two 16-bit counts per word;
+// no bucket holds more than the total count n, so while n is at most
+// 65,535 no count can wrap. The settle that would take n past 65,535
+// moves the counts to one 32-bit word per bucket in a single copy. The
+// first add that would wrap a 32-bit count widens the array to 64-bit
+// counts, stored as a lo/hi word pair per bucket, so counts stay exact at
+// any size; until n passes 2^32-1 no add checks for that wrap. A fleet
+// client's histograms hold about 10,000 values each, so their 1,024
+// buckets take 2 KB, not 4.
 //
 // Share hands a snapshot the array itself rather than a copy: the
 // histogram marks it shared and copies it before its next write, so the
@@ -39,13 +43,13 @@ import (
 // independent increments overlap their cache misses, where eager
 // increments would each pay one. Parking the raw value keeps Add to a
 // store and a test, so it inlines into its hot callers, and the growth,
-// widening and copy-on-write paths stay behind settle, the only writer of
-// the array. Every read but N (Bucket, Share, Overflow, Sum, Mean, Quantile,
+// unpacking, widening and copy-on-write paths stay behind settle, the only
+// writer of the array. Every read but N (Bucket, Share, Overflow, Sum, Mean, Quantile,
 // FracAbove, CDF, ASCII) first settles the buffer, so a read writes: a
 // Histogram is single-goroutine, like the registry that adopts it.
 type Histogram struct {
 	width    float64
-	buckets  []uint32 // grown on demand; one word per bucket, or a lo/hi pair once wide
+	buckets  []uint32 // grown on demand, in the layout flags names
 	overflow int64
 	n        int64
 	sum      float64
@@ -54,7 +58,7 @@ type Histogram struct {
 	// objects all start on a 64-byte line, so every field above shares one
 	// line with npend; at 200 bytes (208-byte class) they straddle two.
 	npend uint16
-	flags uint16               // histWide, histShared, histPreset
+	flags uint16               // the layout, histShared, histPreset
 	nb    int32                // configured bucket count: the range
 	pend  [histPending]float64 // values added but not yet filed
 }
@@ -66,12 +70,50 @@ const (
 	histMinGrow = 64
 )
 
-// Histogram flags.
+// Histogram flags. The low bits hold the bucket array's layout.
 const (
-	histWide   = 1 << iota // buckets holds a lo/hi word pair per bucket
-	histShared             // a view holds buckets: copy it before writing
-	histPreset             // SetBucketForTest ran: a count may exceed n
+	histLayout = 3      // mask of the layout bits
+	histShared = 1 << 2 // a view holds buckets: copy it before writing
+	histPreset = 1 << 3 // SetBucketForTest ran: a count may exceed n
 )
+
+// layout is how a bucket array stores its counts. The zero value is the
+// 32-bit layout.
+type layout uint8
+
+const (
+	lay32 layout = iota // one count per word
+	lay16               // two counts per word: bucket i is half i%2 of word i/2
+	lay64               // a lo/hi word pair per bucket
+)
+
+// maxPacked is the largest total count the 16-bit layout holds: no bucket
+// can then hold more.
+const maxPacked = math.MaxUint16
+
+// words returns the array length n buckets take.
+func (l layout) words(n int) int {
+	switch l {
+	case lay16:
+		return (n + 1) / 2
+	case lay64:
+		return 2 * n
+	}
+	return n
+}
+
+// set stores count c, which must fit the layout, in bucket i of b.
+func (l layout) set(b []uint32, i int, c uint64) {
+	switch l {
+	case lay16:
+		sh := uint(i&1) * 16
+		b[i>>1] = b[i>>1]&^(0xffff<<sh) | uint32(c)<<sh
+	case lay64:
+		b[2*i], b[2*i+1] = uint32(c), uint32(c>>32)
+	default:
+		b[i] = uint32(c)
+	}
+}
 
 // NewHistogram creates a histogram with nbuckets buckets of the given width.
 // It allocates no buckets until a value lands in one.
@@ -79,7 +121,7 @@ func NewHistogram(width float64, nbuckets int) *Histogram {
 	if width <= 0 || nbuckets <= 0 || nbuckets > math.MaxInt32 {
 		panic("stats: histogram needs positive width and a bucket count in [1, MaxInt32]")
 	}
-	return &Histogram{width: width, nb: int32(nbuckets)}
+	return &Histogram{width: width, nb: int32(nbuckets), flags: uint16(lay16)}
 }
 
 // Add records an observation. Negative values clamp to the first bucket.
@@ -91,31 +133,41 @@ func (h *Histogram) Add(v float64) {
 	}
 }
 
-// settle files the parked values in the order they were added. Before the
-// first write after Share it copies the array; it grows the array when an
-// index reaches past its end, and widens it when a count would wrap. It
-// must not inline: Add inlines only while the call to settle is the one
-// call in its body.
+// settle files the parked values, summing them in the order they were
+// added. Before the first write after Share it copies the array, and
+// before n passes maxPacked it unpacks 16-bit counts, in the same single
+// copy. Values the array covers are counted in place; the rest are
+// counted after the loop by addSlow, which grows the array or widens the
+// counts first. It must not inline: Add inlines only while the call to
+// settle is the one call in its body.
 //
 //go:noinline
 func (h *Histogram) settle() {
 	if h.npend == 0 {
 		return
 	}
-	if h.flags&histShared != 0 {
-		h.realloc(h.view().Len(), h.flags&histWide != 0)
+	lay := h.lay()
+	if lay == lay16 && h.n+int64(h.npend) > maxPacked {
+		lay = lay32
+	}
+	if h.flags&histShared != 0 || lay != h.lay() {
+		h.realloc(h.view().Len(), lay)
 	}
 	// The running totals stay in locals: through h, each add would wait on
 	// the store the one before it made.
 	n, sum, overflow := h.n, h.sum, h.overflow
 	width, nb := h.width, int(h.nb)
-	// No bucket holds more than n observations, so while n fits in 32 bits
-	// no increment can wrap and the loop need not check. Otherwise a nil b
-	// sends every in-range value through addSlow, which does.
-	b, fast := h.buckets, h.flags&(histWide|histPreset) == 0 && n+int64(h.npend) <= math.MaxUint32
-	if !fast {
+	// No bucket holds more than n observations, so while n fits a count's
+	// bits no increment can wrap and the loop need not check: the unpack
+	// above keeps 16-bit counts in range. Otherwise a nil b sends every
+	// in-range value to addSlow, which checks.
+	b := h.buckets
+	if lay == lay64 || h.flags&histPreset != 0 || n+int64(h.npend) > math.MaxUint32 {
 		b = nil
 	}
+	packed := lay == lay16
+	var slow [histPending]int32
+	ns := 0
 	for _, v := range h.pend[:h.npend] {
 		n++
 		sum += v
@@ -127,32 +179,43 @@ func (h *Histogram) settle() {
 			overflow++
 			continue
 		}
-		if uint(i) < uint(len(b)) {
+		if packed {
+			if j := i >> 1; uint(j) < uint(len(b)) {
+				b[j] += 1 << (i & 1 * 16)
+				continue
+			}
+		} else if uint(i) < uint(len(b)) {
 			b[i]++
 			continue
 		}
-		h.addSlow(i)
-		if fast {
-			b = h.buckets
-		}
+		slow[ns] = int32(i)
+		ns++
 	}
 	h.n, h.sum, h.overflow = n, sum, overflow
 	h.npend = 0
+	for _, i := range slow[:ns] {
+		h.addSlow(int(i))
+	}
 }
 
-// addSlow counts one value in bucket i where settle's fast path cannot:
-// the array must grow first, or a count might wrap, or counts are wide.
-// It widens the counts when a 32-bit count would wrap.
+// addSlow counts one value in bucket i where settle's loop cannot: the
+// array must grow first, or a count might wrap, or counts are wide. It
+// widens 32-bit counts when one would wrap; settle keeps 16-bit counts
+// from wrapping.
 func (h *Histogram) addSlow(i int) {
 	if i >= h.view().Len() {
 		h.grow(i)
 	}
-	if h.flags&histWide == 0 {
+	switch h.lay() {
+	case lay16:
+		h.buckets[i>>1] += 1 << (i & 1 * 16)
+		return
+	case lay32:
 		if c := h.buckets[i]; c != math.MaxUint32 {
 			h.buckets[i] = c + 1
 			return
 		}
-		h.realloc(len(h.buckets), true)
+		h.realloc(len(h.buckets), lay64)
 	}
 	if h.buckets[2*i]++; h.buckets[2*i] == 0 {
 		h.buckets[2*i+1]++
@@ -163,33 +226,41 @@ func (h *Histogram) addSlow(i int) {
 // smallest power of two above i, at least histMinGrow and at most the
 // configured count. The counts held so far carry over.
 func (h *Histogram) grow(i int) {
-	h.realloc(min(max(histMinGrow, 1<<bits.Len(uint(i))), int(h.nb)), h.flags&histWide != 0)
+	h.realloc(min(max(histMinGrow, 1<<bits.Len(uint(i))), int(h.nb)), h.lay())
 }
 
-// realloc replaces the bucket array with a private one of n buckets, in
-// 64-bit pairs if wide, holding the counts held so far. A view the old
-// array backs keeps it unchanged.
-func (h *Histogram) realloc(n int, wide bool) {
+// realloc replaces the bucket array with a private one of n buckets in
+// layout lay, holding the counts held so far. A view the old array backs
+// keeps it unchanged.
+func (h *Histogram) realloc(n int, lay layout) {
 	old := h.view()
-	if wide {
-		b := make([]uint32, 2*n)
-		for i := range old.Len() {
-			c := old.At(i)
-			b[2*i], b[2*i+1] = uint32(c), uint32(c>>32)
-		}
-		h.buckets = b
-		h.flags |= histWide
+	b := make([]uint32, lay.words(n))
+	if lay == old.lay {
+		copy(b, old.c)
 	} else {
-		b := make([]uint32, n)
-		copy(b, h.buckets)
-		h.buckets = b
+		for i := range old.Len() {
+			lay.set(b, i, uint64(old.At(i)))
+		}
 	}
-	h.flags &^= histShared
+	h.buckets = b
+	h.flags = h.flags&^(histLayout|histShared) | uint16(lay)
 }
 
-// view returns the bucket counts as a Counts, without settling.
+// lay returns the bucket array's layout.
+func (h *Histogram) lay() layout { return layout(h.flags & histLayout) }
+
+// view returns the bucket counts as a Counts, without settling. Packed,
+// the array's last word may hold one bucket past the configured count,
+// which the view leaves out.
 func (h *Histogram) view() Counts {
-	return Counts{c: h.buckets, wide: h.flags&histWide != 0}
+	lay, n := h.lay(), len(h.buckets)
+	switch lay {
+	case lay16:
+		n = min(2*n, int(h.nb))
+	case lay64:
+		n /= 2
+	}
+	return Counts{c: h.buckets, n: int32(n), lay: lay}
 }
 
 // Counts is a read-only view of histogram bucket counts, as Share returns
@@ -197,13 +268,14 @@ func (h *Histogram) view() Counts {
 // bucket at or past Len() is empty. Nothing writes an array once a Counts
 // holds it, so a Counts may be copied and kept freely.
 type Counts struct {
-	c    []uint32 // one word per bucket, or a lo/hi pair per bucket when wide
-	wide bool
+	c   []uint32 // the counts, in layout lay
+	n   int32    // buckets covered
+	lay layout
 }
 
 // NewCounts returns a view of its own over the given counts, which must
-// not be negative: 32-bit words when every count fits, 64-bit pairs
-// otherwise.
+// not be negative, in the narrowest layout its largest count allows. It
+// panics on more than MaxInt32 buckets.
 func NewCounts(counts []int64) Counts {
 	return packCounts(len(counts), func(i int) uint64 {
 		if counts[i] < 0 {
@@ -214,8 +286,8 @@ func NewCounts(counts []int64) Counts {
 }
 
 // SumCounts returns the bucket-wise sum of a and b. When both cover
-// buckets the sum lives in an array of its own; when one covers none, the
-// sum is the other.
+// buckets the sum lives in an array of its own, in the narrowest layout
+// its largest count allows; when one covers none, the sum is the other.
 func SumCounts(a, b Counts) Counts {
 	switch {
 	case a.Len() == 0:
@@ -228,48 +300,45 @@ func SumCounts(a, b Counts) Counts {
 	})
 }
 
-// packCounts builds a view over a new array of n buckets holding at(i),
-// in 64-bit pairs only if some count needs them.
+// packCounts builds a view over a new array of n buckets holding at(i), in
+// the narrowest layout that fits the largest count.
 func packCounts(n int, at func(i int) uint64) Counts {
-	wide := false
-	for i := 0; i < n && !wide; i++ {
-		wide = at(i) > math.MaxUint32
+	if n > math.MaxInt32 {
+		panic("stats: more than MaxInt32 buckets")
 	}
-	if !wide {
-		b := make([]uint32, n)
-		for i := range b {
-			b[i] = uint32(at(i))
-		}
-		return Counts{c: b}
-	}
-	b := make([]uint32, 2*n)
+	var top uint64
 	for i := range n {
-		c := at(i)
-		b[2*i], b[2*i+1] = uint32(c), uint32(c>>32)
+		top = max(top, at(i))
 	}
-	return Counts{c: b, wide: true}
+	lay := lay64
+	switch {
+	case top <= maxPacked:
+		lay = lay16
+	case top <= math.MaxUint32:
+		lay = lay32
+	}
+	b := make([]uint32, lay.words(n))
+	for i := range n {
+		lay.set(b, i, at(i))
+	}
+	return Counts{c: b, n: int32(n), lay: lay}
 }
 
 // Len returns the number of buckets the view covers.
-func (c Counts) Len() int {
-	if c.wide {
-		return len(c.c) / 2
-	}
-	return len(c.c)
-}
+func (c Counts) Len() int { return int(c.n) }
 
 // At returns the count of bucket i, which is zero at or past Len().
 func (c Counts) At(i int) int64 {
-	if c.wide {
-		if 2*i+1 < len(c.c) {
-			return int64(c.c[2*i]) | int64(c.c[2*i+1])<<32
-		}
+	if i >= int(c.n) {
 		return 0
 	}
-	if i < len(c.c) {
-		return int64(c.c[i])
+	switch c.lay {
+	case lay16:
+		return int64(c.c[i>>1] >> (uint(i&1) * 16) & 0xffff)
+	case lay64:
+		return int64(c.c[2*i]) | int64(c.c[2*i+1])<<32
 	}
-	return 0
+	return int64(c.c[i])
 }
 
 // N returns the number of observations, parked ones included.
@@ -305,27 +374,30 @@ func (h *Histogram) Share() Counts {
 }
 
 // SetBucketForTest sets bucket i's count to c, through the paths settle
-// writes by: the copy after Share, growth and widening. N, Sum and
-// Overflow do not change. It lets tests reach counts near 2^32 without
-// 2^32 adds.
+// writes by: the copy after Share, growth, unpacking and widening. N, Sum
+// and Overflow do not change. It lets tests reach counts near 2^32 without
+// 2^32 adds. The count it sets may exceed n, so a packed histogram moves
+// to at least 32-bit counts for good.
 func (h *Histogram) SetBucketForTest(i int, c uint64) {
 	if i < 0 || i >= int(h.nb) {
 		panic(fmt.Sprintf("stats: bucket %d out of range [0, %d)", i, h.nb))
 	}
 	h.settle()
 	h.flags |= histPreset
-	wide := h.flags&histWide != 0 || c > math.MaxUint32
+	lay := h.lay()
+	switch {
+	case c > math.MaxUint32:
+		lay = lay64
+	case lay == lay16:
+		lay = lay32
+	}
 	if i >= h.view().Len() {
 		h.grow(i)
 	}
-	if h.flags&histShared != 0 || wide && h.flags&histWide == 0 {
-		h.realloc(h.view().Len(), wide)
+	if h.flags&histShared != 0 || lay != h.lay() {
+		h.realloc(h.view().Len(), lay)
 	}
-	if wide {
-		h.buckets[2*i], h.buckets[2*i+1] = uint32(c), uint32(c>>32)
-	} else {
-		h.buckets[i] = uint32(c)
-	}
+	lay.set(h.buckets, i, c)
 }
 
 // Overflow returns the count of observations beyond the last bucket.

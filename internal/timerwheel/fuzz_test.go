@@ -102,11 +102,11 @@ func (t refFuzzTimer) rearm(d Tick) bool {
 
 // occupancyExact reports whether q's occupancy bitmap has exactly the bits
 // of its non-empty slots set, and whether a hashed wheel's lone timer, if it
-// holds one, is its only pending timer.
+// holds one, is its only pending timer and points at held.
 func occupancyExact(q Queue) bool {
 	switch q := q.(type) {
 	case *Wheel:
-		if q.lone != nil && (q.n != 1 || q.lone.slot == nil) {
+		if q.lone != nil && (q.n != 1 || q.lone.slot != &held) {
 			return false
 		}
 		for i := range len(q.occ) * 64 {

@@ -23,9 +23,10 @@
 // timer, out of the slots: a timer scheduled into an empty wheel is held in
 // the wheel struct itself and is linked into its slot only when a second
 // timer arrives, so an idle host's re-arm, due check and firing touch no
-// slot and no bitmap word.
+// slot and no bitmap word. A wheel allocates its slots and bitmap at that
+// first link, so one that never holds two timers at once has none.
 //
-// The wheels allocate nothing: the caller owns each Timer node, typically
+// The wheels allocate no timers: the caller owns each Timer node, typically
 // as a field of its own per-event record, and the wheels only link it
 // while it is pending. Scheduling a fired or canceled node links it again,
 // so one node serves an event for its whole life.
@@ -74,7 +75,7 @@ type Timer struct {
 	deadline   Tick
 	fn         Handler
 	next, prev *Timer
-	slot       *slot  // its slot while pending (unlinked if the wheel's lone timer); nil otherwise
+	slot       *slot  // its slot while pending (held if the wheel's lone timer); nil otherwise
 	own        owner  // queue the timer was last scheduled in
 	gen        uint64 // Advance generation this timer was scheduled in, if any
 }
@@ -130,6 +131,11 @@ type slot struct {
 	head *Timer
 }
 
+// held is the slot every hashed wheel's lone timer points at. It belongs to
+// no wheel and is never written: pointing at it marks the timer pending
+// before its wheel need have any slots, and no firing walks it.
+var held slot
+
 // push links t at the head of s. occupied is s's occupancy bit: a push into
 // an empty slot only stores to it, so linking a held lone timer into its
 // cold slot when a second timer arrives costs no load miss.
@@ -169,10 +175,12 @@ func (s *slot) remove(t *Timer) {
 // field. The next timer scheduled links the lone timer into its slot first
 // and then itself, the two pushes an always-linked wheel would have made,
 // so every slot list, and with it the fire order, is unchanged. A timer
-// left alone after others leave stays linked.
+// left alone after others leave stays linked. The slots and bitmap are
+// allocated by the first link, so a wheel that only ever holds a lone
+// timer costs its struct alone.
 type Wheel struct {
-	slots    []slot
-	occ      []uint64 // bit i set iff slots[i] is non-empty
+	slots    []slot   // nil until the first link
+	occ      []uint64 // bit i set iff slots[i] is non-empty; nil with slots
 	mask     Tick
 	cur      Tick // last tick passed to Advance
 	n        int
@@ -183,7 +191,8 @@ type Wheel struct {
 }
 
 // New returns a hashed wheel with nslots slots (rounded up to a power of
-// two, minimum 2) starting at tick 0.
+// two, minimum 2) starting at tick 0. It allocates the slots only when a
+// timer is first linked into one.
 func New(nslots int) *Wheel {
 	if nslots < 2 {
 		nslots = 2
@@ -191,24 +200,19 @@ func New(nslots int) *Wheel {
 	if nslots&(nslots-1) != 0 {
 		nslots = 1 << bits.Len(uint(nslots))
 	}
-	return &Wheel{
-		slots:    make([]slot, nslots),
-		occ:      make([]uint64, (nslots+63)/64),
-		mask:     Tick(nslots - 1),
-		earliest: NoDeadline,
-	}
+	return &Wheel{mask: Tick(nslots - 1), earliest: NoDeadline}
 }
 
 // Schedule implements Queue. t is counted and linked at its deadline. Into
-// an empty wheel t becomes the lone timer, left unlinked, with t.slot
-// marking it pending, and its deadline is the exact earliest, whatever
+// an empty wheel t becomes the lone timer, left unlinked, with t.slot at
+// held marking it pending, and its deadline is the exact earliest, whatever
 // stale bound a previous firing left, so a re-armed lone timer never costs
 // a rescan.
 func (w *Wheel) Schedule(t *Timer, deadline Tick, fn Handler) {
 	t.arm(w, deadline, fn, w.advGen)
 	if w.n == 0 {
 		w.lone = t
-		t.slot = &w.slots[t.deadline&w.mask]
+		t.slot = &held
 		w.earliest = t.deadline
 		w.dirty = false
 		w.n = 1
@@ -227,7 +231,12 @@ func (w *Wheel) Schedule(t *Timer, deadline Tick, fn Handler) {
 }
 
 // link pushes t into the slot its deadline hashes to and marks it occupied.
+// The first link allocates the slots and the bitmap.
 func (w *Wheel) link(t *Timer) {
+	if w.slots == nil {
+		w.slots = make([]slot, w.mask+1)
+		w.occ = make([]uint64, (w.mask+64)/64)
+	}
 	i := t.deadline & w.mask
 	word, bit := &w.occ[i>>6], uint64(1)<<(i&63)
 	w.slots[i].push(t, *word&bit != 0)
@@ -252,7 +261,6 @@ func (w *Wheel) replace(t *Timer, deadline Tick) {
 	if t == w.lone {
 		t.deadline = deadline
 		t.gen = w.advGen
-		t.slot = &w.slots[deadline&w.mask]
 		w.earliest = deadline
 		w.dirty = false
 		return
@@ -414,8 +422,9 @@ func (w *Wheel) fireRange(lo, hi, now Tick) int {
 // still in s, and from s's head otherwise. Restarting is safe: a node
 // already visited either fired and left s, or is skipped again as not due
 // or as scheduled in this pass. A slot no handler disturbs fires in list
-// order. (A saved node that left s and came back as the lone timer is
-// unlinked, so the walk ends there, with nothing else pending.)
+// order. (A saved node that left s and came back as the lone timer points
+// at held, not s, so the walk restarts from s's head, which is empty:
+// nothing else is pending.)
 func (w *Wheel) fireSlot(s *slot, now Tick) int {
 	fired := 0
 	t := s.head

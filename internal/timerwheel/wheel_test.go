@@ -360,16 +360,64 @@ func TestHashedDueCheck(t *testing.T) {
 	}
 }
 
+// TestNewRoundsSlotsUp checks the slot count New settles on: a power of
+// two, at least 2 and at least the count asked for. New allocates none of
+// them; the first link allocates that many slots and the bitmap words that
+// cover them.
 func TestNewRoundsSlotsUp(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 63, 64, 100} {
 		w := New(n)
-		got := len(w.slots)
+		got := int(w.mask) + 1
 		if got&(got-1) != 0 || got < 2 {
 			t.Errorf("New(%d) gave %d slots", n, got)
 		}
 		if got < n {
 			t.Errorf("New(%d) gave only %d slots", n, got)
 		}
+		if w.slots != nil || w.occ != nil {
+			t.Errorf("New(%d) allocated %d slots and %d bitmap words before any link", n, len(w.slots), len(w.occ))
+		}
+		schedule(w, 1, func(Tick) {})
+		schedule(w, 2, func(Tick) {})
+		if len(w.slots) != got || len(w.occ) != (got+63)/64 {
+			t.Errorf("New(%d): the first link allocated %d slots and %d bitmap words, want %d and %d",
+				n, len(w.slots), len(w.occ), got, (got+63)/64)
+		}
+	}
+}
+
+// wheelSink keeps the wheel TestLoneWheelAllocs makes on the heap, where
+// every facility's wheel lives.
+var wheelSink *Wheel
+
+// TestLoneWheelAllocs pins what a wheel that never holds two timers at once
+// costs: New's one allocation, the wheel itself, and nothing across cycles
+// that schedule, move, cancel, re-arm and fire one timer
+// (TestNewRoundsSlotsUp checks what the first link allocates).
+func TestLoneWheelAllocs(t *testing.T) {
+	const slots = 256 // the facility's wheel
+	if n := testing.AllocsPerRun(100, func() { wheelSink = New(slots) }); n != 1 {
+		t.Fatalf("New allocates %.1f times, want 1", n)
+	}
+	w := New(slots)
+	tm, fired := new(Timer), 0
+	fn := func(Tick) { fired++ }
+	now := Tick(0)
+	cycle := func() {
+		w.Schedule(tm, now+10, fn)
+		tm.Reschedule(now + 300) // another slot, past a rotation
+		w.Advance(now + 5)
+		tm.Cancel()
+		w.Schedule(tm, now+20, nil)
+		tm.Reschedule(now + 30)
+		now += 40
+		w.Advance(now)
+	}
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("a lone-timer cycle allocates %.1f times, want 0", n)
+	}
+	if fired != 1001 || w.slots != nil || w.occ != nil {
+		t.Fatalf("fired %d of 1001 cycles with %d slots allocated, want all and none", fired, len(w.slots))
 	}
 }
 
