@@ -56,18 +56,20 @@ race:
 # hot-path microbenchmarks (allocation counts included). The zero-alloc guards run
 # first — the two-host packet path must stay at 0 allocs/op both bare
 # (TestTestbedPacketZeroAlloc) and with the flowtrace hop sites wired but
-# sampling off (TestTestbedPacketZeroAllocTracingOff), and so must the
-# engine, the sparse timer-wheel firing cycle, the facility's trigger-state
-# check and a warm HTTP server's request path (TestHTTPRequestZeroAlloc) —
-# so a pooling or tracing regression fails the target before any numbers
-# are printed. Beside them, TestBuildAllocsPerHost caps topology.Build's
+# sampling off (TestTestbedPacketZeroAllocTracingOff), and across two
+# shards (TestCrossShardPacketZeroAlloc: freed packets go home to the arena
+# that carved them and the courier recycles its hand-off records), and so
+# must the engine, the sparse timer-wheel firing cycle, the facility's
+# trigger-state check and a warm HTTP server's request path
+# (TestHTTPRequestZeroAlloc) — so a pooling or tracing regression fails
+# the target before any numbers are printed. Beside them, TestBuildAllocsPerHost caps topology.Build's
 # allocations per host, so per-counter registration cannot come back;
 # TestLoneWheelAllocs holds a wheel that never has two timers pending to
 # New's one allocation, so eager slot arrays cannot come back; and
 # TestMultiPacerFireAllocs keeps a multi-flow pacer's firing from
 # allocating.
 bench:
-	$(GO) test -run 'TestTestbedPacketZeroAlloc' -count=1 ./internal/topology
+	$(GO) test -run 'TestTestbedPacketZeroAlloc|TestCrossShardPacketZeroAlloc' -count=1 ./internal/topology
 	$(GO) test -run 'TestHTTPRequestZeroAlloc' -count=1 ./internal/httpserv
 	$(GO) test -run 'TestEngineZeroAlloc' -count=1 ./internal/sim
 	$(GO) test -run 'TestSparseFireZeroAlloc|TestLoneWheelAllocs' -count=1 ./internal/timerwheel
@@ -78,7 +80,7 @@ bench:
 	$(GO) test -bench 'BenchmarkWheelSparseFire|BenchmarkHashedDueCheckIdle' -benchmem -run '^$$' ./internal/timerwheel
 	$(GO) test -bench 'BenchmarkFacilityCheck|BenchmarkFacilityColdHosts' -benchmem -run '^$$' ./internal/core
 	$(GO) test -bench 'BenchmarkKernelTrigger' -benchmem -run '^$$' ./internal/kernel
-	$(GO) test -bench 'BenchmarkTestbedPacket|BenchmarkSwitchForward|BenchmarkFleetBuild' -benchmem -run '^$$' ./internal/topology
+	$(GO) test -bench 'BenchmarkTestbedPacket|BenchmarkCrossShardPacket|BenchmarkSwitchForward|BenchmarkFleetBuild' -benchmem -run '^$$' ./internal/topology
 	$(GO) test -bench 'BenchmarkHTTPRequest' -benchmem -run '^$$' ./internal/httpserv
 	$(GO) test -bench 'BenchmarkTCPSegment|BenchmarkTCPAck' -benchmem -run '^$$' ./internal/tcp
 	$(GO) test -bench 'BenchmarkFleetSharded' -benchmem -run '^$$' ./internal/experiments

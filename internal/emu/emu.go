@@ -343,7 +343,7 @@ func (h *headerEnd) scan(b []byte) bool {
 // the engine goroutine during paced transmission events; per the endpoint
 // contract it owns and releases every delivered packet.
 func (s *Server) bridgeDeliver(p *netstack.Packet) {
-	defer s.hst.Arena().Release(p)
+	defer p.Release()
 	c := s.conns[p.Flow]
 	if c == nil {
 		return // teardown race: model reply after the socket went away

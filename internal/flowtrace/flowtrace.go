@@ -18,11 +18,12 @@
 // A span migrates across shards with its packet: the ShardGroup round
 // barrier that flushes the packet's conduit is the happens-before edge
 // for the span too, so cross-shard hops stitch without locks. The span
-// finishes when the packet's arena refcount drops to zero, on whichever
-// shard that happens; Export merges all recorders and sorts by span ID
-// (origin host address | per-host origination counter), which is
-// mode-invariant, so exported traces are byte-identical at any shard or
-// worker count.
+// finishes when the packet's refcount drops to zero, on whichever shard
+// that happens, into the recorder of the arena that carved the packet
+// (packets go home; see netstack.Packet.Release). Export merges all
+// recorders and sorts by span ID (origin host address | per-host
+// origination counter), which is mode-invariant, so exported traces are
+// byte-identical at any shard or worker count.
 package flowtrace
 
 import (
@@ -140,8 +141,8 @@ const spanChunk = 64
 
 // Recorder owns span storage for one shard: a chunk-carved free list for
 // live spans and a done list of finished ones. All access happens on the
-// shard's event goroutine (or, for a finished migrant span, on the
-// destination shard after the conduit-flush barrier).
+// goroutine that runs every shard inline: a migrant span finishes into
+// its packet's home recorder from whichever shard frees the packet.
 type Recorder struct {
 	free     *Span
 	done     []*Span
@@ -171,10 +172,9 @@ func (r *Recorder) alloc(id uint64) *Span {
 }
 
 // Finish retires a finished span with its packet's identity fields; the
-// owning arena calls this when the packet's refcount drops to zero. The
-// finishing recorder may differ from the allocating one (the span
-// migrated with its packet); each keeps its own counters and done list,
-// and Export merges.
+// arena that carved the packet calls this on its own recorder when the
+// packet's refcount drops to zero, on whichever shard that happens. Each
+// recorder keeps its own counters and done list, and Export merges.
 func (r *Recorder) Finish(s *Span, flow, kind int, seq int64, src, dst int32) {
 	if r == nil || s == nil {
 		return

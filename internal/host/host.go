@@ -112,9 +112,10 @@ func (h *Host) Arena() *netstack.Arena {
 	return h.arena
 }
 
-// SetArena installs the packet arena the host's NICs release into. Must be
-// called before AddNIC; arenas are single-goroutine, so the arena must
-// belong to the engine the host runs on.
+// SetArena installs the packet arena the host's NICs and protocol layers
+// acquire packets from. Must be called before AddNIC; arenas are
+// single-goroutine, so the arena must belong to the engine the host runs
+// on.
 func (h *Host) SetArena(a *netstack.Arena) { h.arena = a }
 
 // AddNIC creates an interface on the host transmitting into out (the wire

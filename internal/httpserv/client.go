@@ -20,9 +20,8 @@ type ClientGen struct {
 	expectedSegments int  // data segments per response
 	persistent       bool // P-HTTP: one connection per slot, many requests
 
-	// arena, when set, is the packet pool requests are acquired from and
-	// delivered responses are released into (the testbed wires the
-	// topology's pool; nil keeps heap-literal packets).
+	// arena, when set, is the packet pool requests are acquired from (the
+	// testbed wires the topology's pool; nil keeps heap-literal packets).
 	arena *netstack.Arena
 
 	// responses counts completed responses (client view); responseTimes
@@ -124,7 +123,7 @@ func (g *ClientGen) Deliver(p *netstack.Packet) {
 			break
 		}
 	}
-	g.arena.Release(p) // a miss is a packet for a closed connection (e.g. final ACKs)
+	p.Release() // a miss is a packet for a closed connection (e.g. final ACKs)
 }
 
 func (s *clientSlot) handle(p *netstack.Packet) {

@@ -7,15 +7,20 @@ import (
 )
 
 // Packet pooling. An Arena recycles packets the way sim.Engine recycles
-// events: acquisition pops a free list, release pushes back onto the list
-// of the releasing side's arena, and a generation counter makes stale
-// handles detectable. Arenas are strictly single-goroutine — one per
-// engine (per shard, in sharded topologies). Packets may migrate between
-// arenas: a packet acquired on shard A and delivered on shard B is
-// released into B's arena (every shard runs on the goroutine that calls
-// sim.ShardGroup.Run, and the conduit flush at the round barrier orders
-// the hand-off), so the pools drift toward the consumers, which is where
-// the next acquisition usually happens anyway.
+// events: acquisition pops a free list, release pushes the packet back,
+// and a generation counter makes stale handles detectable. Arenas are
+// strictly single-goroutine — one per engine (per shard, in sharded
+// topologies).
+//
+// Packets go home: every pooled packet records the arena that carved it,
+// and Release returns it there, wherever the last reference drops. A
+// packet acquired on shard A and freed on shard B lands back on A's free
+// list, so each arena's free list holds only its own packets and its
+// chunks follow its peak of packets in flight, not the traffic that has
+// crossed shards. Pushing onto another shard's arena needs no lock only
+// because every shard runs inline on the goroutine that calls
+// sim.ShardGroup.Run (DESIGN.md, "Inline rounds"); rounds spread over
+// goroutines would need the free list guarded.
 //
 // Ownership rules (see DESIGN.md "Packet lifecycle & arena"):
 //   - the producer acquires (Get) and owns the packet;
@@ -31,9 +36,9 @@ import (
 //   - Release decrements the refcount and only frees at zero, so
 //     Retain/Release pairs give multi-hop paths a zero-alloc lifetime.
 //
-// Packets built as plain literals (&Packet{...}) never enter an arena:
-// Release is a no-op for them, so existing rigs and tests keep working
-// unchanged. The exactly-once and stale-handle guarantees apply only to
+// Packets built as plain literals (&Packet{...}) have no home: Release is
+// a no-op for them, so existing rigs and tests keep working unchanged.
+// The exactly-once and stale-handle guarantees apply only to
 // arena-acquired packets.
 
 // arenaChunk is the packet count carved per allocation when the free list
@@ -44,10 +49,9 @@ const arenaChunk = 64
 type Arena struct {
 	free *Packet
 
-	// rec, when set, retires the span of any traced packet whose
-	// refcount drops to zero here — the flowtrace span-finish hook.
-	// Like packets, a span allocated on another shard finishes into the
-	// releasing shard's recorder.
+	// rec, when set, retires the span of any traced packet this arena
+	// carved when its refcount drops to zero, on whichever shard that
+	// happens — the flowtrace span-finish hook.
 	rec *flowtrace.Recorder
 
 	gets   int64 // packets handed out (Get + Clone)
@@ -56,7 +60,7 @@ type Arena struct {
 }
 
 // SetFlowRecorder attaches the shard's flowtrace recorder; traced packets
-// released here finish their spans into it. Without one, a traced
+// this arena carved finish their spans into it. Without one, a traced
 // packet's span is silently dropped at release (untraced rigs never hit
 // this: samplers are only wired alongside recorders).
 func (a *Arena) SetFlowRecorder(r *flowtrace.Recorder) { a.rec = r }
@@ -76,7 +80,7 @@ func (a *Arena) Get() *Packet {
 		chunk := make([]Packet, arenaChunk)
 		for i := range chunk {
 			c := &chunk[i]
-			c.pooled = true
+			c.home = a
 			c.next = a.free
 			a.free = c
 		}
@@ -93,31 +97,28 @@ func (a *Arena) Get() *Packet {
 
 // reset zeroes the public fields, preserving pool bookkeeping.
 func (p *Packet) reset() {
-	pooled, gen := p.pooled, p.gen
+	home, gen := p.home, p.gen
 	*p = Packet{}
-	p.pooled, p.gen = pooled, gen
+	p.home, p.gen = home, gen
 }
 
 // Retain adds a reference: the packet will survive one extra Release.
-// No-op for non-pooled literals. Returns p for call-site convenience.
+// No-op for literals. Returns p for call-site convenience.
 func (p *Packet) Retain() *Packet {
-	if p.pooled {
+	if p.home != nil {
 		p.ref++
 	}
 	return p
 }
 
-// Pooled reports whether the packet came from an arena.
-func (p *Packet) Pooled() bool { return p.pooled }
-
-// Release drops one reference and, at zero, returns the packet to this
-// arena's free list (bumping its generation so stale handles notice).
-// Non-pooled literals are ignored, and over-releasing a pooled packet
-// panics — that is a lifecycle bug, not a runtime condition. Safe on a
-// nil arena: the packet is marked freed but left to the garbage
-// collector.
-func (a *Arena) Release(p *Packet) {
-	if p == nil || !p.pooled {
+// Release drops one reference and, at zero, returns the packet to the
+// free list of the arena that carved it, finishing its flowtrace span
+// into that arena's recorder and bumping its generation so stale handles
+// notice. Literals are ignored, and over-releasing a pooled packet panics
+// — that is a lifecycle bug, not a runtime condition.
+func (p *Packet) Release() {
+	a := p.home
+	if a == nil {
 		return
 	}
 	p.ref--
@@ -128,15 +129,10 @@ func (a *Arena) Release(p *Packet) {
 		panic(fmt.Sprintf("netstack: packet released after free (flow %d, gen %d)", p.Flow, p.gen))
 	}
 	if p.Trace != nil {
-		if a != nil {
-			a.rec.Finish(p.Trace, p.Flow, int(p.Kind), p.Seq, int32(p.Src), int32(p.Dst))
-		}
+		a.rec.Finish(p.Trace, p.Flow, int(p.Kind), p.Seq, int32(p.Src), int32(p.Dst))
 		p.Trace = nil
 	}
 	p.gen++
-	if a == nil {
-		return
-	}
 	p.next = a.free
 	a.free = p
 	a.puts++
@@ -150,22 +146,22 @@ func (a *Arena) Release(p *Packet) {
 func (a *Arena) Clone(src *Packet) *Packet {
 	if a == nil {
 		cp := *src
-		cp.pooled, cp.ref, cp.gen, cp.next = false, 0, 0, nil
+		cp.home, cp.ref, cp.gen, cp.next = nil, 0, 0, nil
 		cp.Trace = nil
 		return &cp
 	}
 	p := a.Get()
-	pooled, ref, gen := p.pooled, p.ref, p.gen
+	home, ref, gen := p.home, p.ref, p.gen
 	*p = *src
-	p.pooled, p.ref, p.gen, p.next = pooled, ref, gen, nil
+	p.home, p.ref, p.gen, p.next = home, ref, gen, nil
 	p.Trace = nil
 	return p
 }
 
 // Live returns the packets this arena has handed out and not yet gotten
-// back. With a single arena (any one-shard rig) a drained network has
-// Live() == 0; packets that migrate between arenas leave one arena's Live
-// negative and another's positive, so sum Live over all of them.
+// back. Every packet goes home, so at any shard count Live is never
+// negative and counts exactly this arena's packets still in flight; a
+// drained network has Live() == 0 on every arena.
 func (a *Arena) Live() int64 { return a.gets - a.puts }
 
 // Handle is a generation-counted weak reference to an arena packet, for
@@ -180,12 +176,12 @@ type Handle struct {
 func HandleOf(p *Packet) Handle { return Handle{p: p, gen: p.gen} }
 
 // Valid reports whether the handle still names a live incarnation.
-// Handles to non-pooled literals are always valid.
+// Handles to literals are always valid.
 func (h Handle) Valid() bool {
 	if h.p == nil {
 		return false
 	}
-	if !h.p.pooled {
+	if h.p.home == nil {
 		return true
 	}
 	return h.p.gen == h.gen && h.p.ref > 0

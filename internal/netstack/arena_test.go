@@ -37,14 +37,14 @@ func TestArenaExactlyOnceRelease(t *testing.T) {
 		t.Fatalf("Live = %d, want %d", a.Live(), len(pkts))
 	}
 	for _, p := range pkts {
-		a.Release(p)
+		p.Release()
 	}
 	if a.Live() != 0 {
 		t.Fatalf("Live after release = %d, want 0", a.Live())
 	}
 	// A second release of an already-freed packet is a lifecycle bug and
 	// must panic, not silently corrupt the free list.
-	mustPanic(t, "released after free", func() { a.Release(pkts[0]) })
+	mustPanic(t, "released after free", func() { pkts[0].Release() })
 }
 
 func TestArenaRetainGivesExtraLife(t *testing.T) {
@@ -52,14 +52,14 @@ func TestArenaRetainGivesExtraLife(t *testing.T) {
 	p := a.Get()
 	h := HandleOf(p)
 	p.Retain()
-	a.Release(p)
+	p.Release()
 	if !h.Valid() {
 		t.Fatal("handle went stale after first release of a retained packet")
 	}
 	if a.Live() != 1 {
 		t.Fatalf("Live = %d, want 1 (one reference outstanding)", a.Live())
 	}
-	a.Release(p)
+	p.Release()
 	if h.Valid() {
 		t.Fatal("handle still valid after final release")
 	}
@@ -75,7 +75,7 @@ func TestArenaStaleHandle(t *testing.T) {
 	if !h.Valid() || h.Get() != p {
 		t.Fatal("fresh handle should be valid and resolve to its packet")
 	}
-	a.Release(p)
+	p.Release()
 	if h.Valid() {
 		t.Fatal("handle to a freed packet must be invalid")
 	}
@@ -93,7 +93,7 @@ func TestArenaStaleHandle(t *testing.T) {
 	if !HandleOf(q).Valid() {
 		t.Fatal("fresh handle to the recycled incarnation must be valid")
 	}
-	a.Release(q)
+	q.Release()
 }
 
 func TestArenaHandleOfLiteral(t *testing.T) {
@@ -124,11 +124,11 @@ func TestArenaCloneIndependence(t *testing.T) {
 		t.Fatal("mutating the clone leaked into the source")
 	}
 	// Each has its own single reference and releases independently.
-	a.Release(cp)
+	cp.Release()
 	if !HandleOf(src).Valid() {
 		t.Fatal("releasing the clone freed the source")
 	}
-	a.Release(src)
+	src.Release()
 	if a.Live() != 0 {
 		t.Fatalf("Live = %d, want 0", a.Live())
 	}
@@ -137,12 +137,14 @@ func TestArenaCloneIndependence(t *testing.T) {
 func TestArenaNilFallbacks(t *testing.T) {
 	var a *Arena
 	p := a.Get()
-	if p == nil || p.Pooled() {
-		t.Fatal("nil-arena Get should return a non-pooled literal")
+	if p == nil || p.home != nil {
+		t.Fatal("nil-arena Get should return a literal with no home")
 	}
-	a.Release(p)          // no-op on literals
-	a.Release(nil)        // nil packet is fine
-	NewArena().Release(p) // literals are ignored by real arenas too
+	p.Release() // no-op on literals, however often
+	p.Release()
+	if p.Retain() != p || p.ref != 0 {
+		t.Fatal("Retain on a literal must leave it untouched")
+	}
 
 	// Clone of a pooled source on a nil arena must clear pool bookkeeping
 	// so the copy never aliases free-list state.
@@ -150,15 +152,15 @@ func TestArenaNilFallbacks(t *testing.T) {
 	src := real.Get()
 	src.Retain()
 	cp := a.Clone(src)
-	if cp.Pooled() {
-		t.Fatal("nil-arena clone must not claim to be pooled")
+	if cp.home != nil {
+		t.Fatal("nil-arena clone must not claim a home arena")
 	}
 	if cp.ref != 0 || cp.gen != 0 || cp.next != nil {
 		t.Fatalf("nil-arena clone carries pool state: ref=%d gen=%d next=%p",
 			cp.ref, cp.gen, cp.next)
 	}
-	real.Release(src)
-	real.Release(src)
+	src.Release()
+	src.Release()
 }
 
 // TestPropertyArenaNoAliasing drives randomized Get/Retain/Release/Clone
@@ -204,7 +206,7 @@ func TestPropertyArenaNoAliasing(t *testing.T) {
 				i := rng.Intn(len(order))
 				p := order[i]
 				lr := live[p]
-				a.Release(p)
+				p.Release()
 				lr.refs--
 				if lr.refs > 0 {
 					if !lr.h.Valid() {
@@ -225,7 +227,7 @@ func TestPropertyArenaNoAliasing(t *testing.T) {
 		}
 		for _, p := range order {
 			for live[p].refs > 0 {
-				a.Release(p)
+				p.Release()
 				live[p].refs--
 			}
 		}
@@ -235,10 +237,85 @@ func TestPropertyArenaNoAliasing(t *testing.T) {
 	}
 }
 
-// releasingSink releases each arriving packet back into the arena after
-// recording it — the endpoint contract arena-backed receivers follow.
+// TestPropertyTwoArenasGoHome runs the same kind of stream over two
+// arenas, the shape of a two-shard topology: every step runs on a random
+// shard, which acquires and clones from its own arena and drops whatever
+// references the step picks, wherever the packet came from. Packets go
+// home, so after every step neither arena's Live is negative, each equals
+// the live packets that arena handed out, and Get or Clone never returns
+// a packet the other arena carved.
+func TestPropertyTwoArenasGoHome(t *testing.T) {
+	for _, seed := range []uint64{3, 17, 2024} {
+		rng := sim.NewRNG(seed)
+		arenas := [2]*Arena{NewArena(), NewArena()}
+		var live [2]int64           // live packets handed out, per arena
+		carver := map[*Packet]int{} // the arena that first handed each packet out
+		type liveRef struct{ from, refs int }
+		refs := map[*Packet]*liveRef{}
+		var order []*Packet
+		acquire := func(p *Packet, on int) {
+			if c, seen := carver[p]; seen && c != on {
+				t.Fatalf("seed %d: arena %d handed out a packet arena %d carved", seed, on, c)
+			}
+			if _, dup := refs[p]; dup {
+				t.Fatalf("seed %d: arena %d handed out a pointer that is still live", seed, on)
+			}
+			carver[p] = on
+			refs[p] = &liveRef{from: on, refs: 1}
+			live[on]++
+			order = append(order, p)
+		}
+
+		for step := 0; step < 5000; step++ {
+			on := rng.Intn(len(arenas)) // the shard this step runs on
+			switch op := rng.Intn(10); {
+			case op < 4 || len(order) == 0:
+				acquire(arenas[on].Get(), on)
+			case op < 6:
+				acquire(arenas[on].Clone(order[rng.Intn(len(order))]), on)
+			case op < 7:
+				p := order[rng.Intn(len(order))]
+				p.Retain()
+				refs[p].refs++
+			default: // shard on drops one reference
+				i := rng.Intn(len(order))
+				p := order[i]
+				p.Release()
+				lr := refs[p]
+				if lr.refs--; lr.refs == 0 {
+					live[lr.from]--
+					delete(refs, p)
+					order[i] = order[len(order)-1]
+					order = order[:len(order)-1]
+				}
+			}
+			for i, a := range arenas {
+				if a.Live() < 0 {
+					t.Fatalf("seed %d step %d: arena %d Live = %d", seed, step, i, a.Live())
+				}
+			}
+			for i, a := range arenas {
+				if a.Live() != live[i] {
+					t.Fatalf("seed %d step %d: arena %d Live = %d, handed out %d", seed, step, i, a.Live(), live[i])
+				}
+			}
+		}
+		for _, p := range order {
+			for lr := refs[p]; lr.refs > 0; lr.refs-- {
+				p.Release()
+			}
+		}
+		for i, a := range arenas {
+			if a.Live() != 0 {
+				t.Fatalf("seed %d: arena %d Live = %d after draining", seed, i, a.Live())
+			}
+		}
+	}
+}
+
+// releasingSink releases each arriving packet after recording it — the
+// endpoint contract arena-backed receivers follow.
 type releasingSink struct {
-	a     *Arena
 	count int
 }
 
@@ -247,7 +324,7 @@ func (s *releasingSink) Deliver(p *Packet) {
 		panic("delivered packet is not live")
 	}
 	s.count++
-	s.a.Release(p)
+	p.Release()
 }
 
 // TestLinkOwnershipDupIsDistinctPacket pins the dup-fault ownership rule:
@@ -282,7 +359,7 @@ func TestLinkOwnershipDupIsDistinctPacket(t *testing.T) {
 		if q.Flow != 3 || q.Size != 1500 {
 			t.Fatalf("delivery %d lost its fields: %+v", i, q)
 		}
-		a.Release(q)
+		q.Release()
 	}
 	if l.Duplicated != 1 {
 		t.Fatalf("Duplicated = %d, want 1", l.Duplicated)
@@ -299,7 +376,7 @@ func TestLinkOwnershipDupIsDistinctPacket(t *testing.T) {
 func TestLinkOwnershipReleaseOnDrop(t *testing.T) {
 	eng := sim.NewEngine(1)
 	a := NewArena()
-	sink := &releasingSink{a: a}
+	sink := &releasingSink{}
 
 	// Queue-limit drop.
 	l := NewLink(eng, "tail", 100_000_000, 0, sink)
@@ -352,7 +429,7 @@ func TestLinkOwnershipFaultStream(t *testing.T) {
 	for _, seed := range []uint64{2, 11, 404} {
 		eng := sim.NewEngine(seed)
 		a := NewArena()
-		sink := &releasingSink{a: a}
+		sink := &releasingSink{}
 		l := NewLink(eng, "soak", 100_000_000, 20*sim.Microsecond, sink)
 		l.SetArena(a)
 		l.MaxQueue = 8

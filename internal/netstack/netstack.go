@@ -81,16 +81,17 @@ type Packet struct {
 	// sampled. The span rides the packet everywhere — across shards with
 	// it through the Courier (the round-barrier conduit flush orders the
 	// hand-off) — and every hop site is a nil-receiver method
-	// call, so untraced packets pay one pointer test per hop. The owning
-	// arena finishes the span when the refcount drops to zero; dup-fault
-	// clones are untraced (Clone clears the field).
+	// call, so untraced packets pay one pointer test per hop. The arena
+	// that carved the packet finishes the span when the refcount drops to
+	// zero; dup-fault clones are untraced (Clone clears the field).
 	Trace *flowtrace.Span
 
-	// Arena bookkeeping (see arena.go). Zero for literal packets.
-	pooled bool
-	ref    int32
-	gen    uint32
-	next   *Packet
+	// Arena bookkeeping (see arena.go). Zero for literal packets; home is
+	// the arena that carved the packet, the one Release returns it to.
+	home *Arena
+	ref  int32
+	gen  uint32
+	next *Packet
 }
 
 // Endpoint receives packets: a host's input path or the next hop.
@@ -162,8 +163,8 @@ type Link struct {
 	queued     int
 	arrivalSeq uint64 // per-conduit send counter, drawn at transmit time
 
-	// arena, when set, is the pool consumed packets return to (drops) and
-	// dup clones come from. Nil keeps literal-packet behavior.
+	// arena, when set, is the pool dup clones come from. Nil clones to
+	// heap literals.
 	arena *Arena
 
 	// Pooled delivery records and precomputed labels keep the per-packet
@@ -205,8 +206,8 @@ func NewLink(eng *sim.Engine, name string, bps int64, delay sim.Time, dst Endpoi
 	return l
 }
 
-// SetArena attaches a packet arena: drops release into it and dup faults
-// clone from it. Topologies wire the link's engine-local arena here.
+// SetArena attaches the packet arena dup faults clone from. Topologies
+// wire the link's engine-local arena here.
 func (l *Link) SetArena(a *Arena) { l.arena = a }
 
 // delivery is one in-flight packet arrival: a pooled record whose run
@@ -282,7 +283,7 @@ func (l *Link) TxTime(n int) sim.Time {
 func (l *Link) Send(p *Packet) bool {
 	if l.MaxQueue > 0 && l.queued >= l.MaxQueue {
 		l.Dropped++
-		l.arena.Release(p)
+		p.Release()
 		return false
 	}
 	now := l.eng.Now()
@@ -307,7 +308,7 @@ func (l *Link) Send(p *Packet) bool {
 			// still frees when serialization would have finished.
 			l.Lost++
 			l.eng.AtLabeled(done, l.labLost, l.relFn)
-			l.arena.Release(p)
+			p.Release()
 			return true
 		}
 		dup := l.Faults.Duplicate()

@@ -110,13 +110,13 @@ type NIC struct {
 	wire *netstack.Link // optional: models the attached wire's tx serialization
 
 	// RxHandler receives each inbound packet, in kernel protocol context.
-	// The packet is a borrow: it is released back to the arena when the
+	// The packet is a borrow: it is released back to its arena when the
 	// handler returns. A handler that needs it afterwards (e.g. a router
 	// forwarding it out another interface) must Retain it first.
 	RxHandler func(p *netstack.Packet)
 
-	// arena, when set, is where received packets are released after their
-	// handler runs (and on ring-fault drops).
+	// arena, when set, is the host's packet pool, which the layers above
+	// acquire this interface's transmissions from.
 	arena *netstack.Arena
 
 	// TraceLoc is this interface's flowtrace location id (0 =
@@ -182,7 +182,7 @@ func New(k *kernel.Kernel, f *core.Facility, cfg Config, out netstack.Endpoint) 
 	return n
 }
 
-// SetArena attaches the packet arena received packets release into.
+// SetArena attaches the host's packet arena (see Arena).
 func (n *NIC) SetArena(a *netstack.Arena) { n.arena = a }
 
 // Arena returns the attached packet arena (nil when unwired), for layers
@@ -241,7 +241,7 @@ func (n *NIC) PollInterval() sim.Time { return n.pollIvl }
 func (n *NIC) Deliver(p *netstack.Packet) {
 	if n.cfg.Faults.Drop() {
 		n.RxDropped++
-		n.arena.Release(p)
+		p.Release()
 		return
 	}
 	n.RxPackets++
@@ -345,7 +345,7 @@ func (c *protoChain) Run(i int) {
 	if n.RxHandler != nil {
 		n.RxHandler(p)
 	}
-	n.arena.Release(p)
+	p.Release()
 }
 
 func (c *protoChain) End() { c.batch = c.batch[:0] }
@@ -496,7 +496,7 @@ func (n *NIC) poll(now sim.Time) sim.Time {
 			if n.RxHandler != nil {
 				n.RxHandler(p)
 			}
-			n.arena.Release(p)
+			p.Release()
 		}
 	}
 	n.protoq = n.protoq[:0]

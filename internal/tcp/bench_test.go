@@ -15,7 +15,7 @@ func BenchmarkTCPSegment(b *testing.B) {
 	eng := sim.NewEngine(1)
 	arena := netstack.NewArena()
 	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(p *netstack.Packet) {
-		arena.Release(p)
+		p.Release()
 	})}
 	s := NewSender(env, DefaultConfig(), 1, int64(b.N)+1, true)
 	s.Arena = arena
@@ -39,7 +39,7 @@ func BenchmarkTCPAck(b *testing.B) {
 	eng := sim.NewEngine(1)
 	arena := netstack.NewArena()
 	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(p *netstack.Packet) {
-		arena.Release(p)
+		p.Release()
 	})}
 	cfg := DefaultConfig()
 	cfg.DelAckTimeout = 0 // no timer churn: isolate the data/ACK path

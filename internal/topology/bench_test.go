@@ -12,10 +12,12 @@ import (
 )
 
 // twoHostPath assembles the benchmark topology: two idle-halting hosts on
-// one switch. Returns the source host, its arena, the destination address,
-// and a delivered-count pointer bumped by the receiver.
-func twoHostPath() (*Topology, *host.Host, *netstack.Arena, netstack.Addr, *int) {
-	top := New(sim.NewShardGroup(1, 1), 1)
+// one switch, on a group of the given shard count (hosts go round-robin,
+// so at two shards a runs on shard 0 and b on shard 1). Returns the source
+// host, its arena, the destination address, and a delivered-count pointer
+// bumped by the receiver.
+func twoHostPath(shards int) (*Topology, *host.Host, *netstack.Arena, netstack.Addr, *int) {
+	top := New(sim.NewShardGroup(shards, 1), 1)
 	a := top.AddHost(host.Config{Name: "a", Kernel: kernel.Options{}})
 	dst := top.AddHost(host.Config{Name: "b", Kernel: kernel.Options{}})
 	sw := top.AddSwitch("s0")
@@ -36,7 +38,7 @@ func twoHostPath() (*Topology, *host.Host, *netstack.Arena, netstack.Addr, *int)
 // the topology arena, so the steady-state path allocates nothing — the
 // allocs/op regression guard in `make bench` holds this at 0.
 func BenchmarkTestbedPacket(b *testing.B) {
-	top, a, arena, to, delivered := twoHostPath()
+	top, a, arena, to, delivered := twoHostPath(1)
 	eng := top.Eng
 	src := top.Addr("a")
 
@@ -67,7 +69,7 @@ func BenchmarkTestbedPacket(b *testing.B) {
 // transmit chain, both links, the switch, the receive ring and interrupt —
 // allocates nothing.
 func TestTestbedPacketZeroAlloc(t *testing.T) {
-	top, a, arena, to, delivered := twoHostPath()
+	top, a, arena, to, delivered := twoHostPath(1)
 	eng := top.Eng
 	src := top.Addr("a")
 	flow := 0
@@ -95,6 +97,83 @@ func TestTestbedPacketZeroAlloc(t *testing.T) {
 	}
 }
 
+// crossShardPath is twoHostPath on two shards: every a→b packet crosses
+// shards through the switch hop's courier and is freed on shard 1. send
+// has a transmit n one-way packets (at most 64) in one kernel chain and
+// runs the group until b has received them all.
+type crossShardPath struct {
+	top       *Topology
+	a         *host.Host
+	arena     *netstack.Arena // shard 0's, where a's packets are carved
+	src, to   netstack.Addr
+	delivered *int
+	sent      int
+	batch     [64]*netstack.Packet
+}
+
+func newCrossShardPath() *crossShardPath {
+	top, a, arena, to, delivered := twoHostPath(2)
+	return &crossShardPath{top: top, a: a, arena: arena, src: top.Addr("a"), to: to, delivered: delivered}
+}
+
+func (c *crossShardPath) send(tb testing.TB, n int) {
+	batch := c.batch[:n]
+	for i := range batch {
+		p := c.arena.Get()
+		p.Flow, p.Src, p.Dst, p.Kind, p.Size = c.sent, c.src, c.to, netstack.Data, 1500
+		c.sent++
+		batch[i] = p
+	}
+	c.a.NIC().TxFromKernel(batch...)
+	for ms := 0; *c.delivered < c.sent; ms++ {
+		if ms == 100 {
+			tb.Fatalf("delivered %d of %d packets after 100 ms", *c.delivered, c.sent)
+		}
+		c.top.RunFor(sim.Millisecond)
+	}
+}
+
+// leaked fails tb if either shard's arena still counts a packet out.
+func (c *crossShardPath) leaked(tb testing.TB) {
+	for i := 0; i < 2; i++ {
+		if live := c.top.Arena(i).Live(); live != 0 {
+			tb.Fatalf("shard %d arena: Live = %d after every packet was delivered", i, live)
+		}
+	}
+}
+
+// BenchmarkCrossShardPacket is BenchmarkTestbedPacket across two shards:
+// a (shard 0) sends to b (shard 1) in 64-packet bursts, so each packet
+// also pays the courier hand-off and the shard rounds that carry it.
+// Freed packets go home to shard 0's arena and the courier recycles its
+// records, so the steady state allocates nothing.
+func BenchmarkCrossShardPacket(b *testing.B) {
+	c := newCrossShardPath()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= len(c.batch) {
+		c.send(b, min(left, len(c.batch)))
+	}
+	b.StopTimer()
+	c.leaked(b)
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
+}
+
+// TestCrossShardPacketZeroAlloc pins the cross-shard packet path at zero
+// allocations: a warm 64-packet burst from shard 0 to shard 1 carves no
+// arena chunk (each packet freed on shard 1 goes back to shard 0's arena)
+// and binds no closure (the courier's hand-off records are pooled).
+func TestCrossShardPacketZeroAlloc(t *testing.T) {
+	c := newCrossShardPath()
+	for i := 0; i < 4; i++ {
+		c.send(t, len(c.batch))
+	}
+	if n := testing.AllocsPerRun(20, func() { c.send(t, len(c.batch)) }); n != 0 {
+		t.Fatalf("a 64-packet cross-shard burst allocates %.1f times, want 0", n)
+	}
+	c.leaked(t)
+}
+
 // BenchmarkSwitchForward isolates the cut-through forwarding step: one
 // address lookup and endpoint delivery, no links or hosts. This is the
 // per-hop cost a hierarchical fabric pays at each leaf and at the spine.
@@ -102,7 +181,7 @@ func BenchmarkSwitchForward(b *testing.B) {
 	top := New(sim.NewShardGroup(1, 1), 1)
 	sw := top.AddSwitch("s0")
 	arena := top.Arena(0)
-	sink := netstack.EndpointFunc(func(p *netstack.Packet) { arena.Release(p) })
+	sink := netstack.EndpointFunc(func(p *netstack.Packet) { p.Release() })
 	const fanout = 64
 	for i := 0; i < fanout; i++ {
 		sw.Connect(netstack.Addr(i+1), sink)

@@ -18,10 +18,11 @@ import (
 )
 
 // FlowTrace is a topology's flow-tracing state: one span Recorder per
-// shard (attached to that shard's packet arena, which finishes spans when
-// refcounts drop to zero), one Sampler per host drawing from the host's
-// private observability RNG stream, and the location registry naming
-// every hop site in assembly order.
+// shard (attached to that shard's packet arena, which finishes the spans
+// of the packets it carved when their refcounts drop to zero), one
+// Sampler per host drawing from the host's private observability RNG
+// stream, and the location registry naming every hop site in assembly
+// order.
 type FlowTrace struct {
 	t        *Topology
 	loc      *flowtrace.Locations

@@ -39,10 +39,6 @@ type Switch struct {
 	table   map[netstack.Addr]netstack.Endpoint
 	shardOf map[netstack.Addr]int // above one shard only: each address's shard
 
-	// arenas, when wired by a topology, are the per-shard packet pools
-	// address-miss drops release into.
-	arenas []*netstack.Arena
-
 	// fwd and miss count switched and address-miss packets.
 	fwd  int64
 	miss int64
@@ -101,11 +97,7 @@ func (s *Switch) deliverOn(shard int, p *netstack.Packet) {
 			return
 		}
 		s.miss++
-		var a *netstack.Arena
-		if s.arenas != nil {
-			a = s.arenas[shard]
-		}
-		a.Release(p)
+		p.Release()
 		return
 	}
 	if s.shardOf != nil {
@@ -121,8 +113,7 @@ func (s *Switch) deliverOn(shard int, p *netstack.Packet) {
 }
 
 // shardView adapts the switch to one shard's local delivery path: the
-// shard names the arena a miss releases into and is checked against the
-// destination's owner.
+// shard is checked against the destination's owner.
 type shardView struct {
 	sw    *Switch
 	shard int

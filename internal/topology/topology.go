@@ -204,7 +204,6 @@ func (t *Topology) AddSwitch(name string) *Switch {
 	if t.sharded() {
 		sw.shardOf = make(map[netstack.Addr]int)
 	}
-	sw.arenas = t.arenas
 	t.switches = append(t.switches, sw)
 	return sw
 }
@@ -223,7 +222,7 @@ func (t *Topology) Join(sw *Switch, h *host.Host, nicCfg nic.Config, w WireSpec)
 	shard := t.HostShard(h.Name)
 	if t.sharded() {
 		// Same-shard forwards stay on the local path, tagged with this
-		// shard for the ownership check and the miss arena.
+		// shard for the ownership check.
 		peer = shardView{sw: sw, shard: shard}
 	}
 	p := t.AttachNIC(h, nicCfg, peer, w)
@@ -252,15 +251,34 @@ func (t *Topology) Join(sw *Switch, h *host.Host, nicCfg nic.Config, w WireSpec)
 // transmit time, execution (count + forward onto the destination host's
 // receive link) on the destination shard at the arrival instant. The
 // link's propagation delay is the shipping lookahead.
+//
+// Each shipment borrows a pooled handoff record whose run closure was
+// bound once, so a cross-shard hop allocates nothing, and the record
+// returns to this courier's free list when it runs on the destination
+// shard. Like a packet's return home, that push from another shard needs
+// no lock only because every shard runs inline on the goroutine that
+// calls sim.ShardGroup.Run (DESIGN.md, "Inline rounds").
 type courier struct {
 	sw  *Switch
 	src int
 	con *sim.Conduit
 	// loc is the shipping down link's flowtrace location id, so the
 	// cross-shard path records the same LinkRx + SwitchFwd hop pair the
-	// local delivery path would (the closure bypasses delivery.run and
+	// local delivery path would (handoff.run bypasses delivery.run and
 	// Switch.deliverOn).
-	loc int32
+	loc  int32
+	free *handoff
+}
+
+// handoff is one cross-shard delivery in flight: the packet, the switch
+// port it leaves by, and its arrival instant.
+type handoff struct {
+	c    *courier
+	p    *netstack.Packet
+	port netstack.Endpoint
+	at   sim.Time
+	next *handoff
+	fn   func() // bound once to run
 }
 
 // Ship implements netstack.Courier.
@@ -273,15 +291,29 @@ func (c *courier) Ship(p *netstack.Packet, at sim.Time, conduit int32, seq uint6
 	if dst == c.src {
 		return false
 	}
-	sw := c.sw
-	loc := c.loc
-	c.con.Send(dst, at, seq, func() {
-		p.Trace.Hop(flowtrace.HopLinkRx, loc, at)
-		p.Trace.HopHere(flowtrace.HopSwitch, sw.TraceLoc)
-		sw.fwd++
-		port.Deliver(p)
-	})
+	h := c.free
+	if h == nil {
+		h = &handoff{c: c}
+		h.fn = h.run
+	} else {
+		c.free = h.next
+	}
+	h.p, h.port, h.at = p, port, at
+	c.con.Send(dst, at, seq, h.fn)
 	return true
+}
+
+// run executes the hand-off on the destination shard. Like delivery.run,
+// it recycles the record before forwarding, having read what it needs.
+func (h *handoff) run() {
+	c, p, port, at := h.c, h.p, h.port, h.at
+	h.p, h.port = nil, nil
+	h.next = c.free
+	c.free = h
+	p.Trace.Hop(flowtrace.HopLinkRx, c.loc, at)
+	p.Trace.HopHere(flowtrace.HopSwitch, c.sw.TraceLoc)
+	c.sw.fwd++
+	port.Deliver(p)
 }
 
 // finalize derives the group's lookahead matrix from the assembled
