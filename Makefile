@@ -75,7 +75,7 @@ bench:
 	$(GO) test -run 'TestSparseFireZeroAlloc|TestLoneWheelAllocs' -count=1 ./internal/timerwheel
 	$(GO) test -run 'TestFacilityCheckZeroAlloc|TestMultiPacerFireAllocs' -count=1 ./internal/core
 	$(GO) test -run 'TestBuildAllocsPerHost' -count=1 ./internal/topology
-	$(GO) test -bench 'BenchmarkEngine|BenchmarkReschedule|BenchmarkShardRound' -benchmem -run '^$$' ./internal/sim
+	$(GO) test -bench 'BenchmarkEngine|BenchmarkShardRound' -benchmem -run '^$$' ./internal/sim
 	$(GO) test -bench 'BenchmarkMetrics|BenchmarkFleetSnapshot' -benchmem -run '^$$' ./internal/metrics
 	$(GO) test -bench 'BenchmarkWheelSparseFire|BenchmarkHashedDueCheckIdle' -benchmem -run '^$$' ./internal/timerwheel
 	$(GO) test -bench 'BenchmarkFacilityCheck|BenchmarkFacilityColdHosts' -benchmem -run '^$$' ./internal/core

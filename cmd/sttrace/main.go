@@ -42,6 +42,10 @@ func main() {
 	clients := flag.Int("clients", 8, "client-host count for the flows/flows-chrome fleet")
 	xeon := flag.Bool("xeon", false, "use the 500 MHz Pentium III profile instead of the P-II 300")
 	flag.Parse()
+	if err := checkCounts(*n, *clients); err != nil {
+		fmt.Fprintf(os.Stderr, "sttrace: %v\n", err)
+		os.Exit(2)
+	}
 
 	// The fleet-driven modes need no workload rig; handle them first.
 	switch *mode {
@@ -131,4 +135,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown mode %q (want cdf, sources, trace, chrome, flows, or flows-chrome)\n", *mode)
 		os.Exit(2)
 	}
+}
+
+// checkCounts rejects count flags no run can use: -n samples and -clients
+// client hosts must each be at least 1.
+func checkCounts(n int64, clients int) error {
+	if n < 1 {
+		return fmt.Errorf("-n %d: need at least 1 sample", n)
+	}
+	if clients < 1 {
+		return fmt.Errorf("-clients %d: need at least 1 client", clients)
+	}
+	return nil
 }

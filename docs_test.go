@@ -1,6 +1,8 @@
 package main
 
 import (
+	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -137,6 +139,70 @@ func TestDocsCiteDefinedFlags(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goNameSpan is a code span shaped pkg.Name, pkg.Type.Member or
+// Type.Member.
+var goNameSpan = regexp.MustCompile(`^([A-Za-z]\w*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?$`)
+
+// TestDocsCiteDefinedNames checks that every code span in the documents and
+// skill notes shaped pkg.Name or pkg.Type.Member, with pkg one of
+// internal/'s packages, or Type.Member, with Type capitalized, names what
+// the type-checked tree declares: a Type.Member span resolves if some
+// package under internal/ declares Type with that field or method. So a
+// deleted or renamed function, type or field cannot leave a stale
+// citation behind.
+func TestDocsCiteDefinedNames(t *testing.T) {
+	internal := map[string]*types.Package{} // by package name
+	for path, pkg := range loadTree(t) {
+		if strings.HasPrefix(path, "softtimers/internal/") {
+			internal[pkg.types.Name()] = pkg.types
+		}
+	}
+	notes, err := filepath.Glob(skillNotes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append(docsCitingTests, notes...) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range codeSnippets(string(text)) {
+			m := goNameSpan.FindStringSubmatch(s.code)
+			if m == nil {
+				continue
+			}
+			var defined bool
+			switch pkg := internal[m[1]]; {
+			case pkg != nil:
+				defined = declares(pkg, m[2], m[3])
+			case m[3] == "" && token.IsExported(m[1]):
+				for _, pkg := range internal {
+					defined = defined || declares(pkg, m[1], m[2])
+				}
+			default:
+				continue // not a Go name of the tree
+			}
+			if !defined {
+				t.Errorf("%s:%d cites %s, which the tree does not declare", doc, s.line, s.code)
+			}
+		}
+	}
+}
+
+// declares reports whether pkg declares name at package level and, when
+// member is not empty, name is a type with that field or method.
+func declares(pkg *types.Package, name, member string) bool {
+	obj := pkg.Scope().Lookup(name)
+	if obj == nil || member == "" {
+		return obj != nil
+	}
+	if _, ok := obj.(*types.TypeName); !ok {
+		return false
+	}
+	sel, _, _ := types.LookupFieldOrMethod(obj.Type(), true, pkg, member)
+	return sel != nil
 }
 
 // codeSnippet is a piece of a document set as code, and the line it

@@ -218,9 +218,6 @@ func (ev *Event) Cancel() bool {
 	return false
 }
 
-// Pending reports whether the event has yet to fire.
-func (ev *Event) Pending() bool { return ev.t.Pending() }
-
 // Rearm schedules the event to fire again at least T measurement-clock
 // ticks from now, reusing the handle, the handler, and the wheel node — no
 // allocation in either state. A still-pending event migrates between wheel
@@ -387,9 +384,6 @@ func (f *Facility) Stats() Stats {
 		CheckOverhead: sim.Time(f.checks) * f.k.Profile().SoftCheck,
 	}
 }
-
-// Pending returns the number of scheduled-but-unfired events.
-func (f *Facility) Pending() int { return f.wheel.Len() }
 
 // EventBefore implements kernel.IdleAdvisor: it reports whether any
 // soft-timer event is due before time t, letting the idle loop halt for

@@ -138,7 +138,7 @@ func TestCancelPreventsFiring(t *testing.T) {
 	k.Start()
 	fired := false
 	ev := f.ScheduleSoftEvent(50, func(sim.Time) sim.Time { fired = true; return 0 })
-	if !ev.Pending() {
+	if !ev.t.Pending() {
 		t.Fatal("event not pending")
 	}
 	if !ev.Cancel() {
@@ -172,15 +172,15 @@ func TestHandlerCancelsSiblingEvent(t *testing.T) {
 		far := f.ScheduleSoftEvent(1000, func(sim.Time) sim.Time { ran++; return 0 })
 		clock = 20 * sim.Microsecond
 		f.Trigger(kernel.SrcSyscall, clock)
-		if st := f.Stats(); ran != 1 || st.Fired != 1 || st.Canceled != 1 || f.Pending() != 1 || a.Pending() || b.Pending() {
+		if st := f.Stats(); ran != 1 || st.Fired != 1 || st.Canceled != 1 || f.wheel.Len() != 1 || a.t.Pending() || b.t.Pending() {
 			t.Fatalf("hierarchical=%v: %d handlers ran, fired %d, canceled %d, pending %d, a/b pending %v/%v; want 1, 1, 1, 1, false/false",
-				hier, ran, st.Fired, st.Canceled, f.Pending(), a.Pending(), b.Pending())
+				hier, ran, st.Fired, st.Canceled, f.wheel.Len(), a.t.Pending(), b.t.Pending())
 		}
 		clock = 2 * sim.Millisecond
 		f.Trigger(kernel.SrcHardClock, clock)
-		if ran != 2 || far.Pending() || f.Pending() != 0 || f.Stats().Fired != 2 {
+		if ran != 2 || far.t.Pending() || f.wheel.Len() != 0 || f.Stats().Fired != 2 {
 			t.Fatalf("hierarchical=%v: far event: %d handlers ran, pending %d, fired %d; want 2, 0, 2",
-				hier, ran, f.Pending(), f.Stats().Fired)
+				hier, ran, f.wheel.Len(), f.Stats().Fired)
 		}
 	}
 }
@@ -334,7 +334,7 @@ func TestPooledEventRecyclesBeforeHandler(t *testing.T) {
 			t.Fatal("the firing record was not in the pool when its handler ran")
 		}
 		f.ScheduleSoftEventFree(10, probe)
-		if f.freeEv != nil || !rec.Pending() {
+		if f.freeEv != nil || !rec.t.Pending() {
 			t.Fatal("the handler's schedule did not take its own record back")
 		}
 		return 0

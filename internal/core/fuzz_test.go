@@ -261,7 +261,7 @@ func (r *facilityRig) compare(op string) {
 	if st != want {
 		r.fail(op, "Stats = %+v, want %+v", st, want)
 	}
-	if got, want := f.Pending(), ref.pending(); got != want {
+	if got, want := f.wheel.Len(), ref.pending(); got != want {
 		r.fail(op, "Pending = %d, want %d", got, want)
 	}
 	if got, want := f.MaxDelayUS(), ref.maxDelay; got != want {
@@ -352,7 +352,7 @@ func replayFacilityOps(t *testing.T, name string, data []byte, opts Options, slo
 				if got, want := h.fe.ev.Cancel(), r.ref.cancel(h.rec); got != want {
 					r.fail(desc, "Cancel = %v, want %v", got, want)
 				}
-				if h.fe.ev.Pending() {
+				if h.fe.ev.t.Pending() {
 					r.fail(desc, "canceled event still pending")
 				}
 			}
@@ -360,13 +360,13 @@ func replayFacilityOps(t *testing.T, name string, data []byte, opts Options, slo
 			T := latency(op)
 			if h := pick(); h != nil {
 				desc = fmt.Sprintf("Rearm(%d, %d)", h.fe.id, T)
-				if got, want := h.fe.ev.Pending(), h.rec.live; got != want {
+				if got, want := h.fe.ev.t.Pending(), h.rec.live; got != want {
 					r.fail(desc, "Pending before = %v, want %v", got, want)
 				}
 				h.fe.sched, h.fe.T = r.tick(), T
 				h.fe.ev.Rearm(T)
 				r.ref.rearm(h.rec, r.tick(), T)
-				if !h.fe.ev.Pending() {
+				if !h.fe.ev.t.Pending() {
 					r.fail(desc, "re-armed event not pending")
 				}
 			}

@@ -5,7 +5,6 @@ import (
 
 	"softtimers/internal/metrics"
 	"softtimers/internal/sim"
-	"softtimers/internal/stats"
 )
 
 // MultiPacer rate-clocks many connections simultaneously, each at its own
@@ -44,7 +43,6 @@ type pacedFlow struct {
 	lastSend   sim.Time
 	sent       int64
 	next       sim.Time // next eligible transmission time
-	intervals  *stats.Sample
 }
 
 // NewMultiPacer creates an empty multi-connection pacer on f.
@@ -76,33 +74,10 @@ func (m *MultiPacer) AddFlow(id int, target, min sim.Time,
 	fl := &pacedFlow{
 		id: id, target: target, min: min, transmit: transmit,
 		trainStart: now, lastSend: now,
-		next:      now + target,
-		intervals: &stats.Sample{},
+		next: now + target,
 	}
 	m.flows[id] = fl
 	m.rearm()
-}
-
-// RemoveFlow stops pacing a connection; reports whether it existed.
-func (m *MultiPacer) RemoveFlow(id int) bool {
-	if _, ok := m.flows[id]; !ok {
-		return false
-	}
-	delete(m.flows, id)
-	m.rearm()
-	return true
-}
-
-// Flows returns the number of actively paced connections.
-func (m *MultiPacer) Flows() int { return len(m.flows) }
-
-// Intervals returns the recorded inter-transmission intervals (µs) for a
-// flow, or nil if unknown.
-func (m *MultiPacer) Intervals(id int) *stats.Sample {
-	if fl, ok := m.flows[id]; ok {
-		return fl.intervals
-	}
-	return nil
 }
 
 // earliest returns the soonest per-flow deadline, or false if no flows.
@@ -162,9 +137,6 @@ func (m *MultiPacer) fire(now sim.Time) sim.Time {
 		c, more := fl.transmit(now)
 		cost += c
 		m.mSent.Inc()
-		if fl.sent > 0 {
-			fl.intervals.Add((now - fl.lastSend).Micros())
-		}
 		fl.sent++
 		fl.lastSend = now
 		if !more {

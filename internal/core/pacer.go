@@ -84,20 +84,8 @@ func (p *Pacer) Start() {
 	p.schedule(p.TargetInterval)
 }
 
-// Stop cancels the pending transmission event and ends the train.
-func (p *Pacer) Stop() {
-	p.running = false
-	if p.ev != nil {
-		p.ev.Cancel()
-		p.ev = nil
-	}
-}
-
 // Running reports whether a train is in progress.
 func (p *Pacer) Running() bool { return p.running }
-
-// Sent returns the number of packets transmitted in the current train.
-func (p *Pacer) Sent() int64 { return p.sent }
 
 // schedule arms the next transmission event. The steady-state path revives
 // the just-fired handle in place (Event.Rearm) — one wheel-node migration,
@@ -112,9 +100,6 @@ func (p *Pacer) schedule(interval sim.Time) {
 }
 
 func (p *Pacer) fire(now sim.Time) sim.Time {
-	if !p.running {
-		return 0
-	}
 	p.mFires.Inc()
 	cost, more := p.Transmit(now)
 	if p.Intervals != nil && p.sent > 0 {

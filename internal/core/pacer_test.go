@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"softtimers/internal/cpu"
@@ -79,16 +80,18 @@ func TestPacerOnePacketPerTriggerWhenStarved(t *testing.T) {
 	const n = 500
 	sent := 0
 	var start, end sim.Time
+	var gaps []float64 // µs between consecutive transmissions
 	p := NewPacer(f, 40*sim.Microsecond, 12*sim.Microsecond,
 		func(now sim.Time) (sim.Time, bool) {
 			if sent == 0 {
 				start = now
+			} else {
+				gaps = append(gaps, (now - end).Micros())
 			}
 			sent++
 			end = now
 			return 500, sent < n
 		})
-	p.Intervals = &stats.Sample{}
 	p.Start()
 	eng.RunFor(sim.Second)
 	if sent != n {
@@ -107,27 +110,9 @@ func TestPacerOnePacketPerTriggerWhenStarved(t *testing.T) {
 	// Because the pacer is perpetually behind target, every interval
 	// should be scheduled at burst eligibility: min interval < observed
 	// interval ≈ trigger cadence.
-	if med := p.Intervals.Median(); med < 95 || med > 115 {
+	slices.Sort(gaps)
+	if med := gaps[len(gaps)/2]; med < 95 || med > 115 {
 		t.Fatalf("median interval = %vus, want ~100 (trigger cadence)", med)
-	}
-}
-
-func TestPacerStopCancelsPending(t *testing.T) {
-	eng, k, f := newRig(kernel.Options{IdleLoop: true}, Options{})
-	k.Start()
-	sent := 0
-	p := NewPacer(f, 50*sim.Microsecond, 10*sim.Microsecond,
-		func(now sim.Time) (sim.Time, bool) { sent++; return 0, true })
-	p.Start()
-	eng.RunFor(sim.Millisecond)
-	p.Stop()
-	before := sent
-	eng.RunFor(5 * sim.Millisecond)
-	if sent != before {
-		t.Fatalf("pacer sent %d packets after Stop", sent-before)
-	}
-	if f.Pending() != 0 {
-		t.Fatalf("facility still has %d pending events after Stop", f.Pending())
 	}
 }
 
@@ -143,7 +128,7 @@ func TestPacerStartIsIdempotent(t *testing.T) {
 	if sent != 5 {
 		t.Fatalf("sent = %d, want 5", sent)
 	}
-	if got := p.Sent(); got != 5 {
-		t.Fatalf("Sent() = %d", got)
+	if got := p.sent; got != 5 {
+		t.Fatalf("sent = %d", got)
 	}
 }

@@ -86,8 +86,8 @@ func TestMultiPacerRearmMatchesLegacyTelemetry(t *testing.T) {
 		if sent[1] != 1500 || sent[2] != 400 || sent[3] != 700 {
 			t.Fatalf("sent = %v, want all trains complete", sent)
 		}
-		if m.Flows() != 0 {
-			t.Fatalf("flows remaining = %d", m.Flows())
+		if len(m.flows) != 0 {
+			t.Fatalf("flows remaining = %d", len(m.flows))
 		}
 	}
 	const cancelInsert = "8c0220d80a7dfbed4b55fbe84c0f96c86b7de43fff1b3c673f906b49f0ded021"
@@ -111,7 +111,7 @@ func TestEventRearmCounterParity(t *testing.T) {
 			s0.Canceled, s1.Canceled, s0.Scheduled, s1.Scheduled)
 	}
 	eng.RunFor(sim.Millisecond)
-	if ev.Pending() {
+	if ev.t.Pending() {
 		t.Fatal("event did not fire")
 	}
 	s2 := f.Stats()
@@ -121,7 +121,7 @@ func TestEventRearmCounterParity(t *testing.T) {
 		t.Fatalf("fired rearm: canceled %d->%d scheduled %d->%d, want +0/+1",
 			s2.Canceled, s3.Canceled, s2.Scheduled, s3.Scheduled)
 	}
-	if !ev.Pending() {
+	if !ev.t.Pending() {
 		t.Fatal("fired event not pending after rearm")
 	}
 	fired := s3.Fired

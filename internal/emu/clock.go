@@ -107,8 +107,8 @@ func (c *Clock) poke() {
 	}
 }
 
-// run anchors the clock at e's current time and paces e until stop closes
-// or the engine stops. Each pass checks stop, then does one thing:
+// run anchors the clock at e's current time and paces e until stop closes.
+// Each pass checks stop, then does one thing:
 //
 //   - fire the earliest event if the wall clock has reached it, recording
 //     its lag when it is overdue;
@@ -124,7 +124,7 @@ func (c *Clock) run(e *sim.Engine, stop <-chan struct{}) {
 	c.started, c.epochWall, c.epochV = true, c.now(), e.Now()
 	var work []func()
 	var arrival sim.Time
-	for !e.Stopped() {
+	for {
 		select {
 		case <-stop:
 			return

@@ -102,8 +102,18 @@ type Server struct {
 // New builds the emulated server and binds its listener (so the bound
 // address is known before Serve). The simulated host is an ordinary
 // one-host topology whose soft-timer facility measures on the Clock's
-// wall-mapped time.
+// wall-mapped time. A negative response size or pacer interval is an
+// error.
 func New(cfg Config) (*Server, error) {
+	if cfg.FileBytes < 0 {
+		return nil, fmt.Errorf("emu: response size %d bytes is negative", cfg.FileBytes)
+	}
+	if cfg.PacerInterval < 0 {
+		return nil, fmt.Errorf("emu: pacer interval %v is negative", cfg.PacerInterval)
+	}
+	if cfg.PacerBurstInterval < 0 {
+		return nil, fmt.Errorf("emu: pacer burst interval %v is negative", cfg.PacerBurstInterval)
+	}
 	cfg.setDefaults()
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {

@@ -11,6 +11,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"softtimers/internal/sim"
+	"softtimers/internal/stats"
 )
 
 // dialable reports whether this runner allows loopback sockets; sandboxed
@@ -93,6 +96,48 @@ func TestServeLoopbackHTTP(t *testing.T) {
 // TestStopIdle ensures Stop returns promptly from an idle server (the
 // engine is asleep until its next event and must be woken, not waited
 // out).
+// TestNewRejectsNegativeConfig: a negative response size or pacer interval
+// fails New with an error, before any socket is opened, instead of serving
+// nothing or panicking in the pacer.
+func TestNewRejectsNegativeConfig(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"file", Config{FileBytes: -1}},
+		{"pace", Config{PacerInterval: -5 * sim.Microsecond}},
+		{"burst", Config{PacerBurstInterval: -5 * sim.Microsecond}},
+	} {
+		s, err := New(c.cfg)
+		if err == nil {
+			s.Stop()
+			t.Errorf("%s: New(%+v) returned no error", c.name, c.cfg)
+		}
+	}
+}
+
+// TestIntervalsPercentileCappedAtMax: percentiles interpolate within a
+// 1 µs bucket but never pass the exact maximum, Percentile(100) is that
+// maximum, Median is Percentile(50), and Mean is exact.
+func TestIntervalsPercentileCappedAtMax(t *testing.T) {
+	d := Intervals{hist: stats.NewHistogram(1, 20_000)}
+	for _, us := range []float64{10.25, 10.75, 30.5, 99.25} {
+		d.add(us)
+	}
+	if got := d.Percentile(100); got != 99.25 {
+		t.Errorf("Percentile(100) = %v, want the maximum 99.25", got)
+	}
+	if got := d.Percentile(99.9); got > 99.25 {
+		t.Errorf("Percentile(99.9) = %v, past the maximum 99.25", got)
+	}
+	if d.Median() != d.Percentile(50) {
+		t.Errorf("Median %v != Percentile(50) %v", d.Median(), d.Percentile(50))
+	}
+	if got, want := d.Mean(), (10.25+10.75+30.5+99.25)/4; got != want {
+		t.Errorf("Mean = %v, want %v", got, want)
+	}
+}
+
 func TestStopIdle(t *testing.T) {
 	dialable(t)
 	s, err := New(Config{})
@@ -119,6 +164,9 @@ func TestStopWithoutServe(t *testing.T) {
 	s, err := New(Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
+	}
+	if s.Clock() != s.clk {
+		t.Fatal("Clock does not return the server's clock")
 	}
 	stopped := make(chan struct{})
 	go func() {

@@ -211,7 +211,7 @@ func fabricRun(t *testing.T, sc Scale) map[string][]byte {
 	for i, name := range names {
 		h := top.Host(name)
 		for k := 1; k <= 3; k++ {
-			h.NIC().TxFromKernel(&netstack.Packet{
+			h.NICs[0].TxFromKernel(&netstack.Packet{
 				Flow: i*10 + k, Src: top.Addr(name), Dst: top.Addr(names[(i+k)%len(names)]),
 				Kind: netstack.Data, Size: 600 + 100*k,
 			})

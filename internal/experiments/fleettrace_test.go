@@ -2,10 +2,29 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"softtimers/internal/sim"
 )
+
+// FleetTraceExport, behind sttrace's flows modes: a two-client fleet yields
+// spans and a Chrome trace that parses.
+func TestFleetTraceExport(t *testing.T) {
+	spans, chrome := FleetTraceExport(SmokeScale(), 2, true)
+	if len(spans) == 0 {
+		t.Fatal("no spans exported")
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(chrome, &doc); err != nil {
+		t.Fatalf("Chrome trace does not parse: %v", err)
+	}
+	if len(doc.TraceEvents) == 0 {
+		t.Fatal("Chrome trace has no events")
+	}
+}
 
 // The decomposition claim itself: every traced request/response pair's
 // per-hop sum telescopes to a path latency the client's observed TTFB

@@ -207,4 +207,13 @@ func TestRegistryCoversOrder(t *testing.T) {
 			t.Fatalf("wall-clock experiment %q missing from registry", name)
 		}
 	}
+	listed := map[string]int{}
+	for _, e := range List() {
+		listed[e[0]]++
+	}
+	for _, n := range Order {
+		if listed[n] != 1 {
+			t.Errorf("List names %q %d times, want once", n, listed[n])
+		}
+	}
 }

@@ -90,13 +90,6 @@ func (s Spec) Budget() float64 {
 	return DefaultOverheadBudget
 }
 
-// Clean reports whether the spec injects no faults at all.
-func (s Spec) Clean() bool {
-	return s.Drop == 0 && s.Dup == 0 && s.Reorder == 0 &&
-		s.IntrJitterMax == 0 && s.IntrCoalesce == 0 &&
-		s.WorkJitter == 0 && s.Starve == 0
-}
-
 // reorderMax returns the effective hold-back bound.
 func (s Spec) reorderMax() sim.Time {
 	if s.ReorderMax > 0 {
@@ -138,15 +131,6 @@ func New(seed uint64, spec Spec) *Plan {
 	p.sta = p.Stream("starve")
 	p.pit = p.Stream("pit")
 	return p
-}
-
-// Spec returns the scenario the plan was built from. A nil plan reports
-// the clean spec.
-func (p *Plan) Spec() Spec {
-	if p == nil {
-		return Spec{}
-	}
-	return p.spec
 }
 
 // Stream returns a deterministic PRNG sub-stream for the named channel:

@@ -9,6 +9,13 @@ import (
 	"softtimers/internal/sim"
 )
 
+// clean reports whether s injects no faults at all.
+func clean(s Spec) bool {
+	return s.Drop == 0 && s.Dup == 0 && s.Reorder == 0 &&
+		s.IntrJitterMax == 0 && s.IntrCoalesce == 0 &&
+		s.WorkJitter == 0 && s.Starve == 0
+}
+
 // hostileSpec is a scenario exercising every fault channel at once.
 func hostileSpec() Spec {
 	return Spec{
@@ -125,9 +132,6 @@ func TestNilPlanIsInert(t *testing.T) {
 	if d := p.PerturbWork(sim.Microsecond); d != sim.Microsecond {
 		t.Errorf("nil plan perturbed work: %v", d)
 	}
-	if !p.Spec().Clean() {
-		t.Errorf("nil plan spec not clean")
-	}
 	lp := p.Link("x")
 	if lp != nil {
 		t.Fatalf("nil plan returned non-nil link plan")
@@ -158,11 +162,11 @@ func TestCleanSpecDrawsNothing(t *testing.T) {
 			t.Fatalf("clean spec perturbed work")
 		}
 	}
-	if !p.Spec().Clean() {
-		t.Errorf("zero spec not Clean()")
+	if !clean(p.spec) {
+		t.Errorf("zero spec not clean")
 	}
-	if hostileSpec().Clean() {
-		t.Errorf("hostile spec reported Clean()")
+	if clean(hostileSpec()) {
+		t.Errorf("hostile spec reported clean")
 	}
 }
 
@@ -243,10 +247,13 @@ func TestScenarios(t *testing.T) {
 		if !ok {
 			t.Fatalf("ScenarioNames lists %q but LookupScenario misses it", n)
 		}
-		if n == "clean" && !spec.Clean() {
+		if DescribeScenario(n) == "" {
+			t.Errorf("scenario %q has no description", n)
+		}
+		if n == "clean" && !clean(spec) {
 			t.Errorf("clean scenario is not clean")
 		}
-		if n != "clean" && spec.Clean() {
+		if n != "clean" && clean(spec) {
 			t.Errorf("scenario %q injects no faults", n)
 		}
 	}

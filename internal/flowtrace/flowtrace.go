@@ -13,8 +13,8 @@
 // under sharding, placement and worker count, and enabling tracing never
 // perturbs workload RNG draws.
 //
-// Span records are pooled arena-style (fixed-capacity hop arrays carved
-// from chunks, recycled through a free list) on per-shard Recorders.
+// Span records are fixed-capacity hop arrays carved from chunks on
+// per-shard Recorders, which keep every finished span for export.
 // A span migrates across shards with its packet: the ShardGroup round
 // barrier that flushes the packet's conduit is the happens-before edge
 // for the span too, so cross-shard hops stitch without locks. The span
@@ -92,7 +92,6 @@ type Span struct {
 	n       int32
 	dropped int32
 	hops    [MaxHops]Hop
-	next    *Span // recorder free list
 }
 
 // Hop appends a hop. Nil-receiver safe: untraced packets pay exactly this
@@ -120,14 +119,6 @@ func (s *Span) HopHere(k HopKind, loc int32) {
 	s.Hop(k, loc, s.hops[s.n-1].At)
 }
 
-// ID returns the span's mode-invariant identity (0 for a nil span).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // Hops returns the recorded hops (aliasing the span's array; read-only).
 func (s *Span) Hops() []Hop {
 	if s == nil {
@@ -139,12 +130,12 @@ func (s *Span) Hops() []Hop {
 // spanChunk is the pool carve size, mirroring netstack.Arena's chunking.
 const spanChunk = 64
 
-// Recorder owns span storage for one shard: a chunk-carved free list for
-// live spans and a done list of finished ones. All access happens on the
+// Recorder owns span storage for one shard: chunks that live spans are
+// carved from, and a done list of finished ones. All access happens on the
 // goroutine that runs every shard inline: a migrant span finishes into
 // its packet's home recorder from whichever shard frees the packet.
 type Recorder struct {
-	free     *Span
+	chunk    []Span // the current chunk's uncarved tail
 	done     []*Span
 	started  int64
 	finished int64
@@ -155,18 +146,14 @@ type Recorder struct {
 // NewRecorder returns an empty per-shard recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// alloc carves or recycles a span and stamps its identity.
+// alloc carves a span and stamps its identity.
 func (r *Recorder) alloc(id uint64) *Span {
-	s := r.free
-	if s == nil {
-		chunk := make([]Span, spanChunk)
-		for i := 0; i < len(chunk)-1; i++ {
-			chunk[i].next = &chunk[i+1]
-		}
-		s = &chunk[0]
+	if len(r.chunk) == 0 {
+		r.chunk = make([]Span, spanChunk)
 	}
-	r.free = s.next
-	*s = Span{id: id}
+	s := &r.chunk[0]
+	r.chunk = r.chunk[1:]
+	s.id = id
 	r.started++
 	return s
 }
@@ -197,15 +184,6 @@ func (r *Recorder) HopCount() int64 { return r.hops }
 
 // DroppedHops returns hops lost to MaxHops overflow on finished spans.
 func (r *Recorder) DroppedHops() int64 { return r.droppedH }
-
-// Reset recycles every finished span back to the free list.
-func (r *Recorder) Reset() {
-	for _, s := range r.done {
-		s.next = r.free
-		r.free = s
-	}
-	r.done = r.done[:0]
-}
 
 // Sampler makes one host's flow-sampling decisions and allocates span
 // identities. The RNG is a private stream (never the host's workload

@@ -131,14 +131,6 @@ func (h *Host) AddNIC(cfg nic.Config, out netstack.Endpoint) *nic.NIC {
 	return n
 }
 
-// NIC returns the first interface (convenience for 1-NIC hosts), or nil.
-func (h *Host) NIC() *nic.NIC {
-	if len(h.NICs) == 0 {
-		return nil
-	}
-	return h.NICs[0]
-}
-
 // Start spins up the kernel and then each NIC, in attach order. Idempotent.
 func (h *Host) Start() {
 	if h.started {

@@ -245,10 +245,6 @@ func NewServerMulti(k *kernel.Kernel, f *core.Facility, nics []*nic.NIC, cfg Con
 	return s
 }
 
-// Pacer returns the adaptive transmission pacer (TxPacerPaced mode only;
-// nil otherwise). Emulation rigs read its train/fire counters.
-func (s *Server) Pacer() *core.Pacer { return s.pacer }
-
 // Start arms auxiliary machinery (the HW pacer timer). Call after
 // kernel.Start.
 func (s *Server) Start() {

@@ -186,7 +186,7 @@ func TestPacerPacedModeHoldsTargetRate(t *testing.T) {
 	if res.Completed < 50 {
 		t.Fatalf("pacer-paced server completed only %d", res.Completed)
 	}
-	if tb.Server.Pacer() == nil {
+	if tb.Server.pacer == nil {
 		t.Fatal("TxPacerPaced built no pacer")
 	}
 	if tb.Server.PacedIntervals.N() == 0 {

@@ -26,8 +26,8 @@ func TestKernelAccessors(t *testing.T) {
 	if k.Now() != eng.Now() {
 		t.Error("Now() mismatch")
 	}
-	if k.Tick() != 10 {
-		t.Errorf("Tick() = %d past 10ms at %d Hz, want 10", k.Tick(), Hz)
+	if k.tick != 10 {
+		t.Errorf("tick = %d past 10ms at %d Hz, want 10", k.tick, Hz)
 	}
 	if k.Idle() != true {
 		t.Error("Idle() should be true with no work (halted idle)")
@@ -98,20 +98,20 @@ func TestPITAccessors(t *testing.T) {
 	eng := sim.NewEngine(5)
 	k := New(eng, cpu.PentiumII300(), Options{})
 	pit := k.NewPIT(100*sim.Microsecond, 0, nil)
-	if pit.Period() != 100*sim.Microsecond {
-		t.Errorf("Period() = %v", pit.Period())
+	if pit.period != 100*sim.Microsecond {
+		t.Errorf("period = %v", pit.period)
 	}
-	if pit.Running() {
-		t.Error("Running() before Start")
+	if pit.running {
+		t.Error("running before Start")
 	}
 	pit.Start()
 	pit.Start() // idempotent
-	if !pit.Running() {
-		t.Error("Running() after Start")
+	if !pit.running {
+		t.Error("not running after Start")
 	}
-	pit.Stop()
-	if pit.Running() {
-		t.Error("Running() after Stop")
+	eng.RunFor(sim.Millisecond)
+	if pit.n != 10 {
+		t.Errorf("%d ticks in 1 ms at a 100 µs period, want 10 (a second Start must not add a tick stream)", pit.n)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestMeterTraceCallback(t *testing.T) {
 	k.Meter().Trace = func(_ sim.Time, _ sim.Time, src Source) { srcs = append(srcs, src) }
 	k.Spawn("w", func(p *Proc) {
 		p.Syscall("a", sim.Microsecond, func() {
-			p.Syscall("b", sim.Microsecond, func() { p.Exit() })
+			p.Syscall("b", sim.Microsecond, func() {})
 		})
 	})
 	k.Start()

@@ -38,6 +38,3 @@ func (k *Kernel) scheduleHardclock() {
 	}
 	k.eng.AtLabeled(k.eng.Now()+TickPeriod, "hardclock", tick)
 }
-
-// Tick returns the number of hardclock ticks taken so far.
-func (k *Kernel) Tick() int64 { return k.tick }

@@ -24,15 +24,13 @@ func TestPropertyAccountingConservation(t *testing.T) {
 				var loop func()
 				loop = func() {
 					p.Compute(rng.ExpTime(80*sim.Microsecond), func() {
-						switch rng.Intn(4) {
+						switch rng.Intn(3) {
 						case 0:
 							p.Syscall("s", rng.ExpTime(15*sim.Microsecond), loop)
 						case 1:
 							p.Trap("t", rng.ExpTime(8*sim.Microsecond), loop)
-						case 2:
-							p.Sleep(&wq, loop)
 						default:
-							p.Yield(loop)
+							p.Sleep(&wq, loop)
 						}
 					})
 				}
@@ -46,7 +44,7 @@ func TestPropertyAccountingConservation(t *testing.T) {
 		var storm func()
 		storm = func() {
 			k.RaiseInterrupt(SrcDisk, rng.ExpTime(4*sim.Microsecond), func() {
-				wq.WakeAll()
+				wakeAll(&wq)
 			})
 			if sirqRateRaw%3 == 0 {
 				k.PostSoftIRQ(ChainStep{Work: rng.ExpTime(6 * sim.Microsecond), Src: SrcTCPIPOther})
@@ -124,7 +122,7 @@ func TestChainInterleavedWithInterrupts(t *testing.T) {
 				{Work: 20 * sim.Microsecond, Src: SrcIPOutput, Fn: func() { order = append(order, "pkt1") }},
 				{Work: 20 * sim.Microsecond, Src: SrcIPOutput, Fn: func() { order = append(order, "pkt2") }},
 			}
-			p.Chain(steps, func() { p.Exit() })
+			p.Chain(steps, func() {})
 		})
 	})
 	k.Start()
@@ -205,16 +203,14 @@ func TestWakeAllFromProcContext(t *testing.T) {
 		k.Spawn("sleeper-"+name, func(p *Proc) {
 			p.Sleep(&wq, func() {
 				order = append(order, name)
-				p.Exit()
 			})
 		})
 	}
 	k.Spawn("waker", func(p *Proc) {
 		p.Compute(50*sim.Microsecond, func() {
-			wq.WakeAll()
+			wakeAll(&wq)
 			p.Compute(30*sim.Microsecond, func() {
 				order = append(order, "waker-done")
-				p.Exit()
 			})
 		})
 	})
@@ -233,7 +229,7 @@ func TestWakeOfRunningPanics(t *testing.T) {
 	k.Spawn("p", func(p *Proc) {
 		// Manually corrupt: put a running proc on a wait queue.
 		wq.ps = append(wq.ps, p)
-		p.Compute(10*sim.Microsecond, func() { p.Exit() })
+		p.Compute(10*sim.Microsecond, func() {})
 	})
 	k.Start()
 	defer func() {

@@ -410,9 +410,6 @@ func (k *Kernel) SetTriggerSink(s TriggerSink) { k.sink = s }
 // events into the bounded ring.
 func (k *Kernel) SetTracer(tb *trace.Buffer) { k.tracer = tb }
 
-// Tracer returns the attached trace buffer, or nil.
-func (k *Kernel) Tracer() *trace.Buffer { return k.tracer }
-
 // tr records a trace event when a tracer is attached.
 func (k *Kernel) tr(kind trace.Kind, label string, arg int64) {
 	if k.tracer != nil {

@@ -18,11 +18,9 @@ type PIT struct {
 	work    sim.Time
 	handler func()
 
-	running  bool
-	pending  bool // an interrupt has been raised but not yet serviced
-	n        int64
-	ev       sim.Event
-	jitterEv sim.Event // fault-injected delivery deferral in flight
+	running bool
+	pending bool // an interrupt has been raised but not yet serviced
+	n       int64
 
 	// Fires counts delivered interrupts; Lost counts merged ticks.
 	Fires int64
@@ -58,17 +56,11 @@ func (p *PIT) Start() {
 			p.handler()
 		}
 	}
-	raise := func() {
-		p.jitterEv = sim.Event{}
-		p.k.RaiseInterrupt(SrcPIT, p.work, body)
-	}
+	raise := func() { p.k.RaiseInterrupt(SrcPIT, p.work, body) }
 	var tick func()
 	tick = func() {
-		if !p.running {
-			return
-		}
 		p.n++
-		p.ev = p.k.eng.AtLabeled(base+sim.Time(p.n+1)*p.period, "pit", tick)
+		p.k.eng.AtLabeled(base+sim.Time(p.n+1)*p.period, "pit", tick)
 		if p.pending {
 			// Previous interrupt not yet serviced: this tick is lost
 			// (the interrupt line is already asserted).
@@ -81,25 +73,10 @@ func (p *PIT) Start() {
 		// but the CPU sees the interrupt late — up to a full period under
 		// the coalescing scenario.
 		if d := p.k.opts.Faults.PITPerturb(p.period); d > 0 {
-			p.jitterEv = p.k.eng.AfterLabeled(d, "pit:jitter", raise)
+			p.k.eng.AfterLabeled(d, "pit:jitter", raise)
 			return
 		}
 		raise()
 	}
-	p.ev = p.k.eng.AtLabeled(base+p.period, "pit", tick)
+	p.k.eng.AtLabeled(base+p.period, "pit", tick)
 }
-
-// Stop halts the timer, including any fault-deferred delivery in flight.
-func (p *PIT) Stop() {
-	p.running = false
-	p.ev.Cancel()
-	p.ev = sim.Event{}
-	p.jitterEv.Cancel()
-	p.jitterEv = sim.Event{}
-}
-
-// Running reports whether the timer is ticking.
-func (p *PIT) Running() bool { return p.running }
-
-// Period returns the tick period.
-func (p *PIT) Period() sim.Time { return p.period }

@@ -22,7 +22,7 @@ const (
 )
 
 // Proc is a simulated process. Workload code drives it in continuation-
-// passing style: each operation (Compute, Syscall, Trap, Sleep, Yield)
+// passing style: each operation (Compute, Syscall, Trap, Chain, Sleep)
 // schedules work and names the continuation to run when it completes. A
 // continuation that performs no further operation implicitly exits the
 // process.
@@ -63,9 +63,6 @@ func (p *Proc) pollute(base sim.Time) sim.Time {
 	}
 	return sim.Time(float64(base) * p.PollutionFactor)
 }
-
-// State returns the process's scheduling state.
-func (p *Proc) State() ProcState { return p.state }
 
 // Spawn creates a process whose entry continuation runs when it is first
 // scheduled. Processes may be spawned before or after Start.
@@ -163,27 +160,6 @@ func (p *Proc) Sleep(wq *WaitQueue, then func()) {
 	k.dispatch()
 }
 
-// Yield surrenders the CPU, re-queueing the process; then runs when the
-// scheduler picks it again.
-func (p *Proc) Yield(then func()) {
-	p.mustOwnCPU("Yield")
-	p.acted = true
-	p.state = Ready
-	p.readySince = p.k.eng.Now()
-	p.resume = then
-	k := p.k
-	k.runq = append(k.runq, p)
-	k.running = nil
-	k.dispatch()
-}
-
-// Exit terminates the process.
-func (p *Proc) Exit() {
-	p.mustOwnCPU("Exit")
-	p.acted = true
-	p.k.exitProc(p)
-}
-
 func (p *Proc) newSegment(kind segKind, name string, work sim.Time, then func()) *segment {
 	var w sim.Time
 	if kind == segUser {
@@ -220,16 +196,6 @@ func (wq *WaitQueue) WakeOne() bool {
 	wq.ps = wq.ps[1:]
 	p.wake()
 	return true
-}
-
-// WakeAll wakes every sleeping process and returns how many were woken.
-func (wq *WaitQueue) WakeAll() int {
-	n := len(wq.ps)
-	for _, p := range wq.ps {
-		p.wake()
-	}
-	wq.ps = nil
-	return n
 }
 
 func (p *Proc) wake() {

@@ -15,12 +15,12 @@ func TestKernelTracing(t *testing.T) {
 	// simulated millisecond; size the ring to hold the whole run.
 	tb := trace.New(100_000)
 	k.SetTracer(tb)
-	if k.Tracer() != tb {
+	if k.tracer != tb {
 		t.Fatal("tracer not attached")
 	}
 	k.Spawn("worker", func(p *Proc) {
 		p.Compute(100*sim.Microsecond, func() {
-			p.Syscall("read", 10*sim.Microsecond, func() { p.Exit() })
+			p.Syscall("read", 10*sim.Microsecond, func() {})
 		})
 	})
 	k.Start()
@@ -29,10 +29,10 @@ func TestKernelTracing(t *testing.T) {
 	})
 	eng.RunFor(5 * sim.Millisecond)
 
-	if got := len(tb.Filter(trace.Sched)); got < 1 {
+	if got := len(ofKind(tb, trace.Sched)); got < 1 {
 		t.Errorf("sched events = %d", got)
 	}
-	intrs := tb.Filter(trace.Intr)
+	intrs := ofKind(tb, trace.Intr)
 	foundDisk := false
 	for _, e := range intrs {
 		if e.Label == "disk-intr" {
@@ -42,10 +42,10 @@ func TestKernelTracing(t *testing.T) {
 	if !foundDisk {
 		t.Errorf("no disk interrupt traced: %v", intrs)
 	}
-	if got := len(tb.Filter(trace.TriggerState)); got < 10 {
+	if got := len(ofKind(tb, trace.TriggerState)); got < 10 {
 		t.Errorf("trigger events = %d, want many (idle polls)", got)
 	}
-	if got := len(tb.Filter(trace.IdleEnter)); got < 1 {
+	if got := len(ofKind(tb, trace.IdleEnter)); got < 1 {
 		t.Errorf("idle-enter events = %d", got)
 	}
 	// Events must be time-ordered.
@@ -57,10 +57,21 @@ func TestKernelTracing(t *testing.T) {
 	}
 }
 
+// ofKind returns b's retained events of the given kind, oldest first.
+func ofKind(b *trace.Buffer, kind trace.Kind) []trace.Event {
+	var out []trace.Event
+	for _, e := range b.Events() {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestTracingDisabledByDefault(t *testing.T) {
 	eng := sim.NewEngine(20)
 	k := New(eng, cpu.PentiumII300(), Options{IdleLoop: true})
-	if k.Tracer() != nil {
+	if k.tracer != nil {
 		t.Fatal("tracer attached by default")
 	}
 	k.Start()

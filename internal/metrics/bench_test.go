@@ -58,7 +58,7 @@ func BenchmarkMetricsSnapshot(b *testing.B) {
 	// kernel registers a few dozen instruments).
 	r := NewRegistry()
 	for i := 0; i < 32; i++ {
-		r.Counter(string(rune('a'+i)) + ".counter").Add(int64(i))
+		r.Counter(string(rune('a'+i)) + ".counter").v += int64(i)
 	}
 	for i := 0; i < 8; i++ {
 		h := r.Histogram(string(rune('a'+i))+".hist", 1, 2000)

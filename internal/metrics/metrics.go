@@ -60,21 +60,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n (n may be any sign; use for cost accumulation in ns).
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value returns the current count. A nil counter reads zero.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Gauge is a point-in-time int64 with a separate high-water mark. Nil-safe
 // like Counter.
 type Gauge struct {
@@ -100,22 +85,6 @@ func (g *Gauge) SetMax(v int64) {
 	}
 }
 
-// Value returns the last Set value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Max returns the high-water mark.
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max
-}
-
 // Histogram is a fixed-width-bucket histogram (a registered
 // stats.Histogram). Observe is the hot-path entry point; it allocates only
 // when a value first lands past the buckets grown so far, which happens at
@@ -131,14 +100,6 @@ func (h *Histogram) Observe(v float64) {
 	if h != nil {
 		h.h.Add(v)
 	}
-}
-
-// Underlying returns the backing stats.Histogram for quantile queries.
-func (h *Histogram) Underlying() *stats.Histogram {
-	if h == nil {
-		return nil
-	}
-	return h.h
 }
 
 // Registry holds one simulation's instruments and reporters. It is not
@@ -431,44 +392,6 @@ type HistogramSnapshot struct {
 	Sum      float64 `json:"sum"`
 	Overflow int64   `json:"overflow"`
 	Buckets  Buckets `json:"buckets"`
-}
-
-// Quantile estimates the q-th quantile (q clamped to [0,1]) by linear
-// interpolation within the containing bucket — the same estimator as
-// stats.Histogram.Quantile, so for an unmerged snapshot the two agree
-// exactly. The one divergence is mass beyond the last bucket: the
-// snapshot does not know the original bucket count, so overflowed mass
-// reports one width past the last non-empty bucket instead of the
-// histogram's fixed upper bound.
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.Count)
-	var cum int64
-	var last int
-	for i := range h.Buckets.Len() {
-		c := h.Buckets.At(i)
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= target {
-			within := (target - float64(cum)) / float64(c)
-			if within < 0 {
-				within = 0
-			}
-			return (float64(i) + within) * h.Width
-		}
-		cum += c
-		last = i
-	}
-	return h.Width * float64(last+1)
 }
 
 // GaugeSnapshot is one gauge's state.

@@ -20,8 +20,8 @@ func TestCounterGetOrCreate(t *testing.T) {
 		t.Fatal("same name must return the same counter")
 	}
 	a.Inc()
-	b.Add(2)
-	if got := r.Counter("x").Value(); got != 3 {
+	b.v += 2
+	if got := r.Counter("x").v; got != 3 {
 		t.Fatalf("shared counter = %d, want 3", got)
 	}
 }
@@ -31,13 +31,9 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	var g *Gauge
 	var h *Histogram
 	c.Inc()
-	c.Add(5)
 	g.Set(1)
 	g.SetMax(2)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Underlying() != nil {
-		t.Fatal("nil instruments must read zero")
-	}
+	h.Observe(1) // none of these may panic
 }
 
 // TestKindCollisionPanics: a name may hold one instrument. Direct
@@ -95,12 +91,12 @@ func TestGaugeHighWaterMark(t *testing.T) {
 	g := r.Gauge("depth")
 	g.Set(5)
 	g.Set(2)
-	if g.Value() != 2 || g.Max() != 5 {
-		t.Fatalf("value/max = %d/%d, want 2/5", g.Value(), g.Max())
+	if g.v != 2 || g.max != 5 {
+		t.Fatalf("value/max = %d/%d, want 2/5", g.v, g.max)
 	}
 	g.SetMax(9)
-	if g.Value() != 2 || g.Max() != 9 {
-		t.Fatalf("after SetMax: value/max = %d/%d, want 2/9", g.Value(), g.Max())
+	if g.v != 2 || g.max != 9 {
+		t.Fatalf("after SetMax: value/max = %d/%d, want 2/9", g.v, g.max)
 	}
 }
 
@@ -218,13 +214,13 @@ func TestSnapshotIsACopy(t *testing.T) {
 	take(BucketCount{1, 2})
 	h.Observe(1500) // past the 64 buckets grown so far
 	take(BucketCount{1, 2}, BucketCount{1500, 1})
-	h.Underlying().SetBucketForTest(1, math.MaxUint32)
+	h.h.SetBucketForTest(1, math.MaxUint32)
 	take(BucketCount{1, math.MaxUint32}, BucketCount{1500, 1})
 	h.Observe(1) // wraps 32 bits: the counts widen
 	take(BucketCount{1, 1 << 32}, BucketCount{1500, 1})
 	h.Observe(1)
 	h.Observe(1500)
-	if got := h.Underlying().Bucket(1); got != 1<<32+1 {
+	if got := h.h.Bucket(1); got != 1<<32+1 {
 		t.Fatalf("live bucket 1 = %d, want %d", got, int64(1<<32+1))
 	}
 	if snaps[0].Counters["c"] != 1 || snaps[0].Histograms["h"].Count != 1 {
@@ -243,9 +239,9 @@ func TestSnapshotIsACopy(t *testing.T) {
 func TestHistogramCountPastUint32(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", 1, 10)
-	h.Underlying().SetBucketForTest(3, math.MaxUint32)
+	h.h.SetBucketForTest(3, math.MaxUint32)
 	h.Observe(3.5)
-	if got := h.Underlying().Bucket(3); got != 1<<32 {
+	if got := h.h.Bucket(3); got != 1<<32 {
 		t.Fatalf("Bucket(3) = %d, want %d", got, int64(1<<32))
 	}
 	s := r.Snapshot()
@@ -270,7 +266,7 @@ func TestHistogramCountPastUint32(t *testing.T) {
 func TestMerge(t *testing.T) {
 	mk := func(n int64) *Snapshot {
 		r := NewRegistry()
-		r.Counter("c").Add(n)
+		r.Counter("c").v += n
 		r.Gauge("g").Set(n)
 		h := r.Histogram("h", 1, 10)
 		for i := int64(0); i < n; i++ {
@@ -319,7 +315,7 @@ func TestJSONDeterminism(t *testing.T) {
 			names = []string{"gamma", "beta", "alpha"}
 		}
 		for _, n := range names {
-			r.Counter("c." + n).Add(int64(len(n)))
+			r.Counter("c." + n).v += int64(len(n))
 			r.Gauge("g." + n).Set(3)
 			r.Histogram("h."+n, 2, 8).Observe(5)
 		}
@@ -355,7 +351,7 @@ func TestJSONDeterminism(t *testing.T) {
 func TestSnapshotJSONRoundTripsWidenedAndShared(t *testing.T) {
 	r := NewRegistry()
 	wide := r.Histogram("h.wide", 1, 100)
-	wide.Underlying().SetBucketForTest(7, math.MaxUint32)
+	wide.h.SetBucketForTest(7, math.MaxUint32)
 	wide.Observe(7)
 	wide.Observe(70)
 	shared := r.Histogram("h.shared", 0.5, 2000)
@@ -433,7 +429,7 @@ func TestMergeNegativeGaugeFirstSighting(t *testing.T) {
 func TestSnapshotIntoPrefixesAndSkips(t *testing.T) {
 	build := func(n int64) *Registry {
 		r := NewRegistry()
-		r.Counter("sim.direct").Add(n)
+		r.Counter("sim.direct").v += n
 		r.Gauge("link.q").Set(4 * n)
 		r.Histogram("sim.h", 1, 8).Observe(1)
 		r.Register(reporterFunc(func(w Writer) {

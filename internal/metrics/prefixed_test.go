@@ -21,9 +21,9 @@ func TestPrefixedNameCollisionsMergeByRule(t *testing.T) {
 	// Under the topology's "host.<name>." scheme both become
 	// "host.a.b.x".
 	ra := NewRegistry()
-	ra.Counter("b.x").Add(3)
+	ra.Counter("b.x").v += 3
 	rb := NewRegistry()
-	rb.Counter("x").Add(4)
+	rb.Counter("x").v += 4
 
 	merged := prefixed(ra, "host.a.")
 	merged.Merge(prefixed(rb, "host.a.b."))
@@ -78,7 +78,7 @@ func TestPrefixedNameCollisionsMergeByRule(t *testing.T) {
 // an error: the per-kind maps keep both.
 func TestPrefixedCrossKindCollisionKeepsBoth(t *testing.T) {
 	ra := NewRegistry()
-	ra.Counter("b.v").Add(1)
+	ra.Counter("b.v").v += 1
 	rb := NewRegistry()
 	rb.Gauge("v").Set(9)
 	m := prefixed(ra, "host.a.")

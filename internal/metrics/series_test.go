@@ -61,36 +61,6 @@ func TestSeriesCapacityNeverExceeded(t *testing.T) {
 	}
 }
 
-func TestSeriesInstrumentColumns(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("reqs")
-	g := r.Gauge("depth")
-	h := r.Histogram("lat", 1, 100)
-	ss := NewSeriesSet(10, 4)
-	ss.AddCounter("reqs", c)
-	ss.AddGauge("depth", g)
-	ss.AddQuantile("lat_p50", h, 0.5)
-	c.Add(3)
-	g.Set(5)
-	for v := 0; v < 10; v++ {
-		h.Observe(float64(v))
-	}
-	ss.Sample(10)
-	s := ss.Snapshot()
-	if got := s.Series["reqs"].Vals[0]; got != 3 {
-		t.Fatalf("counter column %v, want 3", got)
-	}
-	if got := s.Series["depth"].Vals[0]; got != 5 {
-		t.Fatalf("gauge column %v, want 5", got)
-	}
-	if got := s.Series["lat_p50"].Vals[0]; got != h.Underlying().Quantile(0.5) {
-		t.Fatalf("quantile column %v, want %v", got, h.Underlying().Quantile(0.5))
-	}
-	if s.Series["reqs"].Merge != MergeSum || s.Series["depth"].Merge != MergeMax {
-		t.Fatal("instrument columns carry wrong merge kinds")
-	}
-}
-
 func TestSeriesPanics(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		t.Helper()

@@ -30,11 +30,9 @@ import (
 //   - a Switch forwards (ownership passes to the next link) or releases on
 //     an address miss;
 //   - a NIC releases on an rx-ring fault drop, and otherwise after the
-//     receive handler returns — handlers borrow the packet; a handler that
-//     needs it past its own return (e.g. to queue it out another
-//     interface) must Retain first;
-//   - Release decrements the refcount and only frees at zero, so
-//     Retain/Release pairs give multi-hop paths a zero-alloc lifetime.
+//     receive handler returns — handlers borrow the packet and must not
+//     keep it past their own return;
+//   - Release frees the packet; a second Release panics.
 //
 // Packets built as plain literals (&Packet{...}) have no home: Release is
 // a no-op for them, so existing rigs and tests keep working unchanged.
@@ -102,29 +100,17 @@ func (p *Packet) reset() {
 	p.home, p.gen = home, gen
 }
 
-// Retain adds a reference: the packet will survive one extra Release.
-// No-op for literals. Returns p for call-site convenience.
-func (p *Packet) Retain() *Packet {
-	if p.home != nil {
-		p.ref++
-	}
-	return p
-}
-
-// Release drops one reference and, at zero, returns the packet to the
-// free list of the arena that carved it, finishing its flowtrace span
-// into that arena's recorder and bumping its generation so stale handles
-// notice. Literals are ignored, and over-releasing a pooled packet panics
-// — that is a lifecycle bug, not a runtime condition.
+// Release returns the packet to the free list of the arena that carved
+// it, finishing its flowtrace span into that arena's recorder and bumping
+// its generation so stale handles notice. Literals are ignored, and
+// releasing a pooled packet twice panics — that is a lifecycle bug, not a
+// runtime condition.
 func (p *Packet) Release() {
 	a := p.home
 	if a == nil {
 		return
 	}
 	p.ref--
-	if p.ref > 0 {
-		return
-	}
 	if p.ref < 0 {
 		panic(fmt.Sprintf("netstack: packet released after free (flow %d, gen %d)", p.Flow, p.gen))
 	}
@@ -163,36 +149,3 @@ func (a *Arena) Clone(src *Packet) *Packet {
 // negative and counts exactly this arena's packets still in flight; a
 // drained network has Live() == 0 on every arena.
 func (a *Arena) Live() int64 { return a.gets - a.puts }
-
-// Handle is a generation-counted weak reference to an arena packet, for
-// tests that assert lifecycle discipline. A handle taken from a live
-// packet goes stale the moment the packet is freed (or recycled).
-type Handle struct {
-	p   *Packet
-	gen uint32
-}
-
-// HandleOf captures a handle to p's current incarnation.
-func HandleOf(p *Packet) Handle { return Handle{p: p, gen: p.gen} }
-
-// Valid reports whether the handle still names a live incarnation.
-// Handles to literals are always valid.
-func (h Handle) Valid() bool {
-	if h.p == nil {
-		return false
-	}
-	if h.p.home == nil {
-		return true
-	}
-	return h.p.gen == h.gen && h.p.ref > 0
-}
-
-// Get returns the packet, panicking if the handle is stale — using a
-// freed packet is the pooling bug this type exists to catch.
-func (h Handle) Get() *Packet {
-	if !h.Valid() {
-		panic(fmt.Sprintf("netstack: stale packet handle (gen %d, now %d, ref %d)",
-			h.gen, h.p.gen, h.p.ref))
-	}
-	return h.p
-}

@@ -1,12 +1,46 @@
 package netstack
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"softtimers/internal/faults"
 	"softtimers/internal/sim"
 )
+
+// Handle is a generation-counted weak reference to an arena packet, by
+// which the tests assert lifecycle discipline. A handle taken from a live
+// packet goes stale the moment the packet is freed (or recycled).
+type Handle struct {
+	p   *Packet
+	gen uint32
+}
+
+// HandleOf captures a handle to p's current incarnation.
+func HandleOf(p *Packet) Handle { return Handle{p: p, gen: p.gen} }
+
+// Valid reports whether the handle still names a live incarnation.
+// Handles to literals are always valid.
+func (h Handle) Valid() bool {
+	if h.p == nil {
+		return false
+	}
+	if h.p.home == nil {
+		return true
+	}
+	return h.p.gen == h.gen && h.p.ref > 0
+}
+
+// Get returns the packet, panicking if the handle is stale — using a
+// freed packet is the pooling bug this type exists to catch.
+func (h Handle) Get() *Packet {
+	if !h.Valid() {
+		panic(fmt.Sprintf("netstack: stale packet handle (gen %d, now %d, ref %d)",
+			h.gen, h.p.gen, h.p.ref))
+	}
+	return h.p
+}
 
 func mustPanic(t *testing.T, substr string, fn func()) {
 	t.Helper()
@@ -45,27 +79,6 @@ func TestArenaExactlyOnceRelease(t *testing.T) {
 	// A second release of an already-freed packet is a lifecycle bug and
 	// must panic, not silently corrupt the free list.
 	mustPanic(t, "released after free", func() { pkts[0].Release() })
-}
-
-func TestArenaRetainGivesExtraLife(t *testing.T) {
-	a := NewArena()
-	p := a.Get()
-	h := HandleOf(p)
-	p.Retain()
-	p.Release()
-	if !h.Valid() {
-		t.Fatal("handle went stale after first release of a retained packet")
-	}
-	if a.Live() != 1 {
-		t.Fatalf("Live = %d, want 1 (one reference outstanding)", a.Live())
-	}
-	p.Release()
-	if h.Valid() {
-		t.Fatal("handle still valid after final release")
-	}
-	if a.Live() != 0 {
-		t.Fatalf("Live = %d, want 0", a.Live())
-	}
 }
 
 func TestArenaStaleHandle(t *testing.T) {
@@ -142,15 +155,14 @@ func TestArenaNilFallbacks(t *testing.T) {
 	}
 	p.Release() // no-op on literals, however often
 	p.Release()
-	if p.Retain() != p || p.ref != 0 {
-		t.Fatal("Retain on a literal must leave it untouched")
+	if p.ref != 0 {
+		t.Fatal("Release on a literal must leave it untouched")
 	}
 
 	// Clone of a pooled source on a nil arena must clear pool bookkeeping
 	// so the copy never aliases free-list state.
 	real := NewArena()
 	src := real.Get()
-	src.Retain()
 	cp := a.Clone(src)
 	if cp.home != nil {
 		t.Fatal("nil-arena clone must not claim a home arena")
@@ -160,12 +172,10 @@ func TestArenaNilFallbacks(t *testing.T) {
 			cp.ref, cp.gen, cp.next)
 	}
 	src.Release()
-	src.Release()
 }
 
-// TestPropertyArenaNoAliasing drives randomized Get/Retain/Release/Clone
-// streams (the shape a fault plan produces: dup clones, drop releases,
-// retained multi-hop packets) and checks the pool invariants after every
+// TestPropertyArenaNoAliasing drives randomized Get/Release/Clone streams
+// (the shape a fault plan produces: dup clones, drop releases) and checks the pool invariants after every
 // step: no two live packets share a pointer, handles go stale exactly when
 // the last reference drops, and Live() matches the tracked live set.
 func TestPropertyArenaNoAliasing(t *testing.T) {
@@ -198,10 +208,6 @@ func TestPropertyArenaNoAliasing(t *testing.T) {
 				cp := a.Clone(src)
 				acquire(cp)
 				order = append(order, cp)
-			case op < 7: // Retain a random live packet
-				p := order[rng.Intn(len(order))]
-				p.Retain()
-				live[p].refs++
 			default: // Release one reference
 				i := rng.Intn(len(order))
 				p := order[i]
@@ -273,10 +279,6 @@ func TestPropertyTwoArenasGoHome(t *testing.T) {
 				acquire(arenas[on].Get(), on)
 			case op < 6:
 				acquire(arenas[on].Clone(order[rng.Intn(len(order))]), on)
-			case op < 7:
-				p := order[rng.Intn(len(order))]
-				p.Retain()
-				refs[p].refs++
 			default: // shard on drops one reference
 				i := rng.Intn(len(order))
 				p := order[i]

@@ -82,12 +82,13 @@ type Packet struct {
 	// it through the Courier (the round-barrier conduit flush orders the
 	// hand-off) — and every hop site is a nil-receiver method
 	// call, so untraced packets pay one pointer test per hop. The arena
-	// that carved the packet finishes the span when the refcount drops to
-	// zero; dup-fault clones are untraced (Clone clears the field).
+	// that carved the packet finishes the span when the packet is
+	// released; dup-fault clones are untraced (Clone clears the field).
 	Trace *flowtrace.Span
 
 	// Arena bookkeeping (see arena.go). Zero for literal packets; home is
-	// the arena that carved the packet, the one Release returns it to.
+	// the arena that carved the packet, the one Release returns it to; ref
+	// is 1 while the packet is handed out; gen counts its releases.
 	home *Arena
 	ref  int32
 	gen  uint32
@@ -265,9 +266,6 @@ func (l *Link) Report(w metrics.Writer) {
 	w.Gauge("queue_hwm", int64(l.MaxQueued))
 }
 
-// Bandwidth returns the link rate in bits per second.
-func (l *Link) Bandwidth() int64 { return l.bps }
-
 // Delay returns the one-way propagation delay.
 func (l *Link) Delay() sim.Time { return l.delay }
 
@@ -409,27 +407,6 @@ func (p *Path) Send(pkt *Packet) bool { return p.links[0].Send(pkt) }
 
 // Deliver implements Endpoint.
 func (p *Path) Deliver(pkt *Packet) { p.Send(pkt) }
-
-// OneWayDelay returns the sum of propagation delays plus one serialization
-// of n bytes per link — the no-queueing latency of the path.
-func (p *Path) OneWayDelay(n int) sim.Time {
-	var d sim.Time
-	for _, l := range p.links {
-		d += l.Delay() + l.TxTime(n)
-	}
-	return d
-}
-
-// Bottleneck returns the lowest link bandwidth on the path.
-func (p *Path) Bottleneck() int64 {
-	min := p.links[0].Bandwidth()
-	for _, l := range p.links[1:] {
-		if b := l.Bandwidth(); b < min {
-			min = b
-		}
-	}
-	return min
-}
 
 // WANEmulator builds the paper's laboratory WAN: a duplex path between two
 // endpoints through an emulated bottleneck router. Each direction is a

@@ -120,12 +120,6 @@ func TestPathChaining(t *testing.T) {
 	if sink.at[0] != want {
 		t.Fatalf("delivered at %v, want %v", sink.at[0], want)
 	}
-	if path.OneWayDelay(1500) != want {
-		t.Fatalf("OneWayDelay = %v, want %v", path.OneWayDelay(1500), want)
-	}
-	if path.Bottleneck() != 50_000_000 {
-		t.Fatalf("Bottleneck = %d", path.Bottleneck())
-	}
 }
 
 func TestBottleneckPacesFasterUpstream(t *testing.T) {

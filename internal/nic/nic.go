@@ -231,12 +231,6 @@ func (n *NIC) Start() {
 	}
 }
 
-// Mode returns the configured mode.
-func (n *NIC) Mode() Mode { return n.cfg.Mode }
-
-// PollInterval returns the current adaptive poll interval.
-func (n *NIC) PollInterval() sim.Time { return n.pollIvl }
-
 // Deliver implements netstack.Endpoint: a packet arrives from the wire.
 func (n *NIC) Deliver(p *netstack.Packet) {
 	if n.cfg.Faults.Drop() {
@@ -386,21 +380,6 @@ func (c *txChain) End() {
 	c.pkts = c.pkts[:0]
 	c.next = c.n.txFree
 	c.n.txFree = c
-}
-
-// TxSteps builds the kernel chain transmitting pkts: one ip-output trigger
-// state per packet, as in the paper's instrumented TCP/IP output loop. Use
-// from process context via Proc.Chain or post as a softirq. (TxChainOf is
-// the allocation-free equivalent for hot paths.)
-func (n *NIC) TxSteps(pkts ...*netstack.Packet) []kernel.ChainStep {
-	steps := make([]kernel.ChainStep, 0, len(pkts))
-	for _, p := range pkts {
-		p := p
-		steps = append(steps, kernel.ChainStep{Work: TxWork, Src: kernel.SrcIPOutput, Fn: func() {
-			n.transmit(p)
-		}})
-	}
-	return steps
 }
 
 // TxChainOf takes a pooled transmit chain loaded with pkts, for use with

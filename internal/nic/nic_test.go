@@ -168,7 +168,7 @@ func TestPollIntervalAdaptsTowardQuota(t *testing.T) {
 	}
 	r.eng.After(50*sim.Microsecond, arrive)
 	r.eng.RunFor(2 * sim.Second)
-	ivl := r.n.PollInterval()
+	ivl := r.n.pollIvl
 	if ivl < 60*sim.Microsecond || ivl > 160*sim.Microsecond {
 		t.Fatalf("poll interval = %v, want ~100us for quota 2 at 50us arrivals", ivl)
 	}
@@ -178,7 +178,7 @@ func TestPollIntervalAdaptsTowardQuota(t *testing.T) {
 	}
 }
 
-func TestTxStepsTransmitWithIPOutputTriggers(t *testing.T) {
+func TestTxChainTransmitsWithIPOutputTriggers(t *testing.T) {
 	r := newRig(t, Config{Mode: Interrupt, TxComplInterrupts: true})
 	r.start()
 	pkts := []*netstack.Packet{
@@ -186,7 +186,7 @@ func TestTxStepsTransmitWithIPOutputTriggers(t *testing.T) {
 	}
 	r.k.Spawn("sender", func(p *kernel.Proc) {
 		p.Syscall("writev", 10*sim.Microsecond, func() {
-			p.Chain(r.n.TxSteps(pkts...), func() { p.Exit() })
+			p.ChainC(r.n.TxChainOf(pkts...), func() {})
 		})
 	})
 	r.eng.RunFor(5 * sim.Millisecond)
@@ -254,8 +254,8 @@ func TestDefaultsApplied(t *testing.T) {
 
 func TestNICAccessors(t *testing.T) {
 	r := newRig(t, Config{Mode: SoftPoll})
-	if r.n.Mode() != SoftPoll {
-		t.Error("Mode() mismatch")
+	if r.n.cfg.Mode != SoftPoll {
+		t.Error("mode mismatch")
 	}
 	if r.n.Cfg().Mode != SoftPoll {
 		t.Error("Cfg() mismatch")

@@ -51,9 +51,10 @@ func TestInstantBatchCountsAndOrder(t *testing.T) {
 			t.Fatalf("event %d not Pending", i)
 		}
 	}
-	evs[0].Cancel()      // leader leaves: event 1 takes its slot
-	evs[2].Cancel()      // a follower leaves
-	evs[1].Reschedule(T) // the new leader re-queues behind 3 and 4
+	evs[0].Cancel() // leader leaves: event 1 takes its slot
+	evs[2].Cancel() // a follower leaves
+	evs[1].Cancel() // the new leader moves behind 3 and 4
+	evs[1] = e.At(T, func() { order = append(order, 1) })
 	if e.Pending() != 3 || evs[0].Pending() || evs[2].Pending() {
 		t.Fatalf("Pending %d after two cancels, want 3", e.Pending())
 	}

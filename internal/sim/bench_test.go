@@ -156,7 +156,7 @@ func BenchmarkEngineAlignedTicks(b *testing.B) {
 }
 
 // TestEngineZeroAlloc pins the hot paths at zero allocations per op,
-// reschedule and same-instant batches included, with a warm pool — run by
+// moves and same-instant batches included, with a warm pool — run by
 // `make bench` before any numbers are printed so a pooling regression
 // fails loudly rather than skewing results.
 func TestEngineZeroAlloc(t *testing.T) {
@@ -168,33 +168,38 @@ func TestEngineZeroAlloc(t *testing.T) {
 			e.After(Time(i), fn)
 		}
 		e.Run()
+		// move cancels ev and schedules its replacement at t.
+		move := func(ev Event, t Time) Event {
+			ev.Cancel()
+			return e.At(t, fn)
+		}
 		shot := func() {
 			ev := e.After(10, fn)
-			ev.Reschedule(e.Now() + 900)
-			ev.RescheduleAfter(20)
+			ev = move(ev, e.Now()+900)
+			move(ev, e.Now()+20)
 			dead := e.After(5, fn)
 			dead.Cancel()
 			// A same-instant batch: cancel its leader, move a follower
-			// within the instant, and add an arrival behind it.
+			// to the back of the instant, and add an arrival behind it.
 			lead := e.After(30, fn)
 			f := e.After(30, fn)
 			e.After(30, fn)
 			lead.Cancel()
-			f.Reschedule(e.Now() + 30)
+			move(f, e.Now()+30)
 			e.AtArrival(e.Now()+30, 0, 0, "", fn)
 			e.Run()
 			// The front slot: a batch takes the empty queue's front and
-			// an arrival lands at its instant; a heap leader rescheduled
-			// before it displaces the batch into the heap, then moves
-			// past the heap root itself; a new minimum takes the emptied
-			// front, and cancelling it hands the front to a follower that
-			// fires with a follower of its own.
-			a := e.After(40, fn)
+			// an arrival lands at its instant; a heap leader moved before
+			// it displaces the batch into the heap, then moves past the
+			// heap root; a new minimum takes the emptied front, and
+			// cancelling it hands the front to a follower that fires with
+			// a follower of its own.
+			e.After(40, fn)
 			b := e.After(60, fn)
 			e.After(40, fn)
-			e.AtArrival(a.At(), 1, 0, "", fn)
-			b.Reschedule(e.Now() + 10)
-			b.Reschedule(e.Now() + 70)
+			e.AtArrival(e.Now()+40, 1, 0, "", fn)
+			b = move(b, e.Now()+10)
+			move(b, e.Now()+70)
 			c := e.After(20, fn)
 			e.After(20, fn)
 			e.After(20, fn)
@@ -202,40 +207,7 @@ func TestEngineZeroAlloc(t *testing.T) {
 			e.Run()
 		}
 		if n := testing.AllocsPerRun(100, shot); n != 0 {
-			t.Fatalf("schedule+reschedule+cancel+batch+front+fire allocates %.1f/op, want 0", n)
-		}
-	})
-}
-
-// BenchmarkReschedule compares moving a pending timer in place against the
-// cancel+insert two-step, with 1024 bystander events keeping the queue
-// deep — the rate-based-pacing and TCP-rearm shape.
-func BenchmarkReschedule(b *testing.B) {
-	const depth = 1024
-	setup := func() (*Engine, Event) {
-		e := NewEngine(1)
-		fn := func() {}
-		for i := 0; i < depth; i++ {
-			e.At(Time(1_000_000+i*7919%depth), fn)
-		}
-		return e, e.At(2_000_000, fn)
-	}
-	b.Run("heap/inplace", func(b *testing.B) {
-		_, ev := setup()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ev.Reschedule(Time(2_000_000 + i%4096))
-		}
-	})
-	b.Run("heap/cancelinsert", func(b *testing.B) {
-		e, ev := setup()
-		fn := func() {}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ev.Cancel()
-			ev = e.At(Time(2_000_000+i%4096), fn)
+			t.Fatalf("schedule+move+cancel+batch+front+fire allocates %.1f/op, want 0", n)
 		}
 	})
 }

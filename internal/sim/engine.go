@@ -45,11 +45,7 @@ type event struct {
 type Event struct {
 	e   *event
 	gen uint64
-	at  Time
 }
-
-// At reports the simulated time the event is (or was) scheduled for.
-func (ev Event) At() Time { return ev.at }
 
 // Pending reports whether the event is still queued.
 func (ev Event) Pending() bool {
@@ -73,59 +69,6 @@ func (ev Event) Cancel() bool {
 	return true
 }
 
-// Reschedule moves a still-pending event to absolute time t in place — a
-// single sift on the heap for an event alone at its instant — instead of
-// paying a cancel plus a fresh insert. It reports whether the event was
-// pending; rescheduling a fired, canceled, or zero Event is an inert no-op,
-// mirroring Cancel.
-//
-// The event draws a fresh FIFO sequence number, exactly as cancel+insert
-// would, so same-instant ordering against other events is identical to the
-// two-step form — rate-based pacing can switch to Reschedule without
-// perturbing a single tie-break. Rescheduling into the past panics, like
-// At; arrival-band events carry externally owned keys and cannot be
-// rescheduled.
-//
-// The receiver is a pointer so the handle's At() snapshot tracks the move;
-// other outstanding copies of the handle remain valid for Cancel/Pending
-// but report the stale time.
-func (ev *Event) Reschedule(t Time) bool {
-	e := ev.e
-	if e == nil || e.gen != ev.gen || e.index < 0 {
-		return false
-	}
-	eng := e.eng
-	if t < eng.now {
-		panic(fmt.Sprintf("sim: reschedule at %v before now %v (label %q)", t, eng.now, e.label))
-	}
-	if e.seq&arrivalBand != 0 {
-		panic("sim: reschedule of an arrival-band event")
-	}
-	eng.seq++
-	eng.queue.update(e, t, eng.seq)
-	ev.at = t
-	return true
-}
-
-// RescheduleAfter is Reschedule relative to the engine's current time.
-func (ev *Event) RescheduleAfter(d Time) bool {
-	e := ev.e
-	if e == nil || e.gen != ev.gen || e.index < 0 {
-		return false
-	}
-	return ev.Reschedule(e.eng.now + d)
-}
-
-// Label returns the debug label attached at scheduling time. It returns ""
-// once the event has fired or been canceled (the label is released with
-// the rest of the event's storage).
-func (ev Event) Label() string {
-	if ev.e != nil && ev.e.gen == ev.gen {
-		return ev.e.label
-	}
-	return ""
-}
-
 // eventQueue is the engine's pending-event store: a 4-ary min-heap of
 // instant leaders ordered by (at, seq), in front of which one leader may
 // wait in a front slot. It is a concrete implementation — not
@@ -141,17 +84,14 @@ func (ev Event) Label() string {
 // push that orders before the front, or before the heap root when the
 // front is empty, takes the front; an occupied front it displaces goes
 // into the heap. Popping or removing the front leaves it empty (the heap
-// root stays where it is) or hands it to the front's first follower. An
-// in-place update keeps a front leader at the front only while it still
-// orders before the heap root, and never moves a heap leader before the
-// front: that case is remove plus push.
+// root stays where it is) or hands it to the front's first follower.
 //
 // Events that share an instant do not each pay a sift. An ordinary event
 // pushed at an instant whose newest ordinary leader is still queued joins
 // that leader's FIFO ring of followers instead of the heap, and when a
 // leader leaves with followers behind it, the first follower takes over
 // its slot — heap position or front — in place. Fire order is still
-// exactly (at, seq): seq is monotone (Reschedule draws a fresh one), so a
+// exactly (at, seq): seq is monotone, so a
 // ring in push order is in seq order, and a promoted follower orders after
 // its old leader and before every newer leader at that instant — which is
 // what lets it sit in the leader's slot with no sift. Arrival-band events
@@ -370,40 +310,6 @@ func (q *eventQueue) removeAt(i int) {
 	}
 }
 
-// update rekeys a queued event. A follower-less leader moving to an
-// instant with no queued ordinary leader is rekeyed in place — the
-// O(log n) dynamic-update operation cancel+insert pays twice for: the
-// front stays put while it still orders before the heap root and
-// otherwise moves into the heap, and a heap leader takes one sift from its
-// position unless it would order before the front. Anything else is
-// remove plus push.
-func (q *eventQueue) update(ev *event, at Time, seq uint64) {
-	if ev.index != followerIdx && ev.next == nil {
-		s := &q.leaders[leaderSlot(at)]
-		f := q.front
-		if l := s.leader(at); (l == nil || l == ev) &&
-			(ev == f || f == nil || f.at < at || f.at == at && f.seq < seq) {
-			ev.at, ev.seq = at, seq
-			s.at, s.ev = at, ev
-			switch {
-			case ev != f:
-				i := int(ev.index)
-				if !q.heap.siftDown(i) {
-					q.heap.siftUp(i)
-				}
-			case len(q.heap) > 0 && !before(ev, q.heap[0]):
-				q.front = nil
-				q.heap = append(q.heap, ev)
-				q.heap.siftUp(len(q.heap) - 1)
-			}
-			return
-		}
-	}
-	q.remove(ev)
-	ev.at, ev.seq = at, seq
-	q.push(ev)
-}
-
 func (q *eventQueue) len() int { return q.n }
 
 func (q leaderHeap) siftUp(i int) {
@@ -485,7 +391,6 @@ type Engine struct {
 	// of any telemetry cost.
 	maxPending int
 	rng        *RNG
-	stopped    bool
 
 	// free is the recycled-event list; chunk is the tail of the current
 	// allocation block being carved into fresh events.
@@ -522,10 +427,6 @@ func (e *Engine) EarliestPending() (Time, bool) {
 	}
 	return 0, false
 }
-
-// FreeListLen returns the number of recycled events awaiting reuse (for
-// tests and introspection).
-func (e *Engine) FreeListLen() int { return len(e.free) }
 
 // MaxPending returns the heap-depth high-water mark — the largest number
 // of simultaneously queued events the engine has ever held. The standing
@@ -588,7 +489,7 @@ func (e *Engine) AtLabeled(t Time, label string, fn func()) Event {
 	ev.fn = fn
 	ev.label = label
 	e.queue.push(ev)
-	return Event{e: ev, gen: ev.gen, at: t}
+	return Event{e: ev, gen: ev.gen}
 }
 
 // Arrival-band keys. Ordinarily scheduled events draw seq from the
@@ -630,7 +531,7 @@ func (e *Engine) AtArrival(t Time, conduit int32, seq uint64, label string, fn f
 	ev.fn = fn
 	ev.label = label
 	e.queue.push(ev)
-	return Event{e: ev, gen: ev.gen, at: t}
+	return Event{e: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
@@ -645,7 +546,7 @@ func (e *Engine) AfterLabeled(d Time, label string, fn func()) Event {
 
 // fire pops the earliest event, advances the clock, recycles the event's
 // storage, and runs its handler. The caller must know the queue is
-// non-empty and the engine not stopped.
+// non-empty.
 func (e *Engine) fire() {
 	if n := e.queue.len(); n > e.maxPending {
 		e.maxPending = n // depth high-water mark, caught pre-shrink
@@ -662,9 +563,9 @@ func (e *Engine) fire() {
 }
 
 // Step fires the earliest pending event, advancing the clock to its time.
-// It returns false if the queue is empty or the engine has been stopped.
+// It returns false if the queue is empty.
 func (e *Engine) Step() bool {
-	if e.stopped || e.queue.len() == 0 {
+	if e.queue.len() == 0 {
 		return false
 	}
 	e.fire()
@@ -674,8 +575,8 @@ func (e *Engine) Step() bool {
 // RunUntil fires events in order until the next event would be after t (or
 // the queue drains), then advances the clock to exactly t. This is the main
 // driver for fixed-duration experiments. The loop is the simulator's
-// hottest path: it re-checks only what a handler can change (stop state,
-// queue head) and pays no per-event function-call indirection beyond the
+// hottest path: it re-checks only what a handler can change (the queue
+// head) and pays no per-event function-call indirection beyond the
 // handler itself.
 //
 // Edge semantics, pinned by runedge_test.go:
@@ -687,16 +588,14 @@ func (e *Engine) Step() bool {
 //     clock backwards: the call is a no-op. (Pending events are always at
 //     or after now, so the head check fails and the final clamp is
 //     guarded by t > now.)
-//   - If a handler calls Stop, the run ends with the clock at that
-//     handler's time; the final advance to t is skipped.
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped {
+	for {
 		if h := e.queue.head(); h == nil || h.at > t {
 			break
 		}
 		e.fire()
 	}
-	if !e.stopped && t > e.now {
+	if t > e.now {
 		e.now = t
 	}
 }
@@ -706,17 +605,10 @@ func (e *Engine) RunUntil(t Time) {
 // instant and leaves the clock in place (see RunUntil's edge semantics).
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
-// Run fires events until the queue is empty or Stop is called, leaving the
-// clock at the last fired event (never beyond it).
+// Run fires events until the queue is empty, leaving the clock at the last
+// fired event (never beyond it).
 func (e *Engine) Run() {
-	for !e.stopped && e.queue.len() > 0 {
+	for e.queue.len() > 0 {
 		e.fire()
 	}
 }
-
-// Stop halts the run loop after the current event returns. Subsequent Step
-// calls return false until the engine is discarded; Stop is terminal.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }

@@ -110,7 +110,7 @@ func TestStaleHandleCannotTouchRecycledEvent(t *testing.T) {
 	fired := false
 	fresh := e.At(20, func() { fired = true }) // reuses old's slot
 	if e.FreeListLen() != 0 {
-		t.Fatalf("FreeListLen = %d after reschedule, want 0 (slot reused)", e.FreeListLen())
+		t.Fatalf("FreeListLen = %d after a fresh schedule, want 0 (slot reused)", e.FreeListLen())
 	}
 	if old.Pending() {
 		t.Fatal("stale handle reports pending after its slot was recycled")
@@ -120,9 +120,6 @@ func TestStaleHandleCannotTouchRecycledEvent(t *testing.T) {
 	}
 	if old.Label() != "" {
 		t.Fatalf("stale handle Label = %q, want \"\"", old.Label())
-	}
-	if old.At() != 10 {
-		t.Fatalf("stale handle At = %v, want its own schedule time 10", old.At())
 	}
 	if !fresh.Pending() {
 		t.Fatal("fresh event must still be pending")
@@ -264,26 +261,6 @@ func TestScheduleNilFuncPanics(t *testing.T) {
 		}
 	}()
 	e.At(1, nil)
-}
-
-func TestStopHaltsRun(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	for i := Time(1); i <= 100; i++ {
-		e.At(i, func() {
-			count++
-			if count == 10 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 10 {
-		t.Fatalf("fired %d events after Stop, want 10", count)
-	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
-	}
 }
 
 func TestEventMetadata(t *testing.T) {

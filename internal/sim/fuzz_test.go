@@ -1,6 +1,6 @@
 // Native fuzz target for the engine's event queue: the input bytes decode
 // into a stream of queue operations — schedule (including same-instant),
-// arrival-band schedule, cancel, in-place reschedule, stale-handle probes,
+// arrival-band schedule, cancel, moves, stale-handle probes,
 // steps, bounded runs — replayed on an engine and mirrored into the
 // linear-scan reference in refqueue_test.go. Every fire must be the least
 // live event in the reference, and every op's result, the clock, the
@@ -57,14 +57,19 @@ func replayQueueOps(t *testing.T, data []byte) {
 		arrival = append(arrival, false)
 		ref.schedule(id, ref.now+d)
 	}
-	resched := func(idx int, at sim.Time) {
-		ok := handles[idx].Reschedule(at)
-		if want := ref.reschedule(idx, at); ok != want {
-			t.Fatalf("Reschedule of handle %d returned %v, reference %v", idx, ok, want)
+	// move moves a live ordinary event the way callers do: cancel it and
+	// schedule its replacement at at. A dead handle is left alone.
+	move := func(idx int, at sim.Time) {
+		if !ref.pending(idx) {
+			return
 		}
-		if ok && handles[idx].At() != at {
-			t.Fatalf("handle %d At() = %v after reschedule to %v", idx, handles[idx].At(), at)
+		if !handles[idx].Cancel() || !ref.cancel(idx) {
+			t.Fatalf("Cancel of live handle %d failed", idx)
 		}
+		id := len(handles)
+		handles = append(handles, eng.At(at, onFire(id)))
+		arrival = append(arrival, false)
+		ref.schedule(id, at)
 	}
 	for i < len(data) {
 		switch op := next(); op % 9 {
@@ -80,14 +85,14 @@ func replayQueueOps(t *testing.T, data []byte) {
 					t.Fatalf("Cancel of handle %d returned %v, reference %v", idx, got, want)
 				}
 			}
-		case 3: // in-place reschedule to now+delay; two operand bytes so
-			// reschedules move events both earlier and later than their peers
+		case 3: // move to now+delay; two operand bytes so moves go both
+			// earlier and later than the event's peers
 			if idx := pick(); idx >= 0 {
 				d := sim.Time(next())<<8 | sim.Time(next())
 				if arrival[idx] {
-					break // arrivals refuse reschedule
+					break // arrivals keep their caller-owned keys
 				}
-				resched(idx, ref.now+d*1021)
+				move(idx, ref.now+d*1021)
 			}
 		case 4: // probe: Pending must match the reference
 			if idx := pick(); idx >= 0 {
@@ -107,9 +112,9 @@ func replayQueueOps(t *testing.T, data []byte) {
 			if err := ref.runUntil(target); err != nil {
 				t.Fatal(err)
 			}
-		case 7: // same-instant reschedule: fresh seq, keeps time
+		case 7: // move to the current instant: fresh seq, behind its peers
 			if idx := pick(); idx >= 0 && !arrival[idx] {
-				resched(idx, ref.now)
+				move(idx, ref.now)
 			}
 		case 8: // arrival at a pending handle's instant (else now), so it
 			// lands among ordinary events; the conduit is the operand
@@ -135,13 +140,13 @@ func replayQueueOps(t *testing.T, data []byte) {
 func FuzzEventQueueOps(f *testing.F) {
 	// Schedule-heavy stream with cancels and a drain.
 	f.Add([]byte{0, 10, 0, 0, 0, 20, 2, 0, 6, 50, 0, 3, 5, 200})
-	// Same-instant pile-up, then in-place reschedules across it.
+	// Same-instant pile-up, then moves across it.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 7, 0, 3, 1, 0, 0, 7, 2, 5, 5, 5})
-	// Reschedule churn against steps and bounded runs.
+	// Move churn against steps and bounded runs.
 	f.Add([]byte{0, 30, 0, 60, 3, 0, 0, 10, 6, 2, 3, 1, 0, 90, 5, 6, 255, 4, 0, 4, 1})
-	// Stale probes: fire everything, then cancel/reschedule the corpses.
+	// Stale probes: fire everything, then cancel/move the corpses.
 	f.Add([]byte{0, 5, 0, 9, 6, 255, 2, 0, 2, 1, 3, 0, 0, 40, 7, 1, 4, 0})
-	// Far schedules, then reschedules dragging them back near now.
+	// Far schedules, then moves dragging them back near now.
 	f.Add([]byte{1, 0, 4, 0, 1, 200, 0, 0, 0, 12, 3, 0, 0, 3, 6, 255, 6, 255, 3, 1, 0, 2, 5, 5})
 	// A batch at 7 ns whose leader-table entry is evicted by 672 ns (the
 	// same table slot) and retaken by a second leader at 7 ns; the first

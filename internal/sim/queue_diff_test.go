@@ -1,12 +1,11 @@
 // Differential oracle for the engine's event queue: a seeded operation
-// stream (schedule, arrival-band schedule, cancel, in-place reschedule,
-// stale-handle probes, steps, bounded runs) drives the engine and the
-// linear-scan reference in refqueue_test.go side by side. Every fire must
-// be the least live (time, seq) event in the reference, every Cancel and
-// Reschedule result must match it, and the clock, the pending count and
-// MaxPending must agree with it — after every step and at the end. The
-// engine property-test invariants ride along: stale handles stay inert
-// under Pending/Cancel/Reschedule.
+// stream (schedule, arrival-band schedule, cancel, moves, stale-handle
+// probes, steps, bounded runs) drives the engine and the linear-scan
+// reference in refqueue_test.go side by side. Every fire must be the least
+// live (time, seq) event in the reference, every Cancel result must match
+// it, and the clock, the pending count and MaxPending must agree with it —
+// after every step and at the end. The engine property-test invariants
+// ride along: stale handles stay inert under Pending/Cancel.
 //
 // Each seed is its own subtest, so a failure shrinks by replay:
 //
@@ -16,8 +15,8 @@
 // RNG, the same generator the fault-injection layer uses. The "grid"
 // variant snaps every delay onto a few hundred shared instants 1 µs apart
 // and schedules in same-instant bursts, so the heap's instant batches —
-// leaders with followers behind them, cancelled, rescheduled and evicted
-// from the leader table — are on every step's path.
+// leaders with followers behind them, cancelled, moved and evicted from
+// the leader table — are on every step's path.
 package sim_test
 
 import (
@@ -40,8 +39,8 @@ type diffModel struct {
 	liveIDs []int
 	dead    []sim.Event
 
-	nextID  int
-	resched int
+	nextID int
+	moved  int
 
 	grid         bool         // delays snap onto gridInstants shared instants
 	peakInstants int          // most distinct pending instants seen (grid only)
@@ -132,14 +131,14 @@ func (m *diffModel) onFire(id int) func() {
 		}
 		m.retire(id)
 		// Handler-driven churn, the kernel/TCP pattern: schedule, cancel,
-		// or rearm other timers from inside a firing handler.
+		// or move other timers from inside a firing handler.
 		switch r := m.rng.Float64(); {
 		case r < 0.25:
 			m.schedule()
 		case r < 0.33:
 			m.cancelLive()
 		case r < 0.45:
-			m.rescheduleLive()
+			m.moveLive()
 		case r < 0.50:
 			m.scheduleArrival()
 		}
@@ -169,12 +168,12 @@ func (m *diffModel) cancelLive() {
 	m.retire(id)
 }
 
-// rescheduleLive rearms a random live event in place — sometimes to the
-// current instant, so rescheduled events constantly contend with fresh
-// same-instant schedules and the new-seq FIFO rule is exercised (a sift
-// for a lone leader, a remove plus push inside a batch). Arrivals cannot
-// be rescheduled, so picking one is a no-op.
-func (m *diffModel) rescheduleLive() {
+// moveLive moves a random live ordinary event the way callers do: cancel
+// it, then schedule its replacement — sometimes at the current instant, so
+// moved events constantly contend with fresh same-instant schedules and
+// the FIFO rule is exercised. Arrivals keep their caller-owned keys, so
+// picking one is a no-op.
+func (m *diffModel) moveLive() {
 	if len(m.liveIDs) == 0 {
 		return
 	}
@@ -182,23 +181,18 @@ func (m *diffModel) rescheduleLive() {
 	if m.arrivals[id] {
 		return
 	}
-	ev := m.live[id]
-	at := m.eng.Now() + m.drawDelay()
-	if got, want := ev.Reschedule(at), m.ref.reschedule(id, at); got != want {
-		m.t.Fatalf("reschedule of event %d returned %v, reference %v", id, got, want)
+	if !m.live[id].Cancel() || !m.ref.cancel(id) {
+		m.t.Fatalf("cancel of live event %d failed", id)
 	}
-	if !ev.Pending() {
-		m.t.Fatalf("event %d not Pending after reschedule", id)
-	}
-	if ev.At() != at {
-		m.t.Fatalf("event %d At() = %v after reschedule to %v", id, ev.At(), at)
-	}
-	m.live[id] = ev // Reschedule updates the handle's cached deadline
-	m.resched++
+	m.retire(id)
+	d := m.drawDelay()
+	id = m.nextID
+	m.add(id, m.eng.AfterLabeled(d, fmt.Sprintf("diff:%d", id), m.onFire(id)))
+	m.ref.schedule(id, m.ref.now+d)
+	m.moved++
 }
 
-// probeDead checks a retired handle for inertness across the whole handle
-// API — including Reschedule, which must refuse to revive a dead handle
+// probeDead checks a retired handle for inertness across the handle API,
 // even after its slot was recycled.
 func (m *diffModel) probeDead() {
 	if len(m.dead) == 0 {
@@ -210,9 +204,6 @@ func (m *diffModel) probeDead() {
 	}
 	if ev.Cancel() {
 		m.t.Fatal("retired handle Cancel returned true")
-	}
-	if ev.Reschedule(m.eng.Now() + 50) {
-		m.t.Fatal("retired handle Reschedule returned true")
 	}
 }
 
@@ -247,7 +238,7 @@ func (m *diffModel) run(steps int) {
 		case r < 0.40:
 			m.cancelLive()
 		case r < 0.55:
-			m.rescheduleLive()
+			m.moveLive()
 		case r < 0.60:
 			m.probeDead()
 		case r < 0.88:
@@ -276,8 +267,8 @@ func runQueueDiff(t *testing.T, steps int, grid bool, rng *sim.RNG, seed uint64)
 	m := newDiffModel(t, sim.NewEngine(seed), rng)
 	m.grid = grid
 	m.run(steps)
-	if m.ref.fired == 0 || m.resched == 0 {
-		t.Fatalf("degenerate run: %d fires, %d reschedules", m.ref.fired, m.resched)
+	if m.ref.fired == 0 || m.moved == 0 {
+		t.Fatalf("degenerate run: %d fires, %d moves", m.ref.fired, m.moved)
 	}
 	if grid && m.peakInstants < 200 {
 		t.Fatalf("grid run peaked at %d pending instants, want at least 200", m.peakInstants)

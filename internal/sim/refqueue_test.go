@@ -11,11 +11,10 @@ import (
 // in-use flag, scanned end to end for the least key on every fire — the
 // fixed-array-and-scan soft-timer baseline. It keys every live event as the
 // engine does, by instant and then seq: it mirrors the engine's FIFO
-// counter with one draw per schedule and one per successful Reschedule, and
-// an arrival carries its caller-owned 1<<63 | conduit<<28 | seq key. It
-// also follows the clock by the run loop's edge rules, so each fire, each
-// Cancel and Reschedule result, the clock and MaxPending can all be checked
-// against it.
+// counter with one draw per schedule, and an arrival carries its
+// caller-owned 1<<63 | conduit<<28 | seq key. It also follows the clock by
+// the run loop's edge rules, so each fire, each Cancel result, the clock
+// and MaxPending can all be checked against it.
 type refQueue struct {
 	slots   []refSlot // indexed by event id
 	seq     uint64    // the engine's FIFO counter, mirrored
@@ -61,17 +60,6 @@ func (r *refQueue) cancel(id int) bool {
 	}
 	r.slots[id].inuse = false
 	r.live--
-	return true
-}
-
-// reschedule mirrors Reschedule on an ordinary event: a live one moves to
-// at and draws a fresh seq. It reports whether id was live.
-func (r *refQueue) reschedule(id int, at sim.Time) bool {
-	if !r.pending(id) {
-		return false
-	}
-	r.seq++
-	r.slots[id].at, r.slots[id].key = at, r.seq
 	return true
 }
 

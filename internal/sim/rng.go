@@ -114,20 +114,6 @@ func (r *RNG) ParetoTime(alpha float64, lo, hi Time) Time {
 	return d
 }
 
-// Jitter returns d scaled by a uniform factor in [1-f, 1+f]; f must be in
-// [0, 1]. Used to break phase-locking between periodic model components.
-func (r *RNG) Jitter(d Time, f float64) Time {
-	if f <= 0 {
-		return d
-	}
-	scale := 1 - f + 2*f*r.Float64()
-	j := Time(float64(d) * scale)
-	if j < 1 {
-		j = 1
-	}
-	return j
-}
-
 // Fork returns a new RNG whose seed derives from this one's stream, for
 // giving sub-components independent but still deterministic streams.
 func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }

@@ -154,19 +154,6 @@ func TestParetoHeavyTail(t *testing.T) {
 	}
 }
 
-func TestJitter(t *testing.T) {
-	r := NewRNG(11)
-	for i := 0; i < 10000; i++ {
-		j := r.Jitter(1000, 0.1)
-		if j < 900 || j > 1100 {
-			t.Fatalf("Jitter(1000, 0.1) = %v out of [900,1100]", j)
-		}
-	}
-	if r.Jitter(1000, 0) != 1000 {
-		t.Error("Jitter with f=0 should be identity")
-	}
-}
-
 func TestForkIndependentStreams(t *testing.T) {
 	parent := NewRNG(12)
 	a := parent.Fork()

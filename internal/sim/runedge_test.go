@@ -77,26 +77,6 @@ func TestRunUntilHorizon(t *testing.T) {
 	})
 }
 
-// Stop inside a handler ends the run with the clock at that handler's
-// time — later events stay queued and the horizon clamp is skipped.
-func TestStopInHandler(t *testing.T) {
-	onHeap(t, func(t *testing.T, e *Engine) {
-		fired := 0
-		e.At(20*Microsecond, func() { fired++; e.Stop() })
-		e.At(60*Microsecond, func() { fired++ })
-		e.RunUntil(100 * Microsecond)
-		if fired != 1 {
-			t.Errorf("fired %d; want 1 (Stop halts the run)", fired)
-		}
-		if e.Now() != 20*Microsecond {
-			t.Errorf("now = %v; want 20us (stopping handler's time, no horizon clamp)", e.Now())
-		}
-		if e.Pending() != 1 {
-			t.Errorf("pending = %d; want 1", e.Pending())
-		}
-	})
-}
-
 // Run drains everything, including chains, and leaves the clock at the
 // last fired event.
 func TestRunDrains(t *testing.T) {

@@ -163,18 +163,6 @@ func (g *ShardGroup) TotalPending() int {
 	return n
 }
 
-// InFlight returns the number of cross-shard messages not yet injected
-// into their destination engines. Between Run calls it is always zero —
-// every emitted message has become a pending destination event — so it is
-// only interesting to tests poking at the machinery.
-func (g *ShardGroup) InFlight() int {
-	var n int
-	for _, s := range g.shards {
-		n += len(s.out)
-	}
-	return n
-}
-
 // Stats reports synchronization work done so far.
 func (g *ShardGroup) Stats() (rounds, messages int64) { return g.rounds, g.messages }
 

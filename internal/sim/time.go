@@ -44,12 +44,6 @@ func FromStd(d time.Duration) Time { return Time(d) }
 // are rounded to the nearest nanosecond.
 func Micros(us float64) Time { return Time(us*float64(Microsecond) + 0.5) }
 
-// Millis returns a Time of ms milliseconds.
-func Millis(ms float64) Time { return Time(ms*float64(Millisecond) + 0.5) }
-
-// Seconds returns a Time of s seconds.
-func Seconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
-
 // String formats t with an adaptive unit, e.g. "12.5us" or "3.2ms".
 func (t Time) String() string {
 	switch {

@@ -42,12 +42,6 @@ func TestConstructorsRound(t *testing.T) {
 	if Micros(0.0004) != 0 {
 		t.Errorf("Micros(0.0004) = %v, want 0", Micros(0.0004))
 	}
-	if Millis(2) != 2*Millisecond {
-		t.Errorf("Millis(2) = %v", Millis(2))
-	}
-	if Seconds(0.25) != 250*Millisecond {
-		t.Errorf("Seconds(0.25) = %v", Seconds(0.25))
-	}
 }
 
 func TestStdRoundTrip(t *testing.T) {

@@ -105,7 +105,7 @@ func FuzzHistogramOps(f *testing.F) {
 		}
 		// The final state is every bucket and the totals; the readers
 		// derived from them run where an op picks them, since rendering a
-		// 4,096-bucket CDF or ASCII chart dominates an input's cost.
+		// 4,096-bucket CDF dominates an input's cost.
 		for _, r := range histReads {
 			if r.name != "Bucket" && r.name != "totals" {
 				continue

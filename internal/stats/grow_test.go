@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"unsafe"
 )
@@ -101,26 +100,6 @@ func (f *flatHist) CDF(max float64) []CDFPoint {
 	return out
 }
 
-func (f *flatHist) ASCII(maxBuckets int) string {
-	var b strings.Builder
-	var peak int64 = 1
-	limit := len(f.buckets)
-	if maxBuckets > 0 && maxBuckets < limit {
-		limit = maxBuckets
-	}
-	for _, c := range f.buckets[:limit] {
-		peak = max(peak, c)
-	}
-	for i, c := range f.buckets[:limit] {
-		bar := int(float64(c) / float64(peak) * 50)
-		fmt.Fprintf(&b, "%8.1f |%s %d\n", float64(i)*f.width, strings.Repeat("#", bar), c)
-	}
-	if f.overflow > 0 {
-		fmt.Fprintf(&b, "overflow: %d\n", f.overflow)
-	}
-	return b.String()
-}
-
 // histReader is what histReads queries: Histogram and the flat reference.
 type histReader interface {
 	N() int64
@@ -132,7 +111,6 @@ type histReader interface {
 	Quantile(q float64) float64
 	FracAbove(x float64) float64
 	CDF(max float64) []CDFPoint
-	ASCII(maxBuckets int) string
 }
 
 // wantGrown is the bucket-array length a histogram of nb buckets holds
@@ -343,3 +321,6 @@ func TestHistogramWidensPastUint32Observations(t *testing.T) {
 		t.Fatalf("widening moved counts: Bucket(70) = %d, Bucket(6) = %d, %d buckets", h.Bucket(70), h.Bucket(6), h.view().Len())
 	}
 }
+
+// NumBuckets returns the number of regular (non-overflow) buckets.
+func (h *Histogram) NumBuckets() int { return int(h.nb) }

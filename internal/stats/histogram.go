@@ -5,10 +5,9 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 )
 
-// Histogram is a fixed-width-bucket histogram over [0, Width*NumBuckets()),
+// Histogram is a fixed-width-bucket histogram over [0, Width*buckets),
 // with an overflow bucket. It supports the quantile queries the experiments
 // need (median of huge samples, tail fractions) in O(1) memory per bucket,
 // which keeps two-million-sample workload measurements cheap.
@@ -45,7 +44,7 @@ import (
 // store and a test, so it inlines into its hot callers, and the growth,
 // unpacking, widening and copy-on-write paths stay behind settle, the only
 // writer of the array. Every read but N (Bucket, Share, Overflow, Sum, Mean, Quantile,
-// FracAbove, CDF, ASCII) first settles the buffer, so a read writes: a
+// FracAbove, CDF) first settles the buffer, so a read writes: a
 // Histogram is single-goroutine, like the registry that adopts it.
 type Histogram struct {
 	width    float64
@@ -347,11 +346,8 @@ func (h *Histogram) N() int64 { return h.n + int64(h.npend) }
 // Width returns the bucket width.
 func (h *Histogram) Width() float64 { return h.width }
 
-// NumBuckets returns the number of regular (non-overflow) buckets.
-func (h *Histogram) NumBuckets() int { return int(h.nb) }
-
-// Bucket returns the observation count of bucket i. It panics unless
-// 0 <= i < NumBuckets().
+// Bucket returns the observation count of bucket i. It panics unless i is
+// a regular (non-overflow) bucket.
 func (h *Histogram) Bucket(i int) int64 {
 	if i < 0 || i >= int(h.nb) {
 		panic(fmt.Sprintf("stats: bucket %d out of range [0, %d)", i, h.nb))
@@ -493,31 +489,6 @@ func (h *Histogram) CDF(max float64) []CDFPoint {
 		out = append(out, CDFPoint{X: x, Frac: frac})
 	}
 	return out
-}
-
-// ASCII renders a quick bar-chart view for CLI output and debugging.
-func (h *Histogram) ASCII(maxBuckets int) string {
-	h.settle()
-	var b strings.Builder
-	var peak int64 = 1
-	limit := int(h.nb)
-	if maxBuckets > 0 && maxBuckets < limit {
-		limit = maxBuckets
-	}
-	for i := 0; i < limit; i++ {
-		if c := h.view().At(i); c > peak {
-			peak = c
-		}
-	}
-	for i := 0; i < limit; i++ {
-		c := h.view().At(i)
-		bar := int(float64(c) / float64(peak) * 50)
-		fmt.Fprintf(&b, "%8.1f |%s %d\n", float64(i)*h.width, strings.Repeat("#", bar), c)
-	}
-	if h.overflow > 0 {
-		fmt.Fprintf(&b, "overflow: %d\n", h.overflow)
-	}
-	return b.String()
 }
 
 // WindowedMedians computes the median of observations falling in successive

@@ -1,33 +1,18 @@
 package stats
 
-import "math"
-
-// Online accumulates count/mean/variance/min/max in O(1) memory using
-// Welford's algorithm. The trigger-interval experiments record two million
-// samples per workload; Online lets hot paths avoid retaining them all when
-// only moments are needed.
+// Online accumulates a count and a running mean in O(1) memory (Welford's
+// update). The trigger-interval experiments record two million samples
+// per workload; Online lets hot paths avoid retaining them all when only
+// the mean is needed.
 type Online struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
+	n    int64
+	mean float64
 }
 
 // Add incorporates one observation.
 func (o *Online) Add(v float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = v, v
-	} else {
-		if v < o.min {
-			o.min = v
-		}
-		if v > o.max {
-			o.max = v
-		}
-	}
-	d := v - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (v - o.mean)
+	o.mean += (v - o.mean) / float64(o.n)
 }
 
 // N returns the observation count.
@@ -35,43 +20,3 @@ func (o *Online) N() int64 { return o.n }
 
 // Mean returns the running mean, or 0 when empty.
 func (o *Online) Mean() float64 { return o.mean }
-
-// Min returns the smallest observation, or 0 when empty.
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest observation, or 0 when empty.
-func (o *Online) Max() float64 { return o.max }
-
-// Variance returns the population variance, or 0 for n < 2.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
-
-// StdDev returns the population standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Merge folds other into o (parallel-combine form of Welford).
-func (o *Online) Merge(other *Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *other
-		return
-	}
-	n := o.n + other.n
-	d := other.mean - o.mean
-	mean := o.mean + d*float64(other.n)/float64(n)
-	m2 := o.m2 + other.m2 + d*d*float64(o.n)*float64(other.n)/float64(n)
-	min, max := o.min, o.max
-	if other.min < min {
-		min = other.min
-	}
-	if other.max > max {
-		max = other.max
-	}
-	*o = Online{n: n, mean: mean, m2: m2, min: min, max: max}
-}

@@ -29,7 +29,6 @@ var histReads = []struct {
 		return fmt.Sprint(h.FracAbove(-1), h.FracAbove(0), h.FracAbove(3.5), h.FracAbove(40))
 	}},
 	{"CDF", func(h histReader) string { return fmt.Sprint(h.CDF(1e9)) }},
-	{"ASCII", func(h histReader) string { return h.ASCII(0) }},
 	{"totals", func(h histReader) string {
 		return fmt.Sprint(h.N(), h.Sum(), h.Mean(), h.Overflow())
 	}},

@@ -1,51 +1,26 @@
 // Package stats provides the summary statistics used throughout the paper's
-// evaluation: full-sample summaries (mean, median, standard deviation, max,
-// tail fractions), cumulative distribution functions for the trigger-interval
-// figures, time-windowed medians for Figure 5, and online accumulators for
-// high-volume measurement (2 million samples per workload in Section 5.3).
+// evaluation: full-sample means and standard deviations, histograms with
+// quantiles, tail fractions and cumulative distribution functions for the
+// trigger-interval figures, time-windowed medians for Figure 5, and online
+// means for high-volume measurement (2 million samples per workload in
+// Section 5.3).
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Sample collects float64 observations and computes summary statistics.
 // The zero value is ready to use.
 type Sample struct {
 	values []float64
-	sorted bool
 }
 
 // Add appends an observation.
 func (s *Sample) Add(v float64) {
 	s.values = append(s.values, v)
-	s.sorted = false
-}
-
-// AddAll appends many observations.
-func (s *Sample) AddAll(vs []float64) {
-	s.values = append(s.values, vs...)
-	s.sorted = false
 }
 
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.values) }
-
-// Values returns the underlying observations, sorted ascending. The returned
-// slice is owned by the Sample and must not be modified.
-func (s *Sample) Values() []float64 {
-	s.ensureSorted()
-	return s.values
-}
-
-func (s *Sample) ensureSorted() {
-	if !s.sorted {
-		sort.Float64s(s.values)
-		s.sorted = true
-	}
-}
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
@@ -75,116 +50,8 @@ func (s *Sample) StdDev() float64 {
 	return math.Sqrt(sum / float64(n))
 }
 
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.values[0]
-}
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.values[len(s.values)-1]
-}
-
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-// Percentile returns the p-th percentile (0–100) using nearest-rank
-// interpolation. It returns 0 for an empty sample.
-func (s *Sample) Percentile(p float64) float64 {
-	n := len(s.values)
-	if n == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	if p <= 0 {
-		return s.values[0]
-	}
-	if p >= 100 {
-		return s.values[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= n {
-		return s.values[n-1]
-	}
-	return s.values[lo]*(1-frac) + s.values[lo+1]*frac
-}
-
-// FracAbove returns the fraction of observations strictly greater than x.
-// Table 1 reports the fraction of trigger intervals above 100 and 150 µs.
-func (s *Sample) FracAbove(x float64) float64 {
-	n := len(s.values)
-	if n == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	// First index with value > x.
-	idx := sort.Search(n, func(i int) bool { return s.values[i] > x })
-	return float64(n-idx) / float64(n)
-}
-
 // CDFPoint is one (x, cumulative fraction) point of an empirical CDF.
 type CDFPoint struct {
 	X    float64
 	Frac float64 // fraction of samples <= X, in [0,1]
-}
-
-// CDF returns the empirical CDF evaluated at the given x values.
-func (s *Sample) CDF(xs []float64) []CDFPoint {
-	s.ensureSorted()
-	n := len(s.values)
-	out := make([]CDFPoint, 0, len(xs))
-	for _, x := range xs {
-		idx := sort.Search(n, func(i int) bool { return s.values[i] > x })
-		frac := 0.0
-		if n > 0 {
-			frac = float64(idx) / float64(n)
-		}
-		out = append(out, CDFPoint{X: x, Frac: frac})
-	}
-	return out
-}
-
-// Summary bundles the statistics Table 1 reports for each workload.
-type Summary struct {
-	N       int
-	Max     float64
-	Mean    float64
-	Median  float64
-	StdDev  float64
-	Above1  float64 // fraction above threshold 1 (paper: 100 µs)
-	Above2  float64 // fraction above threshold 2 (paper: 150 µs)
-	Thresh1 float64
-	Thresh2 float64
-}
-
-// Summarize computes a Summary with the given tail thresholds.
-func (s *Sample) Summarize(thresh1, thresh2 float64) Summary {
-	return Summary{
-		N:       s.N(),
-		Max:     s.Max(),
-		Mean:    s.Mean(),
-		Median:  s.Median(),
-		StdDev:  s.StdDev(),
-		Above1:  s.FracAbove(thresh1),
-		Above2:  s.FracAbove(thresh2),
-		Thresh1: thresh1,
-		Thresh2: thresh2,
-	}
-}
-
-// String renders the summary in the layout of the paper's Table 1 rows.
-func (sm Summary) String() string {
-	return fmt.Sprintf("max=%.0f mean=%.2f median=%.0f stddev=%.1f >%.0f=%.3g%% >%.0f=%.3g%%",
-		sm.Max, sm.Mean, sm.Median, sm.StdDev,
-		sm.Thresh1, sm.Above1*100, sm.Thresh2, sm.Above2*100)
 }

@@ -83,10 +83,6 @@ type Sender struct {
 	// to a single ACK (big-ACK burstiness, Appendix A).
 	MaxBurst int64
 
-	// smooth, when non-nil, spreads post-big-ACK bursts at the measured
-	// ACK arrival rate (EnableBurstSmoothing; Appendix A.1).
-	smooth *burstSmoother
-
 	// Arena, when set, is the packet pool segments are acquired from
 	// (zero-allocation segment construction); nil falls back to literals.
 	// Hosts wire their engine-local arena here.
@@ -146,21 +142,6 @@ func (s *Sender) Start() {
 	s.pump()
 }
 
-// Done reports whether every segment has been acknowledged (self-clocked)
-// or transmitted (paced — the pacer has no ACK obligation).
-func (s *Sender) Done() bool {
-	if s.paced {
-		return s.nextSeq >= s.total
-	}
-	return s.ackedTo >= s.total
-}
-
-// Remaining returns the number of segments not yet transmitted.
-func (s *Sender) Remaining() int64 { return s.total - s.nextSeq }
-
-// Cwnd returns the current congestion window in segments.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
 // inflight returns transmitted-but-unacknowledged segments.
 func (s *Sender) inflight() int64 { return s.nextSeq - s.ackedTo }
 
@@ -218,7 +199,6 @@ func (s *Sender) send(burst []*netstack.Packet) {
 func (s *Sender) HandleAck(p *netstack.Packet) {
 	s.AcksSeen++
 	p.Trace.Hop(flowtrace.HopTCP, s.TraceLoc, s.env.Now())
-	covered := p.AckSeq - s.ackedTo
 	if p.AckSeq > s.ackedTo {
 		s.ackedTo = p.AckSeq
 	}
@@ -230,50 +210,12 @@ func (s *Sender) HandleAck(p *netstack.Packet) {
 		}
 	}
 	if !s.paced {
-		compressed := false
-		if s.smooth != nil && covered > 0 {
-			compressed = s.smooth.tracker.Observe(s.env.Now(), covered)
-		}
-		if !s.smoothedPump(compressed) {
-			s.pump()
-		}
+		s.pump()
 	}
 	if s.ackedTo >= s.total && s.OnAllAcked != nil {
 		cb := s.OnAllAcked
 		s.OnAllAcked = nil
 		cb(s.env.Now())
-	}
-}
-
-// RestartIdle models a self-clocked connection resuming after an idle
-// period: BSD resets the congestion window to the initial value, forcing a
-// fresh slow start (the behaviour Visweswaraiah & Heidemann observed
-// defeating persistent-HTTP, Section 6). Rate-based clocking avoids this
-// restart penalty by pacing at the connection's last known rate instead —
-// see AddSegments with a paced sender.
-func (s *Sender) RestartIdle() {
-	if s.paced {
-		return // paced senders have no window to lose
-	}
-	s.cwnd = s.cfg.InitialCwnd
-}
-
-// AddSegments extends the transfer by n segments (a new request arriving
-// on a persistent connection). For a self-clocked sender that has been
-// idle, call RestartIdle first to model BSD's window reset; then Kick
-// restarts transmission.
-func (s *Sender) AddSegments(n int64) {
-	if n < 0 {
-		panic("tcp: negative segment count")
-	}
-	s.total += n
-}
-
-// Kick resumes self-clocked transmission after AddSegments (the window may
-// allow immediate sends even though no ACK is in flight).
-func (s *Sender) Kick() {
-	if !s.paced {
-		s.pump()
 	}
 }
 
@@ -357,9 +299,6 @@ func (r *Receiver) Report(w metrics.Writer) {
 	w.Counter("big_acks", r.BigAcks)
 	w.Counter("delack_fires", r.DelAckFires)
 }
-
-// Received returns the cumulative count of in-order segments.
-func (r *Receiver) Received() int64 { return r.received }
 
 // HandleData processes an arriving data segment.
 func (r *Receiver) HandleData(p *netstack.Packet) {

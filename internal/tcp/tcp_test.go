@@ -74,8 +74,8 @@ func TestSlowStartGrowsExponentially(t *testing.T) {
 	}
 	// cwnd grew from 1 by +1 per ACK; with ~1 ACK per 2 segments the
 	// final window must be large but finite.
-	if r.snd.Cwnd() < 50 {
-		t.Fatalf("cwnd = %v, slow start did not grow", r.snd.Cwnd())
+	if r.snd.cwnd < 50 {
+		t.Fatalf("cwnd = %v, slow start did not grow", r.snd.cwnd)
 	}
 	if r.snd.SegmentsSent != 1000 {
 		t.Fatalf("sent %d segments", r.snd.SegmentsSent)
@@ -132,7 +132,7 @@ func TestPacedTransferSkipsSlowStart(t *testing.T) {
 	if r.done > 140*sim.Millisecond {
 		t.Fatalf("paced transfer took %v, want ~75-130ms", r.done)
 	}
-	if !r.snd.Done() {
+	if r.snd.nextSeq != total {
 		t.Fatal("sender not done")
 	}
 }
@@ -316,24 +316,20 @@ func TestSenderAccessors(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitialCwnd = 2
 	snd := NewSender(env, cfg, 1, 10, false)
-	if snd.Done() || snd.Remaining() != 10 {
-		t.Fatalf("fresh sender: done=%v remaining=%d", snd.Done(), snd.Remaining())
+	if snd.nextSeq != 0 || snd.ackedTo != 0 {
+		t.Fatalf("fresh sender: sent to %d, acked to %d", snd.nextSeq, snd.ackedTo)
 	}
 	snd.Start()
 	snd.Start() // idempotent
 	if sent != 2 {
 		t.Fatalf("initial window sent %d, want 2", sent)
 	}
-	if snd.Remaining() != 8 {
-		t.Fatalf("Remaining = %d", snd.Remaining())
+	if snd.nextSeq != 2 {
+		t.Fatalf("sent to %d, want 2", snd.nextSeq)
 	}
 	snd.HandleAck(&netstack.Packet{Kind: netstack.Ack, AckSeq: 10})
-	if !snd.Done() {
+	if snd.ackedTo != snd.total {
 		t.Fatal("sender not done after full ack")
-	}
-	smoothed, bursts := snd.BurstSmoothingStats()
-	if smoothed != 0 || bursts != 0 {
-		t.Fatal("smoothing stats nonzero while disabled")
 	}
 }
 
@@ -342,8 +338,8 @@ func TestPacedSenderDoneSemantics(t *testing.T) {
 	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(*netstack.Packet) {})}
 	snd := NewSender(env, DefaultConfig(), 1, 2, true)
 	snd.Start() // no-op for paced
-	if snd.Done() {
-		t.Fatal("paced sender done before sending")
+	if snd.nextSeq != 0 {
+		t.Fatal("paced sender sent before PacedSendOne")
 	}
 	if _, more := snd.PacedSendOne(0); !more {
 		t.Fatal("more=false after first of two")
@@ -354,7 +350,7 @@ func TestPacedSenderDoneSemantics(t *testing.T) {
 	if p, more := snd.PacedSendOne(0); p != nil || more {
 		t.Fatal("send past end returned a packet")
 	}
-	if !snd.Done() {
+	if snd.nextSeq != snd.total {
 		t.Fatal("paced sender not done after transmitting all")
 	}
 }

@@ -279,6 +279,3 @@ func (h *Hierarchical) cancel(t *Timer) {
 		h.dirty = true
 	}
 }
-
-// Now returns the wheel's current tick.
-func (h *Hierarchical) Now() Tick { return h.cur }

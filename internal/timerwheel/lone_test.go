@@ -33,9 +33,9 @@ func TestLoneTimerTransitions(t *testing.T) {
 		w := New(16)
 		tm := schedule(w, 40, func(Tick) {})
 		heldLone(t, w, tm)
-		if !tm.Pending() || tm.Deadline() != 40 || w.Len() != 1 || w.Earliest() != 40 {
+		if !tm.Pending() || tm.deadline != 40 || w.Len() != 1 || w.Earliest() != 40 {
 			t.Fatalf("pending %v, deadline %d, len %d, earliest %d; want true, 40, 1, 40",
-				tm.Pending(), tm.Deadline(), w.Len(), w.Earliest())
+				tm.Pending(), tm.deadline, w.Len(), w.Earliest())
 		}
 		if w.Due(39) || !w.Due(40) {
 			t.Fatalf("Due(39) = %v, Due(40) = %v; want false, true", w.Due(39), w.Due(40))
@@ -57,9 +57,9 @@ func TestLoneTimerTransitions(t *testing.T) {
 				t.Fatalf("Reschedule(%d) of the lone timer reported not pending", d)
 			}
 			heldLone(t, w, tm)
-			if tm.Deadline() != d || w.Earliest() != d || w.Due(d-1) || !w.Due(d) {
+			if tm.deadline != d || w.Earliest() != d || w.Due(d-1) || !w.Due(d) {
 				t.Fatalf("after Reschedule(%d): deadline %d, earliest %d, Due(d-1) %v, Due(d) %v",
-					d, tm.Deadline(), w.Earliest(), w.Due(d-1), w.Due(d))
+					d, tm.deadline, w.Earliest(), w.Due(d-1), w.Due(d))
 			}
 		}
 		if !tm.Cancel() || tm.Pending() || w.Len() != 0 || w.Earliest() != NoDeadline || w.lone != nil {
@@ -115,14 +115,14 @@ func TestLoneTimerTransitions(t *testing.T) {
 		var sawNow Tick
 		var held *Timer
 		schedule(w, 10, func(now Tick) {
-			sawNow = w.Now()
+			sawNow = w.cur
 			held = schedule(w, now-3, func(Tick) { inner++ }) // already due
 		})
 		if n := w.Advance(12); n != 1 {
 			t.Fatalf("Advance(12) fired %d, want the lone timer only", n)
 		}
-		if sawNow != 5 || w.Now() != 12 {
-			t.Fatalf("Now() read %d inside the handler and %d after; want 5 and 12", sawNow, w.Now())
+		if sawNow != 5 || w.cur != 12 {
+			t.Fatalf("cur read %d inside the handler and %d after; want 5 and 12", sawNow, w.cur)
 		}
 		if inner != 0 || !held.Pending() {
 			t.Fatal("a timer scheduled due inside the lone handler fired in the same Advance")

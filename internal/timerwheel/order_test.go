@@ -91,7 +91,7 @@ func fireOrderHash(q Queue, seed int64, steps int) uint64 {
 		case 2:
 			if t := pick(); t != nil && !t.Pending() {
 				q.Schedule(t, deadline(at), nil)
-				put('a', t.Deadline())
+				put('a', t.deadline)
 			}
 		case 3:
 			schedule(at)

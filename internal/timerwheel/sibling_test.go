@@ -89,9 +89,9 @@ func TestHandlerReschedulesSibling(t *testing.T) {
 				if n := c.q.Advance(20); n != 2 || moved == nil || fired[moved] != 0 {
 					t.Fatalf("Advance(20) fired %d, moved one fired %d times; want 2 and 0", n, fired[moved])
 				}
-				if c.q.Len() != 2 || !moved.Pending() || moved.Deadline() != move.deadline {
+				if c.q.Len() != 2 || !moved.Pending() || moved.deadline != move.deadline {
 					t.Fatalf("after the move: Len %d, moved pending %v at %d; want 2, true at %d",
-						c.q.Len(), moved.Pending(), moved.Deadline(), move.deadline)
+						c.q.Len(), moved.Pending(), moved.deadline, move.deadline)
 				}
 				if n := c.q.Advance(move.next); n != 1 || fired[moved] != 1 {
 					t.Fatalf("Advance(%d) fired %d, moved one %d times; want 1 and 1", move.next, n, fired[moved])

@@ -80,9 +80,6 @@ type Timer struct {
 	gen        uint64 // Advance generation this timer was scheduled in, if any
 }
 
-// Deadline returns the tick the timer was scheduled for.
-func (t *Timer) Deadline() Tick { return t.deadline }
-
 // Pending reports whether the timer is still scheduled.
 func (t *Timer) Pending() bool { return t != nil && t.slot != nil }
 
@@ -460,6 +457,3 @@ func (w *Wheel) cancel(t *Timer) {
 		w.dirty = true
 	}
 }
-
-// Now returns the wheel's current tick (the argument of the last Advance).
-func (w *Wheel) Now() Tick { return w.cur }

@@ -47,7 +47,7 @@ func BenchmarkTestbedPacket(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := arena.Get()
 		p.Flow, p.Src, p.Dst, p.Kind, p.Size = i, src, to, netstack.Data, 1500
-		a.NIC().TxFromKernel(p)
+		a.NICs[0].TxFromKernel(p)
 		for *delivered <= i {
 			if !eng.Step() {
 				b.Fatal("engine drained before the packet was delivered")
@@ -77,7 +77,7 @@ func TestTestbedPacketZeroAlloc(t *testing.T) {
 		p := arena.Get()
 		p.Flow, p.Src, p.Dst, p.Kind, p.Size = flow, src, to, netstack.Data, 1500
 		flow++
-		a.NIC().TxFromKernel(p)
+		a.NICs[0].TxFromKernel(p)
 		for *delivered < flow {
 			if !eng.Step() {
 				t.Fatal("engine drained before the packet was delivered")
@@ -124,7 +124,7 @@ func (c *crossShardPath) send(tb testing.TB, n int) {
 		c.sent++
 		batch[i] = p
 	}
-	c.a.NIC().TxFromKernel(batch...)
+	c.a.NICs[0].TxFromKernel(batch...)
 	for ms := 0; *c.delivered < c.sent; ms++ {
 		if ms == 100 {
 			tb.Fatalf("delivered %d of %d packets after 100 ms", *c.delivered, c.sent)

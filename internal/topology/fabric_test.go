@@ -44,7 +44,7 @@ func TestFabricForwarding(t *testing.T) {
 
 	h0 := top.Host("h0")
 	// h0 is on leaf 0 with h3 and h6 (members round-robin 3 leaves).
-	h0.NIC().TxFromKernel(
+	h0.NICs[0].TxFromKernel(
 		&netstack.Packet{Flow: 1, Src: top.Addr("h0"), Dst: top.Addr("h3"), Kind: netstack.Data, Size: 400}, // intra-leaf
 		&netstack.Packet{Flow: 2, Src: top.Addr("h0"), Dst: top.Addr("h1"), Kind: netstack.Data, Size: 400}, // cross-leaf (leaf 1)
 		&netstack.Packet{Flow: 3, Src: top.Addr("h0"), Dst: top.Addr("h5"), Kind: netstack.Data, Size: 400}, // cross-leaf (leaf 2)

@@ -86,9 +86,6 @@ func (t *Topology) EnableFlowTrace(rate uint64, maxFlows int) *FlowTrace {
 	return ft
 }
 
-// FlowTracing returns the flow-trace wiring, or nil when not enabled.
-func (t *Topology) FlowTracing() *FlowTrace { return t.flow }
-
 // Sampler returns the named host's flow sampler (nil for unknown hosts).
 // Workload code calls SampleFlow once per flow and StartSpan per packet of
 // a traced flow.

@@ -35,7 +35,7 @@ func tracedTwoHostPath(rate uint64) (*Topology, *host.Host, *netstack.Arena, net
 // zero, without any explicit finish call at the receiver.
 func TestFlowTraceHopSequence(t *testing.T) {
 	top, a, arena, to, delivered := tracedTwoHostPath(1)
-	ft := top.FlowTracing()
+	ft := top.flow
 	smp := ft.Sampler("a")
 	if !smp.SampleFlow() {
 		t.Fatal("rate-1 sampler refused a flow")
@@ -44,7 +44,7 @@ func TestFlowTraceHopSequence(t *testing.T) {
 	p := arena.Get()
 	p.Flow, p.Src, p.Dst, p.Kind, p.Size = 7, top.Addr("a"), to, netstack.Data, 1500
 	p.Trace = smp.StartSpan()
-	a.NIC().TxFromKernel(p)
+	a.NICs[0].TxFromKernel(p)
 	for *delivered == 0 {
 		if !top.Eng.Step() {
 			t.Fatal("engine drained before delivery")
@@ -106,7 +106,7 @@ func TestFlowTraceHopSequence(t *testing.T) {
 // sampling, so hop sites stay nil-span no-ops.
 func TestFlowTraceDisabledSamplesNothing(t *testing.T) {
 	top, a, arena, to, delivered := tracedTwoHostPath(0)
-	ft := top.FlowTracing()
+	ft := top.flow
 	if again := top.EnableFlowTrace(1, 10); again != ft {
 		t.Fatal("EnableFlowTrace is not idempotent")
 	}
@@ -115,7 +115,7 @@ func TestFlowTraceDisabledSamplesNothing(t *testing.T) {
 	}
 	p := arena.Get()
 	p.Flow, p.Src, p.Dst, p.Kind, p.Size = 0, top.Addr("a"), to, netstack.Data, 1500
-	a.NIC().TxFromKernel(p)
+	a.NICs[0].TxFromKernel(p)
 	for *delivered == 0 {
 		top.Eng.Step()
 	}
@@ -138,7 +138,7 @@ func TestTestbedPacketZeroAllocTracingOff(t *testing.T) {
 		p := arena.Get()
 		p.Flow, p.Src, p.Dst, p.Kind, p.Size = flow, src, to, netstack.Data, 1500
 		flow++
-		a.NIC().TxFromKernel(p)
+		a.NICs[0].TxFromKernel(p)
 		for *delivered < flow {
 			if !eng.Step() {
 				t.Fatal("engine drained before the packet was delivered")

@@ -92,7 +92,7 @@ func TestShardedSwitchCountsPerShard(t *testing.T) {
 
 	// Addressed cross-shard traffic, plus one miss.
 	src := top.Host("src")
-	src.NIC().TxFromKernel(
+	src.NICs[0].TxFromKernel(
 		&netstack.Packet{Flow: 1, Src: top.Addr("src"), Dst: top.Addr("peer"), Kind: netstack.Data, Size: 200},
 		&netstack.Packet{Flow: 2, Src: top.Addr("src"), Dst: top.Addr("peer"), Kind: netstack.Data, Size: 200},
 		&netstack.Packet{Flow: 3, Src: top.Addr("src"), Dst: 77, Kind: netstack.Data, Size: 200},

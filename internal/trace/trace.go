@@ -1,13 +1,12 @@
 // Package trace provides a lightweight execution tracer for the simulated
 // kernel: a bounded ring buffer of typed events (scheduling, interrupts,
-// trigger states, soft-timer activity) that can be dumped for debugging or
-// asserted on in tests. Tracing is opt-in and costs nothing when disabled.
+// trigger states, soft-timer activity) that can be exported as a Chrome
+// trace or asserted on in tests. Tracing is opt-in and costs nothing when
+// disabled.
 package trace
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
 	"softtimers/internal/sim"
 )
@@ -49,21 +48,6 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// ParseKind inverts String for non-negative kinds: every name produced by
-// Kind.String maps back to its kind.
-func ParseKind(s string) (Kind, bool) {
-	for i, n := range kindNames {
-		if n == s {
-			return Kind(i), true
-		}
-	}
-	var n int
-	if _, err := fmt.Sscanf(s, "custom+%d", &n); err == nil && n > 0 {
-		return Custom + Kind(n), true
-	}
-	return 0, false
-}
-
 // Event is one trace record.
 type Event struct {
 	At    sim.Time
@@ -98,9 +82,6 @@ func New(capacity int) *Buffer {
 
 // Enable toggles recording; Add is a no-op while disabled.
 func (b *Buffer) Enable(on bool) { b.enabled = on }
-
-// Enabled reports whether recording is on.
-func (b *Buffer) Enabled() bool { return b.enabled }
 
 // Add records an event, evicting the oldest if full.
 func (b *Buffer) Add(at sim.Time, kind Kind, label string, arg int64) {
@@ -137,49 +118,4 @@ func (b *Buffer) Events() []Event {
 	}
 	out = append(out, b.events[:b.next]...)
 	return out
-}
-
-// Filter returns retained events of the given kind, oldest-first.
-func (b *Buffer) Filter(kind Kind) []Event {
-	var out []Event
-	for _, e := range b.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Dump writes the retained events to w, one per line.
-func (b *Buffer) Dump(w io.Writer) error {
-	for _, e := range b.Events() {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
-	}
-	if b.dropped > 0 {
-		_, err := fmt.Fprintf(w, "(%d earlier events dropped)\n", b.dropped)
-		return err
-	}
-	return nil
-}
-
-// Summary returns per-kind counts of retained events, formatted compactly
-// in ascending kind order. Application kinds beyond Custom are included.
-func (b *Buffer) Summary() string {
-	counts := map[Kind]int{}
-	maxKind := Kind(-1)
-	for _, e := range b.Events() {
-		counts[e.Kind]++
-		if e.Kind > maxKind {
-			maxKind = e.Kind
-		}
-	}
-	var parts []string
-	for k := Kind(0); k <= maxKind; k++ {
-		if c := counts[k]; c > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, c))
-		}
-	}
-	return strings.Join(parts, " ")
 }

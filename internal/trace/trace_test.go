@@ -53,47 +53,12 @@ func TestDisableStopsRecording(t *testing.T) {
 	b := New(4)
 	b.Add(1, Sched, "a", 0)
 	b.Enable(false)
-	if b.Enabled() {
-		t.Fatal("Enabled() after disable")
+	if b.enabled {
+		t.Fatal("enabled after disable")
 	}
 	b.Add(2, Sched, "b", 0)
 	if b.Len() != 1 {
 		t.Fatalf("len = %d after disabled Add", b.Len())
-	}
-}
-
-func TestFilterAndSummary(t *testing.T) {
-	b := New(16)
-	b.Add(1, Sched, "p1", 0)
-	b.Add(2, Intr, "disk", 0)
-	b.Add(3, Sched, "p2", 0)
-	b.Add(4, TriggerState, "syscalls", 0)
-	if got := len(b.Filter(Sched)); got != 2 {
-		t.Fatalf("Filter(Sched) = %d", got)
-	}
-	sum := b.Summary()
-	for _, want := range []string{"sched=2", "intr=1", "trigger=1"} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("summary %q missing %q", sum, want)
-		}
-	}
-}
-
-func TestDump(t *testing.T) {
-	b := New(2)
-	b.Add(1, Custom, "one", 1)
-	b.Add(2, Custom, "two", 2)
-	b.Add(3, Custom, "three", 3) // evicts "one"
-	var sb strings.Builder
-	if err := b.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if strings.Contains(out, "one") || !strings.Contains(out, "three") {
-		t.Fatalf("dump window wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "1 earlier events dropped") {
-		t.Fatalf("dump missing drop note:\n%s", out)
 	}
 }
 
@@ -116,27 +81,16 @@ func TestKindStringRoundTrip(t *testing.T) {
 	kinds := []Kind{Sched, Intr, SoftIRQ, TriggerState, SoftFire,
 		IdleEnter, IdleExit, Custom, Custom + 1, Custom + 17}
 	for _, k := range kinds {
-		got, ok := ParseKind(k.String())
+		got, ok := parseKind(k.String())
 		if !ok || got != k {
-			t.Errorf("ParseKind(%q) = %v, %v; want %v, true", k.String(), got, ok, k)
+			t.Errorf("parseKind(%q) = %v, %v; want %v, true", k.String(), got, ok, k)
 		}
 	}
-	if _, ok := ParseKind("no-such-kind"); ok {
-		t.Error("ParseKind accepted garbage")
+	if _, ok := parseKind("no-such-kind"); ok {
+		t.Error("parseKind accepted garbage")
 	}
-	if _, ok := ParseKind("custom+0"); ok {
-		t.Error(`ParseKind accepted "custom+0" (Custom itself renders as "custom")`)
-	}
-}
-
-func TestSummaryIncludesApplicationKinds(t *testing.T) {
-	b := New(8)
-	b.Add(1, Sched, "p", 0)
-	b.Add(2, Custom+3, "app", 0)
-	b.Add(3, Custom+3, "app", 0)
-	s := b.Summary()
-	if !strings.Contains(s, "sched=1") || !strings.Contains(s, "custom+3=2") {
-		t.Fatalf("summary %q missing application kind counts", s)
+	if _, ok := parseKind("custom+0"); ok {
+		t.Error(`parseKind accepted "custom+0" (Custom itself renders as "custom")`)
 	}
 }
 

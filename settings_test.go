@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -166,6 +168,125 @@ func TestOptionFieldsHaveSetters(t *testing.T) {
 	}
 }
 
+// stdInterfaceMethods are the method names of standard-library interfaces
+// the tree's types satisfy (fmt.Stringer, error, json.Marshaler,
+// sort.Interface, heap.Interface, io.Writer, ...); a method by one of these
+// names may be called only through the interface.
+var stdInterfaceMethods = []string{
+	"String", "Error", "Unwrap", "Format",
+	"MarshalJSON", "UnmarshalJSON", "MarshalText", "UnmarshalText",
+	"Len", "Less", "Swap", "Push", "Pop",
+	"Read", "Write", "Close", "ServeHTTP",
+}
+
+// keptUncalled are exported functions and methods under internal/ kept
+// although no non-test file references them, each with its reason: another
+// package's tests call it, or an open ROADMAP item names it as its next
+// caller.
+var keptUncalled = map[string]string{
+	"sim.Engine.At":                      "other packages' tests (core, emu, kernel, nic, experiments) schedule at absolute times through it",
+	"netstack.Arena.Live":                "topology, experiments and tcp tests check that every packet went home through it",
+	"stats.Histogram.Bucket":             "metrics' tests read widened bucket counts through it",
+	"stats.Histogram.SetBucketForTest":   "metrics' tests set counts near 2^32 through it",
+	"stats.Online.N":                     "httpserv's tests check response-time and paced-interval counts through it",
+	"metrics.SeriesSnapshot.WriteJSON":   "experiments' TestFleetTelemetryGolden hashes fleet series through it",
+	"netstack.WANEmulator.InstallFaults": "ROADMAP's paper-shapes-under-faults item runs the Tables 6/7 WAN rig under a fault plan through it",
+}
+
+// TestExportedFuncsHaveCallers fails on every exported function or method
+// declared in a non-test file under internal/ that no non-test file of the
+// tree references (cmd/, examples/, bench/ and its own package all count; a
+// function's references to itself do not). Methods whose name an interface
+// in the tree or stdInterfaceMethods declares are exempt: an interface call
+// names the interface's method, not the concrete one.
+func TestExportedFuncsHaveCallers(t *testing.T) {
+	pkgs := loadTree(t)
+	viaInterface := map[string]bool{}
+	for _, name := range stdInterfaceMethods {
+		viaInterface[name] = true
+	}
+	declOf := map[*types.Func]*ast.FuncDecl{} // the exported ones under internal/
+	for path, pkg := range pkgs {
+		for _, file := range pkg.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					iface := pkg.info.TypeOf(it).Underlying().(*types.Interface)
+					for i := range iface.NumMethods() {
+						viaInterface[iface.Method(i).Name()] = true
+					}
+				}
+				return true
+			})
+			if !strings.HasPrefix(path, "softtimers/internal/") {
+				continue
+			}
+			for _, d := range file.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+					declOf[pkg.info.Defs[fd.Name].(*types.Func)] = fd
+				}
+			}
+		}
+	}
+
+	called := map[*types.Func]bool{}
+	for _, pkg := range pkgs {
+		for id, obj := range pkg.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			fn = fn.Origin()
+			if fd := declOf[fn]; fd != nil && fd.Pos() <= id.Pos() && id.Pos() < fd.End() {
+				continue // a call to itself
+			}
+			called[fn] = true
+		}
+	}
+
+	var uncalled []string
+	declared := map[string]bool{}
+	for fn := range declOf {
+		name := funcName(fn)
+		declared[name] = true
+		_, kept := keptUncalled[name]
+		switch {
+		case fn.Type().(*types.Signature).Recv() != nil && viaInterface[fn.Name()]:
+			if kept {
+				t.Errorf("keptUncalled names %s, which an interface declares; drop the entry", name)
+			}
+		case called[fn] && kept:
+			t.Errorf("keptUncalled names %s, which has a caller now; drop the entry", name)
+		case !called[fn] && !kept:
+			uncalled = append(uncalled, name)
+		}
+	}
+	for name := range keptUncalled {
+		if !declared[name] {
+			t.Errorf("keptUncalled names %s, which is not an exported function or method under internal/", name)
+		}
+	}
+	sort.Strings(uncalled)
+	for _, name := range uncalled {
+		t.Errorf("%s: no non-test file references it; delete it", name)
+	}
+	if len(uncalled) > 0 {
+		t.Logf("%d exported functions and methods have no caller", len(uncalled))
+	}
+}
+
+// funcName names fn as the documents cite it: pkg.Func or pkg.Type.Method.
+func funcName(fn *types.Func) string {
+	name := fn.Name()
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		typ := recv.Type()
+		if ptr, ok := typ.(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		name = typ.(*types.Named).Obj().Name() + "." + name
+	}
+	return fn.Pkg().Name() + "." + name
+}
+
 // scalarStruct reports whether t is a struct type declared in pkg whose
 // fields are all of basic underlying type, and returns it.
 func scalarStruct(t types.Type, pkg *types.Package) (*types.Struct, bool) {
@@ -246,6 +367,7 @@ func (l *treeLoader) load(path, dir string) (*treePackage, error) {
 	}
 	p := &treePackage{path: path, info: &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
@@ -263,9 +385,18 @@ func (l *treeLoader) load(path, dir string) (*treePackage, error) {
 }
 
 // loadTree type-checks every package with non-test Go files under the
-// repository root, bench/ included, keyed by import path.
+// repository root, bench/ included, keyed by import path. The tree is
+// checked once per test binary and shared by every caller.
 func loadTree(t *testing.T) map[string]*treePackage {
 	t.Helper()
+	pkgs, err := sharedTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+var sharedTree = sync.OnceValues(func() (map[string]*treePackage, error) {
 	fset := token.NewFileSet()
 	l := &treeLoader{fset: fset, dirs: map[string]string{}, pkgs: map[string]*treePackage{},
 		std: importer.ForCompiler(fset, "source", nil)}
@@ -285,15 +416,15 @@ func loadTree(t *testing.T) map[string]*treePackage {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	for path, dir := range l.dirs {
 		if _, err := l.load(path, dir); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
 	if len(l.fails) > 0 {
-		t.Fatalf("type-checking the tree: %v (and %d more)", l.fails[0], len(l.fails)-1)
+		return nil, fmt.Errorf("type-checking the tree: %v (and %d more)", l.fails[0], len(l.fails)-1)
 	}
-	return l.pkgs
-}
+	return l.pkgs, nil
+})
