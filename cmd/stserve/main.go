@@ -48,6 +48,10 @@ func main() {
 		selftest = flag.Bool("selftest", false, "run the 2s loopback self-check and exit")
 	)
 	flag.Parse()
+	if err := checkFlags(*file, *pace, *burst); err != nil {
+		fmt.Fprintf(os.Stderr, "stserve: %v\n", err)
+		os.Exit(2)
+	}
 
 	var k httpserv.Kind
 	switch *kind {
@@ -97,6 +101,22 @@ func main() {
 	}
 	s.Stop()
 	report(s)
+}
+
+// checkFlags rejects sizes and intervals the server would not serve as
+// given: the emulator and httpserv replace a zero -file, -pace or -burst
+// with their defaults, so each must be positive for the banner to hold.
+func checkFlags(file int, pace, burst time.Duration) error {
+	if file < 1 {
+		return fmt.Errorf("-file %d: need at least 1 byte", file)
+	}
+	if pace <= 0 {
+		return fmt.Errorf("-pace %v: need a positive interval", pace)
+	}
+	if burst <= 0 {
+		return fmt.Errorf("-burst %v: need a positive interval", burst)
+	}
+	return nil
 }
 
 // report prints the run's measurement summary.

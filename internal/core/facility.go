@@ -89,17 +89,15 @@ type Facility struct {
 	fired     int64
 	canceled  int64
 	// maxDelay is the worst observed delay beyond an event's requested
-	// latency, in µs (high-water mark of the DelayHist input). The
-	// softtimer.overshoot_max_us gauge mirrors it and is written only when
-	// it rises.
-	maxDelay  int64
-	overshoot *metrics.Gauge
+	// latency, in µs (high-water mark of the DelayHist input), reported
+	// as the softtimer.overshoot_max_us gauge's high-water mark.
+	maxDelay int64
 	// FiresBySource counts event firings per trigger source.
 	FiresBySource [kernel.NumSources]int64
 	// DelayHist records, in µs, the delay d = actual - T beyond each
 	// event's scheduled latency — the paper's d ∈ [0, X+1] variable
-	// whose distribution Section 5.3 studies. It is registered on the
-	// kernel's metrics registry as softtimer.delay_us.
+	// whose distribution Section 5.3 studies, reported as
+	// softtimer.delay_us.
 	DelayHist *stats.Histogram
 
 	// firing guards against re-entrant Trigger during handler execution;
@@ -134,10 +132,7 @@ func newFacility(k *kernel.Kernel, opts Options, slots int) *Facility {
 		f.hashed = timerwheel.New(slots)
 		f.wheel = f.hashed
 	}
-	r := k.Metrics()
-	r.Register(f)
-	f.overshoot = r.Gauge("softtimer.overshoot_max_us")
-	r.Adopt("softtimer.delay_us", f.DelayHist)
+	k.Metrics().Register(f)
 	k.SetTriggerSink(f)
 	return f
 }
@@ -146,7 +141,8 @@ func newFacility(k *kernel.Kernel, opts Options, slots int) *Facility {
 var fireNames = kernel.NamesBySource("softtimer.fires.")
 
 // Report implements metrics.Reporter: the facility's per-tick counters,
-// the events pending on its wheel and its firings per trigger source.
+// the events pending on its wheel, its firings per trigger source, and
+// the delay histogram and worst overshoot (a gauge whose value stays 0).
 func (f *Facility) Report(w metrics.Writer) {
 	w.Counter("softtimer.checks", f.checks)
 	w.Counter("softtimer.scheduled", f.scheduled)
@@ -156,6 +152,8 @@ func (f *Facility) Report(w metrics.Writer) {
 	for s, n := range f.FiresBySource {
 		w.Counter(fireNames[s], n)
 	}
+	w.Histogram("softtimer.delay_us", f.DelayHist)
+	w.GaugeMax("softtimer.overshoot_max_us", 0, f.maxDelay)
 }
 
 // MaxDelayUS returns the worst observed delay beyond any event's requested
@@ -286,7 +284,6 @@ func (ev *Event) fire(fireTick timerwheel.Tick) {
 	f.DelayHist.Add(d)
 	if us := int64(d); us > f.maxDelay { // worst-case delay, µs (truncated)
 		f.maxDelay = us
-		f.overshoot.SetMax(us)
 	}
 	h := ev.h
 	if ev.pooled {

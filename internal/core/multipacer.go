@@ -28,9 +28,8 @@ type MultiPacer struct {
 	ev    *Event
 	ids   []int // reused by every firing: the flow ids in service order
 
-	// Registry counters (shared across multipacers on one kernel).
-	mFires *metrics.Counter // handler invocations
-	mSent  *metrics.Counter // packets transmitted
+	fires int64 // handler invocations, reported as pacer.multi_fires
+	sent  int64 // packets transmitted, reported as pacer.multi_sent
 }
 
 // pacedFlow is one connection's pacing state.
@@ -45,14 +44,20 @@ type pacedFlow struct {
 	next       sim.Time // next eligible transmission time
 }
 
-// NewMultiPacer creates an empty multi-connection pacer on f.
+// NewMultiPacer creates an empty multi-connection pacer on f. Like a
+// Pacer, it reports on f's kernel under fixed names, so a kernel holds at
+// most one.
 func NewMultiPacer(f *Facility) *MultiPacer {
-	r := f.k.Metrics()
-	return &MultiPacer{
-		f: f, flows: make(map[int]*pacedFlow),
-		mFires: r.Counter("pacer.multi_fires"),
-		mSent:  r.Counter("pacer.multi_sent"),
-	}
+	m := &MultiPacer{f: f, flows: make(map[int]*pacedFlow)}
+	f.k.Metrics().Register(m)
+	return m
+}
+
+// Report implements metrics.Reporter: the shared event's firings and the
+// packets they transmitted.
+func (m *MultiPacer) Report(w metrics.Writer) {
+	w.Counter("pacer.multi_fires", m.fires)
+	w.Counter("pacer.multi_sent", m.sent)
 }
 
 // AddFlow starts pacing a connection at the given target interval (with
@@ -121,7 +126,7 @@ func (m *MultiPacer) rearm() {
 
 // fire services every due flow with one packet each, then rearms.
 func (m *MultiPacer) fire(now sim.Time) sim.Time {
-	m.mFires.Inc()
+	m.fires++
 	var cost sim.Time
 	// Deterministic service order: ascending id (map order is random).
 	m.ids = m.ids[:0]
@@ -136,7 +141,7 @@ func (m *MultiPacer) fire(now sim.Time) sim.Time {
 		}
 		c, more := fl.transmit(now)
 		cost += c
-		m.mSent.Inc()
+		m.sent++
 		fl.sent++
 		fl.lastSend = now
 		if !more {

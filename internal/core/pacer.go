@@ -36,9 +36,9 @@ type Pacer struct {
 	// false the train ends and the pacer stops until Start.
 	Transmit func(now sim.Time) (cost sim.Time, more bool)
 
-	// Intervals, when non-nil, records the achieved inter-transmission
+	// Intervals, when non-nil, accumulates the achieved inter-transmission
 	// intervals in µs (Tables 4 and 5).
-	Intervals *stats.Sample
+	Intervals *stats.Online
 
 	trainStart sim.Time
 	lastSend   sim.Time
@@ -46,13 +46,14 @@ type Pacer struct {
 	ev         *Event
 	running    bool
 
-	// Registry counters, shared by every pacer on the same kernel.
-	mTrains *metrics.Counter
-	mFires  *metrics.Counter
+	fires  int64 // handler firings, reported as pacer.fires
+	trains int64 // trains started, reported as pacer.trains
 }
 
 // NewPacer creates a pacer on f. target and min are intervals (inverse
-// rates); transmit performs one packet transmission.
+// rates); transmit performs one packet transmission. The pacer reports on
+// f's kernel under fixed names, so a kernel holds at most one: a second
+// panics at its first snapshot.
 func NewPacer(f *Facility, target, min sim.Time, transmit func(now sim.Time) (sim.Time, bool)) *Pacer {
 	if target <= 0 || min <= 0 {
 		panic("core: pacer intervals must be positive")
@@ -60,12 +61,16 @@ func NewPacer(f *Facility, target, min sim.Time, transmit func(now sim.Time) (si
 	if min > target {
 		min = target
 	}
-	r := f.k.Metrics()
-	return &Pacer{
-		f: f, TargetInterval: target, MinInterval: min, Transmit: transmit,
-		mTrains: r.Counter("pacer.trains"),
-		mFires:  r.Counter("pacer.fires"),
-	}
+	p := &Pacer{f: f, TargetInterval: target, MinInterval: min, Transmit: transmit}
+	f.k.Metrics().Register(p)
+	return p
+}
+
+// Report implements metrics.Reporter: the transmission handler's firings
+// and the trains started.
+func (p *Pacer) Report(w metrics.Writer) {
+	w.Counter("pacer.fires", p.fires)
+	w.Counter("pacer.trains", p.trains)
 }
 
 // Start begins a new packet train: the first transmission is scheduled one
@@ -75,7 +80,7 @@ func (p *Pacer) Start() {
 		return
 	}
 	p.running = true
-	p.mTrains.Inc()
+	p.trains++
 	// f.now(), not k.Now(): in emulation mode the train's rate accounting
 	// must run on the same wall-mapped clock the fire handler observes.
 	p.trainStart = p.f.now()
@@ -100,7 +105,7 @@ func (p *Pacer) schedule(interval sim.Time) {
 }
 
 func (p *Pacer) fire(now sim.Time) sim.Time {
-	p.mFires.Inc()
+	p.fires++
 	cost, more := p.Transmit(now)
 	if p.Intervals != nil && p.sent > 0 {
 		p.Intervals.Add((now - p.lastSend).Micros())

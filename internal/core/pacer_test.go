@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"softtimers/internal/cpu"
@@ -19,6 +21,22 @@ func TestPacerValidation(t *testing.T) {
 		}
 	}()
 	NewPacer(f, 0, 0, nil)
+}
+
+// TestSecondPacerPanicsAtSnapshot: a pacer reports under fixed names, so
+// a second one on the same kernel panics at the snapshot, naming the
+// duplicate.
+func TestSecondPacerPanicsAtSnapshot(t *testing.T) {
+	_, k, f := newRig(kernel.Options{}, Options{})
+	NewPacer(f, 40*sim.Microsecond, 12*sim.Microsecond, nil)
+	k.Metrics().Snapshot()
+	NewPacer(f, 40*sim.Microsecond, 12*sim.Microsecond, nil)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, `"pacer.fires"`) {
+			t.Fatalf("panic %q, want one naming pacer.fires", msg)
+		}
+	}()
+	k.Metrics().Snapshot()
 }
 
 func TestPacerClampsMinToTarget(t *testing.T) {
@@ -41,7 +59,7 @@ func TestPacerAchievesTargetRateUnderFineTriggers(t *testing.T) {
 			sent++
 			return sim.Microsecond, sent < n
 		})
-	p.Intervals = &stats.Sample{}
+	p.Intervals = &stats.Online{}
 	p.Start()
 	eng.RunFor(100 * sim.Millisecond)
 	if sent != n {

@@ -168,18 +168,18 @@ func New(cfg Config) (*Server, error) {
 	s.hst.K.SetTriggerSink(s.prb)
 
 	// Emulation telemetry joins the host registry so snapshots carry it.
-	r := s.hst.Metrics()
-	r.Adopt("clock.lag_us", s.clk.LagHist)
-	r.Adopt("emu.trigger_interval_us", s.prb.intervals.hist)
-	r.Register(s)
+	s.hst.Metrics().Register(s)
 	return s, nil
 }
 
-// Report implements metrics.Reporter: the clock's pacing counters.
+// Report implements metrics.Reporter: the clock's pacing counters and lag
+// histogram, and the wall-clock trigger intervals.
 func (s *Server) Report(w metrics.Writer) {
 	w.Counter("clock.bursts", s.clk.Bursts())
 	w.Counter("clock.injected", s.clk.Injected())
 	w.Counter("clock.waits", s.clk.Waits())
+	w.Histogram("clock.lag_us", s.clk.LagHist)
+	w.Histogram("emu.trigger_interval_us", s.prb.intervals.hist)
 }
 
 // Addr returns the listener's bound address.

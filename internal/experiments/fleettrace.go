@@ -115,7 +115,7 @@ func runFleetTrace(sc Scale, salt uint64, n int, withChrome bool) fleetTraceRun 
 			for _, ch := range r.clients {
 				ch.FlowTrace = ft.Sampler(ch.H.Name)
 			}
-			r.t.EnableSeries(fleetTraceSeriesIvl, fleetTraceSeriesCap, nil)
+			r.t.EnableSeries(fleetTraceSeriesIvl, fleetTraceSeriesCap)
 		},
 	})
 

@@ -67,14 +67,14 @@ func runSoftPacing(sc Scale, targetUS, minUS float64) (avg, sd float64, n int64)
 			// driver work only; serialization happens on the wire.
 			return sim.Microsecond, sent < train
 		})
-	p.Intervals = &stats.Sample{}
+	p.Intervals = &stats.Online{}
 	p.Start()
 	// Run until the train completes (cap at ~10x the ideal time).
 	cap := rig.Eng.Now() + sim.Time(train)*sim.Micros(targetUS)*10
 	for p.Running() && rig.Eng.Now() < cap {
 		rig.Eng.RunFor(10 * sim.Millisecond)
 	}
-	return p.Intervals.Mean(), p.Intervals.StdDev(), int64(p.Intervals.N())
+	return p.Intervals.Mean(), p.Intervals.StdDev(), p.Intervals.N()
 }
 
 // runHWPacing fires a hardware timer at the target interval on the same
@@ -87,7 +87,7 @@ func runHWPacing(sc Scale, targetUS float64) (avg, sd float64) {
 		panic(err)
 	}
 	rig := d.Make(sc.Seed, cpu.PentiumII300())
-	intervals := &stats.Sample{}
+	intervals := &stats.Online{}
 	var last sim.Time
 	var sent int64
 	pit := rig.K.NewPIT(sim.Micros(targetUS), sim.Microsecond, func() {
@@ -100,7 +100,7 @@ func runHWPacing(sc Scale, targetUS float64) (avg, sd float64) {
 	})
 	rig.Eng.RunFor(sc.Warmup)
 	pit.Start()
-	for int64(intervals.N()) < sc.PacerTrain {
+	for intervals.N() < sc.PacerTrain {
 		rig.Eng.RunFor(50 * sim.Millisecond)
 	}
 	return intervals.Mean(), intervals.StdDev()

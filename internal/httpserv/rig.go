@@ -148,7 +148,7 @@ type Result struct {
 }
 
 // Metrics snapshots the testbed's telemetry registry (the server kernel's —
-// every layer of the rig registers its instruments there).
+// every layer of the rig reports there).
 func (tb *Testbed) Metrics() *metrics.Snapshot {
 	return tb.K.Metrics().Snapshot()
 }

@@ -327,7 +327,6 @@ func New(eng *sim.Engine, prof cpu.Profile, opts Options) *Kernel {
 func (k *Kernel) initMetrics() {
 	k.m = metrics.NewRegistry()
 	k.m.Register(k)
-	k.m.Adopt("kernel.trigger_interval_us", k.meter.Hist)
 }
 
 // Per-source counter names, the same on every kernel.
@@ -348,8 +347,9 @@ func NamesBySource(prefix string) (names [NumSources]string) {
 
 // Report implements metrics.Reporter: the engine's event counts (sim.*),
 // per-vector interrupt deliveries and their direct CPU cost, trigger-state
-// visits per source, and the CPU-time accounting and scheduler activity
-// the Accounting struct also exposes.
+// visits per source and the trigger meter's interval histogram, and the
+// CPU-time accounting and scheduler activity the Accounting struct also
+// exposes.
 func (k *Kernel) Report(w metrics.Writer) {
 	w.Counter("sim.events_fired", int64(k.eng.Fired))
 	w.Gauge("sim.events_pending", int64(k.eng.Pending()))
@@ -359,6 +359,7 @@ func (k *Kernel) Report(w metrics.Writer) {
 		w.Counter(intrNSNames[s], k.intrNS[s])
 		w.Counter(triggerNames[s], k.meter.BySource[s])
 	}
+	w.Histogram("kernel.trigger_interval_us", k.meter.Hist)
 	w.Counter("kernel.switches", k.acct.Switches)
 	w.Counter("kernel.syscalls", k.acct.Syscalls)
 	w.Counter("kernel.traps", k.acct.Traps)
@@ -377,7 +378,7 @@ func (k *Kernel) Report(w metrics.Writer) {
 
 // Metrics returns the simulation's telemetry registry. Components built on
 // this kernel (the soft-timer facility, NICs, links, pacers) register
-// their instruments here; snapshot it for the full picture.
+// themselves here; snapshot it for the full picture.
 func (k *Kernel) Metrics() *metrics.Registry { return k.m }
 
 // Engine returns the underlying simulation engine.

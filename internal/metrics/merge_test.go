@@ -116,14 +116,15 @@ func TestMergeBucketsMatchesMapReference(t *testing.T) {
 // histogram still encodes its buckets as null.
 func TestSnapshotBucketsExactSize(t *testing.T) {
 	build := func(shift float64) *Registry {
-		r := NewRegistry()
-		r.Histogram("empty", 1, 2000)
-		r.Histogram("one", 1, 2000).Observe(7 + shift)
-		h := r.Histogram("spread", 1, 2000)
+		empty, one, spread := histOf(1, 2000), histOf(1, 2000, 7+shift), histOf(1, 2000)
 		for v := 0.0; v <= 1000; v += 3 {
-			h.Observe(v + shift)
+			spread.Add(v + shift)
 		}
-		return r
+		return registryOf(func(w Writer) {
+			w.Histogram("empty", empty)
+			w.Histogram("one", one)
+			w.Histogram("spread", spread)
+		})
 	}
 	a, b := build(0).Snapshot(), build(1).Snapshot()
 	merged := NewSnapshot()

@@ -5,24 +5,19 @@
 // on the (seeded, deterministic) simulation state, never on scheduling
 // order.
 //
-// Values reach a snapshot in one of two ways:
+// Values reach a snapshot one way: a component keeps its counters, gauges
+// and histograms as fields of its own (the kernel, the soft-timer facility,
+// pacers, NICs, links, TCP endpoints, fault plans, the emulation server, a
+// topology's totals), registers once with Register and, at every Snapshot,
+// writes their current values through a Writer under names fixed per
+// component type. Updating a value costs an update of a field its owner
+// already holds; registering costs one slice entry, however many values
+// the component reports.
 //
-//   - reporters: a component whose counters are plain fields of its own
-//     (the kernel, the soft-timer facility, NICs, links, TCP endpoints,
-//     fault plans) registers once with Register and, at every Snapshot,
-//     writes the fields' current values through a Writer under names fixed
-//     per component type. Updating such a counter costs an increment of a
-//     field its owner already holds; registering costs one slice entry,
-//     however many values the component reports.
-//   - direct instruments: Counter, Gauge and Histogram, created once by
-//     name (get-or-create) and updated by pointer, for values that several
-//     components share by name (every pacer on a kernel adds to
-//     pacer.fires) or that their owner updates through the registry
-//     (a NIC's batch histogram); Adopt registers a histogram its owner
-//     keeps. The hot paths that update them allocate nothing.
-//
-// A name may appear once per snapshot: a name reported twice, or under two
-// instrument kinds, panics at Snapshot with the name.
+// A name may appear once per snapshot: a name written twice, or under two
+// kinds, panics at Snapshot with the name. So does a second component of a
+// kind that writes fixed names on the same registry, such as a second pacer
+// on one kernel or a second unnamed NIC.
 //
 // Snapshot produces a deterministic, JSON-serializable view: map keys sort
 // on encoding and histogram buckets are emitted as ascending sparse
@@ -46,85 +41,21 @@ import (
 	"softtimers/internal/stats"
 )
 
-// Counter is a monotonically increasing int64. All methods are safe on a
-// nil receiver (no-ops), so optionally-instrumented components need no
-// branches at update sites.
-type Counter struct {
-	v int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Gauge is a point-in-time int64 with a separate high-water mark. Nil-safe
-// like Counter.
-type Gauge struct {
-	v   int64
-	max int64
-}
-
-// Set records the current value and updates the high-water mark.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-	if v > g.max {
-		g.max = v
-	}
-}
-
-// SetMax raises the high-water mark without touching the current value.
-func (g *Gauge) SetMax(v int64) {
-	if g != nil && v > g.max {
-		g.max = v
-	}
-}
-
-// Histogram is a fixed-width-bucket histogram (a registered
-// stats.Histogram). Observe is the hot-path entry point; it allocates only
-// when a value first lands past the buckets grown so far, which happens at
-// most a handful of times per histogram (the array doubles from 64 up to
-// the registered count), when a count first passes 2^32-1, and on the
-// first write after a snapshot, which shares the array until then.
-type Histogram struct {
-	h *stats.Histogram
-}
-
-// Observe records one value. Nil-safe.
-func (h *Histogram) Observe(v float64) {
-	if h != nil {
-		h.h.Add(v)
-	}
-}
-
-// Registry holds one simulation's instruments and reporters. It is not
-// safe for concurrent use, matching the single-threaded engine it
-// instruments; distinct engines own distinct registries.
+// Registry is one simulation's list of reporters. It is not safe for
+// concurrent use, matching the single-threaded engine it instruments;
+// distinct engines own distinct registries.
 type Registry struct {
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
 	reporters []Reporter
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		// A host's kernel, soft-timer facility, NIC and two links report.
-		reporters: make([]Reporter, 0, 8),
-	}
+	// A host's kernel, soft-timer facility, NIC and two links report.
+	return &Registry{reporters: make([]Reporter, 0, 8)}
 }
 
-// Reporter is a component that keeps its counters as fields of its own
-// and writes their current values at snapshot time.
+// Reporter is a component that keeps its values as fields of its own and
+// writes them at snapshot time.
 type Reporter interface {
 	// Report writes the component's values through w, under names fixed
 	// per component type (instances scope theirs with Writer.In).
@@ -135,74 +66,6 @@ type Reporter interface {
 // reports.
 func (r *Registry) Register(rep Reporter) {
 	r.reporters = append(r.reporters, rep)
-}
-
-// checkFresh panics when name is already registered under a different
-// instrument kind — silent aliasing would corrupt snapshots.
-func (r *Registry) checkFresh(name string, except string) {
-	if _, ok := r.counters[name]; ok && except != "counter" {
-		panic(fmt.Sprintf("metrics: %q already registered as a counter", name))
-	}
-	if _, ok := r.gauges[name]; ok && except != "gauge" {
-		panic(fmt.Sprintf("metrics: %q already registered as a gauge", name))
-	}
-	if _, ok := r.hists[name]; ok && except != "histogram" {
-		panic(fmt.Sprintf("metrics: %q already registered as a histogram", name))
-	}
-}
-
-// Counter returns the counter registered under name, creating it if
-// needed. Components sharing a registry and a name share the counter
-// (e.g. every pacer on one kernel accumulates into pacer.fires).
-func (r *Registry) Counter(name string) *Counter {
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	r.checkFresh(name, "counter")
-	c := &Counter{}
-	r.counters[name] = c
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	r.checkFresh(name, "gauge")
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
-}
-
-// Histogram returns the histogram registered under name, creating it with
-// the given bucket width and count if needed. Width/bucket parameters of
-// an existing registration are not re-checked; the first registration
-// wins.
-func (r *Registry) Histogram(name string, width float64, nbuckets int) *Histogram {
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	r.checkFresh(name, "histogram")
-	h := &Histogram{h: stats.NewHistogram(width, nbuckets)}
-	r.hists[name] = h
-	return h
-}
-
-// Adopt registers an existing stats.Histogram under name, so legacy
-// histograms (the trigger meter's, the facility's delay histogram) become
-// snapshot-visible without changing their owners' hot paths or public
-// types. Re-adopting the same name replaces the backing histogram.
-func (r *Registry) Adopt(name string, h *stats.Histogram) *Histogram {
-	if h == nil {
-		panic("metrics: Adopt of nil histogram")
-	}
-	if _, ok := r.hists[name]; !ok {
-		r.checkFresh(name, "histogram")
-	}
-	wrapped := &Histogram{h: h}
-	r.hists[name] = wrapped
-	return wrapped
 }
 
 // Writer is what a Reporter writes through: each value goes into the
@@ -235,21 +98,24 @@ func (w Writer) Counter(name string, v int64) {
 
 // Gauge writes a point-in-time value; its high-water mark in the snapshot
 // is the value itself.
-func (w Writer) Gauge(name string, v int64) {
-	w.gauge(name, GaugeSnapshot{Value: v, Max: v})
-}
+func (w Writer) Gauge(name string, v int64) { w.GaugeMax(name, v, v) }
 
-func (w Writer) gauge(name string, g GaugeSnapshot) {
+// GaugeMax writes a point-in-time value and the high-water mark its owner
+// keeps beside it.
+func (w Writer) GaugeMax(name string, v, hwm int64) {
 	if key, ok := w.key(name); ok {
 		n := len(w.s.Gauges)
-		w.s.Gauges[key] = g
+		w.s.Gauges[key] = GaugeSnapshot{Value: v, Max: hwm}
 		_, c := w.s.Counters[key]
 		_, h := w.s.Histograms[key]
 		once(key, len(w.s.Gauges) > n && !c && !h)
 	}
 }
 
-func (w Writer) histogram(name string, hist *stats.Histogram) {
+// Histogram writes a histogram the reporter keeps. The snapshot shares its
+// bucket array (stats.Histogram.Share), which the histogram copies before
+// it next writes.
+func (w Writer) Histogram(name string, hist *stats.Histogram) {
 	if key, ok := w.key(name); ok {
 		n := len(w.s.Histograms)
 		w.s.Histograms[key] = snapshotHistogram(hist)
@@ -408,11 +274,10 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Snapshot captures the registry's current state: its direct
-// instruments and what its reporters write. The registry keeps running;
-// snapshots are independent copies.
+// Snapshot captures what the registry's reporters write. The registry
+// keeps running; snapshots are independent copies.
 func (r *Registry) Snapshot() *Snapshot {
-	s := NewSnapshotSized(len(r.counters), len(r.gauges), len(r.hists))
+	s := NewSnapshot()
 	r.SnapshotInto(s, "", "")
 	return s
 }
@@ -424,15 +289,6 @@ func (r *Registry) Snapshot() *Snapshot {
 // A name already in s panics.
 func (r *Registry) SnapshotInto(s *Snapshot, prefix, skip string) {
 	w := Writer{s: s, prefix: prefix, skip: skip}
-	for name, c := range r.counters {
-		w.Counter(name, c.v)
-	}
-	for name, g := range r.gauges {
-		w.gauge(name, GaugeSnapshot{Value: g.v, Max: g.max})
-	}
-	for name, h := range r.hists {
-		w.histogram(name, h.h)
-	}
 	for _, rep := range r.reporters {
 		rep.Report(w)
 	}

@@ -12,34 +12,9 @@ import (
 	"softtimers/internal/stats"
 )
 
-func TestCounterGetOrCreate(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("x")
-	b := r.Counter("x")
-	if a != b {
-		t.Fatal("same name must return the same counter")
-	}
-	a.Inc()
-	b.v += 2
-	if got := r.Counter("x").v; got != 3 {
-		t.Fatalf("shared counter = %d, want 3", got)
-	}
-}
-
-func TestNilInstrumentsAreSafe(t *testing.T) {
-	var c *Counter
-	var g *Gauge
-	var h *Histogram
-	c.Inc()
-	g.Set(1)
-	g.SetMax(2)
-	h.Observe(1) // none of these may panic
-}
-
-// TestKindCollisionPanics: a name may hold one instrument. Direct
-// instruments of two kinds under one name panic when the second
-// registers; a name two reporters write, or a reporter and a direct
-// instrument, panics at Snapshot and names the duplicate.
+// TestKindCollisionPanics: a name may hold one value. A name two
+// reporters write, or one reporter writes under two kinds, panics at
+// Snapshot and names the duplicate.
 func TestKindCollisionPanics(t *testing.T) {
 	mustPanic := func(name, want string, f func()) {
 		t.Helper()
@@ -54,30 +29,23 @@ func TestKindCollisionPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("gauge over counter", `"dup"`, func() {
-		r := NewRegistry()
-		r.Counter("dup")
-		r.Gauge("dup")
-	})
 	mustPanic("two reporters", `"host.a.dup"`, func() {
 		r := NewRegistry()
 		r.Register(reporterFunc(func(w Writer) { w.In("host.").In("a.").Counter("dup", 2) }))
 		r.Register(reporterFunc(func(w Writer) { w.In("host.a.").Counter("dup", 3) }))
 		r.Snapshot()
 	})
-	mustPanic("reporter over direct gauge", `"dup"`, func() {
-		r := NewRegistry()
-		r.Gauge("dup").Set(1)
-		r.Register(reporterFunc(func(w Writer) { w.Counter("dup", 1) }))
-		r.Snapshot()
-	})
 	mustPanic("one reporter, two kinds", `"dup"`, func() {
-		r := NewRegistry()
-		r.Register(reporterFunc(func(w Writer) {
+		registryOf(func(w Writer) {
 			w.Counter("dup", 1)
 			w.Gauge("dup", 1)
-		}))
-		r.Snapshot()
+		}).Snapshot()
+	})
+	mustPanic("histogram over gauge", `"dup"`, func() {
+		registryOf(func(w Writer) {
+			w.GaugeMax("dup", 1, 2)
+			w.Histogram("dup", histOf(1, 8))
+		}).Snapshot()
 	})
 }
 
@@ -86,18 +54,21 @@ type reporterFunc func(w Writer)
 
 func (f reporterFunc) Report(w Writer) { f(w) }
 
-func TestGaugeHighWaterMark(t *testing.T) {
+// registryOf returns a registry whose one reporter is f.
+func registryOf(f func(w Writer)) *Registry {
 	r := NewRegistry()
-	g := r.Gauge("depth")
-	g.Set(5)
-	g.Set(2)
-	if g.v != 2 || g.max != 5 {
-		t.Fatalf("value/max = %d/%d, want 2/5", g.v, g.max)
+	r.Register(reporterFunc(f))
+	return r
+}
+
+// histOf returns a histogram of the given bucket width and count holding
+// vals.
+func histOf(width float64, nbuckets int, vals ...float64) *stats.Histogram {
+	h := stats.NewHistogram(width, nbuckets)
+	for _, v := range vals {
+		h.Add(v)
 	}
-	g.SetMax(9)
-	if g.v != 2 || g.max != 9 {
-		t.Fatalf("after SetMax: value/max = %d/%d, want 2/9", g.v, g.max)
-	}
+	return h
 }
 
 // TestHistogramBucketBoundaries pins the bucket-edge behaviour the
@@ -105,12 +76,9 @@ func TestGaugeHighWaterMark(t *testing.T) {
 // upper bucket, negatives clamp to bucket 0, and the first out-of-range
 // value overflows.
 func TestHistogramBucketBoundaries(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", 10, 3) // buckets [0,10) [10,20) [20,30), overflow >= 30
-	for _, v := range []float64{-5, 0, 9.999, 10, 19.999, 20, 29.999, 30, 1e9} {
-		h.Observe(v)
-	}
-	s := r.Snapshot().Histograms["h"]
+	// Buckets [0,10) [10,20) [20,30), overflow >= 30.
+	h := histOf(10, 3, -5, 0, 9.999, 10, 19.999, 20, 29.999, 30, 1e9)
+	s := registryOf(func(w Writer) { w.Histogram("h", h) }).Snapshot().Histograms["h"]
 	want := []BucketCount{{0, 3}, {1, 2}, {2, 2}}
 	if s.Overflow != 2 {
 		t.Fatalf("overflow = %d, want 2", s.Overflow)
@@ -150,45 +118,51 @@ func TestReporterValuesAtSnapshot(t *testing.T) {
 	}
 }
 
-func TestAdoptHistogram(t *testing.T) {
-	r := NewRegistry()
-	legacy := stats.NewHistogram(1, 100)
-	r.Adopt("legacy.hist", legacy)
-	legacy.Add(3)
-	legacy.Add(3.5)
-	s := r.Snapshot().Histograms["legacy.hist"]
-	if got := s.Buckets.NonEmpty(); s.Count != 2 || len(got) != 1 || got[0] != (BucketCount{3, 2}) {
-		t.Fatalf("adopted histogram snapshot = %+v, buckets %v", s, got)
+// TestReporterGaugeMaxAndHistogram: a gauge written with its owner's
+// high-water mark lands as {value, max}, and a written histogram as its
+// width, totals and buckets, read at snapshot time.
+func TestReporterGaugeMaxAndHistogram(t *testing.T) {
+	h := histOf(1, 100, 3)
+	depth, hwm := int64(0), int64(0)
+	r := registryOf(func(w Writer) {
+		w.GaugeMax("depth", depth, hwm)
+		w.Histogram("lat", h)
+	})
+	depth, hwm = 2, 9
+	h.Add(3.5)
+	h.Add(500)
+	s := r.Snapshot()
+	if g := s.Gauges["depth"]; g != (GaugeSnapshot{Value: 2, Max: 9}) {
+		t.Fatalf("gauge = %+v, want {2 9}", g)
+	}
+	got := s.Histograms["lat"]
+	if b := got.Buckets.NonEmpty(); len(b) != 1 || b[0] != (BucketCount{3, 2}) {
+		t.Fatalf("buckets = %v, want [{3 2}]", b)
+	}
+	got.Buckets = Buckets{}
+	if want := (HistogramSnapshot{Width: 1, Count: 3, Sum: 506.5, Overflow: 1}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("histogram = %+v, want %+v", got, want)
 	}
 }
 
-// TestSnapshotSettlesPendingBuckets snapshots histograms whose in-range
-// increments are all still parked in stats.Histogram's pending buffer, one
-// registered and one adopted: the snapshot must report the buckets an eager
-// histogram holds.
+// TestSnapshotSettlesPendingBuckets snapshots a histogram whose in-range
+// increments are all still parked in stats.Histogram's pending buffer: the
+// snapshot must report the buckets an eager histogram holds.
 func TestSnapshotSettlesPendingBuckets(t *testing.T) {
-	r := NewRegistry()
-	direct := r.Histogram("direct", 1, 10)
-	adopted := stats.NewHistogram(1, 10)
-	r.Adopt("adopted", adopted)
+	vals := []float64{-1, 1.5, 3, 3.2, 7, 12, 9.99}
 	sum := 0.0
-	for _, v := range []float64{-1, 1.5, 3, 3.2, 7, 12, 9.99} {
-		direct.Observe(v)
-		adopted.Add(v)
+	for _, v := range vals {
 		sum += v
 	}
-	want := HistogramSnapshot{Width: 1, Count: 7, Sum: sum, Overflow: 1}
+	h := histOf(1, 10, vals...)
+	got := registryOf(func(w Writer) { w.Histogram("h", h) }).Snapshot().Histograms["h"]
 	wantBuckets := []BucketCount{{0, 1}, {1, 1}, {3, 2}, {7, 1}, {9, 1}}
-	s := r.Snapshot()
-	for _, name := range []string{"direct", "adopted"} {
-		got := s.Histograms[name]
-		if buckets := got.Buckets.NonEmpty(); !reflect.DeepEqual(buckets, wantBuckets) {
-			t.Errorf("%s: buckets = %v, want %v", name, buckets, wantBuckets)
-		}
-		got.Buckets = Buckets{}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: snapshot = %+v, want %+v", name, got, want)
-		}
+	if buckets := got.Buckets.NonEmpty(); !reflect.DeepEqual(buckets, wantBuckets) {
+		t.Errorf("buckets = %v, want %v", buckets, wantBuckets)
+	}
+	got.Buckets = Buckets{}
+	if want := (HistogramSnapshot{Width: 1, Count: 7, Sum: sum, Overflow: 1}); !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot = %+v, want %+v", got, want)
 	}
 }
 
@@ -198,29 +172,29 @@ func TestSnapshotSettlesPendingBuckets(t *testing.T) {
 // next: more adds to a shared bucket, an add past the grown end, and
 // widening to 64-bit counts.
 func TestSnapshotIsACopy(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	h := r.Histogram("h", 1, 2000)
-	c.Inc()
-	h.Observe(1)
+	c, h := int64(1), histOf(1, 2000, 1)
+	r := registryOf(func(w Writer) {
+		w.Counter("c", c)
+		w.Histogram("h", h)
+	})
 	var snaps []*Snapshot
 	var wants [][]BucketCount
 	take := func(want ...BucketCount) {
 		snaps, wants = append(snaps, r.Snapshot()), append(wants, want)
 	}
 	take(BucketCount{1, 1})
-	c.Inc()
-	h.Observe(1)
+	c++
+	h.Add(1)
 	take(BucketCount{1, 2})
-	h.Observe(1500) // past the 64 buckets grown so far
+	h.Add(1500) // past the 64 buckets grown so far
 	take(BucketCount{1, 2}, BucketCount{1500, 1})
-	h.h.SetBucketForTest(1, math.MaxUint32)
+	h.SetBucketForTest(1, math.MaxUint32)
 	take(BucketCount{1, math.MaxUint32}, BucketCount{1500, 1})
-	h.Observe(1) // wraps 32 bits: the counts widen
+	h.Add(1) // wraps 32 bits: the counts widen
 	take(BucketCount{1, 1 << 32}, BucketCount{1500, 1})
-	h.Observe(1)
-	h.Observe(1500)
-	if got := h.h.Bucket(1); got != 1<<32+1 {
+	h.Add(1)
+	h.Add(1500)
+	if got := h.Bucket(1); got != 1<<32+1 {
 		t.Fatalf("live bucket 1 = %d, want %d", got, int64(1<<32+1))
 	}
 	if snaps[0].Counters["c"] != 1 || snaps[0].Histograms["h"].Count != 1 {
@@ -237,11 +211,11 @@ func TestSnapshotIsACopy(t *testing.T) {
 // and adds one value: the count must read 2^32 through Bucket, the
 // snapshot and its JSON, and two such snapshots must merge exactly.
 func TestHistogramCountPastUint32(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", 1, 10)
-	h.h.SetBucketForTest(3, math.MaxUint32)
-	h.Observe(3.5)
-	if got := h.h.Bucket(3); got != 1<<32 {
+	h := histOf(1, 10)
+	r := registryOf(func(w Writer) { w.Histogram("h", h) })
+	h.SetBucketForTest(3, math.MaxUint32)
+	h.Add(3.5)
+	if got := h.Bucket(3); got != 1<<32 {
 		t.Fatalf("Bucket(3) = %d, want %d", got, int64(1<<32))
 	}
 	s := r.Snapshot()
@@ -265,14 +239,15 @@ func TestHistogramCountPastUint32(t *testing.T) {
 
 func TestMerge(t *testing.T) {
 	mk := func(n int64) *Snapshot {
-		r := NewRegistry()
-		r.Counter("c").v += n
-		r.Gauge("g").Set(n)
-		h := r.Histogram("h", 1, 10)
+		h := histOf(1, 10)
 		for i := int64(0); i < n; i++ {
-			h.Observe(float64(i))
+			h.Add(float64(i))
 		}
-		return r.Snapshot()
+		return registryOf(func(w Writer) {
+			w.Counter("c", n)
+			w.Gauge("g", n)
+			w.Histogram("h", h)
+		}).Snapshot()
 	}
 	total := NewSnapshot()
 	total.Merge(mk(2))
@@ -305,8 +280,9 @@ func TestMergeWidthMismatchPanics(t *testing.T) {
 	a.Merge(b)
 }
 
-// TestJSONDeterminism checks that two registries populated in different
-// orders serialize identically, and that the JSON round-trips.
+// TestJSONDeterminism checks that two registries whose reporters register
+// in different orders serialize identically, and that the JSON
+// round-trips.
 func TestJSONDeterminism(t *testing.T) {
 	build := func(reverse bool) *Snapshot {
 		r := NewRegistry()
@@ -315,9 +291,12 @@ func TestJSONDeterminism(t *testing.T) {
 			names = []string{"gamma", "beta", "alpha"}
 		}
 		for _, n := range names {
-			r.Counter("c." + n).v += int64(len(n))
-			r.Gauge("g." + n).Set(3)
-			r.Histogram("h."+n, 2, 8).Observe(5)
+			h := histOf(2, 8, 5)
+			r.Register(reporterFunc(func(w Writer) {
+				w.Counter("c."+n, int64(len(n)))
+				w.Gauge("g."+n, 3)
+				w.Histogram("h."+n, h)
+			}))
 		}
 		return r.Snapshot()
 	}
@@ -349,16 +328,16 @@ func TestJSONDeterminism(t *testing.T) {
 // must match, and adds to the live histograms after the snapshot must not
 // change them.
 func TestSnapshotJSONRoundTripsWidenedAndShared(t *testing.T) {
-	r := NewRegistry()
-	wide := r.Histogram("h.wide", 1, 100)
-	wide.h.SetBucketForTest(7, math.MaxUint32)
-	wide.Observe(7)
-	wide.Observe(70)
-	shared := r.Histogram("h.shared", 0.5, 2000)
-	for _, v := range []float64{0, 3, 3.2, 900, 5000} {
-		shared.Observe(v)
-	}
-	r.Counter("c").Inc()
+	wide := histOf(1, 100)
+	wide.SetBucketForTest(7, math.MaxUint32)
+	wide.Add(7)
+	wide.Add(70)
+	shared := histOf(0.5, 2000, 0, 3, 3.2, 900, 5000)
+	r := registryOf(func(w Writer) {
+		w.Histogram("h.wide", wide)
+		w.Histogram("h.shared", shared)
+		w.Counter("c", 1)
+	})
 	encode := func(dump map[string]*Snapshot) []byte {
 		buf, err := json.MarshalIndent(dump, "", "  ")
 		if err != nil {
@@ -368,9 +347,9 @@ func TestSnapshotJSONRoundTripsWidenedAndShared(t *testing.T) {
 	}
 	snap := r.Snapshot()
 	first := encode(map[string]*Snapshot{"exp": snap})
-	wide.Observe(7)
-	shared.Observe(3)
-	shared.Observe(1999)
+	wide.Add(7)
+	shared.Add(3)
+	shared.Add(1999)
 	r.Snapshot() // settles the adds into the live histograms
 	if again := encode(map[string]*Snapshot{"exp": snap}); !bytes.Equal(again, first) {
 		t.Fatalf("adds after the snapshot changed its JSON:\n%s\nvs\n%s", again, first)
@@ -424,22 +403,21 @@ func TestMergeNegativeGaugeFirstSighting(t *testing.T) {
 
 // TestSnapshotIntoPrefixesAndSkips writes two registries into one
 // snapshot: every name goes under its registry's prefix, and names that
-// start with skip are left out, whether a direct instrument, a reporter or
-// a scoped reporter wrote them.
+// start with skip are left out, whatever their kind and whether a scoped
+// writer wrote them.
 func TestSnapshotIntoPrefixesAndSkips(t *testing.T) {
 	build := func(n int64) *Registry {
-		r := NewRegistry()
-		r.Counter("sim.direct").v += n
-		r.Gauge("link.q").Set(4 * n)
-		r.Histogram("sim.h", 1, 8).Observe(1)
-		r.Register(reporterFunc(func(w Writer) {
+		h := histOf(1, 8, 1)
+		return registryOf(func(w Writer) {
+			w.Counter("sim.direct", n)
+			w.Gauge("link.q", 4*n)
+			w.Histogram("sim.h", h)
 			w.Counter("sim.events_fired", 10*n)
 			w.Counter("kernel.syscalls", 3*n)
 			w.In("sim.").Counter("scoped", n)
 			w.In("si").Counter("m.split", n)
 			w.In("si").Counter("mple", n)
-		}))
-		return r
+		})
 	}
 	s := NewSnapshot()
 	build(1).SnapshotInto(s, "host.a.", "sim.")
@@ -466,16 +444,16 @@ func TestSnapshotIntoPrefixesAndSkips(t *testing.T) {
 func TestSnapshotIntoCollisionsPanic(t *testing.T) {
 	for _, kinds := range [][2]string{{"counter", "counter"}, {"gauge", "gauge"}, {"histogram", "histogram"}, {"counter", "gauge"}} {
 		mk := func(kind, name string) *Registry {
-			r := NewRegistry()
-			switch kind {
-			case "counter":
-				r.Counter(name).Inc()
-			case "gauge":
-				r.Gauge(name).Set(1)
-			case "histogram":
-				r.Histogram(name, 1, 8).Observe(0.5)
-			}
-			return r
+			return registryOf(func(w Writer) {
+				switch kind {
+				case "counter":
+					w.Counter(name, 1)
+				case "gauge":
+					w.Gauge(name, 1)
+				case "histogram":
+					w.Histogram(name, histOf(1, 8, 0.5))
+				}
+			})
 		}
 		func() {
 			defer func() {

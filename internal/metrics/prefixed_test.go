@@ -20,10 +20,8 @@ func TestPrefixedNameCollisionsMergeByRule(t *testing.T) {
 	// Host "a" exports counter "b.x"; host "a.b" exports counter "x".
 	// Under the topology's "host.<name>." scheme both become
 	// "host.a.b.x".
-	ra := NewRegistry()
-	ra.Counter("b.x").v += 3
-	rb := NewRegistry()
-	rb.Counter("x").v += 4
+	ra := registryOf(func(w Writer) { w.Counter("b.x", 3) })
+	rb := registryOf(func(w Writer) { w.Counter("x", 4) })
 
 	merged := prefixed(ra, "host.a.")
 	merged.Merge(prefixed(rb, "host.a.b."))
@@ -36,11 +34,8 @@ func TestPrefixedNameCollisionsMergeByRule(t *testing.T) {
 
 	// Gauges under the same collision take the pointwise max of value and
 	// high-water mark.
-	ga := NewRegistry()
-	ga.Gauge("b.q").Set(10)
-	ga.Gauge("b.q").Set(2) // value 2, max 10
-	gb := NewRegistry()
-	gb.Gauge("q").Set(5) // value 5, max 5
+	ga := registryOf(func(w Writer) { w.GaugeMax("b.q", 2, 10) })
+	gb := registryOf(func(w Writer) { w.Gauge("q", 5) }) // value 5, max 5
 	gm := prefixed(ga, "host.a.")
 	gm.Merge(prefixed(gb, "host.a.b."))
 	g := gm.Gauges["host.a.b.q"]
@@ -49,20 +44,16 @@ func TestPrefixedNameCollisionsMergeByRule(t *testing.T) {
 	}
 
 	// Histograms add bucket-wise when widths agree...
-	ha := NewRegistry()
-	ha.Histogram("b.h", 1, 8).Observe(0.5)
-	hb := NewRegistry()
-	hb.Histogram("h", 1, 8).Observe(0.5)
+	ha := registryOf(func(w Writer) { w.Histogram("b.h", histOf(1, 8, 0.5)) })
+	hb := registryOf(func(w Writer) { w.Histogram("h", histOf(1, 8, 0.5)) })
 	hm := prefixed(ha, "host.a.")
 	hm.Merge(prefixed(hb, "host.a.b."))
 	if got := hm.Histograms["host.a.b.h"].Count; got != 2 {
 		t.Fatalf("collided histograms must add: count %d, want 2", got)
 	}
 	// ...and panic on width mismatch rather than silently mixing scales.
-	wa := NewRegistry()
-	wa.Histogram("b.h", 1, 8).Observe(0.5)
-	wb := NewRegistry()
-	wb.Histogram("h", 2, 8).Observe(0.5)
+	wa := registryOf(func(w Writer) { w.Histogram("b.h", histOf(1, 8, 0.5)) })
+	wb := registryOf(func(w Writer) { w.Histogram("h", histOf(2, 8, 0.5)) })
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -77,10 +68,8 @@ func TestPrefixedNameCollisionsMergeByRule(t *testing.T) {
 // A name colliding across instrument kinds in two merged snapshots is not
 // an error: the per-kind maps keep both.
 func TestPrefixedCrossKindCollisionKeepsBoth(t *testing.T) {
-	ra := NewRegistry()
-	ra.Counter("b.v").v += 1
-	rb := NewRegistry()
-	rb.Gauge("v").Set(9)
+	ra := registryOf(func(w Writer) { w.Counter("b.v", 1) })
+	rb := registryOf(func(w Writer) { w.Gauge("v", 9) })
 	m := prefixed(ra, "host.a.")
 	m.Merge(prefixed(rb, "host.a.b."))
 	if m.Counters["host.a.b.v"] != 1 {

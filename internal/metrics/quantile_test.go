@@ -4,14 +4,15 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"softtimers/internal/stats"
 )
 
-// observe fills a registry histogram with a deterministic heavy-head,
-// sparse-tail sample set offset by base.
-func observe(h *Histogram, base float64, n int) {
+// observe fills a histogram with a deterministic heavy-head, sparse-tail
+// sample set offset by base.
+func observe(h *stats.Histogram, base float64, n int) {
 	for i := 0; i < n; i++ {
-		v := base + float64(i%97)*0.5 + float64(i%13)
-		h.Observe(v)
+		h.Add(base + float64(i%97)*0.5 + float64(i%13))
 	}
 }
 
@@ -22,10 +23,10 @@ func observe(h *Histogram, base float64, n int) {
 func TestMergedHistogramQuantileEqualsSingle(t *testing.T) {
 	// Two hosts with disjoint-ish distributions (one low, one shifted into
 	// the tail), plus the single histogram holding every sample.
-	ra, rb, rall := NewRegistry(), NewRegistry(), NewRegistry()
-	ha := ra.Histogram("lat", 2, 256)
-	hb := rb.Histogram("lat", 2, 256)
-	hall := rall.Histogram("lat", 2, 256)
+	ha, hb, hall := histOf(2, 256), histOf(2, 256), histOf(2, 256)
+	ra := registryOf(func(w Writer) { w.Histogram("lat", ha) })
+	rb := registryOf(func(w Writer) { w.Histogram("lat", hb) })
+	rall := registryOf(func(w Writer) { w.Histogram("lat", hall) })
 	observe(ha, 0, 5_000)
 	observe(hall, 0, 5_000)
 	observe(hb, 150, 2_000)

@@ -29,6 +29,7 @@ import (
 	"softtimers/internal/metrics"
 	"softtimers/internal/netstack"
 	"softtimers/internal/sim"
+	"softtimers/internal/stats"
 )
 
 // Mode selects the completion-notification discipline.
@@ -131,7 +132,8 @@ type NIC struct {
 	soft    bool               // protocol softirq posted
 	pollEv  *core.Event
 	pollIvl sim.Time
-	foundAv float64 // EWMA of packets found per poll
+	pollMax sim.Time // pollIvl's high-water mark
+	foundAv float64  // EWMA of packets found per poll
 
 	// Pre-bound hot-path closures and pooled chains (see Chain in package
 	// kernel): scheduling receive drains, protocol batches and transmit
@@ -153,12 +155,9 @@ type NIC struct {
 	// tailEvery is softirqTailTriggerEvery; tests set 1 to count one
 	// tcpip-other trigger state per batch.
 	tailEvery int64
-
-	// Telemetry: the public counters above are reported at snapshot time
-	// (Report); the batch-size histogram and poll-interval gauge are
-	// registry instruments the NIC updates in place.
-	mBatch   *metrics.Histogram // packets per protocol batch (softirq or poll)
-	mPollIvl *metrics.Gauge     // current adaptive poll interval, ns
+	// batchSize holds the packets per protocol batch (softirq or poll),
+	// 1-packet buckets up to 256.
+	batchSize *stats.Histogram
 }
 
 // New creates a NIC on kernel k. The facility f is required in SoftPoll
@@ -174,11 +173,16 @@ func New(k *kernel.Kernel, f *core.Facility, cfg Config, out netstack.Endpoint) 
 	if cfg.Mode == SoftPoll && f == nil {
 		panic("nic: SoftPoll mode requires a soft-timer facility")
 	}
-	n := &NIC{k: k, f: f, cfg: cfg, out: out, pollIvl: minPoll * 4, tailEvery: softirqTailTriggerEvery}
+	n := &NIC{
+		k: k, f: f, cfg: cfg, out: out,
+		pollIvl: minPoll * 4, pollMax: minPoll * 4,
+		tailEvery: softirqTailTriggerEvery,
+		batchSize: stats.NewHistogram(1, 256),
+	}
 	n.proto.n = n
 	n.rxDrainFn = n.rxDrain
 	n.pollFn = n.poll
-	n.registerMetrics()
+	k.Metrics().Register(n)
 	return n
 }
 
@@ -189,21 +193,10 @@ func (n *NIC) SetArena(a *netstack.Arena) { n.arena = a }
 // above that acquire the packets this interface transmits.
 func (n *NIC) Arena() *netstack.Arena { return n.arena }
 
-// registerMetrics joins the kernel's telemetry registry under the
-// nic.<name>. prefix (Report). Unnamed NICs take the bare "nic."
-// namespace, so a kernel with two of them panics at its first snapshot:
-// name the interfaces in multi-NIC rigs (the testbed does).
-func (n *NIC) registerMetrics() {
-	r := n.k.Metrics()
-	r.Register(n)
-	prefix := n.scope()
-	// Batch sizes up to 256 packets per protocol pass, 1-packet buckets.
-	n.mBatch = r.Histogram(prefix+"batch_size", 1, 256)
-	n.mPollIvl = r.Gauge(prefix + "poll_interval_ns")
-	n.mPollIvl.Set(int64(n.pollIvl))
-}
-
-// scope is the interface's metrics namespace, nic.<name>.
+// scope is the interface's metrics namespace, nic.<name>. An unnamed NIC
+// takes the bare "nic." namespace, so a kernel with two of them panics at
+// its first snapshot: name the interfaces in multi-NIC rigs (the testbed
+// does).
 func (n *NIC) scope() string {
 	if n.cfg.Name == "" {
 		return "nic."
@@ -212,7 +205,7 @@ func (n *NIC) scope() string {
 }
 
 // Report implements metrics.Reporter: the interface's packet, interrupt
-// and poll counters.
+// and poll counters, its batch sizes and its adaptive poll interval in ns.
 func (n *NIC) Report(w metrics.Writer) {
 	w = w.In(n.scope())
 	w.Counter("rx_packets", n.RxPackets)
@@ -222,6 +215,8 @@ func (n *NIC) Report(w metrics.Writer) {
 	w.Counter("polls", n.Polls)
 	w.Counter("polled_packets", n.PolledPackets)
 	w.Counter("rx_dropped", n.RxDropped)
+	w.Histogram("batch_size", n.batchSize)
+	w.GaugeMax("poll_interval_ns", int64(n.pollIvl), int64(n.pollMax))
 }
 
 // Start begins polling (SoftPoll mode). Call after kernel.Start.
@@ -308,7 +303,7 @@ func (c *protoChain) Begin() int {
 	n := c.n
 	c.batch, n.protoq = n.protoq, c.batch[:0]
 	n.soft = false
-	n.mBatch.Observe(float64(len(c.batch)))
+	n.batchSize.Add(float64(len(c.batch)))
 	c.tailSrc = kernel.SrcNone
 	n.batches++
 	if n.batches%n.tailEvery == 0 {
@@ -481,7 +476,7 @@ func (n *NIC) poll(now sim.Time) sim.Time {
 	n.protoq = n.protoq[:0]
 	n.rxring = n.rxring[:0]
 	n.PolledPackets += int64(found)
-	n.mBatch.Observe(float64(found))
+	n.batchSize.Add(float64(found))
 	if n.txdone > 0 {
 		cost += txComplWork * sim.Time(n.txdone)
 		n.txdone = 0
@@ -508,5 +503,7 @@ func (n *NIC) adapt(found float64) {
 	if n.pollIvl > n.cfg.MaxPoll {
 		n.pollIvl = n.cfg.MaxPoll
 	}
-	n.mPollIvl.Set(int64(n.pollIvl))
+	if n.pollIvl > n.pollMax {
+		n.pollMax = n.pollIvl
+	}
 }

@@ -45,7 +45,7 @@ import (
 // unpacking, widening and copy-on-write paths stay behind settle, the only
 // writer of the array. Every read but N (Bucket, Share, Overflow, Sum, Mean, Quantile,
 // FracAbove, CDF) first settles the buffer, so a read writes: a
-// Histogram is single-goroutine, like the registry that adopts it.
+// Histogram is single-goroutine, like the registry its owner reports it to.
 type Histogram struct {
 	width    float64
 	buckets  []uint32 // grown on demand, in the layout flags names

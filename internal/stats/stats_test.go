@@ -7,38 +7,52 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestSampleEmpty(t *testing.T) {
-	var s Sample
-	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 {
-		t.Fatal("empty sample should report zeros")
+func TestOnlineEmpty(t *testing.T) {
+	var o Online
+	if o.N() != 0 || o.Mean() != 0 || o.StdDev() != 0 {
+		t.Fatal("empty accumulator should report zeros")
+	}
+	o.Add(7)
+	if o.N() != 1 || o.Mean() != 7 || o.StdDev() != 0 {
+		t.Fatalf("one observation: n %d mean %v sd %v, want 1, 7, 0", o.N(), o.Mean(), o.StdDev())
 	}
 }
 
-func TestSampleBasicMoments(t *testing.T) {
-	var s Sample
+func TestOnlineBasicMoments(t *testing.T) {
+	var o Online
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
+		o.Add(v)
 	}
-	if got := s.Mean(); got != 5 {
+	if got := o.Mean(); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := s.StdDev(); !approx(got, 2, 1e-12) {
+	if got := o.StdDev(); !approx(got, 2, 1e-12) {
 		t.Errorf("StdDev = %v, want 2", got)
 	}
 }
 
+// TestOnlineMatchesSample: the running mean and standard deviation equal
+// the two-pass ones over the whole sample.
 func TestOnlineMatchesSample(t *testing.T) {
-	var s Sample
 	var o Online
 	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3.5}
+	sum := 0.0
 	for _, v := range vals {
-		s.Add(v)
 		o.Add(v)
+		sum += v
 	}
-	if o.N() != int64(s.N()) {
-		t.Fatalf("N mismatch")
+	mean := sum / float64(len(vals))
+	sq := 0.0
+	for _, v := range vals {
+		sq += (v - mean) * (v - mean)
 	}
-	if !approx(o.Mean(), s.Mean(), 1e-9) {
-		t.Errorf("mean %v vs %v", o.Mean(), s.Mean())
+	if o.N() != int64(len(vals)) {
+		t.Fatalf("N = %d, want %d", o.N(), len(vals))
+	}
+	if !approx(o.Mean(), mean, 1e-9) {
+		t.Errorf("mean %v vs %v", o.Mean(), mean)
+	}
+	if sd := math.Sqrt(sq / float64(len(vals))); !approx(o.StdDev(), sd, 1e-9) {
+		t.Errorf("stddev %v vs %v", o.StdDev(), sd)
 	}
 }

@@ -228,13 +228,14 @@ func BenchmarkFleetBuild(b *testing.B) {
 }
 
 // buildAllocsPerHost is what topology.Build allocates per host of a
-// 256-host fleet (fleetSpec), 53.5 measured: kernel, facility, NIC and
+// 256-host fleet (fleetSpec), 41.5 measured: kernel, facility, NIC and
 // links with their registry entries, and the host's share of the
 // topology's maps. Each component registers one reporter however many
-// counters it reports; a closure per counter (about 80 per host) would put
+// values it reports; a registry-owned instrument per gauge or histogram
+// would add about 12, a closure per counter (about 80 per host) would put
 // it near 200. A clean host builds no fault-channel names, and its
 // facility's timing wheel no slots until a second timer is pending.
-const buildAllocsPerHost = 54
+const buildAllocsPerHost = 42
 
 // TestBuildAllocsPerHost pins the set-up's allocations per built host, so
 // a per-counter registration cannot creep back.

@@ -189,17 +189,16 @@ type seriesRec struct {
 // metrics.SeriesSet sampled every interval of virtual time by a
 // self-rescheduling event on the host's own engine. Call after all hosts
 // are added and before Start (Start schedules the samplers). Each host's
-// set carries default columns — trigger-interval p50/p99 and soft-timer
+// set carries the same columns: trigger-interval p50/p99 and soft-timer
 // delay p99 (merge: max, the fleet tail is the worst host's), cumulative
-// NIC rx/tx packets and instantaneous NIC queue depth (merge: sum) — and
-// setup, when non-nil, runs per host to add custom columns.
+// NIC rx/tx packets and instantaneous NIC queue depth (merge: sum).
 //
 // Columns must read only host-local simulation state: sampling rides an
 // ordinary engine event, and cross-host influence always transits the
 // arrival band, so host-local reads at a sampling instant are identical
 // at any shard count — which is what makes per-host and merged fleet
 // series byte-identical too.
-func (t *Topology) EnableSeries(interval sim.Time, capacity int, setup func(h *host.Host, ss *metrics.SeriesSet)) {
+func (t *Topology) EnableSeries(interval sim.Time, capacity int) {
 	if t.series != nil || interval <= 0 {
 		return
 	}
@@ -237,9 +236,6 @@ func (t *Topology) EnableSeries(interval sim.Time, capacity int, setup func(h *h
 			}
 			return float64(n)
 		})
-		if setup != nil {
-			setup(h, ss)
-		}
 		t.series = append(t.series, &seriesRec{h: h, ss: ss})
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"softtimers/internal/host"
 	"softtimers/internal/kernel"
-	"softtimers/internal/metrics"
 	"softtimers/internal/netstack"
 	"softtimers/internal/nic"
 	"softtimers/internal/sim"
@@ -163,17 +162,9 @@ func TestEnableSeriesSamplesOnGrid(t *testing.T) {
 	top := New(sim.NewShardGroup(1, 1), 1)
 	top.AddHost(host.Config{Name: "a", Kernel: kernel.Options{}})
 	top.AddHost(host.Config{Name: "b", Kernel: kernel.Options{}})
-	custom := 0.0
-	top.EnableSeries(interval, 8, func(h *host.Host, ss *metrics.SeriesSet) {
-		if h.Name == "a" {
-			ss.Add("custom", metrics.MergeSum, func() float64 { return custom })
-		}
-	})
+	top.EnableSeries(interval, 8)
 	top.Start()
-	for i := 1; i <= 5; i++ {
-		custom = float64(i)
-		top.RunFor(interval)
-	}
+	top.RunFor(5 * interval)
 
 	snaps := top.SeriesSnapshots()
 	for _, key := range []string{"host.a", "host.b", "fleet"} {
@@ -188,12 +179,6 @@ func TestEnableSeriesSamplesOnGrid(t *testing.T) {
 	for i, ts := range sa.TimesNS {
 		if want := int64(i+1) * int64(interval); ts != want {
 			t.Fatalf("point %d at %d, want the %dms grid instant %d", i, ts, i+1, want)
-		}
-	}
-	// The custom column sampled the value current at each tick.
-	for i, v := range sa.Series["custom"].Vals {
-		if v != float64(i+1) {
-			t.Fatalf("custom point %d is %v, want %d", i, v, i+1)
 		}
 	}
 	// Default columns exist on every host and sum/max into the fleet.

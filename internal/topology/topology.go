@@ -57,6 +57,8 @@ type Topology struct {
 	flow      *FlowTrace   // flow-span tracing, when enabled
 	series    []*seriesRec // per-host series, when enabled
 	seriesIvl sim.Time
+
+	totals *metrics.Registry // the topology's own reporter (Report)
 }
 
 // New creates an empty topology on g. seed derives every host's private
@@ -75,6 +77,8 @@ func New(g *sim.ShardGroup, seed uint64) *Topology {
 	for i := range t.arenas {
 		t.arenas[i] = netstack.NewArena()
 	}
+	t.totals = metrics.NewRegistry()
+	t.totals.Register(t)
 	return t
 }
 
@@ -392,19 +396,9 @@ func (t *Topology) WriteChrome(w io.Writer) error {
 }
 
 // Snapshot captures every host's telemetry under a host.<name>. prefix and
-// every switch's counters in one deterministic snapshot — the
+// the topology's own totals (Report) in one deterministic snapshot — the
 // per-host metrics namespace for multi-node experiments. Each host's
 // registry writes straight into it (metrics.Registry.SnapshotInto).
-//
-// Per-host sim.* instruments are left out and replaced with topology-level
-// totals: the per-host versions read whichever engine the host runs on
-// (the whole fleet's on one shard, its shard's otherwise), so they
-// describe the execution substrate, not the host. The totals are
-// shard-count-invariant — every one-shard event maps to exactly one shard
-// event (a cross-shard delivery is one arrival-band event on the
-// destination engine, as it would be on one engine), so summed
-// fired/pending counts match byte-for-byte. The heap depth high-water
-// mark has no shard-count-invariant meaning and is omitted.
 func (t *Topology) Snapshot() *metrics.Snapshot {
 	out := metrics.NewSnapshot()
 	if n := len(t.hosts); n > 0 {
@@ -416,28 +410,44 @@ func (t *Topology) Snapshot() *metrics.Snapshot {
 	for _, h := range t.hosts {
 		h.Metrics().SnapshotInto(out, "host."+h.Name+".", "sim.")
 	}
-	out.Counters["sim.events_fired"] = int64(t.group.TotalFired())
-	p := int64(t.group.TotalPending())
-	out.Gauges["sim.events_pending"] = metrics.GaugeSnapshot{Value: p, Max: p}
+	t.totals.SnapshotInto(out, "", "")
+	return out
+}
+
+// Report implements metrics.Reporter: the topology-level totals, every
+// switch's counters, the fabric trunks' traffic and the flow tracer's
+// counts.
+//
+// Per-host sim.* values are left out of Snapshot and replaced with these
+// totals: the per-host versions read whichever engine the host runs on
+// (the whole fleet's on one shard, its shard's otherwise), so they
+// describe the execution substrate, not the host. The totals are
+// shard-count-invariant — every one-shard event maps to exactly one shard
+// event (a cross-shard delivery is one arrival-band event on the
+// destination engine, as it would be on one engine), so summed
+// fired/pending counts match byte-for-byte. The heap depth high-water
+// mark has no shard-count-invariant meaning and is omitted.
+func (t *Topology) Report(w metrics.Writer) {
+	w.Counter("sim.events_fired", int64(t.group.TotalFired()))
+	w.Gauge("sim.events_pending", int64(t.group.TotalPending()))
 	for _, sw := range t.switches {
-		out.Counters["switch."+sw.Name+".forwarded"] = sw.Forwarded()
-		out.Counters["switch."+sw.Name+".misses"] = sw.Misses()
+		w.Counter("switch."+sw.Name+".forwarded", sw.Forwarded())
+		w.Counter("switch."+sw.Name+".misses", sw.Misses())
 	}
 	for _, f := range t.fabrics {
 		for j := range f.Up {
-			out.Counters["link."+f.Up[j].Name+".sent"] = f.Up[j].Sent
-			out.Counters["link."+f.Up[j].Name+".bytes"] = f.Up[j].Bytes
-			out.Counters["link."+f.Down[j].Name+".sent"] = f.Down[j].Sent
-			out.Counters["link."+f.Down[j].Name+".bytes"] = f.Down[j].Bytes
+			w.Counter("link."+f.Up[j].Name+".sent", f.Up[j].Sent)
+			w.Counter("link."+f.Up[j].Name+".bytes", f.Up[j].Bytes)
+			w.Counter("link."+f.Down[j].Name+".sent", f.Down[j].Sent)
+			w.Counter("link."+f.Down[j].Name+".bytes", f.Down[j].Bytes)
 		}
 	}
 	if t.flow != nil {
 		// Shard-summed, so shard-count-invariant like the rest.
-		out.Counters["flowtrace.spans_started"] = t.flow.Started()
-		out.Counters["flowtrace.spans_finished"] = t.flow.Finished()
-		out.Counters["flowtrace.hops"] = t.flow.HopCount()
-		out.Counters["flowtrace.dropped_hops"] = t.flow.DroppedHops()
-		out.Counters["flowtrace.sampled_flows"] = t.flow.SampledFlows()
+		w.Counter("flowtrace.spans_started", t.flow.Started())
+		w.Counter("flowtrace.spans_finished", t.flow.Finished())
+		w.Counter("flowtrace.hops", t.flow.HopCount())
+		w.Counter("flowtrace.dropped_hops", t.flow.DroppedHops())
+		w.Counter("flowtrace.sampled_flows", t.flow.SampledFlows())
 	}
-	return out
 }

@@ -188,7 +188,6 @@ var keptUncalled = map[string]string{
 	"netstack.Arena.Live":                "topology, experiments and tcp tests check that every packet went home through it",
 	"stats.Histogram.Bucket":             "metrics' tests read widened bucket counts through it",
 	"stats.Histogram.SetBucketForTest":   "metrics' tests set counts near 2^32 through it",
-	"stats.Online.N":                     "httpserv's tests check response-time and paced-interval counts through it",
 	"metrics.SeriesSnapshot.WriteJSON":   "experiments' TestFleetTelemetryGolden hashes fleet series through it",
 	"netstack.WANEmulator.InstallFaults": "ROADMAP's paper-shapes-under-faults item runs the Tables 6/7 WAN rig under a fault plan through it",
 }
