@@ -64,6 +64,8 @@ race:
 # (TestHTTPRequestZeroAlloc) — so a pooling or tracing regression fails
 # the target before any numbers are printed. Beside them, TestBuildAllocsPerHost caps topology.Build's
 # allocations per host, so per-counter registration cannot come back;
+# TestFleetSnapshotAllocs caps Topology.Snapshot's at one per host, so an
+# allocation per snapshot key cannot come back;
 # TestLoneWheelAllocs holds a wheel that never has two timers pending to
 # New's one allocation, so eager slot arrays cannot come back; and
 # TestMultiPacerFireAllocs keeps a multi-flow pacer's firing from
@@ -74,7 +76,7 @@ bench:
 	$(GO) test -run 'TestEngineZeroAlloc' -count=1 ./internal/sim
 	$(GO) test -run 'TestSparseFireZeroAlloc|TestLoneWheelAllocs' -count=1 ./internal/timerwheel
 	$(GO) test -run 'TestFacilityCheckZeroAlloc|TestMultiPacerFireAllocs' -count=1 ./internal/core
-	$(GO) test -run 'TestBuildAllocsPerHost' -count=1 ./internal/topology
+	$(GO) test -run 'TestBuildAllocsPerHost|TestFleetSnapshotAllocs' -count=1 ./internal/topology
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkShardRound' -benchmem -run '^$$' ./internal/sim
 	$(GO) test -bench 'BenchmarkMetrics|BenchmarkFleetSnapshot' -benchmem -run '^$$' ./internal/metrics
 	$(GO) test -bench 'BenchmarkWheelSparseFire|BenchmarkHashedDueCheckIdle' -benchmem -run '^$$' ./internal/timerwheel

@@ -5,8 +5,9 @@ import "softtimers/internal/sim"
 // TickPeriod is the hardclock period (1/Hz).
 const TickPeriod = sim.Second / Hz
 
-// scheduleHardclock starts the fixed-phase periodic clock interrupt. Each
-// tick does timekeeping work and enforces the scheduler quantum; its
+// scheduleHardclock starts the fixed-phase periodic clock interrupt: tick
+// n falls n periods after the current time, whenever the kernel starts.
+// Each tick does timekeeping work and enforces the scheduler quantum; its
 // end-of-handler trigger state is the soft-timer backup that bounds event
 // delay at one tick.
 func (k *Kernel) scheduleHardclock() {
@@ -30,11 +31,11 @@ func (k *Kernel) scheduleHardclock() {
 		}
 	}
 	var tick func()
-	n := int64(0)
+	base, n := k.eng.Now(), int64(0)
 	tick = func() {
 		n++
-		k.eng.AtLabeled(sim.Time(n+1)*TickPeriod, "hardclock", tick)
+		k.eng.AtLabeled(base+sim.Time(n+1)*TickPeriod, "hardclock", tick)
 		k.RaiseInterrupt(SrcHardClock, HardclockWork, body)
 	}
-	k.eng.AtLabeled(k.eng.Now()+TickPeriod, "hardclock", tick)
+	k.eng.AtLabeled(base+TickPeriod, "hardclock", tick)
 }

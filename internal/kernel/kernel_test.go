@@ -344,6 +344,40 @@ func TestHardclockBoundsTriggerGap(t *testing.T) {
 	}
 }
 
+// TestHardclockTicksFromStart starts a halting kernel at 0, half a period
+// and one and a half periods: its hardclock must tick once per period
+// from the moment it started, each tick's trigger state as far past its
+// tick as at start 0 (the interrupt's entry and work). A kernel started
+// past the first period used to put tick n at n periods from time 0,
+// behind its clock.
+func TestHardclockTicksFromStart(t *testing.T) {
+	var cost sim.Time // tick to trigger state, as start 0 reads it
+	for _, start := range []sim.Time{0, TickPeriod / 2, 3 * TickPeriod / 2} {
+		eng, k := newTestKernel(Options{})
+		var ends []sim.Time
+		k.SetTriggerSink(sinkFunc(func(src Source, now sim.Time) sim.Time {
+			if src == SrcHardClock {
+				ends = append(ends, now)
+			}
+			return 0
+		}))
+		eng.RunUntil(start)
+		k.Start()
+		eng.RunUntil(start + 10*TickPeriod + TickPeriod/2)
+		if len(ends) != 10 {
+			t.Fatalf("start %v: %d hardclock trigger states in 10.5 periods, want 10", start, len(ends))
+		}
+		if start == 0 {
+			cost = ends[0] - TickPeriod
+		}
+		for i, at := range ends {
+			if want := start + sim.Time(i+1)*TickPeriod + cost; at != want {
+				t.Fatalf("start %v: tick %d's trigger state at %v, want %v", start, i+1, at, want)
+			}
+		}
+	}
+}
+
 func TestDisabledSourcesSuppressed(t *testing.T) {
 	eng, k := newTestKernel(Options{
 		IdleLoop:        false,

@@ -111,7 +111,7 @@ func (h *fleetHost) Report(w Writer) {
 // BenchmarkFleetSnapshot takes a fleet-1024 topology's snapshot the way
 // topology.Snapshot does: each of 1,025 host registries (a server and
 // 1,024 clients) writes straight into one snapshot under host.<name>.,
-// leaving out sim.*, whose maps are sized from the first host's snapshot.
+// leaving out sim.*, whose maps are sized from the first host's Sizes.
 // Each registry holds a fleet host's reporter (fleetHost), with its three
 // histograms at their end-of-run occupancy: the facility's delay histogram
 // over buckets 0–1000, the kernel's trigger meter with ~97% of its mass
@@ -148,8 +148,8 @@ func BenchmarkFleetSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		one := regs[0].Snapshot()
-		out := NewSnapshotSized(hosts*len(one.Counters), hosts*len(one.Gauges), hosts*len(one.Histograms))
+		nc, ng, nh := regs[0].Sizes()
+		out := NewSnapshotSized(hosts*nc, hosts*ng, hosts*nh)
 		for h, r := range regs {
 			r.SnapshotInto(out, prefixes[h], "sim.")
 		}

@@ -29,6 +29,13 @@
 // independent engines (counters sum, gauges take the maximum, histograms
 // add bucket-wise), which is how multi-row experiments aggregate
 // per-engine telemetry in a parallelism-independent way.
+//
+// A snapshot costs what it holds. Its maps are made at the size a counting
+// pass over the reporters reads (Registry.Sizes), and a prefixed or scoped
+// key is carved from a byte chunk the snapshot owns, so a fleet snapshot's
+// ~83,000 keys take about 200 allocations rather than one each; a name
+// with no prefix and no scope is its own key. A histogram's buckets are
+// shared with the histogram, which copies them before its next write.
 package metrics
 
 import (
@@ -46,7 +53,11 @@ import (
 // distinct engines own distinct registries.
 type Registry struct {
 	reporters []Reporter
+	sizes     sizes // Sizes' tally, here so that counting allocates nothing
 }
+
+// sizes counts the values of each kind a registry's reporters write.
+type sizes struct{ counters, gauges, histograms int }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -71,23 +82,35 @@ func (r *Registry) Register(rep Reporter) {
 // Writer is what a Reporter writes through: each value goes into the
 // snapshot being taken, under the writer's prefix and scope.
 type Writer struct {
-	s      *Snapshot
-	prefix string // the registry's namespace in s (SnapshotInto)
-	skip   string // registry-relative names starting with it are left out
-	scope  string // the reporting instance's namespace (In)
+	s     *Snapshot
+	tally *sizes // with s nil, Sizes' pass: count each value, write none
+	// head is what every key the writer writes starts with: the registry's
+	// namespace in s (SnapshotInto) up to byte scope, then the reporting
+	// instance's namespace (In). It is carved from s's key chunk, so the
+	// strings a caller builds for SnapshotInto or In need not outlive the
+	// call: a Writer escapes into every Report, and a string it held would
+	// escape to the heap with it.
+	head  string
+	scope int
+	skip  string // registry-relative names starting with it are left out
 }
 
 // In returns a writer whose names go under scope: the instance namespace
 // of a component with several instances per registry (nic.<name>.,
-// link.<name>., tcp.flow<N>.).
+// link.<name>., tcp.flow<N>.). A counting pass (Sizes) needs no names and
+// keeps none.
 func (w Writer) In(scope string) Writer {
-	w.scope += scope
+	if w.s != nil {
+		w.head = w.s.carve(w.head, scope)
+	}
 	return w
 }
 
 // Counter writes a counter's current value.
 func (w Writer) Counter(name string, v int64) {
-	if key, ok := w.key(name); ok {
+	if w.s == nil {
+		w.tally.counters++
+	} else if key, ok := w.key(name); ok {
 		n := len(w.s.Counters)
 		w.s.Counters[key] = v
 		_, g := w.s.Gauges[key]
@@ -103,7 +126,9 @@ func (w Writer) Gauge(name string, v int64) { w.GaugeMax(name, v, v) }
 // GaugeMax writes a point-in-time value and the high-water mark its owner
 // keeps beside it.
 func (w Writer) GaugeMax(name string, v, hwm int64) {
-	if key, ok := w.key(name); ok {
+	if w.s == nil {
+		w.tally.gauges++
+	} else if key, ok := w.key(name); ok {
 		n := len(w.s.Gauges)
 		w.s.Gauges[key] = GaugeSnapshot{Value: v, Max: hwm}
 		_, c := w.s.Counters[key]
@@ -116,7 +141,9 @@ func (w Writer) GaugeMax(name string, v, hwm int64) {
 // bucket array (stats.Histogram.Share), which the histogram copies before
 // it next writes.
 func (w Writer) Histogram(name string, hist *stats.Histogram) {
-	if key, ok := w.key(name); ok {
+	if w.s == nil {
+		w.tally.histograms++
+	} else if key, ok := w.key(name); ok {
 		n := len(w.s.Histograms)
 		w.s.Histograms[key] = snapshotHistogram(hist)
 		_, c := w.s.Counters[key]
@@ -126,12 +153,52 @@ func (w Writer) Histogram(name string, hist *stats.Histogram) {
 }
 
 // key builds the snapshot key for name, reporting false for a name the
-// writer leaves out.
+// writer leaves out. A name with neither prefix nor scope is its own key;
+// any other key is carved from the snapshot's key chunk.
 func (w Writer) key(name string) (string, bool) {
-	if w.skipped(name) {
+	switch {
+	case w.skipped(name):
 		return "", false
+	case w.head == "":
+		return name, true
 	}
-	return w.prefix + w.scope + name, true
+	return w.s.carve(w.head, name), true
+}
+
+// Key chunks start at minKeyChunk bytes and double up to maxKeyChunk. A
+// fleet snapshot's ~83,000 keys fill about 200 full chunks, one
+// allocation each where every key took one; a small registry's snapshot,
+// merged into a table's telemetry that keeps its keys, keeps a small
+// chunk alive, not a full one.
+const (
+	minKeyChunk = 256
+	maxKeyChunk = 16 << 10
+)
+
+// carve returns a+b as a string that shares the snapshot's current key
+// chunk, starting a new chunk when the current one lacks room. A chunk is
+// only ever appended to within its capacity, so the strings carved from
+// it never change. When a is the string carved last, which ends the
+// chunk, only b is appended after it: the head In or SnapshotInto carves
+// becomes the start of the writer's first key rather than a copy beside
+// it.
+func (s *Snapshot) carve(a, b string) string {
+	k := &s.keys
+	start := k.Len()
+	if a != "" && a == s.last && k.Cap()-start >= len(b) {
+		start -= len(a)
+	} else {
+		if k.Cap()-start < len(a)+len(b) {
+			next := min(max(2*k.Cap(), minKeyChunk), maxKeyChunk)
+			k.Reset()
+			k.Grow(max(next, len(a)+len(b)))
+			start = 0
+		}
+		k.WriteString(a)
+	}
+	k.WriteString(b)
+	s.last = k.String()[start:]
+	return s.last
 }
 
 // once panics unless key was new to the snapshot: each name holds one
@@ -145,13 +212,14 @@ func once(key string, fresh bool) {
 // skipped reports whether the registry-relative name, scope + name,
 // starts with w.skip.
 func (w Writer) skipped(name string) bool {
+	scope := w.head[w.scope:]
 	switch {
 	case w.skip == "":
 		return false
-	case len(w.skip) <= len(w.scope):
-		return strings.HasPrefix(w.scope, w.skip)
+	case len(w.skip) <= len(scope):
+		return strings.HasPrefix(scope, w.skip)
 	default:
-		return strings.HasPrefix(w.skip, w.scope) && strings.HasPrefix(name, w.skip[len(w.scope):])
+		return strings.HasPrefix(w.skip, scope) && strings.HasPrefix(name, w.skip[len(scope):])
 	}
 }
 
@@ -272,14 +340,31 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]GaugeSnapshot     `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
+	// keys is the chunk prefixed keys are carved from, and last the
+	// string carve carved last, which ends it. A Snapshot is used through
+	// its pointer, so the builder is never copied.
+	keys strings.Builder
+	last string
 }
 
-// Snapshot captures what the registry's reporters write. The registry
-// keeps running; snapshots are independent copies.
+// Snapshot captures what the registry's reporters write, in maps sized by
+// Sizes. The registry keeps running; snapshots are independent copies.
 func (r *Registry) Snapshot() *Snapshot {
-	s := NewSnapshot()
+	s := NewSnapshotSized(r.Sizes())
 	r.SnapshotInto(s, "", "")
 	return s
+}
+
+// Sizes returns the numbers of counters, gauges and histograms the
+// registry's reporters write, counted by a pass that writes no snapshot:
+// what a snapshot's maps need room for, read before they are made.
+func (r *Registry) Sizes() (counters, gauges, histograms int) {
+	r.sizes = sizes{}
+	w := Writer{tally: &r.sizes}
+	for _, rep := range r.reporters {
+		rep.Report(w)
+	}
+	return r.sizes.counters, r.sizes.gauges, r.sizes.histograms
 }
 
 // SnapshotInto writes the registry's current state into s with every name
@@ -288,7 +373,7 @@ func (r *Registry) Snapshot() *Snapshot {
 // this way, under host.<name>., without its engine-level sim.* names.
 // A name already in s panics.
 func (r *Registry) SnapshotInto(s *Snapshot, prefix, skip string) {
-	w := Writer{s: s, prefix: prefix, skip: skip}
+	w := Writer{s: s, head: s.carve(prefix, ""), scope: len(prefix), skip: skip}
 	for _, rep := range r.reporters {
 		rep.Report(w)
 	}

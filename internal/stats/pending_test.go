@@ -66,20 +66,27 @@ func TestHistogramPendingReadsSettle(t *testing.T) {
 // TestHistogramPendingDifferential interleaves adds (in range, negative and
 // overflowing) with every reader, seeded, against the flat reference, so
 // reads land at every fill level of the buffer, including full and just
-// settled.
+// settled. The stream is long enough for bucket 0, where the negative adds
+// clamp, to carry early and for every bucket to pass 255 later, so reads
+// meet the carry list as it grows and the 32-bit counts it widens to.
 func TestHistogramPendingDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	h, ref := NewHistogram(1, 64), newFlatHist(1, 64)
-	for step := 0; step < 20000; step++ {
+	maxCarried := 0
+	for step := 0; step < 40000; step++ {
 		if rng.Intn(8) != 0 {
-			v := rng.Float64()*90 - 10 // [-10, 80): a sixth negative, a fifth overflowing
+			v := rng.Float64()*90 - 10 // [-10, 80): a ninth negative, nearly a fifth overflowing
 			h.Add(v)
 			ref.Add(v)
+			maxCarried = max(maxCarried, h.carries())
 			continue
 		}
 		r := histReads[rng.Intn(len(histReads))]
 		if got, want := r.read(h), r.read(ref); got != want {
 			t.Fatalf("step %d, %s:\n got %s\nwant %s", step, r.name, got, want)
 		}
+	}
+	if maxCarried < 2 || h.lay() != lay32 {
+		t.Fatalf("at most %d carries, layout %d at the end; want a list of several, then 32-bit counts", maxCarried, h.lay())
 	}
 }

@@ -404,8 +404,8 @@ func (t *Topology) Snapshot() *metrics.Snapshot {
 	if n := len(t.hosts); n > 0 {
 		// Hosts report about as many names as the first: room for all of
 		// them spares the maps' growth.
-		one := t.hosts[0].Snapshot()
-		out = metrics.NewSnapshotSized(n*len(one.Counters), n*len(one.Gauges), n*len(one.Histograms))
+		c, g, h := t.hosts[0].Metrics().Sizes()
+		out = metrics.NewSnapshotSized(n*c, n*g, n*h)
 	}
 	for _, h := range t.hosts {
 		h.Metrics().SnapshotInto(out, "host."+h.Name+".", "sim.")
