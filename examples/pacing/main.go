@@ -35,7 +35,6 @@ func main() {
 // response time.
 func run(paced bool) sim.Time {
 	eng := sim.NewEngine(7)
-	cfg := tcp.DefaultConfig()
 
 	var snd *tcp.Sender
 	var rcv *tcp.Receiver
@@ -56,8 +55,8 @@ func run(paced bool) sim.Time {
 	})
 	wan := netstack.NewWANEmulator(eng, netstack.LANBps, bottleneck, rtt, serverIn, clientIn)
 
-	snd = tcp.NewSender(&tcp.EngineEnv{Eng: eng, Out: wan.AtoB}, cfg, 1, packets, paced)
-	rcv = tcp.NewReceiver(&tcp.EngineEnv{Eng: eng, Out: wan.BtoA}, cfg, 1)
+	snd = tcp.NewSender(&tcp.EngineEnv{Eng: eng, Out: wan.AtoB}, 1, packets, paced)
+	rcv = tcp.NewReceiver(&tcp.EngineEnv{Eng: eng, Out: wan.BtoA}, 1)
 	rcv.Expected = packets
 	rcv.OnComplete = func(now sim.Time) { done = now }
 
@@ -68,7 +67,7 @@ func run(paced bool) sim.Time {
 		interval := sim.Time(int64(netstack.MSS+netstack.HeaderBytes) * 8 * int64(sim.Second) / bottleneck)
 		var tick func()
 		tick = func() {
-			if _, more := snd.PacedSendOne(eng.Now()); more {
+			if snd.PacedSendOne(eng.Now()) {
 				eng.After(interval, tick)
 			}
 		}

@@ -64,6 +64,34 @@ func TestIdleHaltKeepsPollingWhileEventPending(t *testing.T) {
 	}
 }
 
+// The halt decision compares the event's deadline with the hardclock's own
+// next tick, which falls a whole period after the kernel started, not on a
+// multiple of the period from time 0. An event due before that tick fires
+// with idle-poll precision whatever the kernel's start time.
+func TestIdleHaltFollowsHardclockPhase(t *testing.T) {
+	for _, start := range []sim.Time{0, kernel.TickPeriod / 2} {
+		eng, k, f := newIdleHaltRig()
+		eng.RunUntil(start)
+		k.Start()
+		var due, firedAt sim.Time
+		eng.At(start+100*sim.Microsecond, func() {
+			due = eng.Now() + 700*sim.Microsecond
+			f.ScheduleSoftEvent(700, func(now sim.Time) sim.Time {
+				firedAt = now
+				return 0
+			})
+		})
+		eng.RunFor(5 * sim.Millisecond)
+		if firedAt == 0 {
+			t.Fatalf("start %v: event never fired", start)
+		}
+		if late := firedAt - due; late < 0 || late > 2*k.Profile().IdlePoll {
+			t.Errorf("start %v: event due at %v fired at %v (%v late), want within two idle polls",
+				start, due, firedAt, late)
+		}
+	}
+}
+
 func TestIdleHaltFarFutureEventStillHalts(t *testing.T) {
 	// An event 500ms out does not justify spinning: the CPU halts, and
 	// closer to the deadline (within one tick) polling resumes; the

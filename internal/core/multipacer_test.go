@@ -167,10 +167,9 @@ func TestMultiPacerDeterministicOrder(t *testing.T) {
 }
 
 // TestMultiPacerFireAllocs drives two warm flows, at 40 µs and 60 µs
-// targets, for 10 ms of virtual time per measured run (416 packets). A
-// firing allocates nothing of its own; what remains is the amortized
-// growth of each flow's interval sample, well under one allocation per 50
-// packets.
+// targets, for 20 stretches of 10 ms of virtual time (416 packets each),
+// counted as one measured run so that every allocation shows (AllocsPerRun
+// rounds a per-run mean down). A firing allocates nothing.
 func TestMultiPacerFireAllocs(t *testing.T) {
 	eng, k, f := newRig(kernel.Options{IdleLoop: true}, Options{})
 	k.Start()
@@ -180,14 +179,18 @@ func TestMultiPacerFireAllocs(t *testing.T) {
 	m.AddFlow(1, 40*sim.Microsecond, 12*sim.Microsecond, send)
 	m.AddFlow(2, 60*sim.Microsecond, 12*sim.Microsecond, send)
 	eng.RunFor(10 * sim.Millisecond) // warm the engine's and the facility's pools
-	const runs = 20
+	const stretches = 20
 	before := sent
-	allocs := testing.AllocsPerRun(runs, func() { eng.RunFor(10 * sim.Millisecond) })
-	perRun := float64(sent-before) / (runs + 1) // AllocsPerRun adds one warm-up run
-	if perRun < 400 {
-		t.Fatalf("sent %.0f packets per 10 ms, want the two flows' 416", perRun)
+	allocs := testing.AllocsPerRun(1, func() {
+		for range stretches {
+			eng.RunFor(10 * sim.Millisecond)
+		}
+	})
+	perStretch := float64(sent-before) / (2 * stretches) // AllocsPerRun adds one warm-up run
+	if perStretch < 400 {
+		t.Fatalf("sent %.0f packets per 10 ms, want the two flows' 416", perStretch)
 	}
-	if allocs*50 >= perRun {
-		t.Fatalf("%.0f allocations per %.0f packets, want under one per 50", allocs, perRun)
+	if allocs != 0 {
+		t.Fatalf("%d stretches of %.0f packets allocate %.0f times, want 0", stretches, perStretch, allocs)
 	}
 }

@@ -21,10 +21,6 @@ type Profile struct {
 	// Name identifies the profile in reports, e.g. "PentiumII-300".
 	Name string
 
-	// ClockHz is the measurement-clock resolution the soft-timer facility
-	// exposes for this CPU (the paper reads the CPU cycle counter).
-	ClockHz uint64
-
 	// WorkScale multiplies all workload *work* durations. The Pentium II
 	// 300 MHz profile is the 1.0 baseline; a 500 MHz part runs the same
 	// work in 0.6× the time.
@@ -110,7 +106,6 @@ func (p *Profile) IntrTotal() sim.Time { return p.IntrDirect + p.IntrPollution }
 func PentiumII300() Profile {
 	return Profile{
 		Name:            "PentiumII-300",
-		ClockHz:         300_000_000,
 		WorkScale:       1.0,
 		IntrDirect:      sim.Micros(2.0),
 		IntrPollution:   sim.Micros(2.45),
@@ -129,7 +124,6 @@ func PentiumII300() Profile {
 func PentiumIII500() Profile {
 	return Profile{
 		Name:            "PentiumIII-500",
-		ClockHz:         500_000_000,
 		WorkScale:       0.6,
 		IntrDirect:      sim.Micros(1.96),
 		IntrPollution:   sim.Micros(2.40),
@@ -149,7 +143,6 @@ func PentiumIII500() Profile {
 func Alpha500() Profile {
 	return Profile{
 		Name:            "Alpha-21164-500",
-		ClockHz:         500_000_000,
 		WorkScale:       0.62,
 		IntrDirect:      sim.Micros(4.0),
 		IntrPollution:   sim.Micros(4.64),

@@ -41,14 +41,13 @@ const hardclockPeriodUS = 1000
 
 // probeStats summarizes one probe rig run.
 type probeStats struct {
-	N                           int64   // probes fired
-	MeanUS, MedianUS            float64 // delay d = actual − T, µs
-	P99US, MaxUS                float64
-	HardclockShare              float64 // fraction of fires at the hardclock trigger
-	Starved                     int64   // trigger checks suppressed by the plan
-	OverheadFrac                float64 // soft-timer check CPU / total time
-	IntrJitterNS, CPUPerturbNS  int64
-	PITCoalesced, TriggersTotal int64
+	N                          int64   // probes fired
+	MeanUS, MedianUS           float64 // delay d = actual − T, µs
+	P99US, MaxUS               float64
+	HardclockShare             float64 // fraction of fires at the hardclock trigger
+	Starved                    int64   // trigger checks suppressed by the plan
+	OverheadFrac               float64 // soft-timer check CPU / total time
+	IntrJitterNS, CPUPerturbNS int64
 }
 
 // runProbeRig measures soft-timer firing delay under a fault spec: a busy
@@ -112,13 +111,11 @@ func runProbeRig(sc Scale, salt uint64, spec faults.Spec) (probeStats, *metrics.
 		// Exact worst delay (the facility's high-water gauge), not a
 		// bucket-interpolated quantile — the degradation bound is asserted
 		// against this.
-		MaxUS:         float64(snap.Gauges["softtimer.overshoot_max_us"].Max),
-		Starved:       plan.TriggersStarved,
-		OverheadFrac:  float64(st.CheckOverhead) / float64(eng.Now()),
-		IntrJitterNS:  plan.IntrJitterNS,
-		CPUPerturbNS:  plan.CPUPerturbNS,
-		PITCoalesced:  plan.PITCoalesced,
-		TriggersTotal: st.Checks,
+		MaxUS:        float64(snap.Gauges["softtimer.overshoot_max_us"].Max),
+		Starved:      plan.TriggersStarved,
+		OverheadFrac: float64(st.CheckOverhead) / float64(eng.Now()),
+		IntrJitterNS: plan.IntrJitterNS,
+		CPUPerturbNS: plan.CPUPerturbNS,
 	}
 	if fires > 0 {
 		ps.HardclockShare = float64(f.FiresBySource[kernel.SrcHardClock]) / float64(fires)
@@ -162,7 +159,7 @@ func RunDegradationStarve(sc Scale) *StarveResult {
 	})
 	return &StarveResult{
 		PeriodUS:  hardclockPeriodUS,
-		Budget:    faults.Spec{}.Budget(),
+		Budget:    faults.OverheadBudget,
 		Rows:      rows,
 		Telemetry: mergeTelemetry(snaps),
 	}
@@ -223,7 +220,6 @@ type LossResult struct {
 func runLossTransfer(sc Scale, salt uint64, spec faults.Spec, packets int64) (delivered, dups int64, last sim.Time, snap *metrics.Snapshot) {
 	eng := sim.NewEngine(sc.Seed + salt)
 	plan := faults.New(sc.Seed+salt, spec)
-	cfg := tcp.DefaultConfig()
 
 	serverIn := &dispatcher{}
 	clientIn := &dispatcher{}
@@ -237,7 +233,7 @@ func runLossTransfer(sc Scale, salt uint64, spec faults.Spec, packets int64) (de
 	bott := wan.AtoB.Hop(wan.AtoB.Hops() - 1)
 	bott.Faults = plan.Link(bott.Name)
 
-	snd := tcp.NewSender(&tcp.EngineEnv{Eng: eng, Out: wan.AtoB}, cfg, 1, packets, true)
+	snd := tcp.NewSender(&tcp.EngineEnv{Eng: eng, Out: wan.AtoB}, 1, packets, true)
 
 	reg := metrics.NewRegistry()
 	snd.RegisterMetrics(reg)
@@ -264,7 +260,7 @@ func runLossTransfer(sc Scale, salt uint64, spec faults.Spec, packets int64) (de
 	interval := sim.Time(int64(netstack.MSS+netstack.HeaderBytes) * 8 * int64(sim.Second) / bottleneckBps)
 	var tick func()
 	tick = func() {
-		if _, more := snd.PacedSendOne(eng.Now()); more {
+		if snd.PacedSendOne(eng.Now()) {
 			eng.After(interval, tick)
 		}
 	}
@@ -382,7 +378,7 @@ func RunScenario(sc Scale, name string) *Table {
 		Notes: []string{fmt.Sprintf(
 			"spec: drop=%g dup=%g reorder=%g intr-jitter=%v coalesce=%g work-jitter=%g starve=%g budget=%s",
 			spec.Drop, spec.Dup, spec.Reorder, spec.IntrJitterMax, spec.IntrCoalesce,
-			spec.WorkJitter, spec.Starve, pct(spec.Budget()))},
+			spec.WorkJitter, spec.Starve, pct(faults.OverheadBudget))},
 		Metrics: map[string]float64{
 			"probe_delay_mean_us": ps.MeanUS,
 			"probe_delay_max_us":  ps.MaxUS,

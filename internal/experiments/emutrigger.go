@@ -19,15 +19,13 @@ import (
 type EmuTriggerRow struct {
 	Name      string
 	Completed int64
-	Fetches   int
 	MaxUS     float64
 	MeanUS    float64
 	MedianUS  float64
 	P99US     float64
 	// Lag accounting from the emulation clock.
-	LagSamples int64
-	LagP50US   float64
-	LagMaxUS   float64
+	LagP50US float64
+	LagMaxUS float64
 	// Paper holds the published Table 1 values for the nearest workload
 	// (Max, Mean, Median, >100µs%, >150µs%).
 	Paper [5]float64
@@ -83,19 +81,17 @@ func RunEmuTriggerInterval(sc Scale) *EmuTriggerResult {
 			return res
 		}
 		go s.Serve()
-		fetches := driveHTTP(s.Addr().String(), window, 4)
+		driveHTTP(s.Addr().String(), window, 4)
 		s.Stop()
 
 		ti := s.TriggerIntervals()
 		lag := s.Clock().LagHist
 		row := EmuTriggerRow{
-			Name:       m.name,
-			Completed:  s.Completed(),
-			Fetches:    fetches,
-			LagSamples: lag.N(),
-			LagP50US:   lag.Quantile(0.5),
-			LagMaxUS:   s.Clock().MaxLag().Micros(),
-			Paper:      paperTable1[m.paper],
+			Name:      m.name,
+			Completed: s.Completed(),
+			LagP50US:  lag.Quantile(0.5),
+			LagMaxUS:  s.Clock().MaxLag().Micros(),
+			Paper:     paperTable1[m.paper],
 		}
 		if ti.N() > 0 {
 			row.MaxUS = ti.Percentile(100)
@@ -111,19 +107,16 @@ func RunEmuTriggerInterval(sc Scale) *EmuTriggerResult {
 }
 
 // driveHTTP saturates addr with workers sequential HTTP fetchers for the
-// given wall window, returning the number of completed fetches.
-func driveHTTP(addr string, window time.Duration, workers int) int {
+// given wall window.
+func driveHTTP(addr string, window time.Duration, workers int) {
 	url := "http://" + addr + "/file"
 	deadline := time.Now().Add(window)
-	var mu sync.Mutex
-	total := 0
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			client := &http.Client{Timeout: 5 * time.Second}
-			n := 0
 			for time.Now().Before(deadline) {
 				resp, err := client.Get(url)
 				if err != nil {
@@ -134,15 +127,10 @@ func driveHTTP(addr string, window time.Duration, workers int) int {
 				if err != nil {
 					break
 				}
-				n++
 			}
-			mu.Lock()
-			total += n
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	return total
 }
 
 // Table renders the emulation measurement with the paper's Table 1 values

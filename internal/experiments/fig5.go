@@ -12,9 +12,8 @@ import (
 // medians computed over 1 ms and over 10 ms windows for 10 seconds of the
 // ST-Apache-compute workload.
 type Fig5Result struct {
-	// Starts1ms/Medians1ms and Starts10ms/Medians10ms are the series.
-	Starts1ms, Medians1ms   []float64
-	Starts10ms, Medians10ms []float64
+	// Medians1ms and Medians10ms are the series.
+	Medians1ms, Medians10ms []float64
 	// Band statistics the paper quotes.
 	Frac1msAbove40 float64 // fraction of 1 ms medians above 40 µs (paper: <1.13%)
 	Min10, Max10   float64 // range of the 10 ms medians (paper: ~17–19 µs)
@@ -48,8 +47,7 @@ func RunFig5(sc Scale) *Fig5Result {
 	w10.Flush()
 
 	res := &Fig5Result{
-		Starts1ms: w1.Starts, Medians1ms: w1.Medians,
-		Starts10ms: w10.Starts, Medians10ms: w10.Medians,
+		Medians1ms: w1.Medians, Medians10ms: w10.Medians,
 	}
 	above := 0
 	for _, m := range w1.Medians {

@@ -28,7 +28,6 @@ type Table2Result struct {
 	// Fraction maps source -> fraction of samples (over the five
 	// reported sources).
 	Fraction map[kernel.Source]float64
-	Counts   map[kernel.Source]int64
 }
 
 // RunTable2 measures what fraction of ST-Apache trigger states each event
@@ -41,16 +40,12 @@ func RunTable2(sc Scale) *Table2Result {
 	rig := d.Make(sc.Seed, cpu.PentiumII300())
 	rig.Collect(sc.Samples, sc.Warmup, 600e9)
 	m := rig.K.Meter()
-	res := &Table2Result{
-		Fraction: make(map[kernel.Source]float64),
-		Counts:   make(map[kernel.Source]int64),
-	}
+	res := &Table2Result{Fraction: make(map[kernel.Source]float64)}
 	var total int64
 	for _, s := range reportedSources {
 		total += m.BySource[s]
 	}
 	for _, s := range reportedSources {
-		res.Counts[s] = m.BySource[s]
 		if total > 0 {
 			res.Fraction[s] = float64(m.BySource[s]) / float64(total)
 		}
@@ -117,7 +112,7 @@ func RunFig6(sc Scale) *Fig6Result {
 			Server: httpserv.Config{Kind: httpserv.Apache},
 		})
 		tb.Start()
-		rig := &workloads.Rig{Eng: tb.Eng, K: tb.K, F: tb.F, Testbed: tb}
+		rig := &workloads.Rig{Eng: tb.Eng, K: tb.K, F: tb.F}
 		rig.Collect(sc.Samples/2, sc.Warmup, 600e9)
 		h := tb.K.Meter().Hist
 		res.Series[i] = Fig6Series{

@@ -10,12 +10,11 @@ import (
 
 // PacingRow is one min-burst-interval setting of Tables 4/5.
 type PacingRow struct {
-	MinIntervalUS  float64
-	SoftAvgUS      float64
-	SoftStdDevUS   float64
-	HWAvgUS        float64 // only set on the first row, as in the paper
-	HWStdDevUS     float64
-	PacketsSampled int64
+	MinIntervalUS float64
+	SoftAvgUS     float64
+	SoftStdDevUS  float64
+	HWAvgUS       float64 // only set on the first row, as in the paper
+	HWStdDevUS    float64
 }
 
 // PacingResult reproduces Table 4 (target 40 µs) or Table 5 (target 60 µs).
@@ -43,15 +42,14 @@ func RunPacing(sc Scale, targetUS float64) *PacingResult {
 		}
 		row := &res.Rows[i]
 		row.MinIntervalUS = mins[i]
-		row.SoftAvgUS, row.SoftStdDevUS, row.PacketsSampled =
-			runSoftPacing(sc, targetUS, mins[i])
+		row.SoftAvgUS, row.SoftStdDevUS = runSoftPacing(sc, targetUS, mins[i])
 	})
 	return res
 }
 
 // runSoftPacing drives the core.Pacer over the busy Apache server's
 // trigger stream and reports achieved interval statistics.
-func runSoftPacing(sc Scale, targetUS, minUS float64) (avg, sd float64, n int64) {
+func runSoftPacing(sc Scale, targetUS, minUS float64) (avg, sd float64) {
 	d, err := workloads.ByName("ST-Apache")
 	if err != nil {
 		panic(err)
@@ -74,7 +72,7 @@ func runSoftPacing(sc Scale, targetUS, minUS float64) (avg, sd float64, n int64)
 	for p.Running() && rig.Eng.Now() < cap {
 		rig.Eng.RunFor(10 * sim.Millisecond)
 	}
-	return p.Intervals.Mean(), p.Intervals.StdDev(), p.Intervals.N()
+	return p.Intervals.Mean(), p.Intervals.StdDev()
 }
 
 // runHWPacing fires a hardware timer at the target interval on the same

@@ -110,7 +110,6 @@ func (d *dispatcher) Deliver(p *netstack.Packet) {
 // the paper's setup.
 func runWANTransfer(sc Scale, bottleneckMbps, packets int64, paced bool) (sim.Time, *metrics.Snapshot) {
 	eng := sim.NewEngine(sc.Seed + uint64(packets))
-	cfg := tcp.DefaultConfig()
 
 	serverIn := &dispatcher{}
 	clientIn := &dispatcher{}
@@ -121,8 +120,8 @@ func runWANTransfer(sc Scale, bottleneckMbps, packets int64, paced bool) (sim.Ti
 
 	sndEnv := &tcp.EngineEnv{Eng: eng, Out: wan.AtoB}
 	rcvEnv := &tcp.EngineEnv{Eng: eng, Out: wan.BtoA}
-	snd := tcp.NewSender(sndEnv, cfg, 1, packets, paced)
-	rcv := tcp.NewReceiver(rcvEnv, cfg, 1)
+	snd := tcp.NewSender(sndEnv, 1, packets, paced)
+	rcv := tcp.NewReceiver(rcvEnv, 1)
 	rcv.Expected = packets
 
 	// No kernel in the WAN rigs — a standalone registry carries the TCP
@@ -151,7 +150,7 @@ func runWANTransfer(sc Scale, bottleneckMbps, packets int64, paced bool) (sim.Ti
 			(bottleneckMbps * 1_000_000))
 		var tick func()
 		tick = func() {
-			if _, more := snd.PacedSendOne(eng.Now()); more {
+			if snd.PacedSendOne(eng.Now()) {
 				eng.After(interval, tick)
 			}
 		}

@@ -70,25 +70,14 @@ type Spec struct {
 	// fallback, and the degradation experiments exist to show the bound
 	// it provides.
 	Starve float64
-	// OverheadBudget is the maximum tolerated soft-timer check-overhead
-	// fraction of CPU time under this scenario; the degradation
-	// regression tests assert against it. 0 means "use the default"
-	// (DefaultOverheadBudget).
-	OverheadBudget float64
 }
 
-// DefaultOverheadBudget is the check-overhead budget asserted when a Spec
-// does not set one: 1% of CPU time, far above anything the facility should
-// ever consume in checks (§5.2 finds the base overhead unobservable).
-const DefaultOverheadBudget = 0.01
-
-// Budget returns the scenario's effective overhead budget.
-func (s Spec) Budget() float64 {
-	if s.OverheadBudget > 0 {
-		return s.OverheadBudget
-	}
-	return DefaultOverheadBudget
-}
+// OverheadBudget is the maximum tolerated soft-timer check-overhead
+// fraction of CPU time under every scenario, which the degradation
+// regression tests assert against: 1% of CPU time, far above anything the
+// facility should ever consume in checks (§5.2 finds the base overhead
+// unobservable).
+const OverheadBudget = 0.01
 
 // reorderMax returns the effective hold-back bound.
 func (s Spec) reorderMax() sim.Time {

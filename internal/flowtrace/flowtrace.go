@@ -50,14 +50,12 @@ const (
 	HopNICRing
 	// HopNICRx: a protocol handler picked the packet up (softirq or poll).
 	HopNICRx
-	// HopTCP: the TCP layer processed the segment or ack.
-	HopTCP
 
 	numHopKinds
 )
 
 var hopKindNames = [numHopKinds]string{
-	"nic_tx", "link_tx", "link_rx", "switch_fwd", "nic_ring", "nic_rx", "tcp",
+	"nic_tx", "link_tx", "link_rx", "switch_fwd", "nic_ring", "nic_rx",
 }
 
 func (k HopKind) String() string {
@@ -300,9 +298,8 @@ type SpanData struct {
 	Hops          []HopData `json:"hops"`
 	TruncatedHops int32     `json:"truncated_hops,omitempty"`
 
-	// RawKind and loc host addrs survive for programmatic consumers
-	// (experiment assertions, Chrome flow export).
-	RawKind  int   `json:"-"`
+	// The first and last hops' location ids survive for programmatic
+	// consumers (the Chrome flow export).
 	FirstLoc int32 `json:"-"`
 	LastLoc  int32 `json:"-"`
 }
@@ -322,7 +319,6 @@ func Export(loc *Locations, kindName func(int) string, recs ...*Recorder) []Span
 				ID: s.id, Flow: s.flow, Seq: s.seq,
 				Src: s.src, Dst: s.dst,
 				TruncatedHops: s.dropped,
-				RawKind:       s.kind,
 			}
 			if kindName != nil {
 				d.Kind = kindName(s.kind)

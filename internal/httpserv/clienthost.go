@@ -165,7 +165,7 @@ func (s *chSlot) run(p *kernel.Proc) {
 	// — the draw sequence is invariant under sharding and worker count.
 	s.traced = c.FlowTrace.SampleFlow()
 	p.Syscall("connect", connectWork, func() {
-		p.ChainC(c.N.TxChainOf(s.pkt(netstack.Syn, netstack.HeaderBytes)), func() {
+		p.Chain(c.N.TxChainOf(s.pkt(netstack.Syn, netstack.HeaderBytes)), func() {
 			s.awaitConnected(p)
 		})
 	})
@@ -180,7 +180,7 @@ func (s *chSlot) awaitConnected(p *kernel.Proc) {
 	c := s.c
 	s.reqStart = c.H.K.Now()
 	p.Syscall("sendto", sendWork, func() {
-		p.ChainC(c.N.TxChainOf(s.pkt(netstack.Request, netstack.HeaderBytes+250)), func() {
+		p.Chain(c.N.TxChainOf(s.pkt(netstack.Request, netstack.HeaderBytes+250)), func() {
 			s.awaitResponse(p)
 		})
 	})

@@ -173,15 +173,15 @@ type Server struct {
 	// fresh non-persistent requests don't rebuild it per connection.
 	freshScript []ReqStep
 
-	// Paced-transmission state. The soft-timer handler and the HW-paced
-	// softirq step are bound once at construction: at most one of each is
-	// in flight (softEvUp, hwInFlight), so arming them allocates nothing.
+	// Paced-transmission state. The soft-timer handler is bound once at
+	// construction and the HW-paced softirq is the server itself (hwStep):
+	// at most one of each is in flight (softEvUp, hwInFlight), so arming
+	// them allocates nothing.
 	txQ        fifo[*netstack.Packet]
 	softEvUp   bool
 	softPaceFn core.Handler
 	pacer      *core.Pacer // TxPacerPaced transmission clock
 	pit        *kernel.PIT
-	hwStep     []kernel.ChainStep
 	lastPaced  sim.Time
 	pacedCount int64
 	backlogged bool // the previous paced send left packets waiting
@@ -230,11 +230,6 @@ func NewServerMulti(k *kernel.Kernel, f *core.Facility, nics []*nic.NIC, cfg Con
 		s.softPaceFn = s.softPace
 	case TxHWPaced:
 		s.pit = k.NewPIT(hwPacerPeriod, sim.Microsecond, s.hwPacerTick)
-		s.hwStep = []kernel.ChainStep{{
-			Work: nic.TxWork + pacedExtraWork,
-			Src:  kernel.SrcIPOutput,
-			Fn:   s.hwTransmit,
-		}}
 	case TxPacerPaced:
 		s.pacer = core.NewPacer(f, cfg.PacerInterval, cfg.PacerBurstInterval,
 			func(now sim.Time) (sim.Time, bool) {
@@ -434,7 +429,7 @@ func (w *worker) sent() {
 	if s.cfg.TxMode == TxBurst {
 		// Completion is the final segment leaving ip-output — the same
 		// instant the chain completes.
-		w.p.ChainC(s.nicFor(c.flow).TxChainOf(pkts...), w.doneFn)
+		w.p.Chain(s.nicFor(c.flow).TxChainOf(pkts...), w.doneFn)
 		return
 	}
 	s.enqueuePaced(pkts)
@@ -569,24 +564,37 @@ func (s *Server) softPace(now sim.Time) sim.Time {
 // arrive while the previous transmission's thread is still in flight are
 // lost, reproducing the paper's observation that hardware-timer pacing
 // falls short of its programmed rate ("some timer interrupts are lost
-// during periods when interrupts are disabled in FreeBSD"). The one-step
-// chain is built once: hwInFlight keeps a single post outstanding.
+// during periods when interrupts are disabled in FreeBSD"). hwInFlight
+// keeps a single post outstanding.
 func (s *Server) hwPacerTick() {
 	if s.txQ.len() == 0 || s.hwInFlight {
 		return
 	}
 	s.hwInFlight = true
-	s.k.PostSoftIRQ(s.hwStep...)
+	s.k.PostSoftIRQ((*hwStep)(s), 1)
 }
 
-// hwTransmit is the HW-paced chain step's side effect. Its cost is charged
-// by the step's Work, so it transmits without re-charging.
-func (s *Server) hwTransmit() {
+// hwStep is the HW-paced transmission thread as a one-step kernel.Chain:
+// the server itself, so posting it allocates nothing.
+type hwStep Server
+
+func (c *hwStep) Begin() int { return 1 }
+
+func (c *hwStep) Step(int) (sim.Time, kernel.Source) {
+	return nic.TxWork + pacedExtraWork, kernel.SrcIPOutput
+}
+
+// Run transmits one pending packet. Its cost is charged by the step's
+// work, so it transmits without re-charging.
+func (c *hwStep) Run(int) {
+	s := (*Server)(c)
 	s.hwInFlight = false
 	if pkt := s.popPaced(); pkt != nil {
 		s.nicFor(pkt.Flow).TransmitRaw(pkt)
 	}
 }
+
+func (c *hwStep) End() {}
 
 // fifo is a head-indexed queue: popping advances a cursor, draining resets
 // the slice to [:0], and a push that would outgrow the backing array first

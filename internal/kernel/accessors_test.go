@@ -34,17 +34,6 @@ func TestKernelAccessors(t *testing.T) {
 	}
 }
 
-func TestPostSoftIRQEmptyIsNoop(t *testing.T) {
-	eng := sim.NewEngine(2)
-	k := New(eng, cpu.PentiumII300(), Options{IdleLoop: false})
-	k.Start()
-	k.PostSoftIRQ() // no steps: nothing should happen
-	eng.RunFor(sim.Millisecond)
-	if k.Accounting().SoftIRQ != 0 {
-		t.Fatal("empty PostSoftIRQ consumed time")
-	}
-}
-
 func TestPostSoftIRQChainNilPanics(t *testing.T) {
 	eng := sim.NewEngine(3)
 	k := New(eng, cpu.PentiumII300(), Options{})
@@ -53,7 +42,7 @@ func TestPostSoftIRQChainNilPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	k.PostSoftIRQChain(nil, 0)
+	k.PostSoftIRQ(nil, 0)
 }
 
 // batchChain is a one-step Chain that takes, when the softirq runs, every
@@ -80,7 +69,7 @@ func TestPostSoftIRQChainBatches(t *testing.T) {
 	// interrupt): the chain must see everything.
 	eng.At(10*sim.Microsecond, func() {
 		k.RaiseInterrupt(SrcIPIntr, 5*sim.Microsecond, func() {
-			k.PostSoftIRQChain(c, 0)
+			k.PostSoftIRQ(c, 0)
 			// A second interrupt queued while the first runs adds work
 			// before the softirq executes.
 			k.RaiseInterrupt(SrcIPIntr, 5*sim.Microsecond, func() {

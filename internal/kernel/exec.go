@@ -45,15 +45,6 @@ const (
 	acctIntr
 )
 
-// ChainStep is one step of a kernel work chain: Work of CPU time, then Fn's
-// side effects, then (if Src >= 0) a trigger state. The TCP/IP output loop
-// is a chain with one SrcIPOutput step per transmitted packet.
-type ChainStep struct {
-	Work sim.Time
-	Src  Source // use SrcNone for no trigger state
-	Fn   func()
-}
-
 // SrcNone marks a chain step that is not a trigger state.
 const SrcNone Source = -1
 
@@ -64,24 +55,23 @@ type intrReq struct {
 	fn   func()
 }
 
-// softReq is a pending software interrupt: a fixed chain of steps, or a
-// Chain value driven step by step. n is the step count known at post
-// time, recorded in the trace (batching chains post 0).
+// softReq is a pending software interrupt: its chain, and the step count
+// known at post time, recorded in the trace (batching chains post 0).
 type softReq struct {
-	steps []ChainStep
 	chain Chain
 	n     int
 }
 
-// Chain is the allocation-free softirq work form: instead of materializing
-// a []ChainStep (a slice plus one closure per step), the poster hands the
-// kernel a reusable object it drives step by step. Begin is called when
-// the softirq actually runs — after the entry cost — so work that
-// accumulated since posting (e.g. packets queued by further interrupts)
-// is batched; it returns the
-// step count. Step reports step i's CPU work and trigger source (SrcNone
-// for none); Run performs its side effects; End is called after the last
-// step, where a pooled chain recycles itself.
+// Chain is a kernel work chain: a sequence of steps, each CPU work, then
+// side effects, then (unless its source is SrcNone) a trigger state. The
+// TCP/IP output loop is a chain with one SrcIPOutput step per transmitted
+// packet. The poster hands the kernel a reusable object it drives step by
+// step, so running a chain allocates nothing. Begin is called when the
+// chain actually runs — for a softirq, after the entry cost — so work that
+// accumulated since posting (e.g. packets queued by further interrupts) is
+// batched; it returns the step count. Step reports step i's CPU work and
+// trigger source; Run performs its side effects; End is called after the
+// last step, where a pooled chain recycles itself.
 type Chain interface {
 	Begin() int
 	Step(i int) (work sim.Time, src Source)
@@ -101,22 +91,12 @@ func (k *Kernel) RaiseInterrupt(src Source, work sim.Time, fn func()) {
 	k.kick()
 }
 
-// PostSoftIRQ queues a software interrupt that executes the given chain of
-// steps (protocol processing). Software interrupts run after pending
-// hardware interrupts and before any process resumes.
-func (k *Kernel) PostSoftIRQ(steps ...ChainStep) {
-	if len(steps) == 0 {
-		return
-	}
-	k.pendSoft = append(k.pendSoft, softReq{steps: steps, n: len(steps)})
-	k.kick()
-}
-
-// PostSoftIRQChain queues a software interrupt driven through the Chain
-// interface — the zero-allocation form of PostSoftIRQ. n is the post-time
-// step count recorded in the trace: pass the known length for a fixed
-// chain, 0 for one that batches at run time.
-func (k *Kernel) PostSoftIRQChain(c Chain, n int) {
+// PostSoftIRQ queues a software interrupt that executes chain c (protocol
+// processing). Software interrupts run after pending hardware interrupts
+// and before any process resumes. n is the post-time step count recorded
+// in the trace: pass the known length for a fixed chain, 0 for one that
+// batches at run time.
+func (k *Kernel) PostSoftIRQ(c Chain, n int) {
 	if c == nil {
 		panic("kernel: nil softirq chain")
 	}
@@ -297,7 +277,7 @@ func (k *Kernel) runSoft(req softReq) {
 func (k *Kernel) softBody() {
 	req := k.curSoft
 	k.curSoft = softReq{}
-	k.chainStart(req.steps, req.chain, acctSoftIRQ, k.softDoneFn)
+	k.chainStart(req.chain, acctSoftIRQ, k.softDoneFn)
 }
 
 // softDone finishes the softirq (bound once).
@@ -309,23 +289,19 @@ func (k *Kernel) softDone() {
 	k.serviceIntr()
 }
 
-// chainStart begins executing a work chain — either a []ChainStep slice or
-// a Chain value — in the current (interrupt-like) context, then done.
+// chainStart begins executing work chain c in the current (interrupt-like)
+// context, then done.
 // inIntr must be true on entry and stays true throughout; triggers between
 // steps extend the occupancy by any soft-timer handler time. At most one
 // chain runs at a time per kernel (chains execute inside interrupt or
 // syscall context, both exclusive), so the walk state lives in fields and
 // the step closures are bound once at construction.
-func (k *Kernel) chainStart(steps []ChainStep, c Chain, class acctClass, done func()) {
+func (k *Kernel) chainStart(c Chain, class acctClass, done func()) {
 	if k.chDone != nil {
 		panic("kernel: nested work chain")
 	}
-	k.chSteps, k.chChain, k.chClass, k.chDone = steps, c, class, done
-	if c != nil {
-		k.chLen = c.Begin()
-	} else {
-		k.chLen = len(steps)
-	}
+	k.chChain, k.chClass, k.chDone = c, class, done
+	k.chLen = c.Begin()
 	k.chIdx = 0
 	k.chainNext()
 }
@@ -334,21 +310,12 @@ func (k *Kernel) chainStart(steps []ChainStep, c Chain, class acctClass, done fu
 func (k *Kernel) chainNext() {
 	if k.chIdx >= k.chLen {
 		done, c := k.chDone, k.chChain
-		k.chSteps, k.chChain, k.chDone = nil, nil, nil
-		if c != nil {
-			c.End()
-		}
+		k.chChain, k.chDone = nil, nil
+		c.End()
 		done()
 		return
 	}
-	var w sim.Time
-	var src Source
-	if k.chChain != nil {
-		w, src = k.chChain.Step(k.chIdx)
-	} else {
-		st := &k.chSteps[k.chIdx]
-		w, src = st.Work, st.Src
-	}
+	w, src := k.chChain.Step(k.chIdx)
 	k.chSrc = src
 	switch k.chClass {
 	case acctSoftIRQ:
@@ -372,11 +339,7 @@ func (k *Kernel) chainNext() {
 func (k *Kernel) chainRun() {
 	i := k.chIdx
 	k.chIdx++
-	if k.chChain != nil {
-		k.chChain.Run(i)
-	} else if fn := k.chSteps[i].Fn; fn != nil {
-		fn()
-	}
+	k.chChain.Run(i)
 	if k.chSrc >= 0 {
 		k.triggerInCtx(k.chSrc, k.chNextFn)
 		return
@@ -384,7 +347,7 @@ func (k *Kernel) chainRun() {
 	k.chainNext()
 }
 
-// procChainDone finishes a Proc.Chain / Proc.ChainC (bound once).
+// procChainDone finishes a Proc.Chain (bound once).
 func (k *Kernel) procChainDone() {
 	p, then := k.chProc, k.chThen
 	k.chProc, k.chThen = nil, nil
@@ -634,16 +597,19 @@ func (k *Kernel) goIdle() {
 	if !k.opts.IdleLoop {
 		return
 	}
-	if k.opts.IdleHalt {
-		if adv, ok := k.sink.(IdleAdvisor); ok {
-			nextTick := sim.Time(k.tick+1) * TickPeriod
-			if !adv.EventBefore(nextTick) {
-				k.acct.IdleHalts++
-				return // halt: the hardclock's own trigger state backstops
-			}
-		}
+	if k.opts.IdleHalt && k.quietUntilTick() {
+		k.acct.IdleHalts++
+		return // halt: the hardclock's own trigger state backstops
 	}
 	k.idleEv = k.eng.AfterLabeled(k.prof.IdlePoll, "idle", k.idleTickFn)
+}
+
+// quietUntilTick reports whether no soft-timer event is due before the
+// next hardclock tick, the instant the hardclock scheduled it for — with
+// IdleHalt set, the idle CPU then halts instead of polling.
+func (k *Kernel) quietUntilTick() bool {
+	adv, ok := k.sink.(IdleAdvisor)
+	return ok && !adv.EventBefore(k.nextTick)
 }
 
 func (k *Kernel) idleTick() {
@@ -676,12 +642,8 @@ func (k *Kernel) NudgeIdle() {
 	if !k.idle || k.idleEv.Pending() || !k.opts.IdleLoop {
 		return
 	}
-	adv, ok := k.sink.(IdleAdvisor)
-	if k.opts.IdleHalt && ok {
-		nextTick := sim.Time(k.tick+1) * TickPeriod
-		if !adv.EventBefore(nextTick) {
-			return // stay halted
-		}
+	if k.opts.IdleHalt && k.quietUntilTick() {
+		return // stay halted
 	}
 	k.idleEv = k.eng.AfterLabeled(k.prof.IdlePoll, "idle", k.idleTickFn)
 }

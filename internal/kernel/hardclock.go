@@ -31,11 +31,11 @@ func (k *Kernel) scheduleHardclock() {
 		}
 	}
 	var tick func()
-	base, n := k.eng.Now(), int64(0)
 	tick = func() {
-		n++
-		k.eng.AtLabeled(base+sim.Time(n+1)*TickPeriod, "hardclock", tick)
+		k.nextTick += TickPeriod
+		k.eng.AtLabeled(k.nextTick, "hardclock", tick)
 		k.RaiseInterrupt(SrcHardClock, HardclockWork, body)
 	}
-	k.eng.AtLabeled(base+TickPeriod, "hardclock", tick)
+	k.nextTick = k.eng.Now() + TickPeriod
+	k.eng.AtLabeled(k.nextTick, "hardclock", tick)
 }

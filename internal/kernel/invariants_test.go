@@ -47,7 +47,7 @@ func TestPropertyAccountingConservation(t *testing.T) {
 				wakeAll(&wq)
 			})
 			if sirqRateRaw%3 == 0 {
-				k.PostSoftIRQ(ChainStep{Work: rng.ExpTime(6 * sim.Microsecond), Src: SrcTCPIPOther})
+				k.PostSoftIRQ(steps{{rng.ExpTime(6 * sim.Microsecond), SrcTCPIPOther, nil}}, 1)
 			}
 			eng.After(rng.ExpTime(intrGap), storm)
 		}
@@ -118,11 +118,10 @@ func TestChainInterleavedWithInterrupts(t *testing.T) {
 	var order []string
 	k.Spawn("w", func(p *Proc) {
 		p.Syscall("send", 5*sim.Microsecond, func() {
-			steps := []ChainStep{
-				{Work: 20 * sim.Microsecond, Src: SrcIPOutput, Fn: func() { order = append(order, "pkt1") }},
-				{Work: 20 * sim.Microsecond, Src: SrcIPOutput, Fn: func() { order = append(order, "pkt2") }},
-			}
-			p.Chain(steps, func() {})
+			p.Chain(steps{
+				{20 * sim.Microsecond, SrcIPOutput, func() { order = append(order, "pkt1") }},
+				{20 * sim.Microsecond, SrcIPOutput, func() { order = append(order, "pkt2") }},
+			}, func() {})
 		})
 	})
 	k.Start()

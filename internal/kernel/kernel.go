@@ -241,7 +241,6 @@ type Kernel struct {
 	curSoft    softReq
 	softBodyFn func()
 	softDoneFn func()
-	chSteps    []ChainStep
 	chChain    Chain
 	chLen      int
 	chIdx      int
@@ -277,8 +276,10 @@ type Kernel struct {
 	// starveBoost is the aging period (StarveBoost; tests shorten it).
 	starveBoost sim.Time
 
-	// hardclock bookkeeping
-	tick int64
+	// hardclock bookkeeping: ticks handled, and the instant the next
+	// tick is scheduled for
+	tick     int64
+	nextTick sim.Time
 
 	pits []*PIT
 

@@ -15,6 +15,27 @@ func newTestKernel(opts Options) (*sim.Engine, *Kernel) {
 	return eng, k
 }
 
+// steps is a fixed work chain for tests, one step per entry.
+type steps []step
+
+// step is one test chain step: work, then fn if set, then a trigger state
+// unless src is SrcNone.
+type step struct {
+	work sim.Time
+	src  Source
+	fn   func()
+}
+
+func (c steps) Begin() int                    { return len(c) }
+func (c steps) Step(i int) (sim.Time, Source) { return c[i].work, c[i].src }
+func (c steps) End()                          {}
+
+func (c steps) Run(i int) {
+	if c[i].fn != nil {
+		c[i].fn()
+	}
+}
+
 func TestProcComputeRunsAndExits(t *testing.T) {
 	eng, k := newTestKernel(Options{})
 	done := false
@@ -153,7 +174,7 @@ func TestSoftIRQRunsAfterInterrupts(t *testing.T) {
 		k.RaiseInterrupt(SrcIPIntr, time10us, func() {
 			// Handler posts protocol processing, then a second interrupt
 			// arrives before the softirq can run.
-			k.PostSoftIRQ(ChainStep{Work: time10us, Src: SrcTCPIPOther, Fn: func() { order = append(order, "softirq") }})
+			k.PostSoftIRQ(steps{{time10us, SrcTCPIPOther, func() { order = append(order, "softirq") }}}, 1)
 			k.RaiseInterrupt(SrcDisk, time10us, func() { order = append(order, "intr2") })
 		})
 	})
@@ -170,14 +191,14 @@ func TestChainStepsProduceIPOutputTriggers(t *testing.T) {
 	eng, k := newTestKernel(Options{})
 	sent := 0
 	k.Spawn("server", func(p *Proc) {
-		steps := make([]ChainStep, 5)
-		for i := range steps {
-			steps[i] = ChainStep{Work: 5 * sim.Microsecond, Src: SrcIPOutput, Fn: func() { sent++ }}
+		out := make(steps, 5)
+		for i := range out {
+			out[i] = step{5 * sim.Microsecond, SrcIPOutput, func() { sent++ }}
 		}
 		// The send syscall returns, then the TCP/IP output loop runs as a
 		// kernel chain with one trigger state per transmitted packet.
 		p.Syscall("writev", time10us, func() {
-			p.Chain(steps, func() {})
+			p.Chain(out, func() {})
 		})
 	})
 	k.Start()

@@ -122,29 +122,17 @@ func (p *Proc) Trap(name string, d sim.Time, then func()) {
 	p.k.startSegment(s)
 }
 
-// Chain executes a sequence of kernel work steps in this process's kernel
-// context — e.g. the TCP/IP output loop inside a send syscall, where each
-// transmitted packet is a trigger state — then runs then. Interrupts that
-// arrive during the chain are queued (the loop runs at raised SPL) and
-// serviced afterwards.
-func (p *Proc) Chain(steps []ChainStep, then func()) {
+// Chain executes work chain c in this process's kernel context — e.g. the
+// TCP/IP output loop inside a send syscall, where each transmitted packet
+// is a trigger state — then runs then. Interrupts that arrive during the
+// chain are queued (the loop runs at raised SPL) and serviced afterwards.
+func (p *Proc) Chain(c Chain, then func()) {
 	p.mustOwnCPU("Chain")
 	p.acted = true
 	k := p.k
 	k.inIntr = true
 	k.chProc, k.chThen = p, then
-	k.chainStart(steps, nil, acctKernel, k.chProcFn)
-}
-
-// ChainC is Chain with the work expressed through the Chain interface —
-// the allocation-free form for pooled protocol-output chains.
-func (p *Proc) ChainC(c Chain, then func()) {
-	p.mustOwnCPU("ChainC")
-	p.acted = true
-	k := p.k
-	k.inIntr = true
-	k.chProc, k.chThen = p, then
-	k.chainStart(nil, c, acctKernel, k.chProcFn)
+	k.chainStart(c, acctKernel, k.chProcFn)
 }
 
 // Sleep blocks the process on wq; when woken, then runs once the scheduler

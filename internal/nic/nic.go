@@ -112,8 +112,10 @@ type NIC struct {
 
 	// RxHandler receives each inbound packet, in kernel protocol context.
 	// The packet is a borrow: it is released back to its arena when the
-	// handler returns. A handler that needs it afterwards (e.g. a router
-	// forwarding it out another interface) must Retain it first.
+	// handler returns, and the arena may hand it out again. A handler
+	// must copy the fields it needs before returning; one that needs the
+	// packet itself afterwards (e.g. a router forwarding it out another
+	// interface) takes a copy with netstack.Arena.Clone.
 	RxHandler func(p *netstack.Packet)
 
 	// arena, when set, is the host's packet pool, which the layers above
@@ -284,7 +286,7 @@ func (n *NIC) postProtoSoftirq() {
 		return
 	}
 	n.soft = true
-	n.k.PostSoftIRQChain(&n.proto, 0)
+	n.k.PostSoftIRQ(&n.proto, 0)
 }
 
 // protoChain is the protocol-input batch as a kernel.Chain: steps 0..len-1
@@ -378,7 +380,7 @@ func (c *txChain) End() {
 }
 
 // TxChainOf takes a pooled transmit chain loaded with pkts, for use with
-// Proc.ChainC (syscall-context transmission). The chain recycles itself
+// Proc.Chain (syscall-context transmission). The chain recycles itself
 // when it completes.
 func (n *NIC) TxChainOf(pkts ...*netstack.Packet) kernel.Chain {
 	c := n.getTxChain()
@@ -394,7 +396,7 @@ func (n *NIC) TxFromKernel(pkts ...*netstack.Packet) {
 	}
 	c := n.getTxChain()
 	c.pkts = append(c.pkts, pkts...)
-	n.k.PostSoftIRQChain(c, len(c.pkts))
+	n.k.PostSoftIRQ(c, len(c.pkts))
 }
 
 // TransmitNow sends one packet immediately, charging no kernel chain —

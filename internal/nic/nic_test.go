@@ -186,7 +186,7 @@ func TestTxChainTransmitsWithIPOutputTriggers(t *testing.T) {
 	}
 	r.k.Spawn("sender", func(p *kernel.Proc) {
 		p.Syscall("writev", 10*sim.Microsecond, func() {
-			p.ChainC(r.n.TxChainOf(pkts...), func() {})
+			p.Chain(r.n.TxChainOf(pkts...), func() {})
 		})
 	})
 	r.eng.RunFor(5 * sim.Millisecond)

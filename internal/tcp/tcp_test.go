@@ -11,7 +11,6 @@ import (
 // back to the sender.
 type rig struct {
 	eng  *sim.Engine
-	cfg  Config
 	snd  *Sender
 	rcv  *Receiver
 	wan  *netstack.WANEmulator
@@ -20,7 +19,7 @@ type rig struct {
 
 func newRig(t *testing.T, total int64, bottleneckMbps int64, paced bool) *rig {
 	t.Helper()
-	r := &rig{eng: sim.NewEngine(5), cfg: DefaultConfig()}
+	r := &rig{eng: sim.NewEngine(5)}
 	sndEnv := &EngineEnv{Eng: r.eng}
 	rcvEnv := &EngineEnv{Eng: r.eng}
 	serverIn := netstack.EndpointFunc(func(p *netstack.Packet) {
@@ -37,8 +36,8 @@ func newRig(t *testing.T, total int64, bottleneckMbps int64, paced bool) *rig {
 		100*sim.Millisecond, serverIn, clientIn)
 	sndEnv.Out = r.wan.AtoB // server (a) -> client (b)
 	rcvEnv.Out = r.wan.BtoA
-	r.snd = NewSender(sndEnv, r.cfg, 1, total, paced)
-	r.rcv = NewReceiver(rcvEnv, r.cfg, 1)
+	r.snd = NewSender(sndEnv, 1, total, paced)
+	r.rcv = NewReceiver(rcvEnv, 1)
 	r.rcv.Expected = total
 	r.rcv.OnComplete = func(now sim.Time) { r.done = now }
 	return r
@@ -119,8 +118,7 @@ func TestPacedTransferSkipsSlowStart(t *testing.T) {
 	interval := 240 * sim.Microsecond
 	var tick func()
 	tick = func() {
-		_, more := r.snd.PacedSendOne(r.eng.Now())
-		if more {
+		if r.snd.PacedSendOne(r.eng.Now()) {
 			r.eng.After(interval, tick)
 		}
 	}
@@ -148,7 +146,7 @@ func TestPacedBeatsSelfClockedOnMediumTransfer(t *testing.T) {
 	interval := 240 * sim.Microsecond
 	var tick func()
 	tick = func() {
-		if _, more := paced.snd.PacedSendOne(paced.eng.Now()); more {
+		if paced.snd.PacedSendOne(paced.eng.Now()) {
 			paced.eng.After(interval, tick)
 		}
 	}
@@ -170,7 +168,7 @@ func TestReceiverAcksEverySecondSegment(t *testing.T) {
 	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(p *netstack.Packet) {
 		acks = append(acks, p)
 	})}
-	rcv := NewReceiver(env, DefaultConfig(), 7)
+	rcv := NewReceiver(env, 7)
 	for i := int64(0); i < 6; i++ {
 		rcv.HandleData(&netstack.Packet{Flow: 7, Kind: netstack.Data, Seq: i})
 	}
@@ -196,7 +194,7 @@ func TestDelayedAckTimerCoversOddTail(t *testing.T) {
 		acks = append(acks, p)
 		ackAt = append(ackAt, eng.Now())
 	})}
-	rcv := NewReceiver(env, DefaultConfig(), 1)
+	rcv := NewReceiver(env, 1)
 	rcv.HandleData(&netstack.Packet{Kind: netstack.Data})
 	eng.RunUntil(sim.Second)
 	if len(acks) != 1 {
@@ -216,7 +214,7 @@ func TestImmediateAckCancelsDelayedAck(t *testing.T) {
 	eng := sim.NewEngine(1)
 	acks := 0
 	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(*netstack.Packet) { acks++ })}
-	rcv := NewReceiver(env, DefaultConfig(), 1)
+	rcv := NewReceiver(env, 1)
 	rcv.HandleData(&netstack.Packet{Kind: netstack.Data}) // arms the timer
 	if eng.Pending() != 1 {
 		t.Fatalf("pending events = %d after one segment, want the delayed-ACK timer", eng.Pending())
@@ -231,53 +229,31 @@ func TestImmediateAckCancelsDelayedAck(t *testing.T) {
 	}
 }
 
-func TestBigAckCounting(t *testing.T) {
-	eng := sim.NewEngine(1)
-	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(p *netstack.Packet) {})}
-	cfg := DefaultConfig()
-	cfg.AckEvery = 10 // aggregate heavily, as a slow-reading app would
-	rcv := NewReceiver(env, cfg, 1)
-	for i := 0; i < 10; i++ {
-		rcv.HandleData(&netstack.Packet{Kind: netstack.Data})
-	}
-	if rcv.BigAcks != 1 {
-		t.Fatalf("BigAcks = %d, want 1 (ACK covered 10 > 3 segments)", rcv.BigAcks)
-	}
-}
-
 func TestSenderMaxBurstTracksBigAckResponse(t *testing.T) {
-	// A big ACK opening a wide window makes a self-clocked sender burst.
+	// An ACK covering several segments opens the window by that many plus
+	// one, so a self-clocked sender answers it with a burst.
 	eng := sim.NewEngine(1)
-	var sent int
-	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(p *netstack.Packet) { sent++ })}
-	cfg := DefaultConfig()
-	cfg.InitialCwnd = 4
-	snd := NewSender(env, cfg, 1, 100, false)
+	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(*netstack.Packet) {})}
+	snd := NewSender(env, 1, 100, false)
 	snd.Start()
+	if snd.MaxBurst != 1 {
+		t.Fatalf("initial burst = %d, want the 1-segment initial window", snd.MaxBurst)
+	}
+	snd.HandleAck(&netstack.Packet{Kind: netstack.Ack, AckSeq: 1}) // cwnd 2: segments 1, 2
+	snd.HandleAck(&netstack.Packet{Kind: netstack.Ack, AckSeq: 2}) // cwnd 3: segments 3, 4
+	if snd.MaxBurst != 2 {
+		t.Fatalf("MaxBurst = %d after one-segment ACKs, want 2", snd.MaxBurst)
+	}
+	snd.HandleAck(&netstack.Packet{Kind: netstack.Ack, AckSeq: 5}) // covers 3; cwnd 4
 	if snd.MaxBurst != 4 {
-		t.Fatalf("initial burst = %d, want 4", snd.MaxBurst)
-	}
-	snd.HandleAck(&netstack.Packet{Kind: netstack.Ack, AckSeq: 4})
-	if snd.MaxBurst < 5 {
-		t.Fatalf("MaxBurst = %d after big ACK, want >= 5", snd.MaxBurst)
-	}
-}
-
-func TestOnAllAckedFiresOnce(t *testing.T) {
-	r := newRig(t, 10, 100, false)
-	fired := 0
-	r.snd.OnAllAcked = func(sim.Time) { fired++ }
-	r.snd.Start()
-	r.eng.RunUntil(5 * sim.Second)
-	if fired != 1 {
-		t.Fatalf("OnAllAcked fired %d times", fired)
+		t.Fatalf("MaxBurst = %d after a 3-segment ACK, want 4", snd.MaxBurst)
 	}
 }
 
 func TestPacedSendOnePanicsOnSelfClocked(t *testing.T) {
 	eng := sim.NewEngine(1)
 	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(*netstack.Packet) {})}
-	snd := NewSender(env, DefaultConfig(), 1, 10, false)
+	snd := NewSender(env, 1, 10, false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -292,40 +268,24 @@ func TestNegativeTotalPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewSender(nil, DefaultConfig(), 1, -1, false)
-}
-
-func TestRcvWndLimitsInflight(t *testing.T) {
-	eng := sim.NewEngine(1)
-	sent := 0
-	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(*netstack.Packet) { sent++ })}
-	cfg := DefaultConfig()
-	cfg.InitialCwnd = 1000
-	cfg.RcvWnd = 8
-	snd := NewSender(env, cfg, 1, 100, false)
-	snd.Start()
-	if sent != 8 {
-		t.Fatalf("sent %d with rcvwnd 8, want 8", sent)
-	}
+	NewSender(nil, 1, -1, false)
 }
 
 func TestSenderAccessors(t *testing.T) {
 	eng := sim.NewEngine(30)
 	sent := 0
 	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(*netstack.Packet) { sent++ })}
-	cfg := DefaultConfig()
-	cfg.InitialCwnd = 2
-	snd := NewSender(env, cfg, 1, 10, false)
+	snd := NewSender(env, 1, 10, false)
 	if snd.nextSeq != 0 || snd.ackedTo != 0 {
 		t.Fatalf("fresh sender: sent to %d, acked to %d", snd.nextSeq, snd.ackedTo)
 	}
 	snd.Start()
 	snd.Start() // idempotent
-	if sent != 2 {
-		t.Fatalf("initial window sent %d, want 2", sent)
+	if sent != 1 {
+		t.Fatalf("initial window sent %d, want 1", sent)
 	}
-	if snd.nextSeq != 2 {
-		t.Fatalf("sent to %d, want 2", snd.nextSeq)
+	if snd.nextSeq != 1 {
+		t.Fatalf("sent to %d, want 1", snd.nextSeq)
 	}
 	snd.HandleAck(&netstack.Packet{Kind: netstack.Ack, AckSeq: 10})
 	if snd.ackedTo != snd.total {
@@ -336,19 +296,19 @@ func TestSenderAccessors(t *testing.T) {
 func TestPacedSenderDoneSemantics(t *testing.T) {
 	eng := sim.NewEngine(31)
 	env := &EngineEnv{Eng: eng, Out: netstack.EndpointFunc(func(*netstack.Packet) {})}
-	snd := NewSender(env, DefaultConfig(), 1, 2, true)
+	snd := NewSender(env, 1, 2, true)
 	snd.Start() // no-op for paced
 	if snd.nextSeq != 0 {
 		t.Fatal("paced sender sent before PacedSendOne")
 	}
-	if _, more := snd.PacedSendOne(0); !more {
+	if !snd.PacedSendOne(0) {
 		t.Fatal("more=false after first of two")
 	}
-	if _, more := snd.PacedSendOne(0); more {
+	if snd.PacedSendOne(0) {
 		t.Fatal("more=true after last")
 	}
-	if p, more := snd.PacedSendOne(0); p != nil || more {
-		t.Fatal("send past end returned a packet")
+	if snd.PacedSendOne(0) || snd.SegmentsSent != 2 {
+		t.Fatalf("send past end: more or a third segment (%d sent)", snd.SegmentsSent)
 	}
 	if snd.nextSeq != snd.total {
 		t.Fatal("paced sender not done after transmitting all")

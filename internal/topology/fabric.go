@@ -56,7 +56,6 @@ func (fs *FabricSpec) leafOf(i int) int { return i % fs.Leaves }
 
 // Fabric is one assembled leaf–spine fabric.
 type Fabric struct {
-	Name   string
 	Spine  *Switch
 	Leaves []*Switch
 	// Up and Down are the per-leaf trunk links (leaf→spine, spine→leaf).
@@ -76,7 +75,7 @@ func (t *Topology) AddFabric(fs FabricSpec) *Fabric {
 	if len(fs.Members) == 0 {
 		panic(fmt.Sprintf("topology: fabric %q has no members", fs.Name))
 	}
-	f := &Fabric{Name: fs.Name}
+	f := &Fabric{}
 	f.Spine = t.AddSwitch(fs.Name + ".spine")
 	for j := 0; j < fs.Leaves; j++ {
 		f.Leaves = append(f.Leaves, t.AddSwitch(fmt.Sprintf("%s.leaf%d", fs.Name, j)))

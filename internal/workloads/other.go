@@ -85,13 +85,7 @@ func makeNFS(seed uint64, prof cpu.Profile) *Rig {
 							diskWQ.WakeOne()
 						})
 					})
-					p.Sleep(&diskWQ, func() {
-						reply := []kernel.ChainStep{
-							{Work: sim.Micros(8), Src: kernel.SrcIPOutput},
-							{Work: sim.Micros(8), Src: kernel.SrcIPOutput},
-						}
-						p.Chain(reply, loop)
-					})
+					p.Sleep(&diskWQ, func() { p.Chain(nfsReply{}, loop) })
 				})
 			}
 			loop()
@@ -126,6 +120,20 @@ func makeNFS(seed uint64, prof cpu.Profile) *Rig {
 	r.K.Start()
 	return r
 }
+
+// nfsReply is an nfsd reply as a kernel.Chain: two packets through the IP
+// output path, each a trigger state.
+type nfsReply struct{}
+
+func (nfsReply) Begin() int { return 2 }
+
+func (nfsReply) Step(int) (sim.Time, kernel.Source) {
+	return sim.Micros(8), kernel.SrcIPOutput
+}
+
+func (nfsReply) Run(int) {}
+
+func (nfsReply) End() {}
 
 // makeKernelBuild models building the FreeBSD kernel from source:
 // compiler processes with heavy-tailed compute bursts (the 47.9 µs

@@ -29,8 +29,6 @@ type Rig struct {
 	Eng *sim.Engine
 	K   *kernel.Kernel
 	F   *core.Facility
-	// Testbed is non-nil for the web-server workloads.
-	Testbed *httpserv.Testbed
 }
 
 // Definition names a workload and knows how to build it.
@@ -101,7 +99,7 @@ func makeApache(withCompute bool) func(uint64, cpu.Profile) *Rig {
 			// paper finds "no tangible impact" from the hog.
 			hog.Priority = -1
 		}
-		r := &Rig{Eng: tb.Eng, K: tb.K, F: tb.F, Testbed: tb}
+		r := &Rig{Eng: tb.Eng, K: tb.K, F: tb.F}
 		tb.Start()
 		return r
 	}
@@ -113,7 +111,7 @@ func makeFlash(seed uint64, prof cpu.Profile) *Rig {
 		Profile: prof,
 		Server:  httpserv.Config{Kind: httpserv.Flash},
 	})
-	r := &Rig{Eng: tb.Eng, K: tb.K, F: tb.F, Testbed: tb}
+	r := &Rig{Eng: tb.Eng, K: tb.K, F: tb.F}
 	tb.Start()
 	return r
 }

@@ -38,20 +38,11 @@ var optionStructs = []string{
 	"softtimers/internal/emu.Config",
 }
 
-// keptUnset are option fields kept although nothing outside their package
-// sets them, each with its reason.
-var keptUnset = map[string]string{
-	"httpserv.TestbedConfig.Faults": "ROADMAP's paper-shapes-under-faults item runs the paper rigs under a fault plan",
-	"nic.Config.TxComplInterrupts":  "the modeling question of ROADMAP's interrupt-pair item; tests reach the transmit-completion interrupt path",
-	"nic.Config.IdleInterrupts":     "the modeling question of ROADMAP's interrupt-pair item; tests reach the idle re-enable path",
-}
-
 // TestOptionFieldsHaveSetters parses the non-test Go of the repository and
 // of bench/ and fails on every exported field of optionStructs that no
-// non-test file outside the struct's own package sets, by a keyed
-// composite literal, an assignment or an address taken. A field whose type
-// is a struct of scalars from the same package that is not itself listed
-// (a cost table) is checked field by field.
+// non-test file outside the struct's own package sets (fieldWriters). A
+// field whose type is a struct of scalars from the same package that is not
+// itself listed (a cost table) is checked field by field.
 func TestOptionFieldsHaveSetters(t *testing.T) {
 	pkgs := loadTree(t)
 	type leaf struct {
@@ -88,51 +79,7 @@ func TestOptionFieldsHaveSetters(t *testing.T) {
 		}
 	}
 
-	// setBy records, per field object, the packages whose non-test files
-	// set it.
-	setBy := map[*types.Var]map[string]bool{}
-	mark := func(v *types.Var, pkgPath string) {
-		if setBy[v] == nil {
-			setBy[v] = map[string]bool{}
-		}
-		setBy[v][pkgPath] = true
-	}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					st, ok := pkg.info.TypeOf(n).Underlying().(*types.Struct)
-					if !ok {
-						return true
-					}
-					for i, elt := range n.Elts {
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if obj, ok := pkg.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-								mark(obj, pkg.path)
-							}
-						} else if i < st.NumFields() {
-							mark(st.Field(i), pkg.path)
-						}
-					}
-				case *ast.AssignStmt:
-					if n.Tok != token.DEFINE {
-						for _, lhs := range n.Lhs {
-							markSelected(pkg.info, lhs, func(v *types.Var) { mark(v, pkg.path) })
-						}
-					}
-				case *ast.IncDecStmt:
-					markSelected(pkg.info, n.X, func(v *types.Var) { mark(v, pkg.path) })
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						markSelected(pkg.info, n.X, func(v *types.Var) { mark(v, pkg.path) })
-					}
-				}
-				return true
-			})
-		}
-	}
-
+	setBy := fieldWriters(pkgs)
 	var unset []string
 	for _, l := range leaves {
 		set := true
@@ -145,19 +92,10 @@ func TestOptionFieldsHaveSetters(t *testing.T) {
 			}
 			set = set && outside
 		}
-		if _, kept := keptUnset[l.name]; set || kept {
+		if _, kept := keptUnwritten[l.name]; set || kept {
 			continue
 		}
 		unset = append(unset, l.name)
-	}
-	for name := range keptUnset {
-		found := false
-		for _, l := range leaves {
-			found = found || l.name == name
-		}
-		if !found {
-			t.Errorf("keptUnset names %s, which is not a field of a checked option struct", name)
-		}
 	}
 	sort.Strings(unset)
 	for _, name := range unset {
@@ -166,6 +104,123 @@ func TestOptionFieldsHaveSetters(t *testing.T) {
 	if len(unset) > 0 {
 		t.Logf("%d option fields have no outside setter", len(unset))
 	}
+}
+
+// keptUnwritten are exported fields under internal/ kept although no
+// non-test file writes them, each with its reason. An option field listed
+// here is exempt from TestOptionFieldsHaveSetters too.
+var keptUnwritten = map[string]string{
+	"httpserv.TestbedConfig.Faults": "ROADMAP's paper-shapes-under-faults item runs the paper rigs under a fault plan",
+	"nic.Config.TxComplInterrupts":  "the modeling question of ROADMAP's interrupt-pair item; tests reach the transmit-completion interrupt path",
+	"nic.Config.IdleInterrupts":     "the modeling question of ROADMAP's interrupt-pair item; tests reach the idle re-enable path",
+	"netstack.Link.MaxQueue":        "no rig sets it, but its tail drops are link.<name>.dropped in every snapshot, so removing it moves every telemetry digest",
+}
+
+// TestStructFieldsHaveWriters fails on every exported field of a struct
+// type declared in a non-test file under internal/ that no non-test file of
+// the tree writes, by a keyed or positional composite literal, an
+// assignment, ++ or --, or an address taken (cmd/, examples/, bench/ and
+// the field's own package all count). Such a field reads its zero value
+// everywhere: delete it with the code only its other values reach.
+func TestStructFieldsHaveWriters(t *testing.T) {
+	pkgs := loadTree(t)
+	written := fieldWriters(pkgs)
+	var unwritten []string
+	declared := map[string]bool{}
+	for path, pkg := range pkgs {
+		if !strings.HasPrefix(path, "softtimers/internal/") {
+			continue
+		}
+		scope := pkg.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				f := st.Field(i)
+				if !f.Exported() {
+					continue
+				}
+				field := pkg.types.Name() + "." + name + "." + f.Name()
+				declared[field] = true
+				_, kept := keptUnwritten[field]
+				switch {
+				case len(written[f]) > 0 && kept:
+					t.Errorf("keptUnwritten names %s, which has a writer now; drop the entry", field)
+				case len(written[f]) == 0 && !kept:
+					unwritten = append(unwritten, field)
+				}
+			}
+		}
+	}
+	for name := range keptUnwritten {
+		if !declared[name] {
+			t.Errorf("keptUnwritten names %s, which is not an exported field of a struct under internal/", name)
+		}
+	}
+	sort.Strings(unwritten)
+	for _, name := range unwritten {
+		t.Errorf("%s: no non-test file writes it; delete it", name)
+	}
+	if len(unwritten) > 0 {
+		t.Logf("%d exported fields have no writer", len(unwritten))
+	}
+}
+
+// fieldWriters walks the tree's non-test files and returns, per field
+// object, the packages that write it: by a keyed or positional composite
+// literal, an assignment, ++ or --, or an address taken. Fields of
+// generic types are keyed by their origin.
+func fieldWriters(pkgs map[string]*treePackage) map[*types.Var]map[string]bool {
+	setBy := map[*types.Var]map[string]bool{}
+	for _, pkg := range pkgs {
+		mark := func(v *types.Var) {
+			v = v.Origin()
+			if setBy[v] == nil {
+				setBy[v] = map[string]bool{}
+			}
+			setBy[v][pkg.path] = true
+		}
+		for _, file := range pkg.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := pkg.info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if obj, ok := pkg.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								mark(obj)
+							}
+						} else if i < st.NumFields() {
+							mark(st.Field(i))
+						}
+					}
+				case *ast.AssignStmt:
+					if n.Tok != token.DEFINE {
+						for _, lhs := range n.Lhs {
+							markSelected(pkg.info, lhs, mark)
+						}
+					}
+				case *ast.IncDecStmt:
+					markSelected(pkg.info, n.X, mark)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						markSelected(pkg.info, n.X, mark)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return setBy
 }
 
 // stdInterfaceMethods are the method names of standard-library interfaces
